@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
@@ -69,12 +70,14 @@ type Decision struct {
 	// FilteredRates are the post-filter per-slave rates used.
 	FilteredRates []float64
 	// Improvement is the projected fractional reduction in completion time
-	// of the new distribution over the current one.
+	// of the Targets distribution over the current one.
 	Improvement float64
-	// Suppressed explains why moves were withheld: "", "below-threshold",
-	// or "not-profitable".
+	// Suppressed explains why moves were withheld: "", "below-threshold"
+	// (no group's improvement reached the threshold), or "not-profitable".
 	Suppressed string
-	// Targets is the per-slave target active-unit allocation.
+	// Targets is the per-slave target active-unit allocation. When some
+	// but not all groups of a grouped step are below the threshold, the
+	// held groups' entries are their current counts.
 	Targets []int
 }
 
@@ -92,8 +95,7 @@ type Balancer struct {
 }
 
 // NewBalancer creates a balancer over an initial distribution. The cost
-// model provides prior estimates for movement cost until real measurements
-// arrive.
+// model prices candidate moves for the profitability determination.
 func NewBalancer(cfg Config, own *Ownership, costs *MoveCostModel) *Balancer {
 	if cfg.Slaves != own.Slaves() {
 		panic("core: config/ownership slave count mismatch")
@@ -147,22 +149,30 @@ func (b *Balancer) Grow(slaves int) {
 	}
 }
 
-// completionTime is the projected time for the slowest slave to finish its
-// allocation at the given rates.
-func completionTime(counts []int, rates []float64) float64 {
-	worst := 0.0
-	for i := range counts {
-		if counts[i] == 0 {
-			continue
-		}
-		if rates[i] <= 0 {
-			return math.Inf(1)
-		}
-		if t := float64(counts[i]) / rates[i]; t > worst {
-			worst = t
-		}
-	}
-	return worst
+// Grouping splits the slots into contiguous groups for StepGrouped: every
+// group's allotment is apportioned over its own members only, so the groups
+// balance independently except on exchange rounds. The zero value is the
+// paper's single master — one group over every slot.
+type Grouping struct {
+	// Starts holds each group's first slot, ascending from 0; the last
+	// group runs to the final slot, so slots that join later fold into it.
+	Starts []int
+	// Exchange, when non-nil, makes this an exchange round: it is handed
+	// every group's aggregate load and returns the amount to shift across
+	// each of the len(Starts)-1 group boundaries, positive meaning left to
+	// right — whole units without a weight vector, weight with one. Groups
+	// joined by a non-zero flow honor their new allotments regardless of
+	// the improvement threshold, and the round skips the profitability
+	// test: a shift's benefit accrues over the whole exchange interval,
+	// not one balancing period.
+	Exchange func(loads []GroupLoad) []float64
+}
+
+// GroupLoad is one group's aggregate state on an exchange round.
+type GroupLoad struct {
+	Rate   float64 // sum of the members' filtered rates
+	Units  int     // active units the members own
+	Weight float64 // their total weight (equal to Units without a weight vector)
 }
 
 // Step runs one load-balancing phase: filter rates, compute the
@@ -171,7 +181,7 @@ func completionTime(counts []int, rates []float64) float64 {
 // period and hook-skip count. unitsPerHook is the total work (active
 // units across all slaves) executed between consecutive hook instances.
 func (b *Balancer) Step(statuses []Status, unitsPerHook float64) Decision {
-	return b.step(statuses, unitsPerHook, nil)
+	return b.StepGrouped(statuses, unitsPerHook, nil, Grouping{})
 }
 
 // StepWeighted is Step under a per-unit cost model: weights holds one
@@ -182,10 +192,124 @@ func (b *Balancer) StepWeighted(statuses []Status, unitsPerHook float64, weights
 	if weights == nil {
 		panic("core: StepWeighted requires a weight vector")
 	}
-	return b.step(statuses, unitsPerHook, weights)
+	return b.StepGrouped(statuses, unitsPerHook, weights, Grouping{})
 }
 
-func (b *Balancer) step(statuses []Status, unitsPerHook float64, weights []float64) Decision {
+// StepGrouped is the one balancing procedure; Step and StepWeighted are its
+// single-group cases. It runs in three phases:
+//
+//  1. observe: filter the reported rates and derive period and hook skip
+//     (global, so every slave keeps the same contact cadence);
+//  2. per group, compute the members' targets from the group's allotment —
+//     what it holds, shifted by the exchange flows — and hold the group
+//     still when the projected improvement is below the threshold and no
+//     flow reached it;
+//  3. generate the moves for the combined target vector in one pass (groups
+//     are contiguous slot ranges, so intra-group rebalancing and
+//     cross-boundary shifts come out as one consistent schedule), apply
+//     the profitability test, and update ownership.
+//
+// weights is nil for uniform units, or one relative cost per unit.
+func (b *Balancer) StepGrouped(statuses []Status, unitsPerHook float64, weights []float64, grp Grouping) Decision {
+	d := b.observe(statuses, unitsPerHook)
+	if b.own.ActiveTotal() == 0 {
+		return d
+	}
+	rates := d.FilteredRates
+	counts := b.own.ActiveCounts()
+	load := ActiveWeightTotals(b.own, weights)
+
+	bounds := b.groupBounds(grp.Starts)
+	groups := len(bounds) - 1
+	loads := b.groupLoads(bounds, counts, rates, weights)
+	allot := make([]float64, groups)
+	for g, l := range loads {
+		allot[g] = l.Weight
+	}
+	exchange := grp.Exchange != nil && groups > 1
+	var flows []float64
+	if exchange {
+		flows = grp.Exchange(loads)
+		for i, f := range flows {
+			allot[i] -= f
+			allot[i+1] += f
+			if allot[i] < 0 || allot[i+1] < 0 {
+				panic(fmt.Sprintf("core: exchange flow %g across boundary %d overdraws a group", f, i))
+			}
+		}
+	}
+
+	// Groups joined by a flow are planned as one range and always act; every
+	// other group is planned alone and held still below the threshold.
+	d.Targets = make([]int, b.cfg.Slaves)
+	tgtLoad := make([]float64, b.cfg.Slaves)
+	var held []int
+	for g := 0; g < groups; {
+		h := g
+		for h < len(flows) && flows[h] != 0 {
+			h++
+		}
+		lo, hi := bounds[g], bounds[h+1]
+		b.rangeTargets(bounds[g:h+2], allot[g:h+1], rates, weights, d.Targets, tgtLoad)
+		if h == g {
+			impr := improvement(load[lo:hi], tgtLoad[lo:hi], rates[lo:hi])
+			if impr < b.cfg.MinImprovement || impr <= 0 {
+				held = append(held, g)
+			}
+		}
+		g = h + 1
+	}
+	d.Improvement = improvement(load, tgtLoad, rates)
+	if len(held) == groups {
+		d.Suppressed = "below-threshold"
+		return d
+	}
+	if len(held) > 0 {
+		for _, g := range held {
+			lo, hi := bounds[g], bounds[g+1]
+			copy(d.Targets[lo:hi], counts[lo:hi])
+			copy(tgtLoad[lo:hi], load[lo:hi])
+		}
+		d.Improvement = improvement(load, tgtLoad, rates)
+	}
+
+	var moves []Move
+	if b.cfg.Restricted {
+		moves = movesRestricted(b.own, d.Targets, b.alive)
+	} else {
+		// Unrestricted movement is dead-slot safe as is: a dead slot has
+		// zero owned units and a zero target, so it is neither surplus nor
+		// deficit and never becomes a move endpoint.
+		moves = movesUnrestricted(b.own, d.Targets)
+	}
+	if len(moves) == 0 {
+		return d
+	}
+
+	if !b.cfg.DisableProfitability && !exchange {
+		cost := b.costs.EstimateMoves(moves)
+		benefit := time.Duration(d.Improvement * float64(d.Period))
+		if cost > benefit {
+			d.Suppressed = "not-profitable"
+			return d
+		}
+	}
+
+	for _, m := range moves {
+		if err := b.own.Apply(m); err != nil {
+			// Internal invariant violation: the move generators only emit
+			// moves consistent with the ownership map.
+			panic(err)
+		}
+	}
+	d.Moves = moves
+	return d
+}
+
+// observe is phase 1: fold the statuses into the per-slot rate filters and
+// the measured movement/interaction costs, and derive the period and
+// hook-skip count from them.
+func (b *Balancer) observe(statuses []Status, unitsPerHook float64) Decision {
 	if len(statuses) != b.cfg.Slaves {
 		panic("core: status count mismatch")
 	}
@@ -211,101 +335,122 @@ func (b *Balancer) step(statuses []Status, unitsPerHook float64, weights []float
 			b.lastInt = st.InteractionCost
 		}
 	}
-
 	period := TargetPeriod(PeriodInputs{
 		MoveCost:        b.lastMove,
 		InteractionCost: b.lastInt,
 		Quantum:         b.cfg.Quantum,
 	})
-
 	var hookInterval time.Duration
 	if sumRate > 0 && unitsPerHook > 0 {
 		hookInterval = time.Duration(unitsPerHook / sumRate * float64(time.Second))
 	}
-	skip := HookSkip(period, hookInterval, b.cfg.MaxSkip)
-
-	d := Decision{
+	return Decision{
 		Period:        period,
-		SkipHooks:     skip,
+		SkipHooks:     HookSkip(period, hookInterval, b.cfg.MaxSkip),
 		FilteredRates: rates,
 	}
-
-	total := b.own.ActiveTotal()
-	if total == 0 {
-		return d
-	}
-	counts := b.own.ActiveCounts()
-
-	var targets []int
-	var before, after float64
-	if weights == nil {
-		targets = apportionAlive(total, rates, b.alive)
-		before = completionTime(counts, rates)
-		after = completionTime(targets, rates)
-	} else {
-		curW := ActiveWeightTotals(b.own, weights)
-		var tgtW []float64
-		targets, tgtW = weightedTargets(b.own, rates, weights, b.alive, b.cfg.Restricted)
-		before = CompletionTimeWeighted(curW, rates)
-		after = CompletionTimeWeighted(tgtW, rates)
-	}
-	d.Targets = targets
-	switch {
-	case math.IsInf(before, 1) && !math.IsInf(after, 1):
-		d.Improvement = 1
-	case before <= 0 || math.IsInf(after, 1):
-		d.Improvement = 0
-	default:
-		d.Improvement = 1 - after/before
-	}
-
-	if d.Improvement < b.cfg.MinImprovement || d.Improvement <= 0 {
-		d.Suppressed = "below-threshold"
-		return d
-	}
-
-	var moves []Move
-	if b.cfg.Restricted {
-		if b.alive != nil {
-			moves = movesRestrictedAlive(b.own, targets, b.alive)
-		} else {
-			moves = movesRestricted(b.own, targets)
-		}
-	} else {
-		// Unrestricted movement is dead-slot safe as is: a dead slot has
-		// zero owned units and a zero target, so it is neither surplus nor
-		// deficit and never becomes a move endpoint.
-		moves = movesUnrestricted(b.own, targets)
-	}
-	if len(moves) == 0 {
-		return d
-	}
-
-	if !b.cfg.DisableProfitability {
-		cost := b.costs.EstimateMoves(moves)
-		benefit := time.Duration(d.Improvement * float64(period))
-		if cost > benefit {
-			d.Suppressed = "not-profitable"
-			return d
-		}
-	}
-
-	for _, m := range moves {
-		if err := b.own.Apply(m); err != nil {
-			// Internal invariant violation: the move generators only emit
-			// moves consistent with the ownership map.
-			panic(err)
-		}
-	}
-	d.Moves = moves
-	return d
 }
 
-// ObserveMoveCost lets the run-time report a measured movement so the cost
-// model improves over time.
-func (b *Balancer) ObserveMoveCost(units int, cost time.Duration) {
-	b.costs.Observe(units, cost)
-	if cost > 0 {
-		b.lastMove = cost
+// groupBounds turns group start slots into range bounds: group g covers
+// slots [bounds[g], bounds[g+1]). No starts means one group over every slot.
+func (b *Balancer) groupBounds(starts []int) []int {
+	if len(starts) == 0 {
+		return []int{0, b.cfg.Slaves}
+	}
+	for g, s := range starts {
+		if (g == 0 && s != 0) || (g > 0 && s <= starts[g-1]) || s >= b.cfg.Slaves {
+			panic(fmt.Sprintf("core: group starts %v do not partition %d slots", starts, b.cfg.Slaves))
+		}
+	}
+	return append(append([]int(nil), starts...), b.cfg.Slaves)
+}
+
+// groupLoads aggregates each group's rate, active units and weight. Weight
+// is summed in unit order, the order the weighted split accumulates in.
+func (b *Balancer) groupLoads(bounds, counts []int, rates, weights []float64) []GroupLoad {
+	out := make([]GroupLoad, len(bounds)-1)
+	groupOf := make([]int, b.cfg.Slaves)
+	for g := range out {
+		for s := bounds[g]; s < bounds[g+1]; s++ {
+			groupOf[s] = g
+			out[g].Rate += rates[s]
+			out[g].Units += counts[s]
+		}
+		if weights == nil {
+			out[g].Weight = float64(out[g].Units)
+		}
+	}
+	if weights != nil {
+		for u, s := range b.own.owner {
+			if b.own.active[u] {
+				out[groupOf[s]].Weight += weights[u]
+			}
+		}
+	}
+	return out
+}
+
+// rangeTargets is phase 2 for the slots of one or more consecutive groups
+// (bounds has one more entry than allot): each group's allotment is shared
+// out over its alive members in proportion to their rates — integer counts
+// by largest remainder when units are uniform; weight shares otherwise,
+// realized over the whole range by the prefix split (restricted) or the
+// peel (unrestricted). It fills the range's slice of targets and of
+// tgtLoad, the load each slot would then carry.
+func (b *Balancer) rangeTargets(bounds []int, allot, rates, weights []float64, targets []int, tgtLoad []float64) {
+	lo, hi := bounds[0], bounds[len(bounds)-1]
+	alive := func(from, to int) []bool {
+		if b.alive == nil {
+			return nil
+		}
+		return b.alive[from:to]
+	}
+	if weights == nil {
+		for g, a := range allot {
+			from, to := bounds[g], bounds[g+1]
+			copy(targets[from:to], apportionAlive(int(a), rates[from:to], alive(from, to)))
+		}
+		for s := lo; s < hi; s++ {
+			tgtLoad[s] = float64(targets[s])
+		}
+		return
+	}
+	shares := make([]float64, 0, hi-lo)
+	for g, a := range allot {
+		from, to := bounds[g], bounds[g+1]
+		shares = append(shares, weightShares(a, rates[from:to], alive(from, to))...)
+	}
+	var c []int
+	var l []float64
+	if b.cfg.Restricted {
+		var unitW []float64
+		for u, s := range b.own.owner {
+			if b.own.active[u] && s >= lo && s < hi {
+				unitW = append(unitW, weights[u])
+			}
+		}
+		c, l = WeightedSplitRange(unitW, shares)
+	} else {
+		owned := make([][]int, hi-lo)
+		for s := lo; s < hi; s++ {
+			owned[s-lo] = b.own.OwnedActive(s)
+		}
+		c, l = WeightedPeelCounts(owned, weights, shares)
+	}
+	copy(targets[lo:hi], c)
+	copy(tgtLoad[lo:hi], l)
+}
+
+// improvement is the projected fractional reduction in completion time of
+// moving from the before loads to the after loads at the given rates.
+func improvement(before, after, rates []float64) float64 {
+	tb, ta := CompletionTimeWeighted(before, rates), CompletionTimeWeighted(after, rates)
+	switch {
+	case math.IsInf(tb, 1) && !math.IsInf(ta, 1):
+		return 1
+	case tb <= 0 || math.IsInf(ta, 1):
+		return 0
+	default:
+		return 1 - ta/tb
 	}
 }

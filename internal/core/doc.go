@@ -12,6 +12,11 @@
 //     conversion to a hook-skip count,
 //   - startup grain-size selection for strip-mined loops.
 //
+// Balancer.StepGrouped is the one decision procedure: the paper's
+// centralized master is its single-group case, per-unit weights are an
+// argument, and a two-level hierarchy is the same step run per contiguous
+// slot group with allotments shifted by a caller-supplied exchange.
+//
 // The run-time system (internal/dlb) feeds measurements in and carries the
 // resulting instructions to the slaves; everything here is unit-testable in
 // isolation.

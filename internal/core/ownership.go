@@ -161,6 +161,9 @@ func (m Move) String() string {
 func apportion(total int, rates []float64) []int {
 	n := len(rates)
 	out := make([]int, n)
+	if n == 0 {
+		return out // a group whose every member is dead holds nothing
+	}
 	sum := 0.0
 	for _, r := range rates {
 		if r > 0 {
@@ -210,37 +213,44 @@ func apportion(total int, rates []float64) []int {
 // contiguity (paper Figure 1b). Moves are emitted in an order slaves can
 // execute directly: leftward flows right-to-left, then rightward flows
 // left-to-right, so a forwarding slave always receives pass-through units
-// before sending them on.
-func movesRestricted(o *Ownership, targetCounts []int) []Move {
+// before sending them on. When some slots are dead (alive non-nil), boundary
+// flows are attributed to adjacent *alive* slaves, never routed through a
+// dead slot; dead slots must have target 0.
+func movesRestricted(o *Ownership, targetCounts []int, alive []bool) []Move {
+	var ids []int
+	for s := 0; s < o.slaves; s++ {
+		if alive == nil || alive[s] {
+			ids = append(ids, s)
+		} else if targetCounts[s] != 0 {
+			panic(fmt.Sprintf("core: dead slave %d has target %d", s, targetCounts[s]))
+		}
+	}
 	activeUnits := make([]int, 0, len(o.owner))
 	for u := range o.owner {
 		if o.active[u] {
 			activeUnits = append(activeUnits, u)
 		}
 	}
-	// Current and target prefix boundaries over the active unit sequence.
 	cur := o.ActiveCounts()
-	curPrefix := make([]int, o.slaves+1)
-	tgtPrefix := make([]int, o.slaves+1)
-	for i := 0; i < o.slaves; i++ {
-		curPrefix[i+1] = curPrefix[i] + cur[i]
-		tgtPrefix[i+1] = tgtPrefix[i] + targetCounts[i]
+	n := len(ids)
+	curPrefix := make([]int, n+1)
+	tgtPrefix := make([]int, n+1)
+	for i, s := range ids {
+		curPrefix[i+1] = curPrefix[i] + cur[s]
+		tgtPrefix[i+1] = tgtPrefix[i] + targetCounts[s]
 	}
 	var leftward, rightward []Move
-	for b := 0; b < o.slaves-1; b++ {
+	for b := 0; b < n-1; b++ {
 		c, t := curPrefix[b+1], tgtPrefix[b+1]
 		switch {
 		case t > c:
-			// Units c..t-1 of the active sequence cross boundary b from
-			// right to left.
 			units := append([]int(nil), activeUnits[c:t]...)
-			leftward = append(leftward, Move{From: b + 1, To: b, Units: units})
+			leftward = append(leftward, Move{From: ids[b+1], To: ids[b], Units: units})
 		case c > t:
 			units := append([]int(nil), activeUnits[t:c]...)
-			rightward = append(rightward, Move{From: b, To: b + 1, Units: units})
+			rightward = append(rightward, Move{From: ids[b], To: ids[b+1], Units: units})
 		}
 	}
-	// Leftward chains must run right-to-left so forwarders hold the data.
 	for i, j := 0, len(leftward)-1; i < j; i, j = i+1, j-1 {
 		leftward[i], leftward[j] = leftward[j], leftward[i]
 	}

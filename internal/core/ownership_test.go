@@ -145,7 +145,7 @@ func TestMovesRestrictedChainsThroughIntermediate(t *testing.T) {
 		}
 	}
 	targets := []int{4, 3, 3}
-	moves := movesRestricted(o, targets)
+	moves := movesRestricted(o, targets, nil)
 	simulateMoves(t, o, moves)
 	for _, m := range moves {
 		if err := o.Apply(m); err != nil {
@@ -183,7 +183,7 @@ func TestMovesRestrictedQuick(t *testing.T) {
 			rates[i] = 0.1 + r.Float64()*5
 		}
 		targets := apportion(o.ActiveTotal(), rates)
-		moves := movesRestricted(o, targets)
+		moves := movesRestricted(o, targets, nil)
 		// Executability.
 		held := map[int]map[int]bool{}
 		for s := 0; s < slaves; s++ {
@@ -273,7 +273,7 @@ func TestMovesUnrestrictedQuick(t *testing.T) {
 func TestMovesNoopWhenBalanced(t *testing.T) {
 	o := NewBlockOwnership(12, 4)
 	targets := []int{3, 3, 3, 3}
-	if moves := movesRestricted(o, targets); len(moves) != 0 {
+	if moves := movesRestricted(o, targets, nil); len(moves) != 0 {
 		t.Errorf("restricted moves on balanced system: %v", moves)
 	}
 	if moves := movesUnrestricted(o, targets); len(moves) != 0 {

@@ -3,30 +3,22 @@ package core
 import "time"
 
 // MoveCostModel estimates the cost of moving work units between slaves as
-// fixed + perUnit·n, updated from measured movement times. "The cost of
-// moving work is measured each time work is moved" (§4.3).
+// fixed + perUnit·n. It is a prior, not a measurement: the run-time seeds it
+// once from the link parameters (per-message latency and overhead, one
+// unit's bytes over the bandwidth — internal/dlb's balancerSetup) and the
+// profitability determination prices candidate moves with it. The movement
+// costs slaves measure and report (Status.MoveCost, §4.3 "the cost of moving
+// work is measured each time work is moved") drive the balancing period
+// only.
 type MoveCostModel struct {
 	fixed   time.Duration
 	perUnit time.Duration
-	alpha   float64 // EMA weight for new observations
 }
 
-// NewMoveCostModel creates a model with prior estimates (e.g. derived from
-// link latency and per-unit bytes over bandwidth).
+// NewMoveCostModel creates a model from the fixed per-transfer cost and the
+// per-unit cost.
 func NewMoveCostModel(fixed, perUnit time.Duration) *MoveCostModel {
-	return &MoveCostModel{fixed: fixed, perUnit: perUnit, alpha: 0.5}
-}
-
-// Observe records a measured movement of n units taking total time cost.
-func (m *MoveCostModel) Observe(n int, cost time.Duration) {
-	if n <= 0 {
-		return
-	}
-	per := cost / time.Duration(n)
-	m.perUnit += time.Duration(m.alpha * float64(per-m.perUnit))
-	if m.perUnit < 0 {
-		m.perUnit = 0
-	}
+	return &MoveCostModel{fixed: fixed, perUnit: perUnit}
 }
 
 // Estimate predicts the cost of moving n units in one transfer.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,6 +75,173 @@ func TestBalancerInvariantsQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// groupedScenario is one random balancing problem for TestStepGroupedQuick:
+// a distribution with some slots dead (owning nothing, as recovery leaves
+// them), optional per-unit weights, and a status stream.
+type groupedScenario struct {
+	r          *rand.Rand
+	slaves     int
+	restricted bool
+	own        *Ownership
+	alive      []bool // nil: no failures
+	weights    []float64
+}
+
+func newGroupedScenario(seed int64) *groupedScenario {
+	r := rand.New(rand.NewSource(seed))
+	sc := &groupedScenario{r: r, slaves: 3 + r.Intn(6), restricted: r.Intn(2) == 0}
+	units := 2*sc.slaves + r.Intn(60)
+	sc.own = NewBlockOwnership(units, sc.slaves)
+	if r.Intn(3) == 0 {
+		sc.alive = make([]bool, sc.slaves)
+		for i := range sc.alive {
+			sc.alive[i] = true
+		}
+		for k := 1 + r.Intn(sc.slaves-1); k > 0; k-- {
+			sc.alive[r.Intn(sc.slaves)] = false
+		}
+		sc.alive[r.Intn(sc.slaves)] = true // never everyone
+		// Blocks over the survivors only, in slot order.
+		var ids []int
+		for s, a := range sc.alive {
+			if a {
+				ids = append(ids, s)
+			}
+		}
+		owner, active := NewBlockOwnership(units, len(ids)).Snapshot()
+		for u, s := range owner {
+			owner[u] = ids[s]
+		}
+		sc.own = OwnershipFromMap(owner, active, sc.slaves)
+	}
+	if r.Intn(2) == 0 {
+		sc.weights = make([]float64, units)
+		for u := range sc.weights {
+			sc.weights[u] = 0.2 + 5*r.Float64()
+		}
+	}
+	return sc
+}
+
+func (sc *groupedScenario) balancer() *Balancer {
+	b := NewBalancer(DefaultConfig(sc.slaves, sc.restricted), sc.own.Clone(),
+		NewMoveCostModel(time.Millisecond, 10*time.Microsecond))
+	b.SetAlive(sc.alive)
+	return b
+}
+
+func (sc *groupedScenario) statuses() []Status {
+	out := make([]Status, sc.slaves)
+	for i := range out {
+		out[i] = Status{Rate: 1 + sc.r.Float64()*99}
+	}
+	return out
+}
+
+// randomFlows is a stand-in diffuser: a random under-half shift across every
+// boundary both of whose groups measure a rate (a dead group neither gives
+// nor takes), whole units without weights, never overdrawing a group.
+func (sc *groupedScenario) randomFlows(loads []GroupLoad) []float64 {
+	prov := make([]float64, len(loads))
+	for g, l := range loads {
+		prov[g] = l.Weight
+	}
+	flows := make([]float64, len(loads)-1)
+	for i := range flows {
+		if loads[i].Rate <= 0 || loads[i+1].Rate <= 0 || sc.r.Intn(3) == 0 {
+			continue
+		}
+		f := 0.5 * sc.r.Float64() * prov[i]
+		if sc.r.Intn(2) == 0 {
+			f = -0.5 * sc.r.Float64() * prov[i+1]
+		}
+		if sc.weights == nil {
+			f = math.Trunc(f)
+		}
+		flows[i] = f
+		prov[i] -= f
+		prov[i+1] += f
+	}
+	return flows
+}
+
+// TestStepGroupedQuick checks the composition both ways. With a single
+// group — the zero Grouping, or one explicit group with an exchange that is
+// never consulted — StepGrouped is Step/StepWeighted: identical Decisions
+// and identical ownership, step after step, across restricted and
+// unrestricted movement, alive masks and optional weights. With several
+// groups the targets still sum to the active total, dead slots get nothing,
+// and applying the moves keeps ownership a partition over the alive slots —
+// contiguous in slot order (hence per group) under restricted movement.
+func TestStepGroupedQuick(t *testing.T) {
+	check := func(seed int64) bool {
+		sc := newGroupedScenario(seed)
+		flat, single, multi := sc.balancer(), sc.balancer(), sc.balancer()
+		one := Grouping{Starts: []int{0}, Exchange: func([]GroupLoad) []float64 {
+			t.Error("exchange consulted with a single group")
+			return nil
+		}}
+		var starts []int
+		for s := 0; s < sc.slaves; s++ {
+			if s == 0 || sc.r.Intn(3) == 0 {
+				starts = append(starts, s)
+			}
+		}
+		total := sc.own.ActiveTotal()
+		for step := 0; step < 10; step++ {
+			st := sc.statuses()
+			uph := float64(total)
+
+			var want Decision
+			if sc.weights == nil {
+				want = flat.Step(st, uph)
+			} else {
+				want = flat.StepWeighted(st, uph, sc.weights)
+			}
+			got := single.StepGrouped(st, uph, sc.weights, one)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(single.own, flat.own) {
+				t.Logf("seed %d step %d: single group diverged:\n got %+v\nwant %+v", seed, step, got, want)
+				return false
+			}
+
+			grp := Grouping{Starts: starts}
+			if step%2 == 1 {
+				grp.Exchange = sc.randomFlows
+			}
+			d := multi.StepGrouped(st, uph, sc.weights, grp)
+			if multi.own.ActiveTotal() != total {
+				return false
+			}
+			sum := 0
+			for s, v := range d.Targets {
+				sum += v
+				if sc.alive != nil && !sc.alive[s] && v != 0 {
+					t.Logf("seed %d step %d: dead slot %d has target %d", seed, step, s, v)
+					return false
+				}
+			}
+			if sum != total {
+				t.Logf("seed %d step %d: targets %v sum to %d, want %d", seed, step, d.Targets, sum, total)
+				return false
+			}
+			for s, n := range multi.own.ActiveCounts() {
+				if sc.alive != nil && !sc.alive[s] && n != 0 {
+					t.Logf("seed %d step %d: dead slot %d owns %d units", seed, step, s, n)
+					return false
+				}
+			}
+			if sc.restricted && !multi.own.IsBlock() {
+				t.Logf("seed %d step %d: grouped moves broke the block order", seed, step)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -153,50 +153,6 @@ func nearestAlive(survivors []int, s int) int {
 	return best
 }
 
-// movesRestrictedAlive generalizes movesRestricted to a cluster where some
-// slave slots are dead: boundary flows are attributed to adjacent *alive*
-// slaves, never routed through a dead slot. Dead slots must have target 0.
-func movesRestrictedAlive(o *Ownership, targetCounts []int, alive []bool) []Move {
-	var ids []int
-	for s := 0; s < o.slaves; s++ {
-		if alive == nil || alive[s] {
-			ids = append(ids, s)
-		} else if targetCounts[s] != 0 {
-			panic(fmt.Sprintf("core: dead slave %d has target %d", s, targetCounts[s]))
-		}
-	}
-	activeUnits := make([]int, 0, len(o.owner))
-	for u := range o.owner {
-		if o.active[u] {
-			activeUnits = append(activeUnits, u)
-		}
-	}
-	cur := o.ActiveCounts()
-	n := len(ids)
-	curPrefix := make([]int, n+1)
-	tgtPrefix := make([]int, n+1)
-	for i, s := range ids {
-		curPrefix[i+1] = curPrefix[i] + cur[s]
-		tgtPrefix[i+1] = tgtPrefix[i] + targetCounts[s]
-	}
-	var leftward, rightward []Move
-	for b := 0; b < n-1; b++ {
-		c, t := curPrefix[b+1], tgtPrefix[b+1]
-		switch {
-		case t > c:
-			units := append([]int(nil), activeUnits[c:t]...)
-			leftward = append(leftward, Move{From: ids[b+1], To: ids[b], Units: units})
-		case c > t:
-			units := append([]int(nil), activeUnits[t:c]...)
-			rightward = append(rightward, Move{From: ids[b], To: ids[b+1], Units: units})
-		}
-	}
-	for i, j := 0, len(leftward)-1; i < j; i, j = i+1, j-1 {
-		leftward[i], leftward[j] = leftward[j], leftward[i]
-	}
-	return append(leftward, rightward...)
-}
-
 // apportionAlive is apportion restricted to alive slots: dead slots always
 // receive zero, and the all-zero-rates fallback splits evenly among the
 // alive slots only.

@@ -172,7 +172,7 @@ func TestMovesRestrictedAlive(t *testing.T) {
 	if cur[0] != 4 || cur[1] != 0 || cur[2] != 4 {
 		t.Fatalf("setup counts = %v", cur)
 	}
-	moves := movesRestrictedAlive(o, []int{5, 0, 3}, alive)
+	moves := movesRestricted(o, []int{5, 0, 3}, alive)
 	for _, m := range moves {
 		if !alive[m.From] || !alive[m.To] {
 			t.Fatalf("move touches dead slot: %+v", m)

@@ -2,16 +2,16 @@ package core
 
 import "math"
 
-// Weighted apportionment: the uniform-unit assumption retired. The legacy
-// apportioning treats every active unit as equally expensive, so target
+// Weighted apportionment: the uniform-unit assumption retired. The
+// uniform-unit path treats every active unit as equally expensive, so target
 // *counts* proportional to rates equalize completion times. When a learned
 // per-unit cost model is in play (internal/dlb's UnitCostModel), units carry
 // relative weights and the balancer must equalize *weighted* completion
 // times instead: each slot's share of the total active weight — not of the
 // unit count — tracks its measured rate. The functions here compute target
 // unit counts whose projected weighted shares do that, in both movement
-// disciplines, and stay exactly off the legacy code paths when weights are
-// absent so uniform-cost runs remain bit-identical.
+// disciplines; Balancer.rangeTargets calls them only when it is handed a
+// weight vector, so uniform-cost runs keep the largest-remainder arithmetic.
 
 // ActiveWeightTotals returns each slot's aggregate weight of active owned
 // units. A nil weight vector counts units (weight 1 each).
@@ -52,31 +52,32 @@ func CompletionTimeWeighted(weights, rates []float64) float64 {
 
 // weightShares converts rates into desired weight allocations summing to
 // total: share_i = total * rate_i / sum(rates), dead or non-positive-rate
-// slots getting zero. ok is false when no slot has a positive rate (the
-// caller falls back to the even legacy split).
-func weightShares(total float64, rates []float64, alive []bool) ([]float64, bool) {
-	sum := 0.0
+// slots getting zero. When no alive slot has a positive rate the total is
+// split evenly over the alive slots, as apportion does with counts.
+func weightShares(total float64, rates []float64, alive []bool) []float64 {
+	sum, n := 0.0, 0
 	for i, r := range rates {
 		if alive != nil && !alive[i] {
 			continue
 		}
+		n++
 		if r > 0 {
 			sum += r
 		}
-	}
-	if sum <= 0 {
-		return nil, false
 	}
 	out := make([]float64, len(rates))
 	for i, r := range rates {
 		if alive != nil && !alive[i] {
 			continue
 		}
-		if r > 0 {
+		switch {
+		case sum <= 0:
+			out[i] = total / float64(n)
+		case r > 0:
 			out[i] = total * r / sum
 		}
 	}
-	return out, true
+	return out
 }
 
 // WeightedSplitRange splits a contiguous run of units (given by their
@@ -168,36 +169,4 @@ func WeightedPeelCounts(owned [][]int, w []float64, shares []float64) (counts []
 		tgtW[t] += wu
 	}
 	return counts, tgtW
-}
-
-// weightedTargets computes target unit counts for the balancer's weighted
-// step: desired weight shares proportional to rates, realized by the
-// prefix split (restricted) or the peel (unrestricted). Falls back to the
-// legacy even apportioning when no slot measures a positive rate.
-func weightedTargets(o *Ownership, rates, w []float64, alive []bool, restricted bool) (targets []int, tgtW []float64) {
-	var total float64
-	for u := range o.owner {
-		if o.active[u] {
-			total += w[u]
-		}
-	}
-	shares, ok := weightShares(total, rates, alive)
-	if !ok {
-		targets = apportionAlive(o.ActiveTotal(), rates, alive)
-		return targets, ActiveWeightTotals(o, w)
-	}
-	if restricted {
-		var unitW []float64
-		for u := range o.owner {
-			if o.active[u] {
-				unitW = append(unitW, w[u])
-			}
-		}
-		return WeightedSplitRange(unitW, shares)
-	}
-	owned := make([][]int, o.slaves)
-	for s := 0; s < o.slaves; s++ {
-		owned[s] = o.OwnedActive(s)
-	}
-	return WeightedPeelCounts(owned, w, shares)
 }

@@ -118,3 +118,35 @@ func TestWeightedPeelCountsDeadSlot(t *testing.T) {
 		t.Errorf("live slot got counts=%d tgtW=%g, want 4/4", counts[1], tgtW[1])
 	}
 }
+
+// TestUnitWeightsAreNotUniformArithmetic records why the run-time keeps its
+// UniformActive gate instead of routing weights ≡ 1.0 through the weighted
+// step: the two roundings place the slack on different slots, so the same
+// loads come with different moves.
+func TestUnitWeightsAreNotUniformArithmetic(t *testing.T) {
+	step := func(weights []float64) Decision {
+		cfg := DefaultConfig(3, true)
+		cfg.MinImprovement = 0
+		cfg.DisableProfitability = true
+		own := NewBlockOwnership(10, 3)
+		for u := 3; u < 8; u++ {
+			own.owner[u] = 0 // slot 0 starts with eight of the ten units
+		}
+		b := NewBalancer(cfg, own, NewMoveCostModel(0, 0))
+		return b.StepGrouped(allStatuses(5, 5, 5), 10, weights, Grouping{})
+	}
+	ones := make([]float64, 10)
+	for i := range ones {
+		ones[i] = 1
+	}
+	uniform, weighted := step(nil), step(ones)
+	if want := []int{4, 3, 3}; !reflect.DeepEqual(uniform.Targets, want) {
+		t.Errorf("largest-remainder targets = %v, want %v", uniform.Targets, want)
+	}
+	if want := []int{3, 4, 3}; !reflect.DeepEqual(weighted.Targets, want) {
+		t.Errorf("midpoint-split targets = %v, want %v", weighted.Targets, want)
+	}
+	if reflect.DeepEqual(uniform.Moves, weighted.Moves) {
+		t.Error("unit weights reproduced the uniform moves; the UniformActive gate would be droppable")
+	}
+}

@@ -6,7 +6,16 @@ package dlb
 // weight per unit. Weights are relative to the run's mean unit cost (a
 // fresh model is all ones, the dense-uniform prior), so a program whose
 // units really are uniform keeps every weight at exactly 1.0 and the
-// balancer stays on its legacy code path bit for bit.
+// balancer stays on its uniform-unit path bit for bit.
+//
+// The UniformActive gate that selects that path is kept on purpose: handing
+// the balancer weights ≡ 1.0 is not the same arithmetic as handing it none.
+// Uniform units are rounded by largest remainder (ties to the lower slot);
+// weighted shares are realized by the midpoint prefix split or the peel
+// (core/weighted.go), which place the rounding slack differently — three
+// equal slots over ten units come out 4/3/3 one way and 3/4/3 the other
+// (core's TestUnitWeightsAreNotUniformArithmetic). Equal loads, different
+// moves, so every dense schedule would shift.
 
 // CostBlock summarizes the measured cost of a contiguous unit range
 // [Lo, Hi): PerUnit is the mean busy seconds per unit over the range since
@@ -20,8 +29,8 @@ const (
 	// costEWMAAlpha is the per-report blend factor for unit weights.
 	costEWMAAlpha = 0.5
 	// costUniformSlack is the active max/min weight ratio (minus one) under
-	// which the model is considered uniform and the legacy balancer path is
-	// used unchanged.
+	// which the model is considered uniform and the uniform-unit balancer
+	// path is used unchanged.
 	costUniformSlack = 0.05
 	// maxCostBlocks caps the number of blocks a slave ships per report.
 	maxCostBlocks = 64

@@ -84,11 +84,14 @@ func irregularPlan(t testing.TB, name string) *compile.Plan {
 	return plan
 }
 
-// TestIrregularLearnedBeatsUniform is the tentpole's payoff: on skewed
-// data-dependent workloads the learned model must deliver both a shorter
-// makespan and a lower weighted load imbalance than the uniform
-// assumption, and the results must still match the sequential reference
-// exactly.
+// TestIrregularLearnedBeatsUniform is the learned model's payoff: on skewed
+// data-dependent workloads it must deliver both a shorter makespan and a
+// lower weighted load imbalance than the uniform assumption, and the
+// results must still match the sequential reference exactly. The grouped
+// rows hold the hierarchy to the same bar: Groups>1 with live weights is
+// the balancer's per-group weighted apportioning plus weighted exchange
+// flows, and a grouped step that dropped the weights would reproduce the
+// uniform row's imbalance and fail here.
 func TestIrregularLearnedBeatsUniform(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -100,28 +103,31 @@ func TestIrregularLearnedBeatsUniform(t *testing.T) {
 	}
 	for _, c := range cases {
 		plan := irregularPlan(t, c.name)
-		elapsed := map[string]time.Duration{}
-		imbal := map[string]float64{}
-		for _, mode := range []string{CostUniform, CostLearned} {
-			res := runAndVerify(t, plan, c.params,
-				Config{DLB: true, CostModel: mode}, cluster.Config{Slaves: c.slaves})
-			elapsed[mode] = res.Elapsed
-			if len(res.Loads) == 0 {
-				t.Fatalf("%s %s: no load samples recorded", c.name, mode)
+		for _, groups := range []int{0, 2} {
+			elapsed := map[string]time.Duration{}
+			imbal := map[string]float64{}
+			for _, mode := range []string{CostUniform, CostLearned} {
+				res := runAndVerify(t, plan, c.params,
+					Config{DLB: true, CostModel: mode, Groups: groups, GroupExchangeEvery: 2},
+					cluster.Config{Slaves: c.slaves})
+				elapsed[mode] = res.Elapsed
+				if len(res.Loads) == 0 {
+					t.Fatalf("%s g%d %s: no load samples recorded", c.name, groups, mode)
+				}
+				sum := 0.0
+				for _, l := range res.Loads {
+					sum += l.Max / l.Mean
+				}
+				imbal[mode] = sum / float64(len(res.Loads))
 			}
-			sum := 0.0
-			for _, l := range res.Loads {
-				sum += l.Max / l.Mean
+			if elapsed[CostLearned] >= elapsed[CostUniform] {
+				t.Errorf("%s g%d: learned makespan %v not better than uniform %v",
+					c.name, groups, elapsed[CostLearned], elapsed[CostUniform])
 			}
-			imbal[mode] = sum / float64(len(res.Loads))
-		}
-		if elapsed[CostLearned] >= elapsed[CostUniform] {
-			t.Errorf("%s: learned makespan %v not better than uniform %v",
-				c.name, elapsed[CostLearned], elapsed[CostUniform])
-		}
-		if imbal[CostLearned] >= imbal[CostUniform] {
-			t.Errorf("%s: learned imbalance %.3f not better than uniform %.3f",
-				c.name, imbal[CostLearned], imbal[CostUniform])
+			if imbal[CostLearned] >= imbal[CostUniform] {
+				t.Errorf("%s g%d: learned imbalance %.3f not better than uniform %.3f",
+					c.name, groups, imbal[CostLearned], imbal[CostUniform])
+			}
 		}
 	}
 }

@@ -213,6 +213,18 @@ func (c Config) CostModelMode() (string, error) {
 		c.CostModel, CostUniform, CostLearned)
 }
 
+// groupPartition resolves the Groups knob into the contiguous partition of
+// the initial slaves, or nil for the flat master (Groups 0 or 1).
+func (c Config) groupPartition(slaves int) (*hier.Partition, error) {
+	if c.Groups <= 1 {
+		return nil, nil
+	}
+	if !c.DLB {
+		return nil, fmt.Errorf("dlb: hierarchical groups require DLB (leaders aggregate the balancing contacts)")
+	}
+	return hier.Split(slaves, c.Groups)
+}
+
 // Overlap modes for the split-loop async ghost exchange.
 const (
 	OverlapEnabled  = "on"
@@ -344,16 +356,9 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	var part *hier.Partition
-	if cfg.Groups > 1 {
-		if !cfg.DLB {
-			return nil, fmt.Errorf("dlb: hierarchical groups require DLB (leaders aggregate the balancing contacts)")
-		}
-		p, err := hier.Split(slaves, cfg.Groups)
-		if err != nil {
-			return nil, err
-		}
-		part = p
+	part, err := cfg.groupPartition(slaves)
+	if err != nil {
+		return nil, err
 	}
 
 	// Master instance: initial data source and final destination.

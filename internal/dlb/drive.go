@@ -9,7 +9,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hier"
 	"repro/internal/loopir"
 )
 
@@ -124,13 +123,9 @@ func RunMasterOn(ep Endpoint, cfg Config, cc cluster.Config, initial, total int,
 	// and exchange-aligned checkpoint cuts apply, but reports keep flowing
 	// directly to the master — the heartbeat-lease detector must observe
 	// every slave itself, so leaders never sit on the failure path.
-	var part *hier.Partition
-	if cfg.Groups > 1 {
-		p, perr := hier.Split(initial, cfg.Groups)
-		if perr != nil {
-			return nil, perr
-		}
-		part = p
+	part, err := cfg.groupPartition(initial)
+	if err != nil {
+		return nil, err
 	}
 	flog := &fault.Log{}
 	r := &Result{Exec: pre.Exec, Grain: pre.Grain, FaultLog: flog}

@@ -36,10 +36,10 @@ type engine struct {
 	bal   *core.Balancer
 	setup balancerSetup
 
-	// topo is the decision layer (flat master or two-level hierarchy);
-	// part is non-nil when the run is grouped, and relay routes the
-	// physical status/instruction traffic through the group leaders.
-	topo  topology
+	// hier is the two-level hierarchy's cadence state (nil: the flat
+	// master); part is non-nil when the run is grouped, and relay routes
+	// the physical status/instruction traffic through the group leaders.
+	hier  *hierarchy
 	part  *hier.Partition
 	relay bool
 
@@ -86,9 +86,7 @@ func (e *engine) runOn(ep Endpoint) {
 		e.costModel = NewUnitCostModel(e.exec.Units)
 	}
 	if e.part != nil && e.part.Groups() > 1 {
-		e.topo = newHierTopology(e, e.part, e.relay)
-	} else {
-		e.topo = flatTopology{}
+		e.hier = &hierarchy{diff: hier.Diffuser{Alpha: e.cfg.GroupDiffusion}, every: e.cfg.GroupExchangeEvery}
 	}
 	e.done = make([]bool, e.total)
 	e.pol.Init(e)
@@ -200,7 +198,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 	e.res.Counters.Add("status_reports", int64(len(raw)))
 	e.pol.RoundObserved(e)
 
-	e.ep.Charge(e.topo.roundCharge(e, len(raw)))
+	e.ep.Charge(e.roundCharge(len(raw)))
 
 	// Mirror the slave control flow: retire completed work (§4.7).
 	meta := e.exec.Phases[hookIdx]
@@ -225,7 +223,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 
 	var d core.Decision
 	if e.cfg.DLB {
-		d = e.topo.decide(e, raw, ids, phase, hookIdx)
+		d = e.decide(raw, ids, phase, hookIdx)
 		if sum := rateSum(d.FilteredRates); sum > 0 {
 			e.wRate = sum
 		}
@@ -233,7 +231,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 	}
 
 	ckptSeq := 0
-	if e.topo.ckptEligible() {
+	if e.ckptEligible() {
 		ckptSeq = e.pol.CheckpointSeq(e, phase, ids)
 	}
 

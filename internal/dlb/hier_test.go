@@ -9,69 +9,6 @@ import (
 	"repro/internal/fault"
 )
 
-// TestGroupsOneBitIdentical is the hierarchy's no-regression contract:
-// with -groups 1 (or the flag absent) the run must be bit-identical to
-// the flat engine — same virtual elapsed time, same round/move counts,
-// same final ownership, same arrays to the last bit — across the library
-// programs in both pipelined and synchronous mode.
-func TestGroupsOneBitIdentical(t *testing.T) {
-	progs := []struct {
-		name   string
-		params map[string]int
-	}{
-		{"mm", map[string]int{"n": 24}},
-		{"sor", map[string]int{"n": 20, "maxiter": 4}},
-		{"lu", map[string]int{"n": 20}},
-		{"jacobi", map[string]int{"n": 16, "maxiter": 3}},
-	}
-	cc := cluster.Config{
-		Slaves: 4,
-		Load:   []cluster.LoadProfile{cluster.Constant(1)},
-	}
-	for _, p := range progs {
-		plan := planFor(t, p.name)
-		for _, sync := range []bool{false, true} {
-			mode := "pipelined"
-			if sync {
-				mode = "synchronous"
-			}
-			t.Run(fmt.Sprintf("%s/%s", p.name, mode), func(t *testing.T) {
-				flat := runAndVerify(t, plan, p.params,
-					Config{DLB: true, Synchronous: sync}, cc)
-				grouped := runAndVerify(t, plan, p.params,
-					Config{DLB: true, Synchronous: sync, Groups: 1}, cc)
-				if flat.Elapsed != grouped.Elapsed {
-					t.Errorf("elapsed diverged: flat %v, groups=1 %v", flat.Elapsed, grouped.Elapsed)
-				}
-				if flat.Phases != grouped.Phases || flat.Moves != grouped.Moves || flat.UnitsMoved != grouped.UnitsMoved {
-					t.Errorf("schedule diverged: flat %d/%d/%d, groups=1 %d/%d/%d",
-						flat.Phases, flat.Moves, flat.UnitsMoved,
-						grouped.Phases, grouped.Moves, grouped.UnitsMoved)
-				}
-				for _, key := range []string{"rounds", "status_reports", "instr_bytes", "moves", "units_moved"} {
-					if a, b := flat.Counters.Get(key), grouped.Counters.Get(key); a != b {
-						t.Errorf("counter %q diverged: flat %d, groups=1 %d", key, a, b)
-					}
-				}
-				if len(flat.Owner) != len(grouped.Owner) {
-					t.Fatalf("owner map length diverged")
-				}
-				for u := range flat.Owner {
-					if flat.Owner[u] != grouped.Owner[u] {
-						t.Fatalf("final owner of unit %d diverged: flat %d, groups=1 %d",
-							u, flat.Owner[u], grouped.Owner[u])
-					}
-				}
-				for name, want := range flat.Final {
-					if d := want.MaxAbsDiff(grouped.Final[name]); d != 0 {
-						t.Errorf("array %q diverged by %g", name, d)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestGroupsHierCorrect runs the grouped runtime for real — leaders
 // relaying, diffusive exchanges armed — and demands the same bit-exact
 // agreement with the sequential reference the flat engine is held to.

@@ -501,10 +501,10 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 		}
 	}
 	e.own = own
-	// Fresh balancer: the rate-filter history predates the rollback.
+	// Fresh balancer: the rate-filter history and the measured move and
+	// interaction costs predate the rollback.
 	e.bal = e.setup.newBalancerFor(own, slots)
 	e.bal.SetAlive(aliveMask)
-	e.topo.rebuild(e, slots, aliveMask)
 
 	for i := range e.done {
 		e.done[i] = false

@@ -8,9 +8,7 @@ import (
 	"repro/internal/aot"
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hier"
 	"repro/internal/loopir"
 )
 
@@ -28,52 +26,18 @@ import (
 // inherently nondeterministic here; data results are still exact.
 func RunReal(cfg Config, slaves int) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Plan == nil {
-		return nil, fmt.Errorf("dlb: no plan")
-	}
-	if slaves < 1 {
-		return nil, fmt.Errorf("dlb: need at least one slave")
-	}
 	if cfg.Preempt != nil || cfg.Resume != nil {
 		return nil, fmt.Errorf("dlb: preemption and resume are transport-driven features (RunMasterOn)")
 	}
+	// Prepare is the wall-clock instantiation (§4.4 startup measurement, hook
+	// cost rebased on measured kernel speed) shared with the TCP transport.
+	pre, err := Prepare(cfg, slaves)
+	if err != nil {
+		return nil, err
+	}
+	cfg.CompileOpts = pre.Opts
+	exec, grain := pre.Exec, pre.Grain
 	masterInst, err := loopir.NewInstance(cfg.Plan.Prog, cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-
-	// Wall-clock runs execute compiled kernels, so unless the caller
-	// pinned a hook cost the <1% placement rule is rebased on measured
-	// kernel speed (the static default is calibrated to the much slower
-	// interpreter-era path).
-	if cfg.CompileOpts.HookCostFlops <= 0 {
-		cfg.CompileOpts.HookCostFlops = realHookCostFlops()
-	}
-
-	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, cfg.CompileOpts)
-	if err != nil {
-		return nil, err
-	}
-	grain := 1
-	if cfg.Plan.StripMined {
-		if cfg.ForcedGrain > 0 {
-			grain = cfg.ForcedGrain
-		} else {
-			// Startup measurement (§4.4), for real this time: time a few
-			// strip rows on a scratch instance and size blocks to
-			// GrainFactor x the real quantum.
-			rowCost, err := measureRealRow(cfg.Plan, cfg.Params, probe, slaves)
-			if err != nil {
-				return nil, err
-			}
-			q := cfg.RealQuantum
-			if q <= 0 {
-				q = 10 * time.Millisecond
-			}
-			grain = core.GrainSize(rowCost, q, cfg.GrainFactor)
-		}
-	}
-	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, cfg.CompileOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -91,16 +55,9 @@ func RunReal(cfg Config, slaves int) (*Result, error) {
 		aotInfo = &bundle.prog.Info
 	}
 
-	var part *hier.Partition
-	if cfg.Groups > 1 {
-		if !cfg.DLB {
-			return nil, fmt.Errorf("dlb: hierarchical groups require DLB (leaders aggregate the balancing contacts)")
-		}
-		p, perr := hier.Split(slaves, cfg.Groups)
-		if perr != nil {
-			return nil, perr
-		}
-		part = p
+	part, err := cfg.groupPartition(slaves)
+	if err != nil {
+		return nil, err
 	}
 
 	ftMode := cfg.Fault != nil

@@ -2,37 +2,105 @@ package dlb
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/hier"
 )
 
-// topology is the engine's decision layer: given one collected round of
-// statuses it produces the balancing decision (applying any moves to the
-// authoritative ownership map) and models the master's coordination cost.
-// It is orthogonal to FaultPolicy — the fault layer owns *who* reports
-// and *when* rounds restart; the topology owns *how* the reports turn
-// into a redistribution. flatTopology is the paper's centralized master
-// and reproduces the pre-hierarchy engine bit for bit; hierTopology is
-// the two-level scheme (per-group balancing every round, diffusive
-// inter-group exchange on a slower cadence).
-type topology interface {
-	// decide runs the round's balancing decision over the collected
-	// statuses, applies any moves to e.own, and returns the decision.
-	// Only called when cfg.DLB is set.
-	decide(e *engine, raw map[int]StatusMsg, ids []int, phase, hookIdx int) core.Decision
-	// roundCharge is the master's CPU cost for processing this round's
-	// reports and deciding.
-	roundCharge(e *engine, nReports int) time.Duration
-	// ckptEligible reports whether the round just decided may carry a
-	// checkpoint cut (the hierarchy aligns cuts with inter-group
-	// quiescence).
-	ckptEligible() bool
-	// rebuild re-derives per-slot state after a recovery changed the
-	// membership (slots may have grown; alive masks dead ones).
-	rebuild(e *engine, slots int, alive []bool)
+// The engine's decision layer: one collected round of statuses becomes one
+// core.Balancer step. The paper's algorithm — apportion, threshold, moves,
+// profitability, apply — lives in internal/core only; this file holds what
+// is genuinely the run-time's: converting reports into balancer statuses,
+// the hierarchy's exchange cadence and diffuser call, the master's modeled
+// coordination cost, checkpoint eligibility, and the run counters and
+// trace. It is orthogonal to FaultPolicy — the fault layer owns *who*
+// reports and *when* rounds restart.
+
+// hierarchy is the two-level scheme's run-time state. Every decision round
+// each group's allotment is re-apportioned over its own members (the
+// balancer's rule, confined to the group); on the exchange cadence the
+// diffuser shifts load across the group boundaries first. A nil *hierarchy
+// is the paper's centralized master.
+type hierarchy struct {
+	diff     hier.Diffuser
+	every    int // exchange cadence in decision rounds
+	round    int
+	exchange bool // the round just decided was an exchange round
+}
+
+// grouping is the round's core.Grouping: the partition's leaders as group
+// starts, plus — on the exchange cadence — the diffuser as the exchange.
+// Rounds with no active work do not advance the cadence.
+func (h *hierarchy) grouping(e *engine, weighted bool) core.Grouping {
+	g := core.Grouping{Starts: e.part.Leaders()}
+	if e.own.ActiveTotal() == 0 {
+		return g
+	}
+	h.round++
+	h.exchange = h.every > 0 && h.round%h.every == 0
+	if !h.exchange {
+		return g
+	}
+	e.res.Counters.Add("hier_exchanges", 1)
+	g.Exchange = func(loads []core.GroupLoad) []float64 {
+		sums := make([]hier.Summary, len(loads))
+		for i, l := range loads {
+			sums[i] = hier.Summary{Group: i, Rate: l.Rate, Backlog: l.Units, Members: e.part.Size(i), Weight: l.Weight}
+		}
+		if weighted {
+			return h.diff.FlowsWeighted(sums)
+		}
+		flows := make([]float64, len(sums)-1)
+		for i, f := range h.diff.Flows(sums) {
+			flows[i] = float64(f)
+		}
+		return flows
+	}
+	return g
+}
+
+// decide runs the round's balancing decision over the collected statuses
+// (applying any moves to e.own) and returns it. Only called when cfg.DLB is
+// set.
+func (e *engine) decide(raw map[int]StatusMsg, ids []int, phase, hookIdx int) core.Decision {
+	uph := unitsPerHookAt(e, hookIdx)
+	var weights []float64
+	if active, ok := weightedRound(e); ok {
+		weights = e.costModel.Weights()
+		uph *= e.costModel.ActiveMean(active)
+	}
+	statuses := roundStatuses(e, raw, ids, weights != nil)
+	var grp core.Grouping
+	if e.hier != nil {
+		grp = e.hier.grouping(e, weights != nil)
+	}
+	d := e.bal.StepGrouped(statuses, uph, weights, grp)
+	e.pol.NoteRates(d.FilteredRates)
+	noteMoves(e, d)
+	recordTrace(e, ids, statuses, d, phase)
+	return d
+}
+
+// roundCharge is the master's CPU cost for processing this round's reports
+// and deciding.
+func (e *engine) roundCharge(nReports int) time.Duration {
+	if e.relay {
+		// The master processes one aggregate per group; the per-member
+		// processing was charged on the leaders.
+		nReports = e.part.Groups()
+	}
+	return e.cfg.MasterDecisionCost + time.Duration(nReports)*e.cfg.PerReportCost
+}
+
+// ckptEligible reports whether the round just decided may carry a
+// checkpoint cut. Under the hierarchy cuts ride exchange rounds only:
+// between exchanges the groups balance independently, so a cut there would
+// capture the chain mid-diffusion and recovery would replay a half-applied
+// inter-group shift schedule. Aligning cuts with the exchange cadence
+// bounds preemption latency at GroupExchangeEvery rounds.
+func (e *engine) ckptEligible() bool {
+	return e.hier == nil || e.hier.exchange
 }
 
 // unitsPerHookAt is the total work executed between consecutive hook
@@ -45,18 +113,26 @@ func unitsPerHookAt(e *engine, hookIdx int) float64 {
 	return uph
 }
 
-// rawStatuses converts a round's reports into balancer statuses: measured
+// roundStatuses converts a round's reports into balancer statuses: measured
 // rates, with empty slaves imputed the mean of the others so they can win
-// work back (a slave with no work cannot measure its capability).
-func rawStatuses(e *engine, raw map[int]StatusMsg, ids []int, counts []int) []core.Status {
+// work back (a slave with no work cannot measure its capability). Work done
+// is the reported unit count, or under live learned weights the
+// model-weighted units, so machine speed is measured independently of which
+// (cheap or expensive) units a slave happened to hold.
+func roundStatuses(e *engine, raw map[int]StatusMsg, ids []int, weighted bool) []core.Status {
+	counts := e.own.ActiveCounts()
 	statuses := make([]core.Status, e.own.Slaves())
 	var sumRate float64
 	var nRate int
 	for _, id := range ids {
 		st := raw[id]
+		done := st.Units
+		if weighted {
+			done = e.costModel.WeightDone(st.CostBlocks)
+		}
 		rate := 0.0
-		if st.Busy > 0 && st.Units > 0 {
-			rate = st.Units / st.Busy.Seconds()
+		if st.Busy > 0 && done > 0 {
+			rate = done / st.Busy.Seconds()
 			sumRate += rate
 			nRate++
 		}
@@ -76,7 +152,7 @@ func rawStatuses(e *engine, raw map[int]StatusMsg, ids []int, counts []int) []co
 // weightedRound reports whether this round's decision should use the
 // learned weights: the run is in learned mode and the model has actually
 // left the uniform prior for the active units. Dense programs never leave
-// it, so their decisions take the legacy path bit for bit.
+// it, so their decisions take the uniform-unit path bit for bit.
 func weightedRound(e *engine) ([]int, bool) {
 	if e.costMode != CostLearned || e.costModel == nil {
 		return nil, false
@@ -91,36 +167,6 @@ func weightedRound(e *engine) ([]int, bool) {
 		return nil, false
 	}
 	return active, true
-}
-
-// weightedStatuses mirrors rawStatuses with weighted work: a slave's rate
-// is the model-weighted units it completed per busy second, so machine
-// speed is measured independently of which (cheap or expensive) units it
-// happened to hold. Empty slaves are imputed the mean, as in the uniform
-// path.
-func weightedStatuses(e *engine, raw map[int]StatusMsg, ids []int, counts []int) []core.Status {
-	statuses := make([]core.Status, e.own.Slaves())
-	var sumRate float64
-	var nRate int
-	for _, id := range ids {
-		st := raw[id]
-		rate := 0.0
-		if wd := e.costModel.WeightDone(st.CostBlocks); st.Busy > 0 && wd > 0 {
-			rate = wd / st.Busy.Seconds()
-			sumRate += rate
-			nRate++
-		}
-		statuses[id] = core.Status{Rate: rate, MoveCost: st.MoveCost, InteractionCost: st.InterCost}
-	}
-	if nRate > 0 {
-		mean := sumRate / float64(nRate)
-		for _, id := range ids {
-			if statuses[id].Rate == 0 && counts[id] == 0 {
-				statuses[id].Rate = mean
-			}
-		}
-	}
-	return statuses
 }
 
 // recordTrace appends the round's per-slave samples (Figure 9's series).
@@ -144,584 +190,24 @@ func recordTrace(e *engine, ids []int, statuses []core.Status, d core.Decision, 
 	}
 }
 
-// noteMoves folds a decision's movement into the run counters.
+// noteMoves folds a decision's movement into the run counters; under the
+// hierarchy also per source group and across group boundaries.
 func noteMoves(e *engine, d core.Decision) {
 	e.res.Moves += len(d.Moves)
 	e.res.Counters.Add("moves", int64(len(d.Moves)))
 	for _, mv := range d.Moves {
+		n := int64(len(mv.Units))
 		e.res.UnitsMoved += len(mv.Units)
-		e.res.Counters.Add("units_moved", int64(len(mv.Units)))
-	}
-}
-
-// flatTopology is the centralized master: one balancer over every slave,
-// re-planned every round. This is the exact decision body of the
-// pre-topology engine — the legacy deterministic schedule depends on it.
-type flatTopology struct{}
-
-func (flatTopology) decide(e *engine, raw map[int]StatusMsg, ids []int, phase, hookIdx int) core.Decision {
-	counts := e.own.ActiveCounts()
-	if active, ok := weightedRound(e); ok {
-		statuses := weightedStatuses(e, raw, ids, counts)
-		uph := unitsPerHookAt(e, hookIdx) * e.costModel.ActiveMean(active)
-		d := e.bal.StepWeighted(statuses, uph, e.costModel.Weights())
-		e.pol.NoteRates(d.FilteredRates)
-		noteMoves(e, d)
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-	statuses := rawStatuses(e, raw, ids, counts)
-	d := e.bal.Step(statuses, unitsPerHookAt(e, hookIdx))
-	e.pol.NoteRates(d.FilteredRates)
-	noteMoves(e, d)
-	recordTrace(e, ids, statuses, d, phase)
-	return d
-}
-
-func (flatTopology) roundCharge(e *engine, nReports int) time.Duration {
-	return e.cfg.MasterDecisionCost + time.Duration(nReports)*e.cfg.PerReportCost
-}
-
-func (flatTopology) ckptEligible() bool { return true }
-
-func (flatTopology) rebuild(*engine, int, []bool) {}
-
-// hierTopology is the two-level scheme. Every decision round each group's
-// allotment is re-apportioned over its own members' filtered rates (the
-// existing balancer's rule, confined to the group); on the exchange
-// cadence the groups trade whole block ranges across their boundaries by
-// the diffusive first-order scheme. Because per-group targets always sum
-// to the group's (possibly flow-adjusted) allotment, one global
-// restricted-move computation emits both the intra-group rebalancing and
-// the cross-boundary shifts in a single consistent schedule.
-type hierTopology struct {
-	part  *hier.Partition
-	diff  hier.Diffuser
-	every int // exchange cadence in decision rounds
-	relay bool // member→leader→master status relay active (no-fault runs)
-
-	filters  []*core.RateFilter
-	costs    *core.MoveCostModel
-	alive    []bool
-	lastMove time.Duration
-	lastInt  time.Duration
-	round    int
-	exchange bool // the round just decided was an exchange round
-}
-
-func newHierTopology(e *engine, part *hier.Partition, relay bool) *hierTopology {
-	t := &hierTopology{
-		part:  part,
-		diff:  hier.Diffuser{Alpha: e.cfg.GroupDiffusion},
-		every: e.cfg.GroupExchangeEvery,
-		relay: relay,
-	}
-	t.reset(e, e.total)
-	return t
-}
-
-// reset builds fresh per-slot filter state and the movement cost model.
-func (t *hierTopology) reset(e *engine, slots int) {
-	t.filters = t.filters[:0]
-	for i := 0; i < slots; i++ {
-		t.filters = append(t.filters, core.NewRateFilter(e.setup.balCfg.FilterMinWeight, e.setup.balCfg.FilterMaxWeight))
-	}
-	t.costs = core.NewMoveCostModel(e.setup.fixed, e.setup.perUnit)
-}
-
-func (t *hierTopology) rebuild(e *engine, slots int, alive []bool) {
-	t.reset(e, slots)
-	t.alive = append([]bool(nil), alive...)
-}
-
-func (t *hierTopology) roundCharge(e *engine, nReports int) time.Duration {
-	if t.relay {
-		// The master processes one aggregate per group; the per-member
-		// processing was charged on the leaders.
-		nReports = t.part.Groups()
-	}
-	return e.cfg.MasterDecisionCost + time.Duration(nReports)*e.cfg.PerReportCost
-}
-
-func (t *hierTopology) ckptEligible() bool {
-	// Checkpoint cuts ride exchange rounds only: between exchanges the
-	// groups balance independently, so a cut there would capture the
-	// chain mid-diffusion and recovery would replay a half-applied
-	// inter-group shift schedule. Aligning cuts with the exchange cadence
-	// bounds preemption latency at GroupExchangeEvery rounds.
-	return t.part.Groups() <= 1 || t.exchange
-}
-
-// improvementFrom mirrors the balancer's projected-improvement rule.
-func improvementFrom(before, after float64) float64 {
-	switch {
-	case math.IsInf(before, 1) && !math.IsInf(after, 1):
-		return 1
-	case before <= 0 || math.IsInf(after, 1):
-		return 0
-	default:
-		return 1 - after/before
-	}
-}
-
-func (t *hierTopology) decide(e *engine, raw map[int]StatusMsg, ids []int, phase, hookIdx int) core.Decision {
-	if active, ok := weightedRound(e); ok {
-		return t.decideWeighted(e, raw, ids, phase, hookIdx, active)
-	}
-	slots := e.own.Slaves()
-	counts := e.own.ActiveCounts()
-	statuses := rawStatuses(e, raw, ids, counts)
-
-	// Filtered per-slave rates; the master mirrors the filter state the
-	// group leaders hold.
-	rates := make([]float64, slots)
-	var sumRate float64
-	for _, id := range ids {
-		if t.alive != nil && id < len(t.alive) && !t.alive[id] {
+		e.res.Counters.Add("units_moved", n)
+		if e.hier == nil {
 			continue
 		}
-		if e.setup.balCfg.DisableFilter {
-			rates[id] = statuses[id].Rate
-		} else {
-			rates[id] = t.filters[id].Update(statuses[id].Rate)
-		}
-		if rates[id] < 0 {
-			rates[id] = 0
-		}
-		sumRate += rates[id]
-		if statuses[id].MoveCost > 0 {
-			t.lastMove = statuses[id].MoveCost
-		}
-		if statuses[id].InteractionCost > 0 {
-			t.lastInt = statuses[id].InteractionCost
-		}
-	}
-	e.pol.NoteRates(rates)
-
-	// Global period and hook skip: the cadence must stay uniform across
-	// groups — per-group skip counts would desynchronize the contact
-	// rounds and the engine's round collection with them.
-	period := core.TargetPeriod(core.PeriodInputs{
-		MoveCost:        t.lastMove,
-		InteractionCost: t.lastInt,
-		Quantum:         e.setup.balCfg.Quantum,
-	})
-	var hookInterval time.Duration
-	if uph := unitsPerHookAt(e, hookIdx); sumRate > 0 && uph > 0 {
-		hookInterval = time.Duration(uph / sumRate * float64(time.Second))
-	}
-	d := core.Decision{
-		Period:        period,
-		SkipHooks:     core.HookSkip(period, hookInterval, e.setup.balCfg.MaxSkip),
-		FilteredRates: rates,
-	}
-
-	total := e.own.ActiveTotal()
-	if total == 0 {
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-
-	t.round++
-	G := t.part.Groups()
-	t.exchange = G > 1 && t.every > 0 && t.round%t.every == 0
-
-	// Group aggregates: member lists (joiner slots fold into the last
-	// group), backlogs, and rate sums.
-	members := make([][]int, G)
-	gtot := make([]int, G)
-	grate := make([]float64, G)
-	for id := 0; id < slots; id++ {
-		g := t.part.GroupOf(id)
-		members[g] = append(members[g], id)
-		gtot[g] += counts[id]
-		grate[g] += rates[id]
-	}
-
-	// Slow cadence: adjacent groups exchange summaries and shift whole
-	// block ranges diffusively.
-	var flows []int
-	if t.exchange {
-		sums := make([]hier.Summary, G)
-		for g := 0; g < G; g++ {
-			sums[g] = hier.Summary{Group: g, Rate: grate[g], Backlog: gtot[g], Members: len(members[g])}
-		}
-		flows = t.diff.Flows(sums)
-		gtot = hier.ApplyFlows(gtot, flows)
-		e.res.Counters.Add("hier_exchanges", 1)
-		for _, f := range flows {
-			if f < 0 {
-				f = -f
-			}
-			e.res.Counters.Add("hier_shift_units", int64(f))
-		}
-	}
-
-	// Fast cadence: each group's allotment apportioned over its members'
-	// rates, with the group-local improvement threshold — unless an
-	// inter-group flow touches the group, in which case its total changed
-	// and the new targets must be honored regardless.
-	targets := make([]int, slots)
-	changed := false
-	for g := 0; g < G; g++ {
-		mids := members[g]
-		mrates := make([]float64, len(mids))
-		mcounts := make([]int, len(mids))
-		var malive []bool
-		if t.alive != nil {
-			malive = make([]bool, len(mids))
-		}
-		for i, id := range mids {
-			mrates[i] = rates[id]
-			mcounts[i] = counts[id]
-			if malive != nil {
-				malive[i] = id < len(t.alive) && t.alive[id]
-			}
-		}
-		gt := core.ApportionAlive(gtot[g], mrates, malive)
-		touched := t.exchange && ((g > 0 && flows[g-1] != 0) || (g < G-1 && flows[g] != 0))
-		if !touched {
-			impr := improvementFrom(core.CompletionTime(mcounts, mrates), core.CompletionTime(gt, mrates))
-			if impr < e.setup.balCfg.MinImprovement || impr <= 0 {
-				copy(gt, mcounts) // below threshold: hold the group still
-			}
-		}
-		for i, id := range mids {
-			targets[id] = gt[i]
-			if targets[id] != counts[id] {
-				changed = true
-			}
-		}
-	}
-	d.Targets = targets
-	d.Improvement = improvementFrom(core.CompletionTime(counts, rates), core.CompletionTime(targets, rates))
-	if !changed {
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-
-	// One global restricted-move computation over the combined target
-	// vector: groups are contiguous id ranges, so intra-group targets
-	// yield intra-group chain moves and flow-adjusted totals yield the
-	// cross-boundary shifts — adjacency is preserved throughout.
-	var moves []core.Move
-	if e.setup.balCfg.Restricted {
-		if t.alive != nil {
-			moves = core.MovesRestrictedAlive(e.own, targets, t.alive)
-		} else {
-			moves = core.MovesRestricted(e.own, targets)
-		}
-	} else {
-		moves = core.MovesUnrestricted(e.own, targets)
-	}
-	if len(moves) == 0 {
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-
-	// Profitability gates the fast cadence only: a diffusive shift's
-	// benefit accrues over the whole next exchange interval, not one
-	// balancing period, and the under-relaxed flow already embodies the
-	// cost/benefit tradeoff.
-	if !e.setup.balCfg.DisableProfitability && !t.exchange {
-		cost := t.costs.EstimateMoves(moves)
-		benefit := time.Duration(d.Improvement * float64(period))
-		if cost > benefit {
-			d.Suppressed = "not-profitable"
-			recordTrace(e, ids, statuses, d, phase)
-			return d
-		}
-	}
-
-	for _, m := range moves {
-		if err := e.own.Apply(m); err != nil {
-			panic(err)
-		}
-		from, to := t.part.GroupOf(m.From), t.part.GroupOf(m.To)
+		from, to := e.part.GroupOf(mv.From), e.part.GroupOf(mv.To)
 		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_moves", from), 1)
-		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_units_out", from), int64(len(m.Units)))
+		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_units_out", from), n)
 		if from != to {
 			e.res.Counters.Add("hier_cross_moves", 1)
-			e.res.Counters.Add("hier_cross_units", int64(len(m.Units)))
+			e.res.Counters.Add("hier_cross_units", n)
 		}
 	}
-	d.Moves = moves
-	noteMoves(e, d)
-	recordTrace(e, ids, statuses, d, phase)
-	return d
-}
-
-// weightFlowsToUnits converts the diffuser's weighted boundary flows into
-// whole-unit shifts: a positive flow peels units off the top of the left
-// group (exactly the units a boundary move will carry) until taking the
-// next unit's weight would overshoot past its midpoint; negative flows
-// mirror from the bottom of the right group. activeW lists the weights of
-// the active units in unit order; gtot the per-group active unit counts.
-// Returns the integer unit flows and the signed weight each one actually
-// moved.
-func weightFlowsToUnits(activeW []float64, gtot []int, wflows []float64) ([]int, []float64) {
-	G := len(gtot)
-	flows := make([]int, G-1)
-	moved := make([]float64, G-1)
-	prov := append([]int(nil), gtot...)
-	for b := 0; b < G-1; b++ {
-		fw := wflows[b]
-		// Boundary position: active units [0, P) currently label groups
-		// 0..b under the provisional (post-earlier-flows) counts.
-		P := 0
-		for h := 0; h <= b; h++ {
-			P += prov[h]
-		}
-		switch {
-		case fw > 0:
-			acc, n := 0.0, 0
-			for i := P - 1; i >= P-prov[b] && i >= 0; i-- {
-				wu := activeW[i]
-				if acc+wu/2 > fw {
-					break
-				}
-				acc += wu
-				n++
-			}
-			flows[b], moved[b] = n, acc
-			prov[b] -= n
-			prov[b+1] += n
-		case fw < 0:
-			acc, n := 0.0, 0
-			for i := P; i < P+prov[b+1] && i < len(activeW); i++ {
-				wu := activeW[i]
-				if acc+wu/2 > -fw {
-					break
-				}
-				acc += wu
-				n++
-			}
-			flows[b], moved[b] = -n, -acc
-			prov[b+1] -= n
-			prov[b] += n
-		}
-	}
-	return flows, moved
-}
-
-// decideWeighted is the hierarchy's decision round under a non-uniform
-// learned cost model: group summaries aggregate weighted backlog, the
-// diffuser trades weight across boundaries, and each group's allotment is
-// split over its members by weighted rate share. Structure mirrors the
-// uniform decide — filters, global cadence, exchange-cadence flows,
-// group-local hold-still, one global move computation, profitability on
-// the fast cadence only.
-func (t *hierTopology) decideWeighted(e *engine, raw map[int]StatusMsg, ids []int, phase, hookIdx int, active []int) core.Decision {
-	slots := e.own.Slaves()
-	counts := e.own.ActiveCounts()
-	weights := e.costModel.Weights()
-	statuses := weightedStatuses(e, raw, ids, counts)
-
-	rates := make([]float64, slots)
-	var sumRate float64
-	for _, id := range ids {
-		if t.alive != nil && id < len(t.alive) && !t.alive[id] {
-			continue
-		}
-		if e.setup.balCfg.DisableFilter {
-			rates[id] = statuses[id].Rate
-		} else {
-			rates[id] = t.filters[id].Update(statuses[id].Rate)
-		}
-		if rates[id] < 0 {
-			rates[id] = 0
-		}
-		sumRate += rates[id]
-		if statuses[id].MoveCost > 0 {
-			t.lastMove = statuses[id].MoveCost
-		}
-		if statuses[id].InteractionCost > 0 {
-			t.lastInt = statuses[id].InteractionCost
-		}
-	}
-	e.pol.NoteRates(rates)
-
-	period := core.TargetPeriod(core.PeriodInputs{
-		MoveCost:        t.lastMove,
-		InteractionCost: t.lastInt,
-		Quantum:         e.setup.balCfg.Quantum,
-	})
-	var hookInterval time.Duration
-	uphW := unitsPerHookAt(e, hookIdx) * e.costModel.ActiveMean(active)
-	if sumRate > 0 && uphW > 0 {
-		hookInterval = time.Duration(uphW / sumRate * float64(time.Second))
-	}
-	d := core.Decision{
-		Period:        period,
-		SkipHooks:     core.HookSkip(period, hookInterval, e.setup.balCfg.MaxSkip),
-		FilteredRates: rates,
-	}
-
-	total := e.own.ActiveTotal()
-	if total == 0 {
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-
-	t.round++
-	G := t.part.Groups()
-	t.exchange = G > 1 && t.every > 0 && t.round%t.every == 0
-
-	wTotals := core.ActiveWeightTotals(e.own, weights)
-	members := make([][]int, G)
-	gtot := make([]int, G)
-	grate := make([]float64, G)
-	gw := make([]float64, G)
-	for id := 0; id < slots; id++ {
-		g := t.part.GroupOf(id)
-		members[g] = append(members[g], id)
-		gtot[g] += counts[id]
-		grate[g] += rates[id]
-		gw[g] += wTotals[id]
-	}
-
-	// Exchange cadence: trade weight across boundaries, realized as whole
-	// boundary units.
-	gshareW := append([]float64(nil), gw...)
-	var flows []int
-	if t.exchange {
-		sums := make([]hier.Summary, G)
-		for g := 0; g < G; g++ {
-			sums[g] = hier.Summary{Group: g, Rate: grate[g], Backlog: gtot[g], Members: len(members[g]), Weight: gw[g]}
-		}
-		activeW := make([]float64, len(active))
-		for i, u := range active {
-			activeW[i] = weights[u]
-		}
-		var moved []float64
-		flows, moved = weightFlowsToUnits(activeW, gtot, t.diff.FlowsWeighted(sums))
-		gtot = hier.ApplyFlows(gtot, flows)
-		for b, mw := range moved {
-			gshareW[b] -= mw
-			gshareW[b+1] += mw
-		}
-		e.res.Counters.Add("hier_exchanges", 1)
-		for _, f := range flows {
-			if f < 0 {
-				f = -f
-			}
-			e.res.Counters.Add("hier_shift_units", int64(f))
-		}
-	}
-
-	// Fast cadence: each group's weight allotment split over its members'
-	// weighted rates, holding untouched groups still below the
-	// group-local improvement threshold.
-	shares := make([]float64, slots)
-	for g := 0; g < G; g++ {
-		mids := members[g]
-		mrates := make([]float64, len(mids))
-		mcur := make([]float64, len(mids))
-		alive := func(id int) bool {
-			return t.alive == nil || (id < len(t.alive) && t.alive[id])
-		}
-		msum := 0.0
-		nAlive := 0
-		for i, id := range mids {
-			mrates[i] = rates[id]
-			mcur[i] = wTotals[id]
-			if alive(id) {
-				msum += rates[id]
-				nAlive++
-			}
-		}
-		cand := make([]float64, len(mids))
-		for i, id := range mids {
-			if !alive(id) {
-				continue
-			}
-			switch {
-			case msum > 0:
-				cand[i] = gshareW[g] * rates[id] / msum
-			case nAlive > 0:
-				cand[i] = gshareW[g] / float64(nAlive)
-			}
-		}
-		touched := t.exchange && ((g > 0 && flows[g-1] != 0) || (g < G-1 && flows[g] != 0))
-		if !touched {
-			impr := improvementFrom(core.CompletionTimeWeighted(mcur, mrates), core.CompletionTimeWeighted(cand, mrates))
-			if impr < e.setup.balCfg.MinImprovement || impr <= 0 {
-				copy(cand, mcur) // below threshold: hold the group still
-			}
-		}
-		for i, id := range mids {
-			shares[id] = cand[i]
-		}
-	}
-
-	var targets []int
-	var tgtW []float64
-	if e.setup.balCfg.Restricted {
-		activeW := make([]float64, len(active))
-		for i, u := range active {
-			activeW[i] = weights[u]
-		}
-		targets, tgtW = core.WeightedSplitRange(activeW, shares)
-	} else {
-		owned := make([][]int, slots)
-		for s := 0; s < slots; s++ {
-			owned[s] = e.own.OwnedActive(s)
-		}
-		targets, tgtW = core.WeightedPeelCounts(owned, weights, shares)
-	}
-	d.Targets = targets
-	d.Improvement = improvementFrom(core.CompletionTimeWeighted(wTotals, rates), core.CompletionTimeWeighted(tgtW, rates))
-	changed := false
-	for id := 0; id < slots; id++ {
-		if targets[id] != counts[id] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-
-	var moves []core.Move
-	if e.setup.balCfg.Restricted {
-		if t.alive != nil {
-			moves = core.MovesRestrictedAlive(e.own, targets, t.alive)
-		} else {
-			moves = core.MovesRestricted(e.own, targets)
-		}
-	} else {
-		moves = core.MovesUnrestricted(e.own, targets)
-	}
-	if len(moves) == 0 {
-		recordTrace(e, ids, statuses, d, phase)
-		return d
-	}
-
-	if !e.setup.balCfg.DisableProfitability && !t.exchange {
-		cost := t.costs.EstimateMoves(moves)
-		benefit := time.Duration(d.Improvement * float64(period))
-		if cost > benefit {
-			d.Suppressed = "not-profitable"
-			recordTrace(e, ids, statuses, d, phase)
-			return d
-		}
-	}
-
-	for _, m := range moves {
-		if err := e.own.Apply(m); err != nil {
-			panic(err)
-		}
-		from, to := t.part.GroupOf(m.From), t.part.GroupOf(m.To)
-		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_moves", from), 1)
-		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_units_out", from), int64(len(m.Units)))
-		if from != to {
-			e.res.Counters.Add("hier_cross_moves", 1)
-			e.res.Counters.Add("hier_cross_units", int64(len(m.Units)))
-		}
-	}
-	d.Moves = moves
-	noteMoves(e, d)
-	recordTrace(e, ids, statuses, d, phase)
-	return d
 }
