@@ -208,21 +208,21 @@ func BenchmarkFaultRecovery(b *testing.B) {
 
 // --- component micro-benchmarks ---
 
-// BenchmarkLoweredMatMul measures the lowered execution engine on the MM
-// kernel (the per-element cost every slave pays).
-func BenchmarkLoweredMatMul(b *testing.B) {
+// BenchmarkKernelMatMul measures the compiled kernel on the MM program
+// (the per-element cost every slave pays).
+func BenchmarkKernelMatMul(b *testing.B) {
 	in, err := loopir.NewInstance(loopir.MatMul(), map[string]int{"n": 64})
 	if err != nil {
 		b.Fatal(err)
 	}
-	code, err := in.Lower()
+	k, err := in.CompileKernel(in.Prog.Body)
 	if err != nil {
 		b.Fatal(err)
 	}
 	flops := int64(3 * 64 * 64 * 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		code.Run()
+		k.Run(nil)
 	}
 	b.SetBytes(flops) // bytes stand in for flops per op
 }

@@ -46,11 +46,14 @@ func (o *Ownership) AddSlave() int {
 // ReassignDead transfers every active unit owned by the dead slave to
 // surviving slaves and returns the number of units transferred.
 //
-// With restricted movement the dead slave's block is split between its
-// adjacent survivors in block order — the left part to the left neighbor,
-// the right part to the right neighbor (all of it when the block sits at
-// either end) — preserving the contiguous block distribution that
-// loop-carried dependences require (IsBlock stays true).
+// With restricted movement the maximal run of adjacent dead slots around
+// the dead slave is reassigned as one block: a single midpoint cut, the
+// left part to the nearest surviving neighbor on the left, the right part
+// to the one on the right (all of it when the run sits at either end) —
+// preserving the contiguous block distribution that loop-carried
+// dependences require (IsBlock stays true). Cutting each dead slot of a
+// run on its own would interleave the two survivors' units; after the
+// run's first call the calls for its other slots find nothing left.
 //
 // With unrestricted movement the units are apportioned across survivors
 // proportionally to weights (last known rates; nil or all-zero weights
@@ -67,7 +70,6 @@ func ReassignDead(o *Ownership, dead int, restricted bool, weights []float64, al
 	if alive[dead] {
 		return 0, fmt.Errorf("core: slave %d still alive", dead)
 	}
-	units := o.OwnedActive(dead)
 	var survivors []int
 	for s, a := range alive {
 		if a {
@@ -85,19 +87,26 @@ func ReassignDead(o *Ownership, dead int, restricted bool, weights []float64, al
 			o.owner[u] = nearestAlive(survivors, dead)
 		}
 	}
-	if len(units) == 0 {
-		return 0, nil
-	}
 
 	if restricted {
-		// Adjacent-only: split the contiguous block at its midpoint between
-		// the nearest surviving neighbors on each side.
-		left, right := -1, -1
-		for _, s := range survivors {
-			if s < dead {
-				left = s // survivors ascend, so this ends at the nearest
-			} else if s > dead && right == -1 {
-				right = s
+		// Adjacent-only: widen to the run of dead slots [lo,hi] and split
+		// its contiguous block at the midpoint between the surviving
+		// neighbors on each side (-1: the run reaches that end).
+		lo, hi := dead, dead
+		for lo > 0 && !alive[lo-1] {
+			lo--
+		}
+		for hi < o.slaves-1 && !alive[hi+1] {
+			hi++
+		}
+		left, right := lo-1, hi+1
+		if right == o.slaves {
+			right = -1
+		}
+		var units []int
+		for u, s := range o.owner {
+			if o.active[u] && s >= lo && s <= hi {
+				units = append(units, u)
 			}
 		}
 		cut := len(units) / 2
@@ -117,6 +126,10 @@ func ReassignDead(o *Ownership, dead int, restricted bool, weights []float64, al
 		return len(units), nil
 	}
 
+	units := o.OwnedActive(dead)
+	if len(units) == 0 {
+		return 0, nil
+	}
 	// Unrestricted: proportional apportionment by weight.
 	w := make([]float64, len(survivors))
 	for i, s := range survivors {

@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+)
 
 func TestOwnershipFromMapRoundTrip(t *testing.T) {
 	o := NewBlockOwnership(17, 4)
@@ -108,6 +113,79 @@ func TestReassignDeadRestrictedSkipsDeadNeighbor(t *testing.T) {
 	// Slave 2's block split between slaves 0 (skipping dead 1) and 3.
 	if counts[0] <= 16 || counts[3] <= 16 {
 		t.Fatalf("survivors did not adopt across the dead slot: %v", counts)
+	}
+}
+
+// reassignAllDead does what the fault policy's recovery does: one
+// ReassignDead call per dead slot that still owns something, every dead
+// slot already masked out.
+func reassignAllDead(t *testing.T, o *Ownership, restricted bool, alive []bool) {
+	t.Helper()
+	for d := range alive {
+		if !alive[d] && len(o.Owned(d)) > 0 {
+			if _, err := ReassignDead(o, d, restricted, nil, alive); err != nil {
+				t.Fatalf("dead=%d: %v", d, err)
+			}
+		}
+	}
+}
+
+// Two adjacent slaves dying in one recovery: reassigning each slot on its
+// own interleaved the survivors' units (L,R,L,R); the run must be cut once.
+func TestReassignDeadRestrictedAdjacentPair(t *testing.T) {
+	o := NewBlockOwnership(80, 5)
+	alive := []bool{true, false, false, true, true}
+	reassignAllDead(t, o, true, alive)
+	if !o.IsBlock() {
+		t.Fatalf("block invariant broken by an adjacent dead pair: %v", o.ActiveCounts())
+	}
+	if got, want := o.ActiveCounts(), []int{32, 0, 0, 32, 16}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("counts = %v, want %v", got, want)
+	}
+}
+
+// TestReassignDeadRunsQuick: random alive masks with runs of dead slots,
+// over block distributions with a random active window. Every active unit
+// must end with a live owner, and restricted reassignment must keep the
+// block order.
+func TestReassignDeadRunsQuick(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		slaves := 2 + r.Intn(9)
+		units := slaves + r.Intn(12*slaves)
+		restricted := r.Intn(2) == 0
+		o := NewBlockOwnership(units, slaves)
+		for u, retired := 0, r.Intn(units/2+1); u < retired; u++ {
+			o.Deactivate(u) // a shrinking active window, as in LU
+		}
+		alive := make([]bool, slaves)
+		dead := false
+		for s := range alive {
+			// Sticky coin: a dead slot makes the next one likelier dead.
+			dead = r.Intn(4) == 0 || (dead && r.Intn(2) == 0)
+			alive[s] = !dead
+		}
+		alive[r.Intn(slaves)] = true
+		total := o.ActiveTotal()
+		reassignAllDead(t, o, restricted, alive)
+		if o.ActiveTotal() != total {
+			t.Logf("seed %d: active units %d -> %d", seed, total, o.ActiveTotal())
+			return false
+		}
+		for u := 0; u < units; u++ {
+			if !alive[o.OwnerOf(u)] {
+				t.Logf("seed %d: unit %d owned by dead slot %d (alive %v)", seed, u, o.OwnerOf(u), alive)
+				return false
+			}
+		}
+		if restricted && !o.IsBlock() {
+			t.Logf("seed %d: block order broken (alive %v, counts %v)", seed, alive, o.ActiveCounts())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

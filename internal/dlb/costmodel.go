@@ -27,7 +27,7 @@ type balancerSetup struct {
 // newBalancerSetup derives the shared setup from the run configuration, the
 // cluster parameters (whose Bandwidth is the endpoint's data-plane prior:
 // the modelled network on the simulator, the measured in-memory plane for
-// RunReal, the measured negotiated codec for the TCP transport), and the
+// RunReal, the measured binary codec for the TCP transport), and the
 // master's instantiated arrays.
 func newBalancerSetup(cfg *Config, cc cluster.Config, exec *compile.Exec, inst *loopir.Instance, slaves int) balancerSetup {
 	plan := exec.Plan
@@ -72,7 +72,7 @@ func (b balancerSetup) newBalancerFor(own *core.Ownership, slots int) *core.Bala
 // memCopyBandwidth measures the in-process data plane (channel transfers of
 // shared slices, effectively one memory copy per movement) so RunReal seeds
 // its move-cost prior from the same kind of measurement the TCP transport
-// takes of its negotiated codec, instead of a hardcoded constant. Measured
+// takes of its binary codec, instead of a hardcoded constant. Measured
 // once per process and cached.
 func memCopyBandwidth() float64 {
 	memBWOnce.Do(func() {

@@ -27,7 +27,7 @@ type StatusMsg struct {
 	Epoch int
 	// Dispatch accounting, reported with the termination announcement:
 	// how many owned units ran through AOT-built native kernels, compiled
-	// range kernels, or the lowered interpreter fallback (engine counters
+	// range kernels, or the tree interpreter (engine counters
 	// aot_units / kernel_units / fallback_units).
 	AotUnits      int64
 	KernelUnits   int64

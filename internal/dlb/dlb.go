@@ -92,12 +92,15 @@ type Config struct {
 	// stay bit-identical to earlier releases), -1 uses every hardware
 	// core, N > 1 uses exactly N workers.
 	Cores int
-	// Kernel selects the execution tier for distributed-loop bodies:
-	// "interp" runs the lowered interpreter fragments only, "kernel" (the
-	// default) adds the compiled postfix-VM range kernels, and "aot" emits
-	// real Go source, builds it with the toolchain into a cached native
-	// artifact, and dispatches to it — falling back tier by tier for
-	// regions the emitter refuses. All tiers are bit-identical.
+	// Kernel selects the execution tier: "interp" runs every compute step
+	// — owned loops, owner blocks, replicated statements — on the
+	// tree-walking interpreter, the oracle; "kernel" (the default) compiles
+	// them to the kernel IR run by the postfix VM; and "aot" prints the
+	// owned loops' IR as Go source, builds it with the toolchain into a
+	// cached native artifact, and dispatches to it — falling back tier by
+	// tier for regions the emitter refuses. Bodies the kernel compiler
+	// refuses (indirect subscripts) run interpreted on every tier. All
+	// tiers are bit-identical.
 	Kernel string
 	// CostModel selects how the master weighs work units when balancing:
 	// "uniform" (the default) keeps the classic every-unit-equal

@@ -18,6 +18,8 @@ func planFor(t testing.TB, name string) *compile.Plan {
 		"lu":     {Dims: map[string]int{"a": 1}, Loops: []string{"j"}},
 		"jacobi": {Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}},
 		"axpy":   {Dims: map[string]int{"x": 0, "y": 0}, Loops: []string{"i"}},
+
+		"periodic-sor": {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
 	}
 	prog := loopir.Library()[name]
 	if prog == nil {

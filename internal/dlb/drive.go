@@ -32,6 +32,11 @@ var (
 	ErrEvicted       = errors.New("dlb: slave evicted by master")
 )
 
+// ErrNoSurvivors is returned by Run, RunReal and RunMasterOn when a
+// recovery finds every slave dead (crashed, or falsely evicted by too
+// short a lease) and no joiner to adopt the checkpoint.
+var ErrNoSurvivors = errors.New("dlb: recovery impossible: no surviving slaves")
+
 // Prepared is the instantiation both sides of a distributed run must agree
 // on: the same plan, parameters, strip-mining grain and compile options
 // (including a measured hook cost) yield the same phase schedule — and

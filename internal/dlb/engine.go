@@ -98,6 +98,9 @@ func (e *engine) runOn(ep Endpoint) {
 	// Phase loop: one iteration per slave contact round.
 	for e.remaining() > 0 {
 		raw, ok := e.pol.CollectRound(e)
+		if e.err != nil {
+			return // a recovery found no survivors: the run failed
+		}
 		if !ok {
 			continue // a recovery restarted the epoch; collect afresh
 		}
@@ -170,8 +173,7 @@ func (e *engine) scatter() {
 
 // noteDispatch folds a terminating slave's compute-dispatch accounting
 // into the engine counters: how much owned work ran through AOT-built
-// native kernels, compiled range kernels, or the lowered interpreter
-// fallback.
+// native kernels, compiled range kernels, or the tree interpreter.
 func (e *engine) noteDispatch(st StatusMsg) {
 	e.res.Counters.Add("aot_units", st.AotUnits)
 	e.res.Counters.Add("kernel_units", st.KernelUnits)

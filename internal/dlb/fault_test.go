@@ -1,6 +1,7 @@
 package dlb
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -42,6 +43,24 @@ func TestFaultCrashMM(t *testing.T) {
 	}
 	if res.FaultLog.Count(fault.LogCrash) != 1 {
 		t.Errorf("fault log: %s", res.FaultLog)
+	}
+}
+
+// TestFaultAllSlavesCrash: when the fault plan kills every slave, the run
+// must fail with the typed ErrNoSurvivors — not panic out of the master —
+// whether the slaves die together or one recovery after another.
+func TestFaultAllSlavesCrash(t *testing.T) {
+	for _, gap := range []time.Duration{0, 2 * time.Second} {
+		fp := &fault.Plan{}
+		for s := 0; s < 3; s++ {
+			fp.CrashAt(s, 1200*time.Millisecond+time.Duration(s)*gap)
+		}
+		cfg := ftConfig(fp)
+		cfg.Plan, cfg.Params = planFor(t, "mm"), map[string]int{"n": 40}
+		res, err := Run(cfg, cluster.Config{Slaves: 3})
+		if !errors.Is(err, ErrNoSurvivors) {
+			t.Errorf("gap %v: Run = (%v, %v), want ErrNoSurvivors", gap, res, err)
+		}
 	}
 }
 

@@ -435,7 +435,8 @@ func (p *ftPolicy) stopForPreemption(e *engine) {
 // recoverFrom starts a recovery epoch: evict newDead, rebuild the ownership
 // map from the committed checkpoint (repairing dead slots and folding in
 // admitted joiners), rebuild the balancer, and re-scatter the checkpoint
-// state with AdoptMsgs.
+// state with AdoptMsgs. With no slave left alive it fails the run instead
+// (e.err = ErrNoSurvivors; the caller's round is void either way).
 func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 	now := e.ep.Now()
 	for _, dd := range newDead {
@@ -491,7 +492,11 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 		anyAlive = anyAlive || a
 	}
 	if !anyAlive {
-		panic("dlb: recovery impossible: no surviving slaves")
+		// Nobody is left to adopt the checkpoint: the run fails. The dead
+		// were evicted above; release the joiners still waiting.
+		p.releaseJoiners(e, "run failed")
+		e.err = ErrNoSurvivors
+		return
 	}
 	for dd := 0; dd < slots; dd++ {
 		if !p.alive[dd] && len(own.Owned(dd)) > 0 {
@@ -627,11 +632,16 @@ func (p *ftPolicy) Commit(e *engine) {
 			e.ep.Send(id, "finack", 32, FinAckMsg{Epoch: p.epoch})
 		}
 	}
-	// Release joiner processes that were never admitted (including ones that
-	// have not registered yet: the eviction waits in their mailbox).
+	p.releaseJoiners(e, "run complete")
+}
+
+// releaseJoiners evicts joiner processes that were never admitted
+// (including ones that have not registered yet: the eviction waits in
+// their mailbox).
+func (p *ftPolicy) releaseJoiners(e *engine, reason string) {
 	for slot := e.initial; slot < e.total; slot++ {
 		if !p.admitted[slot] {
-			e.ep.Send(slot, "evict", 48, EvictMsg{Epoch: p.epoch, Reason: "run complete"})
+			e.ep.Send(slot, "evict", 48, EvictMsg{Epoch: p.epoch, Reason: reason})
 		}
 	}
 }

@@ -87,7 +87,7 @@ func RunReal(cfg Config, slaves int) (*Result, error) {
 		Quantum: cfg.RealQuantum,
 		// Cost-model prior only; transfers are in-process memory copies, so
 		// measure that plane the same way the TCP transport measures its
-		// negotiated codec.
+		// codec.
 		Bandwidth:    memCopyBandwidth(),
 		LinkLatency:  10 * time.Microsecond,
 		SendOverhead: time.Microsecond,

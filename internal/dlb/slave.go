@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/aot"
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -12,19 +11,59 @@ import (
 	"repro/internal/loopir"
 )
 
-// rangeLo and rangeHi are the free variables of the lowered range fragment
-// that executes a contiguous run of owned distributed-loop iterations.
+// rangeLo and rangeHi are the free variables of the interpreted range
+// fragment that executes a contiguous run of owned distributed-loop
+// iterations.
 const (
 	rangeLo = "__lo"
 	rangeHi = "__hi"
 )
 
 // fragRunner is a compiled or interpreted compute fragment. Affine bodies
-// lower to postfix fragments (loopir.Fragment); bodies the lowerer refuses
-// — indirect subscripts like a[idx[i]] — fall back to the tree-walking
-// InterpFragment, which runs the same statements against the same arrays.
+// compile to a loopir.Kernel; bodies the kernel compiler refuses — indirect
+// subscripts like a[idx[i]] — and everything on the interp tier run on the
+// tree-walking InterpFragment, which executes the same statements against
+// the same arrays.
 type fragRunner interface {
 	Run(bind map[string]int)
+}
+
+// rangeRunner executes iterations [lo,hi) of one distributed loop. Both
+// aot.BoundKernel and loopir.RangeKernel have this shape.
+type rangeRunner interface {
+	Run(lo, hi int, bind map[string]int)
+	RunParallel(lo, hi int, bind map[string]int, workers int) int
+}
+
+// interpRange adapts the tree interpreter to rangeRunner: the loop header
+// is part of the fragment and its bounds arrive as free variables.
+type interpRange struct{ frag loopir.InterpFragment }
+
+func (r *interpRange) Run(lo, hi int, bind map[string]int) {
+	bind[rangeLo], bind[rangeHi] = lo, hi
+	r.frag.Run(bind)
+}
+
+// RunParallel is sequential: without a range kernel nothing has proven the
+// iterations independent (execOwned never resolves more than one worker).
+func (r *interpRange) RunParallel(lo, hi int, bind map[string]int, _ int) int {
+	r.Run(lo, hi, bind)
+	return 1
+}
+
+// ownedExec is one distributed loop's resolved executor.
+type ownedExec struct {
+	run rangeRunner // bound native kernel › VM range kernel › interpreter
+	// rk resolves worker counts and runtime guards whichever executor
+	// runs (the native kernels carry no guard analysis); nil, or par
+	// false, means the loop runs on one worker.
+	rk    *loopir.RangeKernel
+	par   bool
+	units *int64 // the dispatch counter this loop's units feed
+	// iarr marks a body with indirect (array-valued) subscripts: its
+	// per-unit cost is data-dependent, so the flop estimate walks each
+	// unit instead of sampling the midpoint.
+	iarr bool
 }
 
 type slave struct {
@@ -38,17 +77,11 @@ type slave struct {
 	inst *loopir.Instance
 	own  *core.Ownership
 
-	frags      map[*compile.OwnedLoop]fragRunner
-	kernels    map[*compile.OwnedLoop]*loopir.RangeKernel
+	ownedLoops map[*compile.OwnedLoop]*ownedExec
 	ownerFrags map[*compile.OwnerBlock]fragRunner
-	allFrags   []allFrag
+	allFrags   map[*compile.AllStmts]fragRunner
 	env        map[string]int
 	redSnap    map[string][]float64 // reduction arrays at the last Combine
-
-	// iarr marks owned loops whose bodies use indirect (array-valued)
-	// subscripts: their per-unit cost is data-dependent, so the flop
-	// estimate walks each unit instead of sampling the midpoint.
-	iarr map[*compile.OwnedLoop]bool
 
 	// Per-unit cost measurement (learned cost model, and always-on for
 	// indirect programs so the imbalance metric stays weighted): costAcc
@@ -58,11 +91,10 @@ type slave struct {
 	costAcc []float64
 
 	// tier is the resolved kernel tier; aot carries the run's shared
-	// native kernels and aotKernels the per-instance bindings (only
-	// regions the emitter accepted — others fall back tier by tier).
-	tier       string
-	aot        *aotBundle
-	aotKernels map[*compile.OwnedLoop]*aot.BoundKernel
+	// native kernels (only regions the emitter accepted — others fall
+	// back tier by tier).
+	tier string
+	aot  *aotBundle
 
 	// cores is the resolved per-slave worker count (Config.Cores); owned
 	// runs wide enough to amortize goroutine startup are partitioned
@@ -70,7 +102,7 @@ type slave struct {
 	cores         int
 	aotUnits      int64 // units executed through AOT-built native kernels
 	kernelUnits   int64 // units executed through compiled range kernels
-	fallbackUnits int64 // units executed through the lowered fallback
+	fallbackUnits int64 // units executed through the tree interpreter
 
 	// Split-loop async ghost exchange (Config.Overlap): pending maps a
 	// carrier loop to the exchanges whose sends were posted but whose
@@ -144,20 +176,7 @@ func (s *slave) runOn(ep Endpoint) {
 	lo, hi := s.exec.InitialActive()
 	s.deactivateOutside(lo, hi)
 
-	// Compile the generated code against the local arrays: one range
-	// kernel (plus a lowered fallback fragment) per distributed loop, one
-	// fragment per owner block.
-	s.frags = map[*compile.OwnedLoop]fragRunner{}
-	s.kernels = map[*compile.OwnedLoop]*loopir.RangeKernel{}
-	s.ownerFrags = map[*compile.OwnerBlock]fragRunner{}
-	s.aotKernels = map[*compile.OwnedLoop]*aot.BoundKernel{}
-	s.iarr = map[*compile.OwnedLoop]bool{}
-	if s.tier == "" {
-		s.tier = KernelVM
-	}
-	if err := s.lowerSteps(plan.Steps); err != nil {
-		panic(fmt.Sprintf("slave%d: %v", s.id, err))
-	}
+	s.lowerPlan()
 	s.cores = s.cfg.CoreCount()
 
 	// Per-unit cost measurement: always on for indirect (data-dependent)
@@ -255,61 +274,74 @@ func (s *slave) eval(e loopir.IExpr) int {
 	return v
 }
 
-// lowerSteps pre-lowers all compute fragments.
-func (s *slave) lowerSteps(steps []compile.Step) error {
+// lowerPlan compiles the generated code against the local arrays: one
+// range runner per distributed loop, one fragment per owner block and per
+// replicated statement list.
+func (s *slave) lowerPlan() {
+	s.ownedLoops = map[*compile.OwnedLoop]*ownedExec{}
+	s.ownerFrags = map[*compile.OwnerBlock]fragRunner{}
+	s.allFrags = map[*compile.AllStmts]fragRunner{}
+	if s.tier == "" {
+		s.tier = KernelVM
+	}
+	s.lowerSteps(s.exec.Plan.Steps)
+}
+
+func (s *slave) lowerSteps(steps []compile.Step) {
 	for _, st := range steps {
 		switch st := st.(type) {
 		case *compile.SeqLoop:
-			if err := s.lowerSteps(st.Body); err != nil {
-				return err
-			}
+			s.lowerSteps(st.Body)
 		case *compile.StripLoop:
-			if err := s.lowerSteps(st.Body); err != nil {
-				return err
-			}
+			s.lowerSteps(st.Body)
 		case *compile.OwnedLoop:
-			// The range kernel is the hot path (and, on the aot tier, the
-			// oracle for guard and worker resolution); compilation failure
-			// (non-affine subscripts) leaves only the lowered fragment,
-			// which execOwned then uses. The interp tier skips it so every
-			// owned unit runs through the lowered fragments.
-			if s.tier != KernelInterp {
-				if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
-					s.kernels[st] = rk
-				}
-			}
-			if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
-				if bk, err := k.Bind(s.inst.Arrays); err == nil {
-					s.aotKernels[st] = bk
-				}
-			}
-			s.iarr[st] = loopir.UsesIArr(st.Body)
-			wrapped := []loopir.Stmt{
-				loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...),
-			}
-			s.frags[st] = s.lowerOrInterp(wrapped)
+			s.ownedLoops[st] = s.lowerOwned(st)
 		case *compile.OwnerBlock:
-			s.ownerFrags[st] = s.lowerOrInterp(st.Body)
+			s.ownerFrags[st] = s.kernelOrInterp(st.Body)
 		case *compile.AllStmts:
-			s.allFrags = append(s.allFrags, allFrag{st, s.lowerOrInterp(st.Body)})
+			s.allFrags[st] = s.kernelOrInterp(st.Body)
 		}
 	}
-	return nil
 }
 
-// lowerOrInterp lowers statements to a postfix fragment, falling back to
-// the tree-walking interpreter for bodies the lowerer refuses (indirect
-// subscripts).
-func (s *slave) lowerOrInterp(stmts []loopir.Stmt) fragRunner {
-	if frag, err := s.inst.LowerStmts(stmts); err == nil {
-		return frag
+// lowerOwned resolves one distributed loop's executor for the slave's
+// tier: the bound native kernel (aot), else the VM range kernel, else the
+// tree interpreter — which is all the interp tier uses, and where bodies
+// the kernel compiler refuses (non-affine subscripts) land on any tier.
+func (s *slave) lowerOwned(st *compile.OwnedLoop) *ownedExec {
+	ox := &ownedExec{iarr: loopir.UsesIArr(st.Body)}
+	if s.tier != KernelInterp {
+		if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
+			ox.rk, ox.par = rk, rk.ParallelSafe()
+			ox.run, ox.units = rk, &s.kernelUnits
+		}
+	}
+	if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
+		if bk, err := k.Bind(s.inst.Arrays); err == nil {
+			// A native kernel that refuses parallel dispatch (reduction
+			// chain, subprocess runner) caps the loop at one worker.
+			ox.par = ox.par && k.CanParallel()
+			ox.run, ox.units = bk, &s.aotUnits
+		}
+	}
+	if ox.run == nil {
+		loop := loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...)
+		ox.run = &interpRange{loopir.InterpFragment{In: s.inst, Stmts: []loopir.Stmt{loop}}}
+		ox.units = &s.fallbackUnits
+	}
+	return ox
+}
+
+// kernelOrInterp compiles statements to a kernel, falling back to the
+// tree-walking interpreter for bodies the compiler refuses (indirect
+// subscripts); the interp tier runs the interpreter unconditionally.
+func (s *slave) kernelOrInterp(stmts []loopir.Stmt) fragRunner {
+	if s.tier != KernelInterp {
+		if k, err := s.inst.CompileKernel(stmts); err == nil {
+			return k
+		}
 	}
 	return &loopir.InterpFragment{In: s.inst, Stmts: stmts}
-}
-
-type allFrag struct {
-	step *compile.AllStmts
-	frag fragRunner
 }
 
 func (s *slave) execSteps(steps []compile.Step) {
@@ -597,11 +629,9 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	// Charge is divided by the same worker count, so simulated multicore
 	// slaves speed up exactly as real ones do. On the aot tier the VM
 	// range kernel stays the oracle for guard and worker resolution, but
-	// dispatch goes to the native kernel; a native kernel that refuses
-	// parallel dispatch (reduction chain, subprocess runner) caps w at 1.
-	rk := s.kernels[st]
-	ak := s.aotKernels[st]
-	iarr := s.iarr[st]
+	// dispatch goes to the native kernel.
+	ox := s.ownedLoops[st]
+	iarr := ox.iarr
 	var perUnit float64
 	var unitFlops []float64 // per-unit estimates, indirect bodies only
 	if iarr {
@@ -653,13 +683,13 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		// per-unit cost attribution and the virtual charge sum match the
 		// synchronous schedule exactly.
 		w := 1
-		if rk != nil && s.cores > 1 && rk.ParallelSafe() && (ak == nil || ak.K.CanParallel()) {
+		if ox.par && s.cores > 1 {
 			w = s.cores
 			if lim := int(runFlops / kernelParMinFlops); lim < w {
 				w = lim
 			}
 			if w > 1 {
-				w = rk.Workers(r[0], r[1], bind, w)
+				w = ox.rk.Workers(r[0], r[1], bind, w)
 			}
 			if w < 1 {
 				w = 1
@@ -692,23 +722,14 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	}
 	total := time.Duration(charge * float64(s.cfg.FlopCost))
 
-	frag := s.frags[st]
 	runRange := func(rlo, rhi, w int) {
 		if rhi <= rlo {
 			return
 		}
-		switch {
-		case ak != nil && w > 1:
-			ak.RunParallel(rlo, rhi, bind, w)
-		case ak != nil:
-			ak.Run(rlo, rhi, bind)
-		case rk == nil:
-			bind[rangeLo], bind[rangeHi] = rlo, rhi
-			frag.Run(bind)
-		case w > 1:
-			rk.RunParallel(rlo, rhi, bind, w)
-		default:
-			rk.Run(rlo, rhi, bind)
+		if w > 1 {
+			ox.run.RunParallel(rlo, rhi, bind, w)
+		} else {
+			ox.run.Run(rlo, rhi, bind)
 		}
 	}
 	if bw == 0 {
@@ -751,14 +772,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		s.overlapRounds++
 	}
 	s.unitsDone += float64(count)
-	switch {
-	case ak != nil:
-		s.aotUnits += int64(count)
-	case rk != nil:
-		s.kernelUnits += int64(count)
-	default:
-		s.fallbackUnits += int64(count)
-	}
+	*ox.units += int64(count)
 }
 
 // kernelParMinFlops is the minimum estimated work per worker before an
@@ -794,20 +808,15 @@ func (s *slave) execAll(st *compile.AllStmts) {
 	if s.ff {
 		return
 	}
-	for _, af := range s.allFrags {
-		if af.step == st {
-			flops := loopir.EstFlops(st.Body, s.env)
-			s.ep.Charge(time.Duration(flops * float64(s.cfg.FlopCost)))
-			s.ep.Timed(func() { af.frag.Run(s.env) })
-			// Replicated statements run identically on every slave, so
-			// their result is shared state: refresh reduction snapshots so
-			// the next Combine's deltas are measured from here (e.g. the
-			// residual reset at the top of a convergence sweep).
-			for arr, snap := range s.redSnap {
-				copy(snap, s.inst.Arrays[arr].Data)
-			}
-			return
-		}
+	flops := loopir.EstFlops(st.Body, s.env)
+	s.ep.Charge(time.Duration(flops * float64(s.cfg.FlopCost)))
+	s.ep.Timed(func() { s.allFrags[st].Run(s.env) })
+	// Replicated statements run identically on every slave, so their
+	// result is shared state: refresh reduction snapshots so the next
+	// Combine's deltas are measured from here (e.g. the residual reset at
+	// the top of a convergence sweep).
+	for arr, snap := range s.redSnap {
+		copy(snap, s.inst.Arrays[arr].Data)
 	}
 }
 
@@ -1285,10 +1294,10 @@ func (s *slave) sendDoneHier(done StatusMsg) {
 func (s *slave) runTree() {
 	s.execSteps(s.exec.Plan.Steps)
 	done := StatusMsg{
-		Phase:         s.phase,
-		HookIndex:     s.hookVisit,
-		Done:          true,
-		Epoch:         s.epoch,
+		Phase:           s.phase,
+		HookIndex:       s.hookVisit,
+		Done:            true,
+		Epoch:           s.epoch,
 		AotUnits:        s.aotUnits,
 		KernelUnits:     s.kernelUnits,
 		FallbackUnits:   s.fallbackUnits,

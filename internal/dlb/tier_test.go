@@ -2,6 +2,8 @@ package dlb
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -103,5 +105,59 @@ func TestKernelTierChainsAndGuards(t *testing.T) {
 	if _, err := Run(Config{Plan: plan, Params: params, DLB: true, Kernel: "jit"},
 		cluster.Config{Slaves: 2}); err == nil {
 		t.Error("unknown kernel tier accepted")
+	}
+}
+
+// TestNoSilentInterpreterFallback: an affine body the kernel compiler
+// refused would drop to the tree interpreter — an order of magnitude slower
+// and still bit-correct, so no differential would notice. Lower every
+// library program's plan the way a kernel-tier slave does and require that
+// the only steps left on the interpreter are the indirect (IArr) bodies of
+// spmv and pbin.
+func TestNoSilentInterpreterFallback(t *testing.T) {
+	interpreted := map[string]bool{}
+	for name := range loopir.Library() {
+		plan := planFor(t, name) // automatic distribution where planFor has no spec
+		params := map[string]int{}
+		for _, prm := range plan.Prog.Params {
+			params[prm] = 16
+			if strings.Contains(prm, "iter") {
+				params[prm] = 2
+			}
+		}
+		inst, err := loopir.NewInstance(plan.Prog, params)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := &slave{inst: inst, exec: &compile.Exec{Plan: plan}}
+		s.lowerPlan()
+		check := func(kind string, compiled bool, body []loopir.Stmt) {
+			switch {
+			case compiled:
+			case loopir.UsesIArr(body):
+				interpreted[name] = true
+			default:
+				var sb strings.Builder
+				loopir.RenderStmts(&sb, body, 1)
+				t.Errorf("%s: affine %s body runs on the interpreter:\n%s", name, kind, sb.String())
+			}
+		}
+		for st, ox := range s.ownedLoops {
+			check("owned-loop", ox.rk != nil, st.Body)
+		}
+		for st, f := range s.ownerFrags {
+			_, ok := f.(*loopir.Kernel)
+			check("owner-block", ok, st.Body)
+		}
+		for st, f := range s.allFrags {
+			_, ok := f.(*loopir.Kernel)
+			check("replicated", ok, st.Body)
+		}
+		if len(s.ownedLoops) == 0 {
+			t.Errorf("%s: plan has no distributed loop", name)
+		}
+	}
+	if want := map[string]bool{"spmv": true, "pbin": true}; !reflect.DeepEqual(interpreted, want) {
+		t.Errorf("programs with interpreted steps = %v, want %v", interpreted, want)
 	}
 }

@@ -4,9 +4,9 @@ import "testing"
 
 // TestCodecBandwidthOrdering pins the property the master's move-cost
 // prior relies on: the measured binary data plane is faster than gob, so
-// seeding cluster.Config.Bandwidth from the negotiated codec yields a
-// smaller per-unit cost (and thus a shorter adaptive period) on binary
-// runs. Values are cached, so repeated calls must agree.
+// seeding cluster.Config.Bandwidth from it yields a smaller per-unit cost
+// (and thus a shorter adaptive period) than the gob baseline would. Values
+// are cached, so repeated calls must agree.
 func TestCodecBandwidthOrdering(t *testing.T) {
 	gob := CodecBandwidth(false)
 	bin := CodecBandwidth(true)

@@ -24,17 +24,10 @@ import (
 //
 // Whether a frame is gob or binary is carried per frame in the top bit of
 // the length prefix (see framed), so both codecs interleave freely on one
-// connection. Peers negotiate the right to *send* binary during the
-// handshake (StartMsg/HelloMsg/PeerHelloMsg codec fields); every peer that
-// knows the flag bit can decode both, and old peers are never sent a
-// binary frame.
-
-// Codec names exchanged during the handshake. The empty string means gob
-// (the zero value an old peer's frames decode to).
-const (
-	CodecGob    = "gob"
-	CodecBinary = "binary"
-)
+// connection. Every Conn decodes both; a sender puts its bulk payloads on
+// the binary codec once SetBinary(true) is called, which the TCP transport
+// does on every connection it attaches (the handshake's ProtocolVersion
+// check admits only peers that decode binary frames).
 
 // binaryVersion is the first payload byte of every binary frame; bump it
 // if the layout of any message changes (the handshake's ProtocolVersion

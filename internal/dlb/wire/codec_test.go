@@ -113,7 +113,7 @@ func TestBinaryRoundTripDifferential(t *testing.T) {
 	}
 }
 
-// TestBinaryFramesAreBinary asserts the negotiated codec is actually used:
+// TestBinaryFramesAreBinary asserts SetBinary(true) is actually honoured:
 // bulk payloads produce frames with the codec bit set, control payloads on
 // the same connection stay gob.
 func TestBinaryFramesAreBinary(t *testing.T) {
@@ -165,9 +165,8 @@ func TestMixedCodecStream(t *testing.T) {
 	}
 }
 
-// TestGobPeerRejectsNothing asserts a non-negotiated connection never
-// emits binary frames, so an old peer (which predates the codec bit)
-// decodes everything.
+// TestGobPeerRejectsNothing asserts a connection left at SetBinary(false)
+// never emits binary frames — the all-gob baseline stays all gob.
 func TestGobPeerRejectsNothing(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)

@@ -37,11 +37,11 @@ type RunSpec struct {
 	// Cores is the per-slave kernel worker count (dlb.Config.Cores);
 	// daemons may override it locally with their own -cores setting.
 	Cores int
-	// Kernel is the execution tier for distributed-loop bodies
-	// (dlb.Config.Kernel: "interp", "kernel" or "aot"; empty means
-	// "kernel"). Daemons may override it locally with their own -kernel
-	// setting. The tier does not enter the plan hash — all tiers execute
-	// the same plan bit-identically.
+	// Kernel is the execution tier (dlb.Config.Kernel: "interp" — the
+	// tree interpreter for every compute step — "kernel" or "aot"; empty
+	// means "kernel"). Daemons may override it locally with their own
+	// -kernel setting. The tier does not enter the plan hash — all tiers
+	// execute the same plan bit-identically.
 	Kernel string
 	// CostModel selects the balancer's view of work units
 	// (dlb.Config.CostModel: "uniform" or "learned"; empty means
@@ -90,14 +90,6 @@ type StartMsg struct {
 	// run is already underway; initial connections get a RosterMsg once
 	// every slave has handshaked).
 	Roster map[int]string
-	// Codec offers the data-plane codec (CodecBinary or ""). Binary frames
-	// flow on this connection only if the slave's HelloMsg confirms the
-	// offer; an old master leaves the field empty (gob's zero value) and
-	// everything stays gob.
-	Codec string
-	// Codecs seeds the per-peer codec table alongside Roster on join
-	// connections.
-	Codecs map[int]string
 }
 
 // HelloMsg is the slave's side of the handshake. On a master-dialed
@@ -118,10 +110,6 @@ type HelloMsg struct {
 	PeerAddr string
 	// Join marks a slave-initiated connection asking for a joiner slot.
 	Join bool
-	// Codec accepts the StartMsg's codec offer (CodecBinary) or declines
-	// it (""). An old slave's hello decodes with the field empty, so the
-	// master falls back to gob for that peer.
-	Codec string
 	// InitCached announces that this daemon still holds the initial
 	// scatter payload for the handshaken plan hash (and this node id and
 	// membership size) from an earlier run: the master may ship a
@@ -135,21 +123,12 @@ type HelloMsg struct {
 // peers directly (work never relays through the master).
 type RosterMsg struct {
 	Addrs map[int]string
-	// Codecs records each node's negotiated data-plane codec, so a slave
-	// dialing a peer knows whether it may send binary frames there. Absent
-	// entries (and rosters from old masters) mean gob.
-	Codecs map[int]string
 }
 
 // PeerHelloMsg identifies the dialing slave on a slave↔slave connection;
 // it is the first and only control frame there.
 type PeerHelloMsg struct {
 	From int
-	// Codec announces the dialer's data-plane codec: the accepting side
-	// may send binary frames back on this connection iff it is CodecBinary
-	// (the dialer's own sends are governed by the roster's entry for the
-	// acceptor).
-	Codec string
 }
 
 // RejectMsg refuses a handshake. Code is one of the Reject* constants.

@@ -4,9 +4,7 @@
 // scatter and gather). Two codecs share one connection: gob for the small
 // self-describing control messages, and a hand-rolled little-endian binary
 // layout (codec.go) for the bulk float-bearing data plane. Each frame's
-// length prefix carries a codec bit, so the two interleave freely; the
-// right to send binary is negotiated during the handshake and old peers
-// transparently fall back to all-gob.
+// length prefix carries a codec bit, so the two interleave freely.
 package wire
 
 import (
@@ -86,7 +84,7 @@ type Conn struct {
 	fr     *framed
 	enc    *gob.Encoder
 	dec    *gob.Decoder
-	binary bool // negotiated: bulk messages go out on the binary codec
+	binary bool // bulk messages go out on the binary codec
 }
 
 // NewConn wraps a stream. Gob streams are stateful, so a Conn must be used
@@ -106,17 +104,17 @@ func (c *Conn) SetMaxFrame(n int) {
 	c.fr.limit = n
 }
 
-// SetBinary grants (or revokes) the right to send bulk messages on the
-// binary codec. Call it only after the handshake has confirmed the peer
-// negotiated CodecBinary; receiving binary needs no grant — any Conn
-// decodes both codecs. Send and SetBinary must come from the same
-// goroutine (the writer), like the gob encoder itself.
+// SetBinary selects whether bulk messages are sent on the binary codec
+// (true: every netrun connection) or on gob (false: the baseline the codec
+// differential tests and BENCH_plane measure against). Receiving binary
+// needs no grant — any Conn decodes both codecs. Send and SetBinary must
+// come from the same goroutine (the writer), like the gob encoder itself.
 func (c *Conn) SetBinary(on bool) { c.binary = on }
 
 // Binary reports whether bulk sends use the binary codec.
 func (c *Conn) Binary() bool { return c.binary }
 
-// Send writes one envelope: on a binary-negotiated connection the bulk
+// Send writes one envelope: on a SetBinary(true) connection the bulk
 // float-bearing payloads (codec.go) go out as one binary frame from a
 // pooled scratch buffer; everything else is gob.
 func (c *Conn) Send(e Envelope) error {

@@ -16,9 +16,9 @@ import (
 
 // The kernel experiment: how much of the slave's per-unit compute cost the
 // compiled loop kernels remove, and how the multicore range kernels scale.
-// Each library program is run at four tiers — the tree-walking interpreter
-// (the differential oracle), the lowered closure engine, the compiled
-// kernel, and the AOT-built native kernel — plus a worker-count sweep of
+// Each library program is run on the three executors — the tree-walking
+// interpreter (the differential oracle), the compiled kernel, and the
+// AOT-built native kernel — plus a worker-count sweep of
 // the parallel range kernel (VM and AOT) on the jacobi stencil, and a
 // cold/warm start-latency table for the AOT build cache. The same
 // comparisons exist as go benchmarks (BenchmarkKernel,
@@ -28,7 +28,7 @@ import (
 // KernelRow is one benchmark measurement.
 type KernelRow struct {
 	Bench   string  `json:"bench"`   // e.g. "kernel/jacobi" or "workers/jacobi-sweep"
-	Variant string  `json:"variant"` // "interp"/"lowered"/"kernel"/"aot" or "w=1".."aot-w=4"
+	Variant string  `json:"variant"` // "interp"/"kernel"/"aot" or "w=1".."aot-w=4"
 	NsPerOp float64 `json:"ns_per_op"`
 	Flops   int64   `json:"flops_per_op"`
 	MFlops  float64 `json:"mflops"`
@@ -72,8 +72,8 @@ func kernelRow(bench, variant string, flops int64, fn func(b *testing.B)) Kernel
 	return KernelRow{Bench: bench, Variant: variant, NsPerOp: ns, Flops: flops, MFlops: mf}
 }
 
-// Kernel runs the loop-kernel microbenchmarks: interpreter vs lowered
-// closures vs compiled kernel on the stencil (jacobi), pipelined (sor) and
+// Kernel runs the loop-kernel microbenchmarks: interpreter vs compiled
+// kernel vs AOT on the stencil (jacobi), pipelined (sor) and
 // matrix-product (mm) programs, and the parallel range kernel's worker
 // scaling on the jacobi sweep.
 func Kernel(s Scale) (*KernelReport, error) {
@@ -120,20 +120,6 @@ func Kernel(s Scale) (*KernelReport, error) {
 			}
 		})
 
-		lowIn, err := loopir.NewInstance(prog, c.params)
-		if err != nil {
-			return nil, err
-		}
-		code, err := lowIn.Lower()
-		if err != nil {
-			return nil, err
-		}
-		lowered := kernelRow(bench, "lowered", flops, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				code.Run()
-			}
-		})
-
 		kernIn, err := loopir.NewInstance(prog, c.params)
 		if err != nil {
 			return nil, err
@@ -166,7 +152,7 @@ func Kernel(s Scale) (*KernelReport, error) {
 			}
 		})
 
-		rep.Rows = append(rep.Rows, interp, lowered, kernel, aotRow)
+		rep.Rows = append(rep.Rows, interp, kernel, aotRow)
 		if kernel.NsPerOp > 0 {
 			rep.Speedups[bench] = interp.NsPerOp / kernel.NsPerOp
 		}
@@ -279,7 +265,7 @@ func aotStartLatency(rep *KernelReport, prog *loopir.Program, params map[string]
 // RenderKernel formats the report as the experiment's text artifact.
 func RenderKernel(rep *KernelReport) string {
 	var sb strings.Builder
-	sb.WriteString("Compiled loop kernels: interpreter vs lowered closures vs kernel vs AOT, and worker scaling\n")
+	sb.WriteString("Compiled loop kernels: interpreter vs kernel vs AOT, and worker scaling\n")
 	sb.WriteString("(kernel/* speedup = interp/kernel; aot-vs-* = AOT over that tier; workers/* = one worker over the best)\n")
 	fmt.Fprintf(&sb, "host CPUs: %d", rep.CPUs)
 	if rep.Note != "" {

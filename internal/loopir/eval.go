@@ -300,8 +300,8 @@ func (in *Instance) evalCond(c Cond, env map[string]int) (bool, error) {
 }
 
 // Interpret executes the program with the straightforward tree-walking
-// interpreter. It is the semantic reference that the fast lowered engine
-// (and the parallel runtime) is validated against.
+// interpreter. It is the semantic reference that the compiled kernels (and
+// the parallel runtime) are validated against.
 func (in *Instance) Interpret() error {
 	env := map[string]int{}
 	for k, v := range in.Params {
@@ -377,10 +377,10 @@ func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int) error {
 }
 
 // InterpFragment runs a statement list through the tree-walking
-// interpreter under a caller-supplied binding — the execution tier of last
-// resort for fragments the lowering engine refuses (data-dependent IArr
-// subscripts and bounds). It satisfies the same Run contract as a lowered
-// Fragment.
+// interpreter under a caller-supplied binding — the oracle the "interp"
+// tier runs everything on, and the fallback for fragments the kernel
+// compiler refuses (data-dependent IArr subscripts and bounds). It
+// satisfies the same Run contract as a Kernel.
 type InterpFragment struct {
 	In    *Instance
 	Stmts []Stmt
@@ -400,16 +400,11 @@ func (f *InterpFragment) Run(bind map[string]int) {
 	}
 }
 
-// Run executes the program, preferring the compiled kernel, then the
-// lowered closure engine, and finally the interpreter for programs neither
-// compiler accepts (non-affine subscripts).
+// Run executes the program on the compiled kernel, falling back to the
+// interpreter for programs the kernel compiler refuses (non-affine
+// subscripts).
 func (in *Instance) Run() error {
 	if err := in.RunKernel(); err == nil {
-		return nil
-	}
-	code, err := in.Lower()
-	if err == nil {
-		code.Run()
 		return nil
 	}
 	return in.Interpret()

@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the kernel compiler: it specializes a statement tree into a
-// form the runtime can execute at close to memory speed, superseding both
-// the tree-walking interpreter (eval.go, the semantic reference) and the
-// closure-based lowered engine (lower.go) on the hot path.
+// form the runtime can execute at close to memory speed. It is the one
+// in-process executor of affine code; the tree-walking interpreter (eval.go)
+// stays as the semantic reference and the non-affine fallback.
 //
 // What makes a kernel fast:
 //

@@ -24,10 +24,10 @@ func kernelTestParams() map[string]map[string]int {
 	}
 }
 
-// TestKernelMatchesInterpreter is the kernel counterpart of
-// TestLowerMatchesInterpreter: on every library program the compiled
-// kernel must reproduce the tree-walking interpreter bit for bit —
-// sequential kernels preserve even reduction chains exactly.
+// TestKernelMatchesInterpreter is the core equivalence check: on every
+// library program the compiled kernel must reproduce the tree-walking
+// interpreter bit for bit — sequential kernels preserve even reduction
+// chains exactly.
 func TestKernelMatchesInterpreter(t *testing.T) {
 	params := kernelTestParams()
 	for name, prog := range Library() {
@@ -44,13 +44,16 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 		}
 		fast := ref.Clone()
 		k, err := fast.CompileKernel(fast.Prog.Body)
-		if err != nil {
-			if UsesIArr(prog.Body) {
-				continue // data-dependent programs run interpreted by design
-			}
+		switch {
+		case err == nil:
+			k.Run(nil)
+		case UsesIArr(prog.Body):
+			// Data-dependent programs run on the interpreted fragment by
+			// design; exercise it through the same comparison.
+			(&InterpFragment{In: fast, Stmts: fast.Prog.Body}).Run(nil)
+		default:
 			t.Fatalf("%s: compile kernel: %v", name, err)
 		}
-		k.Run(nil)
 		for arr := range ref.Arrays {
 			if d := ref.Arrays[arr].MaxAbsDiff(fast.Arrays[arr]); d != 0 {
 				t.Errorf("%s: array %q differs by %g between interpreter and kernel", name, arr, d)
@@ -282,44 +285,9 @@ func randParProgram(r *rand.Rand) *Program {
 }
 
 // TestQuickKernelEquivalence cross-checks the whole-program kernel against
-// the interpreter on random programs (same generator as the lowered-engine
-// fuzz test).
+// the interpreter on random programs (randProgram, quick_test.go).
 func TestQuickKernelEquivalence(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randProgram(r)
-		if err := p.Validate(); err != nil {
-			t.Logf("seed %d: generated invalid program: %v", seed, err)
-			return false
-		}
-		nVal := 5 + r.Intn(6)
-		ref, err := NewInstance(p, map[string]int{"n": nVal})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		fast := ref.Clone()
-		if err := ref.Interpret(); err != nil {
-			t.Logf("seed %d: interpret: %v", seed, err)
-			return false
-		}
-		k, err := fast.CompileKernel(fast.Prog.Body)
-		if err != nil {
-			t.Logf("seed %d: compile: %v", seed, err)
-			return false
-		}
-		k.Run(nil)
-		d := ref.Arrays["a"].MaxAbsDiff(fast.Arrays["a"])
-		if d != 0 && !math.IsNaN(d) {
-			t.Logf("seed %d: divergence %g", seed, d)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Fatal(err)
-	}
+	quickVsInterpreter(t, func(fast *Instance, _ int) error { return fast.RunKernel() })
 }
 
 // TestQuickRangeKernelWorkers is the differential fuzz test for worker
@@ -390,9 +358,9 @@ func TestKernelRate(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel compares the three execution tiers — interpreter,
-// lowered closures, compiled kernel — on the stencil (jacobi) and
-// pipelined (sor) programs plus mm. The kernel/interp ratio here is the
+// BenchmarkKernel compares the in-process executors — interpreter and
+// compiled kernel — on the stencil (jacobi) and pipelined (sor) programs
+// plus mm. The kernel/interp ratio here is the
 // ≥5x acceptance bar recorded in BENCH_kernel.json.
 func BenchmarkKernel(b *testing.B) {
 	progs := []struct {
@@ -423,21 +391,6 @@ func BenchmarkKernel(b *testing.B) {
 				if err := in.Interpret(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(p.name+"/lowered", func(b *testing.B) {
-			in, err := NewInstance(prog, p.params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			code, err := in.Lower()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(flops)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				code.Run()
 			}
 		})
 		b.Run(p.name+"/kernel", func(b *testing.B) {

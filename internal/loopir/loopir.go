@@ -7,9 +7,9 @@
 // overrelaxation, LU decomposition) into C; here the same routines are
 // expressed in this IR, analyzed by internal/depend, and parallelized by
 // internal/compile. The package also provides a sequential interpreter
-// (the correctness reference for all parallel executions) and a faster
-// lowered execution engine used by both the reference runs and the
-// generated slave code.
+// (the correctness reference for all parallel executions) and the kernel
+// compiler (kernel.go) whose one IR the VM runs and emit.go prints as Go,
+// used by both the reference runs and the generated slave code.
 package loopir
 
 import (

@@ -5,12 +5,11 @@ import (
 	"sort"
 )
 
-// This file implements the lowered execution engine: programs with affine
-// subscripts are compiled into closures over flat []float64 storage with
-// precomputed linear index forms. This is the moral equivalent of the C code
-// the paper's compiler emits — and it is what the generated slave programs
-// execute — while the tree-walking interpreter in eval.go remains the
-// semantic reference.
+// This file is the affine index lowering the kernel compiler (kernel.go)
+// builds on: integer linear forms over a register file of loop variables,
+// and the translation of IExpr subscripts and bounds into them. Non-affine
+// index expressions are rejected here, which is how CompileKernel refuses a
+// body and the caller falls back to the tree-walking interpreter.
 
 // linTerm is one coefficient of a linear form.
 type linTerm struct {
@@ -72,107 +71,8 @@ func (l lin) isConst() (int, bool) {
 	return 0, false
 }
 
-// evalFn computes a float64 from the register file.
-type evalFn func(regs []int) float64
-
-// instr is one lowered statement.
-type instr interface {
-	run(regs []int)
-}
-
-type iloop struct {
-	reg     int
-	lo, hi  lin
-	body    []instr
-	breakIf func(regs []int) bool // nil for counted loops
-}
-
-func (l *iloop) run(regs []int) {
-	lo, hi := l.lo.eval(regs), l.hi.eval(regs)
-	if l.breakIf == nil && len(l.body) == 1 {
-		one := l.body[0]
-		for v := lo; v < hi; v++ {
-			regs[l.reg] = v
-			one.run(regs)
-		}
-		return
-	}
-	for v := lo; v < hi; v++ {
-		regs[l.reg] = v
-		for _, ins := range l.body {
-			ins.run(regs)
-		}
-		if l.breakIf != nil && l.breakIf(regs) {
-			break
-		}
-	}
-}
-
-type iassign struct {
-	name string
-	data []float64
-	flat lin
-	rhs  evalFn
-}
-
-func (a *iassign) run(regs []int) {
-	ix := a.flat.eval(regs)
-	if ix < 0 || ix >= len(a.data) {
-		panic(fmt.Sprintf("loopir: lowered store to %q out of range: %d not in [0,%d)", a.name, ix, len(a.data)))
-	}
-	a.data[ix] = a.rhs(regs)
-}
-
-type iif struct {
-	cond func(regs []int) bool
-	then []instr
-	els  []instr
-}
-
-func (f *iif) run(regs []int) {
-	var body []instr
-	if f.cond(regs) {
-		body = f.then
-	} else {
-		body = f.els
-	}
-	for _, ins := range body {
-		ins.run(regs)
-	}
-}
-
-// Fragment is a lowered statement list, executable with per-call bindings
-// for its free variables. The main program is a Fragment with no free
-// variables; the generated slave code executes fragments whose free
-// variables are outer-loop indices and owned-range bounds supplied by the
-// run-time system.
-type Fragment struct {
-	code     []instr
-	regs     []int
-	regIndex map[string]int
-}
-
-// Run executes the fragment. bind supplies values for free variables (loop
-// variables of enclosing loops not contained in the fragment); a missing
-// binding for a used free variable leaves its previous (or zero) value,
-// so callers must bind everything they declared.
-func (f *Fragment) Run(bind map[string]int) {
-	for name, v := range bind {
-		if r, ok := f.regIndex[name]; ok {
-			f.regs[r] = v
-		}
-	}
-	for _, ins := range f.code {
-		ins.run(f.regs)
-	}
-}
-
-// Code is a fully-bound lowered program.
-type Code struct{ frag *Fragment }
-
-// Run executes the lowered program.
-func (c *Code) Run() { c.frag.Run(nil) }
-
+// lowerer assigns registers to loop variables and free variables and
+// lowers index expressions against one instance's parameters.
 type lowerer struct {
 	in       *Instance
 	regIndex map[string]int
@@ -226,165 +126,20 @@ func (lw *lowerer) lowerIndex(e IExpr) (lin, error) {
 	return lin{}, fmt.Errorf("unknown index expression %T", e)
 }
 
-func (lw *lowerer) lowerRefFlat(r Ref) (*Array, lin, error) {
-	arr, ok := lw.in.Arrays[r.Array]
-	if !ok {
-		return nil, lin{}, fmt.Errorf("unknown array %q", r.Array)
-	}
-	flat := lin{}
-	for d, ie := range r.Idx {
-		l, err := lw.lowerIndex(ie)
-		if err != nil {
-			return nil, lin{}, err
-		}
-		flat = flat.add(l.scale(arr.Stride[d]))
-	}
-	return arr, flat, nil
-}
+// Code is a compiled whole program. Code and Lower are a shim over
+// CompileKernel kept for one caller: the frozen benchmark/probes.go times
+// in.Lower() then code.Run() as its loopir.closure_mflops row. Nothing else
+// may call them; they go when that probe does.
+type Code struct{ k *Kernel }
 
-func (lw *lowerer) lowerExpr(e Expr) (evalFn, error) {
-	switch e := e.(type) {
-	case Const:
-		v := float64(e)
-		return func([]int) float64 { return v }, nil
-	case Ref:
-		arr, flat, err := lw.lowerRefFlat(e)
-		if err != nil {
-			return nil, err
-		}
-		data, name := arr.Data, arr.Name
-		return func(regs []int) float64 {
-			ix := flat.eval(regs)
-			if ix < 0 || ix >= len(data) {
-				panic(fmt.Sprintf("loopir: lowered load from %q out of range: %d not in [0,%d)", name, ix, len(data)))
-			}
-			return data[ix]
-		}, nil
-	case Bin:
-		l, err := lw.lowerExpr(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := lw.lowerExpr(e.R)
-		if err != nil {
-			return nil, err
-		}
-		switch e.Op {
-		case '+':
-			return func(regs []int) float64 { return l(regs) + r(regs) }, nil
-		case '-':
-			return func(regs []int) float64 { return l(regs) - r(regs) }, nil
-		case '*':
-			return func(regs []int) float64 { return l(regs) * r(regs) }, nil
-		case '/':
-			return func(regs []int) float64 { return l(regs) / r(regs) }, nil
-		}
-		return nil, fmt.Errorf("bad arithmetic op %q", string(e.Op))
-	}
-	return nil, fmt.Errorf("unknown expression %T", e)
-}
+// Run executes the compiled program.
+func (c *Code) Run() { c.k.Run(nil) }
 
-func (lw *lowerer) lowerCond(c Cond) (func(regs []int) bool, error) {
-	l, err := lw.lowerExpr(c.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := lw.lowerExpr(c.R)
-	if err != nil {
-		return nil, err
-	}
-	switch c.Op {
-	case "<":
-		return func(regs []int) bool { return l(regs) < r(regs) }, nil
-	case "<=":
-		return func(regs []int) bool { return l(regs) <= r(regs) }, nil
-	case ">":
-		return func(regs []int) bool { return l(regs) > r(regs) }, nil
-	case ">=":
-		return func(regs []int) bool { return l(regs) >= r(regs) }, nil
-	case "==":
-		return func(regs []int) bool { return l(regs) == r(regs) }, nil
-	case "!=":
-		return func(regs []int) bool { return l(regs) != r(regs) }, nil
-	}
-	return nil, fmt.Errorf("bad comparison op %q", c.Op)
-}
-
-func (lw *lowerer) lowerStmts(stmts []Stmt) ([]instr, error) {
-	var out []instr
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			lo, err := lw.lowerIndex(s.Lo)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := lw.lowerIndex(s.Hi)
-			if err != nil {
-				return nil, err
-			}
-			reg := lw.regFor(s.Var)
-			body, err := lw.lowerStmts(s.Body)
-			if err != nil {
-				return nil, err
-			}
-			var brk func(regs []int) bool
-			if s.BreakIf != nil {
-				brk, err = lw.lowerCond(*s.BreakIf)
-				if err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, &iloop{reg: reg, lo: lo, hi: hi, body: body, breakIf: brk})
-		case *Assign:
-			arr, flat, err := lw.lowerRefFlat(s.LHS)
-			if err != nil {
-				return nil, err
-			}
-			rhs, err := lw.lowerExpr(s.RHS)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &iassign{name: arr.Name, data: arr.Data, flat: flat, rhs: rhs})
-		case *If:
-			cond, err := lw.lowerCond(s.Cond)
-			if err != nil {
-				return nil, err
-			}
-			then, err := lw.lowerStmts(s.Then)
-			if err != nil {
-				return nil, err
-			}
-			els, err := lw.lowerStmts(s.Else)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &iif{cond: cond, then: then, els: els})
-		default:
-			return nil, fmt.Errorf("unknown statement %T", s)
-		}
-	}
-	return out, nil
-}
-
-// LowerStmts compiles a statement list against this instance's arrays.
-// Variables that are not parameters and not bound by loops inside the
-// fragment become free variables, set per call via Fragment.Run's bind map.
-func (in *Instance) LowerStmts(stmts []Stmt) (*Fragment, error) {
-	lw := &lowerer{in: in, regIndex: map[string]int{}}
-	code, err := lw.lowerStmts(stmts)
-	if err != nil {
-		return nil, err
-	}
-	return &Fragment{code: code, regs: make([]int, lw.nregs), regIndex: lw.regIndex}, nil
-}
-
-// Lower compiles the whole program body. It fails (and Run falls back to
-// the interpreter) if any subscript is non-affine.
+// Lower compiles the whole program body; see Code.
 func (in *Instance) Lower() (*Code, error) {
-	frag, err := in.LowerStmts(in.Prog.Body)
+	k, err := in.CompileKernel(in.Prog.Body)
 	if err != nil {
 		return nil, err
 	}
-	return &Code{frag: frag}, nil
+	return &Code{k: k}, nil
 }

@@ -10,7 +10,7 @@ import (
 // randProgram builds a random but always-valid loop-nest program: a nest of
 // 1–3 loops over [1, n-1) with affine subscripts offset by -1/0/+1 (safe
 // within the loop bounds) and random arithmetic right-hand sides. It is
-// used to cross-check the lowered engine against the interpreter on inputs
+// used to cross-check the compiled kernel against the interpreter on inputs
 // no human wrote.
 func randProgram(r *rand.Rand) *Program {
 	n := Iv("n")
@@ -61,8 +61,11 @@ func randProgram(r *rand.Rand) *Program {
 	}
 }
 
-func TestQuickLowerEquivalence(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
+// quickVsInterpreter is the random-program differential: exec runs a random
+// program (parameter n) on a clone of an instance the interpreter has run,
+// and must leave the interpreter's result bit for bit.
+func quickVsInterpreter(t *testing.T, exec func(fast *Instance, n int) error) {
+	t.Helper()
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randProgram(r)
@@ -81,12 +84,10 @@ func TestQuickLowerEquivalence(t *testing.T) {
 			t.Logf("seed %d: interpret: %v", seed, err)
 			return false
 		}
-		code, err := fast.Lower()
-		if err != nil {
-			t.Logf("seed %d: lower: %v", seed, err)
+		if err := exec(fast, nVal); err != nil {
+			t.Logf("seed %d: compile: %v", seed, err)
 			return false
 		}
-		code.Run()
 		d := ref.Arrays["a"].MaxAbsDiff(fast.Arrays["a"])
 		if d != 0 && !math.IsNaN(d) {
 			t.Logf("seed %d: divergence %g", seed, d)
@@ -94,9 +95,27 @@ func TestQuickLowerEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, cfg); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuickKernelFragmentEquivalence peels the outermost loop of a random
+// program and runs its body as a kernel fragment with the loop variable
+// free, bound per call — how the slave runs owner blocks and replicated
+// statements. (TestQuickKernelEquivalence covers the fully-bound kernel.)
+func TestQuickKernelFragmentEquivalence(t *testing.T) {
+	quickVsInterpreter(t, func(fast *Instance, n int) error {
+		outer := fast.Prog.Body[0].(*Loop)
+		frag, err := fast.CompileKernel(outer.Body)
+		if err != nil {
+			return err
+		}
+		for v := 1; v < n-1; v++ {
+			frag.Run(map[string]int{outer.Var: v})
+		}
+		return nil
+	})
 }
 
 func TestQuickEstFlopsRectangularExact(t *testing.T) {

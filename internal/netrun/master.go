@@ -27,11 +27,6 @@ type MasterOptions struct {
 	// any slave is dialed (harnesses use it to learn the join address).
 	OnListen func(addr string)
 	Timeouts Timeouts
-	// Codec selects the data-plane codec offered to slaves:
-	// wire.CodecBinary (the default, "") or wire.CodecGob to pin the whole
-	// run to gob. Slaves that don't accept the offer fall back to gob
-	// individually — mixed-codec runs are fully supported.
-	Codec string
 	// Prepared, when set, skips the Prepare step: the caller supplies the
 	// instantiation (typically from a plan cache) whose grain and resolved
 	// compile options this run must reuse. Required for resumed runs — a
@@ -50,8 +45,7 @@ type netMaster struct {
 	to    Timeouts
 	spec  wire.RunSpec
 	hash  string
-	offer string // data-plane codec offered in every StartMsg
-	n     int    // initial membership
+	n     int // initial membership
 	total int
 	rt    *router
 	box   *mailbox
@@ -97,22 +91,16 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 	// same value or their plan hashes (phase schedules) would diverge.
 	cfg.CompileOpts = pre.Opts
 	hbEvery := fault.NewDetector(cfg.Detect, 1).Config().HeartbeatEvery
-	offer := wire.CodecBinary
-	if opt.Codec == wire.CodecGob {
-		offer = ""
-	}
 	m := &netMaster{
 		opt:   opt,
 		to:    opt.Timeouts.withDefaults(),
 		spec:  specFromConfig(cfg, pre.Grain, hbEvery),
 		hash:  PlanHash(cfg.Plan, pre.Exec, cfg.Params, pre.Grain),
-		offer: offer,
 		n:     n,
 		total: n + opt.ExtraSlots,
 		box:   newMailbox(),
 	}
 	m.rt = newRouter(cluster.MasterID, m.box, m.to, false)
-	m.rt.binarySelf = offer == wire.CodecBinary
 	for slot := n; slot < m.total; slot++ {
 		m.free = append(m.free, slot)
 	}
@@ -133,24 +121,21 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 
 	// Dial and handshake the initial membership.
 	roster := map[int]string{}
-	codecs := map[int]string{}
 	cachedInit := make([]bool, n)
 	for i, addr := range slaveAddrs {
-		peerAddr, codec, hasInit, err := m.handshakeSlave(i, addr)
+		peerAddr, hasInit, err := m.handshakeSlave(i, addr)
 		if err != nil {
 			return nil, fmt.Errorf("netrun: slave %d at %s: %w", i, addr, err)
 		}
 		roster[i] = peerAddr
-		codecs[i] = codec
 		cachedInit[i] = hasInit
 	}
-	m.rt.mergeRoster(roster, codecs)
+	m.rt.mergeRoster(roster)
 	// The roster is the first frame on every connection: FIFO delivery
-	// guarantees each slave knows its peers' addresses (and codecs) before
-	// any init scatter (and thus before any instruction that could move
-	// work).
+	// guarantees each slave knows its peers' addresses before any init
+	// scatter (and thus before any instruction that could move work).
 	for i := 0; i < n; i++ {
-		m.rt.send(i, wire.TagRoster, wire.RosterMsg{Addrs: roster, Codecs: codecs})
+		m.rt.send(i, wire.TagRoster, wire.RosterMsg{Addrs: roster})
 	}
 
 	// Hierarchical runs elect group leaders by roster rank — the lowest
@@ -173,19 +158,12 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 
 	// Move-cost prior: on loopback TCP movement cost is dominated by the
 	// codec, so seed the bandwidth from a measured encode+decode of the
-	// negotiated data plane rather than a constant or the master's offer —
-	// one gob-pinned slave makes gob the plane work movements traverse.
-	// The balancer's EMA then keeps tracking real measured movements (§4.3).
-	binaryPlane := offer == wire.CodecBinary
-	for _, c := range codecs {
-		if c != wire.CodecBinary {
-			binaryPlane = false
-		}
-	}
+	// binary data plane rather than a constant. The balancer's EMA then
+	// keeps tracking real measured movements (§4.3).
 	cc := cluster.Config{
 		Slaves:       n,
 		Quantum:      cfg.RealQuantum,
-		Bandwidth:    wire.CodecBandwidth(binaryPlane),
+		Bandwidth:    wire.CodecBandwidth(true),
 		LinkLatency:  100 * time.Microsecond,
 		SendOverhead: 10 * time.Microsecond,
 	}
@@ -202,17 +180,16 @@ func (m *netMaster) shutdown() {
 	m.acceptWG.Wait()
 }
 
-// handshakeSlave dials one initial slave, sends the StartMsg (with the
-// codec offer), validates the HelloMsg reply, and attaches the connection
-// with the codec the slave accepted. A busy rejection is retried with
+// handshakeSlave dials one initial slave, sends the StartMsg, validates
+// the HelloMsg reply, and attaches the connection. A busy rejection is retried with
 // backoff within the dial budget: a scheduler re-leasing a slave whose
 // previous (preempted or completed) session is still tearing down should
 // wait it out, not fail the run.
-func (m *netMaster) handshakeSlave(node int, addr string) (peerAddr, codec string, initCached bool, err error) {
+func (m *netMaster) handshakeSlave(node int, addr string) (peerAddr string, initCached bool, err error) {
 	deadline := time.Now().Add(m.to.Dial)
 	backoff := 20 * time.Millisecond
 	for {
-		peerAddr, codec, initCached, err = m.handshakeSlaveOnce(node, addr)
+		peerAddr, initCached, err = m.handshakeSlaveOnce(node, addr)
 		if err == nil || !errors.Is(err, ErrBusy) || time.Now().Add(backoff).After(deadline) {
 			return
 		}
@@ -223,10 +200,10 @@ func (m *netMaster) handshakeSlave(node int, addr string) (peerAddr, codec strin
 	}
 }
 
-func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr, codec string, initCached bool, err error) {
+func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr string, initCached bool, err error) {
 	nc, err := dialBackoff(addr, m.to.Dial)
 	if err != nil {
-		return "", "", false, err
+		return "", false, err
 	}
 	wc := wire.NewConn(nc)
 	nc.SetDeadline(time.Now().Add(m.to.Handshake))
@@ -238,45 +215,25 @@ func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr, codec s
 		PlanHash:   m.hash,
 		MasterAddr: m.ln.Addr().String(),
 		Spec:       m.spec,
-		Codec:      m.offer,
 	}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
 		nc.Close()
-		return "", "", false, err
+		return "", false, err
 	}
 	h, err := recvHello(wc)
 	if err != nil {
 		nc.Close()
-		return "", "", false, err
+		return "", false, err
 	}
 	if err := m.checkHello(h); err != nil {
 		nc.Close()
-		return "", "", false, err
+		return "", false, err
 	}
 	nc.SetDeadline(time.Time{})
-	codec = m.negotiated(h)
-	wc.SetBinary(codec == wire.CodecBinary)
 	m.rt.attach(node, nc, wc, true)
-	m.logf("slave %d connected from %s (peer listener %s, codec %s, initCached %v)",
-		node, nc.RemoteAddr(), h.PeerAddr, codecName(codec), h.InitCached)
-	return h.PeerAddr, codec, h.InitCached, nil
-}
-
-// negotiated resolves the data-plane codec for one slave connection: the
-// binary codec needs both the master's offer and the slave's acceptance;
-// anything else (old slaves included) is gob.
-func (m *netMaster) negotiated(h wire.HelloMsg) string {
-	if m.offer == wire.CodecBinary && h.Codec == wire.CodecBinary {
-		return wire.CodecBinary
-	}
-	return ""
-}
-
-func codecName(c string) string {
-	if c == "" {
-		return wire.CodecGob
-	}
-	return c
+	m.logf("slave %d connected from %s (peer listener %s, initCached %v)",
+		node, nc.RemoteAddr(), h.PeerAddr, h.InitCached)
+	return h.PeerAddr, h.InitCached, nil
 }
 
 // recvHello reads the slave's handshake reply, surfacing a RejectMsg as
@@ -385,8 +342,6 @@ func (m *netMaster) handleJoin(nc net.Conn) {
 		MasterAddr: m.ln.Addr().String(),
 		Spec:       m.spec,
 		Roster:     m.rt.rosterSnapshot(),
-		Codec:      m.offer,
-		Codecs:     m.rt.codecSnapshot(),
 	}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
 		m.releaseSlot(slot)
@@ -403,14 +358,12 @@ func (m *netMaster) handleJoin(nc net.Conn) {
 		return
 	}
 	nc.SetDeadline(time.Time{})
-	codec := m.negotiated(full)
-	wc.SetBinary(codec == wire.CodecBinary)
-	m.rt.mergeRoster(map[int]string{slot: full.PeerAddr}, map[int]string{slot: codec})
+	m.rt.mergeRoster(map[int]string{slot: full.PeerAddr})
 	m.rt.attach(slot, nc, wc, true)
 	// Tell everyone where the new node listens before its admission can
 	// direct any work movement toward it (FIFO per connection).
 	m.broadcastRoster()
-	m.logf("joiner admitted into slot %d from %s (codec %s)", slot, nc.RemoteAddr(), codecName(codec))
+	m.logf("joiner admitted into slot %d from %s", slot, nc.RemoteAddr())
 }
 
 func (m *netMaster) takeSlot() (int, bool) {
@@ -433,8 +386,7 @@ func (m *netMaster) releaseSlot(slot int) {
 
 func (m *netMaster) broadcastRoster() {
 	roster := m.rt.rosterSnapshot()
-	codecs := m.rt.codecSnapshot()
 	for _, id := range m.rt.linkedPeers() {
-		m.rt.send(id, wire.TagRoster, wire.RosterMsg{Addrs: roster, Codecs: codecs})
+		m.rt.send(id, wire.TagRoster, wire.RosterMsg{Addrs: roster})
 	}
 }

@@ -43,8 +43,10 @@ import (
 )
 
 // ProtocolVersion gates the handshake: master and slave daemons must agree
-// exactly (the gob-framed protocol has no compatibility negotiation).
-const ProtocolVersion = 1
+// exactly (the protocol has no compatibility negotiation). Version 2
+// dropped the per-connection codec negotiation: every peer sends bulk
+// payloads on the binary codec.
+const ProtocolVersion = 2
 
 // Handshake failure modes. Errors returned by dials and accepts wrap one
 // of these sentinels; use errors.Is to classify.

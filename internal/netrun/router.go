@@ -26,16 +26,10 @@ type router struct {
 	box       *mailbox
 	to        Timeouts
 	dialPeers bool
-	// binarySelf marks that this process negotiated the binary data-plane
-	// codec with the master; it may then send binary frames to any peer
-	// whose roster codec entry confirms the peer did too. Set before any
-	// link is attached, read by dial paths.
-	binarySelf bool
 
 	mu     sync.Mutex
 	links  map[int]*link
 	roster map[int]string
-	codecs map[int]string // peer id -> negotiated data-plane codec
 	down   map[int]bool
 	closed bool
 	wg     sync.WaitGroup
@@ -58,7 +52,6 @@ func newRouter(id int, box *mailbox, to Timeouts, dialPeers bool) *router {
 		dialPeers: dialPeers,
 		links:     map[int]*link{},
 		roster:    map[int]string{},
-		codecs:    map[int]string{},
 		down:      map[int]bool{},
 	}
 }
@@ -69,17 +62,12 @@ func (r *router) hasLink(peer int) bool {
 	return r.links[peer] != nil
 }
 
-func (r *router) mergeRoster(addrs, codecs map[int]string) {
+func (r *router) mergeRoster(addrs map[int]string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id, addr := range addrs {
 		if addr != "" {
 			r.roster[id] = addr
-		}
-	}
-	for id, codec := range codecs {
-		if codec != "" {
-			r.codecs[id] = codec
 		}
 	}
 }
@@ -93,28 +81,6 @@ func (r *router) rosterSnapshot() map[int]string {
 		out[id] = addr
 	}
 	return out
-}
-
-// codecSnapshot copies the current peer codec table.
-func (r *router) codecSnapshot() map[int]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[int]string, len(r.codecs))
-	for id, c := range r.codecs {
-		out[id] = c
-	}
-	return out
-}
-
-// peerBinary reports whether binary frames may be sent to the peer: both
-// this process and the peer must have negotiated the binary codec.
-func (r *router) peerBinary(peer int) bool {
-	if !r.binarySelf {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.codecs[peer] == wire.CodecBinary
 }
 
 // linkedPeers lists the ids with a live connection.
@@ -159,10 +125,7 @@ func (r *router) send(to int, tag string, data interface{}) {
 }
 
 // dialPeer opens the lazy slave↔slave connection: dial with backoff,
-// identify ourselves (and our codec) with a PeerHelloMsg, register the
-// link. Binary sends are enabled when the roster says the peer negotiated
-// binary too; the PeerHelloMsg's codec lets the acceptor make the same
-// decision for its own sends back.
+// identify ourselves with a PeerHelloMsg, register the link.
 func (r *router) dialPeer(to int, addr string) *link {
 	nc, err := dialBackoff(addr, r.to.Dial)
 	if err != nil {
@@ -174,15 +137,11 @@ func (r *router) dialPeer(to int, addr string) *link {
 	nc.SetWriteDeadline(time.Now().Add(r.to.Handshake))
 	wc := wire.NewConn(nc)
 	hello := wire.PeerHelloMsg{From: r.id}
-	if r.binarySelf {
-		hello.Codec = wire.CodecBinary
-	}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagPeerHello, From: r.id, Payload: hello}); err != nil {
 		nc.Close()
 		return nil
 	}
 	nc.SetWriteDeadline(time.Time{})
-	wc.SetBinary(r.peerBinary(to))
 	return r.attach(to, nc, wc, false)
 }
 
@@ -195,7 +154,12 @@ func (r *router) dialPeer(to int, addr string) *link {
 // in-flight frame is lost. readLimited arms the per-frame read deadline —
 // the master sets it on slave connections, where heartbeats guarantee
 // traffic and prolonged silence means a dead link TCP has not noticed.
+//
+// Every attached connection sends its bulk payloads on the binary codec:
+// the handshake's ProtocolVersion check already admitted the peer, and
+// every peer of that version decodes binary frames.
 func (r *router) attach(peer int, nc net.Conn, wc *wire.Conn, readLimited bool) *link {
+	wc.SetBinary(true)
 	l := &link{
 		peer:  peer,
 		nc:    nc,
@@ -273,7 +237,7 @@ func (r *router) reader(l *link, readLimited bool) {
 		switch env.Tag {
 		case wire.TagRoster:
 			if ro, ok := env.Payload.(wire.RosterMsg); ok {
-				r.mergeRoster(ro.Addrs, ro.Codecs)
+				r.mergeRoster(ro.Addrs)
 			}
 		default:
 			r.box.put(cluster.Msg{From: env.From, Tag: env.Tag, Data: env.Payload})

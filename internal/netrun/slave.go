@@ -44,11 +44,6 @@ type ServerOptions struct {
 	// (RejectGroups). 0 means unlimited.
 	MaxGroups int
 	Timeouts  Timeouts
-	// Codec selects the data-plane codec this daemon is willing to speak:
-	// wire.CodecBinary (the default, "") accepts a master's binary offer;
-	// wire.CodecGob pins this daemon to gob regardless of the offer —
-	// peers then talk gob to it while speaking binary among themselves.
-	Codec string
 	// InitCacheEntries bounds the daemon's plan-hash init cache: decoded
 	// initial-scatter payloads kept across runs, so resubmitting an
 	// identical plan skips the bulk re-ship (0: default 4; negative:
@@ -239,9 +234,6 @@ func (s *Server) handleConn(nc net.Conn) {
 			nc.Close() // no active run; a stale peer of a finished session
 			return
 		}
-		// The dialer's one-way hello announces its codec; sends back to it
-		// may go binary when this session negotiated binary too.
-		wc.SetBinary(ph.Codec == wire.CodecBinary && sess.rt.binarySelf)
 		sess.rt.attach(ph.From, nc, wc, false)
 	default:
 		s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: fmt.Sprintf("unexpected first frame %q", env.Tag)})
@@ -306,15 +298,9 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		haveCached = false // joiners are adopted, never scattered to
 	}
 
-	// Accept the master's binary-codec offer unless this daemon is pinned
-	// to gob. The acceptance goes back in the HelloMsg; binary frames flow
-	// only after both sides agree (old masters never offer, old slaves
-	// never accept — either way the zero value means gob).
-	wantBinary := st.Codec == wire.CodecBinary && s.opt.Codec != wire.CodecGob
 	box := newMailbox()
 	rt := newRouter(st.Node, box, s.to, true)
-	rt.binarySelf = wantBinary
-	rt.mergeRoster(st.Roster, st.Codecs)
+	rt.mergeRoster(st.Roster)
 	sess := &session{node: st.Node, rt: rt, box: box, initKey: key, cachedInit: cachedInit, haveCached: haveCached}
 	s.mu.Lock()
 	if s.sess != nil || s.closed {
@@ -342,20 +328,16 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		Join:       joiner,
 		InitCached: haveCached,
 	}
-	if wantBinary {
-		hello.Codec = wire.CodecBinary
-	}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagHello, From: st.Node, Payload: hello}); err != nil {
 		s.clearSession(sess)
 		nc.Close()
 		return
 	}
 	nc.SetWriteDeadline(time.Time{})
-	wc.SetBinary(wantBinary)
 	rt.attach(cluster.MasterID, nc, wc, false)
 
-	s.logf("node %d: run started (%d slaves, %d slots, grain %d, joiner=%v, codec=%s)",
-		st.Node, st.Slaves, st.Total, pre.Grain, joiner, codecName(hello.Codec))
+	s.logf("node %d: run started (%d slaves, %d slots, grain %d, joiner=%v)",
+		st.Node, st.Slaves, st.Total, pre.Grain, joiner)
 	err = s.runSlave(sess, cfg, st, joiner, pre)
 	rt.close()
 	s.clearSession(sess)

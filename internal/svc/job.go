@@ -71,8 +71,8 @@ type JobSpec struct {
 	Synchronous bool `json:"synchronous,omitempty"`
 	// Cores caps each slave's kernel worker goroutines (0: runtime default).
 	Cores int `json:"cores,omitempty"`
-	// Kernel selects the execution tier for distributed-loop bodies
-	// ("interp", "kernel" or "aot"; empty: "kernel"). All tiers are
+	// Kernel selects the execution tier ("interp" — the tree interpreter,
+	// the slow oracle — "kernel" or "aot"; empty: "kernel"). All tiers are
 	// bit-identical; "aot" pays a one-time toolchain build per program,
 	// cached on disk across jobs.
 	Kernel string `json:"kernel,omitempty"`
