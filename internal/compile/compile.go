@@ -153,7 +153,7 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 	return plan, nil
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

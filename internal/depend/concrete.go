@@ -2,6 +2,7 @@ package depend
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/loopir"
@@ -22,8 +23,8 @@ type access struct {
 	stmtID int
 	refIdx int
 	time   int
-	owner  int // distributed-dimension index of the executing statement, or ownerNone
-	iter   map[string]int
+	owner  int            // distributed-dimension index of the executing statement, or ownerNone
+	iter   map[string]int // loop variable values; shared by the accesses of one iteration, read-only
 }
 
 type tracer struct {
@@ -31,7 +32,9 @@ type tracer struct {
 	stmtIDs   map[loopir.Stmt]int
 	log       map[string]map[int][]access // array -> flat index -> accesses in time order
 	clock     int
-	env       map[string]int
+	env       map[string]int       // parameters and live loop variables: the one evaluation environment
+	loops     []string             // live loop variables, outermost first
+	iter      map[string]int       // snapshot of the live loop variables; nil after any of them changed
 	ownerExpr map[int]loopir.IExpr // stmtID -> dist-dim subscript of the statement's write
 }
 
@@ -60,20 +63,15 @@ func assignStmtIDs(stmts []loopir.Stmt, ids map[loopir.Stmt]int, ctr *stmtCounte
 }
 
 func (tr *tracer) record(arr string, flat int, write bool, stmtID, refIdx int) {
-	iter := make(map[string]int, len(tr.env))
-	for k, v := range tr.env {
-		iter[k] = v
+	if tr.iter == nil {
+		tr.iter = make(map[string]int, len(tr.loops))
+		for _, l := range tr.loops {
+			tr.iter[l] = tr.env[l]
+		}
 	}
 	owner := ownerNone
 	if oe, ok := tr.ownerExpr[stmtID]; ok {
-		env := map[string]int{}
-		for k, v := range tr.in.Params {
-			env[k] = v
-		}
-		for k, v := range tr.env {
-			env[k] = v
-		}
-		if v, err := tr.in.EvalIndex(oe, env); err == nil {
+		if v, err := tr.in.EvalIndex(oe, tr.env); err == nil {
 			owner = v
 		}
 	}
@@ -82,7 +80,7 @@ func (tr *tracer) record(arr string, flat int, write bool, stmtID, refIdx int) {
 		byFlat = map[int][]access{}
 		tr.log[arr] = byFlat
 	}
-	byFlat[flat] = append(byFlat[flat], access{write: write, stmtID: stmtID, refIdx: refIdx, time: tr.clock, owner: owner, iter: iter})
+	byFlat[flat] = append(byFlat[flat], access{write: write, stmtID: stmtID, refIdx: refIdx, time: tr.clock, owner: owner, iter: tr.iter})
 	tr.clock++
 }
 
@@ -93,14 +91,7 @@ func (tr *tracer) flatIndex(r loopir.Ref) (int, error) {
 	}
 	flat := 0
 	for d, ie := range r.Idx {
-		env := map[string]int{}
-		for k, v := range tr.in.Params {
-			env[k] = v
-		}
-		for k, v := range tr.env {
-			env[k] = v
-		}
-		v, err := tr.in.EvalIndex(ie, env)
+		v, err := tr.in.EvalIndex(ie, tr.env)
 		if err != nil {
 			return 0, err
 		}
@@ -151,18 +142,11 @@ func (tr *tracer) evalRecord(e loopir.Expr, stmtID int, refIdx *int) (float64, e
 // evalCondNoRecord evaluates a comparison against current data without
 // logging accesses.
 func (tr *tracer) evalCondNoRecord(c loopir.Cond) (bool, error) {
-	env := map[string]int{}
-	for k, v := range tr.in.Params {
-		env[k] = v
-	}
-	for k, v := range tr.env {
-		env[k] = v
-	}
-	l, err := tr.in.EvalExpr(c.L, env)
+	l, err := tr.in.EvalExpr(c.L, tr.env)
 	if err != nil {
 		return false, err
 	}
-	r, err := tr.in.EvalExpr(c.R, env)
+	r, err := tr.in.EvalExpr(c.R, tr.env)
 	if err != nil {
 		return false, err
 	}
@@ -187,23 +171,18 @@ func (tr *tracer) execStmts(stmts []loopir.Stmt) error {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *loopir.Loop:
-			env := map[string]int{}
-			for k, v := range tr.in.Params {
-				env[k] = v
-			}
-			for k, v := range tr.env {
-				env[k] = v
-			}
-			lo, err := tr.in.EvalIndex(s.Lo, env)
+			lo, err := tr.in.EvalIndex(s.Lo, tr.env)
 			if err != nil {
 				return err
 			}
-			hi, err := tr.in.EvalIndex(s.Hi, env)
+			hi, err := tr.in.EvalIndex(s.Hi, tr.env)
 			if err != nil {
 				return err
 			}
+			tr.loops = append(tr.loops, s.Var)
 			for v := lo; v < hi; v++ {
 				tr.env[s.Var] = v
+				tr.iter = nil
 				if err := tr.execStmts(s.Body); err != nil {
 					return err
 				}
@@ -220,7 +199,11 @@ func (tr *tracer) execStmts(stmts []loopir.Stmt) error {
 					}
 				}
 			}
+			// Validate rules out a loop variable shadowing a parameter or an
+			// enclosing loop's, so leaving the loop just unbinds it.
 			delete(tr.env, s.Var)
+			tr.loops = tr.loops[:len(tr.loops)-1]
+			tr.iter = nil
 		case *loopir.Assign:
 			id := tr.stmtIDs[s]
 			ri := 0
@@ -410,7 +393,7 @@ func traceSample(p *loopir.Program, params map[string]int, agg map[depKey]*depAg
 		in:        in,
 		stmtIDs:   ids,
 		log:       map[string]map[int][]access{},
-		env:       map[string]int{},
+		env:       maps.Clone(in.Params),
 		ownerExpr: owners,
 	}
 	if err := tr.execStmts(p.Body); err != nil {

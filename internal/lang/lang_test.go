@@ -1,4 +1,4 @@
-package lang
+package lang_test
 
 import (
 	"math/rand"
@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/depend"
+	"repro/internal/lang"
 	"repro/internal/loopir"
 )
 
@@ -28,7 +29,7 @@ for iter = 0 to maxiter {
 `
 
 func TestParseSORMatchesBuiltin(t *testing.T) {
-	parsed, err := Parse(sorSrc)
+	parsed, err := lang.Parse(sorSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestParseSORMatchesBuiltin(t *testing.T) {
 }
 
 func TestParsedProgramCompiles(t *testing.T) {
-	parsed, err := Parse(sorSrc)
+	parsed, err := lang.Parse(sorSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ for i = 0 to n {
     }
 }
 `
-	parsed, err := Parse(src)
+	parsed, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ for i = 0 to n {
     }
 }
 `
-	parsed, err := Parse(src)
+	parsed, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ for k = 0 to n {
     }
 }
 `
-	parsed, err := Parse(src)
+	parsed, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +179,21 @@ func TestParseErrorsHavePositions(t *testing.T) {
 		{"program p(n) array a[n]; for i = 0 to n { a[q] = 1; }", "unbound"},
 	}
 	for _, tc := range cases {
-		_, err := Parse(tc.src)
+		_, err := lang.Parse(tc.src)
 		if err == nil {
-			t.Errorf("Parse(%q) succeeded, want error containing %q", tc.src, tc.want)
+			t.Errorf("lang.Parse(%q) succeeded, want error containing %q", tc.src, tc.want)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Parse(%q) error = %q, want substring %q", tc.src, err.Error(), tc.want)
+			t.Errorf("lang.Parse(%q) error = %q, want substring %q", tc.src, err.Error(), tc.want)
 		}
 	}
 }
 
 func TestParseErrorPositionAccurate(t *testing.T) {
 	src := "program p(n)\narray a[n];\nfor i = 0 to n {\n    a[i] = $;\n}\n"
-	_, err := Parse(src)
-	pe, ok := err.(*Error)
+	_, err := lang.Parse(src)
+	pe, ok := err.(*lang.Error)
 	if !ok {
 		t.Fatalf("error type %T, want *Error", err)
 	}
@@ -203,20 +204,20 @@ func TestParseErrorPositionAccurate(t *testing.T) {
 
 func TestCommentsIgnored(t *testing.T) {
 	src := "// header\nprogram p(n) // trailing\narray a[n]; // decl\nfor i = 0 to n { a[i] = 1; } // body\n"
-	if _, err := Parse(src); err != nil {
+	if _, err := lang.Parse(src); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFormatRoundTripBuiltins(t *testing.T) {
 	for name, prog := range loopir.Library() {
-		src := Format(prog)
-		parsed, err := Parse(src)
+		src := lang.Format(prog)
+		parsed, err := lang.Parse(src)
 		if err != nil {
 			t.Errorf("%s: reparse failed: %v\n%s", name, err, src)
 			continue
 		}
-		if again := Format(parsed); again != src {
+		if again := lang.Format(parsed); again != src {
 			t.Errorf("%s: format not idempotent:\n--- first\n%s\n--- second\n%s", name, src, again)
 		}
 	}
@@ -227,12 +228,12 @@ func TestFormatRoundTripQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		prog := randProgram(r)
-		src := Format(prog)
-		parsed, err := Parse(src)
+		src := lang.Format(prog)
+		parsed, err := lang.Parse(src)
 		if err != nil {
 			return false
 		}
-		return Format(parsed) == src
+		return lang.Format(parsed) == src
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -295,7 +296,7 @@ for iter = 0 to maxiter until r[0] < 0.001 {
     }
 }
 `
-	parsed, err := Parse(src)
+	parsed, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ for iter = 0 to maxiter until r[0] < 0.001 {
 		t.Fatalf("op = %q, want <", loop.BreakIf.Op)
 	}
 	// Round trip preserves the clause.
-	again, err := Parse(Format(parsed))
+	again, err := lang.Parse(lang.Format(parsed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,12 +318,12 @@ for iter = 0 to maxiter until r[0] < 0.001 {
 }
 
 func TestFormatRoundTripConvergeProgram(t *testing.T) {
-	src := Format(loopir.JacobiConverge())
-	parsed, err := Parse(src)
+	src := lang.Format(loopir.JacobiConverge())
+	parsed, err := lang.Parse(src)
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, src)
 	}
-	if Format(parsed) != src {
+	if lang.Format(parsed) != src {
 		t.Fatal("format not idempotent for jacobi-converge")
 	}
 }

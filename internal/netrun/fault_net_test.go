@@ -62,34 +62,66 @@ func TestRejectVersionMismatch(t *testing.T) {
 
 // TestRejectPlanHashMismatch ships a valid spec under a wrong plan hash —
 // the version-skew scenario where two binaries compile different programs —
-// and requires the daemon to refuse before any state is exchanged.
+// and requires the daemon to refuse before any state is exchanged. The warm
+// case first runs the same program on the daemon, so the refusal is made
+// from a cached plan: the cache is keyed by what the daemon's own compiler
+// reads, never by the master's hash, and each session still hashes the plan
+// its own compiler and its own Prepare produced.
 func TestRejectPlanHashMismatch(t *testing.T) {
-	plan, params := testPlan(t, "mm", 32, 0)
-	addrs, _ := startServers(t, 1, ServerOptions{})
-	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
-	pre, err := dlb.Prepare(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, wc := rawDial(t, addrs[0])
-	defer nc.Close()
-	start := wire.StartMsg{
-		Version:  ProtocolVersion,
-		Node:     0,
-		Slaves:   1,
-		Total:    1,
-		PlanHash: "0123456789abcdef", // not what the daemon will compile
-		Spec:     specFromConfig(cfg, pre.Grain, 100*time.Millisecond),
-	}
-	if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
-		t.Fatal(err)
-	}
-	rej := recvReject(t, wc)
-	if rej.Code != wire.RejectPlanHash {
-		t.Fatalf("reject code = %q, want %q (%s)", rej.Code, wire.RejectPlanHash, rej.Detail)
-	}
-	if !errors.Is(rejectErr(rej), ErrPlanHashMismatch) {
-		t.Fatalf("rejectErr(%v) does not map to ErrPlanHashMismatch", rej)
+	for _, warm := range []bool{false, true} {
+		name := map[bool]string{false: "cold", true: "warm"}[warm]
+		t.Run(name, func(t *testing.T) {
+			plan, params := testPlan(t, "mm", 32, 0)
+			addrs, srvs := startServers(t, 1, ServerOptions{})
+			cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
+			pre, err := dlb.Prepare(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.CompileOpts = pre.Opts // what RunMaster ships
+			if warm {
+				if _, err := RunMaster(cfg, addrs, MasterOptions{Prepared: pre}); err != nil {
+					t.Fatal(err)
+				}
+				// The master returns at gather; the daemon's session
+				// unwinds a moment later.
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+					if occupied, _ := srvs[0].occupied(); !occupied {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("daemon still occupied after its run returned")
+					}
+				}
+			}
+			nc, wc := rawDial(t, addrs[0])
+			defer nc.Close()
+			start := wire.StartMsg{
+				Version:  ProtocolVersion,
+				Node:     0,
+				Slaves:   1,
+				Total:    1,
+				PlanHash: "0123456789abcdef", // not what the daemon will compile
+				Spec:     specFromConfig(cfg, pre.Grain, 100*time.Millisecond),
+			}
+			if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
+				t.Fatal(err)
+			}
+			rej := recvReject(t, wc)
+			if rej.Code != wire.RejectPlanHash {
+				t.Fatalf("reject code = %q, want %q (%s)", rej.Code, wire.RejectPlanHash, rej.Detail)
+			}
+			if !errors.Is(rejectErr(rej), ErrPlanHashMismatch) {
+				t.Fatalf("rejectErr(%v) does not map to ErrPlanHashMismatch", rej)
+			}
+			wantHits := int64(0)
+			if warm {
+				wantHits = 1
+			}
+			if hits, misses := srvs[0].CompileCacheStats(); hits != wantHits || misses != 1 {
+				t.Errorf("compile cache: %d hits, %d misses; want %d, 1", hits, misses, wantHits)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dlb"
+	"repro/internal/lru"
 )
 
 // The plan-hash init cache: a slave daemon keeps the decoded initial
@@ -31,19 +32,18 @@ type initKey struct {
 }
 
 // initCache is a small mutex-guarded LRU (the cache holds whole array
-// payloads, so a handful of entries is the point, not a limitation).
+// payloads, so a handful of entries is the point, not a limitation). A nil
+// items means the cache is disabled.
 type initCache struct {
 	mu    sync.Mutex
-	max   int
-	order []initKey // LRU order, oldest first
-	items map[initKey]dlb.InitMsg
+	items *lru.Cache[initKey, dlb.InitMsg]
 }
 
 func newInitCache(max int) *initCache {
 	if max <= 0 {
 		return &initCache{} // disabled
 	}
-	return &initCache{max: max, items: map[initKey]dlb.InitMsg{}}
+	return &initCache{items: lru.New[initKey, dlb.InitMsg](max)}
 }
 
 func (c *initCache) get(k initKey) (dlb.InitMsg, bool) {
@@ -52,48 +52,24 @@ func (c *initCache) get(k initKey) (dlb.InitMsg, bool) {
 	if c.items == nil {
 		return dlb.InitMsg{}, false
 	}
-	m, ok := c.items[k]
-	if ok {
-		c.bump(k)
-	}
-	return m, ok
+	return c.items.Get(k)
 }
 
 func (c *initCache) put(k initKey, m dlb.InitMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.items == nil {
-		return
+	if c.items != nil {
+		c.items.Put(k, m)
 	}
-	if _, ok := c.items[k]; ok {
-		c.items[k] = m
-		c.bump(k)
-		return
-	}
-	for len(c.items) >= c.max {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.items, old)
-	}
-	c.items[k] = m
-	c.order = append(c.order, k)
-}
-
-// bump moves k to the most-recent end; callers hold c.mu.
-func (c *initCache) bump(k initKey) {
-	for i, o := range c.order {
-		if o == k {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, k)
 }
 
 func (c *initCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	if c.items == nil {
+		return 0
+	}
+	return c.items.Len()
 }
 
 // initCacheEP wraps a slave session's endpoint to intercept the "init"

@@ -188,23 +188,21 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 	}
 }
 
-// configFromSpec rebuilds a slave-side Config: parse the shipped source,
-// recompile under the shipped directive, and pin the master's grain.
-func configFromSpec(spec wire.RunSpec) (dlb.Config, error) {
-	prog, err := lang.Parse(spec.Source)
-	if err != nil {
-		return dlb.Config{}, fmt.Errorf("netrun: parsing shipped program: %w", err)
-	}
+// configFromSpec rebuilds a slave-side Config: compile the shipped source
+// under the shipped directive — once per distinct content, through the
+// daemon's compile cache — and pin the master's grain. cached reports that
+// the plan came out of the cache.
+func configFromSpec(plans *compile.Cache, spec wire.RunSpec) (cfg dlb.Config, cached bool, err error) {
 	opts := compile.Options{
 		Dist:          depend.DistSpec{Dims: spec.DistDims, Loops: spec.DistLoops},
 		HookFraction:  spec.HookFraction,
 		HookCostFlops: spec.HookCostFlops,
 	}
-	plan, err := compile.Compile(prog, opts)
+	plan, cached, err := plans.Compile(spec.Source, opts)
 	if err != nil {
-		return dlb.Config{}, fmt.Errorf("netrun: recompiling shipped program: %w", err)
+		return dlb.Config{}, false, fmt.Errorf("netrun: shipped program: %w", err)
 	}
-	cfg := dlb.Config{
+	cfg = dlb.Config{
 		Plan:               plan,
 		Params:             spec.Params,
 		DLB:                spec.DLB,
@@ -223,9 +221,9 @@ func configFromSpec(spec wire.RunSpec) (dlb.Config, error) {
 	if spec.FaultSpec != "" {
 		fp, err := fault.ParseSpec(spec.FaultSpec)
 		if err != nil {
-			return dlb.Config{}, fmt.Errorf("netrun: shipped fault spec: %w", err)
+			return dlb.Config{}, false, fmt.Errorf("netrun: shipped fault spec: %w", err)
 		}
 		cfg.Fault = fp
 	}
-	return cfg, nil
+	return cfg, cached, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/compile"
 	"repro/internal/dlb"
 	"repro/internal/dlb/wire"
 )
@@ -62,6 +63,7 @@ type Server struct {
 	to    Timeouts
 	ln    net.Listener
 	inits *initCache
+	plans *compile.Cache
 
 	mu     sync.Mutex
 	sess   *session
@@ -96,8 +98,23 @@ func NewServer(opt ServerOptions) (*Server, error) {
 	if entries == 0 {
 		entries = 4
 	}
-	return &Server{opt: opt, to: opt.Timeouts.withDefaults(), ln: ln, inits: newInitCache(entries)}, nil
+	return &Server{
+		opt:   opt,
+		to:    opt.Timeouts.withDefaults(),
+		ln:    ln,
+		inits: newInitCache(entries),
+		plans: compile.NewCache(compileCacheEntries),
+	}, nil
 }
+
+// compileCacheEntries bounds a daemon's compile cache. Plans are a few
+// kilobytes and hold no array data, so the bound only has to cover the
+// distinct programs a pool serves between restarts.
+const compileCacheEntries = 16
+
+// CompileCacheStats reports how many sessions found their program already
+// compiled (hits) and how many compiled it (misses).
+func (s *Server) CompileCacheStats() (hits, misses int64) { return s.plans.Stats() }
 
 // Addr is the bound listener address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -265,7 +282,16 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		})
 		return
 	}
-	cfg, err := configFromSpec(st.Spec)
+	// A busy daemon answers before it spends the running job's CPU on
+	// compiling and instantiating a plan it will not run. The claim itself
+	// stays after the handshake work, below.
+	if occupied, closed := s.occupied(); occupied {
+		s.rejectOccupied(wc, nc, closed)
+		return
+	}
+	compileStart := time.Now()
+	cfg, planCached, err := configFromSpec(s.plans, st.Spec)
+	compileTime := time.Since(compileStart)
 	if err != nil {
 		s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: err.Error()})
 		return
@@ -304,16 +330,9 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 	sess := &session{node: st.Node, rt: rt, box: box, initKey: key, cachedInit: cachedInit, haveCached: haveCached}
 	s.mu.Lock()
 	if s.sess != nil || s.closed {
-		busy := s.sess != nil && !s.closed
+		closed := s.closed
 		s.mu.Unlock()
-		if busy {
-			// Retryable: the master backs off and redials — a scheduler
-			// re-leasing this daemon right after preempting its previous
-			// run races the old session's teardown.
-			s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectBusy, Detail: "daemon is busy with another run"})
-		} else {
-			s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: "daemon is shutting down"})
-		}
+		s.rejectOccupied(wc, nc, closed)
 		return
 	}
 	s.sess = sess
@@ -336,8 +355,8 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 	nc.SetWriteDeadline(time.Time{})
 	rt.attach(cluster.MasterID, nc, wc, false)
 
-	s.logf("node %d: run started (%d slaves, %d slots, grain %d, joiner=%v)",
-		st.Node, st.Slaves, st.Total, pre.Grain, joiner)
+	s.logf("node %d: run started (%d slaves, %d slots, grain %d, joiner=%v, plan cached=%v compile=%.2fms)",
+		st.Node, st.Slaves, st.Total, pre.Grain, joiner, planCached, float64(compileTime.Microseconds())/1e3)
 	err = s.runSlave(sess, cfg, st, joiner, pre)
 	rt.close()
 	s.clearSession(sess)
@@ -383,6 +402,26 @@ func (s *Server) runSlave(sess *session, cfg dlb.Config, st wire.StartMsg, joine
 		have:     sess.haveCached,
 	}
 	return dlb.RunSlaveOn(ep, cfg, st.Node, st.Slaves, joiner, pre)
+}
+
+// occupied reports whether the daemon cannot take a run: a session holds
+// it, or it is closing (closed says which).
+func (s *Server) occupied() (occupied, closed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sess != nil || s.closed, s.closed
+}
+
+// rejectOccupied refuses a run the daemon cannot take now. Busy is
+// retryable: the master backs off and redials — a scheduler re-leasing this
+// daemon right after preempting its previous run races the old session's
+// teardown.
+func (s *Server) rejectOccupied(wc *wire.Conn, nc net.Conn, closed bool) {
+	if closed {
+		s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: "daemon is shutting down"})
+		return
+	}
+	s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectBusy, Detail: "daemon is busy with another run"})
 }
 
 func (s *Server) clearSession(sess *session) {

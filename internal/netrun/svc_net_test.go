@@ -174,6 +174,12 @@ func TestRejectBusyTyped(t *testing.T) {
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("contender err = %v, want ErrBusy", err)
 	}
+	// The contender redialed for its whole dial budget, and every refusal
+	// came before the compile: the daemon compiled the running job's
+	// program and looked nothing else up.
+	if hits, misses := srvs[0].CompileCacheStats(); hits != 0 || misses != 1 {
+		t.Errorf("busy daemon's compile cache: %d hits, %d misses; want 0, 1", hits, misses)
+	}
 
 	out := <-done
 	if out.err != nil {

@@ -119,6 +119,9 @@ func TestHTTPAPI(t *testing.T) {
 	if z.PoolSize != 2 || z.PoolFree != 2 {
 		t.Errorf("statsz pool %d/%d, want 2 free of 2", z.PoolFree, z.PoolSize)
 	}
+	if z.CompileCacheMisses != 1 || z.CompileCacheHits != 0 {
+		t.Errorf("statsz compile cache %d hits, %d misses; want the one program compiled once", z.CompileCacheHits, z.CompileCacheMisses)
+	}
 
 	// Unknown job: 404 everywhere; unfinished result: 409.
 	if code := httpDo(t, "GET", ts.URL+"/api/v1/jobs/j-999999", nil, nil); code != 404 {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/depend"
 	"repro/internal/dlb"
-	"repro/internal/lang"
+	"repro/internal/lru"
 )
 
 // planEntry is one compiled, instantiated plan: everything a run reuses.
@@ -24,19 +24,22 @@ type planEntry struct {
 	pre  *dlb.Prepared
 }
 
-// planCache memoizes compilation by (program content, params, distribution,
-// slave count). Bounded LRU; the Service's mutex guards all calls.
+// planCache is the service's two memo levels. compiled holds one plan per
+// program text and directive — Compile reads no run parameter, so every
+// size and slave count of a program shares it. prepared holds what does
+// depend on the run: the plan instantiated at (params, slaves, tier) with
+// its measured grain. Both synchronize themselves and compute once per key,
+// so lookups run outside the Service's mutex.
 type planCache struct {
-	max   int
-	order []string
-	items map[string]*planEntry
+	compiled *compile.Cache
+	prepared *lru.Memo[string, *planEntry]
 }
 
 func newPlanCache(max int) *planCache {
 	if max <= 0 {
 		max = 16
 	}
-	return &planCache{max: max, items: map[string]*planEntry{}}
+	return &planCache{compiled: compile.NewCache(max), prepared: lru.NewMemo[string, *planEntry](max)}
 }
 
 // specKey fingerprints everything that determines the compiled plan and
@@ -72,42 +75,18 @@ func specKey(spec JobSpec) string {
 // lookup compiles and instantiates spec (or returns the cached entry).
 // cfgFor builds the run Config the instantiation must measure under.
 func (c *planCache) lookup(spec JobSpec, cfgFor func(*compile.Plan) dlb.Config) (*planEntry, error) {
-	key := specKey(spec)
-	if e, ok := c.items[key]; ok {
-		c.bump(key)
-		return e, nil
-	}
-	prog, err := lang.Parse(spec.Program)
-	if err != nil {
-		return nil, fmt.Errorf("svc: parsing program: %w", err)
-	}
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: depend.DistSpec{Dims: spec.DistDims, Loops: spec.DistLoops},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("svc: compiling program: %w", err)
-	}
-	pre, err := dlb.Prepare(cfgFor(plan), spec.Slaves)
-	if err != nil {
-		return nil, fmt.Errorf("svc: instantiating plan: %w", err)
-	}
-	e := &planEntry{plan: plan, pre: pre}
-	for len(c.items) >= c.max {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.items, old)
-	}
-	c.items[key] = e
-	c.order = append(c.order, key)
-	return e, nil
-}
-
-func (c *planCache) bump(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+	e, _, err := c.prepared.Do(specKey(spec), func() (*planEntry, error) {
+		plan, _, err := c.compiled.Compile(spec.Program, compile.Options{
+			Dist: depend.DistSpec{Dims: spec.DistDims, Loops: spec.DistLoops},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("svc: %w", err)
 		}
-	}
-	c.order = append(c.order, key)
+		pre, err := dlb.Prepare(cfgFor(plan), spec.Slaves)
+		if err != nil {
+			return nil, fmt.Errorf("svc: instantiating plan: %w", err)
+		}
+		return &planEntry{plan: plan, pre: pre}, nil
+	})
+	return e, err
 }

@@ -9,17 +9,17 @@ import (
 // tenantStats is one tenant's accumulated telemetry. Guarded by the
 // Service's mutex.
 type tenantStats struct {
-	Submitted   int64             `json:"submitted"`
-	Rejected    int64             `json:"rejected"`
-	Done        int64             `json:"done"`
-	Failed      int64             `json:"failed"`
-	Canceled    int64             `json:"canceled"`
-	Preemptions int64             `json:"preemptions"`
-	Resumes     int64             `json:"resumes"`
-	WaitedMS    int64             `json:"waited_ms"`
-	RanMS       int64             `json:"ran_ms"`
-	SlaveSec    float64           `json:"slave_seconds"` // Σ slaves × lease seconds
-	Counters    metrics.Counters  `json:"counters"`      // merged engine counters
+	Submitted   int64            `json:"submitted"`
+	Rejected    int64            `json:"rejected"`
+	Done        int64            `json:"done"`
+	Failed      int64            `json:"failed"`
+	Canceled    int64            `json:"canceled"`
+	Preemptions int64            `json:"preemptions"`
+	Resumes     int64            `json:"resumes"`
+	WaitedMS    int64            `json:"waited_ms"`
+	RanMS       int64            `json:"ran_ms"`
+	SlaveSec    float64          `json:"slave_seconds"` // Σ slaves × lease seconds
+	Counters    metrics.Counters `json:"counters"`      // merged engine counters
 }
 
 // stats aggregates per-tenant accounting plus the fairness weights.
@@ -65,12 +65,16 @@ func (s *stats) charge(tenant string, slaves int, held time.Duration) {
 
 // Statsz is the /statsz snapshot.
 type Statsz struct {
-	UptimeMS   int64                   `json:"uptime_ms"`
-	PoolSize   int                     `json:"pool_size"`
-	PoolFree   int                     `json:"pool_free"`
-	QueueDepth int                     `json:"queue_depth"`
-	QueueMax   int                     `json:"queue_max"`
-	Running    int                     `json:"running"`
-	Jobs       map[string]int         `json:"jobs"` // state -> count
-	Tenants    map[string]*tenantStats `json:"tenants"`
+	UptimeMS   int64 `json:"uptime_ms"`
+	PoolSize   int   `json:"pool_size"`
+	PoolFree   int   `json:"pool_free"`
+	QueueDepth int   `json:"queue_depth"`
+	QueueMax   int   `json:"queue_max"`
+	Running    int   `json:"running"`
+	// CompileCache* count plan-cache misses that found their program text
+	// already compiled (hits) and ones that compiled it (misses).
+	CompileCacheHits   int64                   `json:"compile_cache_hits"`
+	CompileCacheMisses int64                   `json:"compile_cache_misses"`
+	Jobs               map[string]int          `json:"jobs"` // state -> count
+	Tenants            map[string]*tenantStats `json:"tenants"`
 }

@@ -84,19 +84,19 @@ type Service struct {
 	opt   Options
 	start time.Time
 
-	mu    sync.Mutex
-	pool  *pool
-	queue *queue
-	plans *planCache
-	jobs  map[string]*Job
-	order []*Job // admission order, for listing
-	stats *stats
-	seq   int
+	mu     sync.Mutex
+	pool   *pool
+	queue  *queue
+	plans  *planCache
+	jobs   map[string]*Job
+	order  []*Job // admission order, for listing
+	stats  *stats
+	seq    int
 	closed bool
 
-	kick chan struct{}
-	quit chan struct{}
-	wg   sync.WaitGroup // running masters
+	kick     chan struct{}
+	quit     chan struct{}
+	wg       sync.WaitGroup // running masters
 	loopDone chan struct{}
 }
 
@@ -153,10 +153,9 @@ func (s *Service) cfgFor(plan *compile.Plan, spec JobSpec) dlb.Config {
 	}
 }
 
-// Warm compiles spec's plan into the cache without enqueuing a job, so a
-// later Submit of the same spec admits at cache-hit speed. Compilation
-// happens synchronously on the caller.
-func (s *Service) Warm(spec JobSpec) error {
+// resolve applies the service defaults to spec and validates it against the
+// limits that never change: the pool size and the group caps.
+func (s *Service) resolve(spec JobSpec) (JobSpec, error) {
 	if spec.Kernel == "" {
 		spec.Kernel = s.opt.Kernel
 	}
@@ -164,27 +163,74 @@ func (s *Service) Warm(spec JobSpec) error {
 		spec.CostModel = s.opt.CostModel
 	}
 	if err := spec.normalize(); err != nil {
-		return err
+		return spec, err
 	}
+	if pool := len(s.opt.Addrs); spec.Slaves > pool {
+		return spec, fmt.Errorf("svc: job wants %d slaves, pool has %d", spec.Slaves, pool)
+	}
+	if spec.Groups > spec.Slaves {
+		return spec, fmt.Errorf("svc: job wants %d groups over %d slaves", spec.Groups, spec.Slaves)
+	}
+	if s.opt.MaxGroups > 0 && spec.Groups > s.opt.MaxGroups {
+		return spec, fmt.Errorf("svc: job wants %d groups, service admits at most %d", spec.Groups, s.opt.MaxGroups)
+	}
+	return spec, nil
+}
+
+// refusal is the admission check that needs the lock: a closed service or a
+// full queue turns the tenant's submission away.
+func (s *Service) refusal(tenant string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	_, err := s.plans.lookup(spec, func(p *compile.Plan) dlb.Config { return s.cfgFor(p, spec) })
+	if s.queue.len() >= s.queue.max {
+		s.stats.tenant(tenant).Rejected++
+		return ErrQueueFull
+	}
+	return nil
+}
+
+// plan resolves spec's cache entry. It runs without s.mu — the plan cache
+// synchronizes itself — so a miss (parse, compile, Prepare's grain
+// measurement) stalls neither the scheduler nor status polls nor /statsz.
+func (s *Service) plan(spec JobSpec) (*planEntry, error) {
+	return s.plans.lookup(spec, func(p *compile.Plan) dlb.Config { return s.cfgFor(p, spec) })
+}
+
+// Warm compiles spec's plan into the cache without enqueuing a job, so a
+// later Submit of the same spec admits at cache-hit speed. Compilation
+// happens synchronously on the caller.
+func (s *Service) Warm(spec JobSpec) error {
+	spec, err := s.resolve(spec)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	_, err = s.plan(spec)
 	return err
 }
 
 // Submit admits a job: compile (or hit the plan cache), enqueue, kick the
 // scheduler. Returns the job ID.
 func (s *Service) Submit(spec JobSpec) (string, error) {
-	if spec.Kernel == "" {
-		spec.Kernel = s.opt.Kernel
+	spec, err := s.resolve(spec)
+	if err != nil {
+		return "", err
 	}
-	if spec.CostModel == "" {
-		spec.CostModel = s.opt.CostModel
+	// Shed load before paying for a compile, then take the lock again only
+	// to admit.
+	if err := s.refusal(spec.Tenant); err != nil {
+		return "", err
 	}
-	if err := spec.normalize(); err != nil {
+	entry, err := s.plan(spec)
+	if err != nil {
 		return "", err
 	}
 	s.mu.Lock()
@@ -192,28 +238,10 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 	if s.closed {
 		return "", ErrClosed
 	}
-	if spec.Slaves > s.pool.size() {
-		return "", fmt.Errorf("svc: job wants %d slaves, pool has %d", spec.Slaves, s.pool.size())
-	}
-	if spec.Groups > spec.Slaves {
-		return "", fmt.Errorf("svc: job wants %d groups over %d slaves", spec.Groups, spec.Slaves)
-	}
-	if s.opt.MaxGroups > 0 && spec.Groups > s.opt.MaxGroups {
-		return "", fmt.Errorf("svc: job wants %d groups, service admits at most %d", spec.Groups, s.opt.MaxGroups)
-	}
 	t := s.stats.tenant(spec.Tenant)
-	if s.queue.len() >= s.queue.max {
-		t.Rejected++
-		return "", ErrQueueFull
-	}
-	entry, err := s.plans.lookup(spec, func(p *compile.Plan) dlb.Config { return s.cfgFor(p, spec) })
-	if err != nil {
-		return "", err
-	}
-	s.seq++
 	j := &Job{
-		ID:          fmt.Sprintf("j-%06d", s.seq),
-		Seq:         s.seq,
+		ID:          fmt.Sprintf("j-%06d", s.seq+1),
+		Seq:         s.seq + 1,
 		Spec:        spec,
 		State:       StateQueued,
 		SubmittedAt: time.Now(),
@@ -223,6 +251,7 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 		t.Rejected++
 		return "", err
 	}
+	s.seq++
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
 	t.Submitted++
@@ -326,6 +355,7 @@ func (s *Service) Statsz() Statsz {
 		Jobs:       map[string]int{},
 		Tenants:    map[string]*tenantStats{},
 	}
+	z.CompileCacheHits, z.CompileCacheMisses = s.plans.compiled.Stats()
 	for _, j := range s.jobs {
 		z.Jobs[j.State]++
 		if j.State == StateRunning {

@@ -64,27 +64,32 @@ func refSums(t *testing.T, spec JobSpec) map[string]string {
 }
 
 // startPool spins up n in-process slave daemons.
-func startPool(t *testing.T, n int, opt netrun.ServerOptions) []string {
+func startPool(t *testing.T, n int, opt netrun.ServerOptions) ([]string, []*netrun.Server) {
 	t.Helper()
 	addrs := make([]string, n)
+	srvs := make([]*netrun.Server, n)
 	for i := 0; i < n; i++ {
 		srv, err := netrun.NewServer(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = srv.Addr()
+		srvs[i] = srv
 		go srv.Serve()
 		t.Cleanup(func() { srv.Close() })
 	}
-	return addrs
+	return addrs, srvs
 }
 
 // newTestService builds a Service over an in-process pool with fast
 // failure detection and checkpointing (preemption latency is bounded by
-// the checkpoint cadence).
+// the checkpoint cadence). A test that needs the daemons themselves starts
+// the pool and passes its addresses in opt.
 func newTestService(t *testing.T, slaves int, srvOpt netrun.ServerOptions, opt Options) *Service {
 	t.Helper()
-	opt.Addrs = startPool(t, slaves, srvOpt)
+	if opt.Addrs == nil {
+		opt.Addrs, _ = startPool(t, slaves, srvOpt)
+	}
 	if opt.Detect.MinLease == 0 {
 		// No test here injects faults, so the detector exists only to be
 		// wrong: a lease short enough to matter under the race detector's
