@@ -1,15 +1,16 @@
 // Command dlbbench regenerates every table and figure of the paper's
-// evaluation, plus the ablation experiments, as text tables and CSV.
+// evaluation, plus the ablation and extension experiments, as text tables,
+// CSV and BENCH_*.json. Everything it prints is deterministic virtual-time
+// model output; wall-clock measurement is the benchmark/ module's job.
 //
 // Usage:
 //
 //	dlbbench                  # everything, full scale, to stdout
 //	dlbbench -exp fig5        # one experiment
 //	dlbbench -quick           # reduced problem sizes (same virtual scale)
-//	dlbbench -out results/    # write <name>.txt (and fig9.csv) files
+//	dlbbench -out results/    # write <name>.txt (plus fig9.csv, BENCH_*.json)
 //
-// Experiments: table1 fig5 fig6 fig7 fig8 fig9 pipeline grain refinements
-// lu baselines hetero fault net svc plane kernel scale irregular overlap
+// The experiment names are exp.Experiments; `dlbbench -h` lists them.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/trace"
 )
 
 func fail(err error) {
@@ -28,14 +28,12 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-type artifact struct {
-	name    string
-	content string
-	extra   map[string]string // additional files, e.g. CSV
-}
-
 func main() {
-	which := flag.String("exp", "all", "experiment to run (table1, fig5..fig9, pipeline, grain, refinements, lu, baselines, hetero, fault, net, svc, plane, kernel, scale, irregular, overlap, all)")
+	names := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		names[i] = e.Name
+	}
+	which := flag.String("exp", "all", "experiment to run: all, "+strings.Join(names, ", "))
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	out := flag.String("out", "", "directory to write artifacts to (default: stdout)")
 	flag.Parse()
@@ -44,207 +42,39 @@ func main() {
 	if *quick {
 		scale = exp.Quick
 	}
-	want := func(name string) bool {
-		return *which == "all" || strings.EqualFold(*which, name)
-	}
-
-	var artifacts []artifact
-	add := func(name, content string) {
-		artifacts = append(artifacts, artifact{name: name, content: content})
-	}
-
-	if want("table1") {
-		t, err := exp.Table1()
-		if err != nil {
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fail(err)
 		}
-		add("table1", t.String())
 	}
-	figs := []struct {
-		name string
-		fn   func(exp.Scale) (*exp.Sweep, error)
-	}{
-		{"fig5", exp.Fig5},
-		{"fig6", exp.Fig6},
-		{"fig7", exp.Fig7},
-		{"fig8", exp.Fig8},
-	}
-	for _, f := range figs {
-		if !want(f.name) {
-			continue
-		}
-		sw, err := f.fn(scale)
-		if err != nil {
-			fail(err)
-		}
-		add(f.name, sw.Render())
-	}
-	if want("fig9") {
-		f, err := exp.Fig9(scale)
-		if err != nil {
-			fail(err)
-		}
-		artifacts = append(artifacts, artifact{
-			name:    "fig9",
-			content: f.Render(),
-			extra: map[string]string{
-				"fig9.csv": trace.CSV(f.Raw, f.Filtered, f.Work),
-			},
-		})
-	}
-	if want("pipeline") {
-		rows, err := exp.AblationPipelining(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("pipeline", exp.RenderPipelining(rows))
-	}
-	if want("grain") {
-		rows, err := exp.AblationGrain(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("grain", exp.RenderGrain(rows))
-	}
-	if want("refinements") {
-		rows, err := exp.AblationRefinements(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("refinements", exp.RenderRefinements(rows))
-	}
-	if want("lu") {
-		res, err := exp.AblationLUAdaptive(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("lu", res.Render())
-	}
-	if want("baselines") {
-		rows, err := exp.Baselines(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("baselines", exp.RenderBaselines(rows))
-	}
-	if want("hetero") {
-		rows, err := exp.Heterogeneous(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("hetero", exp.RenderHeterogeneous(rows))
-	}
-	if want("fault") {
-		rows, err := exp.FaultTolerance(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("fault", exp.RenderFaultTolerance(rows))
-	}
-	if want("net") {
-		rows, err := exp.NetOverhead(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("net", exp.RenderNetOverhead(rows))
-	}
-	if want("svc") {
-		rep, err := exp.SvcSchedule(scale)
-		if err != nil {
-			fail(err)
-		}
-		add("svc", exp.RenderSvc(rep))
-	}
-	if want("plane") {
-		rep, err := exp.Plane(scale)
-		if err != nil {
-			fail(err)
-		}
-		artifacts = append(artifacts, artifact{
-			name:    "plane",
-			content: exp.RenderPlane(rep),
-			extra: map[string]string{
-				"BENCH_plane.json": exp.PlaneJSON(rep),
-			},
-		})
-	}
-	if want("scale") {
-		rep, err := exp.ScaleSweep(scale)
-		if err != nil {
-			fail(err)
-		}
-		artifacts = append(artifacts, artifact{
-			name:    "scale",
-			content: exp.RenderScale(rep),
-			extra: map[string]string{
-				"BENCH_scale.json": exp.ScaleJSON(rep),
-			},
-		})
-	}
-	if want("irregular") {
-		rep, err := exp.Irregular(scale)
-		if err != nil {
-			fail(err)
-		}
-		artifacts = append(artifacts, artifact{
-			name:    "irregular",
-			content: exp.RenderIrregular(rep),
-			extra: map[string]string{
-				"BENCH_irregular.json": exp.IrregularJSON(rep),
-			},
-		})
-	}
-	if want("overlap") {
-		rep, err := exp.Overlap(scale)
-		if err != nil {
-			fail(err)
-		}
-		artifacts = append(artifacts, artifact{
-			name:    "overlap",
-			content: exp.RenderOverlap(rep),
-			extra: map[string]string{
-				"BENCH_overlap.json": exp.OverlapJSON(rep),
-			},
-		})
-	}
-	if want("kernel") {
-		rep, err := exp.Kernel(scale)
-		if err != nil {
-			fail(err)
-		}
-		artifacts = append(artifacts, artifact{
-			name:    "kernel",
-			content: exp.RenderKernel(rep),
-			extra: map[string]string{
-				"BENCH_kernel.json": exp.KernelJSON(rep),
-			},
-		})
-	}
-	if len(artifacts) == 0 {
-		fail(fmt.Errorf("unknown experiment %q", *which))
-	}
-
-	if *out == "" {
-		for _, a := range artifacts {
-			fmt.Println(a.content)
-		}
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fail(err)
-	}
-	for _, a := range artifacts {
-		path := filepath.Join(*out, a.name+".txt")
-		if err := os.WriteFile(path, []byte(a.content), 0o644); err != nil {
+	write := func(name, content string) {
+		path := filepath.Join(*out, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			fail(err)
 		}
 		fmt.Println("wrote", path)
-		for name, content := range a.extra {
-			p := filepath.Join(*out, name)
-			if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", p)
+	}
+
+	ran := false
+	for _, e := range exp.Experiments {
+		if *which != "all" && !strings.EqualFold(*which, e.Name) {
+			continue
 		}
+		ran = true
+		a, err := e.Run(scale)
+		if err != nil {
+			fail(err)
+		}
+		if *out == "" {
+			fmt.Println(a.Text)
+			continue
+		}
+		write(e.Name+".txt", a.Text)
+		for name, content := range a.Files {
+			write(name, content)
+		}
+	}
+	if !ran {
+		fail(fmt.Errorf("unknown experiment %q (have: all, %s)", *which, strings.Join(names, ", ")))
 	}
 }

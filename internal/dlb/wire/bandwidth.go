@@ -9,32 +9,30 @@ import (
 )
 
 // CodecBandwidth estimates the data-plane bandwidth (bytes/sec) of the
-// given codec by timing encode+decode round trips of a representative
-// work-movement payload in memory. On loopback TCP the codec dominates
-// movement cost, so this is the right seed for the balancer's move-cost
-// prior (the EMA then tracks real measured movements). Measured once per
-// codec per process and cached.
-func CodecBandwidth(binary bool) float64 {
-	bwOnce[b2i(binary)].Do(func() {
-		bwCache[b2i(binary)] = measureBandwidth(binary)
+// binary bulk codec by timing encode+decode round trips of a
+// representative work-movement payload in memory. On loopback TCP the
+// codec dominates movement cost, so this is the right seed for the
+// balancer's move-cost prior (the EMA then tracks real measured
+// movements). Measured once per process and cached.
+func CodecBandwidth() float64 {
+	bwOnce.Do(func() {
+		var buf bytes.Buffer
+		send := NewConn(&buf)
+		send.SetBinary(true)
+		bwCache = roundTripBandwidth(send, NewConn(&buf), &buf)
 	})
-	return bwCache[b2i(binary)]
+	return bwCache
 }
 
 var (
-	bwOnce  [2]sync.Once
-	bwCache [2]float64
+	bwOnce  sync.Once
+	bwCache float64
 )
 
-func b2i(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func measureBandwidth(binary bool) float64 {
-	// ~1 MB of float payload: 8 units of two 8192-element arrays.
+// roundTripBandwidth times send→recv round trips of a ~1 MB work message
+// (8 units of two 8192-element arrays) through buf, the stream both
+// connections wrap.
+func roundTripBandwidth(send, recv *Conn, buf *bytes.Buffer) float64 {
 	w := dlb.WorkMsg{Data: map[string][][]float64{}}
 	for _, arr := range []string{"x", "y"} {
 		var slices [][]float64
@@ -52,10 +50,6 @@ func measureBandwidth(binary bool) float64 {
 	}
 	env := Envelope{Tag: "bw", From: 0, Payload: w}
 
-	var buf bytes.Buffer
-	send := NewConn(&buf)
-	send.SetBinary(binary)
-	recv := NewConn(&buf)
 	// Warm up codec state (gob's type dictionary, pooled buffers) and
 	// learn the wire size.
 	if err := send.Send(env); err != nil {

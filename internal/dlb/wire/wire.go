@@ -106,13 +106,11 @@ func (c *Conn) SetMaxFrame(n int) {
 
 // SetBinary selects whether bulk messages are sent on the binary codec
 // (true: every netrun connection) or on gob (false: the baseline the codec
-// differential tests and BENCH_plane measure against). Receiving binary
-// needs no grant — any Conn decodes both codecs. Send and SetBinary must
-// come from the same goroutine (the writer), like the gob encoder itself.
+// differential tests and the benchmark module's wire.* probes measure
+// against). Receiving binary needs no grant — any Conn decodes both
+// codecs. Send and SetBinary must come from the same goroutine (the
+// writer), like the gob encoder itself.
 func (c *Conn) SetBinary(on bool) { c.binary = on }
-
-// Binary reports whether bulk sends use the binary codec.
-func (c *Conn) Binary() bool { return c.binary }
 
 // Send writes one envelope: on a SetBinary(true) connection the bulk
 // float-bearing payloads (codec.go) go out as one binary frame from a

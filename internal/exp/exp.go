@@ -9,6 +9,15 @@
 // paper's figures (500x500 MM ≈ 250 s, 2000x2000 SOR ≈ 350 s on a Sun
 // 4/330) regardless of the real problem size executed, so the shape of
 // every curve is comparable to the paper at any Scale.
+//
+// Contract: everything here is deterministic model output. Every timed run
+// goes through the simulator (a cluster.Config under dlb.Run or a baseline
+// scheduler), so a result is virtual time, identical to the nanosecond on
+// any host, and the checked-in BENCH_*.json files regenerate byte for byte
+// (TestCheckedInArtifacts). The package never reads a wall clock, the CPU
+// count or a socket; wall time is measured in the benchmark/ module and
+// nowhere else. Experiments (registry.go) is the one list of what can be
+// regenerated.
 package exp
 
 import (
@@ -25,7 +34,7 @@ import (
 
 // Scale selects the real problem sizes. Virtual-time calibration keeps the
 // simulated durations at paper scale for any value, so Quick is suitable
-// for tests and Full for the benchmark harness.
+// for tests and Full is what cmd/dlbbench regenerates the artifacts at.
 type Scale struct {
 	MM      int // matrix order for MM
 	SOR     int // grid order for SOR
@@ -34,7 +43,7 @@ type Scale struct {
 	MaxP    int // largest slave count in sweeps
 }
 
-// Full is the benchmark-harness scale.
+// Full is the scale of EXPERIMENTS.md and the checked-in BENCH_*.json.
 var Full = Scale{MM: 192, SOR: 256, SORIter: 12, LU: 160, MaxP: 8}
 
 // Quick is a reduced scale for unit tests.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -407,65 +406,8 @@ func TestFaultTolerance(t *testing.T) {
 	}
 }
 
-func TestNetOverhead(t *testing.T) {
-	rows, err := NetOverhead(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (mm/sor x goroutines/tcp)", len(rows))
-	}
-	for _, r := range rows {
-		if r.MaxDiff != 0 {
-			t.Errorf("%s/%s: result differs from sequential reference by %g", r.App, r.Backend, r.MaxDiff)
-		}
-		if r.Par <= 0 || r.Seq <= 0 {
-			t.Errorf("%s/%s: non-positive timing (seq %v, par %v)", r.App, r.Backend, r.Seq, r.Par)
-		}
-	}
-	if out := RenderNetOverhead(rows); len(out) == 0 {
-		t.Error("empty rendering")
-	}
-}
-
-func TestPlane(t *testing.T) {
-	rep, err := Plane(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 12 {
-		t.Fatalf("got %d rows, want 12 (6 benches x 2 variants)", len(rep.Rows))
-	}
-	for _, r := range rep.Rows {
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s/%s: non-positive ns/op", r.Bench, r.Variant)
-		}
-	}
-	// The optimizations must win on the payloads they were built for
-	// (loose bounds here — the strict thresholds live in the full-scale
-	// benchmarks; quick-scale payloads are small).
-	for _, b := range []string{"wire-codec/work", "move-cost", "unit-copy/2d-row"} {
-		if s := rep.Speedups[b]; s <= 1 {
-			t.Errorf("%s: speedup %.2f, want > 1", b, s)
-		}
-	}
-	if out := RenderPlane(rep); !strings.Contains(out, "speedups") {
-		t.Errorf("render missing speedups:\n%s", out)
-	}
-	var parsed PlaneReport
-	if err := json.Unmarshal([]byte(PlaneJSON(rep)), &parsed); err != nil {
-		t.Fatalf("BENCH_plane.json is not valid JSON: %v", err)
-	}
-	if len(parsed.Rows) != len(rep.Rows) {
-		t.Errorf("JSON round trip lost rows: %d != %d", len(parsed.Rows), len(rep.Rows))
-	}
-}
-
 func TestOverlapSweep(t *testing.T) {
-	rep, err := Overlap(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, text := runBench[OverlapReport](t, "overlap", "BENCH_overlap.json")
 	if len(rep.Rows) != 12 {
 		t.Fatalf("got %d rows, want 12 (2 progs x 3 costs x 2 slave counts)", len(rep.Rows))
 	}
@@ -495,14 +437,7 @@ func TestOverlapSweep(t *testing.T) {
 	if best := rep.Best["jacobi"]; best < 1.2 {
 		t.Errorf("best jacobi speedup %.2fx, want >= 1.2x", best)
 	}
-	if out := RenderOverlap(rep); !strings.Contains(out, "best speedup") {
-		t.Errorf("render missing best speedup:\n%s", out)
-	}
-	var parsed OverlapReport
-	if err := json.Unmarshal([]byte(OverlapJSON(rep)), &parsed); err != nil {
-		t.Fatalf("BENCH_overlap.json is not valid JSON: %v", err)
-	}
-	if len(parsed.Rows) != len(rep.Rows) {
-		t.Errorf("JSON round trip lost rows: %d != %d", len(parsed.Rows), len(rep.Rows))
+	if !strings.Contains(text, "best speedup") {
+		t.Errorf("render missing best speedup:\n%s", text)
 	}
 }

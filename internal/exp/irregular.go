@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -47,6 +46,7 @@ type IrregularRow struct {
 // model's makespan gain per program (uniform elapsed over learned
 // elapsed; >1 means learned wins).
 type IrregularReport struct {
+	Header
 	Slaves int                `json:"slaves"`
 	Seq    map[string]float64 `json:"sequential_s"`
 	Rows   []IrregularRow     `json:"rows"`
@@ -81,6 +81,7 @@ func irregularCases(s Scale) ([]irregularCase, int) {
 func Irregular(s Scale) (*IrregularReport, error) {
 	cases, slaves := irregularCases(s)
 	rep := &IrregularReport{
+		Header: virtual("makespans under the uniform and the learned per-unit cost model on one simulated cluster, 1µs per flop"),
 		Slaves: slaves,
 		Seq:    map[string]float64{},
 		Gains:  map[string]float64{},
@@ -163,14 +164,4 @@ func RenderIrregular(rep *IrregularReport) string {
 		fmt.Fprintf(&sb, "  %-6s %.2fx\n", r.Prog, rep.Gains[r.Prog])
 	}
 	return sb.String()
-}
-
-// IrregularJSON renders the machine-readable artifact
-// (BENCH_irregular.json).
-func IrregularJSON(rep *IrregularReport) string {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "{}"
-	}
-	return string(b) + "\n"
 }

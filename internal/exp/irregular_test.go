@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -9,12 +8,9 @@ import (
 // TestIrregular runs the quick-scale irregular experiment and checks its
 // defining claim: on both skewed workloads the learned cost model beats
 // the uniform assumption on makespan and on weighted load imbalance, and
-// the artifacts render and round-trip.
+// the artifacts render and parse back (runBench).
 func TestIrregular(t *testing.T) {
-	rep, err := Irregular(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, text := runBench[IrregularReport](t, "irregular", "BENCH_irregular.json")
 	if len(rep.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4 (2 programs x 2 models)", len(rep.Rows))
 	}
@@ -39,17 +35,9 @@ func TestIrregular(t *testing.T) {
 			t.Errorf("%s: makespan gain %.3f, want > 1", prog, g)
 		}
 	}
-	text := RenderIrregular(rep)
 	for _, want := range []string{"spmv", "pbin", "makespan gains"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, text)
 		}
-	}
-	var back IrregularReport
-	if err := json.Unmarshal([]byte(IrregularJSON(rep)), &back); err != nil {
-		t.Fatalf("BENCH_irregular.json does not round-trip: %v", err)
-	}
-	if len(back.Rows) != len(rep.Rows) {
-		t.Errorf("JSON round-trip lost rows: %d vs %d", len(back.Rows), len(rep.Rows))
 	}
 }

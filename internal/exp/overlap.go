@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -36,11 +34,7 @@ type OverlapRow struct {
 
 // OverlapReport is the experiment's result.
 type OverlapReport struct {
-	// CPUs is runtime.NumCPU() on the measuring host. The makespans are
-	// virtual time, so they do not depend on it, but the field keeps the
-	// artifact comparable with the other BENCH_* files.
-	CPUs int                `json:"cpus"`
-	Note string             `json:"note,omitempty"`
+	Header
 	Rows []OverlapRow       `json:"rows"`
 	Best map[string]float64 `json:"best_speedup"` // per program
 }
@@ -74,9 +68,8 @@ func Overlap(s Scale) (*OverlapReport, error) {
 	}
 
 	rep := &OverlapReport{
-		CPUs: runtime.NumCPU(),
-		Note: "virtual-time makespans; flop cost sets the comm/compute ratio against the 500µs link latency",
-		Best: map[string]float64{},
+		Header: virtual("virtual-time makespans; flop cost sets the comm/compute ratio against the 500µs link latency"),
+		Best:   map[string]float64{},
 	}
 	for _, p := range progs {
 		app, err := NewApp(p.name, p.params, paperSORSeq)
@@ -130,11 +123,7 @@ func RenderOverlap(rep *OverlapReport) string {
 	var sb strings.Builder
 	sb.WriteString("Ghost-exchange overlap: split-loop async data plane vs synchronous exchange\n")
 	sb.WriteString("(speedup = sync/overlap makespan; sor is the pipelined control — no split, ≈1.0)\n")
-	fmt.Fprintf(&sb, "host CPUs: %d", rep.CPUs)
-	if rep.Note != "" {
-		fmt.Fprintf(&sb, " — %s", rep.Note)
-	}
-	sb.WriteString("\n\n")
+	fmt.Fprintf(&sb, "%s\n\n", rep.Note)
 	fmt.Fprintf(&sb, "%-8s %3s %9s %12s %12s %8s %8s %9s\n",
 		"prog", "P", "flopcost", "sync ms", "overlap ms", "speedup", "rounds", "fallback")
 	prev := ""
@@ -153,13 +142,4 @@ func RenderOverlap(rep *OverlapReport) string {
 		}
 	}
 	return sb.String()
-}
-
-// OverlapJSON renders the machine-readable artifact (BENCH_overlap.json).
-func OverlapJSON(rep *OverlapReport) string {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "{}"
-	}
-	return string(b) + "\n"
 }

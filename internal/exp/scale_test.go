@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -11,10 +10,7 @@ import (
 // the hierarchical master's stays strictly cheaper at the wide end, and
 // the artifact renders with every row.
 func TestScaleSweep(t *testing.T) {
-	rep, err := ScaleSweep(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, text := runBench[ScaleReport](t, "scale", "BENCH_scale.json")
 	if len(rep.Rows) < 3 {
 		t.Fatalf("sweep produced %d rows", len(rep.Rows))
 	}
@@ -35,17 +31,9 @@ func TestScaleSweep(t *testing.T) {
 			t.Errorf("P=%d: non-positive efficiency (flat %.3f, hier %.3f)", r.P, r.FlatEff, r.HierEff)
 		}
 	}
-	text := RenderScale(rep)
 	for _, want := range []string{"crossover", "mstr/rd"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, text)
 		}
-	}
-	var back ScaleReport
-	if err := json.Unmarshal([]byte(ScaleJSON(rep)), &back); err != nil {
-		t.Fatalf("BENCH_scale.json does not round-trip: %v", err)
-	}
-	if len(back.Rows) != len(rep.Rows) {
-		t.Errorf("JSON round-trip lost rows: %d vs %d", len(back.Rows), len(rep.Rows))
 	}
 }

@@ -163,7 +163,7 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 	cc := cluster.Config{
 		Slaves:       n,
 		Quantum:      cfg.RealQuantum,
-		Bandwidth:    wire.CodecBandwidth(true),
+		Bandwidth:    wire.CodecBandwidth(),
 		LinkLatency:  100 * time.Microsecond,
 		SendOverhead: 10 * time.Microsecond,
 	}

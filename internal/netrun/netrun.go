@@ -1,5 +1,6 @@
 // Package netrun is the distributed TCP runtime: it carries the existing
-// master/slave protocol over length-prefixed gob frames (internal/dlb/wire)
+// master/slave protocol over length-prefixed frames (internal/dlb/wire:
+// the binary bulk codec for float-bearing payloads, gob for control)
 // on real sockets, so the master and each slave run as separate OS
 // processes — the deployment shape of the paper's Nectar workstation
 // network. The protocol code itself is untouched: netrun only supplies a

@@ -358,6 +358,33 @@ func TestFairnessOrdering(t *testing.T) {
 	if got := q.pick(func(t string) float64 { return served[t] }); got != jb {
 		t.Errorf("pick chose seq %d, want the tenant's earliest job", got.Seq)
 	}
+
+	// Equal-weight tenants converge. This time the criterion is the
+	// scheduler's own (stats.served: slave-seconds charged per finished
+	// lease segment, over weight — what Service.schedule passes to pick):
+	// tenant a starts 6 slave-seconds ahead, every job costs 2, so b is
+	// served until it has caught up and then the two alternate and end
+	// level.
+	st := newStats(map[string]float64{"heavy": 2})
+	st.charge("a", 2, 3*time.Second)
+	fq := newQueue(8)
+	for seq, tenant := range []string{"a", "b", "a", "b", "b", "b", "b"} {
+		fq.add(mk(seq+1, tenant, PriorityNormal), false)
+	}
+	order := ""
+	for fq.len() > 0 {
+		j := fq.pick(st.served)
+		fq.remove(j)
+		st.charge(j.Spec.Tenant, 2, time.Second)
+		order += j.Spec.Tenant
+	}
+	if order != "bbbabab" || st.served("a") != st.served("b") {
+		t.Errorf("pick order %s with served a=%g b=%g, want bbbabab ending level", order, st.served("a"), st.served("b"))
+	}
+	st.charge("heavy", 2, time.Second)
+	if got := st.served("heavy"); got != 1 {
+		t.Errorf("weight-2 tenant's 2 slave-seconds normalize to %g, want 1", got)
+	}
 }
 
 // TestGroupsAdmissionAndRun covers the hierarchical-balancing knob at the
