@@ -32,7 +32,6 @@ func main() {
 	drag := flag.Float64("drag", 1.0, "slow this daemon's computation by the given factor (emulated loaded machine)")
 	cores := flag.Int("cores", 0, "kernel worker goroutines (0: use the master's setting, -1: all hardware cores)")
 	kernel := flag.String("kernel", "", `execution tier override: "" uses the master's setting, else "interp", "kernel" or "aot"`)
-	maxGroups := flag.Int("groups", 0, "admission cap on a run's hierarchical group count (0: unlimited)")
 	grace := flag.Duration("grace", 30*time.Second, "how long SIGTERM waits for an in-flight run to drain before forcing teardown")
 	quiet := flag.Bool("quiet", false, "suppress event logging on stderr")
 	flag.Parse()
@@ -48,7 +47,6 @@ func main() {
 		Drag:      *drag,
 		Cores:     *cores,
 		Kernel:    *kernel,
-		MaxGroups: *maxGroups,
 		Logf:      logf,
 	})
 	if err != nil {

@@ -14,9 +14,7 @@ import (
 // checkpoint-cost priors that every endpoint must derive the same way from
 // the cluster parameters: a unit slice of each distributed array over the
 // link bandwidth plus fixed per-message overhead, and the cost of shipping
-// the whole distributed plus replicated state once. It replaces the
-// constructions that used to be repeated in the legacy master, the
-// fault-tolerant master, and the TCP transport.
+// the whole distributed plus replicated state once.
 type balancerSetup struct {
 	balCfg   core.Config
 	fixed    time.Duration // per-message fixed movement cost

@@ -393,7 +393,7 @@ func gatherUnit(dst []float64, a *loopir.Array, dim, u, rowDim, rowLo, rowHi int
 
 // scatterUnit writes vals over the selection with contiguous copies.
 // Returns false (having written nothing) on uncovered shapes or a length
-// mismatch — the fallback walk then reproduces the legacy panic.
+// mismatch — the fallback walk then panics on the mismatch.
 func scatterUnit(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, vals []float64) bool {
 	sh, ok := unitRunShape(a, dim, u, rowDim, rowLo, rowHi)
 	if !ok || sh.total() != len(vals) {

@@ -24,9 +24,7 @@ import (
 	"repro/internal/aot"
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hier"
 	"repro/internal/loopir"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
@@ -216,18 +214,6 @@ func (c Config) CostModelMode() (string, error) {
 		c.CostModel, CostUniform, CostLearned)
 }
 
-// groupPartition resolves the Groups knob into the contiguous partition of
-// the initial slaves, or nil for the flat master (Groups 0 or 1).
-func (c Config) groupPartition(slaves int) (*hier.Partition, error) {
-	if c.Groups <= 1 {
-		return nil, nil
-	}
-	if !c.DLB {
-		return nil, fmt.Errorf("dlb: hierarchical groups require DLB (leaders aggregate the balancing contacts)")
-	}
-	return hier.Split(slaves, c.Groups)
-}
-
 // Overlap modes for the split-loop async ghost exchange.
 const (
 	OverlapEnabled  = "on"
@@ -245,6 +231,41 @@ func (c Config) OverlapOn() (bool, error) {
 	}
 	return false, fmt.Errorf("dlb: unknown overlap mode %q (want %q or %q)",
 		c.Overlap, OverlapEnabled, OverlapDisabled)
+}
+
+// modes is what a valid Config's mode strings resolve to.
+type modes struct {
+	tier      string
+	costMode  string
+	overlapOn bool
+}
+
+// validate rejects a Config no entry point can run — no plan, an unknown
+// mode string, a fault plan without the DLB hooks it rides on, a malformed
+// fault plan — as a typed error before anything is instantiated or
+// spawned, and resolves the mode strings.
+func (c *Config) validate() (m modes, err error) {
+	if c.Plan == nil {
+		return m, fmt.Errorf("dlb: no plan")
+	}
+	if m.tier, err = c.KernelTier(); err != nil {
+		return m, err
+	}
+	if m.costMode, err = c.CostModelMode(); err != nil {
+		return m, err
+	}
+	if m.overlapOn, err = c.OverlapOn(); err != nil {
+		return m, err
+	}
+	if c.Fault != nil {
+		if !c.DLB {
+			return m, fmt.Errorf("dlb: fault tolerance requires DLB (hooks are the heartbeat and checkpoint substrate)")
+		}
+		if err := c.Fault.Validate(); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
 }
 
 // CoreCount resolves the Cores knob to an effective worker count.
@@ -336,185 +357,66 @@ type Result struct {
 // result. It builds its own virtual-time kernel; the run is a deterministic
 // function of (cfg, cc).
 func Run(cfg Config, cc cluster.Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Plan == nil {
-		return nil, fmt.Errorf("dlb: no plan")
-	}
-	slaves := cc.Slaves
-	if slaves < 1 {
-		return nil, fmt.Errorf("dlb: need at least one slave")
-	}
-	if cfg.Preempt != nil || cfg.Resume != nil {
-		return nil, fmt.Errorf("dlb: preemption and resume are transport-driven features (RunMasterOn)")
-	}
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	ft := cfg.Fault != nil
-	if ft {
-		if !cfg.DLB {
-			return nil, fmt.Errorf("dlb: fault tolerance requires DLB (hooks are the heartbeat and checkpoint substrate)")
-		}
-		if err := cfg.Fault.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	part, err := cfg.groupPartition(slaves)
+	l, err := assemble(cfg, wholeRun, cc.Slaves, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	// Master instance: initial data source and final destination.
-	masterInst, err := loopir.NewInstance(cfg.Plan.Prog, cfg.Params)
+	quantum := cc.Quantum
+	if quantum <= 0 {
+		quantum = 100 * time.Millisecond
+	}
+	pre, err := instantiate(l.cfg, l.initial, quantum, modelRow)
 	if err != nil {
 		return nil, err
 	}
-
-	// Instantiate once to estimate per-unit cost, derive the grain from
-	// the 1.5-quantum rule (§4.4), then re-instantiate so the phase
-	// schedule reflects the strip-mined structure.
-	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, cfg.CompileOpts)
-	if err != nil {
-		return nil, err
-	}
-	grain := 1
-	if cfg.Plan.StripMined {
-		if cfg.ForcedGrain > 0 {
-			grain = cfg.ForcedGrain
-		} else {
-			ccd := cc
-			quantum := ccd.Quantum
-			if quantum <= 0 {
-				quantum = 100 * time.Millisecond
-			}
-			// Startup measurement: the cost of one strip-row is the work of
-			// one row of an even share of the active units.
-			lo, hi := probe.InitialActive()
-			perSlaveUnits := (hi - lo + slaves - 1) / slaves
-			rowFlops := probe.FlopsPerUnit * float64(perSlaveUnits)
-			rowCost := time.Duration(rowFlops * float64(cfg.FlopCost))
-			grain = core.GrainSize(rowCost, quantum, cfg.GrainFactor)
-		}
-	}
-	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, cfg.CompileOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Native kernels are built before any cooperative process spawns: the
-	// Go toolchain subprocess must not run inside the virtual-time
-	// scheduler. The bundle is shared read-only by all slaves.
-	tier, err := cfg.KernelTier()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cfg.CostModelMode(); err != nil {
-		return nil, err
-	}
-	if _, err := cfg.OverlapOn(); err != nil {
-		return nil, err
-	}
-	var bundle *aotBundle
-	var aotInfo *aot.BuildInfo
-	if tier == KernelAOT {
-		bundle, err = buildAOT(cfg.Plan, cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		aotInfo = &bundle.prog.Info
-	}
+	l.adopt(pre)
 
 	k := vtime.NewKernel()
-	simCC := cc
-	var joins []time.Duration
-	total := slaves
-	if ft {
-		// Joiner processes occupy cluster slots beyond the initial slaves;
-		// they idle until their join time and are folded in by recovery.
-		joins = cfg.Fault.Joins()
-		total = slaves + len(joins)
-		simCC.Slaves = total
-	}
-	c := cluster.New(k, simCC)
-
-	r := &Result{Exec: exec, Grain: grain, AotInfo: aotInfo}
-	var pol FaultPolicy = noFaultPolicy{}
-	var inj *fault.Injector
-	var flog *fault.Log
-	var hbEvery time.Duration
-	if ft {
-		flog = &fault.Log{}
-		r.FaultLog = flog
-		inj = fault.NewInjector(cfg.Fault)
-		hbEvery = fault.NewDetector(cfg.Detect, 1).Config().HeartbeatEvery
-		pol = &ftPolicy{log: flog}
-	}
-	eng := &engine{
-		cfg:     &cfg,
-		cc:      c.Config(),
-		initial: slaves,
-		total:   total,
-		exec:    exec,
-		inst:    masterInst,
-		res:     r,
-		pol:     pol,
-		part:    part,
-		relay:   part != nil && !ft,
-	}
+	cc.Slaves = l.total
+	c := cluster.New(k, cc)
+	eng := l.engine(c.Config())
 	c.Spawn("master", cluster.MasterID, func(p *vtime.Proc, n *cluster.Node) {
 		eng.runOn(&simEndpoint{p: p, n: n})
 	})
-	for i := 0; i < total; i++ {
-		s := &slave{
-			id:      i,
-			slaves:  slaves,
-			cfg:     &cfg,
-			exec:    exec,
-			grain:   grain,
-			tier:    tier,
-			aot:     bundle,
-			fault:   slaveFaultFor(ft),
-			hbEvery: hbEvery,
-		}
-		if eng.relay {
-			s.part = part
-		}
-		if i >= slaves {
-			s.joiner = true
-			s.joinAt = joins[i-slaves]
-		}
-		id := i
+	for id := 0; id < l.total; id++ {
+		id, s := id, l.slave(id)
 		c.Spawn(fmt.Sprintf("slave%d", id), id, func(p *vtime.Proc, n *cluster.Node) {
 			// An injected crash (or a zombie's eviction) kills the process
 			// by panic; recover it so the proc dies silently, exactly as a
-			// failed workstation would. Legacy runs never inject faults, so
-			// the wrapper is inert there.
+			// failed workstation would. Without a fault plan nothing is
+			// injected and the wrapper is inert.
 			defer func() {
 				if rec := recover(); rec != nil && !isFaultExit(rec) {
 					panic(rec)
 				}
 			}()
-			s.runOn(newFaultEP(&simEndpoint{p: p, n: n}, id, inj, flog))
+			s.runOn(newFaultEP(&simEndpoint{p: p, n: n}, id, l.inj, l.res.FaultLog))
 		})
 	}
 	if err := k.Run(); err != nil {
 		return nil, fmt.Errorf("dlb: %w", err)
 	}
-	r.Elapsed = k.Now()
-	for i := 0; i < total; i++ {
+	for i := 0; i < l.total; i++ {
 		n := c.Node(i)
 		n.FinishAt(k.Now())
-		r.Usage = append(r.Usage, n.Usage())
+		l.res.Usage = append(l.res.Usage, n.Usage())
 	}
 	mn := c.Node(cluster.MasterID)
 	mn.FinishAt(k.Now())
-	r.MasterUsage = mn.Usage()
-	if eng.err != nil {
-		return nil, eng.err
-	}
-	r.Final = eng.final
-	r.ComputeElapsed = eng.computeEnd - eng.computeStart
-	return r, nil
+	l.res.MasterUsage = mn.Usage()
+	return l.finish(eng, k.Now())
+}
+
+// modelRow is the simulator's startup measurement: the cost of one strip
+// row is the work of one row of an even share of the active units.
+func modelRow(cfg *Config, probe *compile.Exec, slaves int) (time.Duration, error) {
+	lo, hi := probe.InitialActive()
+	perSlaveUnits := (hi - lo + slaves - 1) / slaves
+	rowFlops := probe.FlopsPerUnit * float64(perSlaveUnits)
+	return time.Duration(rowFlops * float64(cfg.FlopCost)), nil
 }
 
 // SequentialTime estimates the sequential execution time of the program on

@@ -7,22 +7,14 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/loopir"
 )
 
 // This file is the plumbing that lets an external transport — most
 // importantly the TCP runtime in internal/netrun — drive the master and
-// slave loops over its own Endpoint implementation. Run and RunReal stay
-// the in-process entry points; RunMasterOn/RunSlaveOn expose the identical
-// protocol code to endpoints whose processes live in different address
-// spaces.
-
-// AbortTag is the fail-fast marker a dying process broadcasts so peers
-// blocked on it error out instead of deadlocking. Transports reuse it for
-// the same purpose across process boundaries.
-const AbortTag = abortTag
+// slave loops from processes that live in different address spaces:
+// RunMasterOn and RunSlaveOn run one side of the same assembly Run and
+// RunReal run whole, over an Endpoint the transport supplies (netrun's is
+// the WallEndpoint with its connection router as the sender).
 
 // Terminal slave outcomes a transport must distinguish from bugs: an
 // injected crash (the process is scheduled to die) and an eviction (the
@@ -55,11 +47,13 @@ type Prepared struct {
 // the startup grain measurement RunReal uses: time one strip row, size
 // blocks to GrainFactor × RealQuantum (§4.4). cfg.ForcedGrain overrides
 // the measurement — the master ships its computed grain to slaves, which
-// re-instantiate with exactly that value.
+// re-instantiate with exactly that value. A Config no entry point would
+// run (no plan, an unknown mode string, faults without DLB) is refused
+// here, which is where both sides of a transport handshake find out.
 func Prepare(cfg Config, slaves int) (*Prepared, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Plan == nil {
-		return nil, fmt.Errorf("dlb: no plan")
+	if _, err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if slaves < 1 {
 		return nil, fmt.Errorf("dlb: need at least one slave")
@@ -67,84 +61,27 @@ func Prepare(cfg Config, slaves int) (*Prepared, error) {
 	if cfg.CompileOpts.HookCostFlops <= 0 {
 		cfg.CompileOpts.HookCostFlops = realHookCostFlops()
 	}
-	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, cfg.CompileOpts)
-	if err != nil {
-		return nil, err
+	quantum := cfg.RealQuantum
+	if quantum <= 0 {
+		quantum = 10 * time.Millisecond
 	}
-	grain := 1
-	if cfg.Plan.StripMined {
-		if cfg.ForcedGrain > 0 {
-			grain = cfg.ForcedGrain
-		} else {
-			rowCost, err := measureRealRow(cfg.Plan, cfg.Params, probe, slaves)
-			if err != nil {
-				return nil, err
-			}
-			q := cfg.RealQuantum
-			if q <= 0 {
-				q = 10 * time.Millisecond
-			}
-			grain = core.GrainSize(rowCost, q, cfg.GrainFactor)
-		}
-	}
-	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, cfg.CompileOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{Exec: exec, Grain: grain, Opts: cfg.CompileOpts}, nil
+	return instantiate(&cfg, slaves, quantum, measureRealRow)
 }
 
-// RunMasterOn drives the fault-tolerant master over an arbitrary endpoint.
-// initial is the starting membership; total additionally counts joiner
-// slots the transport may admit mid-run (ids initial..total-1). The run is
-// always fault-tolerant — on a transport that can lose connections, the
-// heartbeat-lease detector is what turns a dead link into an eviction
-// instead of a deadlock — so cfg.DLB must be set (hooks are the heartbeat
-// and checkpoint substrate). A nil cfg.Fault arms detection, checkpointing
-// and elastic join without injecting anything; scheduled Join events are
+// RunMasterOn drives the master over an arbitrary endpoint. initial is the
+// starting membership; total additionally counts joiner slots the transport
+// may admit mid-run (ids initial..total-1). The run is always
+// fault-tolerant, so cfg.DLB must be set (hooks are the heartbeat and
+// checkpoint substrate). A nil cfg.Fault arms detection, checkpointing and
+// elastic join without injecting anything; scheduled Join events are
 // ignored here (the transport owns admission).
 func RunMasterOn(ep Endpoint, cfg Config, cc cluster.Config, initial, total int, pre *Prepared) (res *Result, err error) {
-	cfg = cfg.withDefaults()
-	if !cfg.DLB {
-		return nil, fmt.Errorf("dlb: transport-driven runs require DLB (hooks are the heartbeat and checkpoint substrate)")
-	}
-	if total < initial {
-		total = initial
-	}
-	if cfg.Fault == nil {
-		cfg.Fault = &fault.Plan{}
-	}
-	if err := cfg.Fault.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Resume != nil && cfg.Resume.Slaves != initial {
-		return nil, fmt.Errorf("dlb: resume checkpoint was cut with %d slaves, run has %d", cfg.Resume.Slaves, initial)
-	}
-	masterInst, err := loopir.NewInstance(cfg.Plan.Prog, cfg.Params)
+	l, err := assemble(cfg, masterOnly, initial, total)
 	if err != nil {
 		return nil, err
 	}
-	// Grouped transport runs are decisions-only: the two-level balancing
-	// and exchange-aligned checkpoint cuts apply, but reports keep flowing
-	// directly to the master — the heartbeat-lease detector must observe
-	// every slave itself, so leaders never sit on the failure path.
-	part, err := cfg.groupPartition(initial)
-	if err != nil {
-		return nil, err
-	}
-	flog := &fault.Log{}
-	r := &Result{Exec: pre.Exec, Grain: pre.Grain, FaultLog: flog}
-	eng := &engine{
-		cfg:     &cfg,
-		cc:      cc,
-		initial: initial,
-		total:   total,
-		exec:    pre.Exec,
-		inst:    masterInst,
-		res:     r,
-		pol:     &ftPolicy{log: flog, resume: cfg.Resume},
-		part:    part,
-	}
+	l.adopt(pre)
+	eng := l.engine(cc)
 	start := ep.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -152,64 +89,38 @@ func RunMasterOn(ep Endpoint, cfg Config, cc cluster.Config, initial, total int,
 				// A cooperative stop: the policy committed the stop
 				// checkpoint, published it on the Result, and released the
 				// slaves before unwinding.
-				r.Elapsed = ep.Now() - start
-				res, err = r, ErrPreempted
+				l.res.Elapsed = ep.Now() - start
+				res, err = l.res, ErrPreempted
 				return
 			}
-			err = fmt.Errorf("dlb: master: %v", p)
+			// Includes a *PeerFailure out of a poisoned mailbox: a slave
+			// died of a real bug and the run fails naming it.
+			res, err = nil, fmt.Errorf("dlb: master: %v", p)
 		}
 	}()
 	eng.runOn(ep)
-	if eng.err != nil {
-		return nil, eng.err
-	}
-	r.Elapsed = ep.Now() - start
-	r.Final = eng.final
-	r.ComputeElapsed = eng.computeEnd - eng.computeStart
-	return r, nil
+	return l.finish(eng, ep.Now()-start)
 }
 
-// RunSlaveOn drives one slave over an arbitrary endpoint. id is this
-// slave's node id and slaves the initial membership size; a joiner
+// RunSlaveOn drives slave id over an arbitrary endpoint; slaves is the
+// initial membership size, so an id from slaves up is a joiner: it
 // registers with the master immediately and waits for admission. cfg.Fault
 // events targeting this id are injected through the endpoint exactly as in
 // Run/RunReal. Returns nil on a completed run, ErrInjectedCrash or
-// ErrEvicted for deliberate deaths, and lets genuine bugs panic through to
-// the caller.
-func RunSlaveOn(ep Endpoint, cfg Config, id, slaves int, joiner bool, pre *Prepared) (err error) {
-	cfg = cfg.withDefaults()
-	if id < 0 || slaves < 1 {
+// ErrEvicted for deliberate deaths, and lets genuine bugs (and the
+// endpoint's poison) panic through to the caller.
+func RunSlaveOn(ep Endpoint, cfg Config, id, slaves int, pre *Prepared) (err error) {
+	if id < 0 {
 		return fmt.Errorf("dlb: bad slave id %d of %d", id, slaves)
 	}
-	if cfg.Fault == nil {
-		cfg.Fault = &fault.Plan{}
-	}
-	hbEvery := fault.NewDetector(cfg.Detect, 1).Config().HeartbeatEvery
 	// A daemon slave is a real OS process: building (or cache-loading) the
-	// native kernels inline here is safe, and the on-disk cache makes every
-	// run after the first a warm start.
-	tier, err := cfg.KernelTier()
+	// native kernels inline in the assembly is safe, and the on-disk cache
+	// makes every run after the first a warm start.
+	l, err := assemble(cfg, slaveOnly, slaves, 0)
 	if err != nil {
 		return err
 	}
-	var bundle *aotBundle
-	if tier == KernelAOT {
-		if bundle, err = buildAOT(cfg.Plan, cfg.Params); err != nil {
-			return err
-		}
-	}
-	s := &slave{
-		id:      id,
-		slaves:  slaves,
-		cfg:     &cfg,
-		exec:    pre.Exec,
-		grain:   pre.Grain,
-		tier:    tier,
-		aot:     bundle,
-		fault:   ftSlaveFault{},
-		hbEvery: hbEvery,
-		joiner:  joiner,
-	}
+	l.adopt(pre)
 	defer func() {
 		if p := recover(); p != nil {
 			switch p.(type) {
@@ -222,7 +133,6 @@ func RunSlaveOn(ep Endpoint, cfg Config, id, slaves int, joiner bool, pre *Prepa
 			}
 		}
 	}()
-	inj := fault.NewInjector(cfg.Fault)
-	s.runOn(newFaultEP(ep, id, inj, nil))
+	l.slave(id).runOn(newFaultEP(ep, id, l.inj, nil))
 	return nil
 }

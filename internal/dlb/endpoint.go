@@ -9,17 +9,19 @@ import (
 
 // Endpoint abstracts the environment a master or slave process runs in, so
 // the identical runtime code executes on the simulated virtual-time cluster
-// (the evaluation substrate) and in a real wall-clock environment
-// (goroutines + channels, one per core; see RunReal).
+// (simEndpoint, the evaluation substrate) and on wall clock. There is one
+// wall-clock endpoint, WallEndpoint, with two senders: an in-process
+// mailbox Put between RunReal's goroutines and netrun's connection router
+// between OS processes.
 type Endpoint interface {
 	// Charge accounts virtual CPU cost (computation, bookkeeping). On the
 	// simulated cluster it advances the virtual clock under the node's
-	// contention model; in the real environment it is a no-op — real work
-	// takes real time inside Timed.
+	// contention model; on wall clock it is a no-op — real work takes real
+	// time inside Timed.
 	Charge(cpu time.Duration)
 	// Timed runs fn and accounts its duration as busy time. On the
 	// simulated cluster the data computation is free (cost is modeled by
-	// Charge); in the real environment this is the actual measurement.
+	// Charge); on wall clock this is the actual measurement.
 	Timed(fn func())
 	// Send transmits a tagged message (non-blocking).
 	Send(to int, tag string, bytes int, data interface{})
@@ -32,41 +34,20 @@ type Endpoint interface {
 	Busy() time.Duration
 	// Now reports elapsed time since the run started.
 	Now() time.Duration
-	// Sleep idles for d without accruing busy time (poll backoff, fault
-	// windows, delayed joins).
+	// Sleep idles for at most d without accruing busy time (poll backoff,
+	// fault windows, delayed joins): the wall-clock endpoint returns early
+	// when a message lands.
 	Sleep(d time.Duration)
-}
-
-// pollInterval is the default backoff of poll-based receive loops
-// (fault-tolerant mode). On the simulated cluster polling is deterministic:
-// TryRecv plus a fixed virtual-time sleep. Endpoints with different idle
-// economics (e.g. the TCP transport, whose Sleep wakes early on message
-// arrival and so can afford a much coarser interval) override it via
-// PollTuner.
-const pollInterval = time.Millisecond
-
-// PollTuner is an optional Endpoint extension supplying the backoff used
-// by poll-based receive loops on that endpoint. A non-positive value falls
-// back to the default.
-type PollTuner interface {
+	// PollInterval is the backoff of poll-based receive loops
+	// (fault-tolerant mode) on this endpoint.
 	PollInterval() time.Duration
-}
-
-// pollIntervalOf resolves the poll backoff for an endpoint.
-func pollIntervalOf(ep Endpoint) time.Duration {
-	if t, ok := ep.(PollTuner); ok {
-		if d := t.PollInterval(); d > 0 {
-			return d
-		}
-	}
-	return pollInterval
 }
 
 // recvTimeout polls for a matching message until the timeout elapses. A
 // non-positive timeout checks exactly once.
 func recvTimeout(ep Endpoint, from int, tag string, timeout time.Duration) (cluster.Msg, bool) {
 	deadline := ep.Now() + timeout
-	poll := pollIntervalOf(ep)
+	poll := ep.PollInterval()
 	for {
 		if m, ok := ep.TryRecv(from, tag); ok {
 			return m, true
@@ -103,3 +84,7 @@ func (e *simEndpoint) TryRecv(from int, tag string) (cluster.Msg, bool) {
 func (e *simEndpoint) Busy() time.Duration   { return e.n.Usage().BusyElapsed }
 func (e *simEndpoint) Now() time.Duration    { return e.p.Now() }
 func (e *simEndpoint) Sleep(d time.Duration) { e.p.Sleep(d) }
+
+// PollInterval on the simulated cluster makes polling deterministic: TryRecv
+// plus a fixed virtual-time sleep.
+func (e *simEndpoint) PollInterval() time.Duration { return time.Millisecond }

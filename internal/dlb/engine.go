@@ -18,8 +18,7 @@ import (
 // the statuses it collects, sends instructions, and gathers the final data.
 // Everything fault-related — lease tracking, checkpoint cuts, epoch
 // rollback, joiner admission — lives behind the FaultPolicy; with the no-op
-// policy the engine reproduces the legacy deterministic runtime bit for
-// bit.
+// policy the engine is the paper's deterministic runtime.
 type engine struct {
 	cfg     *Config
 	cc      cluster.Config
@@ -81,7 +80,6 @@ func (e *engine) runOn(ep Endpoint) {
 	e.own = own
 	e.setup = newBalancerSetup(e.cfg, e.cc, e.exec, e.inst, e.initial)
 	e.bal = e.setup.newBalancer(own)
-	e.costMode, _ = e.cfg.CostModelMode()
 	if e.costMode == CostLearned || loopir.UsesIArr(e.plan.Prog.Body) {
 		e.costModel = NewUnitCostModel(e.exec.Units)
 	}

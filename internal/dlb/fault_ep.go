@@ -36,15 +36,14 @@ type epochRestart struct {
 // its first operation at/after its scheduled crash time, freezes through
 // stall windows, and loses messages while either endpoint's link is down.
 // The same wrapper serves the simulated cluster (virtual time,
-// deterministic) and RunReal (wall clock).
+// deterministic) and the wall-clock endpoint (goroutines and TCP alike).
 type faultEP struct {
 	Endpoint
 	id      int
 	inj     *fault.Injector
-	log     *fault.Log // nil under RunReal (no lock; sim is single-threaded)
+	log     *fault.Log // nil on wall clock (no lock; the simulator is single-threaded)
 	stalled bool
 	crashed bool
-	stalls  int
 }
 
 func newFaultEP(inner Endpoint, id int, inj *fault.Injector, log *fault.Log) Endpoint {
@@ -69,7 +68,6 @@ func (e *faultEP) check() {
 	}
 	if until := e.inj.StallUntil(e.id, now); until > now {
 		e.stalled = true
-		e.stalls++
 		e.log.Add(now, fault.LogStall, e.id, "frozen until %.2fs", until.Seconds())
 		e.Endpoint.Sleep(until - now)
 		e.stalled = false
@@ -111,11 +109,4 @@ func (e *faultEP) Sleep(d time.Duration) {
 		e.check()
 	}
 	e.Endpoint.Sleep(d)
-}
-
-// PollInterval forwards the wrapped endpoint's poll tuning (interface
-// embedding would hide it: the embedded Endpoint's method set does not
-// include optional extensions).
-func (e *faultEP) PollInterval() time.Duration {
-	return pollIntervalOf(e.Endpoint)
 }

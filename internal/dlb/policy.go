@@ -12,9 +12,9 @@ import (
 // master-side FaultPolicy owns lease tracking, checkpoint cuts, epoch
 // rollback and joiner admission; the slave-side slaveFault owns epoch-scoped
 // communication, heartbeats, checkpoint parts and recovery restarts. The
-// no-op implementations below reproduce the legacy deterministic behavior
-// bit for bit: they add no endpoint operations, so virtual time, message
-// order and every gathered array are identical to the pre-policy runtime.
+// no-op implementations below are the paper's runtime as published: they
+// add no endpoint operations, so a run's virtual time, message order and
+// gathered arrays are a deterministic function of its configuration.
 
 // FaultPolicy is the master-side fault-tolerance layer plugged into the
 // engine's phase loop.
@@ -53,10 +53,10 @@ type FaultPolicy interface {
 	GatherTimeout(e *engine) time.Duration
 }
 
-// noFaultPolicy is the legacy deterministic path: no leases, no
-// checkpoints, no recovery. Its round collection is the exact per-slave
-// blocking receive sequence of the original master, so the simulated
-// schedule is unchanged.
+// noFaultPolicy is the paper's deterministic master: no leases, no
+// checkpoints, no recovery. Its round collection is one blocking receive
+// per slave in id order (§3.1), which is what fixes the simulated
+// schedule.
 type noFaultPolicy struct{}
 
 func (noFaultPolicy) Init(*engine)    {}
@@ -154,13 +154,13 @@ func (noFaultPolicy) Participants(e *engine) []int {
 	return ids
 }
 
-func (noFaultPolicy) Epoch() int                           { return 0 }
-func (noFaultPolicy) RoundObserved(*engine)                {}
-func (noFaultPolicy) NoteRates([]float64)                  {}
+func (noFaultPolicy) Epoch() int                            { return 0 }
+func (noFaultPolicy) RoundObserved(*engine)                 {}
+func (noFaultPolicy) NoteRates([]float64)                   {}
 func (noFaultPolicy) CheckpointSeq(*engine, int, []int) int { return 0 }
-func (noFaultPolicy) RoundSent(*engine)                    {}
-func (noFaultPolicy) Commit(*engine)                       {}
-func (noFaultPolicy) GatherTimeout(*engine) time.Duration  { return 0 }
+func (noFaultPolicy) RoundSent(*engine)                     {}
+func (noFaultPolicy) Commit(*engine)                        {}
+func (noFaultPolicy) GatherTimeout(*engine) time.Duration   { return 0 }
 
 // slaveFault is the slave-side fault-tolerance layer plugged into the step
 // loop: communication tagging, blocked-receive supervision, heartbeats,
@@ -191,16 +191,8 @@ type slaveFault interface {
 	join(s *slave) bool
 }
 
-// slaveFaultFor selects the slave-side policy.
-func slaveFaultFor(ft bool) slaveFault {
-	if ft {
-		return ftSlaveFault{}
-	}
-	return noSlaveFault{}
-}
-
-// noSlaveFault is the legacy slave behavior: plain tags, plain blocking
-// receives, no heartbeats, no checkpoints, slave 0 ships shared state.
+// noSlaveFault is the paper's slave: plain tags, plain blocking receives,
+// no heartbeats, no checkpoints, slave 0 ships shared state.
 type noSlaveFault struct{}
 
 func (noSlaveFault) commTag(_ *slave, tag string) string { return tag }

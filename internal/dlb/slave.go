@@ -87,8 +87,9 @@ type slave struct {
 	// indirect programs so the imbalance metric stays weighted): costAcc
 	// accumulates modeled busy seconds per owned unit since the last
 	// report; execHook drains it into CostBlock summaries.
-	costOn  bool
-	costAcc []float64
+	costMode string // resolved Config.CostModel
+	costOn   bool
+	costAcc  []float64
 
 	// tier is the resolved kernel tier; aot carries the run's shared
 	// native kernels (only regions the emitter accepted — others fall
@@ -134,13 +135,14 @@ type slave struct {
 	blockHi     int
 
 	// part routes master traffic through the group hierarchy when set
-	// (grouped legacy runs): members report to their group leader, the
-	// leader aggregates and talks to the master, and instructions relay
-	// back the same way. nil: every slave talks to the master directly.
+	// (grouped runs without a fault policy): members report to their group
+	// leader, the leader aggregates and talks to the master, and
+	// instructions relay back the same way. nil: every slave talks to the
+	// master directly.
 	part *hier.Partition
 
-	// fault is the slave-side fault-tolerance policy; noSlaveFault keeps
-	// legacy behavior identical (the state below stays at zero values).
+	// fault is the slave-side fault-tolerance policy; under noSlaveFault
+	// the state below stays at its zero values.
 	fault         slaveFault
 	epoch         int
 	alive         []bool // nil until the first recovery: everyone alive
@@ -182,20 +184,11 @@ func (s *slave) runOn(ep Endpoint) {
 	// Per-unit cost measurement: always on for indirect (data-dependent)
 	// programs so the weighted imbalance metric is meaningful in either
 	// mode; the learned mode additionally feeds the master's model.
-	mode, err := s.cfg.CostModelMode()
-	if err != nil {
-		panic(fmt.Sprintf("slave%d: %v", s.id, err))
-	}
-	s.costOn = mode == CostLearned || loopir.UsesIArr(plan.Prog.Body)
+	s.costOn = s.costMode == CostLearned || loopir.UsesIArr(plan.Prog.Body)
 	if s.costOn {
 		s.costAcc = make([]float64, s.exec.Units)
 	}
 
-	on, err := s.cfg.OverlapOn()
-	if err != nil {
-		panic(fmt.Sprintf("slave%d: %v", s.id, err))
-	}
-	s.overlapOn = on
 	s.pending = map[*compile.OwnedLoop][]*compile.Exchange{}
 
 	s.env = map[string]int{}
@@ -233,10 +226,10 @@ func (s *slave) runOn(ep Endpoint) {
 
 	// Epoch loop: a recovery AdoptMsg unwinds execution (epochRestart) back
 	// to here; the slave restores the checkpoint and re-enters the step tree,
-	// fast-forwarding to the checkpoint hook. Legacy runs make one pass. The
-	// termination announcement and the wait for the master's commit are part
-	// of the recoverable region: a slave that finished can still be rolled
-	// back if a peer died in the final round.
+	// fast-forwarding to the checkpoint hook. Without faults there is one
+	// pass. The termination announcement and the wait for the master's
+	// commit are part of the recoverable region: a slave that finished can
+	// still be rolled back if a peer died in the final round.
 	for !s.fault.runEpoch(s) {
 	}
 
@@ -254,7 +247,7 @@ func (s *slave) runOn(ep Endpoint) {
 		g.Data[arr] = m
 	}
 	// The designated (lowest alive) slave reports the combined reduction
-	// values — identical on every slave after Combine; legacy: slave 0.
+	// values — identical on every slave after Combine.
 	if s.designated() && len(plan.Reductions) > 0 {
 		g.Reduced = map[string][]float64{}
 		for _, r := range plan.Reductions {
@@ -281,9 +274,6 @@ func (s *slave) lowerPlan() {
 	s.ownedLoops = map[*compile.OwnedLoop]*ownedExec{}
 	s.ownerFrags = map[*compile.OwnerBlock]fragRunner{}
 	s.allFrags = map[*compile.AllStmts]fragRunner{}
-	if s.tier == "" {
-		s.tier = KernelVM
-	}
 	s.lowerSteps(s.exec.Plan.Steps)
 }
 
@@ -912,18 +902,12 @@ func (s *slave) execPipeSend(st *compile.PipeSend) {
 	}
 }
 
-// flatBcast forces the legacy owner-sends-to-everyone broadcast. It exists
-// for the differential test that pins the binomial tree's results to the
-// flat path's.
-var flatBcast = false
-
 // execBcast broadcasts one unit from its owner to everyone else (§4.6)
 // along a binomial tree over the alive roster: the owner seeds the relay
 // and every receiver forwards to the peers in its subtree, so the critical
 // path is O(log P) messages instead of the owner serializing P−1 sends.
 // Every slave derives the identical tree from the shared ownership and
-// alive state, and the payload is relayed verbatim, so the received values
-// are bit-identical to the flat path.
+// alive state, and the payload is relayed verbatim.
 func (s *slave) execBcast(st *compile.Bcast) {
 	if s.ff {
 		return
@@ -936,29 +920,6 @@ func (s *slave) execBcast(st *compile.Bcast) {
 	dim := s.exec.Plan.DistArrays[st.Array]
 	tag := "bcast:" + st.Array
 	owner := s.own.OwnerOf(idx)
-	if flatBcast {
-		if owner == s.id {
-			// unitSlice already returns a fresh snapshot and receivers only
-			// copy out of Vals, so one shared payload serves every peer — no
-			// per-message defensive copy.
-			vals := unitSlice(arr, dim, idx)
-			for other := 0; other < s.own.Slaves(); other++ {
-				if other == s.id || !s.peerAlive(other) {
-					continue
-				}
-				s.send(other, tag, floatsBytes(len(vals)),
-					SliceMsg{Unit: idx, RowLo: -1, RowHi: -1, Vals: vals})
-			}
-			return
-		}
-		m := s.recvPeer(owner, tag).Data.(SliceMsg)
-		if m.Unit != idx {
-			panic(fmt.Sprintf("slave%d: bcast mismatch: got unit %d, want %d", s.id, m.Unit, idx))
-		}
-		setUnitSlice(arr, dim, idx, m.Vals)
-		return
-	}
-
 	// Alive roster in id order; ranks are relative to the owner's position
 	// so the owner is the tree root (relative rank 0).
 	peers := make([]int, 0, s.own.Slaves())

@@ -54,14 +54,6 @@ type RunSpec struct {
 	// in the rendered plan source, the knob only gates whether the runtime
 	// uses it, and results are bit-identical either way.
 	Overlap string
-	// Groups, GroupExchangeEvery and GroupDiffusion select hierarchical
-	// two-level balancing (dlb.Config fields of the same names; zero values
-	// mean flat). Transport runs use the hierarchy decisions-only — reports
-	// still flow directly to the master — but the spec ships the knobs so
-	// daemons can enforce admission policy and log the group layout.
-	Groups             int
-	GroupExchangeEvery int
-	GroupDiffusion     float64
 	// HeartbeatEvery is the slave's sign-of-life interval.
 	HeartbeatEvery time.Duration
 	// FaultSpec is an optional fault.ParseSpec schedule injected on the
@@ -148,9 +140,6 @@ const (
 	// It is the retryable rejection: a scheduler re-leasing a slave whose
 	// previous session is still tearing down backs off and redials.
 	RejectBusy = "busy"
-	// RejectGroups refuses a run whose shipped group count exceeds the
-	// daemon's admission cap (its -groups setting).
-	RejectGroups = "groups-cap-exceeded"
 )
 
 // Control-frame tags. They live in the same Envelope namespace as data
@@ -162,4 +151,8 @@ const (
 	TagRoster    = "__roster"
 	TagPeerHello = "__peer"
 	TagReject    = "__reject"
+	// TagAbort is a dying process's last frame on every link: it hit a
+	// real bug (payload: the panic text), and peers blocked on it must fail
+	// rather than evict it and recompute past the bug.
+	TagAbort = "__abort"
 )

@@ -177,25 +177,6 @@ func (p *Partition) String() string {
 	return s
 }
 
-// RosterLeaders elects one leader per group from an arbitrary id roster
-// by rank: ids are sorted ascending, split into contiguous rank groups,
-// and each group's lowest-ranked id leads. This is the distributed
-// runtime's election rule — every process that knows the roster computes
-// the same leaders without a protocol round.
-func RosterLeaders(ids []int, groups int) ([]int, error) {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	p, err := Split(len(sorted), groups)
-	if err != nil {
-		return nil, err
-	}
-	leaders := make([]int, groups)
-	for g := range leaders {
-		leaders[g] = sorted[p.Leader(g)]
-	}
-	return leaders, nil
-}
-
 // Summary is one group's aggregate state, exchanged between adjacent
 // leaders on the slow cadence: the sum of its members' filtered
 // computation rates and the active work units currently inside the

@@ -115,20 +115,6 @@ func TestFromRanges(t *testing.T) {
 	}
 }
 
-func TestRosterLeaders(t *testing.T) {
-	// Election is by rank over the sorted roster, not by raw id value.
-	leaders, err := RosterLeaders([]int{7, 2, 9, 0, 5, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(leaders, []int{0, 3, 7}) {
-		t.Fatalf("leaders = %v, want [0 3 7]", leaders)
-	}
-	if _, err := RosterLeaders([]int{1}, 2); !errors.Is(err, ErrTooManyGroups) {
-		t.Fatalf("oversubscribed roster: got %v", err)
-	}
-}
-
 func TestFlowsEqualizeCompletionTimes(t *testing.T) {
 	// Group 0 is twice as fast with the same backlog: work should flow
 	// right-to-left... no — group 1 is slower, so its completion time is

@@ -76,10 +76,8 @@ func (c *initCache) len() int {
 // scatter: a full payload is stored into the daemon cache for later runs;
 // a FromCache marker is replaced by the copy pinned at handshake time, so
 // the slave loop never knows the bulk data did not cross the wire.
-// Embedding the concrete endpoint keeps its optional capabilities
-// (dlb.PollTuner) visible through the wrapper.
 type initCacheEP struct {
-	*endpoint
+	*dlb.WallEndpoint
 	cache  *initCache
 	key    initKey
 	cached dlb.InitMsg
@@ -87,7 +85,7 @@ type initCacheEP struct {
 }
 
 func (e *initCacheEP) Recv(from int, tag string) cluster.Msg {
-	m := e.endpoint.Recv(from, tag)
+	m := e.WallEndpoint.Recv(from, tag)
 	if m.Tag == "init" {
 		m = e.resolve(m)
 	}
@@ -95,7 +93,7 @@ func (e *initCacheEP) Recv(from int, tag string) cluster.Msg {
 }
 
 func (e *initCacheEP) TryRecv(from int, tag string) (cluster.Msg, bool) {
-	m, ok := e.endpoint.TryRecv(from, tag)
+	m, ok := e.WallEndpoint.TryRecv(from, tag)
 	if ok && m.Tag == "init" {
 		m = e.resolve(m)
 	}
@@ -130,7 +128,7 @@ func (e *initCacheEP) resolve(m cluster.Msg) cluster.Msg {
 // the engine ships a FromCache marker to every slave whose daemon
 // announced it still holds this plan's payload.
 type advisedEndpoint struct {
-	*endpoint
+	*dlb.WallEndpoint
 	cached []bool
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dlb"
 	"repro/internal/dlb/wire"
 	"repro/internal/fault"
-	"repro/internal/hier"
 )
 
 // MasterOptions configures a distributed master.
@@ -48,7 +47,6 @@ type netMaster struct {
 	n     int // initial membership
 	total int
 	rt    *router
-	box   *mailbox
 	ln    net.Listener
 
 	mu       sync.Mutex
@@ -98,9 +96,8 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 		hash:  PlanHash(cfg.Plan, pre.Exec, cfg.Params, pre.Grain),
 		n:     n,
 		total: n + opt.ExtraSlots,
-		box:   newMailbox(),
 	}
-	m.rt = newRouter(cluster.MasterID, m.box, m.to, false)
+	m.rt = newRouter(cluster.MasterID, m.to, false)
 	for slot := n; slot < m.total; slot++ {
 		m.free = append(m.free, slot)
 	}
@@ -138,21 +135,6 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 		m.rt.send(i, wire.TagRoster, wire.RosterMsg{Addrs: roster})
 	}
 
-	// Hierarchical runs elect group leaders by roster rank — the lowest
-	// node id of each contiguous group — so every participant derives the
-	// same leadership from the same roster without extra coordination.
-	if cfg.Groups > 1 {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		leaders, lerr := hier.RosterLeaders(ids, cfg.Groups)
-		if lerr != nil {
-			return nil, fmt.Errorf("netrun: group layout: %w", lerr)
-		}
-		m.logf("hierarchical balancing: %d groups over %d slaves, leaders %v (by roster rank)", cfg.Groups, n, leaders)
-	}
-
 	m.acceptWG.Add(1)
 	go m.acceptLoop()
 
@@ -167,7 +149,7 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 		LinkLatency:  100 * time.Microsecond,
 		SendOverhead: 10 * time.Microsecond,
 	}
-	ep := &advisedEndpoint{endpoint: newEndpoint(m.rt, m.box, 1), cached: cachedInit}
+	ep := &advisedEndpoint{WallEndpoint: m.rt.endpoint(1), cached: cachedInit}
 	return dlb.RunMasterOn(ep, cfg, cc, n, m.total, pre)
 }
 

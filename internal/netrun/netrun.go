@@ -3,9 +3,10 @@
 // the binary bulk codec for float-bearing payloads, gob for control)
 // on real sockets, so the master and each slave run as separate OS
 // processes — the deployment shape of the paper's Nectar workstation
-// network. The protocol code itself is untouched: netrun only supplies a
-// dlb.Endpoint whose Send/Recv move envelopes over TCP connections instead
-// of channels (RunReal) or the virtual-time cluster (Run).
+// network. The protocol code itself is untouched, and so is its wall-clock
+// endpoint: netrun only supplies the sender under dlb.WallEndpoint — a
+// router that moves envelopes over TCP connections into the peer's
+// dlb.Mailbox, where RunReal's goroutines put them directly.
 //
 // Topology. Each slave daemon (cmd/dlbd) owns one listener. The master
 // dials the initial slaves and handshakes (protocol version, node id, plan
@@ -57,7 +58,6 @@ var (
 	ErrDuplicateID      = errors.New("netrun: node id already connected")
 	ErrNoFreeSlots      = errors.New("netrun: no free joiner slots")
 	ErrBusy             = errors.New("netrun: daemon is busy with another run")
-	ErrGroupsCap        = errors.New("netrun: " + wire.RejectGroups)
 	ErrProtocol         = errors.New("netrun: protocol error")
 )
 
@@ -75,8 +75,6 @@ func rejectErr(r wire.RejectMsg) error {
 		base = ErrNoFreeSlots
 	case wire.RejectBusy:
 		base = ErrBusy
-	case wire.RejectGroups:
-		base = ErrGroupsCap
 	default:
 		base = ErrProtocol
 	}
@@ -168,24 +166,21 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 		dims[k] = v
 	}
 	return wire.RunSpec{
-		Source:             lang.Format(cfg.Plan.Prog),
-		Params:             params,
-		DistDims:           dims,
-		DistLoops:          append([]string(nil), cfg.Plan.Dist.Loops...),
-		HookFraction:       cfg.CompileOpts.HookFraction,
-		HookCostFlops:      cfg.CompileOpts.HookCostFlops,
-		Grain:              grain,
-		DLB:                cfg.DLB,
-		Synchronous:        cfg.Synchronous,
-		Cores:              cfg.Cores,
-		Kernel:             cfg.Kernel,
-		CostModel:          cfg.CostModel,
-		Overlap:            cfg.Overlap,
-		Groups:             cfg.Groups,
-		GroupExchangeEvery: cfg.GroupExchangeEvery,
-		GroupDiffusion:     cfg.GroupDiffusion,
-		HeartbeatEvery:     hbEvery,
-		FaultSpec:          fault.FormatSpec(cfg.Fault),
+		Source:         lang.Format(cfg.Plan.Prog),
+		Params:         params,
+		DistDims:       dims,
+		DistLoops:      append([]string(nil), cfg.Plan.Dist.Loops...),
+		HookFraction:   cfg.CompileOpts.HookFraction,
+		HookCostFlops:  cfg.CompileOpts.HookCostFlops,
+		Grain:          grain,
+		DLB:            cfg.DLB,
+		Synchronous:    cfg.Synchronous,
+		Cores:          cfg.Cores,
+		Kernel:         cfg.Kernel,
+		CostModel:      cfg.CostModel,
+		Overlap:        cfg.Overlap,
+		HeartbeatEvery: hbEvery,
+		FaultSpec:      fault.FormatSpec(cfg.Fault),
 	}
 }
 
@@ -204,20 +199,17 @@ func configFromSpec(plans *compile.Cache, spec wire.RunSpec) (cfg dlb.Config, ca
 		return dlb.Config{}, false, fmt.Errorf("netrun: shipped program: %w", err)
 	}
 	cfg = dlb.Config{
-		Plan:               plan,
-		Params:             spec.Params,
-		DLB:                spec.DLB,
-		Synchronous:        spec.Synchronous,
-		Cores:              spec.Cores,
-		Kernel:             spec.Kernel,
-		CostModel:          spec.CostModel,
-		Overlap:            spec.Overlap,
-		Groups:             spec.Groups,
-		GroupExchangeEvery: spec.GroupExchangeEvery,
-		GroupDiffusion:     spec.GroupDiffusion,
-		ForcedGrain:        spec.Grain,
-		CompileOpts:        opts,
-		Detect:             fault.DetectorConfig{HeartbeatEvery: spec.HeartbeatEvery},
+		Plan:        plan,
+		Params:      spec.Params,
+		DLB:         spec.DLB,
+		Synchronous: spec.Synchronous,
+		Cores:       spec.Cores,
+		Kernel:      spec.Kernel,
+		CostModel:   spec.CostModel,
+		Overlap:     spec.Overlap,
+		ForcedGrain: spec.Grain,
+		CompileOpts: opts,
+		Detect:      fault.DetectorConfig{HeartbeatEvery: spec.HeartbeatEvery},
 	}
 	if spec.FaultSpec != "" {
 		fp, err := fault.ParseSpec(spec.FaultSpec)

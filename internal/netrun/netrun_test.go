@@ -1,12 +1,12 @@
 package netrun
 
 import (
-	"fmt"
+	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/depend"
 	"repro/internal/dlb"
@@ -126,14 +126,12 @@ func TestLoopbackSOR(t *testing.T) {
 }
 
 // TestLoopbackHierGroups runs a grouped (two-level) distributed run over
-// loopback daemons: the hierarchy is decisions-only on this transport, so
-// the result must stay bit-identical to the sequential reference and the
-// master should log the roster-rank leader election.
+// loopback daemons: the hierarchy is decisions-only on this transport —
+// the master alone consults Groups, daemons are never told — so the result
+// must stay bit-identical to the sequential reference.
 func TestLoopbackHierGroups(t *testing.T) {
 	plan, params := testPlan(t, "mm", 48, 0)
 	addrs, _ := startServers(t, 4, ServerOptions{})
-	var logs []string
-	var mu sync.Mutex
 	cfg := dlb.Config{
 		Plan:        plan,
 		Params:      params,
@@ -141,48 +139,40 @@ func TestLoopbackHierGroups(t *testing.T) {
 		Groups:      2,
 		RealQuantum: 2 * time.Millisecond,
 	}
-	res, err := RunMaster(cfg, addrs, MasterOptions{
-		Logf: func(format string, args ...interface{}) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
-	})
+	res, err := RunMaster(cfg, addrs, MasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitIdentical(t, res, seqReference(t, plan, params))
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, l := range logs {
-		if strings.Contains(l, "leaders [0 2]") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no leader-election log line; got %q", logs)
-	}
 }
 
-// TestGroupsAdmissionCap checks the daemon-side admission policy: a run
-// shipping more groups than the daemon's MaxGroups is refused with the
-// typed rejection.
-func TestGroupsAdmissionCap(t *testing.T) {
-	plan, params := testPlan(t, "mm", 48, 0)
-	addrs, _ := startServers(t, 4, ServerOptions{MaxGroups: 2})
-	cfg := dlb.Config{
-		Plan:        plan,
-		Params:      params,
-		DLB:         true,
-		Groups:      4,
-		RealQuantum: 2 * time.Millisecond,
+// TestAbortFramePoisonsPeerMailbox checks the TCP half of the fail-fast
+// path: a process that died of a real bug sends an abort frame on its
+// links, and the peer's reader turns it into the mailbox poison — so the
+// peer's blocked receive unwinds with a *dlb.PeerFailure naming the dead
+// node instead of waiting for a lease to expire.
+func TestAbortFramePoisonsPeerMailbox(t *testing.T) {
+	a, b := net.Pipe()
+	slave := newRouter(1, Timeouts{}, false)
+	master := newRouter(cluster.MasterID, Timeouts{}, false)
+	slave.attach(cluster.MasterID, a, wire.NewConn(a), false)
+	master.attach(1, b, wire.NewConn(b), false)
+	defer master.close()
+	defer slave.close()
+
+	slave.send(cluster.MasterID, "status", dlb.StatusMsg{Phase: 7})
+	slave.abort("boom")
+
+	ep := master.endpoint(1)
+	if m := ep.Recv(1, "status"); m.Data.(dlb.StatusMsg).Phase != 7 {
+		t.Fatalf("frame sent before the abort was lost: %+v", m)
 	}
-	_, err := RunMaster(cfg, addrs, MasterOptions{})
-	if err == nil {
-		t.Fatal("run over the groups cap was admitted")
-	}
-	if !strings.Contains(err.Error(), wire.RejectGroups) {
-		t.Errorf("rejection lacks %q: %v", wire.RejectGroups, err)
-	}
+	defer func() {
+		pf, ok := recover().(*dlb.PeerFailure)
+		if !ok || pf.Peer != 1 || pf.Reason != "boom" {
+			t.Fatalf("receive unwound with %v, want a PeerFailure{1, boom}", pf)
+		}
+	}()
+	ep.Recv(cluster.AnySource, "")
+	t.Fatal("receive on a poisoned mailbox returned")
 }

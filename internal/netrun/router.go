@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -10,20 +11,29 @@ import (
 	"repro/internal/dlb/wire"
 )
 
+// connLost is what a slave's mailbox is poisoned with when its master
+// connection dies (or its daemon shuts down): the slave loop unwinds with
+// it, the daemon tears the session down and redials the master as a fresh
+// joiner. Anything else that escapes the run is a real bug.
+type connLost struct{ err error }
+
+func (c connLost) Error() string { return fmt.Sprintf("netrun: master connection lost: %v", c.err) }
+
 // tagClose is a writer-local sentinel: it is never written to the wire,
 // it tells the writer goroutine "everything before you is flushed — close
 // the connection and stop".
 const tagClose = "__netrun_close"
 
-// router owns a process's connections: one link per peer node id, each
-// with a writer goroutine (serializing sends, enforcing write deadlines)
-// and a reader goroutine (delivering inbound envelopes to the mailbox).
+// router owns a process's connections and the mailbox they feed: one link
+// per peer node id, each with a writer goroutine (serializing sends,
+// enforcing write deadlines) and a reader goroutine (delivering inbound
+// envelopes to the mailbox). It is the sender of the process's endpoint.
 // The master's router never dials — a slave it cannot reach is simply not
 // heard from, and the lease detector evicts it. Slave routers dial peers
 // lazily from the roster, so slave↔slave work movement flows direct.
 type router struct {
 	id        int // our node id (cluster.MasterID on the master)
-	box       *mailbox
+	box       *dlb.Mailbox
 	to        Timeouts
 	dialPeers bool
 
@@ -44,16 +54,22 @@ type link struct {
 	once  sync.Once
 }
 
-func newRouter(id int, box *mailbox, to Timeouts, dialPeers bool) *router {
+func newRouter(id int, to Timeouts, dialPeers bool) *router {
 	return &router{
 		id:        id,
-		box:       box,
+		box:       dlb.NewMailbox(),
 		to:        to.withDefaults(),
 		dialPeers: dialPeers,
 		links:     map[int]*link{},
 		roster:    map[int]string{},
 		down:      map[int]bool{},
 	}
+}
+
+// endpoint is the process's dlb endpoint: the shared wall-clock endpoint
+// receiving from the router's mailbox and sending through its links.
+func (r *router) endpoint(drag float64) *dlb.WallEndpoint {
+	return dlb.NewWallEndpoint(r.box, time.Now(), drag, r.send)
 }
 
 func (r *router) hasLink(peer int) bool {
@@ -195,7 +211,7 @@ func (r *router) linkDown(l *link, err error) {
 	closed := r.closed
 	r.mu.Unlock()
 	if l.peer == cluster.MasterID && r.id != cluster.MasterID && !closed {
-		r.box.setFail(err)
+		r.box.Fail(connLost{err})
 	}
 }
 
@@ -239,16 +255,19 @@ func (r *router) reader(l *link, readLimited bool) {
 			if ro, ok := env.Payload.(wire.RosterMsg); ok {
 				r.mergeRoster(ro.Addrs)
 			}
+		case wire.TagAbort:
+			// The peer died of a real bug: whoever is blocked on it here
+			// must fail with that, not evict it and recompute past the bug.
+			reason, _ := env.Payload.(string)
+			r.box.Fail(&dlb.PeerFailure{Peer: l.peer, Reason: reason})
 		default:
-			r.box.put(cluster.Msg{From: env.From, Tag: env.Tag, Data: env.Payload})
+			r.box.Put(cluster.Msg{From: env.From, Tag: env.Tag, Data: env.Payload})
 		}
 	}
 }
 
-// abort broadcasts the protocol's fail-fast marker on every live link: a
-// genuine bug in this process must surface as an error on its peers, not a
-// silent eviction that quietly recomputes past it.
-func (r *router) abort() {
+// broadcast queues env on every live link.
+func (r *router) broadcast(env wire.Envelope) {
 	r.mu.Lock()
 	links := make([]*link, 0, len(r.links))
 	for _, l := range r.links {
@@ -257,14 +276,22 @@ func (r *router) abort() {
 	r.mu.Unlock()
 	for _, l := range links {
 		select {
-		case l.sendQ <- wire.Envelope{Tag: dlb.AbortTag, From: r.id}:
+		case l.sendQ <- env:
 		case <-l.dead:
 		}
 	}
 }
 
+// abort tells every linked peer that this process died of a genuine bug
+// (their readers poison their mailboxes with a dlb.PeerFailure): it must
+// surface as an error there, not as a silent eviction that quietly
+// recomputes past it.
+func (r *router) abort(reason string) {
+	r.broadcast(wire.Envelope{Tag: wire.TagAbort, From: r.id, Payload: reason})
+}
+
 // close flushes every link's queued sends (the final gather, evictions)
-// and closes the connections.
+// and closes the connections. No link attaches once closed is set.
 func (r *router) close() {
 	r.mu.Lock()
 	if r.closed {
@@ -272,17 +299,8 @@ func (r *router) close() {
 		return
 	}
 	r.closed = true
-	links := make([]*link, 0, len(r.links))
-	for _, l := range r.links {
-		links = append(links, l)
-	}
 	r.mu.Unlock()
-	for _, l := range links {
-		select {
-		case l.sendQ <- wire.Envelope{Tag: tagClose}:
-		case <-l.dead:
-		}
-	}
+	r.broadcast(wire.Envelope{Tag: tagClose})
 	r.wg.Wait()
 }
 

@@ -39,12 +39,8 @@ type ServerOptions struct {
 	// tier). All tiers are bit-identical, so heterogeneous overrides are
 	// safe — a daemon without a working toolchain can pin itself to
 	// "kernel" while its peers run "aot".
-	Kernel string
-	// MaxGroups caps the hierarchical group count this daemon admits: a
-	// run whose shipped Groups exceeds it is rejected at handshake
-	// (RejectGroups). 0 means unlimited.
-	MaxGroups int
-	Timeouts  Timeouts
+	Kernel   string
+	Timeouts Timeouts
 	// InitCacheEntries bounds the daemon's plan-hash init cache: decoded
 	// initial-scatter payloads kept across runs, so resubmitting an
 	// identical plan skips the bulk re-ship (0: default 4; negative:
@@ -75,7 +71,6 @@ type Server struct {
 type session struct {
 	node int
 	rt   *router
-	box  *mailbox
 	// Init-cache pinning for this session: the key the run's scatter is
 	// stored under, and — when the daemon announced InitCached — the
 	// payload pinned at handshake time, immune to later evictions.
@@ -145,7 +140,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	if sess != nil {
-		sess.box.setFail(errors.New("server closed"))
+		sess.rt.box.Fail(connLost{errors.New("server closed")})
 		sess.rt.close()
 	}
 	s.wg.Wait()
@@ -178,16 +173,7 @@ func (s *Server) Shutdown(grace time.Duration) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	err := s.ln.Close()
-	s.mu.Lock()
-	sess := s.sess
-	s.mu.Unlock()
-	if sess != nil {
-		sess.box.setFail(errors.New("server shutting down"))
-		sess.rt.close()
-	}
-	s.wg.Wait()
-	return err
+	return s.Close()
 }
 
 // Serve accepts connections until Close. It blocks.
@@ -275,13 +261,6 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		})
 		return
 	}
-	if s.opt.MaxGroups > 0 && st.Spec.Groups > s.opt.MaxGroups {
-		s.reject(wc, nc, wire.RejectMsg{
-			Code:   wire.RejectGroups,
-			Detail: fmt.Sprintf("run requests %d groups, daemon admits at most %d", st.Spec.Groups, s.opt.MaxGroups),
-		})
-		return
-	}
 	// A busy daemon answers before it spends the running job's CPU on
 	// compiling and instantiating a plan it will not run. The claim itself
 	// stays after the handshake work, below.
@@ -324,10 +303,9 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		haveCached = false // joiners are adopted, never scattered to
 	}
 
-	box := newMailbox()
-	rt := newRouter(st.Node, box, s.to, true)
+	rt := newRouter(st.Node, s.to, true)
 	rt.mergeRoster(st.Roster)
-	sess := &session{node: st.Node, rt: rt, box: box, initKey: key, cachedInit: cachedInit, haveCached: haveCached}
+	sess := &session{node: st.Node, rt: rt, initKey: key, cachedInit: cachedInit, haveCached: haveCached}
 	s.mu.Lock()
 	if s.sess != nil || s.closed {
 		closed := s.closed
@@ -357,7 +335,7 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 
 	s.logf("node %d: run started (%d slaves, %d slots, grain %d, joiner=%v, plan cached=%v compile=%.2fms)",
 		st.Node, st.Slaves, st.Total, pre.Grain, joiner, planCached, float64(compileTime.Microseconds())/1e3)
-	err = s.runSlave(sess, cfg, st, joiner, pre)
+	err = s.runSlave(sess, cfg, st, pre)
 	rt.close()
 	s.clearSession(sess)
 
@@ -380,28 +358,31 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 	}
 }
 
-// runSlave drives the slave loop, mapping the transport's panics to
-// errors. A genuine bug is broadcast to all peers (fail fast, like the
-// goroutine runtime's abort) but does not kill the daemon.
-func (s *Server) runSlave(sess *session, cfg dlb.Config, st wire.StartMsg, joiner bool, pre *dlb.Prepared) (err error) {
+// runSlave drives the slave loop, mapping what unwinds it to errors. A
+// genuine bug is broadcast to all peers (fail fast, like the goroutine
+// runtime's poison) but does not kill the daemon; a peer's bug arrives as
+// the mailbox's *dlb.PeerFailure poison and is only reported.
+func (s *Server) runSlave(sess *session, cfg dlb.Config, st wire.StartMsg, pre *dlb.Prepared) (err error) {
 	defer func() {
-		if p := recover(); p != nil {
-			if cl, ok := p.(connLost); ok {
-				err = cl
-				return
-			}
-			sess.rt.abort()
+		switch p := recover().(type) {
+		case nil:
+		case connLost:
+			err = p
+		case *dlb.PeerFailure:
+			err = fmt.Errorf("netrun: slave %d: %w", sess.node, p)
+		default:
+			sess.rt.abort(fmt.Sprint(p))
 			err = fmt.Errorf("netrun: slave %d panicked: %v", sess.node, p)
 		}
 	}()
 	ep := &initCacheEP{
-		endpoint: newEndpoint(sess.rt, sess.box, s.opt.Drag),
-		cache:    s.inits,
-		key:      sess.initKey,
-		cached:   sess.cachedInit,
-		have:     sess.haveCached,
+		WallEndpoint: sess.rt.endpoint(s.opt.Drag),
+		cache:        s.inits,
+		key:          sess.initKey,
+		cached:       sess.cachedInit,
+		have:         sess.haveCached,
 	}
-	return dlb.RunSlaveOn(ep, cfg, st.Node, st.Slaves, joiner, pre)
+	return dlb.RunSlaveOn(ep, cfg, st.Node, st.Slaves, pre)
 }
 
 // occupied reports whether the daemon cannot take a run: a session holds
