@@ -14,33 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/compile"
 	"repro/internal/depend"
-	"repro/internal/lang"
 	"repro/internal/loopir"
 )
-
-func specFor(name string) depend.DistSpec {
-	switch name {
-	case "mm":
-		return depend.DistSpec{Dims: map[string]int{"c": 1, "b": 1}, Loops: []string{"j"}}
-	case "sor":
-		return depend.DistSpec{Dims: map[string]int{"b": 0}, Loops: []string{"j"}}
-	case "lu":
-		return depend.DistSpec{Dims: map[string]int{"a": 1}, Loops: []string{"j"}}
-	case "jacobi":
-		return depend.DistSpec{Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}}
-	case "axpy":
-		return depend.DistSpec{Dims: map[string]int{"x": 0, "y": 0}, Loops: []string{"i"}}
-	case "threshold-relax":
-		return depend.DistSpec{Dims: map[string]int{"v": 1}, Loops: []string{"j"}}
-	}
-	return depend.DistSpec{}
-}
 
 func main() {
 	deps := flag.Bool("deps", false, "print the dependence analysis")
@@ -54,51 +32,14 @@ func main() {
 		return
 	}
 
-	var prog *loopir.Program
-	var spec depend.DistSpec
-	if *file != "" {
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		prog, err = lang.Parse(string(src))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s:%v\n", *file, err)
-			os.Exit(1)
-		}
-		if *distFlag != "" {
-			spec.Dims = map[string]int{}
-			for _, part := range strings.Split(*distFlag, ",") {
-				kv := strings.SplitN(part, ":", 2)
-				if len(kv) != 2 {
-					fmt.Fprintf(os.Stderr, "bad -dist entry %q (want array:dim)\n", part)
-					os.Exit(1)
-				}
-				dim, err := strconv.Atoi(kv[1])
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bad -dist dimension in %q\n", part)
-					os.Exit(1)
-				}
-				spec.Dims[kv[0]] = dim
-			}
-		}
-	} else {
-		name := "sor"
-		if flag.NArg() > 0 {
-			name = flag.Arg(0)
-		}
-		prog = loopir.Library()[name]
-		if prog == nil {
-			var names []string
-			for n := range loopir.Library() {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "unknown program %q; available: %v (or use -file)\n", name, names)
-			os.Exit(1)
-		}
-		spec = specFor(name)
+	name := "sor"
+	if flag.NArg() > 0 {
+		name = flag.Arg(0)
+	}
+	prog, spec, err := compile.LoadProgram(*file, *distFlag, name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	fmt.Println("=== sequential source ===")
@@ -144,7 +85,7 @@ func printTable1() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		pr, err := a.PropertiesFor(specFor(name))
+		pr, err := a.PropertiesFor(compile.LibraryDist(name))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

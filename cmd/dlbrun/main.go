@@ -25,10 +25,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/fault"
-	"repro/internal/lang"
 	"repro/internal/loopir"
 	"repro/internal/metrics"
 	"repro/internal/netrun"
@@ -116,45 +114,9 @@ func main() {
 		}
 	}
 
-	var prog *loopir.Program
-	var spec depend.DistSpec
-	if *file != "" {
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			fail(err)
-		}
-		prog, err = lang.Parse(string(src))
-		if err != nil {
-			fail(fmt.Errorf("%s:%w", *file, err))
-		}
-		if *distFlag != "" {
-			spec.Dims = map[string]int{}
-			for _, part := range strings.Split(*distFlag, ",") {
-				kv := strings.SplitN(part, ":", 2)
-				if len(kv) != 2 {
-					fail(fmt.Errorf("bad -dist entry %q", part))
-				}
-				dim, err := strconv.Atoi(kv[1])
-				if err != nil {
-					fail(fmt.Errorf("bad -dist dimension in %q", part))
-				}
-				spec.Dims[kv[0]] = dim
-			}
-		}
-	} else {
-		prog = loopir.Library()[*progName]
-		if prog == nil {
-			fail(fmt.Errorf("unknown program %q", *progName))
-		}
-		specs := map[string]depend.DistSpec{
-			"mm":           {Dims: map[string]int{"c": 1, "b": 1}, Loops: []string{"j"}},
-			"sor":          {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
-			"lu":           {Dims: map[string]int{"a": 1}, Loops: []string{"j"}},
-			"jacobi":       {Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}},
-			"axpy":         {Dims: map[string]int{"x": 0, "y": 0}, Loops: []string{"i"}},
-			"periodic-sor": {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
-		}
-		spec = specs[*progName]
+	prog, spec, err := compile.LoadProgram(*file, *distFlag, *progName)
+	if err != nil {
+		fail(err)
 	}
 	params := map[string]int{}
 	for _, prm := range prog.Params {

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/lang"
 )
@@ -47,9 +46,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: depend.DistSpec{Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}},
-	})
+	// The source above is the library's jacobi-converge in text form and
+	// takes its directive: rows of a and anew, scanned by i and i2.
+	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist("jacobi-converge")})
 	if err != nil {
 		log.Fatal(err)
 	}

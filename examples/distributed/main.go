@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/fault"
 	"repro/internal/loopir"
@@ -69,7 +68,7 @@ func main() {
 	prog := loopir.MatMul()
 	params := map[string]int{"n": 256}
 	plan, err := compile.Compile(prog, compile.Options{
-		Dist: depend.DistSpec{Dims: map[string]int{"c": 1, "b": 1}, Loops: []string{"j"}},
+		Dist: compile.LibraryDist(prog.Name),
 	})
 	if err != nil {
 		log.Fatal(err)

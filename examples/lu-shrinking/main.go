@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/loopir"
 )
@@ -24,7 +23,7 @@ func main() {
 	params := map[string]int{"n": 160}
 
 	plan, err := compile.Compile(prog, compile.Options{
-		Dist: depend.DistSpec{Dims: map[string]int{"a": 1}, Loops: []string{"j"}},
+		Dist: compile.LibraryDist(prog.Name),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/loopir"
 	"repro/internal/metrics"
@@ -26,7 +25,7 @@ func main() {
 
 	// Distribution directive: columns of b (the paper indexes b[col][row]).
 	plan, err := compile.Compile(prog, compile.Options{
-		Dist: depend.DistSpec{Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
+		Dist: compile.LibraryDist(prog.Name),
 	})
 	if err != nil {
 		log.Fatal(err)

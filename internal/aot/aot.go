@@ -1,14 +1,15 @@
 // Package aot closes the loop from compile.Plan to running native code:
 // it takes the Go kernel functions emitted by internal/loopir, assembles
 // them into a standalone package, builds that package with the Go
-// toolchain into a -buildmode=plugin shared object (with a subprocess
-// runner fallback where plugins are unavailable), and loads the result
-// behind a stable NativeKernel ABI so the dlb runtime can dispatch to it
-// exactly like a compiled kernel.
+// toolchain into a -buildmode=plugin shared object, and opens it in
+// process so the dlb runtime can dispatch to the emitted functions exactly
+// like a compiled kernel. A host that cannot build or open a plugin gets
+// an error naming the remedy (the VM tier, -kernel kernel); there is no
+// second load mode.
 //
 // Artifacts are cached on disk under os.UserCacheDir()/dlb-aot (override
 // with DLB_AOT_CACHE), keyed by a sha256 of the emitted source, the Go
-// version, GOARCH, the build mode and the race-detector state: repeat
+// version, GOARCH and the race-detector state: repeat
 // jobs of the same program skip the toolchain entirely and start in
 // milliseconds. Concurrent builds of the same key are single-flighted
 // both in-process (a memo) and across processes (a lock file).
@@ -22,21 +23,11 @@ import (
 	"repro/internal/loopir"
 )
 
-// Frame carries one native-kernel invocation: the distributed range
-// [Lo,Hi), free-variable values in the kernel's FreeVars order, and one
-// flat storage slice per array in the kernel's Arrays order.
-type Frame struct {
-	Lo, Hi int
-	Regs   []int
-	Data   [][]float64
-}
-
-// NativeKernel is the stable ABI a loaded kernel presents to the runtime.
-type NativeKernel func(f *Frame)
-
-// rawKernel is the builtin-typed signature emitted kernels export. Using
-// only builtin types lets the function value cross the plugin boundary
-// without named-type identity problems.
+// rawKernel is the builtin-typed signature emitted kernels export: the
+// distributed range [lo,hi), free-variable values in the kernel's FreeVars
+// order, and one flat storage slice per array in the kernel's Arrays
+// order. Using only builtin types lets the function value cross the plugin
+// boundary without named-type identity problems.
 type rawKernel = func(lo, hi int, regs []int, data [][]float64)
 
 // Region is one kernel-eligible region of a plan: the distributed loop
@@ -62,17 +53,13 @@ type Spec struct {
 	WholeBody bool
 	// CacheDir overrides the on-disk cache root (tests and benchmarks).
 	CacheDir string
-	// Mode forces "plugin" or "exec"; empty tries plugin first and falls
-	// back to the subprocess runner. The DLB_AOT_MODE environment variable
-	// overrides an empty Mode.
-	Mode string
 }
 
 // BuildInfo records how a Program came to be, for logs and benchmarks.
 type BuildInfo struct {
 	// Key is the full cache key (hex sha256).
 	Key string
-	// Mode is "plugin" or "exec".
+	// Mode is the load mode, always ModePlugin.
 	Mode string
 	// Warm reports that an existing artifact was loaded without invoking
 	// the Go toolchain.
@@ -102,52 +89,22 @@ func (i BuildInfo) String() string {
 type Program struct {
 	Kernels []*Kernel
 	Info    BuildInfo
-
-	runner *runnerProc // exec mode; nil in plugin mode
-}
-
-// Close releases the subprocess runner, if any. Plugin artifacts cannot
-// be unloaded; Close is a no-op for them. Programs served from the memo
-// share their runner — ClearMemory closes those.
-func (p *Program) Close() {
-	if p.runner != nil && !p.Info.Memo {
-		p.runner.close()
-	}
 }
 
 // Kernel is one loaded native kernel.
 type Kernel struct {
-	// Meta is the emitter's description: data/regs layout, written
-	// arrays, parallel-safety verdict.
+	// Meta is the emitter's description: data/regs layout and the
+	// parallel-safety verdict.
 	Meta *loopir.EmittedKernel
 
-	idx        int
-	fn         rawKernel // plugin mode; nil in exec mode
-	prog       *Program
-	writeSlots []int // Meta.Writes resolved to data[] slots
+	fn rawKernel
 }
-
-// Call invokes the kernel on a frame — the NativeKernel ABI.
-func (k *Kernel) Call(f *Frame) {
-	if k.fn != nil {
-		k.fn(f.Lo, f.Hi, f.Regs, f.Data)
-		return
-	}
-	if err := k.prog.runner.call(k.idx, f, k.writeSlots); err != nil {
-		panic(fmt.Sprintf("aot: exec runner: %v", err))
-	}
-}
-
-// Native returns the kernel as a NativeKernel.
-func (k *Kernel) Native() NativeKernel { return k.Call }
 
 // CanParallel reports whether one call may be fanned across goroutines on
-// disjoint sub-ranges: the region must be proven partition-safe, must not
-// carry reduction chains (bit-identical chain replay is the VM's job),
-// and the kernel must be loaded in-process (the subprocess runner
-// serializes calls).
+// disjoint sub-ranges: the region must be proven partition-safe and must
+// not carry reduction chains (bit-identical chain replay is the VM's job).
 func (k *Kernel) CanParallel() bool {
-	return k.fn != nil && k.Meta.ParallelSafe && !k.Meta.HasChains
+	return k.Meta.ParallelSafe && !k.Meta.HasChains
 }
 
 // BoundKernel is a Kernel bound to a concrete instance's arrays, ready to
@@ -186,7 +143,7 @@ func (b *BoundKernel) regs(bind map[string]int) []int {
 // kernel's own business: emitted range loops bail out on hi <= lo exactly
 // like the VM, and whole-body kernels ignore lo/hi entirely.
 func (b *BoundKernel) Run(lo, hi int, bind map[string]int) {
-	b.K.Call(&Frame{Lo: lo, Hi: hi, Regs: b.regs(bind), Data: b.data})
+	b.K.fn(lo, hi, b.regs(bind), b.data)
 }
 
 // RunParallel executes [lo,hi) across up to workers goroutines using the
@@ -209,22 +166,16 @@ func (b *BoundKernel) RunParallel(lo, hi int, bind map[string]int, workers int) 
 	var wg sync.WaitGroup
 	var panicked sync.Map
 	for i := 0; i < w; i++ {
-		f := &Frame{
-			Lo:   lo + i*width/w,
-			Hi:   lo + (i+1)*width/w,
-			Regs: regs,
-			Data: b.data,
-		}
 		wg.Add(1)
-		go func(i int, f *Frame) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					panicked.Store(i, p)
 				}
 			}()
-			b.K.Call(f)
-		}(i, f)
+			b.K.fn(lo+i*width/w, lo+(i+1)*width/w, regs, b.data)
+		}(i)
 	}
 	wg.Wait()
 	panicked.Range(func(_, p interface{}) bool { panic(p) })

@@ -2,10 +2,13 @@ package aot
 
 import (
 	"go/format"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,7 +68,7 @@ func TestWholeBodyDifferential(t *testing.T) {
 			}
 			sameArrays(t, "interp vs kernel", ref, vm)
 
-			prog, err := Build(Spec{Prog: p, Params: params, WholeBody: true, Mode: ModePlugin})
+			prog, err := Build(Spec{Prog: p, Params: params, WholeBody: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,32 +81,6 @@ func TestWholeBodyDifferential(t *testing.T) {
 			sameArrays(t, "interp vs aot", ref, native)
 		})
 	}
-}
-
-// TestExecRunnerDifferential exercises the subprocess-runner fallback on
-// one program: same bit-identity requirement, no plugin machinery.
-func TestExecRunnerDifferential(t *testing.T) {
-	p := loopir.Library()["jacobi"]
-	params := testParams(p, 10)
-	ref := instance(t, p, params)
-	if err := ref.Interpret(); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Build(Spec{Prog: p, Params: params, WholeBody: true, Mode: ModeExec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prog.Close()
-	if prog.Info.Mode != ModeExec {
-		t.Fatalf("mode = %q, want exec", prog.Info.Mode)
-	}
-	native := instance(t, p, params)
-	bk, err := prog.Kernels[0].Bind(native.Arrays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bk.Run(0, 0, nil)
-	sameArrays(t, "interp vs exec-runner", ref, native)
 }
 
 // jacobiSweepRegion extracts the i-sweep of the jacobi program as a
@@ -129,7 +106,7 @@ func TestRangeKernelParallel(t *testing.T) {
 	params := testParams(p, 24)
 	region := jacobiSweepRegion(t, p)
 
-	prog, err := Build(Spec{Prog: p, Params: params, Regions: []Region{region}, Mode: ModePlugin})
+	prog, err := Build(Spec{Prog: p, Params: params, Regions: []Region{region}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +115,7 @@ func TestRangeKernelParallel(t *testing.T) {
 		t.Fatalf("jacobi sweep not parallel-safe: %s", k.Meta.SeqReason)
 	}
 	if !k.CanParallel() {
-		t.Fatal("plugin-mode partition-safe kernel should allow parallel dispatch")
+		t.Fatal("partition-safe kernel should allow parallel dispatch")
 	}
 
 	vm := instance(t, p, params)
@@ -189,7 +166,7 @@ func TestChainsStaySequential(t *testing.T) {
 		t.Fatalf("jacobi-converge sweep should carry a reduction chain (parallelSafe=%v seq=%q)",
 			ek.ParallelSafe, ek.SeqReason)
 	}
-	prog, err := Build(Spec{Prog: p, Params: params, Regions: []Region{{DistVar: sweep.Var, Body: sweep.Body}}, Mode: ModePlugin})
+	prog, err := Build(Spec{Prog: p, Params: params, Regions: []Region{{DistVar: sweep.Var, Body: sweep.Body}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +177,36 @@ func TestChainsStaySequential(t *testing.T) {
 
 // TestWarmStart measures the contractual cold/warm split: a second build
 // of the same spec must hit the cache (no toolchain run) and the on-disk
-// warm path — emit, hash, load — must come in under 50ms.
+// warm path — emit, hash, load — must come in under 50ms. Every handle a
+// process obtains for one spec — cold, memo hit, reloaded after
+// ClearMemory — must run, whatever became of the earlier ones.
 func TestWarmStart(t *testing.T) {
 	p := loopir.Library()["sor"]
 	params := testParams(p, 16)
-	spec := Spec{Prog: p, Params: params, WholeBody: true, Mode: ModePlugin}
+	spec := Spec{Prog: p, Params: params, WholeBody: true}
+	ref := instance(t, p, params)
+	if err := ref.Interpret(); err != nil {
+		t.Fatal(err)
+	}
+	runs := func(label string, prog *Program) {
+		t.Helper()
+		native := instance(t, p, params)
+		bk, err := prog.Kernels[0].Bind(native.Arrays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bk.Run(0, 0, nil)
+		sameArrays(t, label, ref, native)
+	}
 
 	first, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := first.Info.Key
+	if first.Info.Mode != ModePlugin {
+		t.Fatalf("mode = %q, want %q", first.Info.Mode, ModePlugin)
+	}
 
 	memoHit, err := Build(spec)
 	if err != nil {
@@ -219,6 +215,8 @@ func TestWarmStart(t *testing.T) {
 	if !memoHit.Info.Warm || !memoHit.Info.Memo {
 		t.Fatalf("second build not memo-warm: %+v", memoHit.Info)
 	}
+	runs("first handle", first)
+	runs("memo handle", memoHit)
 
 	ClearMemory()
 	start := time.Now()
@@ -239,10 +237,59 @@ func TestWarmStart(t *testing.T) {
 	if warmDur > 50*time.Millisecond {
 		t.Fatalf("warm start took %s, want < 50ms", warmDur)
 	}
+	runs("reloaded handle", diskWarm)
+	runs("first handle after ClearMemory", first)
+}
+
+// TestEmittedPackageImportFree guards the cold-build cost: the emitted
+// package is go.mod plus kernels.go and imports nothing, so the plugin
+// links the kernels and the runtime only (a single standard-library import
+// such as encoding/gob doubles the build time and the artifact size).
+func TestEmittedPackageImportFree(t *testing.T) {
+	for name, p := range loopir.Library() {
+		if loopir.UsesIArr(p.Body) {
+			continue
+		}
+		e, err := emitSpec(Spec{Prog: p, Params: testParams(p, 12), WholeBody: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.files) != 2 || e.files["go.mod"] == "" || e.files["kernels.go"] == "" {
+			var names []string
+			for fname := range e.files {
+				names = append(names, fname)
+			}
+			t.Fatalf("%s: emitted files %v, want exactly go.mod and kernels.go", name, names)
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), "kernels.go", e.files["kernels.go"], parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Imports) != 0 {
+			t.Fatalf("%s: kernels.go imports %s; the emitted package must stay import-free", name, f.Imports[0].Path.Value)
+		}
+	}
+}
+
+// TestToolchainUnavailable: a host with no usable Go toolchain gets an
+// error that names the remedy, not a panic and not a slower executor.
+func TestToolchainUnavailable(t *testing.T) {
+	empty := t.TempDir()
+	t.Setenv("PATH", empty)
+	t.Setenv("GOROOT", empty)
+	defer ClearMemory() // do not leave the memoised failure behind
+	p := loopir.Library()["jacobi"]
+	_, err := Build(Spec{Prog: p, Params: testParams(p, 14), WholeBody: true, CacheDir: t.TempDir()})
+	if err == nil {
+		t.Fatal("Build succeeded with no go binary reachable")
+	}
+	if !strings.Contains(err.Error(), "-kernel kernel") {
+		t.Fatalf("error does not name the remedy: %v", err)
+	}
 }
 
 // TestCacheKeySensitivity: parameters are baked into emitted source, so
-// changing them must change the key; mode changes the key too.
+// changing them must change the key.
 func TestCacheKeySensitivity(t *testing.T) {
 	p := loopir.Library()["mm"]
 	a, err := emitSpec(Spec{Prog: p, Params: map[string]int{"n": 8}, WholeBody: true})
@@ -253,11 +300,8 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cacheKey(a, ModePlugin) == cacheKey(b, ModePlugin) {
+	if cacheKey(a) == cacheKey(b) {
 		t.Fatal("different params produced the same cache key")
-	}
-	if cacheKey(a, ModePlugin) == cacheKey(a, ModeExec) {
-		t.Fatal("different modes produced the same cache key")
 	}
 }
 

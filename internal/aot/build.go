@@ -1,65 +1,23 @@
 package aot
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"plugin"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
 
-// ModePlugin and ModeExec name the two load modes.
-const (
-	ModePlugin = "plugin"
-	ModeExec   = "exec"
-)
-
-// Build emits the spec's kernels, builds (or reuses) the native artifact
-// and loads it. Safe for concurrent callers: identical specs build once
-// per process (memo) and once per machine (cache directory + lock file).
-func Build(spec Spec) (*Program, error) {
-	emitStart := time.Now()
-	e, err := emitSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	modes, err := candidateModes(spec.Mode)
-	if err != nil {
-		return nil, err
-	}
-	var firstErr error
-	for _, mode := range modes {
-		p, err := buildMode(spec, e, mode, time.Since(emitStart))
-		if err == nil {
-			return p, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
-}
-
-func candidateModes(mode string) ([]string, error) {
-	if mode == "" {
-		mode = os.Getenv("DLB_AOT_MODE")
-	}
-	switch mode {
-	case "":
-		return []string{ModePlugin, ModeExec}, nil
-	case ModePlugin, ModeExec:
-		return []string{mode}, nil
-	}
-	return nil, fmt.Errorf("aot: unknown mode %q (want %q or %q)", mode, ModePlugin, ModeExec)
-}
+// ModePlugin names the one load mode (BuildInfo.Mode).
+const ModePlugin = "plugin"
 
 // memo single-flights identical builds within the process and keeps
 // loaded programs alive (a plugin cannot be unloaded anyway).
@@ -74,21 +32,25 @@ type memoEntry struct {
 	err  error
 }
 
-// ClearMemory drops the in-process program memo, closing any subprocess
-// runners. Tests and benchmarks use it to measure the on-disk warm path.
+// ClearMemory drops the in-process program memo. Tests and benchmarks use
+// it to measure the on-disk warm path.
 func ClearMemory() {
 	memoMu.Lock()
 	defer memoMu.Unlock()
-	for _, e := range memo {
-		if e.prog != nil && e.prog.runner != nil {
-			e.prog.runner.close()
-		}
-	}
 	memo = map[string]*memoEntry{}
 }
 
-func buildMode(spec Spec, e *emitted, mode string, emitDur time.Duration) (*Program, error) {
-	key := cacheKey(e, mode)
+// Build emits the spec's kernels, builds (or reuses) the plugin and opens
+// it. Safe for concurrent callers: identical specs build once per process
+// (memo) and once per machine (cache directory + lock file).
+func Build(spec Spec) (*Program, error) {
+	emitStart := time.Now()
+	e, err := emitSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	key := cacheKey(e)
+	emitDur := time.Since(emitStart)
 
 	memoMu.Lock()
 	ent, hit := memo[key]
@@ -99,7 +61,7 @@ func buildMode(spec Spec, e *emitted, mode string, emitDur time.Duration) (*Prog
 	memoMu.Unlock()
 
 	ent.once.Do(func() {
-		ent.prog, ent.err = buildAndLoad(spec, e, mode, key, emitDur)
+		ent.prog, ent.err = buildAndLoad(spec, e, key, emitDur)
 	})
 	if ent.err != nil {
 		return nil, ent.err
@@ -117,11 +79,11 @@ func buildMode(spec Spec, e *emitted, mode string, emitDur time.Duration) (*Prog
 }
 
 // cacheKey hashes everything that determines the artifact: emitted
-// source, Go version, GOARCH, load mode and the race-detector state of
-// the host (a race-enabled host can only load race-enabled plugins).
-func cacheKey(e *emitted, mode string) string {
+// source, Go version, GOARCH and the race-detector state of the host (a
+// race-enabled host can only load race-enabled plugins).
+func cacheKey(e *emitted) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "go=%s arch=%s mode=%s race=%v\n", runtime.Version(), runtime.GOARCH, mode, raceEnabled)
+	fmt.Fprintf(h, "go=%s arch=%s race=%v\n", runtime.Version(), runtime.GOARCH, raceEnabled)
 	names := make([]string, 0, len(e.files))
 	for name := range e.files {
 		names = append(names, name)
@@ -148,18 +110,15 @@ func cacheRoot(override string) (string, error) {
 	return filepath.Join(base, "dlb-aot"), nil
 }
 
-func buildAndLoad(spec Spec, e *emitted, mode, key string, emitDur time.Duration) (*Program, error) {
+func buildAndLoad(spec Spec, e *emitted, key string, emitDur time.Duration) (*Program, error) {
 	root, err := cacheRoot(spec.CacheDir)
 	if err != nil {
 		return nil, err
 	}
 	dir := filepath.Join(root, key[:16])
 	artifact := filepath.Join(dir, "kernel.so")
-	if mode == ModeExec {
-		artifact = filepath.Join(dir, "kernel.bin")
-	}
 
-	info := BuildInfo{Key: key, Mode: mode, Dir: dir, EmitDur: emitDur, Skipped: e.skipped}
+	info := BuildInfo{Key: key, Mode: ModePlugin, Dir: dir, EmitDur: emitDur, Skipped: e.skipped}
 
 	if _, err := os.Stat(artifact); err != nil {
 		// Cold: materialize source and run the toolchain under the
@@ -184,7 +143,7 @@ func buildAndLoad(spec Spec, e *emitted, mode, key string, emitDur time.Duration
 				unlock()
 				return nil, err
 			}
-			if err := runToolchain(filepath.Join(dir, "src"), artifact, mode); err != nil {
+			if err := runToolchain(filepath.Join(dir, "src"), artifact); err != nil {
 				unlock()
 				return nil, err
 			}
@@ -198,34 +157,15 @@ func buildAndLoad(spec Spec, e *emitted, mode, key string, emitDur time.Duration
 	}
 
 	loadStart := time.Now()
-	p := &Program{Info: info}
-	var fns []rawKernel
-	if mode == ModePlugin {
-		fns, err = loadPlugin(artifact, len(e.kernels))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		p.runner = &runnerProc{path: artifact}
+	fns, err := loadPlugin(artifact, len(e.kernels))
+	if err != nil {
+		return nil, err
 	}
+	p := &Program{Info: info, Kernels: make([]*Kernel, len(e.kernels))}
 	for i, ek := range e.kernels {
-		if ek == nil {
-			p.Kernels = append(p.Kernels, nil)
-			continue
+		if ek != nil {
+			p.Kernels[i] = &Kernel{Meta: ek, fn: fns[i]}
 		}
-		k := &Kernel{Meta: ek, idx: i, prog: p}
-		if fns != nil {
-			k.fn = fns[i]
-		}
-		for _, w := range ek.Writes {
-			for slot, arr := range ek.Arrays {
-				if arr == w {
-					k.writeSlots = append(k.writeSlots, slot)
-					break
-				}
-			}
-		}
-		p.Kernels = append(p.Kernels, k)
 	}
 	p.Info.LoadDur = time.Since(loadStart)
 	return p, nil
@@ -243,17 +183,21 @@ func writeSource(srcDir string, files map[string]string) error {
 	return nil
 }
 
+// unavailable wraps a toolchain or loader failure with the remedy: the
+// next tier down runs the same kernels on the VM and needs no toolchain.
+func unavailable(what string, err error) error {
+	return fmt.Errorf("aot: %s: %w\naot: native kernels need a Go toolchain with cgo and -buildmode=plugin on this host; "+
+		"run on the VM tier instead (-kernel kernel; dlbd -kernel kernel pins one daemon)", what, err)
+}
+
 // runToolchain invokes go build. Plugins need cgo; plugin-path
 // uniqueness comes from the per-key module path written by buildAndLoad.
-func runToolchain(srcDir, artifact, mode string) error {
+func runToolchain(srcDir, artifact string) error {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		goBin = filepath.Join(runtime.GOROOT(), "bin", "go")
 	}
-	args := []string{"build"}
-	if mode == ModePlugin {
-		args = append(args, "-buildmode=plugin")
-	}
+	args := []string{"build", "-buildmode=plugin"}
 	if raceEnabled {
 		args = append(args, "-race")
 	}
@@ -261,13 +205,10 @@ func runToolchain(srcDir, artifact, mode string) error {
 	args = append(args, "-o", tmp, ".")
 	cmd := exec.Command(goBin, args...)
 	cmd.Dir = srcDir
-	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
-	if mode == ModePlugin {
-		cmd.Env = append(cmd.Env, "CGO_ENABLED=1")
-	}
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=", "CGO_ENABLED=1")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return fmt.Errorf("aot: %s %s build failed: %v\n%s", filepath.Base(goBin), mode, err, out)
+		return unavailable(strings.Join(cmd.Args, " "), fmt.Errorf("%w\n%s", err, bytes.TrimSpace(out)))
 	}
 	return os.Rename(tmp, artifact)
 }
@@ -276,7 +217,7 @@ func runToolchain(srcDir, artifact, mode string) error {
 func loadPlugin(path string, want int) ([]rawKernel, error) {
 	pl, err := plugin.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("aot: open plugin: %w", err)
+		return nil, unavailable("open plugin", err)
 	}
 	sym, err := pl.Lookup("Kernels")
 	if err != nil {
@@ -317,98 +258,5 @@ func lockDir(dir string) (unlock func(), err error) {
 			continue
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// runnerProc is the host side of the subprocess runner: one persistent
-// child speaking gob over stdin/stdout, calls serialized by a mutex.
-type runnerProc struct {
-	path string
-
-	mu     sync.Mutex
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	closed bool
-}
-
-type runnerReq struct {
-	K      int
-	Lo, Hi int
-	Regs   []int
-	Data   [][]float64
-}
-
-type runnerResp struct {
-	Data [][]float64
-}
-
-func (r *runnerProc) start() error {
-	cmd := exec.Command(r.path)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	r.cmd = cmd
-	r.stdin = stdin
-	r.enc = gob.NewEncoder(stdin)
-	r.dec = gob.NewDecoder(stdout)
-	return nil
-}
-
-func (r *runnerProc) call(k int, f *Frame, writeSlots []int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("runner closed")
-	}
-	if r.cmd == nil {
-		if err := r.start(); err != nil {
-			return err
-		}
-	}
-	req := runnerReq{K: k, Lo: f.Lo, Hi: f.Hi, Regs: f.Regs, Data: f.Data}
-	if err := r.enc.Encode(req); err != nil {
-		return err
-	}
-	var resp runnerResp
-	if err := r.dec.Decode(&resp); err != nil {
-		return err
-	}
-	if len(resp.Data) != len(writeSlots) {
-		return fmt.Errorf("runner returned %d arrays, want %d", len(resp.Data), len(writeSlots))
-	}
-	for i, slot := range writeSlots {
-		copy(f.Data[slot], resp.Data[i])
-	}
-	return nil
-}
-
-func (r *runnerProc) close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.cmd != nil {
-		r.stdin.Close()
-		done := make(chan struct{})
-		go func() { r.cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			r.cmd.Process.Kill()
-			<-done
-		}
 	}
 }

@@ -316,23 +316,11 @@ func TestInstantiateHookLevelFallsBackOutward(t *testing.T) {
 	}
 }
 
+// TestCompileAllLibraryPrograms compiles every library program under the
+// directive table the commands, experiments and examples share.
 func TestCompileAllLibraryPrograms(t *testing.T) {
-	specs := map[string]depend.DistSpec{
-		"mm":     specMM(),
-		"sor":    specSOR(),
-		"lu":     specLU(),
-		"jacobi": specJacobi(),
-		"axpy":   {Dims: map[string]int{"x": 0, "y": 0}, Loops: []string{"i"}},
-		// Column distribution: the Gauss–Seidel-style pipeline then runs
-		// along rows, which the strip miner supports (like SOR).
-		"threshold-relax": {Dims: map[string]int{"v": 1}, Loops: []string{"j"}},
-		"periodic-sor":    {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
-		"jacobi-converge": {Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}},
-		"jacobi3d":        {Dims: map[string]int{"u": 0, "unew": 0}, Loops: []string{"i", "i2"}},
-	}
 	for name, prog := range loopir.Library() {
-		spec := specs[name]
-		p, err := Compile(prog, Options{Dist: spec})
+		p, err := Compile(prog, Options{Dist: LibraryDist(name)})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

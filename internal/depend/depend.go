@@ -20,6 +20,7 @@ package depend
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/loopir"
@@ -167,6 +168,22 @@ type DistSpec struct {
 	// Loops are the distributed loop variables, one per updating nest,
 	// first is primary.
 	Loops []string
+}
+
+// ParseDist reads the command-line form of a directive, "array:dim" entries
+// separated by commas. It names no loops: the compiler finds the loops that
+// scan the distributed dimensions.
+func ParseDist(s string) (DistSpec, error) {
+	spec := DistSpec{Dims: map[string]int{}}
+	for _, part := range strings.Split(s, ",") {
+		arr, dimText, ok := strings.Cut(part, ":")
+		dim, err := strconv.Atoi(dimText)
+		if !ok || arr == "" || err != nil {
+			return DistSpec{}, fmt.Errorf("bad distribution entry %q (want array:dim)", part)
+		}
+		spec.Dims[arr] = dim
+	}
+	return spec, nil
 }
 
 // Primary returns the primary distributed loop variable.

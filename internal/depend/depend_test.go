@@ -334,3 +334,18 @@ func TestSampleSizeRobustness(t *testing.T) {
 			len(a1.CarriedBy("j")), len(a2.CarriedBy("j")))
 	}
 }
+
+func TestParseDist(t *testing.T) {
+	spec, err := ParseDist("a:0,anew:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Dims) != 2 || spec.Dims["a"] != 0 || spec.Dims["anew"] != 1 || len(spec.Loops) != 0 {
+		t.Errorf("ParseDist = %+v", spec)
+	}
+	for _, bad := range []string{"", "a", "a:", ":1", "a:x", "a:0,,b:1"} {
+		if _, err := ParseDist(bad); err == nil {
+			t.Errorf("ParseDist(%q) accepted", bad)
+		}
+	}
+}

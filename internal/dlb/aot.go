@@ -35,6 +35,21 @@ func buildAOT(plan *compile.Plan, params map[string]int) (*aotBundle, error) {
 	return &aotBundle{prog: prog, regions: regions}, nil
 }
 
+// LoadNative builds (or cache-loads) the native kernels when cfg resolves
+// to the aot tier, and does nothing on the other tiers. A daemon calls it
+// before it answers the handshake, so a host that cannot build or open a
+// plugin refuses the run with the reason and the remedy instead of
+// dropping out of a run that already counted it in; RunSlaveOn then runs on
+// the kernels p carries.
+func (p *Prepared) LoadNative(cfg Config) error {
+	tier, err := cfg.KernelTier()
+	if err != nil || tier != KernelAOT {
+		return err
+	}
+	p.native, err = buildAOT(cfg.Plan, cfg.Params)
+	return err
+}
+
 // kernelFor returns the loaded kernel for a distributed-loop step, or nil
 // when the emitter refused the region (the caller falls back a tier).
 func (b *aotBundle) kernelFor(st *compile.OwnedLoop) *aot.Kernel {

@@ -7,7 +7,7 @@ import (
 )
 
 // walkUnitSlice is the pre-fast-path gather: the per-element closure walk
-// (still the oracle and the fallback), benchmarked as the baseline.
+// (the oracle in data_test.go), benchmarked as the baseline.
 func walkUnitSlice(a *loopir.Array, dim, u int) []float64 {
 	out := make([]float64, 0, unitSize(a, dim))
 	forEachUnitElem(a, dim, u, -1, 0, 0, func(flat int) {

@@ -220,96 +220,91 @@ func unitSize(a *loopir.Array, dim int) int {
 }
 
 // unitSlice copies the elements of the array with index dim fixed at u, in
-// canonical (row-major, dim removed) order. The selection decomposes into
-// contiguous runs copied with copy() (or a tight strided loop when runs
-// degenerate to single elements); the per-element walk remains as the
-// fallback and as the oracle the fast path is tested against.
+// canonical (row-major, dim removed) order.
 func unitSlice(a *loopir.Array, dim, u int) []float64 {
-	out := make([]float64, 0, unitSize(a, dim))
-	if fast, ok := gatherUnit(out, a, dim, u, -1, 0, 0); ok {
-		return fast
-	}
-	forEachUnitElem(a, dim, u, -1, 0, 0, func(flat int) {
-		out = append(out, a.Data[flat])
-	})
-	return out
+	return gatherUnit(make([]float64, 0, unitSize(a, dim)), a, dim, u, -1, 0, 0)
 }
 
 // setUnitSlice writes a slice produced by unitSlice back at index u.
 func setUnitSlice(a *loopir.Array, dim, u int, vals []float64) {
-	if scatterUnit(a, dim, u, -1, 0, 0, vals) {
-		return
-	}
-	i := 0
-	forEachUnitElem(a, dim, u, -1, 0, 0, func(flat int) {
-		a.Data[flat] = vals[i]
-		i++
-	})
-	if i != len(vals) {
-		panic(fmt.Sprintf("dlb: slice length %d does not match unit size %d", len(vals), i))
-	}
+	scatterUnit(a, dim, u, -1, 0, 0, vals)
 }
 
 // unitSliceRows copies the elements with index dim = u and rowDim in
 // [rowLo, rowHi).
 func unitSliceRows(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) []float64 {
-	if fast, ok := gatherUnit(nil, a, dim, u, rowDim, rowLo, rowHi); ok {
-		return fast
-	}
-	var out []float64
-	forEachUnitElem(a, dim, u, rowDim, rowLo, rowHi, func(flat int) {
-		out = append(out, a.Data[flat])
-	})
-	return out
+	return gatherUnit(nil, a, dim, u, rowDim, rowLo, rowHi)
 }
 
 // setUnitSliceRows writes back a slice produced by unitSliceRows.
 func setUnitSliceRows(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, vals []float64) {
-	if scatterUnit(a, dim, u, rowDim, rowLo, rowHi, vals) {
-		return
-	}
-	i := 0
-	forEachUnitElem(a, dim, u, rowDim, rowLo, rowHi, func(flat int) {
-		a.Data[flat] = vals[i]
-		i++
-	})
-	if i != len(vals) {
-		panic(fmt.Sprintf("dlb: row slice length %d does not match selection %d", len(vals), i))
-	}
+	scatterUnit(a, dim, u, rowDim, rowLo, rowHi, vals)
 }
 
 // runShape is the contiguous-run decomposition of a unit selection: the
 // canonical-order walk visits runs of n consecutive elements, one per
-// combination of the outer loop counters, each starting at
-// off + Σ v_i·oStride_i.
+// combination of the outer loop counters (outermost first), each starting
+// at off + Σ v_i·stride_i.
 type runShape struct {
-	off, n            int
-	nOuter            int
-	oLo, oHi, oStride [4]int
+	off, n int
+	outer  []outerLoop
 }
+
+type outerLoop struct{ lo, hi, stride int }
 
 // total is the element count of the whole selection.
 func (sh *runShape) total() int {
 	t := sh.n
-	for i := 0; i < sh.nOuter; i++ {
-		t *= sh.oHi[i] - sh.oLo[i]
+	for _, l := range sh.outer {
+		t *= l.hi - l.lo
 	}
 	return t
 }
 
-// unitRunShape computes the run decomposition for the selection
-// (dim = u, optionally rowDim in [rowLo, rowHi)). The innermost dim that
-// breaks contiguity is k = max(dim, restricted rowDim): everything after k
-// is iterated fully, so each setting of the dims up to k yields one
-// contiguous run — Stride[dim] elements at u·Stride[dim] when k == dim,
+// eachRun calls fn with the start offset of every run, in canonical order:
+// an odometer over the outer counters, innermost fastest.
+func (sh *runShape) eachRun(fn func(off int)) {
+	if sh.total() == 0 {
+		return
+	}
+	ctr := make([]int, len(sh.outer))
+	off := sh.off
+	for i, l := range sh.outer {
+		ctr[i] = l.lo
+		off += l.lo * l.stride
+	}
+	for {
+		fn(off)
+		d := len(ctr) - 1
+		for ; d >= 0; d-- {
+			l := sh.outer[d]
+			ctr[d]++
+			off += l.stride
+			if ctr[d] < l.hi {
+				break
+			}
+			ctr[d] = l.lo
+			off -= (l.hi - l.lo) * l.stride
+		}
+		if d < 0 {
+			return
+		}
+	}
+}
+
+// unitRuns computes the run decomposition for the selection (dim = u,
+// optionally rowDim in [rowLo, rowHi)). The innermost dim that breaks
+// contiguity is k = max(dim, restricted rowDim): everything after k is
+// iterated fully, so each setting of the dims up to k yields one contiguous
+// run — Stride[dim] elements at u·Stride[dim] when k == dim,
 // (hi−lo)·Stride[k] elements starting at lo·Stride[k] when k == rowDim.
-// Dims before k (minus the fixed dim) become the outer loops. Returns
-// ok = false for shapes it does not cover (rowDim == dim, > 4 outer dims);
-// the caller falls back to the per-element walk.
-func unitRunShape(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) (runShape, bool) {
-	var sh runShape
-	if dim < 0 || dim >= len(a.Dims) || rowDim == dim || rowDim >= len(a.Dims) {
-		return sh, false
+// Dims before k (minus the fixed dim) become the outer loops, appended to
+// outer: callers pass stack storage for two, which covers every array of
+// rank ≤ 3 without allocating. A row range on dim itself restricts
+// nothing: that index is already pinned to u.
+func unitRuns(outer []outerLoop, a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) runShape {
+	if rowDim == dim {
+		rowDim = -1
 	}
 	k := dim
 	lo, hi := 0, 0
@@ -328,7 +323,7 @@ func unitRunShape(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) (runShape, 
 			k = rowDim
 		}
 	}
-	sh.off, sh.n = u*a.Stride[dim], a.Stride[dim]
+	sh := runShape{off: u * a.Stride[dim], n: a.Stride[dim]}
 	if rowDim == k && rowDim >= 0 {
 		sh.off += lo * a.Stride[k]
 		sh.n = (hi - lo) * a.Stride[k]
@@ -337,32 +332,28 @@ func unitRunShape(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) (runShape, 
 		if d == dim {
 			continue
 		}
-		if sh.nOuter == len(sh.oLo) {
-			return sh, false
-		}
-		l, h := 0, a.Dims[d]
+		l := outerLoop{0, a.Dims[d], a.Stride[d]}
 		if d == rowDim {
-			l, h = lo, hi
+			l.lo, l.hi = lo, hi
 		}
-		sh.oLo[sh.nOuter], sh.oHi[sh.nOuter], sh.oStride[sh.nOuter] = l, h, a.Stride[d]
-		sh.nOuter++
+		outer = append(outer, l)
 	}
-	return sh, true
+	sh.outer = outer
+	return sh
 }
 
 // gatherUnit appends the selection to dst using contiguous copies (or a
 // tight strided loop when runs are single elements, the column-distributed
-// 2D case). ok = false means nothing was appended — fall back.
-func gatherUnit(dst []float64, a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) ([]float64, bool) {
-	sh, ok := unitRunShape(a, dim, u, rowDim, rowLo, rowHi)
-	if !ok {
-		return dst, false
-	}
-	switch sh.nOuter {
+// 2D case). Up to two outer loops — every array of rank ≤ 3 — are written
+// out; deeper selections go through the odometer.
+func gatherUnit(dst []float64, a *loopir.Array, dim, u, rowDim, rowLo, rowHi int) []float64 {
+	var buf [2]outerLoop
+	sh := unitRuns(buf[:0], a, dim, u, rowDim, rowLo, rowHi)
+	switch len(sh.outer) {
 	case 0:
-		return append(dst, a.Data[sh.off:sh.off+sh.n]...), true
+		return append(dst, a.Data[sh.off:sh.off+sh.n]...)
 	case 1:
-		l, h, s := sh.oLo[0], sh.oHi[0], sh.oStride[0]
+		l, h, s := sh.outer[0].lo, sh.outer[0].hi, sh.outer[0].stride
 		if sh.n == 1 {
 			i := len(dst)
 			dst = append(dst, make([]float64, h-l)...)
@@ -371,47 +362,49 @@ func gatherUnit(dst []float64, a *loopir.Array, dim, u, rowDim, rowLo, rowHi int
 				dst[i] = col[v*s]
 				i++
 			}
-			return dst, true
+			return dst
 		}
 		for v := l; v < h; v++ {
 			o := sh.off + v*s
 			dst = append(dst, a.Data[o:o+sh.n]...)
 		}
-		return dst, true
+		return dst
 	case 2:
-		for v0 := sh.oLo[0]; v0 < sh.oHi[0]; v0++ {
-			b0 := sh.off + v0*sh.oStride[0]
-			for v1 := sh.oLo[1]; v1 < sh.oHi[1]; v1++ {
-				o := b0 + v1*sh.oStride[1]
+		o0, o1 := sh.outer[0], sh.outer[1]
+		for v0 := o0.lo; v0 < o0.hi; v0++ {
+			b0 := sh.off + v0*o0.stride
+			for v1 := o1.lo; v1 < o1.hi; v1++ {
+				o := b0 + v1*o1.stride
 				dst = append(dst, a.Data[o:o+sh.n]...)
 			}
 		}
-		return dst, true
+		return dst
 	}
-	return dst, false
+	sh.eachRun(func(o int) { dst = append(dst, a.Data[o:o+sh.n]...) })
+	return dst
 }
 
-// scatterUnit writes vals over the selection with contiguous copies.
-// Returns false (having written nothing) on uncovered shapes or a length
-// mismatch — the fallback walk then panics on the mismatch.
-func scatterUnit(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, vals []float64) bool {
-	sh, ok := unitRunShape(a, dim, u, rowDim, rowLo, rowHi)
-	if !ok || sh.total() != len(vals) {
-		return false
+// scatterUnit writes vals over the selection with contiguous copies, the
+// inverse of gatherUnit.
+func scatterUnit(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, vals []float64) {
+	var buf [2]outerLoop
+	sh := unitRuns(buf[:0], a, dim, u, rowDim, rowLo, rowHi)
+	if sh.total() != len(vals) {
+		panic(fmt.Sprintf("dlb: slice length %d does not match selection %d", len(vals), sh.total()))
 	}
-	switch sh.nOuter {
+	switch len(sh.outer) {
 	case 0:
 		copy(a.Data[sh.off:sh.off+sh.n], vals)
-		return true
+		return
 	case 1:
-		l, h, s := sh.oLo[0], sh.oHi[0], sh.oStride[0]
+		l, h, s := sh.outer[0].lo, sh.outer[0].hi, sh.outer[0].stride
 		if sh.n == 1 {
 			col := a.Data[sh.off:]
 			for i, v := 0, l; v < h; v++ {
 				col[v*s] = vals[i]
 				i++
 			}
-			return true
+			return
 		}
 		i := 0
 		for v := l; v < h; v++ {
@@ -419,52 +412,25 @@ func scatterUnit(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, vals []float
 			copy(a.Data[o:o+sh.n], vals[i:])
 			i += sh.n
 		}
-		return true
+		return
 	case 2:
+		o0, o1 := sh.outer[0], sh.outer[1]
 		i := 0
-		for v0 := sh.oLo[0]; v0 < sh.oHi[0]; v0++ {
-			b0 := sh.off + v0*sh.oStride[0]
-			for v1 := sh.oLo[1]; v1 < sh.oHi[1]; v1++ {
-				o := b0 + v1*sh.oStride[1]
+		for v0 := o0.lo; v0 < o0.hi; v0++ {
+			b0 := sh.off + v0*o0.stride
+			for v1 := o1.lo; v1 < o1.hi; v1++ {
+				o := b0 + v1*o1.stride
 				copy(a.Data[o:o+sh.n], vals[i:])
 				i += sh.n
 			}
 		}
-		return true
+		return
 	}
-	return false
-}
-
-// forEachUnitElem visits the flat offsets of the array with index dim = u,
-// optionally restricted to rowDim in [rowLo, rowHi), in canonical order.
-func forEachUnitElem(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, fn func(flat int)) {
-	idx := make([]int, len(a.Dims))
-	var rec func(d, flat int)
-	rec = func(d, flat int) {
-		if d == len(a.Dims) {
-			fn(flat)
-			return
-		}
-		if d == dim {
-			rec(d+1, flat+u*a.Stride[d])
-			return
-		}
-		lo, hi := 0, a.Dims[d]
-		if d == rowDim {
-			lo, hi = rowLo, rowHi
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > a.Dims[d] {
-				hi = a.Dims[d]
-			}
-		}
-		for v := lo; v < hi; v++ {
-			idx[d] = v
-			rec(d+1, flat+v*a.Stride[d])
-		}
-	}
-	rec(0, 0)
+	i := 0
+	sh.eachRun(func(o int) {
+		copy(a.Data[o:o+sh.n], vals[i:])
+		i += sh.n
+	})
 }
 
 // ghostNeeds lists the units (ascending) that slave me must receive to

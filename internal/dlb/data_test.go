@@ -111,14 +111,50 @@ func TestUnitSliceQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnitCopyOracle pits the contiguous-run fast paths against the
-// per-element walk (the oracle) on every 1D/2D/3D shape, distributed dim,
-// unit, and row restriction — including out-of-range bounds that must
-// clamp, empty selections, and rowDim == dim (which the fast path
-// declines and the fallback must still answer).
+// forEachUnitElem visits the flat offsets of the array with index dim = u,
+// optionally restricted to rowDim in [rowLo, rowHi), in canonical order: the
+// per-element walk that defines what a unit selection is, and the oracle
+// the contiguous-run copies in data.go are tested and benchmarked against.
+func forEachUnitElem(a *loopir.Array, dim, u, rowDim, rowLo, rowHi int, fn func(flat int)) {
+	idx := make([]int, len(a.Dims))
+	var rec func(d, flat int)
+	rec = func(d, flat int) {
+		if d == len(a.Dims) {
+			fn(flat)
+			return
+		}
+		if d == dim {
+			rec(d+1, flat+u*a.Stride[d])
+			return
+		}
+		lo, hi := 0, a.Dims[d]
+		if d == rowDim {
+			lo, hi = rowLo, rowHi
+			if lo < 0 {
+				lo = 0
+			}
+			if hi > a.Dims[d] {
+				hi = a.Dims[d]
+			}
+		}
+		for v := lo; v < hi; v++ {
+			idx[d] = v
+			rec(d+1, flat+v*a.Stride[d])
+		}
+	}
+	rec(0, 0)
+}
+
+// TestUnitCopyOracle pits the contiguous-run copies against the
+// per-element walk (the oracle) on every shape from rank 1 to rank 5 —
+// ranks 4 and 5 take the odometer — and every distributed dim, unit and
+// row restriction, including out-of-range bounds that must clamp, empty
+// selections, and rowDim == dim (a range on the index already pinned to u
+// restricts nothing).
 func TestUnitCopyOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	shapes := [][]int{{6}, {1}, {4, 5}, {5, 4}, {1, 7}, {3, 4, 5}, {2, 2, 2}, {5, 1, 3}}
+	shapes := [][]int{{6}, {1}, {4, 5}, {5, 4}, {1, 7}, {3, 4, 5}, {2, 2, 2}, {5, 1, 3},
+		{3, 2, 4, 3}, {2, 3, 1, 4}, {1, 1, 1, 1}, {2, 3, 2, 2, 3}, {3, 1, 2, 4, 2}}
 	for _, dims := range shapes {
 		a := loopir.NewArray("a", dims)
 		for i := range a.Data {

@@ -372,7 +372,9 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.adopt(pre)
+	if err := l.adopt(pre); err != nil {
+		return nil, err
+	}
 
 	k := vtime.NewKernel()
 	cc.Slaves = l.total

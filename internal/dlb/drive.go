@@ -41,6 +41,8 @@ type Prepared struct {
 	// this resolved value to slaves instead of the caller's zero, or the
 	// two sides would instantiate different hook schedules.
 	Opts compile.Options
+
+	native *aotBundle // LoadNative's kernels, nil until then
 }
 
 // Prepare instantiates cfg.Plan for a real (wall-clock) environment with
@@ -80,7 +82,9 @@ func RunMasterOn(ep Endpoint, cfg Config, cc cluster.Config, initial, total int,
 	if err != nil {
 		return nil, err
 	}
-	l.adopt(pre)
+	if err := l.adopt(pre); err != nil {
+		return nil, err
+	}
 	eng := l.engine(cc)
 	start := ep.Now()
 	defer func() {
@@ -113,14 +117,13 @@ func RunSlaveOn(ep Endpoint, cfg Config, id, slaves int, pre *Prepared) (err err
 	if id < 0 {
 		return fmt.Errorf("dlb: bad slave id %d of %d", id, slaves)
 	}
-	// A daemon slave is a real OS process: building (or cache-loading) the
-	// native kernels inline in the assembly is safe, and the on-disk cache
-	// makes every run after the first a warm start.
 	l, err := assemble(cfg, slaveOnly, slaves, 0)
 	if err != nil {
 		return err
 	}
-	l.adopt(pre)
+	if err := l.adopt(pre); err != nil {
+		return err
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			switch p.(type) {

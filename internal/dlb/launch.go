@@ -51,6 +51,7 @@ type launch struct {
 	pol   FaultPolicy
 
 	// Slave side.
+	native  bool // slaves run on the aot tier; adopt supplies bundle
 	bundle  *aotBundle
 	sfault  slaveFault
 	inj     *fault.Injector
@@ -119,17 +120,7 @@ func assemble(cfg Config, r role, initial, total int) (*launch, error) {
 		}
 	}
 	if r != masterOnly {
-		// Native kernels are built (or cache-loaded) before any slave spawns
-		// — the toolchain subprocess must not run inside the virtual-time
-		// scheduler — and shared read-only.
-		if l.tier == KernelAOT {
-			if l.bundle, err = buildAOT(cfg.Plan, cfg.Params); err != nil {
-				return nil, err
-			}
-			if l.res != nil {
-				l.res.AotInfo = &l.bundle.prog.Info
-			}
-		}
+		l.native = l.tier == KernelAOT
 		l.sfault = noSlaveFault{}
 		if l.ft {
 			l.sfault = ftSlaveFault{}
@@ -140,12 +131,30 @@ func assemble(cfg Config, r role, initial, total int) (*launch, error) {
 	return l, nil
 }
 
-// adopt installs the instantiation the run executes.
-func (l *launch) adopt(pre *Prepared) {
+// adopt installs the instantiation the run executes and, where the
+// assembly runs slaves on the aot tier, their native kernels: the ones a
+// daemon's handshake already loaded into pre (Prepared.LoadNative), else
+// built (or cache-loaded) here — before any slave spawns, because the
+// toolchain must not run inside the virtual-time scheduler — and shared
+// read-only.
+func (l *launch) adopt(pre *Prepared) error {
 	l.exec, l.grain = pre.Exec, pre.Grain
 	if l.res != nil {
 		l.res.Exec, l.res.Grain = pre.Exec, pre.Grain
 	}
+	if !l.native {
+		return nil
+	}
+	if l.bundle = pre.native; l.bundle == nil {
+		var err error
+		if l.bundle, err = buildAOT(l.cfg.Plan, l.cfg.Params); err != nil {
+			return err
+		}
+	}
+	if l.res != nil {
+		l.res.AotInfo = &l.bundle.prog.Info
+	}
+	return nil
 }
 
 // engine hands out the master process over the given cluster parameters

@@ -33,7 +33,9 @@ func RunReal(cfg Config, slaves int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.adopt(pre)
+	if err := l.adopt(pre); err != nil {
+		return nil, err
+	}
 	eng := l.engine(cluster.Config{
 		Slaves:  slaves,
 		Quantum: l.cfg.RealQuantum,

@@ -309,7 +309,7 @@ func (s *slave) lowerOwned(st *compile.OwnedLoop) *ownedExec {
 	if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
 		if bk, err := k.Bind(s.inst.Arrays); err == nil {
 			// A native kernel that refuses parallel dispatch (reduction
-			// chain, subprocess runner) caps the loop at one worker.
+			// chain) caps the loop at one worker.
 			ox.par = ox.par && k.CanParallel()
 			ox.run, ox.units = bk, &s.aotUnits
 		}

@@ -3,9 +3,12 @@ package dlb
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/aot"
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/depend"
@@ -159,5 +162,41 @@ func TestNoSilentInterpreterFallback(t *testing.T) {
 	}
 	if want := map[string]bool{"spmv": true, "pbin": true}; !reflect.DeepEqual(interpreted, want) {
 		t.Errorf("programs with interpreted steps = %v, want %v", interpreted, want)
+	}
+}
+
+// TestAOTUnavailableFailsBeforeSpawn: on a host whose Go toolchain cannot
+// run, asking for the aot tier is an error that names the remedy — raised
+// while the run is assembled, so nothing was spawned and nothing waits —
+// never a quietly slower executor.
+func TestAOTUnavailableFailsBeforeSpawn(t *testing.T) {
+	empty := t.TempDir()
+	t.Setenv("PATH", empty)
+	t.Setenv("GOROOT", empty)
+	t.Setenv("DLB_AOT_CACHE", t.TempDir())
+	defer aot.ClearMemory() // do not leave the memoised failure behind
+	plan := planFor(t, "jacobi")
+	cfg := Config{Plan: plan, Params: map[string]int{"n": 20, "maxiter": 2}, DLB: true, Kernel: KernelAOT}
+	pre := mustPrepare(t, cfg, 2)
+	before := runtime.NumGoroutine()
+	entries := map[string]func() error{
+		"Run":        func() error { _, err := Run(cfg, cluster.Config{Slaves: 2}); return err },
+		"RunReal":    func() error { _, err := RunReal(cfg, 2); return err },
+		"RunSlaveOn": func() error { return RunSlaveOn(newLocalNet(2).endpoint(0, 1), cfg, 0, 2, pre) },
+	}
+	for entry, call := range entries {
+		errc := make(chan error, 1)
+		go func() { errc <- call() }()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "-kernel kernel") {
+				t.Errorf("%s: got %v, want an error naming -kernel kernel", entry, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no answer in 10 s (something was spawned and is waiting)", entry)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d: a failed aot build left something running", before, after)
 	}
 }

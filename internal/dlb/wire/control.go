@@ -67,6 +67,9 @@ type RunSpec struct {
 // carries everything the slave needs to participate.
 type StartMsg struct {
 	Version int
+	// Run is the id the master minted for this run. Every slave↔slave
+	// connection of the run announces it (PeerHelloMsg.Run).
+	Run string
 	// Node is the id assigned to this slave (initial slot or joiner slot).
 	Node int
 	// Slaves is the initial membership size; Total includes joiner slots.
@@ -117,10 +120,14 @@ type RosterMsg struct {
 	Addrs map[int]string
 }
 
-// PeerHelloMsg identifies the dialing slave on a slave↔slave connection;
-// it is the first and only control frame there.
+// PeerHelloMsg identifies the dialing slave and its run on a slave↔slave
+// connection; it is the first and only control frame there. A daemon
+// closes a peer connection whose Run is not its active session's: node ids
+// repeat from run to run, so without it a slave of a run this daemon has
+// left (evicted, preempted, re-leased) could deliver into the next one.
 type PeerHelloMsg struct {
 	From int
+	Run  string
 }
 
 // RejectMsg refuses a handshake. Code is one of the Reject* constants.

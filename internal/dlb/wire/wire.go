@@ -12,7 +12,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 
 	"repro/internal/core"
@@ -277,42 +276,4 @@ func (f *framed) ReadByte() (byte, error) {
 	b := f.buf[0]
 	f.buf = f.buf[1:]
 	return b, nil
-}
-
-// Listener accepts slave connections for a wire master.
-type Listener struct {
-	l net.Listener
-}
-
-// Listen opens a TCP listener (addr like "127.0.0.1:0").
-func Listen(addr string) (*Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Listener{l: l}, nil
-}
-
-// Addr returns the bound address.
-func (l *Listener) Addr() string { return l.l.Addr().String() }
-
-// Accept waits for one connection.
-func (l *Listener) Accept() (*Conn, error) {
-	c, err := l.l.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c), nil
-}
-
-// Close stops the listener.
-func (l *Listener) Close() error { return l.l.Close() }
-
-// Dial connects to a wire master.
-func Dial(addr string) (*Conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c), nil
 }

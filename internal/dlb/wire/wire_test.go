@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func TestRoundTripInMemory(t *testing.T) {
 // the simulated runtime uses.
 func TestTCPStatusInstructionExchange(t *testing.T) {
 	const slaves = 4
-	l, err := Listen("127.0.0.1:0")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +77,13 @@ func TestTCPStatusInstructionExchange(t *testing.T) {
 		defer wg.Done()
 		conns := make([]*Conn, slaves)
 		for i := 0; i < slaves; i++ {
-			c, err := l.Accept()
+			nc, err := l.Accept()
 			if err != nil {
 				masterErr <- err
 				return
 			}
-			conns[i] = c
+			defer nc.Close()
+			conns[i] = NewConn(nc)
 		}
 		seen := map[int]bool{}
 		byFrom := map[int]*Conn{}
@@ -119,11 +121,13 @@ func TestTCPStatusInstructionExchange(t *testing.T) {
 	results := make(chan error, slaves)
 	for i := 0; i < slaves; i++ {
 		go func(id int) {
-			c, err := Dial(l.Addr())
+			nc, err := net.Dial("tcp", l.Addr().String())
 			if err != nil {
 				results <- err
 				return
 			}
+			defer nc.Close()
+			c := NewConn(nc)
 			err = c.Send(Envelope{Tag: "status", From: id, Payload: dlb.StatusMsg{
 				Phase: 0, Units: float64(100 + id), Busy: time.Second,
 			}})
@@ -314,7 +318,7 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		}},
 		{Tag: TagHello, From: 2, Payload: HelloMsg{Version: 1, Node: 2, PlanHash: "abc", PeerAddr: "127.0.0.1:2", Join: true}},
 		{Tag: TagRoster, From: -1, Payload: RosterMsg{Addrs: map[int]string{0: "a", 1: "b"}}},
-		{Tag: TagPeerHello, From: 3, Payload: PeerHelloMsg{From: 3}},
+		{Tag: TagPeerHello, From: 3, Payload: PeerHelloMsg{From: 3, Run: "9f1c"}},
 		{Tag: TagReject, From: -1, Payload: RejectMsg{Code: RejectDuplicate, Detail: "node 2"}},
 	}
 	for _, e := range frames {

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/loopir"
 	"repro/internal/metrics"
@@ -56,21 +55,6 @@ const (
 	paperLUSeq  = 200 * time.Second // not shown in the paper; chosen in-range
 )
 
-// Specs are the distribution directives for the evaluated programs.
-func specFor(name string) depend.DistSpec {
-	switch name {
-	case "mm":
-		return depend.DistSpec{Dims: map[string]int{"c": 1, "b": 1}, Loops: []string{"j"}}
-	case "sor":
-		return depend.DistSpec{Dims: map[string]int{"b": 0}, Loops: []string{"j"}}
-	case "lu":
-		return depend.DistSpec{Dims: map[string]int{"a": 1}, Loops: []string{"j"}}
-	case "jacobi":
-		return depend.DistSpec{Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}}
-	}
-	panic("exp: unknown program " + name)
-}
-
 // App bundles a compiled program with its parameters and calibration.
 type App struct {
 	Name     string
@@ -87,7 +71,7 @@ func NewApp(name string, params map[string]int, paperSeq time.Duration) (*App, e
 	if prog == nil {
 		return nil, fmt.Errorf("exp: unknown program %q", name)
 	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: specFor(name)})
+	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist(name)})
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/compile"
 	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/loopir"
@@ -27,7 +28,7 @@ func Table1() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := a.PropertiesFor(specFor(name))
+		pr, err := a.PropertiesFor(compile.LibraryDist(name))
 		if err != nil {
 			return nil, err
 		}

@@ -41,9 +41,6 @@ type EmittedKernel struct {
 	Src string
 	// Arrays names the array bound to each data[i] slot.
 	Arrays []string
-	// Writes names the arrays the kernel stores to (a subset of Arrays) —
-	// the only slices a subprocess runner needs to ship back.
-	Writes []string
 	// FreeVars names the free variable bound to each regs[i] slot. Loop
 	// variables bound inside the kernel are locals and do not appear.
 	FreeVars []string
@@ -269,30 +266,7 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 		return nil, fmt.Errorf("emitted kernel %s does not parse: %w\n%s", name, err, b.String())
 	}
 	ek.Src = string(src)
-
-	// Written arrays, for result shipping by subprocess runners.
-	w := map[string]bool{}
-	collectWrites(em.k, em.k.code, w)
-	for _, arr := range em.arrays {
-		if w[arr] {
-			ek.Writes = append(ek.Writes, arr)
-		}
-	}
 	return ek, nil
-}
-
-func collectWrites(k *Kernel, code []kinstr, out map[string]bool) {
-	for _, ins := range code {
-		switch ins := ins.(type) {
-		case *kloop:
-			collectWrites(k, ins.body, out)
-		case *kassign:
-			out[k.sites[ins.dst].name] = true
-		case *kif:
-			collectWrites(k, ins.then, out)
-			collectWrites(k, ins.els, out)
-		}
-	}
 }
 
 func (em *emitter) p(format string, args ...interface{}) {

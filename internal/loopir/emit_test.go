@@ -134,9 +134,6 @@ func TestEmitJacobiSweepMetadata(t *testing.T) {
 	if got := strings.Join(ek.Arrays, ","); got != "a,anew" {
 		t.Errorf("Arrays = %q, want a,anew", got)
 	}
-	if got := strings.Join(ek.Writes, ","); got != "anew" {
-		t.Errorf("Writes = %q, want anew", got)
-	}
 	if len(ek.FreeVars) != 0 {
 		t.Errorf("FreeVars = %v, want none (params fold, loop vars are locals)", ek.FreeVars)
 	}

@@ -3,9 +3,11 @@ package netrun
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/aot"
 	"repro/internal/cluster"
 	"repro/internal/dlb"
 	"repro/internal/dlb/wire"
@@ -168,6 +170,79 @@ func TestRejectDuplicateID(t *testing.T) {
 			t.Fatalf("never saw duplicate-id rejection (last: %s %s)", rej.Code, rej.Detail)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkBitIdentical(t, out.res, seqReference(t, plan, params))
+}
+
+// TestDaemonWithoutToolchainRefusesAOT: a daemon that cannot build or open
+// a plugin says so at the handshake — the master's error carries the
+// toolchain's reason and the remedy — instead of accepting the run and
+// dropping out of it, and stays free for the next one.
+func TestDaemonWithoutToolchainRefusesAOT(t *testing.T) {
+	empty := t.TempDir()
+	t.Setenv("PATH", empty)
+	t.Setenv("GOROOT", empty)
+	t.Setenv("DLB_AOT_CACHE", t.TempDir())
+	defer aot.ClearMemory() // do not leave the memoised failure behind
+	plan, params := testPlan(t, "jacobi", 22, 2)
+	addrs, srvs := startServers(t, 2, ServerOptions{})
+	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, Kernel: dlb.KernelAOT}
+	_, err := RunMaster(cfg, addrs, MasterOptions{})
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "-kernel kernel") {
+		t.Fatalf("RunMaster: %v, want a handshake refusal naming -kernel kernel", err)
+	}
+	if occupied, _ := srvs[0].occupied(); occupied {
+		t.Fatal("daemon is occupied by a run it refused")
+	}
+	cfg.Kernel = dlb.KernelVM
+	res, err := RunMaster(cfg, addrs, MasterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitIdentical(t, res, seqReference(t, plan, params))
+}
+
+// TestStalePeerOfAnotherRunIsRefused: node ids repeat from run to run, so a
+// slave still finishing a run this daemon has left (evicted, preempted and
+// re-leased) dials in under an id that is valid in the run the daemon
+// serves now. The peer hello names its run; the daemon must close the
+// connection instead of attaching it — nothing the stale slave sends may
+// reach the live run's mailbox — and the live run finishes bit-exact.
+func TestStalePeerOfAnotherRunIsRefused(t *testing.T) {
+	plan, params := testPlan(t, "mm", 64, 0)
+	addrs, srvs := startServers(t, 2, ServerOptions{Drag: 3})
+	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
+	done := runFT(cfg, addrs, MasterOptions{})
+
+	var sess *session
+	for deadline := time.Now().Add(15 * time.Second); sess == nil; time.Sleep(time.Millisecond) {
+		srvs[0].mu.Lock()
+		sess = srvs[0].sess
+		srvs[0].mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("daemon 0 never started its session")
+		}
+	}
+	nc, wc := rawDial(t, addrs[0])
+	defer nc.Close()
+	hello := wire.PeerHelloMsg{From: 1, Run: "a-run-that-ended"}
+	if err := wc.Send(wire.Envelope{Tag: wire.TagPeerHello, From: 1, Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon may close before this lands; only its arrival would matter.
+	_ = wc.Send(wire.Envelope{Tag: "stale-probe", From: 1, Payload: dlb.SliceMsg{Unit: 99}})
+	_, err := wc.Recv()
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("daemon kept a peer connection of another run open (read: %v)", err)
+	}
+	if m, ok := sess.rt.endpoint(1).TryRecv(1, "stale-probe"); ok {
+		t.Fatalf("a frame from another run's slave reached this run's mailbox: %+v", m)
 	}
 
 	out := <-done

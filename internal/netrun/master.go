@@ -1,6 +1,8 @@
 package netrun
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -44,7 +46,8 @@ type netMaster struct {
 	to    Timeouts
 	spec  wire.RunSpec
 	hash  string
-	n     int // initial membership
+	run   string // this run's id, announced by its slave↔slave connections
+	n     int    // initial membership
 	total int
 	rt    *router
 	ln    net.Listener
@@ -94,10 +97,11 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 		to:    opt.Timeouts.withDefaults(),
 		spec:  specFromConfig(cfg, pre.Grain, hbEvery),
 		hash:  PlanHash(cfg.Plan, pre.Exec, cfg.Params, pre.Grain),
+		run:   newRunID(),
 		n:     n,
 		total: n + opt.ExtraSlots,
 	}
-	m.rt = newRouter(cluster.MasterID, m.to, false)
+	m.rt = newRouter(cluster.MasterID, m.run, m.to, false)
 	for slot := n; slot < m.total; slot++ {
 		m.free = append(m.free, slot)
 	}
@@ -153,6 +157,16 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 	return dlb.RunMasterOn(ep, cfg, cc, n, m.total, pre)
 }
 
+// newRunID mints the id that tells this run's slave↔slave connections
+// from those of any other run the same daemons served.
+func newRunID() string {
+	var b [8]byte
+	// An unreadable entropy source leaves zeros: still an id, only a weaker
+	// one, and not worth failing a run over.
+	_, _ = rand.Read(b[:])
+	return hex.EncodeToString(b[:])
+}
+
 func (m *netMaster) shutdown() {
 	m.mu.Lock()
 	m.closed = true
@@ -191,6 +205,7 @@ func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr string, 
 	nc.SetDeadline(time.Now().Add(m.to.Handshake))
 	start := wire.StartMsg{
 		Version:    ProtocolVersion,
+		Run:        m.run,
 		Node:       node,
 		Slaves:     m.n,
 		Total:      m.total,
@@ -317,6 +332,7 @@ func (m *netMaster) handleJoin(nc net.Conn) {
 	}
 	start := wire.StartMsg{
 		Version:    ProtocolVersion,
+		Run:        m.run,
 		Node:       slot,
 		Slaves:     m.n,
 		Total:      m.total,

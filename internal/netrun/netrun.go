@@ -47,8 +47,9 @@ import (
 // ProtocolVersion gates the handshake: master and slave daemons must agree
 // exactly (the protocol has no compatibility negotiation). Version 2
 // dropped the per-connection codec negotiation: every peer sends bulk
-// payloads on the binary codec.
-const ProtocolVersion = 2
+// payloads on the binary codec. Version 3 names the run on every
+// slave↔slave connection (StartMsg.Run, PeerHelloMsg.Run).
+const ProtocolVersion = 3
 
 // Handshake failure modes. Errors returned by dials and accepts wrap one
 // of these sentinels; use errors.Is to classify.

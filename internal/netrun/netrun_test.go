@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/dlb"
 	"repro/internal/dlb/wire"
 	"repro/internal/loopir"
@@ -22,11 +21,7 @@ func testPlan(t *testing.T, name string, n, iter int) (*compile.Plan, map[string
 	if prog == nil {
 		t.Fatalf("unknown program %q", name)
 	}
-	specs := map[string]depend.DistSpec{
-		"mm":  {Dims: map[string]int{"c": 1, "b": 1}, Loops: []string{"j"}},
-		"sor": {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
-	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: specs[name]})
+	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist(name)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +120,26 @@ func TestLoopbackSOR(t *testing.T) {
 	checkBitIdentical(t, res, seqReference(t, plan, params))
 }
 
+// TestLoopbackAOT runs jacobi on native kernels over loopback daemons: each
+// daemon loads the plugin while it handshakes and its slave then runs on
+// those kernels — every owned-loop unit must be dispatched natively, none on
+// the VM or the interpreter — bit-identical to the sequential reference.
+func TestLoopbackAOT(t *testing.T) {
+	plan, params := testPlan(t, "jacobi", 40, 3)
+	addrs, _ := startServers(t, 2, ServerOptions{})
+	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, Kernel: dlb.KernelAOT}
+	res, err := RunMaster(cfg, addrs, MasterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitIdentical(t, res, seqReference(t, plan, params))
+	c := res.Counters
+	if c.Get("aot_units") == 0 || c.Get("kernel_units")+c.Get("fallback_units") != 0 {
+		t.Errorf("aot run over TCP dispatched aot=%d kernel=%d fallback=%d units",
+			c.Get("aot_units"), c.Get("kernel_units"), c.Get("fallback_units"))
+	}
+}
+
 // TestLoopbackHierGroups runs a grouped (two-level) distributed run over
 // loopback daemons: the hierarchy is decisions-only on this transport —
 // the master alone consults Groups, daemons are never told — so the result
@@ -153,8 +168,8 @@ func TestLoopbackHierGroups(t *testing.T) {
 // node instead of waiting for a lease to expire.
 func TestAbortFramePoisonsPeerMailbox(t *testing.T) {
 	a, b := net.Pipe()
-	slave := newRouter(1, Timeouts{}, false)
-	master := newRouter(cluster.MasterID, Timeouts{}, false)
+	slave := newRouter(1, "", Timeouts{}, false)
+	master := newRouter(cluster.MasterID, "", Timeouts{}, false)
 	slave.attach(cluster.MasterID, a, wire.NewConn(a), false)
 	master.attach(1, b, wire.NewConn(b), false)
 	defer master.close()

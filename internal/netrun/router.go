@@ -24,39 +24,47 @@ func (c connLost) Error() string { return fmt.Sprintf("netrun: master connection
 // the connection and stop".
 const tagClose = "__netrun_close"
 
-// router owns a process's connections and the mailbox they feed: one link
-// per peer node id, each with a writer goroutine (serializing sends,
-// enforcing write deadlines) and a reader goroutine (delivering inbound
-// envelopes to the mailbox). It is the sender of the process's endpoint.
-// The master's router never dials — a slave it cannot reach is simply not
-// heard from, and the lease detector evicts it. Slave routers dial peers
-// lazily from the roster, so slave↔slave work movement flows direct.
+// router owns a process's connections and the mailbox they feed. Every
+// attached connection has a reader goroutine (delivering inbound envelopes
+// to the mailbox); one connection per peer node id — the first live one —
+// is the peer's send link and also has a writer goroutine (serializing
+// sends, enforcing write deadlines), so everything this process sends to a
+// peer travels on one socket, in order, for as long as that socket lives.
+// It is the sender of the process's endpoint. The master's router never
+// dials — a slave it cannot reach is simply not heard from, and the lease
+// detector evicts it. Slave routers dial peers lazily from the roster, so
+// slave↔slave work movement flows direct; run is the id they announce
+// themselves under.
 type router struct {
 	id        int // our node id (cluster.MasterID on the master)
+	run       string
 	box       *dlb.Mailbox
 	to        Timeouts
 	dialPeers bool
 
-	mu     sync.Mutex
-	links  map[int]*link
-	roster map[int]string
-	down   map[int]bool
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	links   map[int]*link // send link per peer
+	conns   []net.Conn    // every connection attached, for close
+	roster  map[int]string
+	down    map[int]bool
+	closed  bool
+	writers sync.WaitGroup
+	readers sync.WaitGroup
 }
 
 type link struct {
 	peer  int
 	nc    net.Conn
 	wc    *wire.Conn
-	sendQ chan wire.Envelope
+	sendQ chan wire.Envelope // nil on a connection that is only read
 	dead  chan struct{}
 	once  sync.Once
 }
 
-func newRouter(id int, to Timeouts, dialPeers bool) *router {
+func newRouter(id int, run string, to Timeouts, dialPeers bool) *router {
 	return &router{
 		id:        id,
+		run:       run,
 		box:       dlb.NewMailbox(),
 		to:        to.withDefaults(),
 		dialPeers: dialPeers,
@@ -141,7 +149,9 @@ func (r *router) send(to int, tag string, data interface{}) {
 }
 
 // dialPeer opens the lazy slave↔slave connection: dial with backoff,
-// identify ourselves with a PeerHelloMsg, register the link.
+// identify ourselves and our run with a PeerHelloMsg, attach. It returns
+// the peer's send link, which is an earlier connection if the peer's own
+// dial was attached while ours was under way.
 func (r *router) dialPeer(to int, addr string) *link {
 	nc, err := dialBackoff(addr, r.to.Dial)
 	if err != nil {
@@ -152,7 +162,7 @@ func (r *router) dialPeer(to int, addr string) *link {
 	}
 	nc.SetWriteDeadline(time.Now().Add(r.to.Handshake))
 	wc := wire.NewConn(nc)
-	hello := wire.PeerHelloMsg{From: r.id}
+	hello := wire.PeerHelloMsg{From: r.id, Run: r.run}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagPeerHello, From: r.id, Payload: hello}); err != nil {
 		nc.Close()
 		return nil
@@ -161,40 +171,45 @@ func (r *router) dialPeer(to int, addr string) *link {
 	return r.attach(to, nc, wc, false)
 }
 
-// attach registers a live connection for peer and starts its reader and
-// writer. It takes the wire.Conn the handshake already used — gob streams
-// are stateful (type definitions are transmitted once), so the same
-// encoder/decoder pair must carry the whole connection. The newest
-// connection becomes the send target (a redial replaces a broken one); an
-// older connection for the same peer keeps its reader until it dies, so no
-// in-flight frame is lost. readLimited arms the per-frame read deadline —
-// the master sets it on slave connections, where heartbeats guarantee
-// traffic and prolonged silence means a dead link TCP has not noticed.
+// attach starts reading a live connection from peer and returns the
+// peer's send link. The first live connection for a peer is that link and
+// stays it until it dies: a later one (two slaves that dialed each other
+// for the same exchange) is read, so nothing the peer sends on it is lost,
+// but never written, so frames k and k+1 to one peer cannot leave on
+// different sockets and overtake each other. attach takes the wire.Conn
+// the handshake already used — gob streams are stateful (type definitions
+// are transmitted once), so the same encoder/decoder pair must carry the
+// whole connection. readLimited arms the per-frame read deadline — the
+// master sets it on slave connections, where heartbeats guarantee traffic
+// and prolonged silence means a dead link TCP has not noticed.
 //
 // Every attached connection sends its bulk payloads on the binary codec:
 // the handshake's ProtocolVersion check already admitted the peer, and
 // every peer of that version decodes binary frames.
 func (r *router) attach(peer int, nc net.Conn, wc *wire.Conn, readLimited bool) *link {
 	wc.SetBinary(true)
-	l := &link{
-		peer:  peer,
-		nc:    nc,
-		wc:    wc,
-		sendQ: make(chan wire.Envelope, 4096),
-		dead:  make(chan struct{}),
-	}
+	l := &link{peer: peer, nc: nc, wc: wc, dead: make(chan struct{})}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		nc.Close()
 		return nil
 	}
-	r.links[peer] = l
-	delete(r.down, peer)
-	r.wg.Add(2)
+	r.conns = append(r.conns, nc)
+	first := r.links[peer]
+	if first == nil {
+		l.sendQ = make(chan wire.Envelope, 4096)
+		r.links[peer] = l
+		delete(r.down, peer)
+		r.writers.Add(1)
+	}
+	r.readers.Add(1)
 	r.mu.Unlock()
-	go r.writer(l)
 	go r.reader(l, readLimited)
+	if first != nil {
+		return first
+	}
+	go r.writer(l)
 	return l
 }
 
@@ -216,7 +231,7 @@ func (r *router) linkDown(l *link, err error) {
 }
 
 func (r *router) writer(l *link) {
-	defer r.wg.Done()
+	defer r.writers.Done()
 	for {
 		select {
 		case env := <-l.sendQ:
@@ -236,7 +251,7 @@ func (r *router) writer(l *link) {
 }
 
 func (r *router) reader(l *link, readLimited bool) {
-	defer r.wg.Done()
+	defer r.readers.Done()
 	// The reader owns the connection's inbound frame buffer; when it exits
 	// the buffer goes back to the pool (the explicit release point of the
 	// data plane's receive storage).
@@ -290,8 +305,10 @@ func (r *router) abort(reason string) {
 	r.broadcast(wire.Envelope{Tag: wire.TagAbort, From: r.id, Payload: reason})
 }
 
-// close flushes every link's queued sends (the final gather, evictions)
-// and closes the connections. No link attaches once closed is set.
+// close flushes every send link's queued sends (the final gather,
+// evictions), then closes every connection the router attached — the send
+// links and the ones it only read, which no peer may ever close — and
+// waits for their readers. No connection attaches once closed is set.
 func (r *router) close() {
 	r.mu.Lock()
 	if r.closed {
@@ -299,9 +316,14 @@ func (r *router) close() {
 		return
 	}
 	r.closed = true
+	conns := r.conns
 	r.mu.Unlock()
 	r.broadcast(wire.Envelope{Tag: tagClose})
-	r.wg.Wait()
+	r.writers.Wait()
+	for _, nc := range conns {
+		nc.Close()
+	}
+	r.readers.Wait()
 }
 
 // dialBackoff dials addr with exponentially backed-off retries until the

@@ -233,8 +233,8 @@ func (s *Server) handleConn(nc net.Conn) {
 		s.mu.Lock()
 		sess := s.sess
 		s.mu.Unlock()
-		if sess == nil {
-			nc.Close() // no active run; a stale peer of a finished session
+		if sess == nil || ph.Run != sess.rt.run {
+			nc.Close() // a stale peer of a session this daemon has left
 			return
 		}
 		sess.rt.attach(ph.From, nc, wc, false)
@@ -294,6 +294,10 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		})
 		return
 	}
+	if err := pre.LoadNative(cfg); err != nil {
+		s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: err.Error()})
+		return
+	}
 	// Pin this plan's cached init payload (if any) before announcing it:
 	// the announcement commits the daemon to replaying it, so it must be
 	// immune to cache evictions between handshake and scatter.
@@ -303,7 +307,7 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		haveCached = false // joiners are adopted, never scattered to
 	}
 
-	rt := newRouter(st.Node, s.to, true)
+	rt := newRouter(st.Node, st.Run, s.to, true)
 	rt.mergeRoster(st.Roster)
 	sess := &session{node: st.Node, rt: rt, initKey: key, cachedInit: cachedInit, haveCached: haveCached}
 	s.mu.Lock()
