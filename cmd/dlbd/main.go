@@ -30,7 +30,6 @@ func main() {
 	advertise := flag.String("advertise", "", "address peers should dial (default: the bound address)")
 	join := flag.String("join", "", "master join listener to volunteer into at startup (elastic join)")
 	drag := flag.Float64("drag", 1.0, "slow this daemon's computation by the given factor (emulated loaded machine)")
-	cores := flag.Int("cores", 0, "kernel worker goroutines (0: use the master's setting, -1: all hardware cores)")
 	kernel := flag.String("kernel", "", `execution tier override: "" uses the master's setting, else "interp", "kernel" or "aot"`)
 	grace := flag.Duration("grace", 30*time.Second, "how long SIGTERM waits for an in-flight run to drain before forcing teardown")
 	quiet := flag.Bool("quiet", false, "suppress event logging on stderr")
@@ -45,7 +44,6 @@ func main() {
 		Advertise: *advertise,
 		Join:      *join,
 		Drag:      *drag,
-		Cores:     *cores,
 		Kernel:    *kernel,
 		Logf:      logf,
 	})

@@ -84,7 +84,6 @@ func main() {
 	showStats := flag.Bool("stats", false, "print the engine's event counters")
 	flopCost := flag.Duration("flopcost", time.Microsecond, "virtual CPU time per flop (1µs ≈ Sun 4/330)")
 	real := flag.Bool("real", false, "run for real: wall-clock goroutines instead of the simulated cluster")
-	cores := flag.Int("cores", 0, "kernel worker goroutines per slave (0/1: sequential, -1: all hardware cores)")
 	kernel := flag.String("kernel", "", `execution tier for distributed-loop bodies: "interp", "kernel" (default) or "aot"`)
 	costModel := flag.String("costmodel", "", `balancer's view of work units: "uniform" (default) or "learned" (per-unit costs measured online)`)
 	overlap := flag.Bool("overlap", true, "overlap eligible ghost exchanges with interior computation (-overlap=false forces synchronous exchanges)")
@@ -141,7 +140,6 @@ func main() {
 		DLB:                !*nodlb,
 		Synchronous:        *sync,
 		FlopCost:           *flopCost,
-		Cores:              *cores,
 		Kernel:             *kernel,
 		CostModel:          *costModel,
 		Groups:             *groups,

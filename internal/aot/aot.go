@@ -17,7 +17,6 @@ package aot
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/loopir"
@@ -93,18 +92,10 @@ type Program struct {
 
 // Kernel is one loaded native kernel.
 type Kernel struct {
-	// Meta is the emitter's description: data/regs layout and the
-	// parallel-safety verdict.
+	// Meta is the emitter's description: the data/regs layout.
 	Meta *loopir.EmittedKernel
 
 	fn rawKernel
-}
-
-// CanParallel reports whether one call may be fanned across goroutines on
-// disjoint sub-ranges: the region must be proven partition-safe and must
-// not carry reduction chains (bit-identical chain replay is the VM's job).
-func (k *Kernel) CanParallel() bool {
-	return k.Meta.ParallelSafe && !k.Meta.HasChains
 }
 
 // BoundKernel is a Kernel bound to a concrete instance's arrays, ready to
@@ -139,45 +130,9 @@ func (b *BoundKernel) regs(bind map[string]int) []int {
 	return regs
 }
 
-// Run executes iterations [lo,hi) sequentially. An empty range is the
-// kernel's own business: emitted range loops bail out on hi <= lo exactly
-// like the VM, and whole-body kernels ignore lo/hi entirely.
+// Run executes iterations [lo,hi). An empty range is the kernel's own
+// business: emitted range loops bail out on hi <= lo exactly like the VM,
+// and whole-body kernels ignore lo/hi entirely.
 func (b *BoundKernel) Run(lo, hi int, bind map[string]int) {
 	b.K.fn(lo, hi, b.regs(bind), b.data)
-}
-
-// RunParallel executes [lo,hi) across up to workers goroutines using the
-// same sub-range split as RangeKernel.RunParallel, and returns the worker
-// count used. The caller is responsible for guard resolution (a
-// range-invariant read landing inside [lo,hi) must force workers=1, as
-// RangeKernel.Workers does); RunParallel itself only enforces
-// CanParallel and the range width.
-func (b *BoundKernel) RunParallel(lo, hi int, bind map[string]int, workers int) int {
-	w := workers
-	if w > hi-lo {
-		w = hi - lo
-	}
-	if w <= 1 || !b.K.CanParallel() {
-		b.Run(lo, hi, bind)
-		return 1
-	}
-	regs := b.regs(bind)
-	width := hi - lo
-	var wg sync.WaitGroup
-	var panicked sync.Map
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicked.Store(i, p)
-				}
-			}()
-			b.K.fn(lo+i*width/w, lo+(i+1)*width/w, regs, b.data)
-		}(i)
-	}
-	wg.Wait()
-	panicked.Range(func(_, p interface{}) bool { panic(p) })
-	return w
 }

@@ -1,6 +1,8 @@
 package dlb
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/loopir"
@@ -61,6 +63,29 @@ func BenchmarkUnitCopy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				vals := unitSlice(a, c.dim, u)
 				setUnitSlice(a, c.dim, u, vals)
+			}
+		})
+	}
+}
+
+// BenchmarkSlavesPerHost answers "how do I use the other CPUs of this
+// host": a full RunReal of the jacobi stencil on one slave versus one slave
+// per CPU. The interesting figure is the elapsed-time ratio between the two
+// sub-benchmarks, not either absolute number (a full run includes start-up
+// grain measurement).
+func BenchmarkSlavesPerHost(b *testing.B) {
+	cpus := runtime.NumCPU()
+	if cpus < 2 {
+		b.Skip("one CPU: nothing to compare")
+	}
+	plan := planFor(b, "jacobi")
+	params := map[string]int{"n": 512, "maxiter": 8}
+	for _, slaves := range []int{1, cpus} {
+		b.Run(fmt.Sprintf("slaves=%d", slaves), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunReal(Config{Plan: plan, Params: params, DLB: true}, slaves); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -397,3 +397,35 @@ func TestContiguousRunsQuickCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnitSliceAliasSafety proves a unitSlice result shares no storage with
+// the array it was taken from: the slave's broadcast path sends the slice
+// without a defensive copy, so mutation in either direction after the
+// snapshot must not leak through.
+func TestUnitSliceAliasSafety(t *testing.T) {
+	a := loopir.NewArray("a", []int{6, 6})
+	for i := range a.Data {
+		a.Data[i] = float64(i)
+	}
+	vals := unitSlice(a, 0, 2)
+	want := append([]float64(nil), vals...)
+
+	for i := range a.Data {
+		a.Data[i] = -1
+	}
+	for i, v := range vals {
+		if v != want[i] {
+			t.Fatalf("slice element %d changed to %g after array mutation", i, v)
+		}
+	}
+
+	snap := append([]float64(nil), a.Data...)
+	for i := range vals {
+		vals[i] = 999
+	}
+	for i, v := range a.Data {
+		if v != snap[i] {
+			t.Fatalf("array element %d changed to %g after slice mutation", i, v)
+		}
+	}
+}

@@ -18,7 +18,6 @@ package dlb
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/aot"
@@ -85,11 +84,6 @@ type Config struct {
 	// experiment sets it to make the O(slaves) centralized fan-in cost
 	// visible.
 	PerReportCost time.Duration
-	// Cores sets the per-slave worker count for partition-safe owned
-	// loops: 0 or 1 runs sequentially (the default — simulated schedules
-	// stay bit-identical to earlier releases), -1 uses every hardware
-	// core, N > 1 uses exactly N workers.
-	Cores int
 	// Kernel selects the execution tier: "interp" runs every compute step
 	// — owned loops, owner blocks, replicated statements — on the
 	// tree-walking interpreter, the oracle; "kernel" (the default) compiles
@@ -266,17 +260,6 @@ func (c *Config) validate() (m modes, err error) {
 		}
 	}
 	return m, nil
-}
-
-// CoreCount resolves the Cores knob to an effective worker count.
-func (c Config) CoreCount() int {
-	switch {
-	case c.Cores < 0:
-		return runtime.NumCPU()
-	case c.Cores == 0:
-		return 1
-	}
-	return c.Cores
 }
 
 // Sample is one trace record: a slave's reported and filtered rates and its

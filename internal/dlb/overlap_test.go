@@ -132,44 +132,36 @@ func TestOverlapBitIdentical(t *testing.T) {
 }
 
 // TestOverlapTiersBitIdentical runs the eligible jacobi-family programs
-// through every execution tier (interp, VM kernel, multicore kernel, AOT)
-// with overlap on and off: the split is just two range calls, so every tier
-// must agree bit for bit and still overlap.
+// through every execution tier (interp, VM kernel, AOT) with overlap on and
+// off: the split is just two range calls, so every tier must agree bit for
+// bit and still overlap.
 func TestOverlapTiersBitIdentical(t *testing.T) {
-	tiers := []struct {
-		tier  string
-		cores int
-	}{
-		{KernelInterp, 1},
-		{KernelVM, 1},
-		{KernelVM, 2},
-		{KernelAOT, 2},
-	}
+	tiers := []string{KernelInterp, KernelVM, KernelAOT}
 	for _, name := range []string{"jacobi", "jacobi3d"} {
 		plan := overlapPlans(t)[name]
 		params := overlapParams[name]
 		var ref *Result
-		for _, tc := range tiers {
-			base := Config{Plan: plan, Params: params, DLB: true, Kernel: tc.tier, Cores: tc.cores}
+		for _, tier := range tiers {
+			base := Config{Plan: plan, Params: params, DLB: true, Kernel: tier}
 			cc := cluster.Config{Slaves: 4}
 			on := base
 			on.Overlap = OverlapEnabled
 			ron, err := Run(on, cc)
 			if err != nil {
-				t.Fatalf("%s %s/cores=%d overlap on: %v", name, tc.tier, tc.cores, err)
+				t.Fatalf("%s %s overlap on: %v", name, tier, err)
 			}
 			off := base
 			off.Overlap = OverlapDisabled
 			roff, err := Run(off, cc)
 			if err != nil {
-				t.Fatalf("%s %s/cores=%d overlap off: %v", name, tc.tier, tc.cores, err)
+				t.Fatalf("%s %s overlap off: %v", name, tier, err)
 			}
 			if ron.Counters["overlap_rounds"] == 0 {
-				t.Errorf("%s %s/cores=%d: no overlap rounds", name, tc.tier, tc.cores)
+				t.Errorf("%s %s: no overlap rounds", name, tier)
 			}
 			for arr, want := range roff.Final {
 				if d := want.MaxAbsDiff(ron.Final[arr]); d != 0 {
-					t.Errorf("%s %s/cores=%d: overlap on/off differ on %q by %g", name, tc.tier, tc.cores, arr, d)
+					t.Errorf("%s %s: overlap on/off differ on %q by %g", name, tier, arr, d)
 				}
 			}
 			if ref == nil {
@@ -178,7 +170,7 @@ func TestOverlapTiersBitIdentical(t *testing.T) {
 			}
 			for arr, want := range ref.Final {
 				if d := want.MaxAbsDiff(ron.Final[arr]); d != 0 {
-					t.Errorf("%s %s/cores=%d: differs from first tier on %q by %g", name, tc.tier, tc.cores, arr, d)
+					t.Errorf("%s %s: differs from first tier on %q by %g", name, tier, arr, d)
 				}
 			}
 		}

@@ -62,79 +62,53 @@ type noFaultPolicy struct{}
 func (noFaultPolicy) Init(*engine)    {}
 func (noFaultPolicy) Started(*engine) {}
 
-func (noFaultPolicy) CollectRound(e *engine) (map[int]StatusMsg, bool) {
+// CollectRound is one blocking receive per not-yet-done reporter, in id
+// order. A reporter is a slave or, under the relay, a group leader whose
+// aggregate carries its whole group — the master's fan-in is then
+// O(groups). Slaves announce termination with a "done" message when their
+// (possibly data-dependent, §4.1) control flow finishes; since every slave
+// follows the identical schedule and break conditions evaluate
+// identically, a round is either all statuses or all dones, and a leader's
+// aggregate is uniform for the same reason.
+func (p noFaultPolicy) CollectRound(e *engine) (map[int]StatusMsg, bool) {
+	reporters := p.Participants(e)
 	if e.relay {
-		return collectGroupRound(e)
+		reporters = e.part.Leaders()
 	}
-	// One blocking receive per not-yet-done slave, in id order. Slaves
-	// announce termination with a "done" message when their (possibly data-
-	// dependent, §4.1) control flow finishes; since every slave follows the
-	// identical schedule and break conditions evaluate identically, a round
-	// is either all statuses or all dones.
 	raw := map[int]StatusMsg{}
 	newDone := 0
-	for i := 0; i < e.initial; i++ {
-		if e.done[i] {
+	for _, r := range reporters {
+		if e.done[r] {
 			continue
 		}
-		msg := e.ep.Recv(i, "")
-		st, ok := msg.Data.(StatusMsg)
-		if !ok {
-			panic(fmt.Sprintf("dlb: master: unexpected %q message from slave %d", msg.Tag, i))
-		}
+		msg := e.ep.Recv(r, "")
+		var done bool
 		switch msg.Tag {
-		case "done":
-			e.done[i] = true
+		case "done", "gdone":
+			done = true
+			newDone++
+		case "status", "gstatus":
+		default:
+			panic(fmt.Sprintf("dlb: master: unexpected tag %q from slave %d", msg.Tag, r))
+		}
+		note := func(id int, st StatusMsg) {
+			if !done {
+				raw[id] = st
+				return
+			}
+			e.done[id] = true
 			e.doneCount++
 			e.noteDispatch(st)
-			newDone++
-		case "status":
-			raw[i] = st
-		default:
-			panic(fmt.Sprintf("dlb: master: unexpected tag %q from slave %d", msg.Tag, i))
 		}
-	}
-	if len(raw) == 0 {
-		return nil, true
-	}
-	if newDone > 0 {
-		panic("dlb: slave schedules diverged (mixed status/done round)")
-	}
-	return raw, true
-}
-
-// collectGroupRound is the hierarchical round collection: one aggregate
-// receive per group leader (in group order) instead of one per slave, so
-// the master's fan-in is O(groups). The all-statuses-or-all-dones
-// invariant carries over unchanged — each leader's aggregate is itself
-// uniform because its members follow the identical schedule.
-func collectGroupRound(e *engine) (map[int]StatusMsg, bool) {
-	raw := map[int]StatusMsg{}
-	newDone := 0
-	for g := 0; g < e.part.Groups(); g++ {
-		leader := e.part.Leader(g)
-		if e.done[leader] {
-			continue
-		}
-		msg := e.ep.Recv(leader, "")
-		gs, ok := msg.Data.(GroupStatusMsg)
-		if !ok {
-			panic(fmt.Sprintf("dlb: master: unexpected %q message from leader %d", msg.Tag, leader))
-		}
-		switch msg.Tag {
-		case "gdone":
-			for i, id := range gs.Ids {
-				e.done[id] = true
-				e.doneCount++
-				e.noteDispatch(gs.Statuses[i])
-			}
-			newDone++
-		case "gstatus":
-			for i, id := range gs.Ids {
-				raw[id] = gs.Statuses[i]
+		switch d := msg.Data.(type) {
+		case StatusMsg:
+			note(r, d)
+		case GroupStatusMsg:
+			for i, id := range d.Ids {
+				note(id, d.Statuses[i])
 			}
 		default:
-			panic(fmt.Sprintf("dlb: master: unexpected tag %q from leader %d", msg.Tag, leader))
+			panic(fmt.Sprintf("dlb: master: unexpected %q message from slave %d", msg.Tag, r))
 		}
 	}
 	if len(raw) == 0 {

@@ -1,13 +1,13 @@
 package dlb
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/compile"
 	"repro/internal/depend"
 	"repro/internal/loopir"
-	"repro/internal/testx"
 )
 
 // verifyRealPlan checks a RunReal result against the sequential reference:
@@ -105,7 +105,9 @@ func TestRealRunSingleSlave(t *testing.T) {
 }
 
 func TestRealParallelSpeedup(t *testing.T) {
-	testx.NeedMultiCore(t)
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("wall-clock speedup needs more than one CPU")
+	}
 	plan := planFor(t, "mm")
 	params := map[string]int{"n": 256}
 	t0 := time.Now()

@@ -32,7 +32,6 @@ type fragRunner interface {
 // aot.BoundKernel and loopir.RangeKernel have this shape.
 type rangeRunner interface {
 	Run(lo, hi int, bind map[string]int)
-	RunParallel(lo, hi int, bind map[string]int, workers int) int
 }
 
 // interpRange adapts the tree interpreter to rangeRunner: the loop header
@@ -44,22 +43,10 @@ func (r *interpRange) Run(lo, hi int, bind map[string]int) {
 	r.frag.Run(bind)
 }
 
-// RunParallel is sequential: without a range kernel nothing has proven the
-// iterations independent (execOwned never resolves more than one worker).
-func (r *interpRange) RunParallel(lo, hi int, bind map[string]int, _ int) int {
-	r.Run(lo, hi, bind)
-	return 1
-}
-
 // ownedExec is one distributed loop's resolved executor.
 type ownedExec struct {
-	run rangeRunner // bound native kernel › VM range kernel › interpreter
-	// rk resolves worker counts and runtime guards whichever executor
-	// runs (the native kernels carry no guard analysis); nil, or par
-	// false, means the loop runs on one worker.
-	rk    *loopir.RangeKernel
-	par   bool
-	units *int64 // the dispatch counter this loop's units feed
+	run   rangeRunner // bound native kernel › VM range kernel › interpreter
+	units *int64      // the dispatch counter this loop's units feed
 	// iarr marks a body with indirect (array-valued) subscripts: its
 	// per-unit cost is data-dependent, so the flop estimate walks each
 	// unit instead of sampling the midpoint.
@@ -97,10 +84,6 @@ type slave struct {
 	tier string
 	aot  *aotBundle
 
-	// cores is the resolved per-slave worker count (Config.Cores); owned
-	// runs wide enough to amortize goroutine startup are partitioned
-	// across this many kernel workers.
-	cores         int
 	aotUnits      int64 // units executed through AOT-built native kernels
 	kernelUnits   int64 // units executed through compiled range kernels
 	fallbackUnits int64 // units executed through the tree interpreter
@@ -179,7 +162,6 @@ func (s *slave) runOn(ep Endpoint) {
 	s.deactivateOutside(lo, hi)
 
 	s.lowerPlan()
-	s.cores = s.cfg.CoreCount()
 
 	// Per-unit cost measurement: always on for indirect (data-dependent)
 	// programs so the weighted imbalance metric is meaningful in either
@@ -300,25 +282,21 @@ func (s *slave) lowerSteps(steps []compile.Step) {
 // the kernel compiler refuses (non-affine subscripts) land on any tier.
 func (s *slave) lowerOwned(st *compile.OwnedLoop) *ownedExec {
 	ox := &ownedExec{iarr: loopir.UsesIArr(st.Body)}
-	if s.tier != KernelInterp {
-		if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
-			ox.rk, ox.par = rk, rk.ParallelSafe()
-			ox.run, ox.units = rk, &s.kernelUnits
-		}
-	}
 	if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
 		if bk, err := k.Bind(s.inst.Arrays); err == nil {
-			// A native kernel that refuses parallel dispatch (reduction
-			// chain) caps the loop at one worker.
-			ox.par = ox.par && k.CanParallel()
 			ox.run, ox.units = bk, &s.aotUnits
+			return ox
 		}
 	}
-	if ox.run == nil {
-		loop := loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...)
-		ox.run = &interpRange{loopir.InterpFragment{In: s.inst, Stmts: []loopir.Stmt{loop}}}
-		ox.units = &s.fallbackUnits
+	if s.tier != KernelInterp {
+		if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
+			ox.run, ox.units = rk, &s.kernelUnits
+			return ox
+		}
 	}
+	loop := loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...)
+	ox.run = &interpRange{loopir.InterpFragment{In: s.inst, Stmts: []loopir.Stmt{loop}}}
+	ox.units = &s.fallbackUnits
 	return ox
 }
 
@@ -561,15 +539,6 @@ func (s *slave) ghostSuppliesCached(delta int) []supply {
 	return sp
 }
 
-func (s *slave) perUnitFlops(body []loopir.Stmt, distVar string, mid int) float64 {
-	local := map[string]int{}
-	for k, v := range s.env {
-		local[k] = v
-	}
-	local[distVar] = mid
-	return loopir.EstFlops(body, local)
-}
-
 func (s *slave) execOwned(st *compile.OwnedLoop) {
 	if s.ff {
 		return
@@ -612,14 +581,6 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		bind[k] = v
 	}
 
-	// Resolve the worker count per contiguous run: the kernel must be
-	// provably partition-safe, the run wide enough that per-worker work
-	// amortizes goroutine startup, and no runtime guard (a range-invariant
-	// read of a partitioned array) may land inside the run. The virtual
-	// Charge is divided by the same worker count, so simulated multicore
-	// slaves speed up exactly as real ones do. On the aot tier the VM
-	// range kernel stays the oracle for guard and worker resolution, but
-	// dispatch goes to the native kernel.
 	ox := s.ownedLoops[st]
 	iarr := ox.iarr
 	var perUnit float64
@@ -629,20 +590,18 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		// the owned units and estimate each one against the live arrays.
 		// The simulated charge then reflects the real skew — exactly the
 		// signal the learned cost model measures.
-		local := map[string]int{}
-		for k, v := range s.env {
-			local[k] = v
-		}
 		unitFlops = make([]float64, 0, count)
 		for _, r := range runs {
 			for u := r[0]; u < r[1]; u++ {
-				local[st.Var] = u
-				unitFlops = append(unitFlops, s.inst.EstFlops(st.Body, local))
+				bind[st.Var] = u
+				unitFlops = append(unitFlops, s.inst.EstFlops(st.Body, bind))
 			}
 		}
 	} else {
-		perUnit = s.perUnitFlops(st.Body, st.Var, lo+(hi-lo)/2)
+		bind[st.Var] = lo + (hi-lo)/2
+		perUnit = loopir.EstFlops(st.Body, bind)
 	}
+	delete(bind, st.Var) // the runner binds the loop variable itself
 	// bw is the boundary width of the pending overlap: units within bw of a
 	// run edge may read a ghost and form the boundary region; everything
 	// deeper is interior and safe to compute before the receives complete.
@@ -656,12 +615,11 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 			bw = d
 		}
 	}
-	ws := make([]int, len(runs))
 	charge := 0.0
 	chargeInt := 0.0 // interior share of charge when splitting
 	flopSec := s.cfg.FlopCost.Seconds()
 	ui := 0
-	for i, r := range runs {
+	for _, r := range runs {
 		runFlops := perUnit * float64(r[1]-r[0])
 		if iarr {
 			runFlops = 0
@@ -669,24 +627,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 				runFlops += unitFlops[ui+k]
 			}
 		}
-		// Worker counts resolve on the FULL run even when splitting, so the
-		// per-unit cost attribution and the virtual charge sum match the
-		// synchronous schedule exactly.
-		w := 1
-		if ox.par && s.cores > 1 {
-			w = s.cores
-			if lim := int(runFlops / kernelParMinFlops); lim < w {
-				w = lim
-			}
-			if w > 1 {
-				w = ox.rk.Workers(r[0], r[1], bind, w)
-			}
-			if w < 1 {
-				w = 1
-			}
-		}
-		ws[i] = w
-		charge += runFlops / float64(w)
+		charge += runFlops
 		if bw > 0 {
 			if ilo, ihi := r[0]+bw, r[1]-bw; ihi > ilo {
 				intFlops := perUnit * float64(ihi-ilo)
@@ -696,7 +637,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 						intFlops += unitFlops[ui+u-r[0]]
 					}
 				}
-				chargeInt += intFlops / float64(w)
+				chargeInt += intFlops
 			}
 		}
 		if s.costOn {
@@ -705,20 +646,15 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 				if iarr {
 					f = unitFlops[ui+u-r[0]]
 				}
-				s.costAcc[u] += f / float64(w) * flopSec
+				s.costAcc[u] += f * flopSec
 			}
 		}
 		ui += r[1] - r[0]
 	}
 	total := time.Duration(charge * float64(s.cfg.FlopCost))
 
-	runRange := func(rlo, rhi, w int) {
-		if rhi <= rlo {
-			return
-		}
-		if w > 1 {
-			ox.run.RunParallel(rlo, rhi, bind, w)
-		} else {
+	runRange := func(rlo, rhi int) {
+		if rhi > rlo {
 			ox.run.Run(rlo, rhi, bind)
 		}
 	}
@@ -726,8 +662,8 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		// Synchronous schedule (no deferred exchange): one charge, one pass.
 		s.ep.Charge(total)
 		s.ep.Timed(func() {
-			for i, r := range runs {
-				runRange(r[0], r[1], ws[i])
+			for _, r := range runs {
+				runRange(r[0], r[1])
 			}
 		})
 	} else {
@@ -742,21 +678,21 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		intDur := time.Duration(chargeInt * float64(s.cfg.FlopCost))
 		s.ep.Charge(intDur)
 		s.ep.Timed(func() {
-			for i, r := range runs {
-				runRange(r[0]+bw, r[1]-bw, ws[i])
+			for _, r := range runs {
+				runRange(r[0]+bw, r[1]-bw)
 			}
 		})
 		s.completeGhosts(pend)
 		s.ep.Charge(total - intDur)
 		s.ep.Timed(func() {
-			for i, r := range runs {
+			for _, r := range runs {
 				ilo, ihi := r[0]+bw, r[1]-bw
 				if ihi <= ilo {
-					runRange(r[0], r[1], ws[i])
+					runRange(r[0], r[1])
 					continue
 				}
-				runRange(r[0], ilo, ws[i])
-				runRange(ihi, r[1], ws[i])
+				runRange(r[0], ilo)
+				runRange(ihi, r[1])
 			}
 		})
 		s.overlapRounds++
@@ -764,11 +700,6 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	s.unitsDone += float64(count)
 	*ox.units += int64(count)
 }
-
-// kernelParMinFlops is the minimum estimated work per worker before an
-// owned run is split across cores; below it goroutine startup dominates
-// the compute it buys.
-const kernelParMinFlops = 20000
 
 // drainPending completes deferred ghost receives on a carrier loop that
 // ran no interior work (nothing owned in range this round): the overlap
@@ -1020,7 +951,7 @@ func (s *slave) execHook(st *compile.Hook) {
 		CostBlocks: s.drainCostBlocks(),
 	}
 	if s.part != nil {
-		s.sendStatusHier(status)
+		s.reportHier("status", "gstatus", status, s.cfg.PerReportCost)
 	} else {
 		s.ep.Send(cluster.MasterID, "status", 64, status)
 	}
@@ -1166,15 +1097,17 @@ func (s *slave) peerAlive(o int) bool { return s.fault.peerAlive(s, o) }
 
 func (s *slave) designated() bool { return s.fault.designated(s) }
 
-// sendStatusHier routes the contact report through the hierarchy: a
+// reportHier routes a contact report ("status"/"gstatus") or the
+// termination announcement ("done"/"gdone") through the hierarchy: a
 // member reports to its group leader; the leader collects its members'
-// reports in id order, charges the per-report processing cost that the
-// centralized master would otherwise pay for them, and ships one
-// aggregate to the master.
-func (s *slave) sendStatusHier(status StatusMsg) {
+// reports in id order, charges the processing cost that the centralized
+// master would otherwise pay for them, and ships one aggregate to the
+// master. Every slave follows the identical schedule, so when the leader
+// finishes its members finish in the same round.
+func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Duration) {
 	g := s.part.GroupOf(s.id)
 	if !s.part.IsLeader(s.id) {
-		s.ep.Send(s.part.Leader(g), "status", 64, status)
+		s.ep.Send(s.part.Leader(g), tag, 64, msg)
 		return
 	}
 	members := s.part.Members(g)
@@ -1184,17 +1117,17 @@ func (s *slave) sendStatusHier(status StatusMsg) {
 		Statuses: make([]StatusMsg, 0, len(members)),
 	}
 	gs.Ids = append(gs.Ids, s.id)
-	gs.Statuses = append(gs.Statuses, status)
+	gs.Statuses = append(gs.Statuses, msg)
 	for _, m := range members {
 		if m == s.id {
 			continue
 		}
-		st := s.ep.Recv(m, "status").Data.(StatusMsg)
+		st := s.ep.Recv(m, tag).Data.(StatusMsg)
 		gs.Ids = append(gs.Ids, m)
 		gs.Statuses = append(gs.Statuses, st)
 	}
-	s.ep.Charge(time.Duration(len(members)) * s.cfg.PerReportCost)
-	s.ep.Send(cluster.MasterID, "gstatus", 64*len(members), gs)
+	s.ep.Charge(time.Duration(len(members)) * charge)
+	s.ep.Send(cluster.MasterID, groupTag, 64*len(members), gs)
 }
 
 // recvInstrHier receives the grouped instruction. The leader takes the
@@ -1220,35 +1153,6 @@ func (s *slave) recvInstrHier() InstrMsg {
 	return instr
 }
 
-// sendDoneHier routes the termination announcement through the
-// hierarchy. Every slave follows the identical schedule, so when the
-// leader finishes its members finish in the same round; the leader
-// aggregates their announcements and the master receives one per group.
-func (s *slave) sendDoneHier(done StatusMsg) {
-	g := s.part.GroupOf(s.id)
-	if !s.part.IsLeader(s.id) {
-		s.ep.Send(s.part.Leader(g), "done", 64, done)
-		return
-	}
-	members := s.part.Members(g)
-	gs := GroupStatusMsg{
-		Group:    g,
-		Ids:      make([]int, 0, len(members)),
-		Statuses: make([]StatusMsg, 0, len(members)),
-	}
-	gs.Ids = append(gs.Ids, s.id)
-	gs.Statuses = append(gs.Statuses, done)
-	for _, m := range members {
-		if m == s.id {
-			continue
-		}
-		st := s.ep.Recv(m, "done").Data.(StatusMsg)
-		gs.Ids = append(gs.Ids, m)
-		gs.Statuses = append(gs.Statuses, st)
-	}
-	s.ep.Send(cluster.MasterID, "gdone", 64*len(members), gs)
-}
-
 // runTree executes the step tree once and announces termination: with
 // data-dependent break conditions the number of balancing phases is only
 // known here, at run time (§4.1).
@@ -1266,7 +1170,7 @@ func (s *slave) runTree() {
 		OverlapFallback: s.overlapFallback,
 	}
 	if s.part != nil {
-		s.sendDoneHier(done)
+		s.reportHier("done", "gdone", done, 0)
 		return
 	}
 	s.ep.Send(cluster.MasterID, "done", 64, done)

@@ -1,9 +1,9 @@
 package dlb
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,103 +11,64 @@ import (
 	"repro/internal/aot"
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/loopir"
 )
 
-// TestKernelTierDifferential runs the acceptance matrix for the AOT tier:
-// jacobi, sor, mm and lu at 1, 2 and 4 workers under every kernel tier
-// must produce bit-identical distributed arrays (runAndVerify already
-// pins each run to the sequential reference; the cross-tier comparison
-// below additionally pins reduction arrays, which runAndVerify only
-// bounds). The aot runs must actually dispatch to native kernels, and the
-// interp runs must never touch the VM kernels.
+// TestKernelTierDifferential runs every library program under every
+// kernel tier that accepts it: the tiers must produce bit-identical
+// arrays (runAndVerify already pins each run to the sequential reference;
+// the cross-tier comparison below additionally pins reduction arrays —
+// jacobi-converge's replicated residual — which runAndVerify only bounds).
+// The aot runs must actually dispatch to native kernels, and the interp
+// runs must never touch the VM kernels. The aot tier refuses the indirect
+// programs (spmv, pbin: no emittable region), so they run on two tiers.
 func TestKernelTierDifferential(t *testing.T) {
-	progs := []struct {
-		name   string
-		params map[string]int
-	}{
-		{"jacobi", map[string]int{"n": 48, "maxiter": 2}},
-		{"sor", map[string]int{"n": 24, "maxiter": 3}},
-		{"mm", map[string]int{"n": 24}},
-		{"lu", map[string]int{"n": 24}},
+	plans := overlapPlans(t) // every library program under its directive
+	var names []string
+	for name := range plans {
+		names = append(names, name)
 	}
-	for _, p := range progs {
-		plan := planFor(t, p.name)
-		for _, cores := range []int{1, 2, 4} {
-			var base map[string]*loopir.Array
-			for _, tier := range []string{KernelInterp, KernelVM, KernelAOT} {
-				t.Run(fmt.Sprintf("%s/c%d/%s", p.name, cores, tier), func(t *testing.T) {
-					res := runAndVerify(t, plan, p.params,
-						Config{DLB: true, Cores: cores, Kernel: tier},
-						cluster.Config{Slaves: 3})
-					switch tier {
-					case KernelInterp:
-						if res.Counters.Get("kernel_units")+res.Counters.Get("aot_units") != 0 {
-							t.Errorf("interp tier dispatched to kernels: %v", res.Counters)
-						}
-					case KernelAOT:
-						if res.AotInfo == nil {
-							t.Fatal("aot run has no AotInfo")
-						}
-						if res.Counters.Get("aot_units") == 0 {
-							t.Errorf("aot tier never dispatched natively: %v", res.Counters)
-						}
+	sort.Strings(names)
+	for _, name := range names {
+		plan, params := plans[name], overlapParams[name]
+		tiers := []string{KernelInterp, KernelVM, KernelAOT}
+		if loopir.UsesIArr(plan.Prog.Body) {
+			tiers = tiers[:2]
+		}
+		var base map[string]*loopir.Array
+		for _, tier := range tiers {
+			t.Run(name+"/"+tier, func(t *testing.T) {
+				res := runAndVerify(t, plan, params,
+					Config{DLB: true, Kernel: tier},
+					cluster.Config{Slaves: 3})
+				switch tier {
+				case KernelInterp:
+					if res.Counters.Get("kernel_units")+res.Counters.Get("aot_units") != 0 {
+						t.Errorf("interp tier dispatched to kernels: %v", res.Counters)
 					}
-					if base == nil {
-						base = res.Final
-						return
+				case KernelAOT:
+					if res.AotInfo == nil {
+						t.Fatal("aot run has no AotInfo")
 					}
-					for name, want := range base {
-						got := res.Final[name]
-						if got == nil {
-							t.Fatalf("array %q missing", name)
-						}
-						if d := want.MaxAbsDiff(got); d != 0 {
-							t.Errorf("array %q differs across tiers by %g", name, d)
-						}
+					if res.Counters.Get("aot_units") == 0 {
+						t.Errorf("aot tier never dispatched natively: %v", res.Counters)
 					}
-				})
-			}
+				}
+				if base == nil {
+					base = res.Final
+					return
+				}
+				for name, want := range base {
+					got := res.Final[name]
+					if got == nil {
+						t.Fatalf("array %q missing", name)
+					}
+					if d := want.MaxAbsDiff(got); d != 0 {
+						t.Errorf("array %q differs across tiers by %g", name, d)
+					}
+				}
+			})
 		}
-	}
-}
-
-// TestKernelTierChainsAndGuards covers the regions the fast path cannot
-// parallelize: jacobi-converge's residual sweep carries a reduction chain
-// (native dispatch must stay sequential yet bit-identical across tiers,
-// including the replicated residual), and unknown tier names must be
-// rejected up front.
-func TestKernelTierChainsAndGuards(t *testing.T) {
-	prog := loopir.Library()["jacobi-converge"]
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: depend.DistSpec{Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]int{"n": 32, "maxiter": 4}
-	var base map[string]*loopir.Array
-	for _, tier := range []string{KernelInterp, KernelVM, KernelAOT} {
-		res, runErr := Run(Config{Plan: plan, Params: params, DLB: true, Cores: 4, Kernel: tier},
-			cluster.Config{Slaves: 3})
-		if runErr != nil {
-			t.Fatalf("%s: %v", tier, runErr)
-		}
-		if base == nil {
-			base = res.Final
-			continue
-		}
-		for name, want := range base {
-			if d := want.MaxAbsDiff(res.Final[name]); d != 0 {
-				t.Errorf("%s: array %q differs across tiers by %g", tier, name, d)
-			}
-		}
-	}
-
-	if _, err := Run(Config{Plan: plan, Params: params, DLB: true, Kernel: "jit"},
-		cluster.Config{Slaves: 2}); err == nil {
-		t.Error("unknown kernel tier accepted")
 	}
 }
 
@@ -146,7 +107,8 @@ func TestNoSilentInterpreterFallback(t *testing.T) {
 			}
 		}
 		for st, ox := range s.ownedLoops {
-			check("owned-loop", ox.rk != nil, st.Body)
+			_, interp := ox.run.(*interpRange)
+			check("owned-loop", !interp, st.Body)
 		}
 		for st, f := range s.ownerFrags {
 			_, ok := f.(*loopir.Kernel)

@@ -15,6 +15,10 @@ import "time"
 // code consults. The master ships it in the StartMsg; the slave compiles it
 // with its own toolchain and proves agreement by echoing the hash of the
 // plan it actually built (see HelloMsg.PlanHash).
+//
+// Removing a field needs no ProtocolVersion bump: gob drops a field the
+// receiver does not declare. The per-slave worker count that PR 21 removed
+// never changed a result, so a peer that still sends it agrees bit for bit.
 type RunSpec struct {
 	// Source is the program text (lang syntax; library programs are
 	// formatted back to source).
@@ -34,9 +38,6 @@ type RunSpec struct {
 	// DLB and Synchronous select the balancing mode.
 	DLB         bool
 	Synchronous bool
-	// Cores is the per-slave kernel worker count (dlb.Config.Cores);
-	// daemons may override it locally with their own -cores setting.
-	Cores int
 	// Kernel is the execution tier (dlb.Config.Kernel: "interp" — the
 	// tree interpreter for every compute step — "kernel" or "aot"; empty
 	// means "kernel"). Daemons may override it locally with their own

@@ -89,40 +89,11 @@ func exprOps(e Expr) int {
 // list under the given environment. Loop trip counts are evaluated with
 // enclosing loop variables bound to the midpoint of their ranges, which
 // handles triangular nests like LU (where inner bounds depend on outer
-// indices) with O(depth) work. If arms are averaged.
+// indices) with O(depth) work. If arms are averaged. A loop whose bounds
+// read an index array (IArr) cannot be evaluated without data and counts
+// as zero; use the instance-bound estimate for those.
 func EstFlops(stmts []Stmt, env map[string]int) float64 {
-	local := map[string]int{}
-	for k, v := range env {
-		local[k] = v
-	}
-	return estFlops(stmts, local)
-}
-
-func estFlops(stmts []Stmt, env map[string]int) float64 {
-	total := 0.0
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			lo, err1 := EvalIndex(s.Lo, env)
-			hi, err2 := EvalIndex(s.Hi, env)
-			if err1 != nil || err2 != nil {
-				continue // unbound variable: treat as zero-cost, caller beware
-			}
-			trip := hi - lo
-			if trip <= 0 {
-				continue
-			}
-			env[s.Var] = lo + trip/2
-			total += float64(trip) * estFlops(s.Body, env)
-			delete(env, s.Var)
-		case *Assign:
-			total += float64(exprOps(s.RHS) + 1)
-		case *If:
-			total += float64(exprOps(s.Cond.L)+exprOps(s.Cond.R)) + 1
-			total += 0.5 * (estFlops(s.Then, env) + estFlops(s.Else, env))
-		}
-	}
-	return total
+	return estFlops(nil, stmts, cloneEnv(env))
 }
 
 // EstFlops is the instance-bound estimate: loop bounds are evaluated
@@ -131,20 +102,34 @@ func estFlops(stmts []Stmt, env map[string]int) float64 {
 // way the package-level EstFlops must. Index arrays are read-only by
 // validation, so the estimate is stable across the run.
 func (in *Instance) EstFlops(stmts []Stmt, env map[string]int) float64 {
-	local := map[string]int{}
+	return estFlops(in, stmts, cloneEnv(env))
+}
+
+// cloneEnv copies env (never nil) so a walk can bind loop variables in it.
+func cloneEnv(env map[string]int) map[string]int {
+	local := make(map[string]int, len(env))
 	for k, v := range env {
 		local[k] = v
 	}
-	return in.estFlops(stmts, local)
+	return local
 }
 
-func (in *Instance) estFlops(stmts []Stmt, env map[string]int) float64 {
+// estFlops is the one estimate walk. in, when non-nil, evaluates loop
+// bounds against its arrays; nil evaluates them from env alone. env is
+// scratch: loop variables are bound and unbound in place.
+func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
+	bound := func(e IExpr) (int, error) {
+		if in != nil {
+			return in.EvalIndex(e, env)
+		}
+		return EvalIndex(e, env)
+	}
 	total := 0.0
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Loop:
-			lo, err1 := in.EvalIndex(s.Lo, env)
-			hi, err2 := in.EvalIndex(s.Hi, env)
+			lo, err1 := bound(s.Lo)
+			hi, err2 := bound(s.Hi)
 			if err1 != nil || err2 != nil {
 				continue // unbound variable: treat as zero-cost, caller beware
 			}
@@ -152,25 +137,25 @@ func (in *Instance) estFlops(stmts []Stmt, env map[string]int) float64 {
 			if trip <= 0 {
 				continue
 			}
-			if loopBoundsUseIArr(s.Body) {
+			if in != nil && loopBoundsUseIArr(s.Body) {
 				// A nested trip count reads an index array through this
 				// loop's variable: the midpoint row is not representative
 				// on skewed data, so sum the body over every iteration.
 				for v := lo; v < hi; v++ {
 					env[s.Var] = v
-					total += in.estFlops(s.Body, env)
+					total += estFlops(in, s.Body, env)
 				}
 				delete(env, s.Var)
 				continue
 			}
 			env[s.Var] = lo + trip/2
-			total += float64(trip) * in.estFlops(s.Body, env)
+			total += float64(trip) * estFlops(in, s.Body, env)
 			delete(env, s.Var)
 		case *Assign:
 			total += float64(exprOps(s.RHS) + 1)
 		case *If:
 			total += float64(exprOps(s.Cond.L)+exprOps(s.Cond.R)) + 1
-			total += 0.5 * (in.estFlops(s.Then, env) + in.estFlops(s.Else, env))
+			total += 0.5 * (estFlops(in, s.Then, env) + estFlops(in, s.Else, env))
 		}
 	}
 	return total
@@ -203,11 +188,7 @@ func loopBoundsUseIArr(stmts []Stmt) bool {
 // maximized). Exponential in nothing, but linear in total iterations — use
 // for small instances and tests.
 func ExactFlops(stmts []Stmt, env map[string]int) int64 {
-	local := map[string]int{}
-	for k, v := range env {
-		local[k] = v
-	}
-	return exactFlops(stmts, local)
+	return exactFlops(stmts, cloneEnv(env))
 }
 
 func exactFlops(stmts []Stmt, env map[string]int) int64 {

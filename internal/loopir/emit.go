@@ -30,9 +30,8 @@ import (
 // VM by an ULP.
 
 // EmittedKernel is one emitted Go kernel function plus the metadata a host
-// needs to call it: which storage slice goes in each data slot, which free
-// variable goes in each regs slot, and the parallel-safety verdict of the
-// companion range-kernel analysis.
+// needs to call it: which storage slice goes in each data slot and which
+// free variable goes in each regs slot.
 type EmittedKernel struct {
 	// Name is the emitted function's name.
 	Name string
@@ -44,49 +43,19 @@ type EmittedKernel struct {
 	// FreeVars names the free variable bound to each regs[i] slot. Loop
 	// variables bound inside the kernel are locals and do not appear.
 	FreeVars []string
-	// ParallelSafe, HasChains and SeqReason mirror the RangeKernel
-	// analysis: iterations of [lo,hi) may run on disjoint sub-ranges iff
-	// ParallelSafe; HasChains means bit-identical parallelism requires the
-	// VM's record/replay machinery, so native dispatch must stay
-	// sequential. Whole-body kernels report ParallelSafe=false.
-	ParallelSafe bool
-	HasChains    bool
-	SeqReason    string
-	// Guards are rendered range-invariant read positions of partitioned
-	// arrays (informational; the host evaluates guards through the
-	// companion RangeKernel).
-	Guards []string
 }
 
 // EmitRangeKernelGo emits the distributed loop `for distVar in [lo,hi) {
 // body }` as a Go function. The same compilation path as
-// CompileRangeKernel produces the instruction tree and the parallel-safety
-// analysis, so the emitted function is the native twin of the range kernel
-// the VM would execute.
+// CompileRangeKernel produces the instruction tree, so the emitted
+// function is the native twin of the range kernel the VM would execute.
 func (in *Instance) EmitRangeKernelGo(distVar string, body []Stmt, name string) (*EmittedKernel, error) {
-	wrapped := []Stmt{For(distVar, Iv(kernelLoVar), Iv(kernelHiVar), body...)}
-	k, kc, err := in.compileKernel(wrapped)
+	rk, kc, err := in.compileRange(distVar, body)
 	if err != nil {
 		return nil, err
 	}
-	rk := &RangeKernel{
-		k:     k,
-		loReg: k.regIndex[kernelLoVar],
-		hiReg: k.regIndex[kernelHiVar],
-	}
-	rk.analyze(kc, k.regIndex[distVar], body)
-	em := newEmitter(k, kc, rk.loReg, rk.hiReg)
-	ek, err := em.emit(name, fmt.Sprintf("executes iterations [lo, hi) of distributed loop %q", distVar))
-	if err != nil {
-		return nil, err
-	}
-	ek.ParallelSafe = rk.parOK
-	ek.HasChains = rk.hasChains
-	ek.SeqReason = rk.seqReason
-	for _, g := range rk.guards {
-		ek.Guards = append(ek.Guards, em.lin(g))
-	}
-	return ek, nil
+	em := newEmitter(rk.k, kc, rk.loReg, rk.hiReg)
+	return em.emit(name, fmt.Sprintf("executes iterations [lo, hi) of distributed loop %q", distVar))
 }
 
 // EmitKernelGo emits a whole statement list as a Go function with the same

@@ -41,44 +41,6 @@ func distLoops(p *Program) []*Loop {
 	return out
 }
 
-// TestEmitRangeKernelFlagsMatchVM: the emitted kernel's parallel-safety
-// verdict must agree with CompileRangeKernel for every distributable
-// region of every library program — the emitter rides the same analysis,
-// and the dlb runtime trusts the flags to pick a dispatch strategy.
-func TestEmitRangeKernelFlagsMatchVM(t *testing.T) {
-	for name, p := range Library() {
-		p := p
-		t.Run(name, func(t *testing.T) {
-			in, err := NewInstance(p, emitTestParams(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, l := range distLoops(p) {
-				rk, rkErr := in.CompileRangeKernel(l.Var, l.Body)
-				ek, ekErr := in.EmitRangeKernelGo(l.Var, l.Body, "K")
-				if (rkErr == nil) != (ekErr == nil) {
-					t.Fatalf("loop %q: VM err=%v, emitter err=%v", l.Var, rkErr, ekErr)
-				}
-				if rkErr != nil {
-					continue
-				}
-				if ek.ParallelSafe != rk.ParallelSafe() {
-					t.Errorf("loop %q: ParallelSafe=%v, VM says %v", l.Var, ek.ParallelSafe, rk.ParallelSafe())
-				}
-				if ek.SeqReason != rk.SeqReason() {
-					t.Errorf("loop %q: SeqReason=%q, VM says %q", l.Var, ek.SeqReason, rk.SeqReason())
-				}
-				if len(ek.Guards) != len(rk.guards) {
-					t.Errorf("loop %q: %d guards, VM has %d", l.Var, len(ek.Guards), len(rk.guards))
-				}
-				if ek.HasChains != rk.hasChains {
-					t.Errorf("loop %q: HasChains=%v, VM says %v", l.Var, ek.HasChains, rk.hasChains)
-				}
-			}
-		})
-	}
-}
-
 // TestEmitSourceGofmtIdempotent: every emitted function must already be
 // in canonical gofmt form.
 func TestEmitSourceGofmtIdempotent(t *testing.T) {
@@ -117,9 +79,8 @@ func TestEmitSourceGofmtIdempotent(t *testing.T) {
 }
 
 // TestEmitJacobiSweepMetadata pins the contract for the canonical region:
-// the jacobi i-sweep reads a, writes anew, has no free variables beyond
-// none (n is a compile-time parameter, i/j are kernel locals) and is
-// partition-safe.
+// the jacobi i-sweep reads a, writes anew and has no free variables (n is
+// a compile-time parameter, i/j are kernel locals).
 func TestEmitJacobiSweepMetadata(t *testing.T) {
 	p := Library()["jacobi"]
 	in, err := NewInstance(p, map[string]int{"n": 16, "maxiter": 2})
@@ -136,10 +97,6 @@ func TestEmitJacobiSweepMetadata(t *testing.T) {
 	}
 	if len(ek.FreeVars) != 0 {
 		t.Errorf("FreeVars = %v, want none (params fold, loop vars are locals)", ek.FreeVars)
-	}
-	if !ek.ParallelSafe || ek.HasChains {
-		t.Errorf("ParallelSafe=%v HasChains=%v, want true/false (%s)",
-			ek.ParallelSafe, ek.HasChains, ek.SeqReason)
 	}
 	if !strings.Contains(ek.Src, "func Kernel0(lo, hi int, regs []int, data [][]float64)") {
 		t.Errorf("missing stable signature:\n%s", ek.Src)

@@ -25,9 +25,6 @@ import (
 //     (which may exit early) keep a per-access check.
 //   - Expressions run on a tiny postfix stack machine with no error path;
 //     malformed programs are rejected at compile time instead.
-//
-// RangeKernel additionally analyzes the distributed loop for parallel
-// execution across worker goroutines (see CompileRangeKernel).
 
 // Opcode kinds of the expression stack machine.
 const (
@@ -78,22 +75,28 @@ type kadv struct {
 	step int
 }
 
-// kexec is the per-call (and per-worker) execution state of a kernel.
+// kexec is the per-call execution state of a kernel. Every iteration
+// writes its registers, site offsets and stack (and the stack's header
+// here), and the slaves of one process run their kernels concurrently:
+// the pads, and isolated for the backing arrays, keep that state off any
+// cache line the allocator also hands to another slave's. Without them
+// the placement is a matter of which P allocated when, and two mm kernels
+// whose state lands on one line run up to 6x slower for as long as it does.
 type kexec struct {
-	regs      []int
-	offs      []int
-	stack     []float64
-	recording bool
-	rec       []chainEntry
+	_     [cacheLine]byte
+	regs  []int
+	offs  []int
+	stack []float64
+	_     [cacheLine]byte
 }
 
-// chainEntry is one deferred reduction-chain application (parallel mode):
-// replayed strictly in sequential iteration order, it reproduces the
-// sequential floating-point chain bit for bit.
-type chainEntry struct {
-	a   *kassign
-	off int
-	val float64
+const cacheLine = 64
+
+// isolated returns a zeroed slice of n words with a cache line of unused
+// words on either side of it.
+func isolated[T int | float64](n int) []T {
+	const pad = cacheLine / 8
+	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
 }
 
 // kinstr is one compiled statement.
@@ -138,21 +141,9 @@ func (l *kloop) run(k *Kernel, x *kexec) {
 type kassign struct {
 	dst  int32
 	code []kop
-	// Chain metadata: a range-invariant store of the form r = r ⊕ expr
-	// (or a plain overwrite) that parallel execution defers and replays in
-	// iteration order. Only consulted when kexec.recording is set.
-	chain     bool
-	chainOp   byte // '+', '-', '*', '/'; 0 = plain overwrite
-	chainLeft bool // the r operand is the left operand of the RHS
-	dcode     []kop
 }
 
 func (a *kassign) run(k *Kernel, x *kexec) {
-	if x.recording && a.chain {
-		d := k.eval(a.dcode, x)
-		x.rec = append(x.rec, chainEntry{a: a, off: x.offs[a.dst], val: d})
-		return
-	}
 	v := k.eval(a.code, x)
 	s := &k.sites[a.dst]
 	off := x.offs[a.dst]
@@ -220,14 +211,12 @@ func (k *Kernel) getExec() *kexec {
 		for i := range x.regs {
 			x.regs[i] = 0
 		}
-		x.recording = false
-		x.rec = x.rec[:0]
 		return x
 	}
 	return &kexec{
-		regs:  make([]int, k.nregs),
-		offs:  make([]int, len(k.sites)),
-		stack: make([]float64, 0, k.depth),
+		regs:  isolated[int](k.nregs),
+		offs:  isolated[int](len(k.sites)),
+		stack: isolated[float64](k.depth)[:0],
 	}
 }
 
@@ -319,66 +308,9 @@ func (k *Kernel) Run(bind map[string]int) {
 	k.putExec(x)
 }
 
-// applyChain replays deferred reduction-chain entries in order. Because
-// each worker records its entries in its own (ascending) iteration order
-// and workers cover ascending contiguous ranges, replaying worker streams
-// in worker order reproduces the exact sequential operation chain.
-func (k *Kernel) applyChain(entries []chainEntry) {
-	for i := range entries {
-		e := &entries[i]
-		a := e.a
-		s := &k.sites[a.dst]
-		if s.check && uint(e.off) >= uint(len(s.data)) {
-			panic(fmt.Sprintf("loopir: kernel store to %q out of range: %d not in [0,%d)", s.name, e.off, len(s.data)))
-		}
-		cur := s.data[e.off]
-		var v float64
-		switch a.chainOp {
-		case 0:
-			v = e.val
-		case '+':
-			if a.chainLeft {
-				v = cur + e.val
-			} else {
-				v = e.val + cur
-			}
-		case '-':
-			if a.chainLeft {
-				v = cur - e.val
-			} else {
-				v = e.val - cur
-			}
-		case '*':
-			if a.chainLeft {
-				v = cur * e.val
-			} else {
-				v = e.val * cur
-			}
-		default: // '/'
-			if a.chainLeft {
-				v = cur / e.val
-			} else {
-				v = e.val / cur
-			}
-		}
-		s.data[e.off] = v
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Compilation
 // ---------------------------------------------------------------------------
-
-// krefInfo records one array reference for the parallel-safety analysis.
-type krefInfo struct {
-	arr   *Array
-	dims  []lin
-	flat  lin
-	write bool
-	asg   *kassign // writes only
-	src   *Assign  // writes only
-	dExpr Expr     // writes only: the non-r operand of a chain candidate
-}
 
 // klevel is the compile-time context of one loop nesting level.
 type klevel struct {
@@ -397,7 +329,6 @@ func newLevel(reg int, canHoist bool) *klevel {
 type kcompiler struct {
 	lw       *lowerer
 	sites    []ksite
-	refs     []krefInfo
 	depth    int
 	internal map[int]bool // registers bound by loops inside the kernel
 }
@@ -420,33 +351,6 @@ func linCoef(l lin, reg int) int {
 		}
 	}
 	return 0
-}
-
-// linIsReg reports whether l is exactly the register reg (coefficient 1,
-// no constant, no other terms).
-func linIsReg(l lin, reg int) bool {
-	return l.c == 0 && len(l.terms) == 1 && l.terms[0].reg == reg && l.terms[0].coef == 1
-}
-
-func linUsesAny(l lin, regs map[int]bool) bool {
-	for _, t := range l.terms {
-		if regs[t.reg] {
-			return true
-		}
-	}
-	return false
-}
-
-func linEqual(a, b lin) bool {
-	if a.c != b.c || len(a.terms) != len(b.terms) {
-		return false
-	}
-	for i := range a.terms {
-		if a.terms[i] != b.terms[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // addSite interns one (array, flat offset) reference at its owning level.
@@ -474,22 +378,20 @@ func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool
 	return id
 }
 
-func (kc *kcompiler) lowerRef(r Ref) (*Array, []lin, lin, error) {
+func (kc *kcompiler) lowerRef(r Ref) (*Array, lin, error) {
 	arr, ok := kc.lw.in.Arrays[r.Array]
 	if !ok {
-		return nil, nil, lin{}, fmt.Errorf("unknown array %q", r.Array)
+		return nil, lin{}, fmt.Errorf("unknown array %q", r.Array)
 	}
-	dims := make([]lin, len(r.Idx))
 	flat := lin{}
 	for d, ie := range r.Idx {
 		l, err := kc.lw.lowerIndex(ie)
 		if err != nil {
-			return nil, nil, lin{}, err
+			return nil, lin{}, err
 		}
-		dims[d] = l
 		flat = flat.add(l.scale(arr.Stride[d]))
 	}
-	return arr, dims, flat, nil
+	return arr, flat, nil
 }
 
 // compileExpr appends postfix code for e and returns the updated code and
@@ -499,12 +401,11 @@ func (kc *kcompiler) compileExpr(e Expr, lvl *klevel, conditional bool, code []k
 	case Const:
 		return append(code, kop{kind: opConst, c: float64(e)}), 1, nil
 	case Ref:
-		arr, dims, flat, err := kc.lowerRef(e)
+		arr, flat, err := kc.lowerRef(e)
 		if err != nil {
 			return nil, 0, err
 		}
 		site := kc.addSite(arr, flat, lvl, conditional)
-		kc.refs = append(kc.refs, krefInfo{arr: arr, dims: dims, flat: flat})
 		return append(code, kop{kind: opLoad, site: site}), 1, nil
 	case Bin:
 		code, dl, err := kc.compileExpr(e.L, lvl, conditional, code)
@@ -573,7 +474,7 @@ func (kc *kcompiler) compileCond(c Cond, lvl *klevel, conditional bool) (kcond, 
 }
 
 func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool) (*kassign, error) {
-	arr, dims, flat, err := kc.lowerRef(s.LHS)
+	arr, flat, err := kc.lowerRef(s.LHS)
 	if err != nil {
 		return nil, err
 	}
@@ -585,44 +486,7 @@ func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool) (*k
 	if d > kc.depth {
 		kc.depth = d
 	}
-	a := &kassign{dst: dst, code: code}
-
-	// Recognize the chain shape r = r ⊕ expr (either operand order) where
-	// the r operand names the identical element as the LHS. The stripped
-	// expr is compiled too, so parallel execution can defer the chain.
-	ref := krefInfo{arr: arr, dims: dims, flat: flat, write: true, asg: a, src: s}
-	if b, ok := s.RHS.(Bin); ok {
-		operand := func(e Expr) bool {
-			r, ok := e.(Ref)
-			if !ok || r.Array != s.LHS.Array {
-				return false
-			}
-			_, _, rflat, err := kc.lowerRef(r)
-			return err == nil && linEqual(rflat, flat)
-		}
-		var dExpr Expr
-		switch {
-		case operand(b.L):
-			a.chainOp, a.chainLeft, dExpr = b.Op, true, b.R
-		case operand(b.R):
-			a.chainOp, a.chainLeft, dExpr = b.Op, false, b.L
-		}
-		if dExpr != nil {
-			// Note: compiling the stripped operand interns no new sites
-			// beyond those the full RHS already created.
-			dcode, dd, err := kc.compileExpr(dExpr, lvl, conditional, nil)
-			if err != nil {
-				return nil, err
-			}
-			if dd > kc.depth {
-				kc.depth = dd
-			}
-			a.dcode = dcode
-			ref.dExpr = dExpr
-		}
-	}
-	kc.refs = append(kc.refs, ref)
-	return a, nil
+	return &kassign{dst: dst, code: code}, nil
 }
 
 func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) ([]kinstr, error) {
@@ -719,10 +583,6 @@ func (in *Instance) RunKernel() error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// RangeKernel: the distributed loop, partitionable across workers
-// ---------------------------------------------------------------------------
-
 // Free variables carrying the executed range into a RangeKernel.
 const (
 	kernelLoVar = "__klo"
@@ -730,205 +590,32 @@ const (
 )
 
 // RangeKernel is a compiled distributed loop `for v in [lo,hi) { body }`
-// whose range is supplied per call. CompileRangeKernel also proves (or
-// refuses to prove) that distinct iterations touch disjoint data, so the
-// range can be partitioned across worker goroutines with outputs
-// bit-identical to sequential execution:
-//
-//   - Every written array must either be partitioned by the range variable
-//     (each write's subscript in some dimension is exactly v, and every
-//     read's subscript in that dimension is v too — or range-invariant and
-//     guarded at run time to fall outside [lo,hi), e.g. LU's pivot column)
-//   - or be written only at range-invariant locations through recognized
-//     reduction chains r = r ⊕ expr (expr free of r): workers defer those
-//     stores and the chain is replayed in iteration order afterwards,
-//     reproducing the sequential floating-point result exactly.
-//
-// Anything else falls back to sequential execution of the same kernel.
+// whose range is supplied per call.
 type RangeKernel struct {
-	k         *Kernel
-	loReg     int
-	hiReg     int
-	parOK     bool
-	seqReason string
-	guards    []lin
-	hasChains bool
+	k     *Kernel
+	loReg int
+	hiReg int
+}
+
+// compileRange compiles `for distVar in [lo,hi) { body }` with the range
+// bounds as free variables; the VM range kernel and the Go emitter share it.
+func (in *Instance) compileRange(distVar string, body []Stmt) (*RangeKernel, *kcompiler, error) {
+	wrapped := []Stmt{For(distVar, Iv(kernelLoVar), Iv(kernelHiVar), body...)}
+	k, kc, err := in.compileKernel(wrapped)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &RangeKernel{k: k, loReg: k.regIndex[kernelLoVar], hiReg: k.regIndex[kernelHiVar]}, kc, nil
 }
 
 // CompileRangeKernel compiles body as a distributed-range kernel over
 // distVar.
 func (in *Instance) CompileRangeKernel(distVar string, body []Stmt) (*RangeKernel, error) {
-	wrapped := []Stmt{For(distVar, Iv(kernelLoVar), Iv(kernelHiVar), body...)}
-	k, kc, err := in.compileKernel(wrapped)
-	if err != nil {
-		return nil, err
-	}
-	rk := &RangeKernel{
-		k:     k,
-		loReg: k.regIndex[kernelLoVar],
-		hiReg: k.regIndex[kernelHiVar],
-	}
-	rk.analyze(kc, k.regIndex[distVar], body)
-	return rk, nil
+	rk, _, err := in.compileRange(distVar, body)
+	return rk, err
 }
 
-// countExprReads counts reads of array name in an expression.
-func countExprReads(e Expr, name string) int {
-	switch e := e.(type) {
-	case Ref:
-		if e.Array == name {
-			return 1
-		}
-	case Bin:
-		return countExprReads(e.L, name) + countExprReads(e.R, name)
-	}
-	return 0
-}
-
-// countStmtReads counts reads of array name across a statement list,
-// including If and BreakIf conditions (LHS positions are not reads).
-func countStmtReads(stmts []Stmt, name string) int {
-	n := 0
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			if s.BreakIf != nil {
-				n += countExprReads(s.BreakIf.L, name) + countExprReads(s.BreakIf.R, name)
-			}
-			n += countStmtReads(s.Body, name)
-		case *Assign:
-			n += countExprReads(s.RHS, name)
-		case *If:
-			n += countExprReads(s.Cond.L, name) + countExprReads(s.Cond.R, name)
-			n += countStmtReads(s.Then, name)
-			n += countStmtReads(s.Else, name)
-		}
-	}
-	return n
-}
-
-func (rk *RangeKernel) analyze(kc *kcompiler, vReg int, body []Stmt) {
-	type agroup struct {
-		writes []*krefInfo
-		reads  []*krefInfo
-	}
-	groups := map[*Array]*agroup{}
-	order := []*Array{}
-	for i := range kc.refs {
-		r := &kc.refs[i]
-		g := groups[r.arr]
-		if g == nil {
-			g = &agroup{}
-			groups[r.arr] = g
-			order = append(order, r.arr)
-		}
-		if r.write {
-			g.writes = append(g.writes, r)
-		} else {
-			g.reads = append(g.reads, r)
-		}
-	}
-	for _, arr := range order {
-		g := groups[arr]
-		if len(g.writes) == 0 {
-			continue
-		}
-		invariant := true
-		for _, w := range g.writes {
-			if linCoef(w.flat, vReg) != 0 {
-				invariant = false
-				break
-			}
-		}
-		if invariant {
-			if !rk.analyzeChains(arr, g.writes, body) {
-				return
-			}
-			continue
-		}
-		if !rk.analyzePartition(arr, g.writes, g.reads, vReg, kc.internal) {
-			return
-		}
-	}
-	rk.parOK = true
-}
-
-// analyzeChains checks that a range-invariantly written array is touched
-// only through deferred-replayable chain statements.
-func (rk *RangeKernel) analyzeChains(arr *Array, writes []*krefInfo, body []Stmt) bool {
-	allowed := 0
-	for _, w := range writes {
-		a := w.asg
-		if w.dExpr != nil {
-			if countExprReads(w.dExpr, arr.Name) != 0 {
-				rk.seqReason = fmt.Sprintf("reduction operand of %q reads %q", arr.Name, arr.Name)
-				return false
-			}
-			allowed++
-		} else {
-			if countExprReads(w.src.RHS, arr.Name) != 0 {
-				rk.seqReason = fmt.Sprintf("non-chain self-referential write to %q", arr.Name)
-				return false
-			}
-			a.chainOp = 0
-			a.dcode = a.code
-		}
-		a.chain = true
-	}
-	if countStmtReads(body, arr.Name) != allowed {
-		rk.seqReason = fmt.Sprintf("replicated array %q read outside its reduction chain", arr.Name)
-		return false
-	}
-	rk.hasChains = true
-	return true
-}
-
-// analyzePartition finds a dimension along which every write is owned by
-// exactly its iteration, making cross-iteration accesses provably disjoint.
-func (rk *RangeKernel) analyzePartition(arr *Array, writes, reads []*krefInfo, vReg int, internal map[int]bool) bool {
-	rank := len(arr.Dims)
-	for d := 0; d < rank; d++ {
-		owned := true
-		for _, w := range writes {
-			if !linIsReg(w.dims[d], vReg) {
-				owned = false
-				break
-			}
-		}
-		if !owned {
-			continue
-		}
-		var guards []lin
-		good := true
-		for _, r := range reads {
-			sub := r.dims[d]
-			if linIsReg(sub, vReg) {
-				continue
-			}
-			if !linUsesAny(sub, internal) {
-				guards = append(guards, sub)
-				continue
-			}
-			good = false
-			break
-		}
-		if good {
-			rk.guards = append(rk.guards, guards...)
-			return true
-		}
-	}
-	rk.seqReason = fmt.Sprintf("cross-iteration access to %q", arr.Name)
-	return false
-}
-
-// ParallelSafe reports whether the kernel's iterations were proven
-// independent (possibly subject to per-call runtime guards).
-func (rk *RangeKernel) ParallelSafe() bool { return rk.parOK }
-
-// SeqReason explains why the kernel is sequential-only ("" if parallel).
-func (rk *RangeKernel) SeqReason() string { return rk.seqReason }
-
-// Run executes iterations [lo,hi) sequentially.
+// Run executes iterations [lo,hi).
 func (rk *RangeKernel) Run(lo, hi int, bind map[string]int) {
 	k := rk.k
 	x := k.getExec()
@@ -936,82 +623,4 @@ func (rk *RangeKernel) Run(lo, hi int, bind map[string]int) {
 	x.regs[rk.loReg], x.regs[rk.hiReg] = lo, hi
 	k.exec(x)
 	k.putExec(x)
-}
-
-// Workers resolves how many workers a parallel run over [lo,hi) may use:
-// want, clamped by the range width, dropped to 1 when the kernel is not
-// provably parallel or a runtime guard (a range-invariant read of a
-// partitioned array) lands inside the executed range.
-func (rk *RangeKernel) Workers(lo, hi int, bind map[string]int, want int) int {
-	if want > hi-lo {
-		want = hi - lo
-	}
-	if want <= 1 || !rk.parOK {
-		return 1
-	}
-	if len(rk.guards) > 0 {
-		k := rk.k
-		x := k.getExec()
-		k.applyBind(x, bind)
-		blocked := false
-		for _, g := range rk.guards {
-			if v := g.eval(x.regs); v >= lo && v < hi {
-				blocked = true
-				break
-			}
-		}
-		k.putExec(x)
-		if blocked {
-			return 1
-		}
-	}
-	return want
-}
-
-// RunParallel executes iterations [lo,hi) across up to workers goroutines
-// and returns the worker count actually used. Results are bit-identical to
-// Run for every worker count: non-reduction writes are provably disjoint,
-// and reduction chains are recorded per worker and replayed in iteration
-// order.
-func (rk *RangeKernel) RunParallel(lo, hi int, bind map[string]int, workers int) int {
-	w := rk.Workers(lo, hi, bind, workers)
-	if w <= 1 {
-		if hi > lo {
-			rk.Run(lo, hi, bind)
-		}
-		return 1
-	}
-	k := rk.k
-	width := hi - lo
-	execs := make([]*kexec, w)
-	var wg sync.WaitGroup
-	var panicked sync.Map
-	for i := 0; i < w; i++ {
-		x := k.getExec()
-		k.applyBind(x, bind)
-		x.regs[rk.loReg] = lo + i*width/w
-		x.regs[rk.hiReg] = lo + (i+1)*width/w
-		x.recording = rk.hasChains
-		execs[i] = x
-		wg.Add(1)
-		go func(i int, x *kexec) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicked.Store(i, p)
-				}
-			}()
-			k.exec(x)
-		}(i, x)
-	}
-	wg.Wait()
-	if p, ok := panicked.Load(0); ok {
-		panic(p)
-	}
-	panicked.Range(func(_, p interface{}) bool { panic(p) })
-	for _, x := range execs {
-		k.applyChain(x.rec)
-		k.putExec(x)
-	}
-	return w
 }

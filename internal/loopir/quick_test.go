@@ -118,6 +118,23 @@ func TestQuickKernelFragmentEquivalence(t *testing.T) {
 	})
 }
 
+// TestQuickRangeKernelEquivalence runs the same peeled loop as a range
+// kernel over two adjacent sub-ranges — how the slave runs the contiguous
+// runs of a distributed loop it owns.
+func TestQuickRangeKernelEquivalence(t *testing.T) {
+	quickVsInterpreter(t, func(fast *Instance, n int) error {
+		outer := fast.Prog.Body[0].(*Loop)
+		rk, err := fast.CompileRangeKernel(outer.Var, outer.Body)
+		if err != nil {
+			return err
+		}
+		mid := n / 2
+		rk.Run(1, mid, nil)
+		rk.Run(mid, n-1, nil)
+		return nil
+	})
+}
+
 func TestQuickEstFlopsRectangularExact(t *testing.T) {
 	// For rectangular nests (constant bounds), the midpoint estimate must
 	// equal the exact count.

@@ -176,7 +176,6 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 		Grain:          grain,
 		DLB:            cfg.DLB,
 		Synchronous:    cfg.Synchronous,
-		Cores:          cfg.Cores,
 		Kernel:         cfg.Kernel,
 		CostModel:      cfg.CostModel,
 		Overlap:        cfg.Overlap,
@@ -204,7 +203,6 @@ func configFromSpec(plans *compile.Cache, spec wire.RunSpec) (cfg dlb.Config, ca
 		Params:      spec.Params,
 		DLB:         spec.DLB,
 		Synchronous: spec.Synchronous,
-		Cores:       spec.Cores,
 		Kernel:      spec.Kernel,
 		CostModel:   spec.CostModel,
 		Overlap:     spec.Overlap,

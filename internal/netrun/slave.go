@@ -29,11 +29,6 @@ type ServerOptions struct {
 	// emulating a slower or loaded machine so load redistribution is
 	// observable on homogeneous test hardware.
 	Drag float64
-	// Cores overrides the master's shipped kernel worker count for this
-	// daemon (0: use the shipped value; -1: all hardware cores). Per-node
-	// overrides are the point — a heterogeneous cluster advertises its
-	// actual width to the load balancer through its measured rate.
-	Cores int
 	// Kernel overrides the master's shipped execution tier for this daemon
 	// ("" uses the shipped value; "interp", "kernel" or "aot" force a
 	// tier). All tiers are bit-identical, so heterogeneous overrides are
@@ -274,9 +269,6 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 	if err != nil {
 		s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: err.Error()})
 		return
-	}
-	if s.opt.Cores != 0 {
-		cfg.Cores = s.opt.Cores
 	}
 	if s.opt.Kernel != "" {
 		cfg.Kernel = s.opt.Kernel

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,6 +65,14 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", JobSpec{}, nil); code != 400 {
 		t.Errorf("empty-program submit = %d, want 400", code)
+	}
+
+	// A retired field is refused by name, not silently dropped.
+	var bad struct {
+		Error string `json:"error"`
+	}
+	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", map[string]interface{}{"program": "x", "cores": 2}, &bad); code != 400 || !strings.Contains(bad.Error, `"cores"`) {
+		t.Errorf(`submit with "cores" = %d (%q), want 400 naming the field`, code, bad.Error)
 	}
 
 	// A good submission round-trips through status to a verified result.

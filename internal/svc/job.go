@@ -69,8 +69,6 @@ type JobSpec struct {
 	Slaves int `json:"slaves,omitempty"`
 	// Synchronous disables pipelined master interactions.
 	Synchronous bool `json:"synchronous,omitempty"`
-	// Cores caps each slave's kernel worker goroutines (0: runtime default).
-	Cores int `json:"cores,omitempty"`
 	// Kernel selects the execution tier ("interp" — the tree interpreter,
 	// the slow oracle — "kernel" or "aot"; empty: "kernel"). All tiers are
 	// bit-identical; "aot" pays a one-time toolchain build per program,

@@ -68,7 +68,7 @@ func specKey(spec JobSpec) string {
 	for _, l := range spec.DistLoops {
 		fmt.Fprintf(h, "loop %s\n", l)
 	}
-	fmt.Fprintf(h, "slaves=%d sync=%v cores=%d groups=%d kernel=%s costmodel=%s\n", spec.Slaves, spec.Synchronous, spec.Cores, spec.Groups, spec.Kernel, spec.CostModel)
+	fmt.Fprintf(h, "slaves=%d sync=%v groups=%d kernel=%s costmodel=%s\n", spec.Slaves, spec.Synchronous, spec.Groups, spec.Kernel, spec.CostModel)
 	return hex.EncodeToString(h.Sum(nil))[:24]
 }
 

@@ -142,7 +142,6 @@ func (s *Service) cfgFor(plan *compile.Plan, spec JobSpec) dlb.Config {
 		Params:      spec.Params,
 		DLB:         true,
 		Synchronous: spec.Synchronous,
-		Cores:       spec.Cores,
 		Kernel:      spec.Kernel,
 		CostModel:   spec.CostModel,
 		Groups:      spec.Groups,
