@@ -65,11 +65,11 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 			return nil, fmt.Errorf("compile: no loop scans the distributed dimension")
 		}
 	}
-	props, err := analysis.PropertiesFor(spec)
+	deps, err := analysis.DepsFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	deps, err := analysis.DepsFor(spec)
+	props, err := analysis.PropertiesFrom(spec, deps)
 	if err != nil {
 		return nil, err
 	}

@@ -88,6 +88,17 @@ func (a *Analysis) DepsFor(spec DistSpec) ([]Dep, error) {
 // The primary distributed loop (spec.Loops[0]) provides the loop-structure
 // properties; dependence properties consider every distributed loop.
 func (a *Analysis) PropertiesFor(spec DistSpec) (Properties, error) {
+	deps, err := a.DepsFor(spec)
+	if err != nil {
+		return Properties{}, err
+	}
+	return a.PropertiesFrom(spec, deps)
+}
+
+// PropertiesFrom is PropertiesFor for a caller that already holds
+// DepsFor(spec): each DepsFor traces every sample, so compile.Compile, which
+// needs both, computes the dependences once.
+func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error) {
 	distLoop := spec.Primary()
 	loop, outer, found := findLoop(a.Prog.Body, distLoop, nil)
 	if !found {
@@ -95,10 +106,6 @@ func (a *Analysis) PropertiesFor(spec DistSpec) (Properties, error) {
 	}
 	var pr Properties
 
-	deps, err := a.DepsFor(spec)
-	if err != nil {
-		return Properties{}, err
-	}
 	isDistLoop := map[string]bool{}
 	for _, l := range spec.Loops {
 		isDistLoop[l] = true

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/loopir"
 )
 
@@ -88,5 +90,29 @@ func BenchmarkSlavesPerHost(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSimSorWave is the benchmark's sim_sor_wave workload as one
+// dlb.Run: sor n=512 × 24 sweeps on eight simulated slaves, a 20 s/10 s
+// square wave on slave 3, FlopCost 5 µs. Its wall time is the simulator's
+// own plumbing (process switches, per-slave instance set-up, the step
+// loop's bookkeeping) around about a quarter of kernel work.
+func BenchmarkSimSorWave(b *testing.B) {
+	const slaves = 8
+	load := make([]cluster.LoadProfile, slaves)
+	for i := range load {
+		load[i] = cluster.NoLoad{}
+	}
+	load[slaves/2-1] = cluster.SquareWave{Period: 20 * time.Second, OnDuration: 10 * time.Second, Tasks: 1}
+	cfg := Config{
+		Plan: planFor(b, "sor"), Params: map[string]int{"n": 512, "maxiter": 24},
+		DLB: true, FlopCost: 5 * time.Microsecond,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, cluster.Config{Slaves: slaves, Load: load}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

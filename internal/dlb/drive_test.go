@@ -3,6 +3,7 @@ package dlb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/loopir"
+	"repro/internal/vtime"
 )
 
 // transport drives RunMasterOn and RunSlaveOn the way internal/netrun does
@@ -272,6 +274,37 @@ func TestTransportSlaveBugFailsRun(t *testing.T) {
 	}
 }
 
+// buggyConfig is mm with an owner block appended whose body reads past an
+// array; only the owner of unit 0 executes it.
+func buggyConfig(t *testing.T) Config {
+	plan := *planFor(t, "mm")
+	bad := &compile.OwnerBlock{
+		Index: loopir.Ic(0),
+		Body: []loopir.Stmt{loopir.Set(loopir.Fref("c", loopir.Ic(0), loopir.Ic(0)),
+			loopir.Fref("c", loopir.Ic(1<<20), loopir.Ic(0)))},
+	}
+	plan.Steps = append(append([]compile.Step(nil), plan.Steps...), bad)
+	return Config{Plan: &plan, Params: map[string]int{"n": 48}, DLB: true, Kernel: KernelInterp}
+}
+
+// TestSimSlaveBugFailsRun is the same contract in the simulator: the bug is
+// Run's error, naming the slave and carrying its stack, and the peers left
+// blocked on the dead process are unwound, not leaked.
+func TestSimSlaveBugFailsRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	_, err := Run(buggyConfig(t), cluster.Config{Slaves: 3})
+	var pp *vtime.ProcPanic
+	if !errors.As(err, &pp) || !strings.HasPrefix(err.Error(), "dlb: slave0 panicked: ") {
+		t.Fatalf("err = %v, want one naming slave0's panic", err)
+	}
+	if !strings.Contains(string(pp.Stack), "execOwnerBlock") {
+		t.Errorf("stack does not reach the bug:\n%s", pp.Stack)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Run, %d before", n, base)
+	}
+}
+
 // TestRealSlaveBugFailsRun is the same contract on RunReal: a slave
 // goroutine that panics with a non-fault value fails the run with an error
 // naming it, and RunReal returns (it waits for every goroutine it started)
@@ -280,14 +313,7 @@ func TestTransportSlaveBugFailsRun(t *testing.T) {
 // 0 executes it.
 func TestRealSlaveBugFailsRun(t *testing.T) {
 	for _, ft := range []bool{false, true} {
-		plan := *planFor(t, "mm")
-		bad := &compile.OwnerBlock{
-			Index: loopir.Ic(0),
-			Body: []loopir.Stmt{loopir.Set(loopir.Fref("c", loopir.Ic(0), loopir.Ic(0)),
-				loopir.Fref("c", loopir.Ic(1<<20), loopir.Ic(0)))},
-		}
-		plan.Steps = append(append([]compile.Step(nil), plan.Steps...), bad)
-		cfg := Config{Plan: &plan, Params: map[string]int{"n": 48}, DLB: true, Kernel: KernelInterp}
+		cfg := buggyConfig(t)
 		if ft {
 			cfg.Fault = &fault.Plan{}
 		}

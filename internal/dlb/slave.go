@@ -40,7 +40,9 @@ type interpRange struct{ frag loopir.InterpFragment }
 
 func (r *interpRange) Run(lo, hi int, bind map[string]int) {
 	bind[rangeLo], bind[rangeHi] = lo, hi
-	r.frag.Run(bind)
+	r.frag.Run(bind) // copies bind
+	delete(bind, rangeLo)
+	delete(bind, rangeHi)
 }
 
 // ownedExec is one distributed loop's resolved executor.
@@ -146,12 +148,9 @@ func (s *slave) runOn(ep Endpoint) {
 	// scatter, exchanges, broadcasts, and work movement is valid, so any
 	// read of non-owned data surfaces as corruption instead of silently
 	// using initial values.
-	inst, err := loopir.NewInstance(plan.Prog, s.exec.Params)
+	inst, err := loopir.NewZeroInstance(plan.Prog, s.exec.Params)
 	if err != nil {
 		panic(fmt.Sprintf("slave%d: %v", s.id, err))
-	}
-	for _, a := range inst.Arrays {
-		a.Fill(nil)
 	}
 	s.inst = inst
 
@@ -576,10 +575,6 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		s.drainPending(pend)
 		return
 	}
-	bind := map[string]int{}
-	for k, v := range s.env {
-		bind[k] = v
-	}
 
 	ox := s.ownedLoops[st]
 	iarr := ox.iarr
@@ -593,15 +588,18 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		unitFlops = make([]float64, 0, count)
 		for _, r := range runs {
 			for u := r[0]; u < r[1]; u++ {
-				bind[st.Var] = u
-				unitFlops = append(unitFlops, s.inst.EstFlops(st.Body, bind))
+				s.env[st.Var] = u
+				unitFlops = append(unitFlops, s.inst.EstFlops(st.Body, s.env))
 			}
 		}
 	} else {
-		bind[st.Var] = lo + (hi-lo)/2
-		perUnit = loopir.EstFlops(st.Body, bind)
+		s.env[st.Var] = lo + (hi-lo)/2
+		perUnit = loopir.EstFlops(st.Body, s.env)
 	}
-	delete(bind, st.Var) // the runner binds the loop variable itself
+	// The estimates bind the loop variable in s.env itself, as execSteps
+	// does for its loops; the runner binds its own, and none keeps the map
+	// or leaves a binding in it.
+	delete(s.env, st.Var)
 	// bw is the boundary width of the pending overlap: units within bw of a
 	// run edge may read a ghost and form the boundary region; everything
 	// deeper is interior and safe to compute before the receives complete.
@@ -655,7 +653,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 
 	runRange := func(rlo, rhi int) {
 		if rhi > rlo {
-			ox.run.Run(rlo, rhi, bind)
+			ox.run.Run(rlo, rhi, s.env)
 		}
 	}
 	if bw == 0 {

@@ -105,6 +105,17 @@ type Instance struct {
 // NewInstance validates the program, checks that every parameter is bound,
 // and allocates + initializes all arrays.
 func NewInstance(p *Program, params map[string]int) (*Instance, error) {
+	return newInstance(p, params, true)
+}
+
+// NewZeroInstance is NewInstance with every array left zeroed instead of
+// run through its init function: for an instance whose contents arrive
+// from elsewhere (a slave's private copy, filled by the scatter).
+func NewZeroInstance(p *Program, params map[string]int) (*Instance, error) {
+	return newInstance(p, params, false)
+}
+
+func newInstance(p *Program, params map[string]int, init bool) (*Instance, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -130,7 +141,9 @@ func NewInstance(p *Program, params map[string]int) (*Instance, error) {
 			dims[d] = v
 		}
 		arr := NewArray(decl.Name, dims)
-		arr.Fill(decl.Init)
+		if init {
+			arr.Fill(decl.Init)
+		}
 		in.Arrays[decl.Name] = arr
 	}
 	return in, nil

@@ -1,14 +1,17 @@
+//go:build go1.23
+
 // Package vtime implements a conservative discrete-event simulation kernel
-// with goroutine-backed processes.
+// with coroutine-backed processes.
 //
 // The kernel advances a single virtual clock. Processes are ordinary Go
-// functions running on their own goroutines, but the kernel guarantees that
-// at most one process executes at any instant: a process runs until it
-// blocks in Sleep or Recv, at which point control returns to the kernel,
+// functions, each a coroutine (iter.Pull) of the goroutine that calls Run:
+// a process runs until it blocks in Sleep or Recv, at which point control
+// switches straight back to the kernel — no scheduler, no other thread —
 // which dispatches the next event in timestamp order. This gives sequential,
 // deterministic semantics while letting simulation code be written in a
 // natural blocking style (the same runtime code can later be pointed at a
-// wall-clock environment).
+// wall-clock environment). iter is go1.23 and the module's go line is pinned
+// at 1.22 by the nested benchmark module, hence the build constraint above.
 //
 // Time is represented as time.Duration since the start of the simulation.
 package vtime
@@ -16,6 +19,8 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -23,12 +28,12 @@ import (
 // Kernel owns the virtual clock, the event queue, and all processes.
 // Create one with NewKernel, spawn processes with Spawn, then call Run.
 type Kernel struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64 // tie-breaker for events with equal timestamps
-	procs   []*Proc
-	limit   time.Duration // 0 means no limit
-	stopped bool
+	now    time.Duration
+	queue  eventHeap
+	seq    uint64 // tie-breaker for events with equal timestamps
+	procs  []*Proc
+	limit  time.Duration // 0 means no limit
+	failed *ProcPanic    // first process that panicked; ends Run
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -57,6 +62,22 @@ type DeadlockError struct {
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("vtime: deadlock at %v: blocked processes %v", e.Time, e.Blocked)
 }
+
+// ProcPanic is returned by Run when a process function panics: the bug ends
+// the simulation with an error instead of taking the whole program down.
+type ProcPanic struct {
+	Proc  string // name of the process
+	Value any    // the value passed to panic
+	Stack []byte // the process's stack at the panic
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("%s panicked: %v", e.Proc, e.Value)
+}
+
+// reaped is the panic value that unwinds a process still blocked when Run
+// returns, so that its deferred calls run and its coroutine exits.
+type reaped struct{}
 
 type eventKind int
 
@@ -113,14 +134,15 @@ const (
 )
 
 // Proc is a simulation process. All methods must be called from the
-// process's own goroutine (i.e. from within the function passed to Spawn).
+// process itself (i.e. from within the function passed to Spawn).
 type Proc struct {
 	k      *Kernel
 	name   string
 	state  procState
-	resume chan struct{} // kernel -> proc: run
-	yield  chan struct{} // proc -> kernel: blocked or done
-	waitMB *Mailbox      // mailbox this proc is blocked on, if any
+	next   func() (struct{}, bool) // kernel -> proc: run until it blocks or ends
+	yield  func(struct{}) bool     // proc -> kernel: blocked; false once reaped
+	stop   func()                  // kernel -> proc: unwind and exit
+	waitMB *Mailbox                // mailbox this proc is blocked on, if any
 }
 
 // Name returns the name given to Spawn.
@@ -136,36 +158,34 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // within a running process; in the latter case the new process starts at the
 // current virtual time, after the spawning process next yields.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		state:  stateNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, state: stateNew}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.state = stateDone
+			if v := recover(); v != nil && v != (reaped{}) && k.failed == nil {
+				k.failed = &ProcPanic{Proc: name, Value: v, Stack: debug.Stack()}
+			}
+		}()
+		fn(p)
+	})
 	k.procs = append(k.procs, p)
 	k.post(&event{at: k.now, kind: evStart, proc: p})
-	go func() {
-		<-p.resume // wait for the kernel to start us
-		fn(p)
-		p.state = stateDone
-		p.yield <- struct{}{}
-	}()
 	return p
 }
 
-// runProc transfers control to p and waits until it yields.
+// runProc transfers control to p and returns when it blocks or ends.
 func (k *Kernel) runProc(p *Proc) {
 	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
 // block yields control to the kernel and waits to be resumed.
 func (p *Proc) block(s procState) {
 	p.state = s
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(reaped{})
+	}
 	p.state = stateRunning
 }
 
@@ -183,10 +203,17 @@ func (p *Proc) Sleep(d time.Duration) {
 // run. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Run executes events until none remain, the time limit is exceeded, or a
-// deadlock is detected. It returns nil on normal completion (all processes
-// finished or the queue drained with no process blocked).
+// Run executes events until none remain, the time limit is exceeded, a
+// deadlock is detected, or a process panics (*ProcPanic). It returns nil on
+// normal completion (all processes finished or the queue drained with no
+// process blocked). Whatever it returns, every process still unfinished is
+// unwound first (its deferred calls run), so no coroutine outlives Run.
 func (k *Kernel) Run() error {
+	defer func() {
+		for _, p := range k.procs {
+			p.stop()
+		}
+	}()
 	for len(k.queue) > 0 {
 		ev := heap.Pop(&k.queue).(*event)
 		if k.limit > 0 && ev.at > k.limit {
@@ -211,6 +238,9 @@ func (k *Kernel) Run() error {
 				w.waitMB = nil
 				k.runProc(w)
 			}
+		}
+		if k.failed != nil {
+			return k.failed
 		}
 	}
 	var blocked []string

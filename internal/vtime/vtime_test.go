@@ -1,6 +1,9 @@
 package vtime
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -287,4 +290,94 @@ func TestDoubleRecvPanics(t *testing.T) {
 		p.Recv(mb)
 	})
 	_ = k.Run()
+}
+
+// TestRunLeavesNoGoroutines: however Run ends, every process it leaves
+// unfinished is unwound (its defers run) and its coroutine exits, and a
+// process's panic is Run's error, not the program's.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name  string
+		limit time.Duration
+		body  func(p *Proc)
+		check func(err error) bool
+	}{
+		{"normal", 0, func(p *Proc) { p.Sleep(time.Second) },
+			func(err error) bool { return err == nil }},
+		{"deadlock", 0, func(p *Proc) { p.Recv(p.Kernel().NewMailbox("never")) },
+			func(err error) bool { return errors.As(err, new(*DeadlockError)) }},
+		{"limit", time.Second, func(p *Proc) {
+			for {
+				p.Sleep(300 * time.Millisecond)
+			}
+		}, func(err error) bool { return err == ErrLimit }},
+		{"panic", 0, func(p *Proc) {
+			p.Sleep(time.Second)
+			p.Kernel().Spawn("unborn", func(*Proc) { panic("started after Run ended") })
+			var a []int
+			_ = a[p.Now()] // index out of range: a real bug, not a reap
+		}, func(err error) bool {
+			var pp *ProcPanic
+			if !errors.As(err, &pp) {
+				return false
+			}
+			_, bug := pp.Value.(runtime.Error)
+			return bug && pp.Proc == "body" && strings.HasPrefix(err.Error(), "body panicked: ") &&
+				strings.Contains(string(pp.Stack), "TestRunLeavesNoGoroutines")
+		}},
+	}
+	for _, c := range cases {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		k.SetLimit(c.limit)
+		unwound := 0
+		k.Spawn("body", func(p *Proc) {
+			defer func() { unwound++ }()
+			c.body(p)
+		})
+		k.Spawn("late", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(2 * time.Second)
+			if c.name != "normal" {
+				p.Recv(k.NewMailbox("never"))
+			}
+		})
+		if err := k.Run(); !c.check(err) {
+			t.Errorf("%s: Run = %v", c.name, err)
+		}
+		if unwound != 2 {
+			t.Errorf("%s: %d of 2 processes ran their defers", c.name, unwound)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("%s: %d goroutines after Run, %d before", c.name, n, base)
+		}
+	}
+}
+
+var benchSink float64
+
+// BenchmarkSwitchUnderLoad is the switch as a simulated run pays it: eight
+// processes each do a few microseconds of real work between Sleeps. A
+// back-to-back ping-pong keeps the peer thread spinning and never parks it;
+// with work between switches every hand-off to another thread is a wake-up.
+func BenchmarkSwitchUnderLoad(b *testing.B) {
+	const procs = 8
+	k := NewKernel()
+	for i := 0; i < procs; i++ {
+		i := i
+		k.Spawn(string(rune('a'+i)), func(p *Proc) {
+			x := float64(i)
+			for n := 0; n < b.N; n++ {
+				for j := 0; j < 2000; j++ {
+					x = x*0.999 + 1
+				}
+				p.Sleep(time.Millisecond)
+			}
+			benchSink += x
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
 }
