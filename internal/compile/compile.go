@@ -324,9 +324,9 @@ type compiler struct {
 	deps     []depend.Dep
 
 	ghostDeltas map[int]bool
-	// pendingExchanges maps carrier loop -> exchange steps to insert at the
-	// start of that loop's body ("" = before everything).
-	pendingExchanges map[string][]Step
+	// pendingExchanges maps carrier loop -> the parts of the exchange group
+	// to insert at the start of that loop's body ("" = before everything).
+	pendingExchanges map[string][]GhostPart
 	// reductions are replicated arrays accumulated inside distributed
 	// loops (r[..] = r[..] + expr); their partial sums are merged by
 	// Combine steps.
@@ -389,7 +389,7 @@ func (c *compiler) unitsExpr() (loopir.IExpr, error) {
 func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 	if c.ghostDeltas == nil {
 		c.ghostDeltas = map[int]bool{}
-		c.pendingExchanges = map[string][]Step{}
+		c.pendingExchanges = map[string][]GhostPart{}
 		c.reductions = map[string]bool{}
 	}
 	var out []Step
@@ -659,7 +659,7 @@ func (c *compiler) classifyRead(owned *OwnedLoop, r loopir.Ref, needs *commNeeds
 		if !seenExch[key] {
 			seenExch[key] = true
 			carrier := c.exchangeCarrier(r)
-			c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], &Exchange{Array: r.Array, Delta: delta})
+			c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], GhostPart{Array: r.Array, Delta: delta})
 		}
 		return nil
 	case !uses:
@@ -972,42 +972,39 @@ func mergeOwnerBlocks(steps []Step) []Step {
 	return out
 }
 
-// placeExchanges inserts the pending Exchange steps at the start of their
-// carrier loops' bodies (or at the top level for carrier "").
+// placeExchanges inserts each pending exchange group at the start of its
+// carrier loop's body.
 func (c *compiler) placeExchanges(steps []Step) error {
-	var walk func(ss []Step) []Step
-	walk = func(ss []Step) []Step {
+	var unplaceable error
+	var walk func(ss []Step)
+	walk = func(ss []Step) {
 		for _, s := range ss {
 			switch s := s.(type) {
 			case *SeqLoop:
-				if ex := c.pendingExchanges[s.Var]; len(ex) > 0 {
-					s.Body = append(append([]Step{}, ex...), s.Body...)
+				if parts := c.pendingExchanges[s.Var]; len(parts) > 0 {
+					s.Body = append([]Step{&Exchange{Parts: parts}}, s.Body...)
 					delete(c.pendingExchanges, s.Var)
 				}
-				s.Body = walk(s.Body)
+				walk(s.Body)
 			case *StripLoop:
-				if ex := c.pendingExchanges[s.Var]; len(ex) > 0 {
-					// Exchanges belong before the whole strip-mined sweep,
-					// which is this loop itself — hoist impossible here, so
-					// attach before the first block via Pre would repeat
-					// per block. This case cannot arise: exchanges are
-					// carried by loops enclosing the pipelined loop.
-					return ss
+				if len(c.pendingExchanges[s.Var]) > 0 {
+					// The exchange belongs before the whole sweep, and the
+					// strip-mined loop is the sweep: Pre would repeat it per
+					// block. Carriers enclose the pipelined loop, so a plan
+					// that gets here is a compiler bug worth naming.
+					unplaceable = fmt.Errorf("compile: ghost exchange carried by strip-mined loop %q cannot be placed", s.Var)
 				}
-				s.Body = walk(s.Body)
+				walk(s.Body)
 			}
 		}
-		return ss
 	}
-	walk(steps)
-	// Remaining exchanges with carrier "" go before everything; any other
-	// leftover carrier means the loop was not found.
-	for carrier, ex := range c.pendingExchanges {
+	if walk(steps); unplaceable != nil {
+		return unplaceable
+	}
+	// Every exchange is loop-carried; a leftover carrier means the loop was
+	// not found ("": the read has no enclosing sequential loop at all).
+	for carrier := range c.pendingExchanges {
 		if carrier == "" {
-			// Prepend at top level: caller's steps slice is what we walked;
-			// handled by the caller via TopExchanges. Simplest: return an
-			// error if unplaced, since all our exchanges are loop-carried.
-			_ = ex
 			return fmt.Errorf("compile: one-time pre-distribution exchange not supported yet")
 		}
 		return fmt.Errorf("compile: exchange carrier loop %q not found in generated code", carrier)
@@ -1015,13 +1012,10 @@ func (c *compiler) placeExchanges(steps []Step) error {
 	return nil
 }
 
-// markOverlap decides, per ghost exchange, whether the runtime may overlap
+// markOverlap decides, per exchange group, whether the runtime may overlap
 // it with its consumer's interior compute: post the sends, run the units
 // whose stencil reads cannot touch a ghost, receive, then run the ≤|delta|
-// boundary units at each run edge. An exchange group (the contiguous
-// Exchange steps at one program point) is marked atomically — exchanges on
-// the same array share one message tag, so a half-async group could steal
-// each other's in-flight slices. The consumer is the next OwnedLoop,
+// boundary units at each run edge. The consumer is the next OwnedLoop,
 // looking through replicated-only statements (which touch no distributed
 // state and involve no communication); any other intervening step kills
 // eligibility. The decision is recorded in the rendered plan source, so it
@@ -1029,8 +1023,8 @@ func (c *compiler) placeExchanges(steps []Step) error {
 func (c *compiler) markOverlap(steps []Step) {
 	var walk func(ss []Step)
 	walk = func(ss []Step) {
-		for i := 0; i < len(ss); i++ {
-			switch s := ss[i].(type) {
+		for i, s := range ss {
+			switch s := s.(type) {
 			case *SeqLoop:
 				walk(s.Body)
 			case *StripLoop:
@@ -1038,30 +1032,18 @@ func (c *compiler) markOverlap(steps []Step) {
 				// guarantees it); walk for nested sequential loops only.
 				walk(s.Body)
 			case *Exchange:
-				group := []*Exchange{s}
-				j := i + 1
-				for ; j < len(ss); j++ {
-					ex, ok := ss[j].(*Exchange)
-					if !ok {
-						break
-					}
-					group = append(group, ex)
-				}
 				var consumer *OwnedLoop
-				for k := j; k < len(ss); k++ {
-					if _, ok := ss[k].(*AllStmts); ok {
+				for _, next := range ss[i+1:] {
+					if _, ok := next.(*AllStmts); ok {
 						continue
 					}
-					consumer, _ = ss[k].(*OwnedLoop)
+					consumer, _ = next.(*OwnedLoop)
 					break
 				}
-				if consumer != nil && c.overlapEligible(group, consumer) {
-					for _, ex := range group {
-						ex.Carrier = consumer
-						ex.Overlap = true
-					}
+				if consumer != nil && c.overlapEligible(s, consumer) {
+					s.Carrier = consumer
+					s.Overlap = true
 				}
-				i = j - 1
 			}
 		}
 	}
@@ -1070,10 +1052,10 @@ func (c *compiler) markOverlap(steps []Step) {
 
 // overlapEligible checks the split-loop safety conditions for one exchange
 // group against its consuming loop.
-func (c *compiler) overlapEligible(group []*Exchange, l *OwnedLoop) bool {
+func (c *compiler) overlapEligible(group *Exchange, l *OwnedLoop) bool {
 	// Unit-stride deltas only: the runtime peels exactly one unit per run
 	// edge into the boundary region.
-	for _, ex := range group {
+	for _, ex := range group.Parts {
 		if ex.Delta != 1 && ex.Delta != -1 {
 			return false
 		}
@@ -1149,9 +1131,9 @@ func (c *compiler) overlapEligible(group []*Exchange, l *OwnedLoop) bool {
 			}
 		}
 	}
-	// Every exchange in the group must feed this loop; a ghost refreshed
-	// for a later consumer must not be delayed past unrelated compute.
-	for _, ex := range group {
+	// Every part of the group must feed this loop; a ghost refreshed for a
+	// later consumer must not be delayed past unrelated compute.
+	for _, ex := range group.Parts {
 		if !readDeltas[ex.Array][ex.Delta] {
 			return false
 		}

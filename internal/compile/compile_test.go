@@ -80,7 +80,7 @@ func TestCompileSORStructure(t *testing.T) {
 	}
 	// iter body: Exchange(b,+1), StripLoop(i), Hook.
 	ex, ok := outer.Body[0].(*Exchange)
-	if !ok || ex.Array != "b" || ex.Delta != 1 {
+	if !ok || len(ex.Parts) != 1 || ex.Parts[0] != (GhostPart{Array: "b", Delta: 1}) {
 		t.Fatalf("iter body[0] = %#v, want Exchange(b,+1)", outer.Body[0])
 	}
 	strip, ok := outer.Body[1].(*StripLoop)
@@ -151,15 +151,18 @@ func TestCompileJacobiStructure(t *testing.T) {
 	outer := p.Steps[0].(*SeqLoop)
 	nExch, nOwned := 0, 0
 	for _, s := range outer.Body {
-		switch s.(type) {
+		switch s := s.(type) {
 		case *Exchange:
-			nExch++
+			nExch += len(s.Parts)
 		case *OwnedLoop:
 			nOwned++
 		}
 	}
 	if nExch != 2 {
-		t.Errorf("exchanges = %d, want 2 (both boundaries)", nExch)
+		t.Errorf("exchange parts = %d, want 2 (both boundaries)", nExch)
+	}
+	if ex, ok := outer.Body[0].(*Exchange); !ok || len(ex.Parts) != 2 {
+		t.Errorf("iter body[0] = %#v, want the one exchange group holding both parts", outer.Body[0])
 	}
 	if nOwned != 2 {
 		t.Errorf("owned loops = %d, want 2 (sweep + copy-back)", nOwned)

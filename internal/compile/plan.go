@@ -82,27 +82,37 @@ type AllStmts struct {
 	Body []loopir.Stmt
 }
 
-// Exchange is a pre-sweep ghost exchange: every slave sends the content of
-// its boundary units to the slaves that read them at offset Delta, so reads
-// of unit u+Delta observe the previous sweep's values. In a block
-// distribution this is the classic neighbor ghost exchange (the paper's
-// sweep-start send/receive in Figure 3a).
+// GhostPart is one transfer of an exchange group: every slave sends its
+// boundary units of Array to the slaves that read them at offset Delta, so
+// reads of unit u+Delta observe the previous sweep's values.
+type GhostPart struct {
+	Array string
+	Delta int // read offset on the distributed dimension (non-zero)
+}
+
+// Exchange is a pre-sweep ghost-exchange group: all the boundary transfers
+// one carrier loop needs at the start of each of its iterations (a stencil
+// has one part per direction) — in a block distribution the classic
+// neighbor ghost exchange, the paper's sweep-start send/receive in Figure
+// 3a. The group is one step, as that figure draws it: the runtime posts
+// every part's sends before it completes the first receive, so a slave
+// waits one link latency per sweep, not one per direction in series. Parts
+// on one array share a message tag, which is why the group is placed,
+// marked and executed whole; the rendered source keeps a line per part.
 //
-// When Overlap is set the exchange is split-loop eligible: Carrier points
-// at the distributed loop that consumes the ghosts, and the runtime may
-// post the sends, compute the carrier's interior units (whose stencil reads
-// cannot touch a ghost), receive, and finish with the ≤|Delta| boundary
-// units at each edge of every contiguous owned run — hiding the network
-// round-trip behind interior compute. Eligibility is decided at compile
-// time (markOverlap) and recorded in the rendered plan source, so it enters
-// the plan hash; ineligible exchanges (no directly following consumer,
-// reduction writes in the carrier, in-place stencils) keep Carrier nil and
-// always run synchronously.
+// When Overlap is set the group is split-loop eligible: Carrier points at
+// the distributed loop that consumes the ghosts, and the runtime may defer
+// the receives past the carrier's interior units (whose stencil reads
+// cannot touch a ghost) and finish with the ≤|Delta| boundary units at each
+// edge of every contiguous owned run. Eligibility is decided at compile
+// time (markOverlap) and rendered into the plan source, so it enters the
+// plan hash; ineligible groups (no directly following consumer, reduction
+// writes in the carrier, in-place stencils) keep Carrier nil and always
+// complete their receives in place.
 type Exchange struct {
-	Array   string
-	Delta   int        // read offset on the distributed dimension (non-zero)
+	Parts   []GhostPart
 	Carrier *OwnedLoop // consuming loop when split-eligible; nil otherwise
-	Overlap bool       // true: the runtime may overlap this exchange
+	Overlap bool       // true: the runtime may overlap this group
 }
 
 // PipeRecv receives, for the current strip block, the rows of the ghost

@@ -79,7 +79,9 @@ func renderSteps(sb *strings.Builder, steps []Step, depth int) {
 			if s.Overlap {
 				note = "old boundary values; overlap: split-loop eligible"
 			}
-			fmt.Fprintf(sb, "%sexchange_ghost(%s, delta=%+d);   /* %s */\n", ind, s.Array, s.Delta, note)
+			for _, part := range s.Parts {
+				fmt.Fprintf(sb, "%sexchange_ghost(%s, delta=%+d);   /* %s */\n", ind, part.Array, part.Delta, note)
+			}
 		case *PipeRecv:
 			fmt.Fprintf(sb, "%sif (pid != first) recv_pipeline(%s, delta=%+d, rows=block);\n", ind, s.Array, s.Delta)
 		case *PipeSend:

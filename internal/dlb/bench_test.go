@@ -116,3 +116,23 @@ func BenchmarkSimSorWave(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSyncExchange is the row the one-step exchange group moves, on
+// goroutine slaves: jacobi n=256 × 200 sweeps on a balanced pair with the
+// overlap off, so every sweep is a two-part group — both boundary rows sent,
+// then both received — followed by two short kernels. µs/sweep is one run's
+// wall time (start-up included) over its sweeps.
+func BenchmarkSyncExchange(b *testing.B) {
+	const sweeps = 200
+	cfg := Config{
+		Plan: planFor(b, "jacobi"), Params: map[string]int{"n": 256, "maxiter": sweeps},
+		DLB: true, Overlap: OverlapDisabled,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunReal(cfg, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*sweeps), "µs/sweep")
+}

@@ -658,7 +658,12 @@ func (p *ftPolicy) GatherTimeout(*engine) time.Duration { return 2 * p.det.Lease
 type ftSlaveFault struct{}
 
 func (ftSlaveFault) commTag(s *slave, tag string) string {
-	return tag + "@" + strconv.Itoa(s.epoch)
+	t, ok := s.epochTags[tag]
+	if !ok {
+		t = tag + "@" + strconv.Itoa(s.epoch)
+		s.epochTags[tag] = t
+	}
+	return t
 }
 
 func (f ftSlaveFault) recvPeer(s *slave, from int, tag string) cluster.Msg {

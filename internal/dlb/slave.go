@@ -91,15 +91,20 @@ type slave struct {
 	fallbackUnits int64 // units executed through the tree interpreter
 
 	// Split-loop async ghost exchange (Config.Overlap): pending maps a
-	// carrier loop to the exchanges whose sends were posted but whose
+	// carrier loop to the exchange group whose sends were posted but whose
 	// receives are deferred until after the carrier's interior pass.
 	// Entries only live between an Exchange step and the OwnedLoop that
 	// directly follows it (the compile-time carrier), so the map is empty
 	// across hooks, combines, and epoch restarts.
 	overlapOn       bool
-	pending         map[*compile.OwnedLoop][]*compile.Exchange
+	pending         map[*compile.OwnedLoop]*compile.Exchange
 	overlapRounds   int64
 	overlapFallback int64
+
+	// Message tags are built once, not per message: each distributed
+	// array's exchange tag, and the fault policy's epoch-qualified form of
+	// every slave-to-slave tag used this epoch.
+	ghostTags, epochTags map[string]string
 
 	ownedCache []int // sorted owned units; nil means rebuild
 	// Ghost-list caches, keyed by delta: ownership only changes at hooks
@@ -170,7 +175,11 @@ func (s *slave) runOn(ep Endpoint) {
 		s.costAcc = make([]float64, s.exec.Units)
 	}
 
-	s.pending = map[*compile.OwnedLoop][]*compile.Exchange{}
+	s.pending = map[*compile.OwnedLoop]*compile.Exchange{}
+	s.ghostTags, s.epochTags = map[string]string{}, map[string]string{}
+	for arr := range plan.DistArrays {
+		s.ghostTags[arr] = "ghost:" + arr
+	}
 
 	s.env = map[string]int{}
 	for k, v := range s.exec.Params {
@@ -546,15 +555,13 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	// failure detector (the more work a slave inherits, the longer its
 	// silent stretches — exactly when false eviction hurts most).
 	s.fault.heartbeat(s)
-	// Deferred ghost exchanges targeting this loop (split-loop overlap):
-	// their receives complete after the interior pass below. Every early
-	// return must still drain them — the ghost data is needed by later
-	// steps, and an unconsumed (sender, tag) mailbox would desequence the
-	// next exchange on the same array.
+	// Deferred exchange group targeting this loop (split-loop overlap): its
+	// receives complete after the interior pass below. Every early return
+	// must still drain it — the ghost data is needed by later steps, and an
+	// unconsumed (sender, tag) mailbox would desequence the next exchange
+	// on the same array.
 	pend := s.pending[st]
-	if len(pend) > 0 {
-		delete(s.pending, st)
-	}
+	delete(s.pending, st)
 	lo, hi := s.eval(st.Lo), s.eval(st.Hi)
 	if lo < 0 {
 		lo = 0
@@ -604,13 +611,9 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	// run edge may read a ghost and form the boundary region; everything
 	// deeper is interior and safe to compute before the receives complete.
 	bw := 0
-	for _, ex := range pend {
-		d := ex.Delta
-		if d < 0 {
-			d = -d
-		}
-		if d > bw {
-			bw = d
+	if pend != nil {
+		for _, ex := range pend.Parts {
+			bw = max(bw, ex.Delta, -ex.Delta)
 		}
 	}
 	charge := 0.0
@@ -680,7 +683,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 				runRange(r[0]+bw, r[1]-bw)
 			}
 		})
-		s.completeGhosts(pend)
+		s.recvGhosts(pend)
 		s.ep.Charge(total - intDur)
 		s.ep.Timed(func() {
 			for _, r := range runs {
@@ -702,11 +705,11 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 // drainPending completes deferred ghost receives on a carrier loop that
 // ran no interior work (nothing owned in range this round): the overlap
 // bought nothing, which counts as a fallback round.
-func (s *slave) drainPending(pend []*compile.Exchange) {
-	if len(pend) == 0 {
+func (s *slave) drainPending(pend *compile.Exchange) {
+	if pend == nil {
 		return
 	}
-	s.completeGhosts(pend)
+	s.recvGhosts(pend)
 	s.overlapFallback++
 }
 
@@ -739,60 +742,54 @@ func (s *slave) execAll(st *compile.AllStmts) {
 	}
 }
 
-// execExchange performs the sweep-start ghost exchange: whole-unit
-// transfers of old boundary values (paper Figure 3a's first send/receive).
-// Split-loop eligible exchanges (with overlap enabled) only post their
-// sends here; the receives are deferred to the carrier loop's execOwned,
-// which runs its interior units first so the round-trip hides behind
-// compute. The send order is identical either way, and the deferred
-// receives drain each (sender, tag) mailbox in the same order the
-// synchronous path would, so the data flow — and every value — matches the
-// synchronous schedule exactly.
+// execExchange performs the sweep-start ghost exchange (paper Figure 3a's
+// first send/receive) as one step: every part's boundary units are sent
+// before the first receive completes, so neighbours wait one link latency,
+// not a round trip per direction. Legal for every group: a send reads owned
+// units, a ghost receive writes only non-owned ones, and sends never block.
+// A split-loop eligible group (with overlap enabled) only posts its sends
+// here; the receives are deferred to the carrier loop's execOwned, which
+// runs its interior units first so the latency hides behind compute. Either
+// way each (sender, tag) mailbox is drained in part order, the order it was
+// filled in, so the data flow — and every value — is the same.
 func (s *slave) execExchange(st *compile.Exchange) {
 	if s.ff {
 		return
 	}
-	s.sendGhosts(st)
-	if s.overlapOn && st.Overlap && st.Carrier != nil {
-		s.pending[st.Carrier] = append(s.pending[st.Carrier], st)
+	for _, p := range st.Parts {
+		arr := s.inst.Arrays[p.Array]
+		dim := s.exec.Plan.DistArrays[p.Array]
+		tag := s.ghostTags[p.Array]
+		for _, sp := range s.ghostSuppliesCached(p.Delta) {
+			vals := unitSlice(arr, dim, sp.Unit)
+			s.send(sp.To, tag, floatsBytes(len(vals)), SliceMsg{Unit: sp.Unit, RowLo: -1, RowHi: -1, Vals: vals})
+		}
+	}
+	if s.overlapOn && st.Overlap {
+		s.pending[st.Carrier] = st
 		return
 	}
 	s.recvGhosts(st)
 }
 
-// sendGhosts posts one exchange's boundary-unit sends.
-func (s *slave) sendGhosts(st *compile.Exchange) {
-	arr := s.inst.Arrays[st.Array]
-	dim := s.exec.Plan.DistArrays[st.Array]
-	tag := "ghost:" + st.Array
-	for _, sp := range s.ghostSuppliesCached(st.Delta) {
-		vals := unitSlice(arr, dim, sp.Unit)
-		s.send(sp.To, tag, floatsBytes(len(vals)), SliceMsg{Unit: sp.Unit, RowLo: -1, RowHi: -1, Vals: vals})
-	}
-}
-
-// recvGhosts completes one exchange's ghost receives. The needs list is
-// stable between posting and completion: ownership and the active set only
-// change at hooks, and compile-time eligibility guarantees no hook sits
-// between an overlapped exchange and its carrier loop.
+// recvGhosts completes a group's ghost receives in part order. The needs
+// lists are stable between posting and completion: ownership and the active
+// set only change at hooks, and compile-time eligibility guarantees no hook
+// sits between an overlapped exchange and its carrier loop.
 func (s *slave) recvGhosts(st *compile.Exchange) {
-	arr := s.inst.Arrays[st.Array]
-	dim := s.exec.Plan.DistArrays[st.Array]
-	tag := "ghost:" + st.Array
-	for _, g := range s.ghostNeedsCached(st.Delta) {
-		m := s.recvPeer(s.own.OwnerOf(g), tag).Data.(SliceMsg)
-		if m.Unit != g {
-			panic(fmt.Sprintf("slave%d: ghost mismatch: got unit %d, want %d", s.id, m.Unit, g))
+	for _, p := range st.Parts {
+		arr := s.inst.Arrays[p.Array]
+		dim := s.exec.Plan.DistArrays[p.Array]
+		tag := s.ghostTags[p.Array]
+		for _, g := range s.ghostNeedsCached(p.Delta) {
+			from := s.own.OwnerOf(g)
+			m := s.recvPeer(from, tag).Data.(SliceMsg)
+			if m.Unit != g {
+				panic(fmt.Sprintf("slave%d: ghost mismatch on %s delta %+d: slave%d sent unit %d, want %d",
+					s.id, p.Array, p.Delta, from, m.Unit, g))
+			}
+			setUnitSlice(arr, dim, g, m.Vals)
 		}
-		setUnitSlice(arr, dim, g, m.Vals)
-	}
-}
-
-// completeGhosts drains a carrier's deferred exchange receives in posting
-// order.
-func (s *slave) completeGhosts(pend []*compile.Exchange) {
-	for _, st := range pend {
-		s.recvGhosts(st)
 	}
 }
 
@@ -1181,6 +1178,7 @@ func (s *slave) runTree() {
 func (s *slave) applyRecover(a AdoptMsg) {
 	plan := s.exec.Plan
 	s.epoch = a.Epoch
+	clear(s.epochTags)
 	s.slaves = a.Slaves
 	s.alive = append([]bool(nil), a.Alive...)
 	s.own = core.OwnershipFromMap(a.Owner, a.Active, a.Slaves)
@@ -1220,7 +1218,7 @@ func (s *slave) applyRecover(a AdoptMsg) {
 	// replayed as overlap (their in-flight ghosts died with the old
 	// epoch's tags), so the fallback count survives the restart.
 	if len(s.pending) > 0 {
-		s.pending = map[*compile.OwnedLoop][]*compile.Exchange{}
+		clear(s.pending)
 		s.overlapFallback++
 	}
 	s.overlapRounds = 0

@@ -8,6 +8,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -31,6 +32,15 @@ type Envelope struct {
 // Conn.SetMaxFrame. It must stay below binaryFrameBit: the prefix's top
 // bit marks the frame's codec, not its size.
 const DefaultMaxFrame = 1 << 30
+
+// frameHdr is the size of the length prefix. Outbound frames are built with
+// that much room at the front, so prefix and payload leave in one Write —
+// on a TCP_NODELAY socket, one segment and one wake-up of the peer's reader.
+const frameHdr = 4
+
+// readAhead sizes the buffer frames are read through: a ghost row of a few
+// KB arrives, prefix and payload, in one read of the socket.
+const readAhead = 16 << 10
 
 // binaryFrameBit marks a frame as binary-codec in the length prefix's top
 // bit. Gob frames (and every frame an old peer emits) have it clear.
@@ -89,7 +99,7 @@ type Conn struct {
 // NewConn wraps a stream. Gob streams are stateful, so a Conn must be used
 // by a single sender and a single receiver (one per direction is fine).
 func NewConn(rw io.ReadWriter) *Conn {
-	fr := &framed{rw: rw, limit: DefaultMaxFrame}
+	fr := &framed{rw: rw, br: bufio.NewReaderSize(rw, readAhead), limit: DefaultMaxFrame}
 	return &Conn{rw: rw, fr: fr, enc: gob.NewEncoder(fr), dec: gob.NewDecoder(fr)}
 }
 
@@ -117,10 +127,10 @@ func (c *Conn) SetBinary(on bool) { c.binary = on }
 func (c *Conn) Send(e Envelope) error {
 	if c.binary {
 		bp := encBufPool.Get().(*[]byte)
-		b, err := appendBinaryEnvelope((*bp)[:0], e)
+		b, err := appendBinaryEnvelope((*bp)[:frameHdr], e)
 		if err == nil {
 			*bp = b[:0]
-			_, err = c.fr.writeFrame(b, true)
+			err = c.fr.writeFrame(b, true)
 			encBufPool.Put(bp)
 			return err
 		}
@@ -174,12 +184,16 @@ var frameBufPool = sync.Pool{
 // message segment per frame); binary envelopes use readFrame/writeFrame
 // directly. The inbound buffer is reused across frames — a frame is always
 // fully consumed before the next one is read — so steady-state receiving
-// allocates nothing.
+// allocates nothing. Every read of the stream goes through br, so its
+// read-ahead takes bytes from nobody: they are the next frames of this
+// same connection.
 type framed struct {
 	rw    io.ReadWriter
+	br    *bufio.Reader
 	limit int
 	buf   []byte  // unread remainder of the current inbound gob frame
 	store *[]byte // pooled backing for inbound frames, grown once
+	wbuf  []byte  // outbound gob segment behind its prefix, reused
 }
 
 // readFrame reads one whole frame, returning its payload and codec. The
@@ -187,8 +201,8 @@ type framed struct {
 // readFrame (decoders must copy out what outlives the frame — the binary
 // decoder's arena does).
 func (f *framed) readFrame() ([]byte, bool, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(f.rw, hdr[:]); err != nil {
+	var hdr [frameHdr]byte
+	if _, err := io.ReadFull(f.br, hdr[:]); err != nil {
 		return nil, false, err
 	}
 	word := binary.BigEndian.Uint32(hdr[:])
@@ -204,7 +218,7 @@ func (f *framed) readFrame() ([]byte, bool, error) {
 		*f.store = make([]byte, 0, n)
 	}
 	payload := (*f.store)[:n]
-	if _, err := io.ReadFull(f.rw, payload); err != nil {
+	if _, err := io.ReadFull(f.br, payload); err != nil {
 		return nil, false, err
 	}
 	return payload, bin, nil
@@ -218,26 +232,33 @@ func (f *framed) release() {
 	}
 }
 
-func (f *framed) writeFrame(p []byte, bin bool) (int, error) {
-	if len(p) > f.limit {
-		return 0, &FrameLimitError{Size: len(p), Limit: f.limit}
+// writeFrame sends one frame — frame[frameHdr:], behind the room its
+// caller left for the prefix — in a single Write.
+func (f *framed) writeFrame(frame []byte, bin bool) error {
+	n := len(frame) - frameHdr
+	if n > f.limit {
+		return &FrameLimitError{Size: n, Limit: f.limit}
 	}
-	var hdr [4]byte
-	word := uint32(len(p))
+	word := uint32(n)
 	if bin {
 		word |= binaryFrameBit
 	}
-	binary.BigEndian.PutUint32(hdr[:], word)
-	if _, err := f.rw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	return f.rw.Write(p)
+	binary.BigEndian.PutUint32(frame, word)
+	_, err := f.rw.Write(frame)
+	return err
 }
 
 // Write frames one gob stream segment (the gob encoder writes each Encode
 // through here, possibly as several segments).
 func (f *framed) Write(p []byte) (int, error) {
-	return f.writeFrame(p, false)
+	if len(p) > f.limit { // refused before it is copied, not after
+		return 0, &FrameLimitError{Size: len(p), Limit: f.limit}
+	}
+	f.wbuf = append(append(f.wbuf[:0], make([]byte, frameHdr)...), p...)
+	if err := f.writeFrame(f.wbuf, false); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // Read serves the gob decoder. A binary frame can never legitimately start

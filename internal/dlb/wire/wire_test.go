@@ -336,3 +336,62 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// countingRW counts the Write and Read calls that reach the stream — on a
+// TCP_NODELAY socket each Write is a segment and a wake-up of the peer.
+type countingRW struct {
+	bytes.Buffer
+	writes, reads int
+}
+
+func (c *countingRW) Write(p []byte) (int, error) { c.writes++; return c.Buffer.Write(p) }
+func (c *countingRW) Read(p []byte) (int, error)  { c.reads++; return c.Buffer.Read(p) }
+
+// TestFrameIsOneWrite: a steady-state envelope leaves as exactly one Write
+// on both codecs (prefix and payload together; gob's first use of a type
+// also sends its definition, so the second envelope is the one counted), and
+// queued frames are read through a buffer, not prefix and payload apart.
+func TestFrameIsOneWrite(t *testing.T) {
+	ghost := Envelope{Tag: "ghost:a", From: 1, Payload: dlb.SliceMsg{Unit: 7, RowLo: -1, RowHi: -1, Vals: make([]float64, 512)}}
+	status := Envelope{Tag: "status", From: 1, Payload: dlb.StatusMsg{Phase: 3, HookIndex: 12, Units: 96}}
+	for _, tc := range []struct {
+		name   string
+		binary bool
+		env    Envelope
+	}{
+		{"binary/ghost", true, ghost},
+		{"gob/ghost", false, ghost},
+		{"gob/status", true, status}, // control traffic stays on gob
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rw countingRW
+			c := NewConn(&rw)
+			c.SetBinary(tc.binary)
+			if err := c.Send(tc.env); err != nil {
+				t.Fatal(err)
+			}
+			const burst = 3
+			rw.writes = 0
+			for i := 0; i < burst; i++ {
+				if err := c.Send(tc.env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rw.writes != burst {
+				t.Errorf("%d envelopes took %d Writes, want one each", burst, rw.writes)
+			}
+			for i := 0; i < burst+1; i++ {
+				got, err := c.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, tc.env) {
+					t.Fatalf("round trip mismatch:\n got  %#v\n want %#v", got, tc.env)
+				}
+			}
+			if rw.reads > burst+1 {
+				t.Errorf("%d queued frames took %d Reads of the stream, want at most one each", burst+1, rw.reads)
+			}
+		})
+	}
+}
