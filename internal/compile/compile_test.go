@@ -245,7 +245,7 @@ func TestInstantiateMM(t *testing.T) {
 	if e.TotalFlops != 16*16*16*3 {
 		t.Fatalf("TotalFlops = %v, want %d", e.TotalFlops, 16*16*16*3)
 	}
-	lo, hi := e.InitialActive()
+	lo, hi := e.InitialLo, e.InitialHi
 	if lo != 0 || hi != 16 {
 		t.Fatalf("initial active = [%d,%d), want [0,16)", lo, hi)
 	}
@@ -272,7 +272,7 @@ func TestInstantiateLUShrinks(t *testing.T) {
 			t.Fatalf("phase %d units = %d, want %d", i, e.Phases[i].UnitsBetween, 7-i)
 		}
 	}
-	lo, hi := e.InitialActive()
+	lo, hi := e.InitialLo, e.InitialHi
 	if lo != 1 || hi != 8 {
 		t.Fatalf("initial active = [%d,%d), want [1,8)", lo, hi)
 	}

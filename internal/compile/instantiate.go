@@ -121,13 +121,15 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 		return nil, fmt.Errorf("compile: distributed dimension has extent %d", units)
 	}
 
-	// Pass 1: total flops, total unit executions, and hook visit counts per
-	// level.
+	// Pass 1: total flops, total unit executions, hook visit counts per
+	// level, and the hull of every distributed-loop range.
 	visits := map[int]int{}
 	totalFlops := 0.0
 	totalUnitExecs := 0
+	initLo, initHi := units, 0
 	err = p.walkHooks(params, grain,
 		func(lo, hi int, env map[string]int, body []loopir.Stmt) {
+			initLo, initHi = min(initLo, lo), max(initHi, hi)
 			n := hi - lo
 			if n <= 0 {
 				return
@@ -209,38 +211,13 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 		Plan:         p,
 		Params:       params,
 		Units:        units,
+		InitialLo:    initLo,
+		InitialHi:    initHi,
 		ActiveLevel:  active,
 		Phases:       phases,
 		FlopsPerUnit: totalFlops / float64(totalUnitExecs),
 		TotalFlops:   totalFlops,
 	}, nil
-}
-
-// InitialActive returns the [lo, hi) unit range with work at the start of
-// execution (units outside it are data-only, e.g. stencil boundary columns).
-func (e *Exec) InitialActive() (int, int) {
-	lo, hi := 0, e.Units
-	found := false
-	_ = e.Plan.walkHooks(e.Params, 1,
-		func(l, h int, env map[string]int, body []loopir.Stmt) {
-			if !found {
-				lo, hi = l, h
-				found = true
-			}
-		}, nil, nil)
-	// The initial active range must cover every unit that EVER has work;
-	// for growing ranges this underestimates, so widen with a full scan.
-	allLo, allHi := lo, hi
-	_ = e.Plan.walkHooks(e.Params, 1,
-		func(l, h int, env map[string]int, body []loopir.Stmt) {
-			if l < allLo {
-				allLo = l
-			}
-			if h > allHi {
-				allHi = h
-			}
-		}, nil, nil)
-	return allLo, allHi
 }
 
 // perUnitFlops estimates the flops of one distributed-loop iteration with

@@ -226,6 +226,10 @@ type Exec struct {
 	Params map[string]int
 	// Units is the concrete number of work units.
 	Units int
+	// InitialLo and InitialHi bound the units that ever have work, the
+	// range active at the start of execution (units outside it are
+	// data-only, e.g. stencil boundary columns).
+	InitialLo, InitialHi int
 	// ActiveLevel is the hook nesting level selected by the 1% rule.
 	ActiveLevel int
 	// Phases is the master's phase schedule: one entry per active-hook

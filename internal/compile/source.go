@@ -12,7 +12,7 @@ import (
 // the paper's Figure 3 listings, with communication and hook calls visible.
 func RenderPlan(p *Plan) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "/* generated SPMD program for %s */\n", p.Prog.Name)
+	fmt.Fprintf(&sb, "/* generated SPMD program for %s */\n", p.Prog.Ident())
 	fmt.Fprintf(&sb, "/* distributed:")
 	arrs := make([]string, 0, len(p.DistArrays))
 	for arr := range p.DistArrays {

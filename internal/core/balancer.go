@@ -22,9 +22,6 @@ type Config struct {
 	// DisableProfitability bypasses the profitability determination
 	// (ablation).
 	DisableProfitability bool
-	// FilterMinWeight and FilterMaxWeight bound the trend-adaptive sample
-	// weight of the rate filter.
-	FilterMinWeight, FilterMaxWeight float64
 	// Quantum is the OS scheduling quantum on the slaves.
 	Quantum time.Duration
 	// MaxSkip caps the number of hooks skipped between interactions.
@@ -34,15 +31,17 @@ type Config struct {
 // DefaultConfig returns the paper's parameter choices.
 func DefaultConfig(slaves int, restricted bool) Config {
 	return Config{
-		Slaves:          slaves,
-		Restricted:      restricted,
-		MinImprovement:  0.10,
-		FilterMinWeight: 0.25,
-		FilterMaxWeight: 1.0,
-		Quantum:         100 * time.Millisecond,
-		MaxSkip:         50,
+		Slaves:         slaves,
+		Restricted:     restricted,
+		MinImprovement: 0.10,
+		Quantum:        100 * time.Millisecond,
+		MaxSkip:        50,
 	}
 }
+
+// filterMinWeight and filterMaxWeight bound the trend-adaptive sample
+// weight of every slave's rate filter.
+const filterMinWeight, filterMaxWeight = 0.25, 1.0
 
 // Status is one slave's report at a load-balancing point.
 type Status struct {
@@ -100,15 +99,9 @@ func NewBalancer(cfg Config, own *Ownership, costs *MoveCostModel) *Balancer {
 	if cfg.Slaves != own.Slaves() {
 		panic("core: config/ownership slave count mismatch")
 	}
-	if cfg.FilterMinWeight == 0 {
-		cfg.FilterMinWeight = 0.25
-	}
-	if cfg.FilterMaxWeight == 0 {
-		cfg.FilterMaxWeight = 1.0
-	}
 	b := &Balancer{cfg: cfg, own: own, costs: costs}
 	for i := 0; i < cfg.Slaves; i++ {
-		b.filters = append(b.filters, NewRateFilter(cfg.FilterMinWeight, cfg.FilterMaxWeight))
+		b.filters = append(b.filters, NewRateFilter(filterMinWeight, filterMaxWeight))
 	}
 	return b
 }
@@ -142,7 +135,7 @@ func (b *Balancer) Grow(slaves int) {
 	for b.cfg.Slaves < slaves {
 		b.own.AddSlave()
 		b.cfg.Slaves++
-		b.filters = append(b.filters, NewRateFilter(b.cfg.FilterMinWeight, b.cfg.FilterMaxWeight))
+		b.filters = append(b.filters, NewRateFilter(filterMinWeight, filterMaxWeight))
 		if b.alive != nil {
 			b.alive = append(b.alive, true)
 		}

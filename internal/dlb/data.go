@@ -105,11 +105,6 @@ type SliceMsg struct {
 type InitMsg struct {
 	Owned      map[string]map[int][]float64
 	Replicated map[string][]float64
-	// FromCache marks a bulk-free scatter: the receiving daemon announced
-	// it still holds this plan's init payload from an earlier run, so the
-	// master shipped only this marker and the daemon re-plays its cached
-	// copy (netrun's plan-hash init cache).
-	FromCache bool
 }
 
 // GatherMsg is the final collection of a slave's owned data.

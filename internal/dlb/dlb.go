@@ -52,15 +52,9 @@ type Config struct {
 	// workstations to the paper's Sun 4/330s (~1 Mflop/s), matching the
 	// axis scale of Figures 5-8.
 	FlopCost time.Duration
-	// HookCheckCost is the bookkeeping cost of visiting an inactive hook.
-	HookCheckCost time.Duration
-	// MasterDecisionCost is the master's CPU cost per load-balancing phase.
-	MasterDecisionCost time.Duration
-	// GrainFactor scales the strip-mining grain (blocks cost GrainFactor x
-	// quantum); the paper uses 1.5. ForcedGrain overrides the computed
-	// grain when positive (grain-size ablation; 1 disables strip mining's
-	// benefit, reproducing Figure 3b's fine-grain pipeline).
-	GrainFactor float64
+	// ForcedGrain overrides the computed strip-mining grain when positive
+	// (grain-size ablation; 1 disables strip mining's benefit, reproducing
+	// Figure 3b's fine-grain pipeline).
 	ForcedGrain int
 	// CompileOpts carries the hook cost model for instantiation.
 	CompileOpts compile.Options
@@ -79,7 +73,7 @@ type Config struct {
 	// flow shifted per exchange.
 	GroupDiffusion float64
 	// PerReportCost is the master's (or a leader's) CPU cost to process
-	// one status report, on top of MasterDecisionCost per round. The
+	// one status report, on top of masterDecisionCost per round. The
 	// default 0 keeps earlier schedules bit-identical; the scale
 	// experiment sets it to make the O(slaves) centralized fan-in cost
 	// visible.
@@ -144,18 +138,20 @@ type Config struct {
 	Resume *fault.Checkpoint
 }
 
+// The cost model's fixed terms.
+const (
+	// hookCheckCost is the bookkeeping cost of visiting an inactive hook.
+	hookCheckCost = 10 * time.Microsecond
+	// masterDecisionCost is the master's CPU cost per load-balancing phase.
+	masterDecisionCost = 200 * time.Microsecond
+	// grainFactor scales the strip-mining grain: blocks cost grainFactor ×
+	// quantum (§4.4; the paper uses 1.5).
+	grainFactor = 1.5
+)
+
 func (c Config) withDefaults() Config {
 	if c.FlopCost <= 0 {
 		c.FlopCost = time.Microsecond
-	}
-	if c.HookCheckCost <= 0 {
-		c.HookCheckCost = 10 * time.Microsecond
-	}
-	if c.MasterDecisionCost <= 0 {
-		c.MasterDecisionCost = 200 * time.Microsecond
-	}
-	if c.GrainFactor <= 0 {
-		c.GrainFactor = 1.5
 	}
 	if c.MinImprovement == 0 {
 		c.MinImprovement = 0.10
@@ -398,7 +394,7 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 // modelRow is the simulator's startup measurement: the cost of one strip
 // row is the work of one row of an even share of the active units.
 func modelRow(cfg *Config, probe *compile.Exec, slaves int) (time.Duration, error) {
-	lo, hi := probe.InitialActive()
+	lo, hi := probe.InitialLo, probe.InitialHi
 	perSlaveUnits := (hi - lo + slaves - 1) / slaves
 	rowFlops := probe.FlopsPerUnit * float64(perSlaveUnits)
 	return time.Duration(rowFlops * float64(cfg.FlopCost)), nil

@@ -47,7 +47,7 @@ type Prepared struct {
 
 // Prepare instantiates cfg.Plan for a real (wall-clock) environment with
 // the startup grain measurement RunReal uses: time one strip row, size
-// blocks to GrainFactor × RealQuantum (§4.4). cfg.ForcedGrain overrides
+// blocks to grainFactor × RealQuantum (§4.4). cfg.ForcedGrain overrides
 // the measurement — the master ships its computed grain to slaves, which
 // re-instantiate with exactly that value. A Config no entry point would
 // run (no plan, an unknown mode string, faults without DLB) is refused

@@ -71,7 +71,7 @@ func (e *engine) runOn(ep Endpoint) {
 
 	// Authoritative ownership + balancer.
 	own := core.NewBlockOwnership(e.exec.Units, e.initial)
-	lo, hi := e.exec.InitialActive()
+	lo, hi := e.exec.InitialLo, e.exec.InitialHi
 	for u := 0; u < own.Units(); u++ {
 		if u < lo || u >= hi {
 			own.Deactivate(u)
@@ -126,24 +126,15 @@ func (e *engine) remaining() int {
 }
 
 // scatter ships each initial slave its owned slices of the distributed
-// arrays and full copies of the replicated ones. Two cases ship a
-// bulk-free placeholder instead: a resumed run (the recovery epoch that
-// follows re-ships all state) and a slave whose transport reports the
-// payload already cached daemon-side (the FromCache marker tells it to
-// re-play its cached copy).
+// arrays and full copies of the replicated ones. A resumed run ships a
+// bulk-free placeholder instead: the recovery epoch that follows re-ships
+// all state.
 func (e *engine) scatter() {
-	adv, _ := e.ep.(InitCacheAdvisor)
 	resume := e.cfg.Resume != nil
 	for sl := 0; sl < e.initial; sl++ {
 		if resume {
 			e.ep.Send(sl, "init", msgHeader, InitMsg{})
 			e.res.Counters.Add("scatter_bytes", int64(msgHeader))
-			continue
-		}
-		if adv != nil && adv.InitCached(sl) {
-			e.ep.Send(sl, "init", msgHeader, InitMsg{FromCache: true})
-			e.res.Counters.Add("scatter_bytes", int64(msgHeader))
-			e.res.Counters.Add("init_cache_hits", 1)
 			continue
 		}
 		msg := InitMsg{Owned: map[string]map[int][]float64{}, Replicated: map[string][]float64{}}

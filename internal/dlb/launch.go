@@ -213,7 +213,7 @@ func (l *launch) finish(eng *engine, elapsed time.Duration) (*Result, error) {
 
 // instantiate picks the strip-mining grain and instantiates the plan with
 // it: once at grain 1 to estimate per-unit cost, then — blocks sized to
-// GrainFactor × quantum from the cost of one strip row (§4.4) — again, so
+// grainFactor × quantum from the cost of one strip row (§4.4) — again, so
 // the phase schedule reflects the strip-mined structure. rowCost is all
 // that differs between environments: the FlopCost model on the simulator,
 // a timed sweep on wall clock. cfg.ForcedGrain overrides it.
@@ -231,7 +231,7 @@ func instantiate(cfg *Config, slaves int, quantum time.Duration, rowCost func(cf
 			if err != nil {
 				return nil, err
 			}
-			grain = core.GrainSize(row, quantum, cfg.GrainFactor)
+			grain = core.GrainSize(row, quantum, grainFactor)
 		}
 	}
 	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, cfg.CompileOpts)

@@ -32,11 +32,3 @@ func (p *PreemptControl) Requested() bool { return p != nil && p.flag.Load() }
 // and every participant was released; RunMasterOn turns it into
 // ErrPreempted.
 type preemptStop struct{}
-
-// InitCacheAdvisor is an optional Endpoint capability: a transport that
-// knows a slave already holds this plan's initial scatter payload (e.g.
-// netrun's daemon-side init cache) reports it here, and the engine ships a
-// FromCache marker instead of the bulk data.
-type InitCacheAdvisor interface {
-	InitCached(slave int) bool
-}

@@ -121,7 +121,7 @@ func measureRealRow(cfg *Config, probe *compile.Exec, slaves int) (time.Duration
 		totalUnitExecs = 1
 	}
 	perUnit := time.Duration(float64(total) / totalUnitExecs)
-	lo, hi := probe.InitialActive()
+	lo, hi := probe.InitialLo, probe.InitialHi
 	units := hi - lo
 	if units < 1 {
 		units = 1

@@ -162,8 +162,7 @@ func (s *slave) runOn(ep Endpoint) {
 	// Local ownership map — the paper's index array, kept in sync with the
 	// master by applying the same instructions.
 	s.own = core.NewBlockOwnership(s.exec.Units, s.slaves)
-	lo, hi := s.exec.InitialActive()
-	s.deactivateOutside(lo, hi)
+	s.deactivateOutside(s.exec.InitialLo, s.exec.InitialHi)
 
 	s.lowerPlan()
 
@@ -930,7 +929,7 @@ func (s *slave) execHook(st *compile.Hook) {
 	hv := s.hookVisit
 	s.hookVisit++
 	if !s.cfg.DLB || hv != s.nextContact {
-		s.ep.Charge(s.cfg.HookCheckCost)
+		s.ep.Charge(hookCheckCost)
 		return
 	}
 

@@ -90,7 +90,7 @@ func (e *engine) roundCharge(nReports int) time.Duration {
 		// processing was charged on the leaders.
 		nReports = e.part.Groups()
 	}
-	return e.cfg.MasterDecisionCost + time.Duration(nReports)*e.cfg.PerReportCost
+	return masterDecisionCost + time.Duration(nReports)*e.cfg.PerReportCost
 }
 
 // ckptEligible reports whether the round just decided may carry a

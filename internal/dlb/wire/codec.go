@@ -33,7 +33,7 @@ import (
 // if the layout of any message changes (the handshake's ProtocolVersion
 // already gates incompatible deployments, this is a belt-and-suspenders
 // check against stream corruption).
-const binaryVersion = 3
+const binaryVersion = 4
 
 // Binary message type tags.
 const (
@@ -325,7 +325,6 @@ func appendBinaryEnvelope(b []byte, e Envelope) ([]byte, error) {
 	case dlb.InitMsg:
 		b = putOwnedMap(b, p.Owned)
 		b = putFloatsMap(b, p.Replicated)
-		b = putBool(b, p.FromCache)
 	case dlb.GatherMsg:
 		b = putOwnedMap(b, p.Data)
 		b = putFloatsMap(b, p.Reduced)
@@ -742,9 +741,6 @@ func decodeBinaryEnvelope(payload []byte) (Envelope, error) {
 			return Envelope{}, err
 		}
 		if p.Replicated, err = r.floatsMap(); err != nil {
-			return Envelope{}, err
-		}
-		if p.FromCache, err = r.boolv(); err != nil {
 			return Envelope{}, err
 		}
 		e.Payload = p

@@ -31,7 +31,6 @@ func bulkMessages() []Envelope {
 			Owned:      map[string]map[int][]float64{"a": {0: {1, 2}, 1: {3, 4}}, "b": {7: {5}}},
 			Replicated: map[string][]float64{"p": {7, 8, 9}},
 		}},
-		{Tag: "init-cached", From: -1, Payload: dlb.InitMsg{FromCache: true}},
 		{Tag: "gather", From: 3, Payload: dlb.GatherMsg{
 			Data:    map[string]map[int][]float64{"c": {0: {7}, 2: {8, 9}}},
 			Reduced: map[string][]float64{"res": {0.25}},

@@ -106,11 +106,6 @@ type HelloMsg struct {
 	PeerAddr string
 	// Join marks a slave-initiated connection asking for a joiner slot.
 	Join bool
-	// InitCached announces that this daemon still holds the initial
-	// scatter payload for the handshaken plan hash (and this node id and
-	// membership size) from an earlier run: the master may ship a
-	// FromCache marker instead of the bulk InitMsg.
-	InitCached bool
 }
 
 // RosterMsg distributes the node id → listener address table. The master

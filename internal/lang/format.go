@@ -13,9 +13,7 @@ import (
 // value that cannot be recovered and formats as zero initialization.
 func Format(p *loopir.Program) string {
 	var sb strings.Builder
-	// Program names are free-form in loopir but identifiers in source.
-	name := strings.ReplaceAll(p.Name, "-", "_")
-	fmt.Fprintf(&sb, "program %s(%s)\n", name, strings.Join(p.Params, ", "))
+	fmt.Fprintf(&sb, "program %s(%s)\n", p.Ident(), strings.Join(p.Params, ", "))
 	for _, a := range p.Arrays {
 		fmt.Fprintf(&sb, "array %s", a.Name)
 		for _, d := range a.Dims {

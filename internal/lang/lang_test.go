@@ -209,6 +209,10 @@ func TestCommentsIgnored(t *testing.T) {
 	}
 }
 
+// TestFormatRoundTripBuiltins: every library program survives format →
+// parse, as text and as data — the reparsed program's initial arrays equal
+// the library's bit for bit, which is what lets a daemon that recompiles
+// the text stand in for the process that holds the program.
 func TestFormatRoundTripBuiltins(t *testing.T) {
 	for name, prog := range loopir.Library() {
 		src := lang.Format(prog)
@@ -219,6 +223,20 @@ func TestFormatRoundTripBuiltins(t *testing.T) {
 		}
 		if again := lang.Format(parsed); again != src {
 			t.Errorf("%s: format not idempotent:\n--- first\n%s\n--- second\n%s", name, src, again)
+		}
+		params := map[string]int{"n": 40, "maxiter": 1}
+		want, err := loopir.NewInstance(prog, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loopir.NewInstance(parsed, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for arr, w := range want.Arrays {
+			if d := w.MaxAbsDiff(got.Arrays[arr]); d != 0 {
+				t.Errorf("%s: reparsed array %s starts %g away from the library's", name, arr, d)
+			}
 		}
 	}
 }

@@ -2,58 +2,10 @@ package lang
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/loopir"
 )
-
-// Initializers available to `array ... init name(arg)` declarations. They
-// mirror the deterministic initializers of the built-in program library.
-var initializers = map[string]func(arg float64) loopir.InitFn{
-	"zero": func(float64) loopir.InitFn { return nil },
-	"hash": func(salt float64) loopir.InitFn {
-		return func(idx []int) float64 { return hashInit(uint64(salt), idx) }
-	},
-	// diagdom(v): hashed values with v added on the diagonal (first two
-	// indices equal) — LU without pivoting needs diagonal dominance.
-	"diagdom": func(v float64) loopir.InitFn {
-		return func(idx []int) float64 {
-			x := hashInit(4, idx)
-			if len(idx) >= 2 && idx[0] == idx[1] {
-				return x + v
-			}
-			return x
-		}
-	},
-	// powrows(salt): block-correlated power-law row lengths in [0,64) —
-	// floor(64·h⁴) of a hash of the 32-row block index (see loopir's
-	// irregular program library).
-	"powrows": func(salt float64) loopir.InitFn {
-		return func(idx []int) float64 {
-			h := hashInit(uint64(salt), []int{idx[0] / 32})
-			v := h * h
-			v *= v
-			return math.Floor(64 * v)
-		}
-	},
-	// band(salt): integer band offsets in [-32,32): floor(64·h) − 32.
-	"band": func(salt float64) loopir.InitFn {
-		return func(idx []int) float64 {
-			return math.Floor(64*hashInit(uint64(salt), idx)) - 32
-		}
-	},
-}
-
-// hashInit replicates loopir's deterministic pseudo-random initializer.
-func hashInit(salt uint64, idx []int) float64 {
-	h := uint64(2166136261) ^ salt*0x9E3779B97F4A7C15
-	for _, i := range idx {
-		h ^= uint64(i + 1)
-		h *= 1099511628211
-	}
-	return float64(h%100000) / 100000
-}
 
 // Parse compiles source text into a validated loopir program.
 func Parse(src string) (*loopir.Program, error) {
@@ -181,10 +133,6 @@ func (p *parser) arrayDecl() (*loopir.ArrayDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		builder, ok := initializers[fn.text]
-		if !ok {
-			return nil, p.errf(fn, "unknown initializer %q (have zero, hash, diagdom, powrows, band)", fn.text)
-		}
 		arg := 0.0
 		if p.cur().text == "(" {
 			p.pos++
@@ -200,10 +148,9 @@ func (p *parser) arrayDecl() (*loopir.ArrayDecl, error) {
 				return nil, err
 			}
 		}
-		decl.Init = builder(arg)
-		if fn.text != "zero" {
-			// Canonical spec so Format(Parse(src)) reproduces the clause.
-			decl.InitSpec = fmt.Sprintf("%s(%s)", fn.text, strconv.FormatFloat(arg, 'g', -1, 64))
+		var ok bool
+		if decl.Init, decl.InitSpec, ok = loopir.Initializer(fn.text, arg); !ok {
+			return nil, p.errf(fn, "unknown initializer %q (have zero, hash, diagdom, powrows, band)", fn.text)
 		}
 	}
 	if _, err := p.expect(";"); err != nil {

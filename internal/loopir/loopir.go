@@ -235,6 +235,11 @@ type Program struct {
 	Body   []Stmt
 }
 
+// Ident is the program's name as a source-language identifier. Names are
+// free-form in loopir ("jacobi-converge"); the formatted text a daemon
+// recompiles, and the rendered plan hashed beside it, carry this one.
+func (p *Program) Ident() string { return strings.ReplaceAll(p.Name, "-", "_") }
+
 // Array looks up a declaration by name, or nil.
 func (p *Program) Array(name string) *ArrayDecl {
 	for _, a := range p.Arrays {

@@ -1,6 +1,10 @@
 package loopir
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strconv"
+)
 
 // Program library: the routines the paper uses as running examples (Table 1:
 // matrix multiplication, successive overrelaxation, LU decomposition), plus
@@ -21,29 +25,55 @@ func hashInit(salt uint64, idx []int) float64 {
 	return float64(h%100000) / 100000
 }
 
-func saltedInit(salt uint64) InitFn {
-	return func(idx []int) float64 { return hashInit(salt, idx) }
+// Initializer resolves an `init name(arg)` clause of the source language:
+// the one table of array initializers, read by the parser and by the
+// library below. spec is the clause's canonical text, which lang.Format
+// prints back ("" for zero — no clause); ok is false for an unknown name.
+func Initializer(name string, arg float64) (fn InitFn, spec string, ok bool) {
+	salt := uint64(arg)
+	switch name {
+	case "zero":
+		return nil, "", true
+	case "hash":
+		fn = func(idx []int) float64 { return hashInit(salt, idx) }
+	case "diagdom":
+		// Hashed values with arg added on the diagonal (first two indices
+		// equal): LU without pivoting needs diagonal dominance.
+		fn = func(idx []int) float64 {
+			v := hashInit(4, idx)
+			if len(idx) >= 2 && idx[0] == idx[1] {
+				return v + arg
+			}
+			return v
+		}
+	case "powrows":
+		// Block-correlated power-law row lengths in [0,64): floor(64·h⁴)
+		// of a hash of the 32-row block index. The fourth power skews the
+		// distribution (most rows short, a few blocks long), and hashing
+		// the block index rather than the row makes the skew spatially
+		// correlated, so contiguous ownership ranges really do differ in
+		// weight.
+		fn = func(idx []int) float64 {
+			h := hashInit(salt, []int{idx[0] / 32})
+			v := h * h
+			v *= v
+			return math.Floor(64 * v)
+		}
+	case "band":
+		// Integer band offsets in [-32,32): floor(64·h) − 32.
+		fn = func(idx []int) float64 {
+			return math.Floor(64*hashInit(salt, idx)) - 32
+		}
+	default:
+		return nil, "", false
+	}
+	return fn, fmt.Sprintf("%s(%s)", name, strconv.FormatFloat(arg, 'g', -1, 64)), true
 }
 
-// powRowsInit yields block-correlated power-law row lengths in [0,64):
-// floor(64·h⁴) of a hash of the 32-row block index. The fourth power skews
-// the distribution (most rows short, a few blocks long), and hashing the
-// block index rather than the row makes the skew spatially correlated, so
-// contiguous ownership ranges really do differ in weight.
-func powRowsInit(salt uint64) InitFn {
-	return func(idx []int) float64 {
-		h := hashInit(salt, []int{idx[0] / 32})
-		v := h * h
-		v *= v
-		return math.Floor(64 * v)
-	}
-}
-
-// bandInit yields integer band offsets in [-32,32): floor(64·h) − 32.
-func bandInit(salt uint64) InitFn {
-	return func(idx []int) float64 {
-		return math.Floor(64*hashInit(salt, idx)) - 32
-	}
+// initArray declares a library array filled by the named initializer.
+func initArray(name, init string, arg float64, dims ...IExpr) *ArrayDecl {
+	fn, spec, _ := Initializer(init, arg)
+	return &ArrayDecl{Name: name, Dims: dims, Init: fn, InitSpec: spec}
 }
 
 // MatMul builds C = A·B over n×n matrices:
@@ -59,8 +89,8 @@ func MatMul() *Program {
 		Name:   "mm",
 		Params: []string{"n"},
 		Arrays: []*ArrayDecl{
-			{Name: "a", Dims: []IExpr{n, n}, Init: saltedInit(1), InitSpec: "hash(1)"},
-			{Name: "b", Dims: []IExpr{n, n}, Init: saltedInit(2), InitSpec: "hash(2)"},
+			initArray("a", "hash", 1, n, n),
+			initArray("b", "hash", 2, n, n),
 			{Name: "c", Dims: []IExpr{n, n}}, // zero
 		},
 		Body: []Stmt{
@@ -91,7 +121,7 @@ func SOR() *Program {
 		Name:   "sor",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "b", Dims: []IExpr{n, n}, Init: saltedInit(3), InitSpec: "hash(3)"},
+			initArray("b", "hash", 3, n, n),
 		},
 		Body: []Stmt{
 			For("iter", Ic(0), Iv("maxiter"),
@@ -128,15 +158,8 @@ func LU() *Program {
 		Name:   "lu",
 		Params: []string{"n"},
 		Arrays: []*ArrayDecl{
-			// Strong diagonal: no pivoting required. Matches the source
-			// language's diagdom initializer (salt 4, +v on the diagonal).
-			{Name: "a", Dims: []IExpr{n, n}, InitSpec: "diagdom(4)", Init: func(idx []int) float64 {
-				v := hashInit(4, idx)
-				if idx[0] == idx[1] {
-					return v + 4.0
-				}
-				return v
-			}},
+			// Strong diagonal: no pivoting required.
+			initArray("a", "diagdom", 4, n, n),
 		},
 		Body: []Stmt{
 			For("k", Ic(0), n,
@@ -168,7 +191,7 @@ func Jacobi() *Program {
 		Name:   "jacobi",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "a", Dims: []IExpr{n, n}, Init: saltedInit(5), InitSpec: "hash(5)"},
+			initArray("a", "hash", 5, n, n),
 			{Name: "anew", Dims: []IExpr{n, n}},
 		},
 		Body: []Stmt{
@@ -198,7 +221,7 @@ func ThresholdRelax() *Program {
 		Name:   "threshold-relax",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "v", Dims: []IExpr{n, n}, Init: saltedInit(6), InitSpec: "hash(6)"},
+			initArray("v", "hash", 6, n, n),
 		},
 		Body: []Stmt{
 			For("iter", Ic(0), Iv("maxiter"),
@@ -232,7 +255,7 @@ func PeriodicSOR() *Program {
 		Name:   "periodic-sor",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "b", Dims: []IExpr{n, n}, Init: saltedInit(11), InitSpec: "hash(11)"},
+			initArray("b", "hash", 11, n, n),
 		},
 		Body: []Stmt{
 			For("iter", Ic(0), Iv("maxiter"),
@@ -269,7 +292,7 @@ func JacobiConverge() *Program {
 		Name:   "jacobi-converge",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "a", Dims: []IExpr{n, n}, Init: saltedInit(5), InitSpec: "hash(5)"},
+			initArray("a", "hash", 5, n, n),
 			{Name: "anew", Dims: []IExpr{n, n}},
 			{Name: "r", Dims: []IExpr{Ic(1)}},
 		},
@@ -308,7 +331,7 @@ func Jacobi3D() *Program {
 		Name:   "jacobi3d",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "u", Dims: []IExpr{n, n, n}, Init: saltedInit(12), InitSpec: "hash(12)"},
+			initArray("u", "hash", 12, n, n, n),
 			{Name: "unew", Dims: []IExpr{n, n, n}},
 		},
 		Body: []Stmt{
@@ -340,8 +363,8 @@ func Axpy() *Program {
 		Name:   "axpy",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "x", Dims: []IExpr{n}, Init: saltedInit(7), InitSpec: "hash(7)"},
-			{Name: "y", Dims: []IExpr{n}, Init: saltedInit(8), InitSpec: "hash(8)"},
+			initArray("x", "hash", 7, n),
+			initArray("y", "hash", 8, n),
 		},
 		Body: []Stmt{
 			For("iter", Ic(0), Iv("maxiter"),
@@ -367,10 +390,10 @@ func SpMV() *Program {
 		Name:   "spmv",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "val", Dims: []IExpr{n, Ic(64)}, Init: saltedInit(21), InitSpec: "hash(21)"},
-			{Name: "ofs", Dims: []IExpr{n, Ic(64)}, Init: bandInit(22), InitSpec: "band(22)"},
-			{Name: "rowlen", Dims: []IExpr{n}, Init: powRowsInit(23), InitSpec: "powrows(23)"},
-			{Name: "x", Dims: []IExpr{n}, Init: saltedInit(24), InitSpec: "hash(24)"},
+			initArray("val", "hash", 21, n, Ic(64)),
+			initArray("ofs", "band", 22, n, Ic(64)),
+			initArray("rowlen", "powrows", 23, n),
+			initArray("x", "hash", 24, n),
 			{Name: "y", Dims: []IExpr{n}}, // zero
 		},
 		Body: []Stmt{
@@ -397,8 +420,8 @@ func PBin() *Program {
 		Name:   "pbin",
 		Params: []string{"n", "maxiter"},
 		Arrays: []*ArrayDecl{
-			{Name: "cnt", Dims: []IExpr{n}, Init: powRowsInit(25), InitSpec: "powrows(25)"},
-			{Name: "px", Dims: []IExpr{n, Ic(64)}, Init: saltedInit(26), InitSpec: "hash(26)"},
+			initArray("cnt", "powrows", 25, n),
+			initArray("px", "hash", 26, n, Ic(64)),
 			{Name: "f", Dims: []IExpr{n}}, // zero
 		},
 		Body: []Stmt{

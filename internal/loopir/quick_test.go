@@ -56,7 +56,7 @@ func randProgram(r *rand.Rand) *Program {
 	return &Program{
 		Name:   "rand",
 		Params: []string{"n"},
-		Arrays: []*ArrayDecl{{Name: "a", Dims: []IExpr{n, n}, Init: saltedInit(99)}},
+		Arrays: []*ArrayDecl{initArray("a", "hash", 99, n, n)},
 		Body:   []Stmt{stmt},
 	}
 }

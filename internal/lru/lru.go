@@ -1,8 +1,8 @@
 // Package lru is the one bounded least-recently-used map behind the
-// service's plan cache, every daemon's init cache and the compile cache.
-// Cache is the bare structure (callers lock); Memo adds what a cache in
-// front of an expensive function needs: its own lock, one computation per
-// key no matter how many callers miss at once, and no memory of failures.
+// service's plan cache and the compile cache. Cache is the bare structure
+// under Memo, which adds what a cache in front of an expensive function
+// needs: its own lock, one computation per key no matter how many callers
+// miss at once, and no memory of failures.
 package lru
 
 import (
@@ -15,7 +15,7 @@ import (
 // panicked (the panicking caller sees the panic).
 var errPanicked = errors.New("lru: memoized computation panicked")
 
-// Cache is a bounded LRU map. Not safe for concurrent use.
+// Cache is a bounded LRU map. Not safe for concurrent use: Memo locks.
 type Cache[K comparable, V any] struct {
 	max   int
 	order *list.List // of entry[K, V]; front is the most recently used
@@ -69,9 +69,6 @@ func (c *Cache[K, V]) Delete(k K) {
 		delete(c.items, k)
 	}
 }
-
-// Len is the number of entries held.
-func (c *Cache[K, V]) Len() int { return len(c.items) }
 
 // Memo memoizes a fallible function of K in a bounded LRU. It is safe for
 // concurrent use and single-flight: callers that miss on one key while its

@@ -22,13 +22,13 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Error("a was evicted although it was used after b")
 	}
 	c.Put("a", 10) // replacing neither grows the cache nor evicts
-	if v, _ := c.Get("a"); v != 10 || c.Len() != 2 {
-		t.Errorf("after replace: a = %d, len = %d; want 10, 2", v, c.Len())
+	if v, _ := c.Get("a"); v != 10 || len(c.items) != 2 {
+		t.Errorf("after replace: a = %d, len = %d; want 10, 2", v, len(c.items))
 	}
 	c.Delete("a")
 	c.Delete("never-there")
-	if _, ok := c.Get("a"); ok || c.Len() != 1 {
-		t.Errorf("after delete: a present = %v, len = %d; want false, 1", ok, c.Len())
+	if _, ok := c.Get("a"); ok || len(c.items) != 1 {
+		t.Errorf("after delete: a present = %v, len = %d; want false, 1", ok, len(c.items))
 	}
 	if New[int, int](0).max != 1 {
 		t.Error("a non-positive bound must clamp to one entry")

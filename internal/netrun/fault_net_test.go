@@ -43,22 +43,25 @@ func recvReject(t *testing.T, wc *wire.Conn) wire.RejectMsg {
 }
 
 // TestRejectVersionMismatch dials a slave daemon and opens the handshake
-// with an unknown protocol version; the daemon must refuse with a typed
-// version-mismatch rejection and stay available for a real run.
+// with another protocol version — 3, the last whose init frame carried the
+// init-cache marker, and one from the future; the daemon must refuse each
+// with a typed version-mismatch rejection and stay available for a real run.
 func TestRejectVersionMismatch(t *testing.T) {
 	addrs, _ := startServers(t, 1, ServerOptions{})
-	nc, wc := rawDial(t, addrs[0])
-	defer nc.Close()
-	start := wire.StartMsg{Version: ProtocolVersion + 99, Node: 0, Slaves: 1, Total: 1}
-	if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
-		t.Fatal(err)
-	}
-	rej := recvReject(t, wc)
-	if rej.Code != wire.RejectVersion {
-		t.Fatalf("reject code = %q, want %q (%s)", rej.Code, wire.RejectVersion, rej.Detail)
-	}
-	if !errors.Is(rejectErr(rej), ErrVersionMismatch) {
-		t.Fatalf("rejectErr(%v) does not map to ErrVersionMismatch", rej)
+	for _, version := range []int{3, ProtocolVersion + 99} {
+		nc, wc := rawDial(t, addrs[0])
+		defer nc.Close()
+		start := wire.StartMsg{Version: version, Node: 0, Slaves: 1, Total: 1}
+		if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
+			t.Fatal(err)
+		}
+		rej := recvReject(t, wc)
+		if rej.Code != wire.RejectVersion {
+			t.Fatalf("version %d: reject code = %q, want %q (%s)", version, rej.Code, wire.RejectVersion, rej.Detail)
+		}
+		if !errors.Is(rejectErr(rej), ErrVersionMismatch) {
+			t.Fatalf("rejectErr(%v) does not map to ErrVersionMismatch", rej)
+		}
 	}
 }
 

@@ -122,14 +122,12 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 
 	// Dial and handshake the initial membership.
 	roster := map[int]string{}
-	cachedInit := make([]bool, n)
 	for i, addr := range slaveAddrs {
-		peerAddr, hasInit, err := m.handshakeSlave(i, addr)
+		peerAddr, err := m.handshakeSlave(i, addr)
 		if err != nil {
 			return nil, fmt.Errorf("netrun: slave %d at %s: %w", i, addr, err)
 		}
 		roster[i] = peerAddr
-		cachedInit[i] = hasInit
 	}
 	m.rt.mergeRoster(roster)
 	// The roster is the first frame on every connection: FIFO delivery
@@ -153,8 +151,7 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 		LinkLatency:  100 * time.Microsecond,
 		SendOverhead: 10 * time.Microsecond,
 	}
-	ep := &advisedEndpoint{WallEndpoint: m.rt.endpoint(1), cached: cachedInit}
-	return dlb.RunMasterOn(ep, cfg, cc, n, m.total, pre)
+	return dlb.RunMasterOn(m.rt.endpoint(1), cfg, cc, n, m.total, pre)
 }
 
 // newRunID mints the id that tells this run's slave↔slave connections
@@ -181,11 +178,11 @@ func (m *netMaster) shutdown() {
 // backoff within the dial budget: a scheduler re-leasing a slave whose
 // previous (preempted or completed) session is still tearing down should
 // wait it out, not fail the run.
-func (m *netMaster) handshakeSlave(node int, addr string) (peerAddr string, initCached bool, err error) {
+func (m *netMaster) handshakeSlave(node int, addr string) (peerAddr string, err error) {
 	deadline := time.Now().Add(m.to.Dial)
 	backoff := 20 * time.Millisecond
 	for {
-		peerAddr, initCached, err = m.handshakeSlaveOnce(node, addr)
+		peerAddr, err = m.handshakeSlaveOnce(node, addr)
 		if err == nil || !errors.Is(err, ErrBusy) || time.Now().Add(backoff).After(deadline) {
 			return
 		}
@@ -196,10 +193,10 @@ func (m *netMaster) handshakeSlave(node int, addr string) (peerAddr string, init
 	}
 }
 
-func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr string, initCached bool, err error) {
+func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr string, err error) {
 	nc, err := dialBackoff(addr, m.to.Dial)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	wc := wire.NewConn(nc)
 	nc.SetDeadline(time.Now().Add(m.to.Handshake))
@@ -215,22 +212,21 @@ func (m *netMaster) handshakeSlaveOnce(node int, addr string) (peerAddr string, 
 	}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagStart, From: cluster.MasterID, Payload: start}); err != nil {
 		nc.Close()
-		return "", false, err
+		return "", err
 	}
 	h, err := recvHello(wc)
 	if err != nil {
 		nc.Close()
-		return "", false, err
+		return "", err
 	}
 	if err := m.checkHello(h); err != nil {
 		nc.Close()
-		return "", false, err
+		return "", err
 	}
 	nc.SetDeadline(time.Time{})
 	m.rt.attach(node, nc, wc, true)
-	m.logf("slave %d connected from %s (peer listener %s, initCached %v)",
-		node, nc.RemoteAddr(), h.PeerAddr, h.InitCached)
-	return h.PeerAddr, h.InitCached, nil
+	m.logf("slave %d connected from %s (peer listener %s)", node, nc.RemoteAddr(), h.PeerAddr)
+	return h.PeerAddr, nil
 }
 
 // recvHello reads the slave's handshake reply, surfacing a RejectMsg as

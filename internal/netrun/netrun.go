@@ -48,8 +48,9 @@ import (
 // exactly (the protocol has no compatibility negotiation). Version 2
 // dropped the per-connection codec negotiation: every peer sends bulk
 // payloads on the binary codec. Version 3 names the run on every
-// slave↔slave connection (StartMsg.Run, PeerHelloMsg.Run).
-const ProtocolVersion = 3
+// slave↔slave connection (StartMsg.Run, PeerHelloMsg.Run). Version 4
+// dropped the init cache: the binary init frame lost its marker byte.
+const ProtocolVersion = 4
 
 // Handshake failure modes. Errors returned by dials and accepts wrap one
 // of these sentinels; use errors.Is to classify.

@@ -85,6 +85,46 @@ func checkBitIdentical(t *testing.T, res *dlb.Result, ref map[string]*loopir.Arr
 	}
 }
 
+// checkGather compares a run with the sequential reference: every array bit
+// for bit, except a reduction's, whose parallel sum reassociates (1e-9).
+func checkGather(t *testing.T, plan *compile.Plan, res *dlb.Result, ref map[string]*loopir.Array) {
+	t.Helper()
+	exact := map[string]*loopir.Array{}
+	for name, a := range ref {
+		exact[name] = a
+	}
+	for _, r := range plan.Reductions {
+		delete(exact, r.Array)
+		if d := ref[r.Array].MaxAbsDiff(res.Final[r.Array]); d > 1e-9 {
+			t.Errorf("reduction %s differs from the sequential reference by %g", r.Array, d)
+		}
+	}
+	checkBitIdentical(t, res, exact)
+}
+
+// TestLoopbackLibrary runs every library program as loopir.Library() hands
+// it out on three loopback daemons. The daemons recompile it from
+// lang.Format text, so this is also the check that a program's free-form
+// name ("jacobi-converge") reaches both plan hashes in one spelling.
+func TestLoopbackLibrary(t *testing.T) {
+	for name := range loopir.Library() {
+		t.Run(name, func(t *testing.T) {
+			n := 24
+			if name == "spmv" {
+				n = 96 // its row loop skips 32 rows at each edge
+			}
+			plan, params := testPlan(t, name, n, 3)
+			addrs, _ := startServers(t, 3, ServerOptions{})
+			cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
+			res, err := RunMaster(cfg, addrs, MasterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGather(t, plan, res, seqReference(t, plan, params))
+		})
+	}
+}
+
 func TestLoopbackMM(t *testing.T) {
 	plan, params := testPlan(t, "mm", 48, 0)
 	addrs, _ := startServers(t, 4, ServerOptions{})

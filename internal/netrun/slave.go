@@ -36,11 +36,6 @@ type ServerOptions struct {
 	// "kernel" while its peers run "aot".
 	Kernel   string
 	Timeouts Timeouts
-	// InitCacheEntries bounds the daemon's plan-hash init cache: decoded
-	// initial-scatter payloads kept across runs, so resubmitting an
-	// identical plan skips the bulk re-ship (0: default 4; negative:
-	// disabled).
-	InitCacheEntries int
 	// Logf receives daemon events (nil: silent).
 	Logf func(format string, args ...interface{})
 }
@@ -53,7 +48,6 @@ type Server struct {
 	opt   ServerOptions
 	to    Timeouts
 	ln    net.Listener
-	inits *initCache
 	plans *compile.Cache
 
 	mu     sync.Mutex
@@ -66,12 +60,6 @@ type Server struct {
 type session struct {
 	node int
 	rt   *router
-	// Init-cache pinning for this session: the key the run's scatter is
-	// stored under, and — when the daemon announced InitCached — the
-	// payload pinned at handshake time, immune to later evictions.
-	initKey    initKey
-	cachedInit dlb.InitMsg
-	haveCached bool
 }
 
 // NewServer binds the daemon's listener.
@@ -84,15 +72,10 @@ func NewServer(opt ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netrun: slave listener: %w", err)
 	}
-	entries := opt.InitCacheEntries
-	if entries == 0 {
-		entries = 4
-	}
 	return &Server{
 		opt:   opt,
 		to:    opt.Timeouts.withDefaults(),
 		ln:    ln,
-		inits: newInitCache(entries),
 		plans: compile.NewCache(compileCacheEntries),
 	}, nil
 }
@@ -290,18 +273,10 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 		s.reject(wc, nc, wire.RejectMsg{Code: wire.RejectProtocol, Detail: err.Error()})
 		return
 	}
-	// Pin this plan's cached init payload (if any) before announcing it:
-	// the announcement commits the daemon to replaying it, so it must be
-	// immune to cache evictions between handshake and scatter.
-	key := initKey{hash: hash, node: st.Node, slaves: st.Slaves}
-	cachedInit, haveCached := s.inits.get(key)
-	if joiner {
-		haveCached = false // joiners are adopted, never scattered to
-	}
 
 	rt := newRouter(st.Node, st.Run, s.to, true)
 	rt.mergeRoster(st.Roster)
-	sess := &session{node: st.Node, rt: rt, initKey: key, cachedInit: cachedInit, haveCached: haveCached}
+	sess := &session{node: st.Node, rt: rt}
 	s.mu.Lock()
 	if s.sess != nil || s.closed {
 		closed := s.closed
@@ -314,12 +289,11 @@ func (s *Server) runSession(nc net.Conn, wc *wire.Conn, st wire.StartMsg, joiner
 
 	nc.SetWriteDeadline(time.Now().Add(s.to.Handshake))
 	hello := wire.HelloMsg{
-		Version:    ProtocolVersion,
-		Node:       st.Node,
-		PlanHash:   hash,
-		PeerAddr:   s.advertise(),
-		Join:       joiner,
-		InitCached: haveCached,
+		Version:  ProtocolVersion,
+		Node:     st.Node,
+		PlanHash: hash,
+		PeerAddr: s.advertise(),
+		Join:     joiner,
 	}
 	if err := wc.Send(wire.Envelope{Tag: wire.TagHello, From: st.Node, Payload: hello}); err != nil {
 		s.clearSession(sess)
@@ -371,14 +345,7 @@ func (s *Server) runSlave(sess *session, cfg dlb.Config, st wire.StartMsg, pre *
 			err = fmt.Errorf("netrun: slave %d panicked: %v", sess.node, p)
 		}
 	}()
-	ep := &initCacheEP{
-		WallEndpoint: sess.rt.endpoint(s.opt.Drag),
-		cache:        s.inits,
-		key:          sess.initKey,
-		cached:       sess.cachedInit,
-		have:         sess.haveCached,
-	}
-	return dlb.RunSlaveOn(ep, cfg, st.Node, st.Slaves, pre)
+	return dlb.RunSlaveOn(sess.rt.endpoint(s.opt.Drag), cfg, st.Node, st.Slaves, pre)
 }
 
 // occupied reports whether the daemon cannot take a run: a session holds

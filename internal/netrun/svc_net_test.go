@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compile"
 	"repro/internal/dlb"
 	"repro/internal/fault"
 	"repro/internal/loopir"
@@ -104,45 +105,46 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 	mustEqualArrays(t, "resumed vs uninterrupted", resumed.Final, uncut.Final)
 }
 
-// TestInitCacheSkipsRescatter resubmits an identical plan (same Prepared,
-// hence same plan hash) to the same daemons: the second run must ship
-// FromCache markers instead of bulk init data and still produce
-// bit-identical results.
-func TestInitCacheSkipsRescatter(t *testing.T) {
-	plan, params := testPlan(t, "mm", 64, 0)
-	addrs, srvs := startServers(t, 4, ServerOptions{})
-	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
-	pre, err := dlb.Prepare(cfg, len(addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := MasterOptions{Prepared: pre}
-	ref := seqReference(t, plan, params)
-
-	cold, err := RunMaster(cfg, addrs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBitIdentical(t, cold, ref)
-	if hits := cold.Counters["init_cache_hits"]; hits != 0 {
-		t.Errorf("cold run init_cache_hits = %d, want 0", hits)
-	}
-	for i, srv := range srvs {
-		if srv.inits.len() == 0 {
-			t.Errorf("daemon %d cached no init payload after the cold run", i)
+// TestBackToBackRunsScatterTheirOwnData puts two jobs on the same daemons
+// whose program text — and so plan hash, node ids and membership — agree
+// and whose data does not: array a's initializer is an opaque func, which
+// lang.Format renders as zero initialization. A daemon that kept anything
+// of the first job's scatter for the second would gather the first one's
+// product. Each job runs twice under one pinned Prepared: every gather
+// equals its own sequential reference bit for bit, and the resubmission
+// pays the same scatter as the first submission.
+func TestBackToBackRunsScatterTheirOwnData(t *testing.T) {
+	addrs, _ := startServers(t, 2, ServerOptions{})
+	for _, scale := range []float64{1, 3} {
+		prog := loopir.MatMul()
+		a := prog.Array("a")
+		base := a.Init
+		a.InitSpec = ""
+		a.Init = func(idx []int) float64 { return scale * base(idx) }
+		plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist("mm")})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	warm, err := RunMaster(cfg, addrs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBitIdentical(t, warm, ref)
-	if hits := warm.Counters["init_cache_hits"]; hits != int64(len(addrs)) {
-		t.Errorf("warm run init_cache_hits = %d, want %d", hits, len(addrs))
-	}
-	if cb, wb := cold.Counters["scatter_bytes"], warm.Counters["scatter_bytes"]; wb >= cb {
-		t.Errorf("warm scatter_bytes = %d, not smaller than cold %d", wb, cb)
+		params := map[string]int{"n": 32}
+		cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
+		pre, err := dlb.Prepare(cfg, len(addrs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := seqReference(t, plan, params)
+		var scattered [2]int64
+		for run := range scattered {
+			res, err := RunMaster(cfg, addrs, MasterOptions{Prepared: pre})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBitIdentical(t, res, ref)
+			scattered[run] = res.Counters["scatter_bytes"]
+		}
+		// a's 32 rows alone are 8 KB: a scatter below that shipped no data.
+		if scattered[0] < 8*32*32 || scattered[1] != scattered[0] {
+			t.Errorf("a ×%g: scatter_bytes = %d then %d, want the same bulk scatter twice", scale, scattered[0], scattered[1])
+		}
 	}
 }
 

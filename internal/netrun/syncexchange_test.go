@@ -5,10 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/compile"
 	"repro/internal/dlb"
-	"repro/internal/lang"
-	"repro/internal/loopir"
 )
 
 // The synchronous ghost-exchange schedule (dlb.OverlapDisabled) is what the
@@ -24,25 +21,7 @@ func TestLoopbackSyncExchange(t *testing.T) {
 		n, iter int
 	}{{"jacobi", 48, 6}, {"jacobi3d", 16, 4}, {"jacobi-converge", 48, 8}} {
 		plan, params := testPlan(t, prog.name, prog.n, prog.iter)
-		// A daemon recompiles the program from its formatted text, where
-		// "jacobi-converge" is not an identifier: the master's plan has to
-		// be compiled from that text too or the plan hashes differ
-		// (ROADMAP item 6).
-		text, err := lang.Parse(lang.Format(plan.Prog))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan, err = compile.Compile(text, compile.Options{Dist: compile.LibraryDist(prog.name)}); err != nil {
-			t.Fatal(err)
-		}
-		// A parallel reduction reassociates its sum: the residual r of
-		// jacobi-converge is compared to 1e-9, every stencil array bit for bit.
 		ref := seqReference(t, plan, params)
-		reduced := map[string]*loopir.Array{}
-		for _, r := range plan.Reductions {
-			reduced[r.Array] = ref[r.Array]
-			delete(ref, r.Array)
-		}
 		for slaves := 2; slaves <= 5; slaves++ {
 			t.Run(fmt.Sprintf("%s/%d", prog.name, slaves), func(t *testing.T) {
 				addrs, _ := startServers(t, slaves, ServerOptions{})
@@ -51,12 +30,7 @@ func TestLoopbackSyncExchange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkBitIdentical(t, res, ref)
-				for name, want := range reduced {
-					if d := want.MaxAbsDiff(res.Final[name]); d > 1e-9 {
-						t.Errorf("reduction %s differs from the sequential reference by %g", name, d)
-					}
-				}
+				checkGather(t, plan, res, ref)
 			})
 		}
 	}

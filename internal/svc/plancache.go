@@ -14,11 +14,11 @@ import (
 )
 
 // planEntry is one compiled, instantiated plan: everything a run reuses.
-// Pinning the Prepared (grain + resolved compile options) is what makes
-// resubmission hit the daemons' init caches — the grain measurement is
-// timing-dependent, so recompiling per run would hash differently — and
-// what lets a preempted job resume under the phase schedule its checkpoint
-// was cut with.
+// Pinning the Prepared (grain + resolved compile options) is what gives a
+// resubmission the plan hash of the first submission — the grain
+// measurement is timing-dependent, so instantiating per run would hash
+// differently — and what lets a preempted job resume under the phase
+// schedule its checkpoint was cut with.
 type planEntry struct {
 	plan *compile.Plan
 	pre  *dlb.Prepared
@@ -35,11 +35,14 @@ type planCache struct {
 	prepared *lru.Memo[string, *planEntry]
 }
 
-func newPlanCache(max int) *planCache {
-	if max <= 0 {
-		max = 16
+// planCacheEntries bounds each level. Entries hold no array data.
+const planCacheEntries = 16
+
+func newPlanCache() *planCache {
+	return &planCache{
+		compiled: compile.NewCache(planCacheEntries),
+		prepared: lru.NewMemo[string, *planEntry](planCacheEntries),
 	}
-	return &planCache{compiled: compile.NewCache(max), prepared: lru.NewMemo[string, *planEntry](max)}
 }
 
 // specKey fingerprints everything that determines the compiled plan and

@@ -16,8 +16,8 @@ import (
 // TestDlbsvcSmoke is the service acceptance harness (also the CI smoke
 // job): a real dlbsvc process with a 4-daemon in-process pool takes three
 // jobs over HTTP — two tenants, one resubmission that exercises the plan
-// and init caches — and every result's checksums must match the
-// sequential reference.
+// cache — and every result's checksums must match the sequential
+// reference.
 func TestDlbsvcSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness is not -short")
@@ -68,7 +68,7 @@ func TestDlbsvcSmoke(t *testing.T) {
 	}{
 		{mm, "alice"},
 		{sor, "bob"},
-		{mm, "alice"}, // identical resubmission: plan + init caches
+		{mm, "alice"}, // identical resubmission: plan cache
 	}
 	wants := []map[string]string{refSums(t, mm), refSums(t, sor), refSums(t, mm)}
 

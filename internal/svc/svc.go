@@ -48,8 +48,6 @@ type Options struct {
 	MaxQueue int
 	// Weights are per-tenant fairness weights; absent tenants weigh 1.
 	Weights map[string]float64
-	// PlanCacheEntries bounds the compiled-plan cache (default 16).
-	PlanCacheEntries int
 	// RealQuantum is the target per-block compute time shipped to every
 	// run (default 2ms).
 	RealQuantum time.Duration
@@ -116,7 +114,7 @@ func New(opt Options) (*Service, error) {
 		start:    time.Now(),
 		pool:     newPool(opt.Addrs),
 		queue:    newQueue(opt.MaxQueue),
-		plans:    newPlanCache(opt.PlanCacheEntries),
+		plans:    newPlanCache(),
 		jobs:     map[string]*Job{},
 		stats:    newStats(opt.Weights),
 		kick:     make(chan struct{}, 1),
