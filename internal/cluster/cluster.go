@@ -77,10 +77,9 @@ func (c *Config) withDefaults() Config {
 // Msg is a message between cluster nodes. Tags give MPI-style selective
 // receive; tags must be non-empty.
 type Msg struct {
-	From  int
-	Tag   string
-	Bytes int
-	Data  interface{}
+	From int
+	Tag  string
+	Data interface{}
 }
 
 // Cluster is a set of slave nodes plus one master node sharing a virtual-
@@ -299,8 +298,7 @@ func (n *Node) Send(p *vtime.Proc, to int, tag string, bytes int, data interface
 	n.Compute(p, n.c.cfg.SendOverhead)
 	n.msgsSent++
 	n.bytesSent += bytes
-	delay := n.c.TransferTime(bytes)
-	p.Send(n.c.Node(to).mbox, Msg{From: n.ID, Tag: tag, Bytes: bytes, Data: data}, delay)
+	p.Send(n.c.Node(to).mbox, Msg{From: n.ID, Tag: tag, Data: data}, n.c.TransferTime(bytes))
 }
 
 func match(m Msg, from int, tag string) bool {

@@ -67,7 +67,7 @@ func TestAnalysisGolden(t *testing.T) {
 // the statement ids, the distance and the cross-owner flag.
 func writeDeps(sb *strings.Builder, deps []depend.Dep) {
 	for _, d := range deps {
-		fmt.Fprintf(sb, "%s | stmts %d->%d distance %s cross-owner %v per-loop %v via %s\n",
-			d, d.SrcStmt, d.DstStmt, d.Distance, d.CrossOwner, d.PerLoop, d.Method)
+		fmt.Fprintf(sb, "%s | stmts %d->%d distance %s cross-owner %v per-loop %v\n",
+			d, d.SrcStmt, d.DstStmt, d.Distance, d.CrossOwner, d.PerLoop)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // to the same element into dependence instances, and generalizes the
 // observed distance vectors. Running two sample sizes and merging guards
 // against size-specific coincidences. For affine programs of the kind the
-// paper targets this recovers exact constant distances; anything the
-// symbolic engine cannot prove is still covered here.
+// paper targets this recovers exact constant distances, and non-uniform
+// references are covered the same way.
 
 const ownerNone = int(^uint(0) >> 1) // sentinel: access has no owner index
 
@@ -139,34 +139,6 @@ func (tr *tracer) evalRecord(e loopir.Expr, stmtID int, refIdx *int) (float64, e
 	return 0, fmt.Errorf("unknown expression %T", e)
 }
 
-// evalCondNoRecord evaluates a comparison against current data without
-// logging accesses.
-func (tr *tracer) evalCondNoRecord(c loopir.Cond) (bool, error) {
-	l, err := tr.in.EvalExpr(c.L, tr.env)
-	if err != nil {
-		return false, err
-	}
-	r, err := tr.in.EvalExpr(c.R, tr.env)
-	if err != nil {
-		return false, err
-	}
-	switch c.Op {
-	case "<":
-		return l < r, nil
-	case "<=":
-		return l <= r, nil
-	case ">":
-		return l > r, nil
-	case ">=":
-		return l >= r, nil
-	case "==":
-		return l == r, nil
-	case "!=":
-		return l != r, nil
-	}
-	return false, fmt.Errorf("bad breakif op %q", c.Op)
-}
-
 func (tr *tracer) execStmts(stmts []loopir.Stmt) error {
 	for _, s := range stmts {
 		switch s := s.(type) {
@@ -190,7 +162,7 @@ func (tr *tracer) execStmts(stmts []loopir.Stmt) error {
 					// Evaluate data-dependent termination (without
 					// recording the condition's reads — it is control, not
 					// dataflow the communication generator acts on).
-					stop, err := tr.evalCondNoRecord(*s.BreakIf)
+					stop, err := tr.in.EvalCond(*s.BreakIf, tr.env)
 					if err != nil {
 						return err
 					}
@@ -228,20 +200,9 @@ func (tr *tracer) execStmts(stmts []loopir.Stmt) error {
 			if err != nil {
 				return err
 			}
-			taken := false
-			switch s.Cond.Op {
-			case "<":
-				taken = l < r
-			case "<=":
-				taken = l <= r
-			case ">":
-				taken = l > r
-			case ">=":
-				taken = l >= r
-			case "==":
-				taken = l == r
-			case "!=":
-				taken = l != r
+			taken, err := loopir.Compare(s.Cond.Op, l, r)
+			if err != nil {
+				return err
 			}
 			var body []loopir.Stmt
 			if taken {
@@ -326,7 +287,6 @@ func concreteDeps(p *loopir.Program, samples []map[string]int, spec *DistSpec) (
 			Dst:         g.dstRef,
 			SrcStmt:     k.src.stmtID,
 			DstStmt:     k.dst.stmtID,
-			Method:      "concrete",
 		}
 		if k.carrier != "" {
 			d.Distance = g.perLoop[k.carrier]

@@ -8,13 +8,13 @@
 // broadcasts each outer iteration), and the six Table 1 application
 // properties.
 //
-// Two engines are provided and cross-validated: a symbolic test for
-// uniformly generated reference pairs (equal subscript coefficients, the
-// classic constant-distance case), and a concrete engine that executes small
-// instances of the program, records every memory access, and generalizes
-// the observed dependence distance vectors over two sample sizes. Symbolic
-// results are used where applicable; the concrete engine covers everything
-// else (e.g. LU's non-uniform pivot references).
+// Analyze runs one engine, a concrete one: it executes small instances of
+// the program, records every memory access, and generalizes the observed
+// dependence distance vectors over two sample sizes — which covers uniform
+// pairs and non-uniform ones (LU's pivot references) alike. The classic
+// symbolic machinery for uniformly generated pairs (distance equations, the
+// GCD test) lives in the tests, as the oracle the concrete results are
+// checked against.
 package depend
 
 import (
@@ -87,7 +87,6 @@ type Dep struct {
 	Src, Dst loopir.Ref
 	// SrcStmt and DstStmt are statement ids in program order.
 	SrcStmt, DstStmt int
-	Method           string // "uniform" or "concrete"
 }
 
 // At returns the distance constraint of this dependence at the given loop.
@@ -392,23 +391,6 @@ func lfTrim(l *LinearForm) {
 			delete(l.Params, k)
 		}
 	}
-}
-
-func lfEqualCoeffs(a, b LinearForm) bool {
-	if len(a.Vars) != len(b.Vars) || len(a.Params) != len(b.Params) {
-		return false
-	}
-	for k, v := range a.Vars {
-		if b.Vars[k] != v {
-			return false
-		}
-	}
-	for k, v := range a.Params {
-		if b.Params[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // commonLoops returns loop variables common to both contexts, outermost

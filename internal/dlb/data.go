@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/loopir"
 )
@@ -206,7 +207,140 @@ type AdoptMsg struct {
 
 const msgHeader = 32 // estimated fixed framing bytes per message
 
-func floatsBytes(n int) int { return msgHeader + 8*n }
+// msgBytes is a message's simulated size, the one input of the network
+// model (cluster.TransferTime). A bulk payload costs msgHeader plus 8 bytes
+// per float it carries, 16 more per unit-map entry and 9 per ownership-map
+// entry; a control record is flat. A payload type without a size model is
+// a bug at the call site, so it panics naming the type.
+func msgBytes(data interface{}) int {
+	switch m := data.(type) {
+	case SliceMsg:
+		return msgHeader + 8*len(m.Vals)
+	case []float64:
+		return msgHeader + 8*len(m)
+	case StatusMsg, JoinMsg:
+		return 64 // a StatusMsg's cost blocks are not charged
+	case GroupStatusMsg:
+		return 64 * len(m.Ids)
+	case InstrMsg:
+		n := 64
+		for _, mv := range m.Moves {
+			n += 16 + 8*len(mv.Units)
+		}
+		return n
+	case GroupShiftMsg:
+		return msgBytes(m.Instr)
+	case HeartbeatMsg, CheckpointRequestMsg, EvictMsg:
+		return 48
+	case FinAckMsg:
+		return 32
+	case WorkMsg:
+		n := 0
+		for _, slices := range m.Data {
+			for _, vals := range slices {
+				n += len(vals)
+			}
+		}
+		for _, ghosts := range m.Ghosts {
+			n += floats(ghosts) // ghost entries carry no per-unit charge
+		}
+		return msgHeader + 8*n
+	case InitMsg:
+		return msgHeader + unitsBytes(m.Owned) + 8*floats(m.Replicated)
+	case GatherMsg:
+		return msgHeader + unitsBytes(m.Data) + 8*floats(m.Reduced)
+	case CheckpointMsg:
+		return msgHeader + 9*len(m.Owner) + unitsBytes(m.Owned) + 8*(floats(m.Red)+floats(m.Replicated)+floats(m.RedSnap))
+	case AdoptMsg:
+		return msgHeader + 9*len(m.Owner) + unitsBytes(m.Owned) + 8*(floats(m.Red)+floats(m.Replicated)+floats(m.RedSnap))
+	}
+	panic(fmt.Sprintf("dlb: no message size model for %T", data))
+}
+
+// unitsBytes is the size of a unit-slice map: 8 per float, 16 per entry.
+func unitsBytes(m map[string]map[int][]float64) int {
+	n := 0
+	for _, units := range m {
+		n += 8*floats(units) + 16*len(units)
+	}
+	return n
+}
+
+// floats counts the values in a map of slices.
+func floats[K comparable](m map[K][]float64) int {
+	n := 0
+	for _, vals := range m {
+		n += len(vals)
+	}
+	return n
+}
+
+// packUnits builds the unit-slice map a state-carrying message carries:
+// every distributed array gets an entry, holding slice(arr, dim, u) for each
+// of units. slicesOf is the source over live arrays; recovery reads the
+// committed checkpoint instead.
+func packUnits(dist map[string]int, units []int, slice func(arr string, dim, u int) []float64) map[string]map[int][]float64 {
+	out := make(map[string]map[int][]float64, len(dist))
+	for arr, dim := range dist {
+		m := make(map[int][]float64, len(units))
+		for _, u := range units {
+			m[u] = slice(arr, dim, u)
+		}
+		out[arr] = m
+	}
+	return out
+}
+
+// slicesOf is packUnits' source over live arrays: a copy of each unit.
+func slicesOf(arrays map[string]*loopir.Array) func(arr string, dim, u int) []float64 {
+	return func(arr string, dim, u int) []float64 { return unitSlice(arrays[arr], dim, u) }
+}
+
+// installUnits writes a unit-slice map into arrays, the inverse of
+// packUnits.
+func installUnits(dist map[string]int, arrays map[string]*loopir.Array, m map[string]map[int][]float64) {
+	for arr, units := range m {
+		dim := dist[arr]
+		for u, vals := range units {
+			setUnitSlice(arrays[arr], dim, u, vals)
+		}
+	}
+}
+
+// copyArrays copies the named arrays whole: the replicated and reduction
+// state a message carries beside its unit slices.
+func copyArrays(arrays map[string]*loopir.Array, names []string) map[string][]float64 {
+	out := make(map[string][]float64, len(names))
+	for _, arr := range names {
+		out[arr] = append([]float64(nil), arrays[arr].Data...)
+	}
+	return out
+}
+
+// cloneArrays deep-copies a map of whole-array copies.
+func cloneArrays(m map[string][]float64) map[string][]float64 {
+	out := make(map[string][]float64, len(m))
+	for arr, vals := range m {
+		out[arr] = append([]float64(nil), vals...)
+	}
+	return out
+}
+
+// reductionArrays names the plan's reduction arrays.
+func reductionArrays(p *compile.Plan) []string {
+	names := make([]string, len(p.Reductions))
+	for i, r := range p.Reductions {
+		names[i] = r.Array
+	}
+	return names
+}
+
+// installArrays writes whole-array copies back, the inverse of copyArrays.
+func installArrays(arrays map[string]*loopir.Array, m map[string][]float64) {
+	for arr, vals := range m {
+		copy(arrays[arr].Data, vals)
+	}
+}
 
 // unitSize returns the number of elements in one distributed slice of the
 // array.

@@ -352,7 +352,7 @@ func TestRecvFTWakesOnArrival(t *testing.T) {
 		}()
 		time.Sleep(poll / 4) // let the receiver find nothing and park
 		sent := time.Now()
-		peer.Send(0, "x", 0, nil)
+		peer.Send(0, "x", nil)
 		if d := (<-got).Sub(sent); d > worst {
 			worst = d
 		}

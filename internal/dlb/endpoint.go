@@ -23,8 +23,9 @@ type Endpoint interface {
 	// simulated cluster the data computation is free (cost is modeled by
 	// Charge); on wall clock this is the actual measurement.
 	Timed(fn func())
-	// Send transmits a tagged message (non-blocking).
-	Send(to int, tag string, bytes int, data interface{})
+	// Send transmits a tagged message (non-blocking). On the simulated
+	// cluster the payload's msgBytes prices the transfer.
+	Send(to int, tag string, data interface{})
 	// Recv blocks for a message matching source and tag (AnySource / ""
 	// wildcards); non-matching messages are buffered.
 	Recv(from int, tag string) cluster.Msg
@@ -72,8 +73,8 @@ type simEndpoint struct {
 
 func (e *simEndpoint) Charge(cpu time.Duration) { e.n.Compute(e.p, cpu) }
 func (e *simEndpoint) Timed(fn func())          { fn() }
-func (e *simEndpoint) Send(to int, tag string, bytes int, data interface{}) {
-	e.n.Send(e.p, to, tag, bytes, data)
+func (e *simEndpoint) Send(to int, tag string, data interface{}) {
+	e.n.Send(e.p, to, tag, msgBytes(data), data)
 }
 func (e *simEndpoint) Recv(from int, tag string) cluster.Msg {
 	return e.n.RecvTag(e.p, from, tag)

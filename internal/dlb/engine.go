@@ -130,33 +130,14 @@ func (e *engine) remaining() int {
 // bulk-free placeholder instead: the recovery epoch that follows re-ships
 // all state.
 func (e *engine) scatter() {
-	resume := e.cfg.Resume != nil
 	for sl := 0; sl < e.initial; sl++ {
-		if resume {
-			e.ep.Send(sl, "init", msgHeader, InitMsg{})
-			e.res.Counters.Add("scatter_bytes", int64(msgHeader))
-			continue
+		var msg InitMsg
+		if e.cfg.Resume == nil {
+			msg.Owned = packUnits(e.plan.DistArrays, e.own.Owned(sl), slicesOf(e.inst.Arrays))
+			msg.Replicated = copyArrays(e.inst.Arrays, e.plan.Replicated)
 		}
-		msg := InitMsg{Owned: map[string]map[int][]float64{}, Replicated: map[string][]float64{}}
-		bytes := msgHeader
-		for arr, dim := range e.plan.DistArrays {
-			a := e.inst.Arrays[arr]
-			units := map[int][]float64{}
-			for _, u := range e.own.Owned(sl) {
-				vals := unitSlice(a, dim, u)
-				units[u] = vals
-				bytes += 8*len(vals) + 16
-			}
-			msg.Owned[arr] = units
-		}
-		for _, arr := range e.plan.Replicated {
-			a := e.inst.Arrays[arr]
-			vals := append([]float64(nil), a.Data...)
-			msg.Replicated[arr] = vals
-			bytes += 8 * len(vals)
-		}
-		e.ep.Send(sl, "init", bytes, msg)
-		e.res.Counters.Add("scatter_bytes", int64(bytes))
+		e.ep.Send(sl, "init", msg)
+		e.res.Counters.Add("scatter_bytes", int64(msgBytes(msg)))
 	}
 }
 
@@ -227,23 +208,20 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 	}
 
 	instr := InstrMsg{Phase: phase, HookIndex: hookIdx, Moves: d.Moves, SkipHooks: d.SkipHooks, Epoch: e.pol.Epoch(), CkptSeq: ckptSeq}
-	bytes := 64
-	for _, mv := range d.Moves {
-		bytes += 16 + 8*len(mv.Units)
-	}
 	if e.relay {
 		// Grouped fan-out: one GroupShiftMsg per leader; each leader
 		// relays the instruction to its members off the master's critical
 		// path.
+		gs := GroupShiftMsg{Instr: instr}
 		for g := 0; g < e.part.Groups(); g++ {
-			e.ep.Send(e.part.Leader(g), "ginstr", bytes, GroupShiftMsg{Instr: instr})
+			e.ep.Send(e.part.Leader(g), "ginstr", gs)
 		}
-		e.res.Counters.Add("instr_bytes", int64(bytes)*int64(e.part.Groups()))
+		e.res.Counters.Add("instr_bytes", int64(msgBytes(gs))*int64(e.part.Groups()))
 	} else {
 		for _, id := range ids {
-			e.ep.Send(id, "instr", bytes, instr)
+			e.ep.Send(id, "instr", instr)
 		}
-		e.res.Counters.Add("instr_bytes", int64(bytes)*int64(len(ids)))
+		e.res.Counters.Add("instr_bytes", int64(msgBytes(instr))*int64(len(ids)))
 	}
 	e.pol.RoundSent(e)
 }
@@ -317,15 +295,8 @@ func (e *engine) gather() {
 		}
 		g := msg.Data.(GatherMsg)
 		e.res.Counters.Add("gather_msgs", 1)
-		for arr, units := range g.Data {
-			dim := e.plan.DistArrays[arr]
-			for u, vals := range units {
-				setUnitSlice(final[arr], dim, u, vals)
-			}
-		}
-		for arr, vals := range g.Reduced {
-			copy(final[arr].Data, vals)
-		}
+		installUnits(e.plan.DistArrays, final, g.Data)
+		installArrays(final, g.Reduced)
 	}
 	e.final = final
 }

@@ -85,13 +85,13 @@ func (e *faultEP) Timed(fn func()) {
 	e.Endpoint.Timed(fn)
 }
 
-func (e *faultEP) Send(to int, tag string, bytes int, data interface{}) {
+func (e *faultEP) Send(to int, tag string, data interface{}) {
 	e.check()
 	now := e.Endpoint.Now()
 	if e.inj.LinkDown(e.id, now) || e.inj.LinkDown(to, now) {
 		return // dropped on the floor
 	}
-	e.Endpoint.Send(to, tag, bytes, data)
+	e.Endpoint.Send(to, tag, data)
 }
 
 func (e *faultEP) Recv(from int, tag string) cluster.Msg {

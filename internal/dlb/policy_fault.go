@@ -97,30 +97,16 @@ func (p *ftPolicy) Started(e *engine) {
 func (p *ftPolicy) initialCkpt(e *engine) {
 	ck := &fault.Checkpoint{Seq: 0, Hook: -1, Slaves: e.own.Slaves()}
 	ck.Owner, ck.Active = e.own.Snapshot()
-	ck.Dist = map[string]map[int][]float64{}
-	for arr, dim := range e.plan.DistArrays {
-		a := e.inst.Arrays[arr]
-		units := map[int][]float64{}
-		for u := 0; u < e.exec.Units; u++ {
-			units[u] = unitSlice(a, dim, u)
-		}
-		ck.Dist[arr] = units
+	all := make([]int, e.exec.Units)
+	for u := range all {
+		all[u] = u
 	}
-	ck.Replicated = map[string][]float64{}
-	for _, arr := range e.plan.Replicated {
-		ck.Replicated[arr] = append([]float64(nil), e.inst.Arrays[arr].Data...)
-	}
-	ck.RedSnap = map[string][]float64{}
+	ck.Dist = packUnits(e.plan.DistArrays, all, slicesOf(e.inst.Arrays))
+	ck.Replicated = copyArrays(e.inst.Arrays, e.plan.Replicated)
+	ck.RedSnap = copyArrays(e.inst.Arrays, reductionArrays(e.plan))
 	ck.Red = map[int]map[string][]float64{}
-	for _, r := range e.plan.Reductions {
-		ck.RedSnap[r.Array] = append([]float64(nil), e.inst.Arrays[r.Array].Data...)
-	}
 	for s := 0; s < e.own.Slaves(); s++ {
-		red := map[string][]float64{}
-		for arr, vals := range ck.RedSnap {
-			red[arr] = append([]float64(nil), vals...)
-		}
-		ck.Red[s] = red
+		ck.Red[s] = cloneArrays(ck.RedSnap)
 	}
 	p.ck = ck
 }
@@ -338,7 +324,7 @@ func (p *ftPolicy) CheckpointSeq(e *engine, phase int, ids []int) int {
 	p.wantCkpt = false
 	p.pending = &pendingCkpt{seq: p.seq, want: ids, parts: map[int]CheckpointMsg{}}
 	for _, id := range ids {
-		e.ep.Send(id, "ckptreq", 48, CheckpointRequestMsg{Epoch: p.epoch, Seq: p.seq})
+		e.ep.Send(id, "ckptreq", CheckpointRequestMsg{Epoch: p.epoch, Seq: p.seq})
 	}
 	return p.seq
 }
@@ -419,11 +405,11 @@ func (p *ftPolicy) commitCkpt(e *engine) {
 func (p *ftPolicy) stopForPreemption(e *engine) {
 	now := e.ep.Now()
 	for _, id := range p.Participants(e) {
-		e.ep.Send(id, "evict", 48, EvictMsg{Epoch: p.epoch, Reason: "preempted"})
+		e.ep.Send(id, "evict", EvictMsg{Epoch: p.epoch, Reason: "preempted"})
 	}
 	for slot := e.initial; slot < e.total; slot++ {
 		if !p.admitted[slot] {
-			e.ep.Send(slot, "evict", 48, EvictMsg{Epoch: p.epoch, Reason: "preempted"})
+			e.ep.Send(slot, "evict", EvictMsg{Epoch: p.epoch, Reason: "preempted"})
 		}
 	}
 	e.res.Checkpoint = p.ck
@@ -445,7 +431,7 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 			e.done[dd] = false
 			e.doneCount--
 		}
-		e.ep.Send(dd, "evict", 48, EvictMsg{Epoch: p.epoch, Reason: "lease expired"})
+		e.ep.Send(dd, "evict", EvictMsg{Epoch: p.epoch, Reason: "lease expired"})
 		e.res.Evicted = append(e.res.Evicted, dd)
 		e.res.Counters.Add("evictions", 1)
 		p.log.Add(now, fault.LogEvict, dd, "lease %.2fs expired", p.det.Lease().Seconds())
@@ -522,7 +508,17 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 	p.epochRounds = 0
 
 	owner, active := own.Snapshot()
+	fromCkpt := func(arr string, _, u int) []float64 { return ck.Dist[arr][u] }
 	for _, id := range p.Participants(e) {
+		// The slave's units plus its ghosts under the repaired map, from the
+		// cut-time owners: exchange ghosts are same-row reads of
+		// previous-sweep values, which the snapshot preserves; pipeline
+		// ghosts are re-supplied by re-execution. A unit listed twice is
+		// packed once.
+		units := own.Owned(id)
+		for _, delta := range e.plan.GhostDeltas {
+			units = append(units, ghostNeeds(own, id, delta)...)
+		}
 		adopt := AdoptMsg{
 			Epoch:       p.epoch,
 			Seq:         ck.Seq,
@@ -533,45 +529,14 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 			Alive:       append([]bool(nil), aliveMask...),
 			Owner:       owner,
 			Active:      active,
-			Owned:       map[string]map[int][]float64{},
+			Owned:       packUnits(e.plan.DistArrays, units, fromCkpt),
 			Replicated:  ck.Replicated,
 			RedSnap:     ck.RedSnap,
 		}
-		bytes := msgHeader + 9*len(owner)
-		for arr := range e.plan.DistArrays {
-			src := ck.Dist[arr]
-			units := map[int][]float64{}
-			for _, u := range own.Owned(id) {
-				units[u] = src[u]
-				bytes += 8*len(src[u]) + 16
-			}
-			// Ghost data under the repaired map, from the cut-time owners:
-			// exchange ghosts are same-row reads of previous-sweep values,
-			// which the snapshot preserves; pipeline ghosts are re-supplied
-			// by re-execution.
-			for _, delta := range e.plan.GhostDeltas {
-				for _, g := range ghostNeeds(own, id, delta) {
-					if _, dup := units[g]; !dup {
-						units[g] = src[g]
-						bytes += 8*len(src[g]) + 16
-					}
-				}
-			}
-			adopt.Owned[arr] = units
-		}
 		if len(e.plan.Reductions) > 0 {
 			adopt.Red = p.redFor(id, ck, aliveMask)
-			for _, vals := range adopt.Red {
-				bytes += 8 * len(vals)
-			}
 		}
-		for _, vals := range ck.Replicated {
-			bytes += 8 * len(vals)
-		}
-		for _, vals := range ck.RedSnap {
-			bytes += 8 * len(vals)
-		}
-		e.ep.Send(id, "recover", bytes, adopt)
+		e.ep.Send(id, "recover", adopt)
 	}
 	e.res.Recoveries++
 	e.res.Counters.Add("recoveries", 1)
@@ -586,16 +551,11 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 // into the lowest-id survivor so the epoch's next Combine still totals the
 // same sum. Joiners start at the shared snapshot (delta zero).
 func (p *ftPolicy) redFor(id int, ck *fault.Checkpoint, alive []bool) map[string][]float64 {
-	out := map[string][]float64{}
-	if base, ok := ck.Red[id]; ok {
-		for arr, vals := range base {
-			out[arr] = append([]float64(nil), vals...)
-		}
-	} else {
-		for arr, vals := range ck.RedSnap {
-			out[arr] = append([]float64(nil), vals...)
-		}
+	base, ok := ck.Red[id]
+	if !ok {
+		base = ck.RedSnap
 	}
+	out := cloneArrays(base)
 	lowest := -1
 	for i, a := range alive {
 		if a {
@@ -629,7 +589,7 @@ func (p *ftPolicy) redFor(id int, ck *fault.Checkpoint, alive []bool) map[string
 func (p *ftPolicy) Commit(e *engine) {
 	for id := 0; id < e.own.Slaves(); id++ {
 		if p.alive[id] {
-			e.ep.Send(id, "finack", 32, FinAckMsg{Epoch: p.epoch})
+			e.ep.Send(id, "finack", FinAckMsg{Epoch: p.epoch})
 		}
 	}
 	p.releaseJoiners(e, "run complete")
@@ -641,7 +601,7 @@ func (p *ftPolicy) Commit(e *engine) {
 func (p *ftPolicy) releaseJoiners(e *engine, reason string) {
 	for slot := e.initial; slot < e.total; slot++ {
 		if !p.admitted[slot] {
-			e.ep.Send(slot, "evict", 48, EvictMsg{Epoch: p.epoch, Reason: reason})
+			e.ep.Send(slot, "evict", EvictMsg{Epoch: p.epoch, Reason: reason})
 		}
 	}
 }
@@ -712,7 +672,7 @@ func (ftSlaveFault) heartbeat(s *slave) {
 		return
 	}
 	s.lastHB = now
-	s.ep.Send(cluster.MasterID, "hb", 48, HeartbeatMsg{Epoch: s.epoch, Phase: s.phase, HookIndex: s.hookVisit})
+	s.ep.Send(cluster.MasterID, "hb", HeartbeatMsg{Epoch: s.epoch, Phase: s.phase, HookIndex: s.hookVisit})
 }
 
 func (ftSlaveFault) peerAlive(s *slave, o int) bool { return s.alive == nil || s.alive[o] }
@@ -759,47 +719,21 @@ func (f ftSlaveFault) checkpoint(s *slave, hv, wantSeq int) {
 		Hook:        hv,
 		Phase:       s.phase,
 		NextContact: s.nextContact,
-		Owned:       map[string]map[int][]float64{},
-	}
-	bytes := msgHeader
-	for arr, dim := range plan.DistArrays {
-		a := s.inst.Arrays[arr]
-		units := map[int][]float64{}
-		for _, u := range s.own.Owned(s.id) {
-			vals := unitSlice(a, dim, u)
-			units[u] = vals
-			bytes += 8*len(vals) + 16
-		}
-		ck.Owned[arr] = units
+		Owned:       packUnits(plan.DistArrays, s.own.Owned(s.id), slicesOf(s.inst.Arrays)),
 	}
 	// Per-slave reduction state: mid-interval partial accumulations
 	// differ across slaves and must be restored per slave.
 	if len(plan.Reductions) > 0 {
-		ck.Red = map[string][]float64{}
-		for arr := range s.redSnap {
-			vals := append([]float64(nil), s.inst.Arrays[arr].Data...)
-			ck.Red[arr] = vals
-			bytes += 8 * len(vals)
-		}
+		ck.Red = copyArrays(s.inst.Arrays, reductionArrays(plan))
 	}
 	if f.designated(s) {
 		ck.Meta = true
 		ck.Slaves = s.own.Slaves()
 		ck.Owner, ck.Active = s.own.Snapshot()
-		bytes += 9 * len(ck.Owner)
-		ck.Replicated = map[string][]float64{}
-		for _, arr := range plan.Replicated {
-			vals := append([]float64(nil), s.inst.Arrays[arr].Data...)
-			ck.Replicated[arr] = vals
-			bytes += 8 * len(vals)
-		}
-		ck.RedSnap = map[string][]float64{}
-		for arr, snap := range s.redSnap {
-			ck.RedSnap[arr] = append([]float64(nil), snap...)
-			bytes += 8 * len(snap)
-		}
+		ck.Replicated = copyArrays(s.inst.Arrays, plan.Replicated)
+		ck.RedSnap = cloneArrays(s.redSnap)
 	}
-	s.ep.Send(cluster.MasterID, "ckpt", bytes, ck)
+	s.ep.Send(cluster.MasterID, "ckpt", ck)
 }
 
 // runEpoch executes the step tree once. An epochRestart panic — raised by
@@ -831,7 +765,7 @@ func (ftSlaveFault) join(s *slave) bool {
 	for d := s.joinAt - s.ep.Now(); d > 0; d = s.joinAt - s.ep.Now() {
 		s.ep.Sleep(d)
 	}
-	s.ep.Send(cluster.MasterID, "join", 64, JoinMsg{Slave: s.id})
+	s.ep.Send(cluster.MasterID, "join", JoinMsg{Slave: s.id})
 	poll := s.ep.PollInterval()
 	for {
 		if _, ok := s.ep.TryRecv(cluster.MasterID, "evict"); ok {

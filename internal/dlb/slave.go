@@ -195,20 +195,10 @@ func (s *slave) runOn(ep Endpoint) {
 	} else {
 		// Initial scatter from the master.
 		init := s.ep.Recv(cluster.MasterID, "init").Data.(InitMsg)
-		for arr, units := range init.Owned {
-			dim := plan.DistArrays[arr]
-			for u, vals := range units {
-				setUnitSlice(s.inst.Arrays[arr], dim, u, vals)
-			}
-		}
-		for arr, vals := range init.Replicated {
-			copy(s.inst.Arrays[arr].Data, vals)
-		}
+		installUnits(plan.DistArrays, s.inst.Arrays, init.Owned)
+		installArrays(s.inst.Arrays, init.Replicated)
 		// Snapshot reduction arrays so Combine can merge per-slave deltas.
-		s.redSnap = map[string][]float64{}
-		for _, r := range plan.Reductions {
-			s.redSnap[r.Array] = append([]float64(nil), s.inst.Arrays[r.Array].Data...)
-		}
+		s.redSnap = copyArrays(s.inst.Arrays, reductionArrays(plan))
 	}
 	s.busyMark = s.ep.Busy()
 	s.lastHB = s.ep.Now()
@@ -224,28 +214,13 @@ func (s *slave) runOn(ep Endpoint) {
 
 	// Final gather: ship every owned unit of every distributed array back
 	// to the master; slave 0 also reports the combined reduction values.
-	g := GatherMsg{Data: map[string]map[int][]float64{}}
-	bytes := msgHeader
-	for arr, dim := range plan.DistArrays {
-		m := map[int][]float64{}
-		for _, u := range s.own.Owned(s.id) {
-			vals := unitSlice(s.inst.Arrays[arr], dim, u)
-			m[u] = vals
-			bytes += 8*len(vals) + 16
-		}
-		g.Data[arr] = m
-	}
+	g := GatherMsg{Data: packUnits(plan.DistArrays, s.own.Owned(s.id), slicesOf(s.inst.Arrays))}
 	// The designated (lowest alive) slave reports the combined reduction
 	// values — identical on every slave after Combine.
 	if s.designated() && len(plan.Reductions) > 0 {
-		g.Reduced = map[string][]float64{}
-		for _, r := range plan.Reductions {
-			vals := append([]float64(nil), s.inst.Arrays[r.Array].Data...)
-			g.Reduced[r.Array] = vals
-			bytes += 8 * len(vals)
-		}
+		g.Reduced = copyArrays(s.inst.Arrays, reductionArrays(plan))
 	}
-	s.ep.Send(cluster.MasterID, "gather", bytes, g)
+	s.ep.Send(cluster.MasterID, "gather", g)
 }
 
 func (s *slave) eval(e loopir.IExpr) int {
@@ -327,11 +302,19 @@ func (s *slave) execSteps(steps []compile.Step) {
 			for v := lo; v < hi; v++ {
 				s.env[st.Var] = v
 				s.execSteps(st.Body)
-				// During fast-forward the condition is forced false: the
-				// checkpointed execution demonstrably got past this point, so
-				// the original evaluation was false (and restored data may
-				// not support re-evaluating it here).
-				if st.BreakIf != nil && !s.ff && s.evalBreak(st.BreakIf) {
+				// The condition reads local (replicated, post-Combine) data —
+				// identical on every slave. During fast-forward it is forced
+				// false: the checkpointed execution demonstrably got past
+				// this point, so the original evaluation was false (and
+				// restored data may not support re-evaluating it here).
+				if st.BreakIf == nil || s.ff {
+					continue
+				}
+				stop, err := s.inst.EvalCond(*st.BreakIf, s.env)
+				if err != nil {
+					panic(fmt.Sprintf("slave%d: break condition: %v", s.id, err))
+				}
+				if stop {
 					break
 				}
 			}
@@ -379,31 +362,6 @@ func (s *slave) execSteps(steps []compile.Step) {
 	}
 }
 
-// evalBreak evaluates a data-dependent loop termination condition against
-// local (replicated, post-Combine) data — identical on every slave.
-func (s *slave) evalBreak(c *loopir.Cond) bool {
-	l, err1 := s.inst.EvalExpr(c.L, s.env)
-	r, err2 := s.inst.EvalExpr(c.R, s.env)
-	if err1 != nil || err2 != nil {
-		panic(fmt.Sprintf("slave%d: break condition: %v %v", s.id, err1, err2))
-	}
-	switch c.Op {
-	case "<":
-		return l < r
-	case "<=":
-		return l <= r
-	case ">":
-		return l > r
-	case ">=":
-		return l >= r
-	case "==":
-		return l == r
-	case "!=":
-		return l != r
-	}
-	panic(fmt.Sprintf("slave%d: bad break op %q", s.id, c.Op))
-}
-
 // execCombine all-reduces a reduction array: deltas since the last Combine
 // are exchanged all-to-all and summed in slave order, so every slave ends
 // with bit-identical values.
@@ -423,7 +381,7 @@ func (s *slave) execCombine(st *compile.Combine) {
 		if o == s.id || !s.peerAlive(o) {
 			continue
 		}
-		s.send(o, tag, floatsBytes(n), append([]float64(nil), delta...))
+		s.send(o, tag, append([]float64(nil), delta...))
 	}
 	parts := make([][]float64, s.slaves)
 	parts[s.id] = delta
@@ -615,41 +573,34 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 			bw = max(bw, ex.Delta, -ex.Delta)
 		}
 	}
+	// flops estimates the owned units at positions [i, j) of the runs,
+	// adding in unit order: the one estimate behind every charge below.
+	flops := func(i, j int) float64 {
+		if !iarr {
+			return perUnit * float64(j-i)
+		}
+		f := 0.0
+		for _, uf := range unitFlops[i:j] {
+			f += uf
+		}
+		return f
+	}
 	charge := 0.0
 	chargeInt := 0.0 // interior share of charge when splitting
 	flopSec := s.cfg.FlopCost.Seconds()
 	ui := 0
 	for _, r := range runs {
-		runFlops := perUnit * float64(r[1]-r[0])
-		if iarr {
-			runFlops = 0
-			for k := 0; k < r[1]-r[0]; k++ {
-				runFlops += unitFlops[ui+k]
-			}
-		}
-		charge += runFlops
-		if bw > 0 {
-			if ilo, ihi := r[0]+bw, r[1]-bw; ihi > ilo {
-				intFlops := perUnit * float64(ihi-ilo)
-				if iarr {
-					intFlops = 0
-					for u := ilo; u < ihi; u++ {
-						intFlops += unitFlops[ui+u-r[0]]
-					}
-				}
-				chargeInt += intFlops
-			}
+		n := r[1] - r[0]
+		charge += flops(ui, ui+n)
+		if bw > 0 && n > 2*bw {
+			chargeInt += flops(ui+bw, ui+n-bw)
 		}
 		if s.costOn {
-			for u := r[0]; u < r[1]; u++ {
-				f := perUnit
-				if iarr {
-					f = unitFlops[ui+u-r[0]]
-				}
-				s.costAcc[u] += f * flopSec
+			for k := 0; k < n; k++ {
+				s.costAcc[r[0]+k] += flops(ui+k, ui+k+1) * flopSec
 			}
 		}
-		ui += r[1] - r[0]
+		ui += n
 	}
 	total := time.Duration(charge * float64(s.cfg.FlopCost))
 
@@ -760,8 +711,7 @@ func (s *slave) execExchange(st *compile.Exchange) {
 		dim := s.exec.Plan.DistArrays[p.Array]
 		tag := s.ghostTags[p.Array]
 		for _, sp := range s.ghostSuppliesCached(p.Delta) {
-			vals := unitSlice(arr, dim, sp.Unit)
-			s.send(sp.To, tag, floatsBytes(len(vals)), SliceMsg{Unit: sp.Unit, RowLo: -1, RowHi: -1, Vals: vals})
+			s.send(sp.To, tag, SliceMsg{Unit: sp.Unit, RowLo: -1, RowHi: -1, Vals: unitSlice(arr, dim, sp.Unit)})
 		}
 	}
 	if s.overlapOn && st.Overlap {
@@ -822,8 +772,7 @@ func (s *slave) execPipeSend(st *compile.PipeSend) {
 	tag := "pipe:" + st.Array
 	for _, sp := range s.ghostSuppliesCached(-st.Delta) {
 		vals := unitSliceRows(arr, dim, sp.Unit, st.RowDim, s.blockLo, s.blockHi)
-		s.send(sp.To, tag, floatsBytes(len(vals)),
-			SliceMsg{Unit: sp.Unit, RowLo: s.blockLo, RowHi: s.blockHi, Vals: vals})
+		s.send(sp.To, tag, SliceMsg{Unit: sp.Unit, RowLo: s.blockLo, RowHi: s.blockHi, Vals: vals})
 	}
 }
 
@@ -893,8 +842,7 @@ func (s *slave) execBcast(st *compile.Bcast) {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
 			dst := peers[(rel+mask+rootPos)%n]
-			s.send(dst, tag, floatsBytes(len(vals)),
-				SliceMsg{Unit: idx, RowLo: -1, RowHi: -1, Vals: vals})
+			s.send(dst, tag, SliceMsg{Unit: idx, RowLo: -1, RowHi: -1, Vals: vals})
 		}
 	}
 }
@@ -947,7 +895,7 @@ func (s *slave) execHook(st *compile.Hook) {
 	if s.part != nil {
 		s.reportHier("status", "gstatus", status, s.cfg.PerReportCost)
 	} else {
-		s.ep.Send(cluster.MasterID, "status", 64, status)
+		s.ep.Send(cluster.MasterID, "status", status)
 	}
 	s.unitsDone = 0
 
@@ -1013,13 +961,11 @@ func (s *slave) applyMove(m core.Move) {
 			moved[u] = true
 		}
 		w := WorkMsg{Units: m.Units, Data: map[string][][]float64{}, Ghosts: map[string]map[int][]float64{}}
-		bytes := msgHeader
 		for arr, dim := range plan.DistArrays {
 			a := s.inst.Arrays[arr]
 			slices := make([][]float64, len(m.Units))
 			for i, u := range m.Units {
 				slices[i] = unitSlice(a, dim, u)
-				bytes += 8 * len(slices[i])
 			}
 			w.Data[arr] = slices
 			// Ghost payload: data adjacent to the moved range so the new
@@ -1036,13 +982,12 @@ func (s *slave) applyMove(m core.Move) {
 							continue
 						}
 						gm[g] = unitSlice(a, dim, g)
-						bytes += 8 * len(gm[g])
 					}
 				}
 				w.Ghosts[arr] = gm
 			}
 		}
-		s.send(m.To, "work", bytes, w)
+		s.send(m.To, "work", w)
 		if err := s.own.Apply(m); err != nil {
 			panic(fmt.Sprintf("slave%d: %v", s.id, err))
 		}
@@ -1078,8 +1023,8 @@ func (s *slave) applyMove(m core.Move) {
 }
 
 // send is the slave-to-slave send (epoch-scoped tag under the FT policy).
-func (s *slave) send(to int, tag string, bytes int, data interface{}) {
-	s.ep.Send(to, s.fault.commTag(s, tag), bytes, data)
+func (s *slave) send(to int, tag string, data interface{}) {
+	s.ep.Send(to, s.fault.commTag(s, tag), data)
 }
 
 // recvPeer is the slave-to-slave blocking receive.
@@ -1101,7 +1046,7 @@ func (s *slave) designated() bool { return s.fault.designated(s) }
 func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Duration) {
 	g := s.part.GroupOf(s.id)
 	if !s.part.IsLeader(s.id) {
-		s.ep.Send(s.part.Leader(g), tag, 64, msg)
+		s.ep.Send(s.part.Leader(g), tag, msg)
 		return
 	}
 	members := s.part.Members(g)
@@ -1121,7 +1066,7 @@ func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Dura
 		gs.Statuses = append(gs.Statuses, st)
 	}
 	s.ep.Charge(time.Duration(len(members)) * charge)
-	s.ep.Send(cluster.MasterID, groupTag, 64*len(members), gs)
+	s.ep.Send(cluster.MasterID, groupTag, gs)
 }
 
 // recvInstrHier receives the grouped instruction. The leader takes the
@@ -1134,15 +1079,11 @@ func (s *slave) recvInstrHier() InstrMsg {
 		return s.ep.Recv(s.part.Leader(g), "instr").Data.(InstrMsg)
 	}
 	instr := s.ep.Recv(cluster.MasterID, "ginstr").Data.(GroupShiftMsg).Instr
-	bytes := 64
-	for _, mv := range instr.Moves {
-		bytes += 16 + 8*len(mv.Units)
-	}
 	for _, m := range s.part.Members(g) {
 		if m == s.id {
 			continue
 		}
-		s.ep.Send(m, "instr", bytes, instr)
+		s.ep.Send(m, "instr", instr)
 	}
 	return instr
 }
@@ -1167,7 +1108,7 @@ func (s *slave) runTree() {
 		s.reportHier("done", "gdone", done, 0)
 		return
 	}
-	s.ep.Send(cluster.MasterID, "done", 64, done)
+	s.ep.Send(cluster.MasterID, "done", done)
 }
 
 // applyRecover installs a recovery epoch: restore the checkpointed arrays,
@@ -1186,23 +1127,11 @@ func (s *slave) applyRecover(a AdoptMsg) {
 	for arr := range plan.DistArrays {
 		s.inst.Arrays[arr].Fill(nil)
 	}
-	for arr, units := range a.Owned {
-		dim := plan.DistArrays[arr]
-		for u, vals := range units {
-			setUnitSlice(s.inst.Arrays[arr], dim, u, vals)
-		}
-	}
-	for arr, vals := range a.Replicated {
-		copy(s.inst.Arrays[arr].Data, vals)
-	}
+	installUnits(plan.DistArrays, s.inst.Arrays, a.Owned)
+	installArrays(s.inst.Arrays, a.Replicated)
 	// Per-slave reduction values override the shared replicated copy.
-	for arr, vals := range a.Red {
-		copy(s.inst.Arrays[arr].Data, vals)
-	}
-	s.redSnap = map[string][]float64{}
-	for arr, vals := range a.RedSnap {
-		s.redSnap[arr] = append([]float64(nil), vals...)
-	}
+	installArrays(s.inst.Arrays, a.Red)
+	s.redSnap = cloneArrays(a.RedSnap)
 
 	s.phase = a.Phase
 	s.nextContact = a.NextContact

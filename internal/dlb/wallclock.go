@@ -150,9 +150,7 @@ func (e *WallEndpoint) Timed(fn func()) {
 	e.busy += d
 }
 
-func (e *WallEndpoint) Send(to int, tag string, bytes int, data interface{}) {
-	e.send(to, tag, data)
-}
+func (e *WallEndpoint) Send(to int, tag string, data interface{}) { e.send(to, tag, data) }
 
 func (e *WallEndpoint) Recv(from int, tag string) cluster.Msg {
 	return e.box.recv(from, tag)

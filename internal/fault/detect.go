@@ -54,14 +54,6 @@ func NewDetector(cfg DetectorConfig, slots int) *Detector {
 // Config returns the effective (defaulted) configuration.
 func (d *Detector) Config() DetectorConfig { return d.cfg }
 
-// Grow extends the detector to cover new slave slots (elastic join),
-// starting their leases at now.
-func (d *Detector) Grow(slots int, now time.Duration) {
-	for len(d.lastSeen) < slots {
-		d.lastSeen = append(d.lastSeen, now)
-	}
-}
-
 // Observe records a sign of life (status, heartbeat, checkpoint, join)
 // from the slave at time now.
 func (d *Detector) Observe(slave int, now time.Duration) {

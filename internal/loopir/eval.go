@@ -286,7 +286,8 @@ func (in *Instance) EvalExpr(e Expr, env map[string]int) (float64, error) {
 	return 0, fmt.Errorf("unknown expression %T", e)
 }
 
-func (in *Instance) evalCond(c Cond, env map[string]int) (bool, error) {
+// EvalCond evaluates a comparison against the instance's arrays.
+func (in *Instance) EvalCond(c Cond, env map[string]int) (bool, error) {
 	l, err := in.EvalExpr(c.L, env)
 	if err != nil {
 		return false, err
@@ -295,7 +296,13 @@ func (in *Instance) evalCond(c Cond, env map[string]int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	switch c.Op {
+	return Compare(c.Op, l, r)
+}
+
+// Compare applies a comparison operator — the one place the six are
+// interpreted (the kernel compiler lowers them to opcodes instead).
+func Compare(op string, l, r float64) (bool, error) {
+	switch op {
 	case "<":
 		return l < r, nil
 	case "<=":
@@ -309,7 +316,7 @@ func (in *Instance) evalCond(c Cond, env map[string]int) (bool, error) {
 	case "!=":
 		return l != r, nil
 	}
-	return false, fmt.Errorf("bad comparison op %q", c.Op)
+	return false, fmt.Errorf("bad comparison op %q", op)
 }
 
 // Interpret executes the program with the straightforward tree-walking
@@ -341,7 +348,7 @@ func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int) error {
 					return err
 				}
 				if s.BreakIf != nil {
-					stop, err := in.evalCond(*s.BreakIf, env)
+					stop, err := in.EvalCond(*s.BreakIf, env)
 					if err != nil {
 						return err
 					}
@@ -370,7 +377,7 @@ func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int) error {
 			}
 			arr.SetAt(val, idx...)
 		case *If:
-			ok, err := in.evalCond(s.Cond, env)
+			ok, err := in.EvalCond(s.Cond, env)
 			if err != nil {
 				return err
 			}
