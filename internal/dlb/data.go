@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/loopir"
 )
 
@@ -22,7 +23,6 @@ type StatusMsg struct {
 	Busy      time.Duration // busy time spent computing since the last contact
 	MoveCost  time.Duration // measured cost of the last work movement
 	InterCost time.Duration // measured cost of the previous interaction
-	Done      bool
 	// Epoch is the recovery epoch this report belongs to (fault-tolerant
 	// runs only); the master drops reports from earlier epochs.
 	Epoch int
@@ -67,7 +67,9 @@ type InstrMsg struct {
 // "gstatus") or termination announcements (tag "gdone"), assembled by the
 // group leader so the master receives one message per group instead of
 // one per slave. Ids and Statuses are aligned, member order ascending,
-// leader first.
+// leader first. Only the simulator relays: fault-tolerant runs, which every
+// transport run is, report flat, so neither group envelope has a wire
+// encoding.
 type GroupStatusMsg struct {
 	Group    int
 	Ids      []int
@@ -149,27 +151,19 @@ type CheckpointRequestMsg struct {
 }
 
 // CheckpointMsg is one slave's part of checkpoint Seq: its owned slices of
-// the distributed arrays plus resume coordinates. Only the designated slave
-// (lowest alive id) ships the shared state — ownership map, replicated
-// arrays, reduction snapshots — which is identical on every slave.
+// the distributed arrays plus the cut's resume coordinates. Only the
+// designated slave (lowest alive id, Meta) fills in the rest of the cut —
+// ownership map, replicated arrays, reduction snapshots — which is
+// identical on every slave.
 type CheckpointMsg struct {
-	Epoch       int
-	Seq         int
-	Slave       int
-	Hook        int // hook index the snapshot was taken at
-	Phase       int // contact-phase counter to resume with
-	NextContact int
-	Owned       map[string]map[int][]float64
+	fault.Cut
+	Epoch int
+	Slave int
+	Meta  bool
+	Owned map[string]map[int][]float64
 	// Red holds this slave's reduction arrays: mid-interval partial
 	// accumulations differ per slave and must be restored per slave.
 	Red map[string][]float64
-	// Shared state, present only in the designated slave's part.
-	Meta       bool
-	Slaves     int
-	Owner      []int
-	Active     []bool
-	Replicated map[string][]float64
-	RedSnap    map[string][]float64
 }
 
 // FinAckMsg commits run completion: only after receiving it may a slave
@@ -188,21 +182,15 @@ type JoinMsg struct {
 // AdoptMsg restarts a recovery epoch: every surviving (and newly admitted)
 // slave restores the carried checkpoint state, fast-forwards its control
 // flow to the checkpoint hook, and resumes. It is a full re-scatter, so
-// slaves need not retain local snapshots.
+// slaves need not retain local snapshots. The cut is the committed one with
+// its ownership map repaired (Hook -1: restart from the initial
+// distribution).
 type AdoptMsg struct {
-	Epoch       int
-	Seq         int
-	Hook        int // -1: restart from the initial distribution
-	Phase       int
-	NextContact int
-	Slaves      int
-	Alive       []bool
-	Owner       []int
-	Active      []bool
-	Owned       map[string]map[int][]float64 // this slave's units (plus needed ghosts) under the repaired map
-	Red         map[string][]float64         // this slave's reduction arrays (dead slaves' deltas folded in)
-	Replicated  map[string][]float64
-	RedSnap     map[string][]float64
+	fault.Cut
+	Epoch int
+	Alive []bool
+	Owned map[string]map[int][]float64 // this slave's units (plus needed ghosts) under the repaired map
+	Red   map[string][]float64         // this slave's reduction arrays (dead slaves' deltas folded in)
 }
 
 const msgHeader = 32 // estimated fixed framing bytes per message

@@ -95,7 +95,7 @@ func (p *ftPolicy) Started(e *engine) {
 // arrays: a recovery before the first committed snapshot restarts the whole
 // computation (Hook -1, no fast-forward).
 func (p *ftPolicy) initialCkpt(e *engine) {
-	ck := &fault.Checkpoint{Seq: 0, Hook: -1, Slaves: e.own.Slaves()}
+	ck := &fault.Checkpoint{Cut: fault.Cut{Hook: -1, Slaves: e.own.Slaves()}}
 	ck.Owner, ck.Active = e.own.Snapshot()
 	all := make([]int, e.exec.Units)
 	for u := range all {
@@ -330,12 +330,12 @@ func (p *ftPolicy) CheckpointSeq(e *engine, phase int, ids []int) int {
 }
 
 // commitCkpt merges the collected parts into the new authoritative
-// checkpoint.
+// checkpoint: the designated part's cut, and every part's own state.
 func (p *ftPolicy) commitCkpt(e *engine) {
 	pk := p.pending
 	p.pending = nil
 	now := e.ep.Now()
-	var metaPart *CheckpointMsg
+	var cut *fault.Cut
 	hook := -2
 	for _, id := range pk.want {
 		part := pk.parts[id]
@@ -345,26 +345,17 @@ func (p *ftPolicy) commitCkpt(e *engine) {
 			panic(fmt.Sprintf("dlb: inconsistent checkpoint cut: hooks %d and %d", hook, part.Hook))
 		}
 		if part.Meta {
-			cp := part
-			metaPart = &cp
+			cut = &part.Cut
 		}
 	}
-	if metaPart == nil {
+	if cut == nil {
 		panic("dlb: checkpoint committed without a designated meta part")
 	}
 	ck := &fault.Checkpoint{
-		Seq:         pk.seq,
-		Hook:        metaPart.Hook,
-		Phase:       metaPart.Phase,
-		NextContact: metaPart.NextContact,
-		At:          now,
-		Slaves:      metaPart.Slaves,
-		Owner:       metaPart.Owner,
-		Active:      metaPart.Active,
-		Replicated:  metaPart.Replicated,
-		RedSnap:     metaPart.RedSnap,
-		Dist:        map[string]map[int][]float64{},
-		Red:         map[int]map[string][]float64{},
+		Cut:  *cut,
+		At:   now,
+		Dist: map[string]map[int][]float64{},
+		Red:  map[int]map[string][]float64{},
 	}
 	for arr := range e.plan.DistArrays {
 		ck.Dist[arr] = map[int][]float64{}
@@ -507,7 +498,9 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 	p.lastCkptAt = now
 	p.epochRounds = 0
 
-	owner, active := own.Snapshot()
+	cut := ck.Cut
+	cut.Slaves = slots
+	cut.Owner, cut.Active = own.Snapshot()
 	fromCkpt := func(arr string, _, u int) []float64 { return ck.Dist[arr][u] }
 	for _, id := range p.Participants(e) {
 		// The slave's units plus its ghosts under the repaired map, from the
@@ -520,18 +513,10 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 			units = append(units, ghostNeeds(own, id, delta)...)
 		}
 		adopt := AdoptMsg{
-			Epoch:       p.epoch,
-			Seq:         ck.Seq,
-			Hook:        ck.Hook,
-			Phase:       ck.Phase,
-			NextContact: ck.NextContact,
-			Slaves:      slots,
-			Alive:       append([]bool(nil), aliveMask...),
-			Owner:       owner,
-			Active:      active,
-			Owned:       packUnits(e.plan.DistArrays, units, fromCkpt),
-			Replicated:  ck.Replicated,
-			RedSnap:     ck.RedSnap,
+			Cut:   cut,
+			Epoch: p.epoch,
+			Alive: append([]bool(nil), aliveMask...),
+			Owned: packUnits(e.plan.DistArrays, units, fromCkpt),
 		}
 		if len(e.plan.Reductions) > 0 {
 			adopt.Red = p.redFor(id, ck, aliveMask)
@@ -713,13 +698,10 @@ func (f ftSlaveFault) checkpoint(s *slave, hv, wantSeq int) {
 	}
 	plan := s.exec.Plan
 	ck := CheckpointMsg{
-		Epoch:       s.epoch,
-		Seq:         req.Seq,
-		Slave:       s.id,
-		Hook:        hv,
-		Phase:       s.phase,
-		NextContact: s.nextContact,
-		Owned:       packUnits(plan.DistArrays, s.own.Owned(s.id), slicesOf(s.inst.Arrays)),
+		Cut:   fault.Cut{Seq: req.Seq, Hook: hv, Phase: s.phase, NextContact: s.nextContact},
+		Epoch: s.epoch,
+		Slave: s.id,
+		Owned: packUnits(plan.DistArrays, s.own.Owned(s.id), slicesOf(s.inst.Arrays)),
 	}
 	// Per-slave reduction state: mid-interval partial accumulations
 	// differ across slaves and must be restored per slave.

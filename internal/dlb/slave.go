@@ -340,25 +340,37 @@ func (s *slave) execSteps(steps []compile.Step) {
 				s.blockLo, s.blockHi = start, end
 				s.execSteps(st.Post)
 			}
-		case *compile.OwnedLoop:
-			s.execOwned(st)
-		case *compile.OwnerBlock:
-			s.execOwnerBlock(st)
-		case *compile.AllStmts:
-			s.execAll(st)
-		case *compile.Exchange:
-			s.execExchange(st)
-		case *compile.PipeRecv:
-			s.execPipeRecv(st)
-		case *compile.PipeSend:
-			s.execPipeSend(st)
-		case *compile.Bcast:
-			s.execBcast(st)
-		case *compile.Combine:
-			s.execCombine(st)
 		case *compile.Hook:
 			s.execHook(st)
+		default:
+			// Fast-forward replays control flow only: loops run and hooks
+			// count their visits, but nothing computes or communicates.
+			if !s.ff {
+				s.execLeaf(st)
+			}
 		}
+	}
+}
+
+// execLeaf runs one step that computes or communicates.
+func (s *slave) execLeaf(st compile.Step) {
+	switch st := st.(type) {
+	case *compile.OwnedLoop:
+		s.execOwned(st)
+	case *compile.OwnerBlock:
+		s.execOwnerBlock(st)
+	case *compile.AllStmts:
+		s.execAll(st)
+	case *compile.Exchange:
+		s.execExchange(st)
+	case *compile.PipeRecv:
+		s.execPipeRecv(st)
+	case *compile.PipeSend:
+		s.execPipeSend(st)
+	case *compile.Bcast:
+		s.execBcast(st)
+	case *compile.Combine:
+		s.execCombine(st)
 	}
 }
 
@@ -366,9 +378,6 @@ func (s *slave) execSteps(steps []compile.Step) {
 // are exchanged all-to-all and summed in slave order, so every slave ends
 // with bit-identical values.
 func (s *slave) execCombine(st *compile.Combine) {
-	if s.ff {
-		return
-	}
 	arr := s.inst.Arrays[st.Array]
 	snap := s.redSnap[st.Array]
 	n := len(arr.Data)
@@ -505,9 +514,6 @@ func (s *slave) ghostSuppliesCached(delta int) []supply {
 }
 
 func (s *slave) execOwned(st *compile.OwnedLoop) {
-	if s.ff {
-		return
-	}
 	// Long compute stretches between hooks must not starve the master's
 	// failure detector (the more work a slave inherits, the longer its
 	// silent stretches — exactly when false eviction hurts most).
@@ -664,9 +670,6 @@ func (s *slave) drainPending(pend *compile.Exchange) {
 }
 
 func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
-	if s.ff {
-		return
-	}
 	idx := s.eval(st.Index)
 	if idx < 0 || idx >= s.exec.Units || s.own.OwnerOf(idx) != s.id {
 		return
@@ -677,9 +680,6 @@ func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
 }
 
 func (s *slave) execAll(st *compile.AllStmts) {
-	if s.ff {
-		return
-	}
 	flops := loopir.EstFlops(st.Body, s.env)
 	s.ep.Charge(time.Duration(flops * float64(s.cfg.FlopCost)))
 	s.ep.Timed(func() { s.allFrags[st].Run(s.env) })
@@ -703,9 +703,6 @@ func (s *slave) execAll(st *compile.AllStmts) {
 // way each (sender, tag) mailbox is drained in part order, the order it was
 // filled in, so the data flow — and every value — is the same.
 func (s *slave) execExchange(st *compile.Exchange) {
-	if s.ff {
-		return
-	}
 	for _, p := range st.Parts {
 		arr := s.inst.Arrays[p.Array]
 		dim := s.exec.Plan.DistArrays[p.Array]
@@ -745,9 +742,6 @@ func (s *slave) recvGhosts(st *compile.Exchange) {
 // execPipeRecv receives the current strip block's rows of the pipeline
 // ghost unit — values the neighbor computed earlier in this sweep.
 func (s *slave) execPipeRecv(st *compile.PipeRecv) {
-	if s.ff {
-		return
-	}
 	arr := s.inst.Arrays[st.Array]
 	dim := s.exec.Plan.DistArrays[st.Array]
 	tag := "pipe:" + st.Array
@@ -764,9 +758,6 @@ func (s *slave) execPipeRecv(st *compile.PipeRecv) {
 // execPipeSend sends the current strip block's rows of our boundary units
 // to the neighbors that read them next.
 func (s *slave) execPipeSend(st *compile.PipeSend) {
-	if s.ff {
-		return
-	}
 	arr := s.inst.Arrays[st.Array]
 	dim := s.exec.Plan.DistArrays[st.Array]
 	tag := "pipe:" + st.Array
@@ -783,9 +774,6 @@ func (s *slave) execPipeSend(st *compile.PipeSend) {
 // Every slave derives the identical tree from the shared ownership and
 // alive state, and the payload is relayed verbatim.
 func (s *slave) execBcast(st *compile.Bcast) {
-	if s.ff {
-		return
-	}
 	idx := s.eval(st.Index)
 	if idx < 0 || idx >= s.exec.Units {
 		return
@@ -1096,7 +1084,6 @@ func (s *slave) runTree() {
 	done := StatusMsg{
 		Phase:           s.phase,
 		HookIndex:       s.hookVisit,
-		Done:            true,
 		Epoch:           s.epoch,
 		AotUnits:        s.aotUnits,
 		KernelUnits:     s.kernelUnits,

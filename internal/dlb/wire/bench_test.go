@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dlb"
+	"repro/internal/fault"
 )
 
 // benchWorkMsg is a representative work movement: 16 units of two
@@ -43,14 +44,16 @@ func benchCheckpointMsg() Envelope {
 		owned[u] = col
 	}
 	return Envelope{Tag: "ckpt", From: 2, Payload: dlb.CheckpointMsg{
-		Epoch: 1, Seq: 3, Slave: 2, Hook: 40, Phase: 8, NextContact: 44,
+		Cut: fault.Cut{
+			Seq: 3, Hook: 40, Phase: 8, NextContact: 44, Slaves: 4,
+			Owner:      make([]int, 64),
+			Active:     make([]bool, 64),
+			Replicated: map[string][]float64{"p": make([]float64, 512)},
+			RedSnap:    map[string][]float64{"res": {0.25}},
+		},
+		Epoch: 1, Slave: 2, Meta: true,
 		Owned: map[string]map[int][]float64{"b": owned},
 		Red:   map[string][]float64{"res": {0.5}},
-		Meta:  true, Slaves: 4,
-		Owner:      make([]int, 64),
-		Active:     make([]bool, 64),
-		Replicated: map[string][]float64{"p": make([]float64, 512)},
-		RedSnap:    map[string][]float64{"res": {0.25}},
 	}}
 }
 

@@ -10,22 +10,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dlb"
+	"repro/internal/fault"
 )
 
-// Binary bulk codec. Gob is convenient but slow for the float-bearing data
-// plane: every []float64 element passes through reflection, and every
-// message re-allocates. The messages that actually carry the computation's
-// data — work movement, scatter/gather, slice exchange, checkpoints,
-// recovery, and combine deltas — are encoded here by hand instead:
-// little-endian fixed-width scalars, length-prefixed sections, and bulk
-// float64 runs. Control messages (status, instructions, heartbeats,
-// handshakes) stay on gob: they are tiny, and gob's self-describing stream
-// keeps them easy to evolve.
+// Binary codec. Gob is convenient but slow: every []float64 element passes
+// through reflection, and every message re-allocates. The messages a run
+// sends over and over — the balancing conversation (status, instruction),
+// work movement, scatter/gather, slice exchange, checkpoints, recovery, and
+// combine deltas — are encoded here by hand instead: little-endian
+// fixed-width scalars, length-prefixed sections, and bulk float64 runs.
+// Each record has one layout: a checkpoint's cut is written by putCut for
+// both the checkpoint part and the adoption that re-ships it. Gob carries
+// only the rare control frames (heartbeat, evict, checkpoint request,
+// join, finack, and the connection handshake).
 //
 // Whether a frame is gob or binary is carried per frame in the top bit of
 // the length prefix (see framed), so both codecs interleave freely on one
-// connection. Every Conn decodes both; a sender puts its bulk payloads on
-// the binary codec once SetBinary(true) is called, which the TCP transport
+// connection. Every Conn decodes both; a sender puts these payloads on the
+// binary codec once SetBinary(true) is called, which the TCP transport
 // does on every connection it attaches (the handshake's ProtocolVersion
 // check admits only peers that decode binary frames).
 
@@ -33,7 +35,7 @@ import (
 // if the layout of any message changes (the handshake's ProtocolVersion
 // already gates incompatible deployments, this is a belt-and-suspenders
 // check against stream corruption).
-const binaryVersion = 4
+const binaryVersion = 5
 
 // Binary message type tags.
 const (
@@ -44,8 +46,8 @@ const (
 	binCheckpoint
 	binAdopt
 	binFloats
-	binGroupStatus
-	binGroupShift
+	binStatus
+	binInstr
 )
 
 // errNoBinary reports a payload type the binary codec does not cover;
@@ -210,7 +212,6 @@ func putStatus(b []byte, s dlb.StatusMsg) []byte {
 	b = putI64(b, int(s.Busy))
 	b = putI64(b, int(s.MoveCost))
 	b = putI64(b, int(s.InterCost))
-	b = putBool(b, s.Done)
 	b = putI64(b, s.Epoch)
 	b = putI64(b, int(s.AotUnits))
 	b = putI64(b, int(s.KernelUnits))
@@ -240,6 +241,20 @@ func putInstr(b []byte, m dlb.InstrMsg) []byte {
 		b = putInts(b, mv.Units)
 	}
 	return b
+}
+
+// putCut writes a checkpoint cut: resume coordinates, ownership map and the
+// shared arrays.
+func putCut(b []byte, c fault.Cut) []byte {
+	b = putI64(b, c.Seq)
+	b = putI64(b, c.Hook)
+	b = putI64(b, c.Phase)
+	b = putI64(b, c.NextContact)
+	b = putI64(b, c.Slaves)
+	b = putInts(b, c.Owner)
+	b = putBools(b, c.Active)
+	b = putFloatsMap(b, c.Replicated)
+	return putFloatsMap(b, c.RedSnap)
 }
 
 // interned caches the small recurring strings of the protocol — array
@@ -288,10 +303,10 @@ func appendBinaryEnvelope(b []byte, e Envelope) ([]byte, error) {
 		tag = binAdopt
 	case []float64:
 		tag = binFloats
-	case dlb.GroupStatusMsg:
-		tag = binGroupStatus
-	case dlb.GroupShiftMsg:
-		tag = binGroupShift
+	case dlb.StatusMsg:
+		tag = binStatus
+	case dlb.InstrMsg:
+		tag = binInstr
 	default:
 		return b, errNoBinary
 	}
@@ -330,44 +345,23 @@ func appendBinaryEnvelope(b []byte, e Envelope) ([]byte, error) {
 		b = putFloatsMap(b, p.Reduced)
 	case dlb.CheckpointMsg:
 		b = putI64(b, p.Epoch)
-		b = putI64(b, p.Seq)
 		b = putI64(b, p.Slave)
-		b = putI64(b, p.Hook)
-		b = putI64(b, p.Phase)
-		b = putI64(b, p.NextContact)
+		b = putBool(b, p.Meta)
 		b = putOwnedMap(b, p.Owned)
 		b = putFloatsMap(b, p.Red)
-		b = putBool(b, p.Meta)
-		b = putI64(b, p.Slaves)
-		b = putInts(b, p.Owner)
-		b = putBools(b, p.Active)
-		b = putFloatsMap(b, p.Replicated)
-		b = putFloatsMap(b, p.RedSnap)
+		b = putCut(b, p.Cut)
 	case dlb.AdoptMsg:
 		b = putI64(b, p.Epoch)
-		b = putI64(b, p.Seq)
-		b = putI64(b, p.Hook)
-		b = putI64(b, p.Phase)
-		b = putI64(b, p.NextContact)
-		b = putI64(b, p.Slaves)
 		b = putBools(b, p.Alive)
-		b = putInts(b, p.Owner)
-		b = putBools(b, p.Active)
 		b = putOwnedMap(b, p.Owned)
 		b = putFloatsMap(b, p.Red)
-		b = putFloatsMap(b, p.Replicated)
-		b = putFloatsMap(b, p.RedSnap)
+		b = putCut(b, p.Cut)
 	case []float64:
 		b = putFloats(b, p)
-	case dlb.GroupStatusMsg:
-		b = putI64(b, p.Group)
-		b = putInts(b, p.Ids)
-		b = putU32(b, uint32(len(p.Statuses)))
-		for _, s := range p.Statuses {
-			b = putStatus(b, s)
-		}
-	case dlb.GroupShiftMsg:
-		b = putInstr(b, p.Instr)
+	case dlb.StatusMsg:
+		b = putStatus(b, p)
+	case dlb.InstrMsg:
+		b = putInstr(b, p)
 	}
 	return b, nil
 }
@@ -586,10 +580,10 @@ func (r *binReader) ownedMap() (map[string]map[int][]float64, error) {
 	return m, nil
 }
 
-// statusSize is the minimum encoded size of one StatusMsg: 12 scalars, the
-// Done bool, and the cost-block count prefix. Cost blocks (24 bytes each)
-// follow when present.
-const statusSize = 12*8 + 1 + 4
+// statusSize is the minimum encoded size of one StatusMsg: 12 scalars and
+// the cost-block count prefix. Cost blocks (24 bytes each) follow when
+// present.
+const statusSize = 12*8 + 4
 
 // costBlockSize is the fixed encoded size of one CostBlock (Lo, Hi, PerUnit).
 const costBlockSize = 3 * 8
@@ -606,7 +600,6 @@ func (r *binReader) status() (dlb.StatusMsg, error) {
 	mc, _ := r.i64()
 	ic, _ := r.i64()
 	s.Busy, s.MoveCost, s.InterCost = time.Duration(busy), time.Duration(mc), time.Duration(ic)
-	s.Done, _ = r.boolv()
 	s.Epoch, _ = r.i64()
 	au, _ := r.i64()
 	ku, _ := r.i64()
@@ -659,6 +652,28 @@ func (r *binReader) instr() (dlb.InstrMsg, error) {
 		}
 	}
 	return m, nil
+}
+
+// cut reads what putCut wrote.
+func (r *binReader) cut() (fault.Cut, error) {
+	var c fault.Cut
+	var err error
+	for _, dst := range []*int{&c.Seq, &c.Hook, &c.Phase, &c.NextContact, &c.Slaves} {
+		if *dst, err = r.i64(); err != nil {
+			return c, err
+		}
+	}
+	if c.Owner, err = r.ints(); err != nil {
+		return c, err
+	}
+	if c.Active, err = r.bools(); err != nil {
+		return c, err
+	}
+	if c.Replicated, err = r.floatsMap(); err != nil {
+		return c, err
+	}
+	c.RedSnap, err = r.floatsMap()
+	return c, err
 }
 
 // decodeBinaryEnvelope decodes one binary frame payload. The returned
@@ -755,52 +770,31 @@ func decodeBinaryEnvelope(payload []byte) (Envelope, error) {
 		e.Payload = p
 	case binCheckpoint:
 		var p dlb.CheckpointMsg
-		ints := []*int{&p.Epoch, &p.Seq, &p.Slave, &p.Hook, &p.Phase, &p.NextContact}
-		for _, dst := range ints {
-			if *dst, err = r.i64(); err != nil {
-				return Envelope{}, err
-			}
-		}
-		if p.Owned, err = r.ownedMap(); err != nil {
+		if p.Epoch, err = r.i64(); err != nil {
 			return Envelope{}, err
 		}
-		if p.Red, err = r.floatsMap(); err != nil {
+		if p.Slave, err = r.i64(); err != nil {
 			return Envelope{}, err
 		}
 		if p.Meta, err = r.boolv(); err != nil {
 			return Envelope{}, err
 		}
-		if p.Slaves, err = r.i64(); err != nil {
+		if p.Owned, err = r.ownedMap(); err != nil {
 			return Envelope{}, err
 		}
-		if p.Owner, err = r.ints(); err != nil {
+		if p.Red, err = r.floatsMap(); err != nil {
 			return Envelope{}, err
 		}
-		if p.Active, err = r.bools(); err != nil {
-			return Envelope{}, err
-		}
-		if p.Replicated, err = r.floatsMap(); err != nil {
-			return Envelope{}, err
-		}
-		if p.RedSnap, err = r.floatsMap(); err != nil {
+		if p.Cut, err = r.cut(); err != nil {
 			return Envelope{}, err
 		}
 		e.Payload = p
 	case binAdopt:
 		var p dlb.AdoptMsg
-		ints := []*int{&p.Epoch, &p.Seq, &p.Hook, &p.Phase, &p.NextContact, &p.Slaves}
-		for _, dst := range ints {
-			if *dst, err = r.i64(); err != nil {
-				return Envelope{}, err
-			}
+		if p.Epoch, err = r.i64(); err != nil {
+			return Envelope{}, err
 		}
 		if p.Alive, err = r.bools(); err != nil {
-			return Envelope{}, err
-		}
-		if p.Owner, err = r.ints(); err != nil {
-			return Envelope{}, err
-		}
-		if p.Active, err = r.bools(); err != nil {
 			return Envelope{}, err
 		}
 		if p.Owned, err = r.ownedMap(); err != nil {
@@ -809,46 +803,22 @@ func decodeBinaryEnvelope(payload []byte) (Envelope, error) {
 		if p.Red, err = r.floatsMap(); err != nil {
 			return Envelope{}, err
 		}
-		if p.Replicated, err = r.floatsMap(); err != nil {
-			return Envelope{}, err
-		}
-		if p.RedSnap, err = r.floatsMap(); err != nil {
+		if p.Cut, err = r.cut(); err != nil {
 			return Envelope{}, err
 		}
 		e.Payload = p
 	case binFloats:
-		vals, err := r.floats()
-		if err != nil {
+		if e.Payload, err = r.floats(); err != nil {
 			return Envelope{}, err
 		}
-		e.Payload = vals
-	case binGroupStatus:
-		var p dlb.GroupStatusMsg
-		if p.Group, err = r.i64(); err != nil {
+	case binStatus:
+		if e.Payload, err = r.status(); err != nil {
 			return Envelope{}, err
 		}
-		if p.Ids, err = r.ints(); err != nil {
+	case binInstr:
+		if e.Payload, err = r.instr(); err != nil {
 			return Envelope{}, err
 		}
-		n, err := r.count(statusSize)
-		if err != nil {
-			return Envelope{}, err
-		}
-		if n > 0 {
-			p.Statuses = make([]dlb.StatusMsg, n)
-			for i := range p.Statuses {
-				if p.Statuses[i], err = r.status(); err != nil {
-					return Envelope{}, err
-				}
-			}
-		}
-		e.Payload = p
-	case binGroupShift:
-		var p dlb.GroupShiftMsg
-		if p.Instr, err = r.instr(); err != nil {
-			return Envelope{}, err
-		}
-		e.Payload = p
 	default:
 		return Envelope{}, corruptErr(fmt.Sprintf("unknown message type %d", typ))
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dlb"
+	"repro/internal/fault"
 )
 
 // bulkMessages is one representative envelope per binary-codec message
@@ -36,48 +37,48 @@ func bulkMessages() []Envelope {
 			Reduced: map[string][]float64{"res": {0.25}},
 		}},
 		{Tag: "ckpt", From: 1, Payload: dlb.CheckpointMsg{
-			Epoch: 2, Seq: 5, Slave: 1, Hook: 40, Phase: 8, NextContact: 44,
+			Cut: fault.Cut{
+				Seq: 5, Hook: 40, Phase: 8, NextContact: 44, Slaves: 4,
+				Owner:      []int{0, 0, 1, 1, 2, 2, 3, 3},
+				Active:     []bool{true, true, true, true, true, true, false, false},
+				Replicated: map[string][]float64{"p": {7, 8}},
+				RedSnap:    map[string][]float64{"res": {0.25}},
+			},
+			Epoch: 2, Slave: 1, Meta: true,
 			Owned: map[string]map[int][]float64{"b": {12: {1, 2, 3}}},
 			Red:   map[string][]float64{"res": {0.5}},
-			Meta:  true, Slaves: 4,
-			Owner:      []int{0, 0, 1, 1, 2, 2, 3, 3},
-			Active:     []bool{true, true, true, true, true, true, false, false},
-			Replicated: map[string][]float64{"p": {7, 8}},
-			RedSnap:    map[string][]float64{"res": {0.25}},
 		}},
 		{Tag: "recover", From: -1, Payload: dlb.AdoptMsg{
-			Epoch: 3, Seq: 5, Hook: -1, Phase: 8, NextContact: 44, Slaves: 5,
-			Alive:      []bool{true, false, true, true, true},
-			Owner:      []int{0, 0, 2, 2, 3, 3, 4, 4},
-			Active:     []bool{true, true, true, true, true, true, true, true},
-			Owned:      map[string]map[int][]float64{"b": {0: {4, 5}, 2: {6}}},
-			Red:        map[string][]float64{"res": {0.75}},
-			Replicated: map[string][]float64{"p": {7, 8}},
-			RedSnap:    map[string][]float64{"res": {0.25}},
+			Cut: fault.Cut{
+				Seq: 5, Hook: -1, Phase: 8, NextContact: 44, Slaves: 5,
+				Owner:      []int{0, 0, 2, 2, 3, 3, 4, 4},
+				Active:     []bool{true, true, true, true, true, true, true, true},
+				Replicated: map[string][]float64{"p": {7, 8}},
+				RedSnap:    map[string][]float64{"res": {0.25}},
+			},
+			Epoch: 3,
+			Alive: []bool{true, false, true, true, true},
+			Owned: map[string]map[int][]float64{"b": {0: {4, 5}, 2: {6}}},
+			Red:   map[string][]float64{"res": {0.75}},
 		}},
 		{Tag: "reduce:r", From: 2, Payload: []float64{1, -2, 3.75, 1e-300}},
-		{Tag: "gstatus", From: 4, Payload: dlb.GroupStatusMsg{
-			Group: 1,
-			Ids:   []int{4, 5, 6, 7},
-			Statuses: []dlb.StatusMsg{
-				{Phase: 3, HookIndex: 40, Units: 12.5, Busy: 250 * time.Millisecond,
-					MoveCost: time.Millisecond, InterCost: 300 * time.Microsecond, Epoch: 1},
-				{Phase: 3, HookIndex: 40, Units: 11},
-				{Phase: 3, HookIndex: 40, Done: true, AotUnits: 12, KernelUnits: 96, FallbackUnits: 4,
-					OverlapRounds: 7, OverlapFallback: 2},
-				{Phase: 3, HookIndex: 40, Units: 9.25, Busy: 260 * time.Millisecond,
-					CostBlocks: []dlb.CostBlock{{Lo: 0, Hi: 32, PerUnit: 1.5e-6}, {Lo: 40, Hi: 41, PerUnit: 0.012}}},
-			},
+		{Tag: "status", From: 4, Payload: dlb.StatusMsg{
+			Phase: 3, HookIndex: 40, Units: 9.25, Busy: 260 * time.Millisecond,
+			MoveCost: time.Millisecond, InterCost: 300 * time.Microsecond, Epoch: 1,
+			CostBlocks: []dlb.CostBlock{{Lo: 0, Hi: 32, PerUnit: 1.5e-6}, {Lo: 40, Hi: 41, PerUnit: 0.012}},
 		}},
-		{Tag: "gdone", From: 0, Payload: dlb.GroupStatusMsg{Group: 0, Ids: []int{0}, Statuses: []dlb.StatusMsg{{Done: true}}}},
-		{Tag: "ginstr", From: -1, Payload: dlb.GroupShiftMsg{Instr: dlb.InstrMsg{
+		{Tag: "done", From: 2, Payload: dlb.StatusMsg{
+			Phase: 3, HookIndex: 40, Epoch: 2, AotUnits: 12, KernelUnits: 96, FallbackUnits: 4,
+			OverlapRounds: 7, OverlapFallback: 2,
+		}},
+		{Tag: "instr", From: -1, Payload: dlb.InstrMsg{
 			Phase: 3, HookIndex: 40, SkipHooks: 12, Epoch: 1, CkptSeq: 2,
 			Moves: []core.Move{
 				{From: 3, To: 4, Units: []int{30, 31, 32}},
 				{From: 5, To: 6, Units: []int{47}},
 			},
-		}}},
-		{Tag: "ginstr-empty", From: -1, Payload: dlb.GroupShiftMsg{}},
+		}},
+		{Tag: "instr-empty", From: -1, Payload: dlb.InstrMsg{}},
 	}
 }
 
@@ -113,24 +114,29 @@ func TestBinaryRoundTripDifferential(t *testing.T) {
 }
 
 // TestBinaryFramesAreBinary asserts SetBinary(true) is actually honoured:
-// bulk payloads produce frames with the codec bit set, control payloads on
-// the same connection stay gob.
+// bulk payloads and the balancing conversation (status, instruction)
+// produce frames with the codec bit set, a heartbeat on the same
+// connection stays gob.
 func TestBinaryFramesAreBinary(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	c.SetBinary(true)
-	if err := c.Send(Envelope{Tag: "reduce:r", From: 1, Payload: []float64{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[0]&0x80 == 0 {
-		t.Fatal("bulk payload did not use a binary frame")
-	}
-	buf.Reset()
-	if err := c.Send(Envelope{Tag: "hb", From: 1, Payload: dlb.HeartbeatMsg{Epoch: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[0]&0x80 != 0 {
-		t.Fatal("control payload was sent on the binary codec")
+	for _, tc := range []struct {
+		env    Envelope
+		binary bool
+	}{
+		{Envelope{Tag: "reduce:r", From: 1, Payload: []float64{1, 2}}, true},
+		{Envelope{Tag: "status", From: 1, Payload: dlb.StatusMsg{Phase: 3, Units: 96}}, true},
+		{Envelope{Tag: "instr", From: -1, Payload: dlb.InstrMsg{Phase: 3, SkipHooks: 2}}, true},
+		{Envelope{Tag: "hb", From: 1, Payload: dlb.HeartbeatMsg{Epoch: 1}}, false},
+	} {
+		buf.Reset()
+		if err := c.Send(tc.env); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes()[0]&0x80 != 0; got != tc.binary {
+			t.Errorf("%s: binary frame = %v, want %v", tc.env.Tag, got, tc.binary)
+		}
 	}
 }
 
@@ -225,20 +231,20 @@ func TestBinaryDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestGroupMessageFrameLimit pins the frame-limit error path for the group
-// aggregates on both codecs: a GroupStatusMsg exceeding the connection's
-// max frame fails with a typed *FrameLimitError, not corruption.
-func TestGroupMessageFrameLimit(t *testing.T) {
-	big := dlb.GroupStatusMsg{Group: 0, Ids: make([]int, 512), Statuses: make([]dlb.StatusMsg, 512)}
+// TestStatusFrameLimit pins the frame-limit error path for a status report
+// on both codecs: a StatusMsg whose cost blocks exceed the connection's max
+// frame fails with a typed *FrameLimitError, not corruption.
+func TestStatusFrameLimit(t *testing.T) {
+	big := dlb.StatusMsg{Phase: 1, CostBlocks: make([]dlb.CostBlock, 512)}
 	for _, bin := range []bool{false, true} {
 		var buf bytes.Buffer
 		c := NewConn(&buf)
 		c.SetBinary(bin)
 		c.SetMaxFrame(256)
-		err := c.Send(Envelope{Tag: "gstatus", From: 0, Payload: big})
+		err := c.Send(Envelope{Tag: "status", From: 0, Payload: big})
 		var fe *FrameLimitError
 		if !errors.As(err, &fe) {
-			t.Fatalf("binary=%v: oversized group frame: got %v, want *FrameLimitError", bin, err)
+			t.Fatalf("binary=%v: oversized status frame: got %v, want *FrameLimitError", bin, err)
 		}
 		if fe.Limit != 256 || fe.Size <= 256 {
 			t.Errorf("binary=%v: error reports size %d limit %d", bin, fe.Size, fe.Limit)

@@ -1,10 +1,13 @@
 // Package wire gives the dlb master/slave protocol a real network
 // encoding: length-prefixed frames carrying the same message types the
 // simulated runtime exchanges (status, instruction, work movement, slices,
-// scatter and gather). Two codecs share one connection: gob for the small
-// self-describing control messages, and a hand-rolled little-endian binary
-// layout (codec.go) for the bulk float-bearing data plane. Each frame's
-// length prefix carries a codec bit, so the two interleave freely.
+// scatter and gather). Two codecs share one connection: a hand-rolled
+// little-endian binary layout (codec.go) for the balancing conversation
+// and the float-bearing data plane, and gob for the rare self-describing
+// control frames. Each frame's length prefix carries a codec bit, so the
+// two interleave freely. The simulator's group envelopes (GroupStatusMsg,
+// GroupShiftMsg) have no wire encoding: only fault-free runs relay through
+// group leaders, and every transport run is fault-tolerant.
 package wire
 
 import (
@@ -65,8 +68,6 @@ func init() {
 	gob.Register(dlb.SliceMsg{})
 	gob.Register(dlb.InitMsg{})
 	gob.Register(dlb.GatherMsg{})
-	gob.Register(dlb.GroupStatusMsg{})
-	gob.Register(dlb.GroupShiftMsg{})
 	gob.Register(core.Move{})
 	// Fault-tolerance protocol (heartbeat/eviction/checkpoint/recovery/join).
 	gob.Register(dlb.HeartbeatMsg{})
@@ -93,7 +94,7 @@ type Conn struct {
 	fr     *framed
 	enc    *gob.Encoder
 	dec    *gob.Decoder
-	binary bool // bulk messages go out on the binary codec
+	binary bool // codec.go's messages go out on the binary codec
 }
 
 // NewConn wraps a stream. Gob streams are stateful, so a Conn must be used
@@ -113,17 +114,17 @@ func (c *Conn) SetMaxFrame(n int) {
 	c.fr.limit = n
 }
 
-// SetBinary selects whether bulk messages are sent on the binary codec
-// (true: every netrun connection) or on gob (false: the baseline the codec
-// differential tests and the benchmark module's wire.* probes measure
-// against). Receiving binary needs no grant — any Conn decodes both
+// SetBinary selects whether the messages codec.go covers are sent on the
+// binary codec (true: every netrun connection) or on gob (false: the
+// baseline the codec differential tests and the benchmark module's wire.*
+// probes measure against). Receiving binary needs no grant — any Conn decodes both
 // codecs. Send and SetBinary must come from the same goroutine (the
 // writer), like the gob encoder itself.
 func (c *Conn) SetBinary(on bool) { c.binary = on }
 
-// Send writes one envelope: on a SetBinary(true) connection the bulk
-// float-bearing payloads (codec.go) go out as one binary frame from a
-// pooled scratch buffer; everything else is gob.
+// Send writes one envelope: on a SetBinary(true) connection the payloads
+// codec.go covers go out as one binary frame from a pooled scratch buffer;
+// the other control frames are gob.
 func (c *Conn) Send(e Envelope) error {
 	if c.binary {
 		bp := encBufPool.Get().(*[]byte)

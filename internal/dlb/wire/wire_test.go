@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dlb"
+	"repro/internal/fault"
 )
 
 func TestRoundTripInMemory(t *testing.T) {
@@ -205,25 +206,30 @@ func TestRoundTripFaultMessages(t *testing.T) {
 		{Tag: "evict", From: -1, Payload: dlb.EvictMsg{Epoch: 2, Reason: "lease expired"}},
 		{Tag: "ckptreq", From: -1, Payload: dlb.CheckpointRequestMsg{Epoch: 2, Seq: 5}},
 		{Tag: "ckpt", From: 1, Payload: dlb.CheckpointMsg{
-			Epoch: 2, Seq: 5, Slave: 1, Hook: 40, Phase: 8, NextContact: 44,
+			Cut: fault.Cut{
+				Seq: 5, Hook: 40, Phase: 8, NextContact: 44, Slaves: 4,
+				Owner:      []int{0, 0, 1, 1, 2, 2, 3, 3},
+				Active:     []bool{true, true, true, true, true, true, false, false},
+				Replicated: map[string][]float64{"p": {7, 8}},
+				RedSnap:    map[string][]float64{"res": {0.25}},
+			},
+			Epoch: 2, Slave: 1, Meta: true,
 			Owned: map[string]map[int][]float64{"b": {12: {1, 2, 3}}},
 			Red:   map[string][]float64{"res": {0.5}},
-			Meta:  true, Slaves: 4,
-			Owner:      []int{0, 0, 1, 1, 2, 2, 3, 3},
-			Active:     []bool{true, true, true, true, true, true, false, false},
-			Replicated: map[string][]float64{"p": {7, 8}},
-			RedSnap:    map[string][]float64{"res": {0.25}},
 		}},
 		{Tag: "join", From: 4, Payload: dlb.JoinMsg{Slave: 4}},
 		{Tag: "recover", From: -1, Payload: dlb.AdoptMsg{
-			Epoch: 3, Seq: 5, Hook: 40, Phase: 8, NextContact: 44, Slaves: 5,
-			Alive:      []bool{true, false, true, true, true},
-			Owner:      []int{0, 0, 2, 2, 3, 3, 4, 4},
-			Active:     []bool{true, true, true, true, true, true, true, true},
-			Owned:      map[string]map[int][]float64{"b": {0: {4, 5}, 2: {6}}},
-			Red:        map[string][]float64{"res": {0.75}},
-			Replicated: map[string][]float64{"p": {7, 8}},
-			RedSnap:    map[string][]float64{"res": {0.25}},
+			Cut: fault.Cut{
+				Seq: 5, Hook: 40, Phase: 8, NextContact: 44, Slaves: 5,
+				Owner:      []int{0, 0, 2, 2, 3, 3, 4, 4},
+				Active:     []bool{true, true, true, true, true, true, true, true},
+				Replicated: map[string][]float64{"p": {7, 8}},
+				RedSnap:    map[string][]float64{"res": {0.25}},
+			},
+			Epoch: 3,
+			Alive: []bool{true, false, true, true, true},
+			Owned: map[string]map[int][]float64{"b": {0: {4, 5}, 2: {6}}},
+			Red:   map[string][]float64{"res": {0.75}},
 		}},
 		{Tag: "finack", From: -1, Payload: dlb.FinAckMsg{Epoch: 3}},
 	}
@@ -361,7 +367,8 @@ func TestFrameIsOneWrite(t *testing.T) {
 	}{
 		{"binary/ghost", true, ghost},
 		{"gob/ghost", false, ghost},
-		{"gob/status", true, status}, // control traffic stays on gob
+		{"binary/status", true, status},
+		{"gob/status", false, status},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rw countingRW

@@ -53,17 +53,16 @@ func (p CkptPolicy) Should(now, lastCkpt, estCost time.Duration) bool {
 	return float64(estCost) <= p.MaxOverhead*float64(since)
 }
 
-// Checkpoint is the master's latest committed global snapshot: a consistent
-// cut taken when every slave sits at the same load-balancing hook, plus the
-// resume coordinates needed to fast-forward a slave's control flow back to
-// that hook. Hook -1 denotes the initial distribution (resume from the
-// start of the computation).
-type Checkpoint struct {
+// Cut is the part of a consistent cut every slave shares: the resume
+// coordinates needed to fast-forward a slave's control flow back to the cut
+// hook, the ownership map, and the shared arrays. One record travels from
+// the designated slave's checkpoint part through the committed Checkpoint
+// into every recovery's adoption.
+type Cut struct {
 	Seq         int
 	Hook        int // hook index the snapshot was taken at (-1: initial)
 	Phase       int // contact-phase counter to resume with
 	NextContact int // hook index of the next master contact
-	At          time.Duration
 
 	// Owner and Active mirror the ownership map at the snapshot; Slaves is
 	// its slave-slot count (membership may have grown since the run began).
@@ -71,14 +70,24 @@ type Checkpoint struct {
 	Owner  []int
 	Active []bool
 
-	// Dist holds every distributed array's slices: array -> unit -> values.
-	Dist map[string]map[int][]float64
 	// Replicated holds the mutated replicated arrays (read-only replicated
 	// arrays are reconstructed from the initial data instead of being
 	// re-shipped every checkpoint).
 	Replicated map[string][]float64
 	// RedSnap holds the reduction-snapshot values backing Combine deltas.
 	RedSnap map[string][]float64
+}
+
+// Checkpoint is the master's latest committed global snapshot: the shared
+// cut plus every slave's own state, taken when every slave sits at the same
+// load-balancing hook. Hook -1 denotes the initial distribution (resume
+// from the start of the computation).
+type Checkpoint struct {
+	Cut
+	At time.Duration
+
+	// Dist holds every distributed array's slices: array -> unit -> values.
+	Dist map[string]map[int][]float64
 	// Red holds each slave's own reduction arrays (mid-interval partial
 	// accumulations differ per slave): slave -> array -> values.
 	Red map[int]map[string][]float64

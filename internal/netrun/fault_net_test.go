@@ -43,12 +43,13 @@ func recvReject(t *testing.T, wc *wire.Conn) wire.RejectMsg {
 }
 
 // TestRejectVersionMismatch dials a slave daemon and opens the handshake
-// with another protocol version — 3, the last whose init frame carried the
-// init-cache marker, and one from the future; the daemon must refuse each
-// with a typed version-mismatch rejection and stay available for a real run.
+// with another protocol version — 4, the last that sent status and
+// instruction frames on gob, and one from the future; the daemon must refuse
+// each with a typed version-mismatch rejection and stay available for a real
+// run.
 func TestRejectVersionMismatch(t *testing.T) {
 	addrs, _ := startServers(t, 1, ServerOptions{})
-	for _, version := range []int{3, ProtocolVersion + 99} {
+	for _, version := range []int{4, ProtocolVersion + 99} {
 		nc, wc := rawDial(t, addrs[0])
 		defer nc.Close()
 		start := wire.StartMsg{Version: version, Node: 0, Slaves: 1, Total: 1}

@@ -1,9 +1,9 @@
 // Package netrun is the distributed TCP runtime: it carries the existing
 // master/slave protocol over length-prefixed frames (internal/dlb/wire:
-// the binary bulk codec for float-bearing payloads, gob for control)
-// on real sockets, so the master and each slave run as separate OS
-// processes — the deployment shape of the paper's Nectar workstation
-// network. The protocol code itself is untouched, and so is its wall-clock
+// the binary codec for status, instructions and float-bearing payloads,
+// gob for the rare control frames) on real sockets, so the master and each
+// slave run as separate OS processes — the deployment shape of the paper's
+// Nectar workstation network. The protocol code itself is untouched, and so is its wall-clock
 // endpoint: netrun only supplies the sender under dlb.WallEndpoint — a
 // router that moves envelopes over TCP connections into the peer's
 // dlb.Mailbox, where RunReal's goroutines put them directly.
@@ -50,7 +50,9 @@ import (
 // payloads on the binary codec. Version 3 names the run on every
 // slave↔slave connection (StartMsg.Run, PeerHelloMsg.Run). Version 4
 // dropped the init cache: the binary init frame lost its marker byte.
-const ProtocolVersion = 4
+// Version 5 sends status and instruction frames binary, and the checkpoint
+// and adoption frames write their shared fault.Cut in one layout.
+const ProtocolVersion = 5
 
 // Handshake failure modes. Errors returned by dials and accepts wrap one
 // of these sentinels; use errors.Is to classify.

@@ -183,9 +183,9 @@ func (r *router) dialPeer(to int, addr string) *link {
 // master sets it on slave connections, where heartbeats guarantee traffic
 // and prolonged silence means a dead link TCP has not noticed.
 //
-// Every attached connection sends its bulk payloads on the binary codec:
-// the handshake's ProtocolVersion check already admitted the peer, and
-// every peer of that version decodes binary frames.
+// Every attached connection sends status, instructions and bulk payloads on
+// the binary codec: the handshake's ProtocolVersion check already admitted
+// the peer, and every peer of that version decodes binary frames.
 func (r *router) attach(peer int, nc net.Conn, wc *wire.Conn, readLimited bool) *link {
 	wc.SetBinary(true)
 	l := &link{peer: peer, nc: nc, wc: wc, dead: make(chan struct{})}
