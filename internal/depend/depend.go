@@ -8,10 +8,13 @@
 // broadcasts each outer iteration), and the six Table 1 application
 // properties.
 //
-// Analyze runs one engine, a concrete one: it executes small instances of
-// the program, records every memory access, and generalizes the observed
+// Analyze runs one engine, a concrete one: it runs small instances of the
+// program on loopir's reference interpreter, which reports every data
+// access (Instance.InterpretObserved), and generalizes the observed
 // dependence distance vectors over two sample sizes — which covers uniform
-// pairs and non-uniform ones (LU's pivot references) alike. The classic
+// pairs and non-uniform ones (LU's pivot references) alike. What the
+// analysis says a program accesses thus comes from the code that defines
+// what it computes; there is no second interpreter to drift. The classic
 // symbolic machinery for uniformly generated pairs (distance equations, the
 // GCD test) lives in the tests, as the oracle the concrete results are
 // checked against.
@@ -128,9 +131,14 @@ type RefCtx struct {
 type Analysis struct {
 	Prog    *loopir.Program
 	Refs    []RefCtx
+	stmts   map[loopir.Stmt]stmtRefs
 	deps    []Dep
 	samples []map[string]int
 }
+
+// stmtRefs locates one Assign's or If's references in Analysis.Refs: read
+// ord is Refs[first+ord] for ord < reads, an Assign's write Refs[first+reads].
+type stmtRefs struct{ id, first, reads int }
 
 // Analyze runs dependence analysis. sizes optionally overrides the two
 // sample parameter bindings used by the concrete engine; by default small
@@ -140,19 +148,16 @@ func Analyze(p *loopir.Program, sizes ...map[string]int) (*Analysis, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Analysis{Prog: p}
+	a := &Analysis{Prog: p, stmts: map[loopir.Stmt]stmtRefs{}, samples: sizes}
 	a.collectRefs(p.Body, nil, &stmtCounter{})
-
-	samples := sizes
-	if len(samples) == 0 {
-		samples = defaultSamples(p)
+	if len(a.samples) == 0 {
+		a.samples = defaultSamples(p)
 	}
-	deps, err := concreteDeps(p, samples, nil)
+	deps, err := a.concreteDeps(nil)
 	if err != nil {
 		return nil, err
 	}
 	a.deps = deps
-	a.samples = samples
 	return a, nil
 }
 
@@ -218,24 +223,25 @@ func (a *Analysis) collectRefs(stmts []loopir.Stmt, loops []LoopCtx, ctr *stmtCo
 		case *loopir.Loop:
 			a.collectRefs(s.Body, append(loops, LoopCtx{s.Var, s.Lo, s.Hi}), ctr)
 		case *loopir.Assign:
-			id := ctr.n
+			sr := stmtRefs{id: ctr.n, first: len(a.Refs)}
 			ctr.n++
-			ri := 0
-			collectReads(s.RHS, func(r loopir.Ref) {
-				a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: cloneLoops(loops), StmtID: id, RefIdx: ri})
-				ri++
-			})
-			a.Refs = append(a.Refs, RefCtx{Ref: s.LHS, Write: true, Loops: cloneLoops(loops), StmtID: id, RefIdx: -1})
-		case *loopir.If:
-			id := ctr.n
-			ctr.n++
-			ri := 0
 			rec := func(r loopir.Ref) {
-				a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: cloneLoops(loops), StmtID: id, RefIdx: ri})
-				ri++
+				a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: cloneLoops(loops), StmtID: sr.id, RefIdx: sr.reads})
+				sr.reads++
+			}
+			collectReads(s.RHS, rec)
+			a.Refs = append(a.Refs, RefCtx{Ref: s.LHS, Write: true, Loops: cloneLoops(loops), StmtID: sr.id, RefIdx: -1})
+			a.stmts[s] = sr
+		case *loopir.If:
+			sr := stmtRefs{id: ctr.n, first: len(a.Refs)}
+			ctr.n++
+			rec := func(r loopir.Ref) {
+				a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: cloneLoops(loops), StmtID: sr.id, RefIdx: sr.reads})
+				sr.reads++
 			}
 			collectReads(s.Cond.L, rec)
 			collectReads(s.Cond.R, rec)
+			a.stmts[s] = sr
 			a.collectRefs(s.Then, loops, ctr)
 			a.collectRefs(s.Else, loops, ctr)
 		}

@@ -9,7 +9,7 @@ import (
 // Specs gives the distribution directive for each library program, playing
 // the role of the Fortran D-style alignment/distribution directives the
 // paper assumes the programmer provides.
-func specFor(t *testing.T, name string) DistSpec {
+func specFor(t testing.TB, name string) DistSpec {
 	t.Helper()
 	switch name {
 	case "mm":

@@ -81,7 +81,7 @@ func (pr Properties) String() string {
 // whether it connects iterations executed by different owners of the
 // distributed dimension.
 func (a *Analysis) DepsFor(spec DistSpec) ([]Dep, error) {
-	return concreteDeps(a.Prog, a.samples, &spec)
+	return a.concreteDeps(&spec)
 }
 
 // PropertiesFor derives the Table 1 features for the given distribution.

@@ -118,18 +118,12 @@ func cloneEnv(env map[string]int) map[string]int {
 // bounds against its arrays; nil evaluates them from env alone. env is
 // scratch: loop variables are bound and unbound in place.
 func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
-	bound := func(e IExpr) (int, error) {
-		if in != nil {
-			return in.EvalIndex(e, env)
-		}
-		return EvalIndex(e, env)
-	}
 	total := 0.0
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Loop:
-			lo, err1 := bound(s.Lo)
-			hi, err2 := bound(s.Hi)
+			lo, err1 := in.EvalIndex(s.Lo, env)
+			hi, err2 := in.EvalIndex(s.Hi, env)
 			if err1 != nil || err2 != nil {
 				continue // unbound variable: treat as zero-cost, caller beware
 			}

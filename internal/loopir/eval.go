@@ -2,6 +2,7 @@ package loopir
 
 import (
 	"fmt"
+	"maps"
 	"math"
 )
 
@@ -169,8 +170,16 @@ func (in *Instance) Snapshot() map[string]*Array {
 }
 
 // EvalIndex evaluates an integer index expression under an environment of
-// parameter and loop-variable bindings.
+// parameter and loop-variable bindings: the instance-free case of
+// (*Instance).EvalIndex, so an index-array read (IArr) is an error.
 func EvalIndex(e IExpr, env map[string]int) (int, error) {
+	return (*Instance)(nil).EvalIndex(e, env)
+}
+
+// EvalIndex evaluates an index expression against the instance, reading
+// IArr index arrays from its data (truncated toward zero). A nil instance
+// has no arrays to read.
+func (in *Instance) EvalIndex(e IExpr, env map[string]int) (int, error) {
 	switch e := e.(type) {
 	case ICon:
 		return int(e), nil
@@ -180,33 +189,6 @@ func EvalIndex(e IExpr, env map[string]int) (int, error) {
 			return 0, fmt.Errorf("unbound index variable %q", string(e))
 		}
 		return v, nil
-	case IBin:
-		l, err := EvalIndex(e.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := EvalIndex(e.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case '+':
-			return l + r, nil
-		case '-':
-			return l - r, nil
-		case '*':
-			return l * r, nil
-		}
-		return 0, fmt.Errorf("bad index op %q", string(e.Op))
-	}
-	return 0, fmt.Errorf("unknown index expression %T", e)
-}
-
-// EvalIndex evaluates an index expression against the instance: the
-// package-level evaluation extended with IArr data-array reads (truncated
-// toward zero), which have no meaning without bound arrays.
-func (in *Instance) EvalIndex(e IExpr, env map[string]int) (int, error) {
-	switch e := e.(type) {
 	case IBin:
 		l, err := in.EvalIndex(e.L, env)
 		if err != nil {
@@ -226,48 +208,85 @@ func (in *Instance) EvalIndex(e IExpr, env map[string]int) (int, error) {
 		}
 		return 0, fmt.Errorf("bad index op %q", string(e.Op))
 	case IArr:
-		arr, ok := in.Arrays[e.Array]
-		if !ok {
-			return 0, fmt.Errorf("index read of unknown array %q", e.Array)
+		if in == nil {
+			break
 		}
-		idx := make([]int, len(e.Idx))
-		for d, ie := range e.Idx {
-			v, err := in.EvalIndex(ie, env)
-			if err != nil {
-				return 0, err
-			}
-			idx[d] = v
+		arr, flat, err := in.offset(e.Array, e.Idx, env)
+		if err != nil {
+			return 0, err
 		}
-		return int(arr.At(idx...)), nil
+		return int(arr.Data[flat]), nil
 	}
-	return EvalIndex(e, env)
+	return 0, fmt.Errorf("unknown index expression %T", e)
 }
 
-// EvalExpr evaluates a data expression against the instance's arrays.
-func (in *Instance) EvalExpr(e Expr, env map[string]int) (float64, error) {
+// offset resolves array[idx...] under env to the array and the element's
+// flat offset: the one bounds check of every interpreted data read, write
+// and index-array read.
+func (in *Instance) offset(array string, idx []IExpr, env map[string]int) (*Array, int, error) {
+	arr := in.Arrays[array]
+	if arr == nil {
+		return nil, 0, fmt.Errorf("unknown array %q", array)
+	}
+	if len(idx) != len(arr.Dims) {
+		return nil, 0, fmt.Errorf("array %q rank %d indexed with %d subscripts", array, len(arr.Dims), len(idx))
+	}
+	flat := 0
+	for d, ie := range idx {
+		v, err := in.EvalIndex(ie, env)
+		if err != nil {
+			return nil, 0, err
+		}
+		if v < 0 || v >= arr.Dims[d] {
+			return nil, 0, fmt.Errorf("array %q index %d out of range [0,%d) in dim %d", array, v, arr.Dims[d], d)
+		}
+		flat += v * arr.Stride[d]
+	}
+	return arr, flat, nil
+}
+
+// Observer is told of each data access InterpretObserved makes. s is the
+// executing *Assign or *If. ord numbers the statement's data reads 0, 1, …
+// in evaluation order (an Assign's right-hand side; an If's condition, left
+// operand first) and is -1 for an Assign's write, reported after its reads.
+// flat is the element's offset in the array's Data, and env the parameters
+// and live loop variables, valid only during the call. Loop bounds,
+// subscripts (index-array reads included) and break conditions are control,
+// not data flow, and are not reported. An error stops the run and is
+// returned.
+type Observer func(s Stmt, ord int, array string, flat int, env map[string]int) error
+
+// reads numbers one statement's data reads for its observer (nil: none).
+type reads struct {
+	obs Observer
+	s   Stmt
+	n   int
+}
+
+// evalExpr evaluates a data expression against the instance's arrays,
+// reporting each array read to rd.
+func (in *Instance) evalExpr(e Expr, env map[string]int, rd *reads) (float64, error) {
 	switch e := e.(type) {
 	case Const:
 		return float64(e), nil
 	case Ref:
-		arr, ok := in.Arrays[e.Array]
-		if !ok {
-			return 0, fmt.Errorf("unknown array %q", e.Array)
-		}
-		idx := make([]int, len(e.Idx))
-		for d, ie := range e.Idx {
-			v, err := in.EvalIndex(ie, env)
-			if err != nil {
-				return 0, err
-			}
-			idx[d] = v
-		}
-		return arr.At(idx...), nil
-	case Bin:
-		l, err := in.EvalExpr(e.L, env)
+		arr, flat, err := in.offset(e.Array, e.Idx, env)
 		if err != nil {
 			return 0, err
 		}
-		r, err := in.EvalExpr(e.R, env)
+		if rd.obs != nil {
+			if err := rd.obs(rd.s, rd.n, e.Array, flat, env); err != nil {
+				return 0, err
+			}
+			rd.n++
+		}
+		return arr.Data[flat], nil
+	case Bin:
+		l, err := in.evalExpr(e.L, env, rd)
+		if err != nil {
+			return 0, err
+		}
+		r, err := in.evalExpr(e.R, env, rd)
 		if err != nil {
 			return 0, err
 		}
@@ -288,11 +307,15 @@ func (in *Instance) EvalExpr(e Expr, env map[string]int) (float64, error) {
 
 // EvalCond evaluates a comparison against the instance's arrays.
 func (in *Instance) EvalCond(c Cond, env map[string]int) (bool, error) {
-	l, err := in.EvalExpr(c.L, env)
+	return in.evalCond(c, env, &reads{})
+}
+
+func (in *Instance) evalCond(c Cond, env map[string]int, rd *reads) (bool, error) {
+	l, err := in.evalExpr(c.L, env, rd)
 	if err != nil {
 		return false, err
 	}
-	r, err := in.EvalExpr(c.R, env)
+	r, err := in.evalExpr(c.R, env, rd)
 	if err != nil {
 		return false, err
 	}
@@ -322,15 +345,18 @@ func Compare(op string, l, r float64) (bool, error) {
 // Interpret executes the program with the straightforward tree-walking
 // interpreter. It is the semantic reference that the compiled kernels (and
 // the parallel runtime) are validated against.
-func (in *Instance) Interpret() error {
-	env := map[string]int{}
-	for k, v := range in.Params {
-		env[k] = v
-	}
-	return in.interpretStmts(in.Prog.Body, env)
+func (in *Instance) Interpret() error { return in.InterpretObserved(nil) }
+
+// InterpretObserved is Interpret reporting every data access to obs (nil
+// observes nothing): the dependence analysis learns what a program accesses
+// from the code that defines what it computes.
+func (in *Instance) InterpretObserved(obs Observer) error {
+	env := make(map[string]int, len(in.Params))
+	maps.Copy(env, in.Params)
+	return in.interpretStmts(in.Prog.Body, env, obs)
 }
 
-func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int) error {
+func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int, obs Observer) error {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Loop:
@@ -344,7 +370,7 @@ func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int) error {
 			}
 			for v := lo; v < hi; v++ {
 				env[s.Var] = v
-				if err := in.interpretStmts(s.Body, env); err != nil {
+				if err := in.interpretStmts(s.Body, env, obs); err != nil {
 					return err
 				}
 				if s.BreakIf != nil {
@@ -359,32 +385,29 @@ func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int) error {
 			}
 			delete(env, s.Var)
 		case *Assign:
-			val, err := in.EvalExpr(s.RHS, env)
+			val, err := in.evalExpr(s.RHS, env, &reads{obs: obs, s: s})
 			if err != nil {
 				return err
 			}
-			arr := in.Arrays[s.LHS.Array]
-			if arr == nil {
-				return fmt.Errorf("unknown array %q", s.LHS.Array)
+			arr, flat, err := in.offset(s.LHS.Array, s.LHS.Idx, env)
+			if err != nil {
+				return err
 			}
-			idx := make([]int, len(s.LHS.Idx))
-			for d, ie := range s.LHS.Idx {
-				iv, err := in.EvalIndex(ie, env)
-				if err != nil {
+			if obs != nil {
+				if err := obs(s, -1, s.LHS.Array, flat, env); err != nil {
 					return err
 				}
-				idx[d] = iv
 			}
-			arr.SetAt(val, idx...)
+			arr.Data[flat] = val
 		case *If:
-			ok, err := in.EvalCond(s.Cond, env)
+			ok, err := in.evalCond(s.Cond, env, &reads{obs: obs, s: s})
 			if err != nil {
 				return err
 			}
 			if ok {
-				err = in.interpretStmts(s.Then, env)
+				err = in.interpretStmts(s.Then, env, obs)
 			} else {
-				err = in.interpretStmts(s.Else, env)
+				err = in.interpretStmts(s.Else, env, obs)
 			}
 			if err != nil {
 				return err
@@ -415,7 +438,7 @@ func (f *InterpFragment) Run(bind map[string]int) {
 	for k, v := range bind {
 		env[k] = v
 	}
-	if err := f.In.interpretStmts(f.Stmts, env); err != nil {
+	if err := f.In.interpretStmts(f.Stmts, env, nil); err != nil {
 		panic(fmt.Sprintf("loopir: interpreted fragment: %v", err))
 	}
 }
