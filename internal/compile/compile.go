@@ -248,14 +248,6 @@ func autoDistribute(a *depend.Analysis) (depend.DistSpec, error) {
 			loopSet[l] = true
 		}
 	}
-	isParam := func(name string) bool {
-		for _, prm := range a.Prog.Params {
-			if prm == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, d := range a.Prog.Arrays {
 		if _, done := spec.Dims[d.Name]; done {
 			continue
@@ -271,7 +263,7 @@ func autoDistribute(a *depend.Analysis) (depend.DistSpec, error) {
 			}
 			found := -1
 			for dim, ie := range r.Ref.Idx {
-				lf, err := depend.Linearize(ie, isParam)
+				lf, err := depend.Linearize(ie, a.Prog.IsParam)
 				if err != nil || lf.Const != 0 || len(lf.Params) != 0 || len(lf.Vars) != 1 {
 					continue
 				}
@@ -298,22 +290,12 @@ func autoDistribute(a *depend.Analysis) (depend.DistSpec, error) {
 // orderLoops returns the loop variables in loopSet in program order.
 func orderLoops(stmts []loopir.Stmt, loopSet map[string]bool) []string {
 	var out []string
-	var walk func([]loopir.Stmt)
-	walk = func(ss []loopir.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				if loopSet[s.Var] {
-					out = append(out, s.Var)
-				}
-				walk(s.Body)
-			case *loopir.If:
-				walk(s.Then)
-				walk(s.Else)
-			}
+	loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok && loopSet[l.Var] {
+			out = append(out, l.Var)
 		}
-	}
-	walk(stmts)
+		return nil
+	})
 	return out
 }
 
@@ -333,15 +315,6 @@ type compiler struct {
 	reductions map[string]bool
 	stripMined bool
 	hookID     int
-}
-
-func (c *compiler) isParam(name string) bool {
-	for _, prm := range c.prog.Params {
-		if prm == name {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *compiler) isDistLoop(v string) bool {
@@ -411,7 +384,7 @@ func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 					out = append(out, comm.marker)
 				}
 				out = append(out, owned)
-			case containsDistLoop(s.Body, c.spec.Loops):
+			case c.enclosesDistLoop(s.Body):
 				body, err := c.transform(s.Body, depth+1)
 				if err != nil {
 					return nil, err
@@ -478,47 +451,25 @@ func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 // every slave then evaluates it identically (reduction arrays are made
 // consistent by the Combine steps inserted before the check).
 func (c *compiler) checkBreakCond(cond *loopir.Cond) error {
-	var check func(e loopir.Expr) error
-	check = func(e loopir.Expr) error {
-		switch e := e.(type) {
-		case loopir.Ref:
-			if _, distributed := c.spec.Dims[e.Array]; distributed {
-				return fmt.Errorf("compile: break condition reads distributed array %q; only replicated data is allowed", e.Array)
-			}
-		case loopir.Bin:
-			if err := check(e.L); err != nil {
-				return err
-			}
-			return check(e.R)
+	// A break condition reads what an If on the same condition reads.
+	return loopir.Reads(&loopir.If{Cond: *cond}, func(r loopir.Ref) error {
+		if _, distributed := c.spec.Dims[r.Array]; distributed {
+			return fmt.Errorf("compile: break condition reads distributed array %q; only replicated data is allowed", r.Array)
 		}
 		return nil
-	}
-	if err := check(cond.L); err != nil {
-		return err
-	}
-	return check(cond.R)
+	})
 }
 
-// containsDistLoop reports whether the subtree contains a distributed loop.
-func containsDistLoop(stmts []loopir.Stmt, distLoops []string) bool {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *loopir.Loop:
-			for _, l := range distLoops {
-				if s.Var == l {
-					return true
-				}
-			}
-			if containsDistLoop(s.Body, distLoops) {
-				return true
-			}
-		case *loopir.If:
-			if containsDistLoop(s.Then, distLoops) || containsDistLoop(s.Else, distLoops) {
-				return true
-			}
+// enclosesDistLoop reports whether a distributed loop is nested in stmts.
+func (c *compiler) enclosesDistLoop(stmts []loopir.Stmt) bool {
+	found := false
+	loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok && c.isDistLoop(l.Var) {
+			found = true
 		}
-	}
-	return false
+		return nil
+	})
+	return found
 }
 
 // pipeMarker carries pipeline comm requirements upward from an OwnedLoop to
@@ -561,56 +512,27 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (commNeeds, error) {
 	seenPipe := map[string]bool{}
 	seenExch := map[string]bool{}
 
-	var scanStmts func(stmts []loopir.Stmt) error
-	var scanExpr func(e loopir.Expr) error
-	scanExpr = func(e loopir.Expr) error {
-		switch e := e.(type) {
-		case loopir.Ref:
-			return c.classifyRead(owned, e, &needs, &pipeRecv, &pipeSend, seenBcast, seenPipe, seenExch)
-		case loopir.Bin:
-			if err := scanExpr(e.L); err != nil {
-				return err
-			}
-			return scanExpr(e.R)
+	read := func(r loopir.Ref) error {
+		return c.classifyRead(owned, r, &needs, &pipeRecv, &pipeSend, seenBcast, seenPipe, seenExch)
+	}
+	err := loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if err := loopir.Reads(s, read); err != nil {
+			return err
+		}
+		a, ok := s.(*loopir.Assign)
+		if !ok {
+			return nil
+		}
+		dim, distributed := c.spec.Dims[a.LHS.Array]
+		if !distributed {
+			return c.classifyReplicatedWrite(a)
+		}
+		if a.LHS.Idx[dim].String() != owned.Var {
+			return fmt.Errorf("compile: write %s is not owner-computes for loop %q", a.LHS.String(), owned.Var)
 		}
 		return nil
-	}
-	scanStmts = func(stmts []loopir.Stmt) error {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				if err := scanStmts(s.Body); err != nil {
-					return err
-				}
-			case *loopir.Assign:
-				if err := scanExpr(s.RHS); err != nil {
-					return err
-				}
-				if dim, distributed := c.spec.Dims[s.LHS.Array]; distributed {
-					if s.LHS.Idx[dim].String() != owned.Var {
-						return fmt.Errorf("compile: write %s is not owner-computes for loop %q", s.LHS.String(), owned.Var)
-					}
-				} else if err := c.classifyReplicatedWrite(s); err != nil {
-					return err
-				}
-			case *loopir.If:
-				if err := scanExpr(s.Cond.L); err != nil {
-					return err
-				}
-				if err := scanExpr(s.Cond.R); err != nil {
-					return err
-				}
-				if err := scanStmts(s.Then); err != nil {
-					return err
-				}
-				if err := scanStmts(s.Else); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := scanStmts(owned.Body); err != nil {
+	})
+	if err != nil {
 		return commNeeds{}, err
 	}
 	if len(pipeRecv) > 0 {
@@ -628,7 +550,7 @@ func (c *compiler) classifyRead(owned *OwnedLoop, r loopir.Ref, needs *commNeeds
 		return nil // replicated: always local
 	}
 	sub := r.Idx[dim]
-	lf, err := depend.Linearize(sub, c.isParam)
+	lf, err := depend.Linearize(sub, c.prog.IsParam)
 	if err != nil {
 		return fmt.Errorf("compile: non-affine distributed subscript %s", r.String())
 	}
@@ -688,7 +610,7 @@ func (c *compiler) varDimOfArray(v, array string) (int, bool) {
 			if dim == distDim {
 				continue
 			}
-			lf, err := depend.Linearize(ie, c.isParam)
+			lf, err := depend.Linearize(ie, c.prog.IsParam)
 			if err != nil {
 				continue
 			}
@@ -716,7 +638,7 @@ func (c *compiler) classifyReplicatedWrite(s *loopir.Assign) error {
 			s.LHS.String(), s.LHS.String(), s.LHS.String())
 	}
 	for _, ie := range s.LHS.Idx {
-		lf, err := depend.Linearize(ie, c.isParam)
+		lf, err := depend.Linearize(ie, c.prog.IsParam)
 		if err != nil || len(lf.Vars) != 0 {
 			return fmt.Errorf("compile: reduction target %s must use loop-invariant subscripts", s.LHS.String())
 		}
@@ -761,43 +683,38 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 	var ownerExpr loopir.IExpr
 	replOnly := true
 	writtenArrays := map[string]bool{}
-	var inspect func(ss []loopir.Stmt) error
-	inspect = func(ss []loopir.Stmt) error {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				if c.isDistLoop(s.Var) {
-					return fmt.Errorf("compile: distributed loop %q nested in unsupported context", s.Var)
-				}
-				if err := inspect(s.Body); err != nil {
-					return err
-				}
-			case *loopir.Assign:
-				dim, distributed := c.spec.Dims[s.LHS.Array]
-				if !distributed {
-					continue
-				}
-				replOnly = false
-				writtenArrays[s.LHS.Array] = true
-				e := s.LHS.Idx[dim]
-				if ownerExpr == nil {
-					ownerExpr = e
-					ownerKey = e.String()
-				} else if ownerKey != e.String() {
-					return fmt.Errorf("compile: statement group writes multiple owners (%s vs %s)", ownerKey, e.String())
-				}
-			case *loopir.If:
-				if err := inspect(s.Then); err != nil {
-					return err
-				}
-				if err := inspect(s.Else); err != nil {
-					return err
-				}
+	// Variables bound by loops inside the block: a remote read whose
+	// distributed subscript depends on them would need per-element
+	// communication, which is not supported.
+	internal := map[string]bool{}
+	err := loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok {
+			if c.isDistLoop(l.Var) {
+				return fmt.Errorf("compile: distributed loop %q nested in unsupported context", l.Var)
 			}
+			internal[l.Var] = true
+			return nil
+		}
+		a, ok := s.(*loopir.Assign)
+		if !ok {
+			return nil
+		}
+		dim, distributed := c.spec.Dims[a.LHS.Array]
+		if !distributed {
+			return nil
+		}
+		replOnly = false
+		writtenArrays[a.LHS.Array] = true
+		e := a.LHS.Idx[dim]
+		if ownerExpr == nil {
+			ownerExpr = e
+			ownerKey = e.String()
+		} else if ownerKey != e.String() {
+			return fmt.Errorf("compile: statement group writes multiple owners (%s vs %s)", ownerKey, e.String())
 		}
 		return nil
-	}
-	if err := inspect(stmts); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if replOnly {
@@ -805,120 +722,51 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 	}
 	// Mixed owner-computes + replicated writes cannot work: only the owner
 	// would update the replicated data, diverging the other slaves.
-	var checkNoRepl func(ss []loopir.Stmt) error
-	checkNoRepl = func(ss []loopir.Stmt) error {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				if err := checkNoRepl(s.Body); err != nil {
-					return err
-				}
-			case *loopir.Assign:
-				if _, distributed := c.spec.Dims[s.LHS.Array]; !distributed {
-					return fmt.Errorf("compile: owner block writes replicated array %q; split the statement group", s.LHS.Array)
-				}
-			case *loopir.If:
-				if err := checkNoRepl(s.Then); err != nil {
-					return err
-				}
-				if err := checkNoRepl(s.Else); err != nil {
-					return err
-				}
+	err = loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if a, ok := s.(*loopir.Assign); ok {
+			if _, distributed := c.spec.Dims[a.LHS.Array]; !distributed {
+				return fmt.Errorf("compile: owner block writes replicated array %q; split the statement group", a.LHS.Array)
 			}
 		}
 		return nil
-	}
-	if err := checkNoRepl(stmts); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	// Variables bound by loops inside the block: a remote read whose
-	// distributed subscript depends on them would need per-element
-	// communication, which is not supported.
-	internal := map[string]bool{}
-	var collectVars func(ss []loopir.Stmt)
-	collectVars = func(ss []loopir.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				internal[s.Var] = true
-				collectVars(s.Body)
-			case *loopir.If:
-				collectVars(s.Then)
-				collectVars(s.Else)
-			}
-		}
-	}
-	collectVars(stmts)
 
 	// Non-local distributed reads become whole-unit broadcasts before the
 	// block.
 	var pre []Step
 	seen := map[string]bool{}
-	var checkReads func(ss []loopir.Stmt) error
-	var checkExpr func(e loopir.Expr) error
-	checkExpr = func(e loopir.Expr) error {
-		switch e := e.(type) {
-		case loopir.Ref:
-			dim, distributed := c.spec.Dims[e.Array]
-			if !distributed {
-				return nil
+	read := func(r loopir.Ref) error {
+		dim, distributed := c.spec.Dims[r.Array]
+		if !distributed {
+			return nil
+		}
+		sub := r.Idx[dim]
+		if sub.String() == ownerKey {
+			return nil // owner-local
+		}
+		lf, err := depend.Linearize(sub, c.prog.IsParam)
+		if err != nil {
+			return fmt.Errorf("compile: non-affine distributed subscript %s", r.String())
+		}
+		for v := range lf.Vars {
+			if internal[v] {
+				return fmt.Errorf("compile: owner block (owner %s) reads %s with a block-internal index; per-element communication not supported", ownerKey, r.String())
 			}
-			sub := e.Idx[dim]
-			if sub.String() == ownerKey {
-				return nil // owner-local
-			}
-			lf, err := depend.Linearize(sub, c.isParam)
-			if err != nil {
-				return fmt.Errorf("compile: non-affine distributed subscript %s", e.String())
-			}
-			for v := range lf.Vars {
-				if internal[v] {
-					return fmt.Errorf("compile: owner block (owner %s) reads %s with a block-internal index; per-element communication not supported", ownerKey, e.String())
-				}
-			}
-			key := e.Array + "@" + sub.String()
-			if !seen[key] {
-				seen[key] = true
-				pre = append(pre, &Bcast{Array: e.Array, Index: sub})
-			}
-		case loopir.Bin:
-			if err := checkExpr(e.L); err != nil {
-				return err
-			}
-			return checkExpr(e.R)
+		}
+		key := r.Array + "@" + sub.String()
+		if !seen[key] {
+			seen[key] = true
+			pre = append(pre, &Bcast{Array: r.Array, Index: sub})
 		}
 		return nil
 	}
-	checkReads = func(ss []loopir.Stmt) error {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				if err := checkReads(s.Body); err != nil {
-					return err
-				}
-			case *loopir.Assign:
-				if err := checkExpr(s.RHS); err != nil {
-					return err
-				}
-			case *loopir.If:
-				if err := checkExpr(s.Cond.L); err != nil {
-					return err
-				}
-				if err := checkExpr(s.Cond.R); err != nil {
-					return err
-				}
-				if err := checkReads(s.Then); err != nil {
-					return err
-				}
-				if err := checkReads(s.Else); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := checkReads(stmts); err != nil {
+	err = loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		return loopir.Reads(s, read)
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -1064,53 +912,36 @@ func (c *compiler) overlapEligible(group *Exchange, l *OwnedLoop) bool {
 	writes := map[string]bool{}
 	readDeltas := map[string]map[int]bool{}
 	replWrite := false
-	var scanStmts func(ss []loopir.Stmt)
-	var scanExpr func(e loopir.Expr)
-	scanExpr = func(e loopir.Expr) {
-		switch e := e.(type) {
-		case loopir.Ref:
-			dim, distributed := c.spec.Dims[e.Array]
-			if !distributed {
-				return
-			}
-			lf, err := depend.Linearize(e.Idx[dim], c.isParam)
-			if err != nil {
-				return
-			}
-			if coeff, uses := lf.Vars[l.Var]; uses && coeff == 1 && len(lf.Vars) == 1 && len(lf.Params) == 0 {
-				if readDeltas[e.Array] == nil {
-					readDeltas[e.Array] = map[int]bool{}
-				}
-				readDeltas[e.Array][lf.Const] = true
-			}
-			// Loop-invariant subscripts are broadcast-fed before the loop
-			// and order-independent: they do not affect eligibility.
-		case loopir.Bin:
-			scanExpr(e.L)
-			scanExpr(e.R)
+	read := func(r loopir.Ref) error {
+		dim, distributed := c.spec.Dims[r.Array]
+		if !distributed {
+			return nil
 		}
+		lf, err := depend.Linearize(r.Idx[dim], c.prog.IsParam)
+		if err != nil {
+			return nil
+		}
+		if coeff, uses := lf.Vars[l.Var]; uses && coeff == 1 && len(lf.Vars) == 1 && len(lf.Params) == 0 {
+			if readDeltas[r.Array] == nil {
+				readDeltas[r.Array] = map[int]bool{}
+			}
+			readDeltas[r.Array][lf.Const] = true
+		}
+		// Loop-invariant subscripts are broadcast-fed before the loop
+		// and order-independent: they do not affect eligibility.
+		return nil
 	}
-	scanStmts = func(ss []loopir.Stmt) {
-		for _, st := range ss {
-			switch st := st.(type) {
-			case *loopir.Loop:
-				scanStmts(st.Body)
-			case *loopir.Assign:
-				scanExpr(st.RHS)
-				if _, distributed := c.spec.Dims[st.LHS.Array]; distributed {
-					writes[st.LHS.Array] = true
-				} else {
-					replWrite = true
-				}
-			case *loopir.If:
-				scanExpr(st.Cond.L)
-				scanExpr(st.Cond.R)
-				scanStmts(st.Then)
-				scanStmts(st.Else)
+	loopir.Walk(l.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		loopir.Reads(s, read)
+		if a, ok := s.(*loopir.Assign); ok {
+			if _, distributed := c.spec.Dims[a.LHS.Array]; distributed {
+				writes[a.LHS.Array] = true
+			} else {
+				replWrite = true
 			}
 		}
-	}
-	scanStmts(l.Body)
+		return nil
+	})
 
 	// Reduction (replicated) accumulations fold in ascending unit order;
 	// running interior before boundary would change the floating-point

@@ -174,45 +174,30 @@ func (a *Analysis) concreteDeps(spec *DistSpec) ([]Dep, error) {
 }
 
 // ownerExprs maps each statement to the expression giving the distributed-
-// dimension index of its write (the owner-computes rule). If statements
-// fall back to the innermost in-scope distributed loop variable, so the
-// conditional is attributed to the iterations that execute it.
+// dimension index of its write (the owner-computes rule). If statements, and
+// assignments to replicated arrays, fall back to the innermost in-scope
+// distributed loop variable, so they are attributed to the iterations that
+// execute them.
 func ownerExprs(stmts []loopir.Stmt, spec *DistSpec) map[loopir.Stmt]loopir.IExpr {
-	distLoop := map[string]bool{}
-	for _, l := range spec.Loops {
-		distLoop[l] = true
-	}
-	scopeOwner := func(scope []string) (loopir.IExpr, bool) {
-		for i := len(scope) - 1; i >= 0; i-- {
-			if distLoop[scope[i]] {
-				return loopir.Iv(scope[i]), true
-			}
-		}
-		return nil, false
-	}
 	out := map[loopir.Stmt]loopir.IExpr{}
-	var walk func(stmts []loopir.Stmt, scope []string)
-	walk = func(stmts []loopir.Stmt, scope []string) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				walk(s.Body, append(scope, s.Var))
-			case *loopir.Assign:
-				if dim, ok := spec.Dims[s.LHS.Array]; ok && dim < len(s.LHS.Idx) {
-					out[s] = s.LHS.Idx[dim]
-				} else if oe, ok := scopeOwner(scope); ok {
-					out[s] = oe
-				}
-			case *loopir.If:
-				if oe, ok := scopeOwner(scope); ok {
-					out[s] = oe
-				}
-				walk(s.Then, scope)
-				walk(s.Else, scope)
+	loopir.Walk(stmts, func(s loopir.Stmt, loops []*loopir.Loop) error {
+		if _, ok := s.(*loopir.Loop); ok {
+			return nil
+		}
+		if as, ok := s.(*loopir.Assign); ok {
+			if dim, ok := spec.Dims[as.LHS.Array]; ok && dim < len(as.LHS.Idx) {
+				out[s] = as.LHS.Idx[dim]
+				return nil
 			}
 		}
-	}
-	walk(stmts, nil)
+		for i := len(loops) - 1; i >= 0; i-- {
+			if slices.Contains(spec.Loops, loops[i].Var) {
+				out[s] = loopir.Iv(loops[i].Var)
+				return nil
+			}
+		}
+		return nil
+	})
 	return out
 }
 

@@ -149,7 +149,7 @@ func Analyze(p *loopir.Program, sizes ...map[string]int) (*Analysis, error) {
 		return nil, err
 	}
 	a := &Analysis{Prog: p, stmts: map[loopir.Stmt]stmtRefs{}, samples: sizes}
-	a.collectRefs(p.Body, nil, &stmtCounter{})
+	a.collectRefs()
 	if len(a.samples) == 0 {
 		a.samples = defaultSamples(p)
 	}
@@ -215,51 +215,32 @@ func defaultSamples(p *loopir.Program) []map[string]int {
 	return []map[string]int{mk(9, 3), mk(6, 2)}
 }
 
-type stmtCounter struct{ n int }
-
-func (a *Analysis) collectRefs(stmts []loopir.Stmt, loops []LoopCtx, ctr *stmtCounter) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *loopir.Loop:
-			a.collectRefs(s.Body, append(loops, LoopCtx{s.Var, s.Lo, s.Hi}), ctr)
-		case *loopir.Assign:
-			sr := stmtRefs{id: ctr.n, first: len(a.Refs)}
-			ctr.n++
-			rec := func(r loopir.Ref) {
-				a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: cloneLoops(loops), StmtID: sr.id, RefIdx: sr.reads})
-				sr.reads++
-			}
-			collectReads(s.RHS, rec)
-			a.Refs = append(a.Refs, RefCtx{Ref: s.LHS, Write: true, Loops: cloneLoops(loops), StmtID: sr.id, RefIdx: -1})
-			a.stmts[s] = sr
-		case *loopir.If:
-			sr := stmtRefs{id: ctr.n, first: len(a.Refs)}
-			ctr.n++
-			rec := func(r loopir.Ref) {
-				a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: cloneLoops(loops), StmtID: sr.id, RefIdx: sr.reads})
-				sr.reads++
-			}
-			collectReads(s.Cond.L, rec)
-			collectReads(s.Cond.R, rec)
-			a.stmts[s] = sr
-			a.collectRefs(s.Then, loops, ctr)
-			a.collectRefs(s.Else, loops, ctr)
+// collectRefs numbers the program's Assign and If statements in program
+// order and files their references in a.Refs: the reads in the order the
+// interpreter reports them, then an Assign's write.
+func (a *Analysis) collectRefs() {
+	id := 0
+	loopir.Walk(a.Prog.Body, func(s loopir.Stmt, loops []*loopir.Loop) error {
+		if _, ok := s.(*loopir.Loop); ok {
+			return nil
 		}
-	}
-}
-
-func cloneLoops(loops []LoopCtx) []LoopCtx {
-	return append([]LoopCtx(nil), loops...)
-}
-
-func collectReads(e loopir.Expr, fn func(loopir.Ref)) {
-	switch e := e.(type) {
-	case loopir.Ref:
-		fn(e)
-	case loopir.Bin:
-		collectReads(e.L, fn)
-		collectReads(e.R, fn)
-	}
+		var ctx []LoopCtx
+		for _, l := range loops {
+			ctx = append(ctx, LoopCtx{l.Var, l.Lo, l.Hi})
+		}
+		sr := stmtRefs{id: id, first: len(a.Refs)}
+		id++
+		loopir.Reads(s, func(r loopir.Ref) error {
+			a.Refs = append(a.Refs, RefCtx{Ref: r, Loops: ctx, StmtID: sr.id, RefIdx: sr.reads})
+			sr.reads++
+			return nil
+		})
+		if as, ok := s.(*loopir.Assign); ok {
+			a.Refs = append(a.Refs, RefCtx{Ref: as.LHS, Write: true, Loops: ctx, StmtID: sr.id, RefIdx: -1})
+		}
+		a.stmts[s] = sr
+		return nil
+	})
 }
 
 // Deps returns all dependences.

@@ -100,11 +100,18 @@ func (a *Analysis) PropertiesFor(spec DistSpec) (Properties, error) {
 // needs both, computes the dependences once.
 func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error) {
 	distLoop := spec.Primary()
-	loop, outer, found := findLoop(a.Prog.Body, distLoop, nil)
-	if !found {
+	var pr Properties
+	var loop *loopir.Loop
+	loopir.Walk(a.Prog.Body, func(s loopir.Stmt, loops []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok && loop == nil && l.Var == distLoop {
+			loop = l
+			pr.RepeatedExecution = len(loops) > 0
+		}
+		return nil
+	})
+	if loop == nil {
 		return Properties{}, fmt.Errorf("depend: no loop %q in program %q", distLoop, a.Prog.Name)
 	}
-	var pr Properties
 
 	isDistLoop := map[string]bool{}
 	for _, l := range spec.Loops {
@@ -122,18 +129,8 @@ func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error)
 		}
 	}
 
-	pr.RepeatedExecution = len(outer) > 0
-
-	isParam := func(name string) bool {
-		for _, prm := range a.Prog.Params {
-			if prm == name {
-				return true
-			}
-		}
-		return false
-	}
 	referencesLoopVar := func(e loopir.IExpr) bool {
-		lf, err := Linearize(e, isParam)
+		lf, err := Linearize(e, a.Prog.IsParam)
 		if err != nil {
 			return true // non-affine: be conservative
 		}
@@ -141,58 +138,16 @@ func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error)
 	}
 	pr.VaryingLoopBounds = referencesLoopVar(loop.Lo) || referencesLoopVar(loop.Hi)
 
-	var scanInner func(stmts []loopir.Stmt)
-	scanInner = func(stmts []loopir.Stmt) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *loopir.Loop:
-				if referencesLoopVar(s.Lo) || referencesLoopVar(s.Hi) {
-					pr.IndexDependentSize = true
-				}
-				scanInner(s.Body)
-			case *loopir.If:
-				pr.DataDependentSize = true
-				scanInner(s.Then)
-				scanInner(s.Else)
-			}
+	loopir.Walk(loop.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok && (referencesLoopVar(l.Lo) || referencesLoopVar(l.Hi)) {
+			pr.IndexDependentSize = true
 		}
-	}
-	scanInner(loop.Body)
+		if _, ok := s.(*loopir.If); ok {
+			pr.DataDependentSize = true
+		}
+		return nil
+	})
 	return pr, nil
-}
-
-// findLoop locates the loop with the given variable and returns it together
-// with its enclosing loop contexts (outermost first).
-func findLoop(stmts []loopir.Stmt, target string, outer []LoopCtx) (*loopir.Loop, []LoopCtx, bool) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *loopir.Loop:
-			if s.Var == target {
-				return s, cloneLoops(outer), true
-			}
-			if l, o, ok := findLoop(s.Body, target, append(outer, LoopCtx{s.Var, s.Lo, s.Hi})); ok {
-				return l, o, ok
-			}
-		case *loopir.If:
-			if l, o, ok := findLoop(s.Then, target, outer); ok {
-				return l, o, ok
-			}
-			if l, o, ok := findLoop(s.Else, target, outer); ok {
-				return l, o, ok
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-// EnclosingLoops returns the loop contexts enclosing the named loop,
-// outermost first.
-func (a *Analysis) EnclosingLoops(loopVar string) ([]LoopCtx, error) {
-	_, outer, ok := findLoop(a.Prog.Body, loopVar, nil)
-	if !ok {
-		return nil, fmt.Errorf("depend: no loop %q", loopVar)
-	}
-	return outer, nil
 }
 
 // DistLoopsFor returns the loop variables that scan dimension dim of the
@@ -203,19 +158,11 @@ func (a *Analysis) EnclosingLoops(loopVar string) ([]LoopCtx, error) {
 // normalization, whose distributed-dimension subscript is the outer k)
 // yield no entry. The result preserves first-appearance order.
 func (a *Analysis) DistLoopsFor(array string, dim int) []string {
-	isParam := func(name string) bool {
-		for _, prm := range a.Prog.Params {
-			if prm == name {
-				return true
-			}
-		}
-		return false
-	}
 	scanVar := func(r RefCtx) (string, bool) {
 		if !r.Write || r.Ref.Array != array || dim >= len(r.Ref.Idx) {
 			return "", false
 		}
-		lf, err := Linearize(r.Ref.Idx[dim], isParam)
+		lf, err := Linearize(r.Ref.Idx[dim], a.Prog.IsParam)
 		if err != nil || len(lf.Vars) != 1 {
 			return "", false
 		}

@@ -29,18 +29,10 @@ func uniformEquations(p *loopir.Program, src, dst loopir.Ref) ([]pairEquation, b
 	if src.Array != dst.Array || len(src.Idx) != len(dst.Idx) {
 		return nil, false
 	}
-	isParam := func(name string) bool {
-		for _, prm := range p.Params {
-			if prm == name {
-				return true
-			}
-		}
-		return false
-	}
 	var eqs []pairEquation
 	for d := range src.Idx {
-		ls, err1 := Linearize(src.Idx[d], isParam)
-		ld, err2 := Linearize(dst.Idx[d], isParam)
+		ls, err1 := Linearize(src.Idx[d], p.IsParam)
+		ld, err2 := Linearize(dst.Idx[d], p.IsParam)
 		if err1 != nil || err2 != nil {
 			return nil, false
 		}
@@ -95,17 +87,9 @@ func GCDIndependent(p *loopir.Program, a, b loopir.Ref) bool {
 	if a.Array != b.Array || len(a.Idx) != len(b.Idx) {
 		return false
 	}
-	isParam := func(name string) bool {
-		for _, prm := range p.Params {
-			if prm == name {
-				return true
-			}
-		}
-		return false
-	}
 	for d := range a.Idx {
-		la, err1 := Linearize(a.Idx[d], isParam)
-		lb, err2 := Linearize(b.Idx[d], isParam)
+		la, err1 := Linearize(a.Idx[d], p.IsParam)
+		lb, err2 := Linearize(b.Idx[d], p.IsParam)
 		if err1 != nil || err2 != nil {
 			continue
 		}

@@ -31,17 +31,11 @@ var (
 	// ErrTooManyGroups rejects more groups than slaves (some group would
 	// be empty).
 	ErrTooManyGroups = errors.New("hier: more groups than slaves")
-	// ErrEmptyGroup rejects an explicit group with no members.
-	ErrEmptyGroup = errors.New("hier: empty group")
-	// ErrNonContiguous rejects explicit ranges that overlap, leave gaps,
-	// run backwards, or fail to cover exactly [0, slaves).
-	ErrNonContiguous = errors.New("hier: groups must tile the slave range contiguously")
 )
 
 // Partition is a contiguous split of slaves 0..n-1 into groups. Group g
 // owns the id range [Start(g), End(g)); its leader is Start(g), the
-// lowest member id. The zero value is not usable; build one with Split,
-// FromSizes or FromRanges.
+// lowest member id. The zero value is not usable; build one with Split.
 type Partition struct {
 	starts []int // group -> first member id; one extra entry = slave count
 }
@@ -63,48 +57,6 @@ func Split(slaves, groups int) (*Partition, error) {
 	for g := 0; g <= groups; g++ {
 		p.starts[g] = g * slaves / groups
 	}
-	return p, nil
-}
-
-// FromSizes builds a partition from explicit per-group member counts.
-func FromSizes(sizes []int) (*Partition, error) {
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("%w: no sizes", ErrNoGroups)
-	}
-	p := &Partition{starts: make([]int, len(sizes)+1)}
-	for g, sz := range sizes {
-		if sz < 1 {
-			return nil, fmt.Errorf("%w: group %d has size %d", ErrEmptyGroup, g, sz)
-		}
-		p.starts[g+1] = p.starts[g] + sz
-	}
-	return p, nil
-}
-
-// FromRanges builds a partition from explicit [lo, hi) member ranges,
-// which must tile [0, slaves) exactly, in order and without gaps or
-// overlap.
-func FromRanges(ranges [][2]int, slaves int) (*Partition, error) {
-	if len(ranges) == 0 {
-		return nil, fmt.Errorf("%w: no ranges", ErrNoGroups)
-	}
-	p := &Partition{starts: make([]int, len(ranges)+1)}
-	next := 0
-	for g, r := range ranges {
-		lo, hi := r[0], r[1]
-		if hi <= lo {
-			return nil, fmt.Errorf("%w: group %d range [%d,%d)", ErrEmptyGroup, g, lo, hi)
-		}
-		if lo != next {
-			return nil, fmt.Errorf("%w: group %d starts at %d, want %d", ErrNonContiguous, g, lo, next)
-		}
-		p.starts[g] = lo
-		next = hi
-	}
-	if next != slaves {
-		return nil, fmt.Errorf("%w: ranges cover [0,%d), want [0,%d)", ErrNonContiguous, next, slaves)
-	}
-	p.starts[len(ranges)] = slaves
 	return p, nil
 }
 
@@ -314,19 +266,4 @@ func (d Diffuser) FlowsWeighted(sums []Summary) []float64 {
 		prov[b+1] += f
 	}
 	return flows
-}
-
-// ApplyFlows returns the per-group backlogs after the given boundary
-// flows. It panics if a flow drives a backlog negative — Flows never
-// emits such a schedule.
-func ApplyFlows(backlogs, flows []int) []int {
-	out := append([]int(nil), backlogs...)
-	for b, f := range flows {
-		out[b] -= f
-		out[b+1] += f
-		if out[b] < 0 || out[b+1] < 0 {
-			panic(fmt.Sprintf("hier: flow %d across boundary %d overdraws backlog", f, b))
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package hier
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -78,41 +79,21 @@ func TestSplitErrors(t *testing.T) {
 	if _, err := Split(0, 1); !errors.Is(err, ErrTooManyGroups) {
 		t.Errorf("Split(0,1) = %v, want ErrTooManyGroups", err)
 	}
-	if _, err := FromSizes(nil); !errors.Is(err, ErrNoGroups) {
-		t.Errorf("FromSizes(nil) = %v, want ErrNoGroups", err)
-	}
-	if _, err := FromSizes([]int{2, 0, 3}); !errors.Is(err, ErrEmptyGroup) {
-		t.Errorf("FromSizes with empty group = %v, want ErrEmptyGroup", err)
-	}
 }
 
-func TestFromRanges(t *testing.T) {
-	p, err := FromRanges([][2]int{{0, 3}, {3, 5}, {5, 9}}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Groups() != 3 || p.Size(1) != 2 || p.Leader(2) != 5 {
-		t.Fatalf("bad partition %v", p)
-	}
-
-	cases := []struct {
-		name   string
-		ranges [][2]int
-		slaves int
-		want   error
-	}{
-		{"gap", [][2]int{{0, 3}, {4, 8}}, 8, ErrNonContiguous},
-		{"overlap", [][2]int{{0, 4}, {3, 8}}, 8, ErrNonContiguous},
-		{"short", [][2]int{{0, 3}, {3, 6}}, 8, ErrNonContiguous},
-		{"backwards", [][2]int{{0, 3}, {5, 3}}, 8, ErrEmptyGroup},
-		{"empty", [][2]int{{0, 3}, {3, 3}, {3, 8}}, 8, ErrEmptyGroup},
-		{"none", nil, 8, ErrNoGroups},
-	}
-	for _, tc := range cases {
-		if _, err := FromRanges(tc.ranges, tc.slaves); !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+// applyFlows returns the per-group backlogs after the given boundary
+// flows: the diffuser tests' conservation oracle. It panics if a flow drives
+// a backlog negative — Flows never emits such a schedule.
+func applyFlows(backlogs, flows []int) []int {
+	out := append([]int(nil), backlogs...)
+	for b, f := range flows {
+		out[b] -= f
+		out[b+1] += f
+		if out[b] < 0 || out[b+1] < 0 {
+			panic(fmt.Sprintf("hier: flow %d across boundary %d overdraws backlog", f, b))
 		}
 	}
+	return out
 }
 
 func TestFlowsEqualizeCompletionTimes(t *testing.T) {
@@ -127,7 +108,7 @@ func TestFlowsEqualizeCompletionTimes(t *testing.T) {
 	if len(flows) != 1 || flows[0] >= 0 {
 		t.Fatalf("flows = %v, want one right-to-left shift", flows)
 	}
-	after := ApplyFlows([]int{100, 100}, flows)
+	after := applyFlows([]int{100, 100}, flows)
 	tl := float64(after[0]) / 20
 	tr := float64(after[1]) / 10
 	if math.Abs(tl-tr) > 0.2 {
@@ -159,7 +140,7 @@ func TestFlowsClampToBacklog(t *testing.T) {
 		{Group: 2, Rate: 100, Backlog: 0},
 	}
 	flows := Diffuser{Alpha: 1}.Flows(sums)
-	after := ApplyFlows([]int{0, 1, 0}, flows)
+	after := applyFlows([]int{0, 1, 0}, flows)
 	for g, b := range after {
 		if b < 0 {
 			t.Fatalf("group %d driven to backlog %d (flows %v)", g, b, flows)
@@ -216,7 +197,7 @@ func TestFlowsConverge(t *testing.T) {
 		for g := range sums {
 			sums[g] = Summary{Group: g, Rate: rates[g], Backlog: backlogs[g]}
 		}
-		backlogs = ApplyFlows(backlogs, d.Flows(sums))
+		backlogs = applyFlows(backlogs, d.Flows(sums))
 	}
 	var worst, best float64 = 0, math.Inf(1)
 	for g, b := range backlogs {
@@ -264,7 +245,7 @@ func TestFlowsSoak(t *testing.T) {
 				sums[g] = Summary{Group: g, Rate: rates[g], Backlog: backlogs[g]}
 			}
 			flows := d.Flows(sums)
-			backlogs = ApplyFlows(backlogs, flows) // panics on overdraw
+			backlogs = applyFlows(backlogs, flows) // panics on overdraw
 		}
 		sum := 0
 		for g, b := range backlogs {

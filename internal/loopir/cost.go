@@ -52,30 +52,6 @@ func KernelRate() float64 {
 	return kernelRateVal
 }
 
-// OpCount returns the number of floating-point operations performed by one
-// execution of the statement list, ignoring loop trip counts (loops count
-// as a single execution of their body) and taking the maximum over If arms.
-func OpCount(stmts []Stmt) int {
-	n := 0
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			n += OpCount(s.Body)
-		case *Assign:
-			n += exprOps(s.RHS) + 1 // +1 for the store
-		case *If:
-			n += exprOps(s.Cond.L) + exprOps(s.Cond.R) + 1
-			t, e := OpCount(s.Then), OpCount(s.Else)
-			if t > e {
-				n += t
-			} else {
-				n += e
-			}
-		}
-	}
-	return n
-}
-
 func exprOps(e Expr) int {
 	switch e := e.(type) {
 	case Bin:
@@ -131,7 +107,7 @@ func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
 			if trip <= 0 {
 				continue
 			}
-			if in != nil && loopBoundsUseIArr(s.Body) {
+			if in != nil && dataDependentTrips(s.Body) {
 				// A nested trip count reads an index array through this
 				// loop's variable: the midpoint row is not representative
 				// on skewed data, so sum the body over every iteration.
@@ -155,26 +131,19 @@ func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
 	return total
 }
 
-// loopBoundsUseIArr reports whether any loop in the subtree has a
+// dataDependentTrips reports whether any loop in the subtree has a
 // data-dependent (IArr) trip count — the case where midpoint-sampling an
 // enclosing loop misestimates total cost on skewed data.
-func loopBoundsUseIArr(stmts []Stmt) bool {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			set := map[string]bool{}
-			collectIArrIdx(s.Lo, set)
-			collectIArrIdx(s.Hi, set)
-			if len(set) > 0 || loopBoundsUseIArr(s.Body) {
-				return true
-			}
-		case *If:
-			if loopBoundsUseIArr(s.Then) || loopBoundsUseIArr(s.Else) {
-				return true
-			}
+func dataDependentTrips(stmts []Stmt) bool {
+	set := map[string]bool{}
+	Walk(stmts, func(s Stmt, _ []*Loop) error {
+		if l, ok := s.(*Loop); ok {
+			collectIArrIdx(l.Lo, set)
+			collectIArrIdx(l.Hi, set)
 		}
-	}
-	return false
+		return nil
+	})
+	return len(set) > 0
 }
 
 // ExactFlops counts the floating-point operations of a statement list by

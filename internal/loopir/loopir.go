@@ -14,6 +14,7 @@ package loopir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -284,39 +285,46 @@ func (p *Program) Validate() error {
 		}
 		arrays[a.Name] = len(a.Dims)
 	}
-	if err := p.validateStmts(p.Body, nil, arrays); err != nil {
+	idxRead := map[string]bool{}
+	err := Walk(p.Body, func(s Stmt, loops []*Loop) error {
+		indexArrays(s, idxRead)
+		return p.checkStmt(s, loops, arrays)
+	})
+	if err != nil {
 		return err
 	}
-	idxRead := map[string]bool{}
-	collectIArrStmts(p.Body, idxRead)
-	return p.checkIdxWrites(p.Body, idxRead)
+	return Walk(p.Body, func(s Stmt, _ []*Loop) error {
+		if a, ok := s.(*Assign); ok && idxRead[a.LHS.Array] {
+			return fmt.Errorf("%s: array %q is read as an index and must be read-only", p.Name, a.LHS.Array)
+		}
+		return nil
+	})
 }
 
-// collectIArrStmts records every array name read through an IArr index
-// expression anywhere in the statement list.
-func collectIArrStmts(stmts []Stmt, set map[string]bool) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			collectIArrIdx(s.Lo, set)
-			collectIArrIdx(s.Hi, set)
-			if s.BreakIf != nil {
-				collectIArrExpr(s.BreakIf.L, set)
-				collectIArrExpr(s.BreakIf.R, set)
-			}
-			collectIArrStmts(s.Body, set)
-		case *Assign:
-			for _, ix := range s.LHS.Idx {
-				collectIArrIdx(ix, set)
-			}
-			collectIArrExpr(s.RHS, set)
-		case *If:
-			collectIArrExpr(s.Cond.L, set)
-			collectIArrExpr(s.Cond.R, set)
-			collectIArrStmts(s.Then, set)
-			collectIArrStmts(s.Else, set)
+// IsParam reports whether name is one of the program's parameters.
+func (p *Program) IsParam(name string) bool { return slices.Contains(p.Params, name) }
+
+// indexArrays adds to set every array s reads through an IArr index
+// expression: in a loop's bounds and break condition, and in the subscripts
+// of every reference s makes.
+func indexArrays(s Stmt, set map[string]bool) {
+	subscripts := func(r Ref) error {
+		for _, ix := range r.Idx {
+			collectIArrIdx(ix, set)
+		}
+		return nil
+	}
+	if l, ok := s.(*Loop); ok {
+		collectIArrIdx(l.Lo, set)
+		collectIArrIdx(l.Hi, set)
+		if l.BreakIf != nil {
+			condReads(*l.BreakIf, subscripts)
 		}
 	}
+	if a, ok := s.(*Assign); ok {
+		subscripts(a.LHS)
+	}
+	Reads(s, subscripts)
 }
 
 func collectIArrIdx(e IExpr, set map[string]bool) {
@@ -332,118 +340,74 @@ func collectIArrIdx(e IExpr, set map[string]bool) {
 	}
 }
 
-func collectIArrExpr(e Expr, set map[string]bool) {
-	switch e := e.(type) {
-	case Ref:
-		for _, ix := range e.Idx {
-			collectIArrIdx(ix, set)
-		}
-	case Bin:
-		collectIArrExpr(e.L, set)
-		collectIArrExpr(e.R, set)
-	}
-}
-
 // UsesIArr reports whether the statement list contains any data-dependent
 // IArr index read — the property that routes a program to data-aware cost
 // accounting and the interpreter execution tier.
 func UsesIArr(stmts []Stmt) bool {
 	set := map[string]bool{}
-	collectIArrStmts(stmts, set)
+	Walk(stmts, func(s Stmt, _ []*Loop) error {
+		indexArrays(s, set)
+		return nil
+	})
 	return len(set) > 0
 }
 
-// checkIdxWrites rejects assignments to arrays that are read through IArr.
-func (p *Program) checkIdxWrites(stmts []Stmt, idxRead map[string]bool) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			if err := p.checkIdxWrites(s.Body, idxRead); err != nil {
-				return err
-			}
-		case *Assign:
-			if idxRead[s.LHS.Array] {
-				return fmt.Errorf("%s: array %q is read as an index and must be read-only", p.Name, s.LHS.Array)
-			}
-		case *If:
-			if err := p.checkIdxWrites(s.Then, idxRead); err != nil {
-				return err
-			}
-			if err := p.checkIdxWrites(s.Else, idxRead); err != nil {
-				return err
-			}
+// checkStmt validates one statement; loops are the loops enclosing it.
+func (p *Program) checkStmt(s Stmt, loops []*Loop, arrays map[string]int) error {
+	loopVars := make([]string, len(loops))
+	for i, l := range loops {
+		loopVars[i] = l.Var
+	}
+	if l, ok := s.(*Loop); ok {
+		return p.checkLoop(l, loopVars, arrays)
+	}
+	switch s := s.(type) {
+	case *Assign:
+		if err := p.checkRef(s.LHS, loopVars, arrays); err != nil {
+			return err
 		}
+		return p.checkExpr(s.RHS, loopVars, arrays)
+	case *If:
+		return p.checkCond(s.Cond, "comparison", loopVars, arrays)
+	}
+	return fmt.Errorf("%s: unknown statement type %T", p.Name, s)
+}
+
+// checkLoop validates a loop's variable, bounds and break condition; its
+// body is the walk's business.
+func (p *Program) checkLoop(l *Loop, loopVars []string, arrays map[string]int) error {
+	if slices.Contains(loopVars, l.Var) {
+		return fmt.Errorf("%s: loop variable %q shadows an enclosing loop", p.Name, l.Var)
+	}
+	if p.IsParam(l.Var) {
+		return fmt.Errorf("%s: loop variable %q shadows a parameter", p.Name, l.Var)
+	}
+	if err := p.checkIVars(l.Lo, loopVars, arrays); err != nil {
+		return fmt.Errorf("%s: loop %q lower bound: %v", p.Name, l.Var, err)
+	}
+	if err := p.checkIVars(l.Hi, loopVars, arrays); err != nil {
+		return fmt.Errorf("%s: loop %q upper bound: %v", p.Name, l.Var, err)
+	}
+	if l.BreakIf != nil {
+		return p.checkCond(*l.BreakIf, "breakif", append(loopVars, l.Var), arrays)
 	}
 	return nil
 }
 
-func (p *Program) validateStmts(stmts []Stmt, loopVars []string, arrays map[string]int) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Loop:
-			for _, lv := range loopVars {
-				if lv == s.Var {
-					return fmt.Errorf("%s: loop variable %q shadows an enclosing loop", p.Name, s.Var)
-				}
-			}
-			for _, prm := range p.Params {
-				if prm == s.Var {
-					return fmt.Errorf("%s: loop variable %q shadows a parameter", p.Name, s.Var)
-				}
-			}
-			if err := p.checkIVars(s.Lo, loopVars, arrays); err != nil {
-				return fmt.Errorf("%s: loop %q lower bound: %v", p.Name, s.Var, err)
-			}
-			if err := p.checkIVars(s.Hi, loopVars, arrays); err != nil {
-				return fmt.Errorf("%s: loop %q upper bound: %v", p.Name, s.Var, err)
-			}
-			if s.BreakIf != nil {
-				inner := append(loopVars, s.Var)
-				if err := p.checkExpr(s.BreakIf.L, inner, arrays); err != nil {
-					return err
-				}
-				if err := p.checkExpr(s.BreakIf.R, inner, arrays); err != nil {
-					return err
-				}
-				switch s.BreakIf.Op {
-				case "<", "<=", ">", ">=", "==", "!=":
-				default:
-					return fmt.Errorf("%s: bad breakif op %q", p.Name, s.BreakIf.Op)
-				}
-			}
-			if err := p.validateStmts(s.Body, append(loopVars, s.Var), arrays); err != nil {
-				return err
-			}
-		case *Assign:
-			if err := p.checkRef(s.LHS, loopVars, arrays); err != nil {
-				return err
-			}
-			if err := p.checkExpr(s.RHS, loopVars, arrays); err != nil {
-				return err
-			}
-		case *If:
-			if err := p.checkExpr(s.Cond.L, loopVars, arrays); err != nil {
-				return err
-			}
-			if err := p.checkExpr(s.Cond.R, loopVars, arrays); err != nil {
-				return err
-			}
-			switch s.Cond.Op {
-			case "<", "<=", ">", ">=", "==", "!=":
-			default:
-				return fmt.Errorf("%s: bad comparison op %q", p.Name, s.Cond.Op)
-			}
-			if err := p.validateStmts(s.Then, loopVars, arrays); err != nil {
-				return err
-			}
-			if err := p.validateStmts(s.Else, loopVars, arrays); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%s: unknown statement type %T", p.Name, s)
-		}
+// checkCond validates a comparison's operands, then its operator; what
+// names the operator in the error.
+func (p *Program) checkCond(c Cond, what string, loopVars []string, arrays map[string]int) error {
+	if err := p.checkExpr(c.L, loopVars, arrays); err != nil {
+		return err
 	}
-	return nil
+	if err := p.checkExpr(c.R, loopVars, arrays); err != nil {
+		return err
+	}
+	switch c.Op {
+	case "<", "<=", ">", ">=", "==", "!=":
+		return nil
+	}
+	return fmt.Errorf("%s: bad %s op %q", p.Name, what, c.Op)
 }
 
 func (p *Program) checkRef(r Ref, loopVars []string, arrays map[string]int) error {
@@ -492,15 +456,8 @@ func (p *Program) checkIVars(e IExpr, loopVars []string, arrays map[string]int) 
 		return nil
 	case IVar:
 		name := string(e)
-		for _, prm := range p.Params {
-			if prm == name {
-				return nil
-			}
-		}
-		for _, lv := range loopVars {
-			if lv == name {
-				return nil
-			}
+		if p.IsParam(name) || slices.Contains(loopVars, name) {
+			return nil
 		}
 		return fmt.Errorf("unbound variable %q", name)
 	case IBin:

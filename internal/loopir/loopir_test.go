@@ -213,12 +213,9 @@ func TestKernelRejectsNonAffine(t *testing.T) {
 	}
 }
 
-func TestOpCountAndFlops(t *testing.T) {
+func TestExactAndEstFlops(t *testing.T) {
 	mm := MatMul()
 	// c[i][j] = c[i][j] + a*b : one add, one mul, one store = 3 ops.
-	if got := OpCount(mm.Body); got != 3 {
-		t.Fatalf("OpCount(mm) = %d, want 3", got)
-	}
 	env := map[string]int{"n": 6}
 	exact := ExactFlops(mm.Body, env)
 	if exact != 3*6*6*6 {
