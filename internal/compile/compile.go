@@ -176,21 +176,12 @@ func (c *compiler) placeCombines(steps []Step) []Step {
 		}
 		return out
 	}
-	var walk func(ss []Step)
-	walk = func(ss []Step) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *SeqLoop:
-				walk(s.Body)
-				if s.BreakIf != nil {
-					s.Body = append(s.Body, combines()...)
-				}
-			case *StripLoop:
-				walk(s.Body)
-			}
+	WalkSteps(steps, func(s Step, _ []Step) error {
+		if l, ok := s.(*SeqLoop); ok && l.BreakIf != nil {
+			l.Body = append(l.Body, combines()...)
 		}
-	}
-	walk(steps)
+		return nil
+	})
 	return append(steps, combines()...)
 }
 
@@ -823,31 +814,22 @@ func mergeOwnerBlocks(steps []Step) []Step {
 // placeExchanges inserts each pending exchange group at the start of its
 // carrier loop's body.
 func (c *compiler) placeExchanges(steps []Step) error {
-	var unplaceable error
-	var walk func(ss []Step)
-	walk = func(ss []Step) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *SeqLoop:
-				if parts := c.pendingExchanges[s.Var]; len(parts) > 0 {
-					s.Body = append([]Step{&Exchange{Parts: parts}}, s.Body...)
-					delete(c.pendingExchanges, s.Var)
-				}
-				walk(s.Body)
-			case *StripLoop:
-				if len(c.pendingExchanges[s.Var]) > 0 {
-					// The exchange belongs before the whole sweep, and the
-					// strip-mined loop is the sweep: Pre would repeat it per
-					// block. Carriers enclose the pipelined loop, so a plan
-					// that gets here is a compiler bug worth naming.
-					unplaceable = fmt.Errorf("compile: ghost exchange carried by strip-mined loop %q cannot be placed", s.Var)
-				}
-				walk(s.Body)
-			}
+	err := WalkSteps(steps, func(s Step, _ []Step) error {
+		if l, ok := s.(*StripLoop); ok && len(c.pendingExchanges[l.Var]) > 0 {
+			// The exchange belongs before the whole sweep, and the
+			// strip-mined loop is the sweep: Pre would repeat it per block.
+			// Carriers enclose the pipelined loop, so a plan that gets here
+			// is a compiler bug worth naming.
+			return fmt.Errorf("compile: ghost exchange carried by strip-mined loop %q cannot be placed", l.Var)
 		}
-	}
-	if walk(steps); unplaceable != nil {
-		return unplaceable
+		if l, ok := s.(*SeqLoop); ok && len(c.pendingExchanges[l.Var]) > 0 {
+			l.Body = append([]Step{&Exchange{Parts: c.pendingExchanges[l.Var]}}, l.Body...)
+			delete(c.pendingExchanges, l.Var)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Every exchange is loop-carried; a leftover carrier means the loop was
 	// not found ("": the read has no enclosing sequential loop at all).
@@ -869,33 +851,25 @@ func (c *compiler) placeExchanges(steps []Step) error {
 // eligibility. The decision is recorded in the rendered plan source, so it
 // participates in the cross-process plan hash.
 func (c *compiler) markOverlap(steps []Step) {
-	var walk func(ss []Step)
-	walk = func(ss []Step) {
-		for i, s := range ss {
-			switch s := s.(type) {
-			case *SeqLoop:
-				walk(s.Body)
-			case *StripLoop:
-				// Pipelined strips never carry exchanges (placeExchanges
-				// guarantees it); walk for nested sequential loops only.
-				walk(s.Body)
-			case *Exchange:
-				var consumer *OwnedLoop
-				for _, next := range ss[i+1:] {
-					if _, ok := next.(*AllStmts); ok {
-						continue
-					}
-					consumer, _ = next.(*OwnedLoop)
-					break
-				}
-				if consumer != nil && c.overlapEligible(s, consumer) {
-					s.Carrier = consumer
-					s.Overlap = true
-				}
-			}
+	WalkSteps(steps, func(s Step, rest []Step) error {
+		ex, ok := s.(*Exchange)
+		if !ok {
+			return nil
 		}
-	}
-	walk(steps)
+		var consumer *OwnedLoop
+		for _, next := range rest {
+			if _, ok := next.(*AllStmts); ok {
+				continue
+			}
+			consumer, _ = next.(*OwnedLoop)
+			break
+		}
+		if consumer != nil && c.overlapEligible(ex, consumer) {
+			ex.Carrier = consumer
+			ex.Overlap = true
+		}
+		return nil
+	})
 }
 
 // overlapEligible checks the split-loop safety conditions for one exchange

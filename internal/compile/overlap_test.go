@@ -13,22 +13,12 @@ import (
 // collectExchanges gathers every exchange group in program order.
 func collectExchanges(steps []Step) []*Exchange {
 	var out []*Exchange
-	var walk func(ss []Step)
-	walk = func(ss []Step) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *SeqLoop:
-				walk(s.Body)
-			case *StripLoop:
-				walk(s.Pre)
-				walk(s.Body)
-				walk(s.Post)
-			case *Exchange:
-				out = append(out, s)
-			}
+	WalkSteps(steps, func(s Step, _ []Step) error {
+		if ex, ok := s.(*Exchange); ok {
+			out = append(out, ex)
 		}
-	}
-	walk(steps)
+		return nil
+	})
 	return out
 }
 

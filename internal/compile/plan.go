@@ -247,27 +247,129 @@ func (e *Exec) String() string {
 		e.Plan.Prog.Name, e.Units, e.ActiveLevel, len(e.Phases))
 }
 
+// WalkSteps visits every step in pre-order: a SeqLoop before its Body, a
+// StripLoop before its Pre, Body and Post. rest holds the steps that follow
+// s in its own list. A loop's children are read after visit returns, so a
+// visitor may rewrite them. An error from visit ends the walk and is
+// returned.
+func WalkSteps(steps []Step, visit func(s Step, rest []Step) error) error {
+	for i, s := range steps {
+		if err := visit(s, steps[i+1:]); err != nil {
+			return err
+		}
+		var kids [][]Step
+		switch s := s.(type) {
+		case *SeqLoop:
+			kids = [][]Step{s.Body}
+		case *StripLoop:
+			kids = [][]Step{s.Pre, s.Body, s.Post}
+		}
+		for _, k := range kids {
+			if err := WalkSteps(k, visit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Run is the one interpreter of the plan's control flow: the slave's step
+// loop and the master's phase schedule (Instantiate) both run on it, so the
+// master mimics the slave loop structure by construction (§4.1). Each
+// loop's bounds are evaluated once against env, and its variable is bound
+// in env while the loop runs and deleted after. After each SeqLoop
+// iteration with a BreakIf, brk decides whether the condition holds; a nil
+// brk runs every loop to its bound. A StripLoop runs Pre, Body and Post per
+// block of max(grain, 1) iterations. Every other step goes to leaf with its
+// innermost strip block [lo, hi) ([0, 0) outside any strip). An error from
+// a bound, leaf or brk ends the run and is returned.
+func (p *Plan) Run(env map[string]int, grain int, leaf func(s Step, lo, hi int) error, brk func(c *loopir.Cond) (bool, error)) error {
+	grain = max(grain, 1)
+	var run func(steps []Step, blo, bhi int) error
+	run = func(steps []Step, blo, bhi int) error {
+		for _, s := range steps {
+			switch s := s.(type) {
+			case *SeqLoop:
+				lo, hi, err := evalBounds(s.Lo, s.Hi, env)
+				if err != nil {
+					return err
+				}
+				for v := lo; v < hi; v++ {
+					env[s.Var] = v
+					if err := run(s.Body, blo, bhi); err != nil {
+						return err
+					}
+					if s.BreakIf == nil || brk == nil {
+						continue
+					}
+					stop, err := brk(s.BreakIf)
+					if err != nil {
+						return err
+					}
+					if stop {
+						break
+					}
+				}
+				delete(env, s.Var)
+			case *StripLoop:
+				lo, hi, err := evalBounds(s.Lo, s.Hi, env)
+				if err != nil {
+					return err
+				}
+				for start := lo; start < hi; start += grain {
+					end := min(start+grain, hi)
+					if err := run(s.Pre, start, end); err != nil {
+						return err
+					}
+					for v := start; v < end; v++ {
+						env[s.Var] = v
+						if err := run(s.Body, start, end); err != nil {
+							return err
+						}
+					}
+					delete(env, s.Var)
+					if err := run(s.Post, start, end); err != nil {
+						return err
+					}
+				}
+			default:
+				if err := leaf(s, blo, bhi); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return run(p.Steps, 0, 0)
+}
+
+// Range evaluates the distributed loop's bounds against env, clamped to
+// the units that exist, [0, units).
+func (l *OwnedLoop) Range(env map[string]int, units int) (lo, hi int, err error) {
+	lo, hi, err = evalBounds(l.Lo, l.Hi, env)
+	return max(lo, 0), min(hi, units), err
+}
+
+func evalBounds(lo, hi loopir.IExpr, env map[string]int) (int, int, error) {
+	l, err := loopir.EvalIndex(lo, env)
+	if err != nil {
+		return 0, 0, err
+	}
+	h, err := loopir.EvalIndex(hi, env)
+	return l, h, err
+}
+
 // KernelRegions collects the plan's distributed loops in program order —
 // the kernel-eligible regions. Each OwnedLoop is a candidate for both the
 // VM range kernel and an AOT-compiled native kernel; the index of a loop
 // in this slice is its stable kernel index across tiers.
 func KernelRegions(p *Plan) []*OwnedLoop {
 	var out []*OwnedLoop
-	var walk func(steps []Step)
-	walk = func(steps []Step) {
-		for _, st := range steps {
-			switch st := st.(type) {
-			case *SeqLoop:
-				walk(st.Body)
-			case *StripLoop:
-				walk(st.Pre)
-				walk(st.Body)
-				walk(st.Post)
-			case *OwnedLoop:
-				out = append(out, st)
-			}
+	WalkSteps(p.Steps, func(s Step, _ []Step) error {
+		if l, ok := s.(*OwnedLoop); ok {
+			out = append(out, l)
 		}
-	}
-	walk(p.Steps)
+		return nil
+	})
 	return out
 }

@@ -61,6 +61,17 @@ func (o *Ownership) IsActive(unit int) bool { return o.active[unit] }
 // columns). Inactive units keep their owner but are never moved.
 func (o *Ownership) Deactivate(unit int) { o.active[unit] = false }
 
+// RetireOutside deactivates every unit outside [lo, hi): the master's
+// mirror of the slave loop structure retiring completed work (§4.7), and
+// each slave applying the same phase to its copy.
+func (o *Ownership) RetireOutside(lo, hi int) {
+	for u := range o.active {
+		if u < lo || u >= hi {
+			o.active[u] = false
+		}
+	}
+}
+
 // ActiveCounts returns the number of active units per slave.
 func (o *Ownership) ActiveCounts() []int {
 	counts := make([]int, o.slaves)

@@ -43,6 +43,35 @@ func TestDeactivate(t *testing.T) {
 	}
 }
 
+// TestRetireOutside: every unit outside [lo, hi) goes inactive, units
+// inside keep their state (a retired one stays retired), and owners never
+// change.
+func TestRetireOutside(t *testing.T) {
+	o := NewBlockOwnership(8, 2)
+	o.Deactivate(4)
+	o.RetireOutside(2, 6)
+	var active []int
+	for u := 0; u < o.Units(); u++ {
+		if o.IsActive(u) {
+			active = append(active, u)
+		}
+		if o.OwnerOf(u) != u/4 {
+			t.Fatalf("unit %d owner %d, want %d", u, o.OwnerOf(u), u/4)
+		}
+	}
+	if len(active) != 3 || active[0] != 2 || active[1] != 3 || active[2] != 5 {
+		t.Fatalf("active = %v, want [2 3 5]", active)
+	}
+	o.RetireOutside(0, 8)
+	if o.ActiveTotal() != 3 {
+		t.Fatalf("a wider range reactivated units: %d active, want 3", o.ActiveTotal())
+	}
+	o.RetireOutside(3, 3)
+	if o.ActiveTotal() != 0 {
+		t.Fatalf("an empty range left %d active, want 0", o.ActiveTotal())
+	}
+}
+
 func TestApplyValidation(t *testing.T) {
 	o := NewBlockOwnership(4, 2)
 	if err := o.Apply(Move{From: 0, To: 1, Units: []int{3}}); err == nil {

@@ -71,12 +71,7 @@ func (e *engine) runOn(ep Endpoint) {
 
 	// Authoritative ownership + balancer.
 	own := core.NewBlockOwnership(e.exec.Units, e.initial)
-	lo, hi := e.exec.InitialLo, e.exec.InitialHi
-	for u := 0; u < own.Units(); u++ {
-		if u < lo || u >= hi {
-			own.Deactivate(u)
-		}
-	}
+	own.RetireOutside(e.exec.InitialLo, e.exec.InitialHi)
 	e.own = own
 	e.setup = newBalancerSetup(e.cfg, e.cc, e.exec, e.inst, e.initial)
 	e.bal = e.setup.newBalancer(own)
@@ -174,11 +169,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 
 	// Mirror the slave control flow: retire completed work (§4.7).
 	meta := e.exec.Phases[hookIdx]
-	for u := 0; u < e.own.Units(); u++ {
-		if (u < meta.ActiveLo || u >= meta.ActiveHi) && e.own.IsActive(u) {
-			e.own.Deactivate(u)
-		}
-	}
+	e.own.RetireOutside(meta.ActiveLo, meta.ActiveHi)
 
 	// Pool the round's measured per-block costs (in id order, keeping the
 	// fold deterministic) into one model update, and account the weighted

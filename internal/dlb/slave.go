@@ -121,8 +121,6 @@ type slave struct {
 	busyMark    time.Duration
 	lastMove    time.Duration
 	lastInter   time.Duration
-	blockLo     int
-	blockHi     int
 
 	// part routes master traffic through the group hierarchy when set
 	// (grouped runs without a fault policy): members report to their group
@@ -162,7 +160,7 @@ func (s *slave) runOn(ep Endpoint) {
 	// Local ownership map — the paper's index array, kept in sync with the
 	// master by applying the same instructions.
 	s.own = core.NewBlockOwnership(s.exec.Units, s.slaves)
-	s.deactivateOutside(s.exec.InitialLo, s.exec.InitialHi)
+	s.own.RetireOutside(s.exec.InitialLo, s.exec.InitialHi)
 
 	s.lowerPlan()
 
@@ -238,16 +236,8 @@ func (s *slave) lowerPlan() {
 	s.ownedLoops = map[*compile.OwnedLoop]*ownedExec{}
 	s.ownerFrags = map[*compile.OwnerBlock]fragRunner{}
 	s.allFrags = map[*compile.AllStmts]fragRunner{}
-	s.lowerSteps(s.exec.Plan.Steps)
-}
-
-func (s *slave) lowerSteps(steps []compile.Step) {
-	for _, st := range steps {
+	compile.WalkSteps(s.exec.Plan.Steps, func(st compile.Step, _ []compile.Step) error {
 		switch st := st.(type) {
-		case *compile.SeqLoop:
-			s.lowerSteps(st.Body)
-		case *compile.StripLoop:
-			s.lowerSteps(st.Body)
 		case *compile.OwnedLoop:
 			s.ownedLoops[st] = s.lowerOwned(st)
 		case *compile.OwnerBlock:
@@ -255,7 +245,8 @@ func (s *slave) lowerSteps(steps []compile.Step) {
 		case *compile.AllStmts:
 			s.allFrags[st] = s.kernelOrInterp(st.Body)
 		}
-	}
+		return nil
+	})
 }
 
 // lowerOwned resolves one distributed loop's executor for the slave's
@@ -294,67 +285,18 @@ func (s *slave) kernelOrInterp(stmts []loopir.Stmt) fragRunner {
 	return &loopir.InterpFragment{In: s.inst, Stmts: stmts}
 }
 
-func (s *slave) execSteps(steps []compile.Step) {
-	for _, st := range steps {
-		switch st := st.(type) {
-		case *compile.SeqLoop:
-			lo, hi := s.eval(st.Lo), s.eval(st.Hi)
-			for v := lo; v < hi; v++ {
-				s.env[st.Var] = v
-				s.execSteps(st.Body)
-				// The condition reads local (replicated, post-Combine) data —
-				// identical on every slave. During fast-forward it is forced
-				// false: the checkpointed execution demonstrably got past
-				// this point, so the original evaluation was false (and
-				// restored data may not support re-evaluating it here).
-				if st.BreakIf == nil || s.ff {
-					continue
-				}
-				stop, err := s.inst.EvalCond(*st.BreakIf, s.env)
-				if err != nil {
-					panic(fmt.Sprintf("slave%d: break condition: %v", s.id, err))
-				}
-				if stop {
-					break
-				}
-			}
-			delete(s.env, st.Var)
-		case *compile.StripLoop:
-			lo, hi := s.eval(st.Lo), s.eval(st.Hi)
-			g := s.grain
-			if g < 1 {
-				g = 1
-			}
-			for start := lo; start < hi; start += g {
-				end := start + g
-				if end > hi {
-					end = hi
-				}
-				s.blockLo, s.blockHi = start, end
-				s.execSteps(st.Pre)
-				for v := start; v < end; v++ {
-					s.env[st.Var] = v
-					s.execSteps(st.Body)
-				}
-				delete(s.env, st.Var)
-				s.blockLo, s.blockHi = start, end
-				s.execSteps(st.Post)
-			}
-		case *compile.Hook:
-			s.execHook(st)
-		default:
-			// Fast-forward replays control flow only: loops run and hooks
-			// count their visits, but nothing computes or communicates.
-			if !s.ff {
-				s.execLeaf(st)
-			}
-		}
+// leaf runs one step the plan's interpreter (compile.Plan.Run) hands the
+// slave: every step that computes or communicates, and the hooks. [lo, hi)
+// is the innermost strip block, the rows a pipeline step carries.
+func (s *slave) leaf(st compile.Step, lo, hi int) error {
+	// Fast-forward replays control flow only: loops run and hooks count
+	// their visits, but nothing computes or communicates.
+	if _, hook := st.(*compile.Hook); s.ff && !hook {
+		return nil
 	}
-}
-
-// execLeaf runs one step that computes or communicates.
-func (s *slave) execLeaf(st compile.Step) {
 	switch st := st.(type) {
+	case *compile.Hook:
+		s.execHook(st)
 	case *compile.OwnedLoop:
 		s.execOwned(st)
 	case *compile.OwnerBlock:
@@ -364,14 +306,31 @@ func (s *slave) execLeaf(st compile.Step) {
 	case *compile.Exchange:
 		s.execExchange(st)
 	case *compile.PipeRecv:
-		s.execPipeRecv(st)
+		s.execPipeRecv(st, lo, hi)
 	case *compile.PipeSend:
-		s.execPipeSend(st)
+		s.execPipeSend(st, lo, hi)
 	case *compile.Bcast:
 		s.execBcast(st)
 	case *compile.Combine:
 		s.execCombine(st)
 	}
+	return nil
+}
+
+// brk evaluates a sequential loop's break condition. It reads local
+// (replicated, post-Combine) data — identical on every slave. During
+// fast-forward it is false: the checkpointed execution demonstrably got
+// past this point, so the original evaluation was false (and restored data
+// may not support re-evaluating it here).
+func (s *slave) brk(c *loopir.Cond) (bool, error) {
+	if s.ff {
+		return false, nil
+	}
+	stop, err := s.inst.EvalCond(*c, s.env)
+	if err != nil {
+		return false, fmt.Errorf("break condition: %w", err)
+	}
+	return stop, nil
 }
 
 // execCombine all-reduces a reduction array: deltas since the last Combine
@@ -525,12 +484,9 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	// on the same array.
 	pend := s.pending[st]
 	delete(s.pending, st)
-	lo, hi := s.eval(st.Lo), s.eval(st.Hi)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.exec.Units {
-		hi = s.exec.Units
+	lo, hi, err := st.Range(s.env, s.exec.Units)
+	if err != nil {
+		panic(fmt.Sprintf("slave%d: %v", s.id, err))
 	}
 	if hi <= lo {
 		s.drainPending(pend)
@@ -566,7 +522,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		s.env[st.Var] = lo + (hi-lo)/2
 		perUnit = loopir.EstFlops(st.Body, s.env)
 	}
-	// The estimates bind the loop variable in s.env itself, as execSteps
+	// The estimates bind the loop variable in s.env itself, as Plan.Run
 	// does for its loops; the runner binds its own, and none keeps the map
 	// or leaves a binding in it.
 	delete(s.env, st.Var)
@@ -739,31 +695,31 @@ func (s *slave) recvGhosts(st *compile.Exchange) {
 	}
 }
 
-// execPipeRecv receives the current strip block's rows of the pipeline
+// execPipeRecv receives the strip block [lo, hi)'s rows of the pipeline
 // ghost unit — values the neighbor computed earlier in this sweep.
-func (s *slave) execPipeRecv(st *compile.PipeRecv) {
+func (s *slave) execPipeRecv(st *compile.PipeRecv, lo, hi int) {
 	arr := s.inst.Arrays[st.Array]
 	dim := s.exec.Plan.DistArrays[st.Array]
 	tag := "pipe:" + st.Array
 	for _, g := range s.ghostNeedsCached(st.Delta) {
 		m := s.recvPeer(s.own.OwnerOf(g), tag).Data.(SliceMsg)
-		if m.Unit != g || m.RowLo != s.blockLo {
+		if m.Unit != g || m.RowLo != lo {
 			panic(fmt.Sprintf("slave%d: pipe mismatch: got unit %d rows [%d,%d), want unit %d rows [%d,%d)",
-				s.id, m.Unit, m.RowLo, m.RowHi, g, s.blockLo, s.blockHi))
+				s.id, m.Unit, m.RowLo, m.RowHi, g, lo, hi))
 		}
 		setUnitSliceRows(arr, dim, g, st.RowDim, m.RowLo, m.RowHi, m.Vals)
 	}
 }
 
-// execPipeSend sends the current strip block's rows of our boundary units
+// execPipeSend sends the strip block [lo, hi)'s rows of our boundary units
 // to the neighbors that read them next.
-func (s *slave) execPipeSend(st *compile.PipeSend) {
+func (s *slave) execPipeSend(st *compile.PipeSend, lo, hi int) {
 	arr := s.inst.Arrays[st.Array]
 	dim := s.exec.Plan.DistArrays[st.Array]
 	tag := "pipe:" + st.Array
 	for _, sp := range s.ghostSuppliesCached(-st.Delta) {
-		vals := unitSliceRows(arr, dim, sp.Unit, st.RowDim, s.blockLo, s.blockHi)
-		s.send(sp.To, tag, SliceMsg{Unit: sp.Unit, RowLo: s.blockLo, RowHi: s.blockHi, Vals: vals})
+		vals := unitSliceRows(arr, dim, sp.Unit, st.RowDim, lo, hi)
+		s.send(sp.To, tag, SliceMsg{Unit: sp.Unit, RowLo: lo, RowHi: hi, Vals: vals})
 	}
 }
 
@@ -833,15 +789,6 @@ func (s *slave) execBcast(st *compile.Bcast) {
 			s.send(dst, tag, SliceMsg{Unit: idx, RowLo: -1, RowHi: -1, Vals: vals})
 		}
 	}
-}
-
-func (s *slave) deactivateOutside(lo, hi int) {
-	for u := 0; u < s.own.Units(); u++ {
-		if (u < lo || u >= hi) && s.own.IsActive(u) {
-			s.own.Deactivate(u)
-		}
-	}
-	s.invalidateOwned()
 }
 
 // execHook implements the load-balancing hook (§4.2/§4.3): skip counting,
@@ -924,7 +871,8 @@ func (s *slave) execHook(st *compile.Hook) {
 // participates in, and adopts the new hook-skip count.
 func (s *slave) applyInstr(instr InstrMsg) {
 	meta := s.exec.Phases[instr.HookIndex]
-	s.deactivateOutside(meta.ActiveLo, meta.ActiveHi)
+	s.own.RetireOutside(meta.ActiveLo, meta.ActiveHi)
+	s.invalidateOwned()
 
 	if len(instr.Moves) > 0 {
 		t0 := s.ep.Now()
@@ -1080,7 +1028,9 @@ func (s *slave) recvInstrHier() InstrMsg {
 // data-dependent break conditions the number of balancing phases is only
 // known here, at run time (§4.1).
 func (s *slave) runTree() {
-	s.execSteps(s.exec.Plan.Steps)
+	if err := s.exec.Plan.Run(s.env, s.grain, s.leaf, s.brk); err != nil {
+		panic(fmt.Sprintf("slave%d: %v", s.id, err))
+	}
 	done := StatusMsg{
 		Phase:           s.phase,
 		HookIndex:       s.hookVisit,
@@ -1142,7 +1092,6 @@ func (s *slave) applyRecover(a AdoptMsg) {
 	}
 	s.busyMark = s.ep.Busy()
 	s.lastMove, s.lastInter = 0, 0
-	s.blockLo, s.blockHi = 0, 0
 	s.lastHB = s.ep.Now()
 	s.env = map[string]int{}
 	for k, v := range s.exec.Params {
