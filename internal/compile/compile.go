@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/depend"
@@ -254,12 +255,9 @@ func autoDistribute(a *depend.Analysis) (depend.DistSpec, error) {
 			}
 			found := -1
 			for dim, ie := range r.Ref.Idx {
-				lf, err := depend.Linearize(ie, a.Prog.IsParam)
-				if err != nil || lf.Const != 0 || len(lf.Params) != 0 || len(lf.Vars) != 1 {
-					continue
-				}
-				for v, cf := range lf.Vars {
-					if cf == 1 && loopSet[v] {
+				f, err := loopir.AffineOf(ie, nil)
+				if err == nil && len(f.Terms) == 1 && loopSet[f.Terms[0].Var] {
+					if delta, ok := f.Offset(f.Terms[0].Var); ok && delta == 0 {
 						found = dim
 					}
 				}
@@ -371,8 +369,8 @@ func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 					return nil, err
 				}
 				out = append(out, comm.bcasts...)
-				if comm.marker != nil {
-					out = append(out, comm.marker)
+				if len(comm.recv) > 0 {
+					out = append(out, &pipeMarker{recv: comm.recv, send: comm.send})
 				}
 				out = append(out, owned)
 			case c.enclosesDistLoop(s.Body):
@@ -488,25 +486,36 @@ func extractPipes(steps []Step) (pre, post, rest []Step, ok bool) {
 	return pre, post, rest, ok
 }
 
+// commNeeds is what one distributed loop's reads require: owner broadcasts
+// before the loop and pipelined transfers around its strip-mined block
+// (ghost exchanges go to the compiler's pendingExchanges).
 type commNeeds struct {
-	bcasts []Step
-	marker *pipeMarker
+	owned      *OwnedLoop
+	inner      map[string]bool // variables of the loops inside owned's body
+	seen       map[string]bool // broadcast, pipe and exchange keys placed
+	bcasts     []Step
+	recv, send []Step // PipeRecv and PipeSend steps
+}
+
+// once reports whether key is new, and marks it seen.
+func (n *commNeeds) once(key string) bool {
+	if n.seen[key] {
+		return false
+	}
+	n.seen[key] = true
+	return true
 }
 
 // synthesizeComm inspects the reads and writes in a distributed loop body
 // and derives the required communication from the dependence analysis
 // (§3.2, §4.6). Writes must be local to the owner (owner-computes).
-func (c *compiler) synthesizeComm(owned *OwnedLoop) (commNeeds, error) {
-	var needs commNeeds
-	var pipeRecv, pipeSend []Step
-	seenBcast := map[string]bool{}
-	seenPipe := map[string]bool{}
-	seenExch := map[string]bool{}
-
-	read := func(r loopir.Ref) error {
-		return c.classifyRead(owned, r, &needs, &pipeRecv, &pipeSend, seenBcast, seenPipe, seenExch)
-	}
+func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
+	needs := &commNeeds{owned: owned, inner: map[string]bool{}, seen: map[string]bool{}}
+	read := func(r loopir.Ref) error { return c.classifyRead(needs, r) }
 	err := loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok {
+			needs.inner[l.Var] = true // before any read its body makes
+		}
 		if err := loopir.Reads(s, read); err != nil {
 			return err
 		}
@@ -523,32 +532,26 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (commNeeds, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return commNeeds{}, err
-	}
-	if len(pipeRecv) > 0 {
-		needs.marker = &pipeMarker{recv: pipeRecv, send: pipeSend}
-	}
-	return needs, nil
+	return needs, err
 }
 
 // classifyRead decides how a read of a distributed array is satisfied:
 // locally, by a pipelined neighbor transfer (new values), by a sweep-start
 // ghost exchange (old values), or by an owner broadcast.
-func (c *compiler) classifyRead(owned *OwnedLoop, r loopir.Ref, needs *commNeeds, pipeRecv, pipeSend *[]Step, seenBcast, seenPipe, seenExch map[string]bool) error {
+func (c *compiler) classifyRead(needs *commNeeds, r loopir.Ref) error {
 	dim, distributed := c.spec.Dims[r.Array]
 	if !distributed {
 		return nil // replicated: always local
 	}
 	sub := r.Idx[dim]
-	lf, err := depend.Linearize(sub, c.prog.IsParam)
+	f, err := loopir.AffineOf(sub, nil)
 	if err != nil {
 		return fmt.Errorf("compile: non-affine distributed subscript %s", r.String())
 	}
-	coeff, uses := lf.Vars[owned.Var]
+	v := needs.owned.Var
+	delta, neighbour := f.Offset(v)
 	switch {
-	case uses && coeff == 1 && len(lf.Vars) == 1 && len(lf.Params) == 0:
-		delta := lf.Const
+	case neighbour:
 		if delta == 0 {
 			return nil // local
 		}
@@ -559,28 +562,28 @@ func (c *compiler) classifyRead(owned *OwnedLoop, r loopir.Ref, needs *commNeeds
 		// Pipelined if a flow dependence carried by the distributed loop
 		// targets this read (the neighbor's new values are needed);
 		// otherwise a sweep-start exchange of old values.
-		if c.hasPipeFlow(owned.Var, r) {
-			key := fmt.Sprintf("%s@%d", r.Array, delta)
-			if !seenPipe[key] {
-				seenPipe[key] = true
-				*pipeRecv = append(*pipeRecv, &PipeRecv{Array: r.Array, Delta: delta})
-				*pipeSend = append(*pipeSend, &PipeSend{Array: r.Array, Delta: -delta})
+		if c.hasPipeFlow(v, r) {
+			if needs.once(fmt.Sprintf("pipe %s@%d", r.Array, delta)) {
+				needs.recv = append(needs.recv, &PipeRecv{Array: r.Array, Delta: delta})
+				needs.send = append(needs.send, &PipeSend{Array: r.Array, Delta: -delta})
 			}
 			return nil
 		}
-		key := fmt.Sprintf("%s@%d", r.Array, delta)
-		if !seenExch[key] {
-			seenExch[key] = true
+		if needs.once(fmt.Sprintf("exchange %s@%d", r.Array, delta)) {
 			carrier := c.exchangeCarrier(r)
 			c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], GhostPart{Array: r.Array, Delta: delta})
 		}
 		return nil
-	case !uses:
+	case f.Coef(v) == 0:
 		// The distributed subscript does not scan with the loop: the slice
-		// at that index must be broadcast by its owner.
-		key := r.Array + "@" + sub.String()
-		if !seenBcast[key] {
-			seenBcast[key] = true
+		// at that index must be broadcast by its owner, before the loop, so
+		// the index may not name a variable the loop's body binds.
+		for _, t := range f.Terms {
+			if needs.inner[t.Var] {
+				return fmt.Errorf("compile: distributed loop %q reads %s with a loop-internal index; per-element communication not supported", v, r.String())
+			}
+		}
+		if needs.once("bcast " + r.Array + "@" + sub.String()) {
 			needs.bcasts = append(needs.bcasts, &Bcast{Array: r.Array, Index: sub})
 		}
 		return nil
@@ -598,14 +601,7 @@ func (c *compiler) varDimOfArray(v, array string) (int, bool) {
 			continue
 		}
 		for dim, ie := range r.Ref.Idx {
-			if dim == distDim {
-				continue
-			}
-			lf, err := depend.Linearize(ie, c.prog.IsParam)
-			if err != nil {
-				continue
-			}
-			if _, ok := lf.Vars[v]; ok {
+			if f, err := loopir.AffineOf(ie, nil); dim != distDim && err == nil && f.Coef(v) != 0 {
 				return dim, true
 			}
 		}
@@ -629,8 +625,8 @@ func (c *compiler) classifyReplicatedWrite(s *loopir.Assign) error {
 			s.LHS.String(), s.LHS.String(), s.LHS.String())
 	}
 	for _, ie := range s.LHS.Idx {
-		lf, err := depend.Linearize(ie, c.prog.IsParam)
-		if err != nil || len(lf.Vars) != 0 {
+		f, err := loopir.AffineOf(ie, nil)
+		if err != nil || slices.ContainsFunc(f.Terms, func(t loopir.Term) bool { return !c.prog.IsParam(t.Var) }) {
 			return fmt.Errorf("compile: reduction target %s must use loop-invariant subscripts", s.LHS.String())
 		}
 	}
@@ -738,12 +734,12 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 		if sub.String() == ownerKey {
 			return nil // owner-local
 		}
-		lf, err := depend.Linearize(sub, c.prog.IsParam)
+		f, err := loopir.AffineOf(sub, nil)
 		if err != nil {
 			return fmt.Errorf("compile: non-affine distributed subscript %s", r.String())
 		}
-		for v := range lf.Vars {
-			if internal[v] {
+		for _, t := range f.Terms {
+			if internal[t.Var] {
 				return fmt.Errorf("compile: owner block (owner %s) reads %s with a block-internal index; per-element communication not supported", ownerKey, r.String())
 			}
 		}
@@ -891,15 +887,15 @@ func (c *compiler) overlapEligible(group *Exchange, l *OwnedLoop) bool {
 		if !distributed {
 			return nil
 		}
-		lf, err := depend.Linearize(r.Idx[dim], c.prog.IsParam)
+		f, err := loopir.AffineOf(r.Idx[dim], nil)
 		if err != nil {
 			return nil
 		}
-		if coeff, uses := lf.Vars[l.Var]; uses && coeff == 1 && len(lf.Vars) == 1 && len(lf.Params) == 0 {
+		if delta, ok := f.Offset(l.Var); ok {
 			if readDeltas[r.Array] == nil {
 				readDeltas[r.Array] = map[int]bool{}
 			}
-			readDeltas[r.Array][lf.Const] = true
+			readDeltas[r.Array][delta] = true
 		}
 		// Loop-invariant subscripts are broadcast-fed before the loop
 		// and order-independent: they do not affect eligibility.

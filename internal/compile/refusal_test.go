@@ -51,6 +51,21 @@ for iter = 0 to maxiter {
 			want: "reads a[k] with a block-internal index",
 		},
 		{
+			// The owner broadcast of b[j][*] would run before the loop
+			// that binds j.
+			name: "loop-internal index read",
+			dist: "a:0,b:0",
+			src: `program p(n, maxiter)
+array a[n][n];
+array b[n][n];
+for iter = 0 to maxiter {
+    for i = 0 to n {
+        for j = 0 to n { a[i][j] = b[j][i] + 1; }
+    }
+}`,
+			want: `distributed loop "i" reads b[j][i] with a loop-internal index`,
+		},
+		{
 			name: "distributed loop in an unsupported context",
 			dist: "a:0",
 			src: `program p(n, maxiter)

@@ -284,102 +284,6 @@ func (a *Analysis) WrittenArrays() []string {
 	return out
 }
 
-// LinearForm is an affine index expression decomposed into a constant, loop
-// variable coefficients, and parameter coefficients.
-type LinearForm struct {
-	Const  int
-	Vars   map[string]int
-	Params map[string]int
-}
-
-// Linearize decomposes an index expression. Parameters of the program are
-// classified by the isParam predicate; every other variable is treated as a
-// loop variable. It fails on non-affine expressions.
-func Linearize(e loopir.IExpr, isParam func(string) bool) (LinearForm, error) {
-	switch e := e.(type) {
-	case loopir.ICon:
-		return LinearForm{Const: int(e)}, nil
-	case loopir.IVar:
-		lf := LinearForm{Vars: map[string]int{}, Params: map[string]int{}}
-		if isParam(string(e)) {
-			lf.Params[string(e)] = 1
-		} else {
-			lf.Vars[string(e)] = 1
-		}
-		return lf, nil
-	case loopir.IBin:
-		l, err := Linearize(e.L, isParam)
-		if err != nil {
-			return LinearForm{}, err
-		}
-		r, err := Linearize(e.R, isParam)
-		if err != nil {
-			return LinearForm{}, err
-		}
-		switch e.Op {
-		case '+':
-			return lfAdd(l, r, 1), nil
-		case '-':
-			return lfAdd(l, r, -1), nil
-		case '*':
-			if lfIsConst(l) {
-				return lfScale(r, l.Const), nil
-			}
-			if lfIsConst(r) {
-				return lfScale(l, r.Const), nil
-			}
-			return LinearForm{}, fmt.Errorf("non-affine index expression %s", e.String())
-		}
-		return LinearForm{}, fmt.Errorf("bad index op %q", string(e.Op))
-	}
-	return LinearForm{}, fmt.Errorf("unknown index expression %T", e)
-}
-
-func lfIsConst(l LinearForm) bool { return len(l.Vars) == 0 && len(l.Params) == 0 }
-
-func lfAdd(l, r LinearForm, sign int) LinearForm {
-	out := LinearForm{Const: l.Const + sign*r.Const, Vars: map[string]int{}, Params: map[string]int{}}
-	for k, v := range l.Vars {
-		out.Vars[k] += v
-	}
-	for k, v := range r.Vars {
-		out.Vars[k] += sign * v
-	}
-	for k, v := range l.Params {
-		out.Params[k] += v
-	}
-	for k, v := range r.Params {
-		out.Params[k] += sign * v
-	}
-	lfTrim(&out)
-	return out
-}
-
-func lfScale(l LinearForm, k int) LinearForm {
-	out := LinearForm{Const: l.Const * k, Vars: map[string]int{}, Params: map[string]int{}}
-	for name, v := range l.Vars {
-		out.Vars[name] = v * k
-	}
-	for name, v := range l.Params {
-		out.Params[name] = v * k
-	}
-	lfTrim(&out)
-	return out
-}
-
-func lfTrim(l *LinearForm) {
-	for k, v := range l.Vars {
-		if v == 0 {
-			delete(l.Vars, k)
-		}
-	}
-	for k, v := range l.Params {
-		if v == 0 {
-			delete(l.Params, k)
-		}
-	}
-}
-
 // commonLoops returns loop variables common to both contexts, outermost
 // first, following the source's order (common prefixes share order anyway).
 func commonLoops(a, b []LoopCtx) []string {

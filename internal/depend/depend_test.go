@@ -257,23 +257,6 @@ func TestGCDIndependent(t *testing.T) {
 	}
 }
 
-func TestLinearize(t *testing.T) {
-	isParam := func(s string) bool { return s == "n" }
-	// 2*i + (n - 3)
-	e := loopir.Iadd(loopir.Imul(loopir.Ic(2), loopir.Iv("i")), loopir.Isub(loopir.Iv("n"), loopir.Ic(3)))
-	lf, err := Linearize(e, isParam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lf.Const != -3 || lf.Vars["i"] != 2 || lf.Params["n"] != 1 {
-		t.Fatalf("Linearize = %+v", lf)
-	}
-	// i*j is non-affine
-	if _, err := Linearize(loopir.Imul(loopir.Iv("i"), loopir.Iv("j")), isParam); err == nil {
-		t.Fatal("non-affine expression accepted")
-	}
-}
-
 func TestDistLoopsFor(t *testing.T) {
 	cases := []struct {
 		prog  *loopir.Program

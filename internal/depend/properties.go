@@ -2,6 +2,7 @@ package depend
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/loopir"
@@ -130,11 +131,11 @@ func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error)
 	}
 
 	referencesLoopVar := func(e loopir.IExpr) bool {
-		lf, err := Linearize(e, a.Prog.IsParam)
+		f, err := loopir.AffineOf(e, nil)
 		if err != nil {
 			return true // non-affine: be conservative
 		}
-		return len(lf.Vars) > 0
+		return len(a.loopTerms(f)) > 0
 	}
 	pr.VaryingLoopBounds = referencesLoopVar(loop.Lo) || referencesLoopVar(loop.Hi)
 
@@ -158,22 +159,23 @@ func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error)
 // normalization, whose distributed-dimension subscript is the outer k)
 // yield no entry. The result preserves first-appearance order.
 func (a *Analysis) DistLoopsFor(array string, dim int) []string {
+	// scanVar is the one loop variable a write's subscript moves with at
+	// unit stride; constants and parameters may ride along (a[j+n-1]).
 	scanVar := func(r RefCtx) (string, bool) {
 		if !r.Write || r.Ref.Array != array || dim >= len(r.Ref.Idx) {
 			return "", false
 		}
-		lf, err := Linearize(r.Ref.Idx[dim], a.Prog.IsParam)
-		if err != nil || len(lf.Vars) != 1 {
+		f, err := loopir.AffineOf(r.Ref.Idx[dim], nil)
+		if err != nil {
 			return "", false
 		}
-		for v, c := range lf.Vars {
-			if c != 1 {
-				return "", false
-			}
-			for _, l := range r.Loops {
-				if l.Var == v {
-					return v, true
-				}
+		ts := a.loopTerms(f)
+		if len(ts) != 1 || ts[0].Coef != 1 {
+			return "", false
+		}
+		for _, l := range r.Loops {
+			if l.Var == ts[0].Var {
+				return l.Var, true
 			}
 		}
 		return "", false
@@ -215,4 +217,10 @@ func (a *Analysis) DistLoopsFor(array string, dim int) []string {
 		}
 	}
 	return found
+}
+
+// loopTerms returns f's terms over loop variables. A symbolic affine form
+// keeps parameters as terms too; IsParam sets them apart.
+func (a *Analysis) loopTerms(f loopir.Affine) []loopir.Term {
+	return slices.DeleteFunc(slices.Clone(f.Terms), func(t loopir.Term) bool { return a.Prog.IsParam(t.Var) })
 }

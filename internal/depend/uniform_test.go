@@ -2,6 +2,7 @@ package depend
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/loopir"
 )
@@ -31,17 +32,19 @@ func uniformEquations(p *loopir.Program, src, dst loopir.Ref) ([]pairEquation, b
 	}
 	var eqs []pairEquation
 	for d := range src.Idx {
-		ls, err1 := Linearize(src.Idx[d], p.IsParam)
-		ld, err2 := Linearize(dst.Idx[d], p.IsParam)
+		ls, err1 := loopir.AffineOf(src.Idx[d], nil)
+		ld, err2 := loopir.AffineOf(dst.Idx[d], nil)
 		if err1 != nil || err2 != nil {
 			return nil, false
 		}
-		if !lfEqualCoeffs(ls, ld) {
+		if !sameCoeffs(ls, ld) {
 			return nil, false
 		}
 		coef := map[string]int{}
-		for v, c := range ls.Vars {
-			coef[v] = c
+		for _, t := range ls.Terms {
+			if !p.IsParam(t.Var) {
+				coef[t.Var] = t.Coef
+			}
 		}
 		eqs = append(eqs, pairEquation{coef: coef, rhs: ls.Const - ld.Const})
 	}
@@ -88,31 +91,25 @@ func GCDIndependent(p *loopir.Program, a, b loopir.Ref) bool {
 		return false
 	}
 	for d := range a.Idx {
-		la, err1 := Linearize(a.Idx[d], p.IsParam)
-		lb, err2 := Linearize(b.Idx[d], p.IsParam)
+		la, err1 := loopir.AffineOf(a.Idx[d], nil)
+		lb, err2 := loopir.AffineOf(b.Idx[d], nil)
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		// Parameters must cancel: same param coefficients on both sides.
-		paramsEqual := len(la.Params) == len(lb.Params)
-		if paramsEqual {
-			for k, v := range la.Params {
-				if lb.Params[k] != v {
-					paramsEqual = false
-					break
-				}
+		// Equation: Σ la's loop terms − Σ lb's loop terms = lb.Const −
+		// la.Const. Parameters must cancel: same param coefficients on
+		// both sides.
+		paramsEqual := true
+		g := 0
+		for _, t := range slices.Concat(la.Terms, lb.Terms) {
+			if !p.IsParam(t.Var) {
+				g = gcd(g, abs(t.Coef))
+			} else if la.Coef(t.Var) != lb.Coef(t.Var) {
+				paramsEqual = false
 			}
 		}
 		if !paramsEqual {
 			continue
-		}
-		// Equation: Σ la.Vars·x − Σ lb.Vars·y = lb.Const − la.Const.
-		g := 0
-		for _, c := range la.Vars {
-			g = gcd(g, abs(c))
-		}
-		for _, c := range lb.Vars {
-			g = gcd(g, abs(c))
 		}
 		diff := lb.Const - la.Const
 		if g == 0 {
@@ -128,17 +125,14 @@ func GCDIndependent(p *loopir.Program, a, b loopir.Ref) bool {
 	return false
 }
 
-func lfEqualCoeffs(a, b LinearForm) bool {
-	if len(a.Vars) != len(b.Vars) || len(a.Params) != len(b.Params) {
+// sameCoeffs reports whether two forms have the same coefficient for every
+// variable, in whatever order their terms appear.
+func sameCoeffs(a, b loopir.Affine) bool {
+	if len(a.Terms) != len(b.Terms) {
 		return false
 	}
-	for k, v := range a.Vars {
-		if b.Vars[k] != v {
-			return false
-		}
-	}
-	for k, v := range a.Params {
-		if b.Params[k] != v {
+	for _, t := range a.Terms {
+		if b.Coef(t.Var) != t.Coef {
 			return false
 		}
 	}

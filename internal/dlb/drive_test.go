@@ -239,17 +239,19 @@ func TestTransportPreemptResume(t *testing.T) {
 	}
 }
 
-// bugEP panics with a non-fault value on its nth timed computation.
+// bugEP panics with a non-fault value on its nth computation with a body.
 type bugEP struct {
 	Endpoint
 	after int
 }
 
-func (e *bugEP) Timed(fn func()) {
-	if e.after--; e.after < 0 {
-		panic("boom: planted bug")
+func (e *bugEP) Compute(cost time.Duration, fn func()) {
+	if fn != nil {
+		if e.after--; e.after < 0 {
+			panic("boom: planted bug")
+		}
 	}
-	e.Endpoint.Timed(fn)
+	e.Endpoint.Compute(cost, fn)
 }
 
 // TestTransportSlaveBugFailsRun plants a genuine bug in slave 2: the master

@@ -14,15 +14,12 @@ import (
 // mailbox Put between RunReal's goroutines and netrun's connection router
 // between OS processes.
 type Endpoint interface {
-	// Charge accounts virtual CPU cost (computation, bookkeeping). On the
-	// simulated cluster it advances the virtual clock under the node's
-	// contention model; on wall clock it is a no-op — real work takes real
-	// time inside Timed.
-	Charge(cpu time.Duration)
-	// Timed runs fn and accounts its duration as busy time. On the
-	// simulated cluster the data computation is free (cost is modeled by
-	// Charge); on wall clock this is the actual measurement.
-	Timed(fn func())
+	// Compute is one stretch of computation: cost is its modeled CPU cost
+	// and fn, which may be nil (bookkeeping with no body), the work itself.
+	// On the simulated cluster cost advances the virtual clock under the
+	// node's contention model and fn runs free; on wall clock cost is
+	// ignored and fn's measured duration is the busy time.
+	Compute(cost time.Duration, fn func())
 	// Send transmits a tagged message (non-blocking). On the simulated
 	// cluster the payload's msgBytes prices the transfer.
 	Send(to int, tag string, data interface{})
@@ -71,8 +68,12 @@ type simEndpoint struct {
 	n *cluster.Node
 }
 
-func (e *simEndpoint) Charge(cpu time.Duration) { e.n.Compute(e.p, cpu) }
-func (e *simEndpoint) Timed(fn func())          { fn() }
+func (e *simEndpoint) Compute(cost time.Duration, fn func()) {
+	e.n.Compute(e.p, cost)
+	if fn != nil {
+		fn()
+	}
+}
 func (e *simEndpoint) Send(to int, tag string, data interface{}) {
 	e.n.Send(e.p, to, tag, msgBytes(data), data)
 }

@@ -165,7 +165,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 	e.res.Counters.Add("status_reports", int64(len(raw)))
 	e.pol.RoundObserved(e)
 
-	e.ep.Charge(e.roundCharge(len(raw)))
+	e.ep.Compute(e.roundCharge(len(raw)), nil)
 
 	// Mirror the slave control flow: retire completed work (§4.7).
 	meta := e.exec.Phases[hookIdx]

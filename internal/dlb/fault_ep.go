@@ -75,14 +75,16 @@ func (e *faultEP) check() {
 	}
 }
 
-func (e *faultEP) Charge(cpu time.Duration) {
+// Compute checks the schedule before the charge and again before the body:
+// a crash or stall that falls inside the charged stretch strikes before
+// the work runs.
+func (e *faultEP) Compute(cost time.Duration, fn func()) {
 	e.check()
-	e.Endpoint.Charge(cpu)
-}
-
-func (e *faultEP) Timed(fn func()) {
-	e.check()
-	e.Endpoint.Timed(fn)
+	e.Endpoint.Compute(cost, nil)
+	if fn != nil {
+		e.check()
+		e.Endpoint.Compute(0, fn)
+	}
 }
 
 func (e *faultEP) Send(to int, tag string, data interface{}) {

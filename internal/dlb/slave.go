@@ -573,8 +573,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	}
 	if bw == 0 {
 		// Synchronous schedule (no deferred exchange): one charge, one pass.
-		s.ep.Charge(total)
-		s.ep.Timed(func() {
+		s.ep.Compute(total, func() {
 			for _, r := range runs {
 				runRange(r[0], r[1])
 			}
@@ -589,15 +588,13 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		// and in-place stencils, so unit results are order-independent, and
 		// interior units never read a ghost.
 		intDur := time.Duration(chargeInt * float64(s.cfg.FlopCost))
-		s.ep.Charge(intDur)
-		s.ep.Timed(func() {
+		s.ep.Compute(intDur, func() {
 			for _, r := range runs {
 				runRange(r[0]+bw, r[1]-bw)
 			}
 		})
 		s.recvGhosts(pend)
-		s.ep.Charge(total - intDur)
-		s.ep.Timed(func() {
+		s.ep.Compute(total-intDur, func() {
 			for _, r := range runs {
 				ilo, ihi := r[0]+bw, r[1]-bw
 				if ihi <= ilo {
@@ -631,14 +628,12 @@ func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
 		return
 	}
 	flops := loopir.EstFlops(st.Body, s.env)
-	s.ep.Charge(time.Duration(flops * float64(s.cfg.FlopCost)))
-	s.ep.Timed(func() { s.ownerFrags[st].Run(s.env) })
+	s.ep.Compute(time.Duration(flops*float64(s.cfg.FlopCost)), func() { s.ownerFrags[st].Run(s.env) })
 }
 
 func (s *slave) execAll(st *compile.AllStmts) {
 	flops := loopir.EstFlops(st.Body, s.env)
-	s.ep.Charge(time.Duration(flops * float64(s.cfg.FlopCost)))
-	s.ep.Timed(func() { s.allFrags[st].Run(s.env) })
+	s.ep.Compute(time.Duration(flops*float64(s.cfg.FlopCost)), func() { s.allFrags[st].Run(s.env) })
 	// Replicated statements run identically on every slave, so their
 	// result is shared state: refresh reduction snapshots so the next
 	// Combine's deltas are measured from here (e.g. the residual reset at
@@ -812,7 +807,7 @@ func (s *slave) execHook(st *compile.Hook) {
 	hv := s.hookVisit
 	s.hookVisit++
 	if !s.cfg.DLB || hv != s.nextContact {
-		s.ep.Charge(hookCheckCost)
+		s.ep.Compute(hookCheckCost, nil)
 		return
 	}
 
@@ -1001,7 +996,7 @@ func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Dura
 		gs.Ids = append(gs.Ids, m)
 		gs.Statuses = append(gs.Statuses, st)
 	}
-	s.ep.Charge(time.Duration(len(members)) * charge)
+	s.ep.Compute(time.Duration(len(members))*charge, nil)
 	s.ep.Send(cluster.MasterID, groupTag, gs)
 }
 

@@ -136,9 +136,10 @@ func NewWallEndpoint(box *Mailbox, start time.Time, drag float64, send func(to i
 	return &WallEndpoint{box: box, send: send, start: start, drag: drag}
 }
 
-func (e *WallEndpoint) Charge(time.Duration) {}
-
-func (e *WallEndpoint) Timed(fn func()) {
+func (e *WallEndpoint) Compute(_ time.Duration, fn func()) {
+	if fn == nil {
+		return
+	}
 	t0 := time.Now()
 	fn()
 	d := time.Since(t0)

@@ -1,0 +1,147 @@
+package loopir
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
+
+// Term is one variable's coefficient in an affine form.
+type Term struct {
+	Var  string
+	Coef int
+}
+
+// Affine is an index expression decomposed as Const + Σ Coef·Var. Terms
+// keep the order in which their variables first appear, and a variable
+// whose coefficient cancels to zero has no term.
+type Affine struct {
+	Const int
+	Terms []Term
+}
+
+// AffineOf decomposes e, the one place that decides which index
+// expressions are affine. A variable found in known folds to its value;
+// every other variable stays a term. The dependence analysis and the
+// compiler pass nil, the kernel compiler the instance's parameters. It
+// handles +, - and * when one side is constant; anything else (a variable
+// times a variable, an IArr index read) is a non-affine error.
+func AffineOf(e IExpr, known map[string]int) (Affine, error) {
+	switch e := e.(type) {
+	case ICon:
+		return Affine{Const: int(e)}, nil
+	case IVar:
+		if v, ok := known[string(e)]; ok {
+			return Affine{Const: v}, nil
+		}
+		return Affine{Terms: []Term{{Var: string(e), Coef: 1}}}, nil
+	case IBin:
+		l, err := AffineOf(e.L, known)
+		if err != nil {
+			return Affine{}, err
+		}
+		r, err := AffineOf(e.R, known)
+		if err != nil {
+			return Affine{}, err
+		}
+		switch e.Op {
+		case '+':
+			return l.addScaled(r, 1), nil
+		case '-':
+			return l.addScaled(r, -1), nil
+		case '*':
+			if len(l.Terms) == 0 {
+				return Affine{}.addScaled(r, l.Const), nil
+			}
+			if len(r.Terms) == 0 {
+				return Affine{}.addScaled(l, r.Const), nil
+			}
+		default:
+			return Affine{}, fmt.Errorf("bad index op %q", string(e.Op))
+		}
+	}
+	return Affine{}, fmt.Errorf("non-affine subscript: %s", e.String())
+}
+
+// addScaled returns a + k·b: a's terms keep their places and b's new
+// variables follow in b's order; a term that cancels is dropped.
+func (a Affine) addScaled(b Affine, k int) Affine {
+	out := Affine{Const: a.Const + k*b.Const, Terms: slices.Clone(a.Terms)}
+	for _, t := range b.Terms {
+		if i := slices.IndexFunc(out.Terms, func(u Term) bool { return u.Var == t.Var }); i >= 0 {
+			out.Terms[i].Coef += k * t.Coef
+		} else {
+			out.Terms = append(out.Terms, Term{Var: t.Var, Coef: k * t.Coef})
+		}
+	}
+	out.Terms = slices.DeleteFunc(out.Terms, func(t Term) bool { return t.Coef == 0 })
+	return out
+}
+
+// Coef returns v's coefficient (0 when v has no term).
+func (a Affine) Coef(v string) int {
+	for _, t := range a.Terms {
+		if t.Var == v {
+			return t.Coef
+		}
+	}
+	return 0
+}
+
+// Offset reports whether the form is exactly v + delta.
+func (a Affine) Offset(v string) (delta int, ok bool) {
+	if len(a.Terms) == 1 && a.Terms[0] == (Term{Var: v, Coef: 1}) {
+		return a.Const, true
+	}
+	return 0, false
+}
+
+// lin is the register form of an affine form, the one the VM and the Go
+// emitter execute: c + Σ coef·reg over the kernel's register file, terms
+// sorted by register.
+type lin struct {
+	c     int
+	terms []linTerm
+}
+
+type linTerm struct{ reg, coef int }
+
+func (l lin) eval(regs []int) int {
+	v := l.c
+	for _, t := range l.terms {
+		v += t.coef * regs[t.reg]
+	}
+	return v
+}
+
+// coef returns reg's coefficient (0 when reg has no term).
+func (l lin) coef(reg int) int {
+	for _, t := range l.terms {
+		if t.reg == reg {
+			return t.coef
+		}
+	}
+	return 0
+}
+
+// regFor returns name's register, assigning the next free one on first use.
+func (kc *kcompiler) regFor(name string) int {
+	if r, ok := kc.regIndex[name]; ok {
+		return r
+	}
+	r := kc.nregs
+	kc.regIndex[name] = r
+	kc.nregs++
+	return r
+}
+
+// lin converts an affine form to register form: registers are assigned in
+// term order, then the terms are sorted by register.
+func (kc *kcompiler) lin(a Affine) lin {
+	out := lin{c: a.Const}
+	for _, t := range a.Terms {
+		out.terms = append(out.terms, linTerm{kc.regFor(t.Var), t.Coef})
+	}
+	sort.Slice(out.terms, func(i, j int) bool { return out.terms[i].reg < out.terms[j].reg })
+	return out
+}

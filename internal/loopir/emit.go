@@ -207,7 +207,7 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 
 	ek := &EmittedKernel{Name: name, Arrays: em.arrays}
 	var b strings.Builder
-	progName := em.kc.lw.in.Prog.Name
+	progName := em.kc.in.Prog.Name
 	fmt.Fprintf(&b, "// %s %s of program %q.\n", name, doc, progName)
 	fmt.Fprintf(&b, "// data: %s", strings.Join(em.arrays, ", "))
 	if len(freeIdx) > 0 {

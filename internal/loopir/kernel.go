@@ -327,37 +327,19 @@ func newLevel(reg int, canHoist bool) *klevel {
 }
 
 type kcompiler struct {
-	lw       *lowerer
+	in       *Instance
+	regIndex map[string]int // variable -> register, in order of first use
+	nregs    int
 	sites    []ksite
 	depth    int
 	internal map[int]bool // registers bound by loops inside the kernel
-}
-
-func linKey(l lin) string {
-	key := fmt.Sprintf("%d", l.c)
-	for _, t := range l.terms {
-		key += fmt.Sprintf("|%d*r%d", t.coef, t.reg)
-	}
-	return key
-}
-
-func linCoef(l lin, reg int) int {
-	if reg < 0 {
-		return 0
-	}
-	for _, t := range l.terms {
-		if t.reg == reg {
-			return t.coef
-		}
-	}
-	return 0
 }
 
 // addSite interns one (array, flat offset) reference at its owning level.
 // conditional references (under an If, or in a loop that can break early)
 // keep per-access checks; unconditional ones get the hoisted entry check.
 func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool) int32 {
-	key := arr.Name + "|" + linKey(flat)
+	key := fmt.Sprint(arr.Name, flat)
 	hoist := !conditional && lvl.canHoist
 	if id, ok := lvl.siteOf[key]; ok {
 		if hoist && kc.sites[id].check {
@@ -368,7 +350,7 @@ func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool
 	}
 	id := int32(len(kc.sites))
 	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, check: !hoist})
-	step := linCoef(flat, lvl.reg)
+	step := flat.coef(lvl.reg)
 	lvl.siteOf[key] = id
 	lvl.prepIdx[id] = len(lvl.preps)
 	lvl.preps = append(lvl.preps, kprep{site: id, step: step, hoist: hoist})
@@ -378,20 +360,22 @@ func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool
 	return id
 }
 
+// lowerRef lowers a reference to its flat offset: one affine form over all
+// dimensions, Σ Stride[d]·Idx[d], converted once to register form.
 func (kc *kcompiler) lowerRef(r Ref) (*Array, lin, error) {
-	arr, ok := kc.lw.in.Arrays[r.Array]
+	arr, ok := kc.in.Arrays[r.Array]
 	if !ok {
 		return nil, lin{}, fmt.Errorf("unknown array %q", r.Array)
 	}
-	flat := lin{}
+	var flat Affine
 	for d, ie := range r.Idx {
-		l, err := kc.lw.lowerIndex(ie)
+		a, err := AffineOf(ie, kc.in.Params)
 		if err != nil {
 			return nil, lin{}, err
 		}
-		flat = flat.add(l.scale(arr.Stride[d]))
+		flat = flat.addScaled(a, arr.Stride[d])
 	}
-	return arr, flat, nil
+	return arr, kc.lin(flat), nil
 }
 
 // compileExpr appends postfix code for e and returns the updated code and
@@ -429,11 +413,7 @@ func (kc *kcompiler) compileExpr(e Expr, lvl *klevel, conditional bool, code []k
 		default:
 			return nil, 0, fmt.Errorf("bad arithmetic op %q", string(e.Op))
 		}
-		depth := dl
-		if dr+1 > depth {
-			depth = dr + 1
-		}
-		return append(code, kop{kind: kind}), depth, nil
+		return append(code, kop{kind: kind}), max(dl, dr+1), nil
 	}
 	return nil, 0, fmt.Errorf("unknown expression %T", e)
 }
@@ -447,12 +427,7 @@ func (kc *kcompiler) compileCond(c Cond, lvl *klevel, conditional bool) (kcond, 
 	if err != nil {
 		return kcond{}, err
 	}
-	if dl > kc.depth {
-		kc.depth = dl
-	}
-	if dr > kc.depth {
-		kc.depth = dr
-	}
+	kc.depth = max(kc.depth, dl, dr)
 	var op byte
 	switch c.Op {
 	case "<":
@@ -483,9 +458,7 @@ func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool) (*k
 	if err != nil {
 		return nil, err
 	}
-	if d > kc.depth {
-		kc.depth = d
-	}
+	kc.depth = max(kc.depth, d)
 	return &kassign{dst: dst, code: code}, nil
 }
 
@@ -494,22 +467,23 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Loop:
-			lo, err := kc.lw.lowerIndex(s.Lo)
+			lo, err := AffineOf(s.Lo, kc.in.Params)
 			if err != nil {
 				return nil, err
 			}
-			hi, err := kc.lw.lowerIndex(s.Hi)
+			hi, err := AffineOf(s.Hi, kc.in.Params)
 			if err != nil {
 				return nil, err
 			}
-			reg := kc.lw.regFor(s.Var)
+			loL, hiL := kc.lin(lo), kc.lin(hi) // bound registers before the loop's own
+			reg := kc.regFor(s.Var)
 			kc.internal[reg] = true
 			inner := newLevel(reg, s.BreakIf == nil)
 			body, err := kc.compileStmts(s.Body, inner, false)
 			if err != nil {
 				return nil, err
 			}
-			l := &kloop{reg: reg, lo: lo, hi: hi, body: body}
+			l := &kloop{reg: reg, lo: loL, hi: hiL, body: body}
 			if s.BreakIf != nil {
 				brk, err := kc.compileCond(*s.BreakIf, inner, false)
 				if err != nil {
@@ -547,7 +521,7 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 }
 
 func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
-	kc := &kcompiler{lw: &lowerer{in: in, regIndex: map[string]int{}}, internal: map[int]bool{}}
+	kc := &kcompiler{in: in, regIndex: map[string]int{}, internal: map[int]bool{}}
 	root := newLevel(-1, true)
 	code, err := kc.compileStmts(stmts, root, false)
 	if err != nil {
@@ -557,8 +531,8 @@ func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
 		code:      code,
 		sites:     kc.sites,
 		rootPreps: root.preps,
-		regIndex:  kc.lw.regIndex,
-		nregs:     kc.lw.nregs,
+		regIndex:  kc.regIndex,
+		nregs:     kc.nregs,
 		depth:     kc.depth + 1,
 	}
 	return k, kc, nil
@@ -581,6 +555,24 @@ func (in *Instance) RunKernel() error {
 	}
 	k.Run(nil)
 	return nil
+}
+
+// Code is a compiled whole program. Code and Lower are a shim over
+// CompileKernel kept for one caller: the frozen benchmark/probes.go times
+// in.Lower() then code.Run() as its loopir.closure_mflops row. Nothing else
+// may call them; they go when that probe does.
+type Code struct{ k *Kernel }
+
+// Run executes the compiled program.
+func (c *Code) Run() { c.k.Run(nil) }
+
+// Lower compiles the whole program body; see Code.
+func (in *Instance) Lower() (*Code, error) {
+	k, err := in.CompileKernel(in.Prog.Body)
+	if err != nil {
+		return nil, err
+	}
+	return &Code{k: k}, nil
 }
 
 // Free variables carrying the executed range into a RangeKernel.
