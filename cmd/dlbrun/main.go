@@ -89,7 +89,6 @@ func main() {
 	overlap := flag.Bool("overlap", true, "overlap eligible ghost exchanges with interior computation (-overlap=false forces synchronous exchanges)")
 	groups := flag.Int("groups", 0, "hierarchical balancing: partition slaves into this many leader-led groups (0/1: flat)")
 	groupEvery := flag.Int("group-every", 0, "inter-group diffusive exchange cadence in balancing rounds (0: default 4)")
-	groupAlpha := flag.Float64("group-alpha", 0, "diffusion under-relaxation factor in (0,1] (0: default 0.5)")
 	reportCost := flag.Duration("report-cost", 0, "per-report CPU charge on whoever collects a status (master, or group leaders)")
 	drag := flag.Float64("drag", 1.0, "with -real: slow slave 0 by this factor (emulated loaded machine)")
 	faultSpec := flag.String("fault", "", "fault plan: crash:S@T | stall:S@T:D | drop:S@T:D | join@T (comma-separated; seconds)")
@@ -144,9 +143,7 @@ func main() {
 		CostModel:          *costModel,
 		Groups:             *groups,
 		GroupExchangeEvery: *groupEvery,
-		GroupDiffusion:     *groupAlpha,
 		PerReportCost:      *reportCost,
-		CollectTrace:       *showTrace,
 	}
 	if !*overlap {
 		cfg.Overlap = dlb.OverlapDisabled

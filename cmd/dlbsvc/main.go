@@ -39,8 +39,6 @@ func main() {
 	drag := flag.Float64("drag", 1.0, "slow in-process pool daemons by this factor (dev mode)")
 	maxQueue := flag.Int("max-queue", 64, "waiting-set bound; submissions beyond it get 429")
 	maxGroups := flag.Int("groups", 0, "admission cap on a job's hierarchical group count (0: unlimited)")
-	kernel := flag.String("kernel", "", `default execution tier for jobs that do not name one: "interp", "kernel" or "aot"`)
-	costModel := flag.String("costmodel", "", `default balancer cost model for jobs that do not name one: "uniform" or "learned"`)
 	weights := flag.String("weights", "", `per-tenant fairness weights, e.g. "alice=2,bob=1"`)
 	grace := flag.Duration("grace", 30*time.Second, "how long shutdown waits for running jobs to checkpoint and release")
 	quiet := flag.Bool("quiet", false, "suppress event logging on stderr")
@@ -100,8 +98,6 @@ func main() {
 		Addrs:     addrs,
 		MaxQueue:  *maxQueue,
 		MaxGroups: *maxGroups,
-		Kernel:    *kernel,
-		CostModel: *costModel,
 		Weights:   w,
 		Logf:      logf,
 	})

@@ -41,11 +41,10 @@ func main() {
 		},
 	}
 	res, err := dlb.Run(dlb.Config{
-		Plan:         plan,
-		Params:       params,
-		DLB:          true,
-		FlopCost:     flopCost,
-		CollectTrace: true,
+		Plan:     plan,
+		Params:   params,
+		DLB:      true,
+		FlopCost: flopCost,
 	}, cc)
 	if err != nil {
 		log.Fatal(err)

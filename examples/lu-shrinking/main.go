@@ -32,11 +32,10 @@ func main() {
 	fmt.Println()
 
 	res, err := dlb.Run(dlb.Config{
-		Plan:         plan,
-		Params:       params,
-		DLB:          true,
-		FlopCost:     50 * time.Microsecond,
-		CollectTrace: true,
+		Plan:     plan,
+		Params:   params,
+		DLB:      true,
+		FlopCost: 50 * time.Microsecond,
 	}, cluster.Config{
 		Slaves: 4,
 		Load:   []cluster.LoadProfile{cluster.Constant(1)},

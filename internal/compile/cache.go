@@ -56,31 +56,19 @@ func cacheKey(source string, o Options) (key [sha256.Size]byte) {
 	h := sha256.New()
 	fmt.Fprintf(h, "compile-cache-v1 %d\n", len(source))
 	io.WriteString(h, source)
-	writeSorted(h, "dim", o.Dist.Dims)
+	for _, k := range sortedKeys(o.Dist.Dims) {
+		fmt.Fprintf(h, "dim %q=%d\n", k, o.Dist.Dims[k])
+	}
 	for _, l := range o.Dist.Loops {
 		fmt.Fprintf(h, "loop %q\n", l)
 	}
-	fmt.Fprintf(h, "hook %x %x\n", o.HookFraction, o.HookCostFlops)
-	for _, s := range o.Samples {
-		fmt.Fprintf(h, "sample of %d\n", len(s))
-		writeSorted(h, "param", s)
-	}
+	fmt.Fprintf(h, "hook %x\n", o.HookCostFlops)
 	h.Sum(key[:0])
 	return key
 }
 
-func writeSorted(w io.Writer, label string, m map[string]int) {
-	for _, k := range sortedKeys(m) {
-		fmt.Fprintf(w, "%s %q=%d\n", label, k, m[k])
-	}
-}
-
-// clone deep-copies the reference-typed fields.
+// clone deep-copies the directive's maps.
 func (o Options) clone() Options {
 	o.Dist = depend.DistSpec{Dims: maps.Clone(o.Dist.Dims), Loops: slices.Clone(o.Dist.Loops)}
-	o.Samples = slices.Clone(o.Samples)
-	for i, s := range o.Samples {
-		o.Samples[i] = maps.Clone(s)
-	}
 	return o
 }

@@ -18,7 +18,7 @@ func TestCacheCompilesOncePerContent(t *testing.T) {
 	}
 	// Equal content in fresh maps, and the defaults spelled out, are the
 	// same key.
-	again, cached, err := c.Compile(src, Options{Dist: specSOR(), HookFraction: 0.01, HookCostFlops: 200})
+	again, cached, err := c.Compile(src, Options{Dist: specSOR(), HookCostFlops: 200})
 	if err != nil || !cached || again != first {
 		t.Fatalf("warm Compile: cached %v, same plan %v, err %v", cached, again == first, err)
 	}
@@ -38,12 +38,10 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	src := lang.Format(loopir.Jacobi())
 	variants := []Options{
 		{Dist: specJacobi()},
-		{Dist: specJacobi(), HookFraction: 0.5},
 		{Dist: specJacobi(), HookCostFlops: 5},
 		{Dist: depend.DistSpec{Dims: specJacobi().Dims}}, // loops derived, not given
 		{Dist: depend.DistSpec{Dims: specJacobi().Dims, Loops: []string{"i2", "i"}}},
 		{}, // automatic distribution
-		{Dist: specJacobi(), Samples: []map[string]int{{"n": 6, "maxiter": 2}}},
 	}
 	plans := map[*Plan]bool{}
 	for i, o := range variants {

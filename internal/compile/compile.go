@@ -9,26 +9,24 @@ import (
 	"repro/internal/loopir"
 )
 
-// Options configures compilation.
+// Options configures compilation. A transport ships every field to its
+// daemons (wire.RunSpec), and the compile cache hashes every field, so a new
+// field needs a carrier in both.
 type Options struct {
 	// Dist is the data-distribution directive (the paper assumes Fortran
 	// D-style directives from the programmer). If Dist.Dims is empty the
 	// compiler derives a distribution automatically.
 	Dist depend.DistSpec
-	// HookFraction is the maximum acceptable ratio of hook cost to enclosed
-	// work when placing hooks (paper: 1%).
-	HookFraction float64
 	// HookCostFlops is the estimated cost of one hook visit, in
 	// floating-point-operation equivalents.
 	HookCostFlops float64
-	// Samples overrides the dependence analysis sample sizes.
-	Samples []map[string]int
 }
 
+// hookFraction is the §4.2 rule: a hook visit may cost at most this share
+// of the work it encloses.
+const hookFraction = 0.01
+
 func (o Options) withDefaults() Options {
-	if o.HookFraction <= 0 {
-		o.HookFraction = 0.01
-	}
 	if o.HookCostFlops <= 0 {
 		o.HookCostFlops = 200
 	}
@@ -42,7 +40,7 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	analysis, err := depend.Analyze(prog, opts.Samples...)
+	analysis, err := depend.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}

@@ -283,7 +283,7 @@ func TestInstantiateSORGrain(t *testing.T) {
 	params := map[string]int{"n": 14, "maxiter": 3}
 	// 12 interior rows, grain 5 -> 3 blocks per sweep; level-1 hooks fire
 	// per block, level-0 per sweep.
-	e, err := p.Instantiate(params, 5, Options{HookCostFlops: 1, HookFraction: 0.5})
+	e, err := p.Instantiate(params, 5, Options{HookCostFlops: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestInstantiateHookLevelFallsBackOutward(t *testing.T) {
 	params := map[string]int{"n": 14, "maxiter": 3}
 	// Absurdly expensive hooks: even level 0 fails the 1% rule, so the
 	// outermost level is chosen as fallback.
-	e, err := p.Instantiate(params, 5, Options{HookCostFlops: 1e12, HookFraction: 0.01})
+	e, err := p.Instantiate(params, 5, Options{HookCostFlops: 1e12})
 	if err != nil {
 		t.Fatal(err)
 	}

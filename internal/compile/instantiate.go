@@ -60,7 +60,7 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 
 	// Choose the deepest hook level whose per-visit work keeps hook cost
 	// under the fraction; fall back to the outermost level.
-	minWork := opts.HookCostFlops / opts.HookFraction
+	minWork := opts.HookCostFlops / hookFraction
 	active := -1
 	for level, n := range visits {
 		if n == 0 {

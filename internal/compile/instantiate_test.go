@@ -108,7 +108,7 @@ func TestInstantiatePinned(t *testing.T) {
 			for _, hooks := range []string{"default", "cheap"} {
 				opts := Options{}
 				if hooks == "cheap" {
-					opts = Options{HookCostFlops: 1, HookFraction: 0.5}
+					opts = Options{HookCostFlops: 0.02}
 				}
 				key := fmt.Sprintf("%s/grain=%d/%s", name, grain, hooks)
 				e, err := p.Instantiate(instantiateParams[name], grain, opts)

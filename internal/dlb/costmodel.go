@@ -102,7 +102,7 @@ var (
 
 // realHookCostFlops rebases the hook-placement cost constant on measured
 // kernel speed: the §4.2 rule places hooks at the deepest level where a
-// visit costs under HookFraction of the enclosed work, and both sides of
+// visit costs under 1 % of the enclosed work, and both sides of
 // that ratio must come from the same clock. A visit is dominated by two
 // monotonic clock reads (the busy mark and the contact check); measuring
 // those and multiplying by the measured kernel rate (flops/second) yields

@@ -29,7 +29,9 @@ import (
 	"repro/internal/vtime"
 )
 
-// Config controls one parallel run.
+// Config controls one parallel run. A value no caller varies is a constant,
+// not a field: the hierarchy's diffusion factor (groupDiffusion), the §4.2
+// hook rule (compile's 1 %) and the Figure 9 trace, which every run records.
 type Config struct {
 	// Plan is the compiled program.
 	Plan *compile.Plan
@@ -68,10 +70,6 @@ type Config struct {
 	// GroupExchangeEvery is the inter-group exchange cadence in decision
 	// rounds (default 4): between exchanges groups balance independently.
 	GroupExchangeEvery int
-	// GroupDiffusion is the diffusive under-relaxation factor alpha in
-	// (0, 1] (default 0.5): the fraction of the completion-time-equalizing
-	// flow shifted per exchange.
-	GroupDiffusion float64
 	// PerReportCost is the master's (or a leader's) CPU cost to process
 	// one status report, on top of masterDecisionCost per round. The
 	// default 0 keeps earlier schedules bit-identical; the scale
@@ -108,8 +106,6 @@ type Config struct {
 	// recorded in the rendered plan source, the knob only gates the
 	// runtime.
 	Overlap string
-	// CollectTrace records per-phase rate/work samples (Figure 9).
-	CollectTrace bool
 	// RealQuantum is the grain-sizing target quantum for RunReal (default
 	// 10 ms; real OS slices are far shorter than the Sun 4/330's 100 ms).
 	RealQuantum time.Duration
@@ -158,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GroupExchangeEvery <= 0 {
 		c.GroupExchangeEvery = 4
-	}
-	if c.GroupDiffusion <= 0 || c.GroupDiffusion > 1 {
-		c.GroupDiffusion = 0.5
 	}
 	return c
 }
@@ -303,7 +296,8 @@ type Result struct {
 	Phases int
 	// Moves counts issued work movements; UnitsMoved the total units.
 	Moves, UnitsMoved int
-	// Trace holds Figure 9 samples when CollectTrace is set.
+	// Trace holds Figure 9's series: one Sample per participant per
+	// balancing round, on every endpoint.
 	Trace []Sample
 	// Loads records the weighted load distribution at each balancing
 	// round: max and mean per-slave weighted backlog under the run's cost

@@ -136,7 +136,7 @@ func TestDLBMovesWorkAwayFromLoadedSlave(t *testing.T) {
 	// balancing periods.
 	plan := planFor(t, "mm")
 	params := map[string]int{"n": 32}
-	cfg := Config{DLB: true, FlopCost: 50 * time.Microsecond, CollectTrace: true}
+	cfg := Config{DLB: true, FlopCost: 50 * time.Microsecond}
 	cc := cluster.Config{Slaves: 2, Load: []cluster.LoadProfile{cluster.Constant(1)}}
 	res := runAndVerify(t, plan, params, cfg, cc)
 	if res.Moves == 0 {
@@ -181,7 +181,7 @@ func TestLUShrinkingWithDLB(t *testing.T) {
 func TestHeterogeneousSpeeds(t *testing.T) {
 	plan := planFor(t, "mm")
 	params := map[string]int{"n": 32}
-	cfg := Config{DLB: true, FlopCost: 50 * time.Microsecond, CollectTrace: true}
+	cfg := Config{DLB: true, FlopCost: 50 * time.Microsecond}
 	cc := cluster.Config{Slaves: 2, Speed: []float64{1.0, 3.0}}
 	res := runAndVerify(t, plan, params, cfg, cc)
 	if res.Moves == 0 {
@@ -220,7 +220,7 @@ func TestSpeedupDedicated(t *testing.T) {
 func TestOscillatingLoadTrace(t *testing.T) {
 	plan := planFor(t, "mm")
 	params := map[string]int{"n": 32}
-	cfg := Config{DLB: true, FlopCost: 400 * time.Microsecond, CollectTrace: true}
+	cfg := Config{DLB: true, FlopCost: 400 * time.Microsecond}
 	cc := cluster.Config{
 		Slaves: 4,
 		Load: []cluster.LoadProfile{cluster.SquareWave{
@@ -305,7 +305,7 @@ func TestDeterministicRuns(t *testing.T) {
 	plan := planFor(t, "mm")
 	params := map[string]int{"n": 32}
 	cfg := Config{Plan: plan, Params: params, DLB: true,
-		FlopCost: 100 * time.Microsecond, CollectTrace: true}
+		FlopCost: 100 * time.Microsecond}
 	cc := cluster.Config{Slaves: 4, Load: []cluster.LoadProfile{
 		cluster.SquareWave{Period: 6 * time.Second, OnDuration: 3 * time.Second, Tasks: 1},
 	}}

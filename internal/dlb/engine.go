@@ -62,6 +62,10 @@ type engine struct {
 	err          error
 }
 
+// groupDiffusion is the hierarchy's diffusive under-relaxation factor: the
+// fraction of the completion-time-equalizing flow shifted per exchange.
+const groupDiffusion = 0.5
+
 func (e *engine) runOn(ep Endpoint) {
 	e.ep = ep
 	e.plan = e.exec.Plan
@@ -79,7 +83,7 @@ func (e *engine) runOn(ep Endpoint) {
 		e.costModel = NewUnitCostModel(e.exec.Units)
 	}
 	if e.part != nil && e.part.Groups() > 1 {
-		e.hier = &hierarchy{diff: hier.Diffuser{Alpha: e.cfg.GroupDiffusion}, every: e.cfg.GroupExchangeEvery}
+		e.hier = &hierarchy{diff: hier.Diffuser{Alpha: groupDiffusion}, every: e.cfg.GroupExchangeEvery}
 	}
 	e.done = make([]bool, e.total)
 	e.pol.Init(e)

@@ -145,7 +145,7 @@ func TestEngineCountersReal(t *testing.T) {
 // TestResultSeries checks the trace-to-series bridge used by cmd/dlbrun.
 func TestResultSeries(t *testing.T) {
 	res := runAndVerify(t, planFor(t, "mm"), map[string]int{"n": 32},
-		Config{DLB: true, CollectTrace: true}, cluster.Config{Slaves: 3})
+		Config{DLB: true}, cluster.Config{Slaves: 3})
 	if len(res.Trace) == 0 {
 		t.Fatal("no trace samples")
 	}

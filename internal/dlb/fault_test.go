@@ -18,7 +18,6 @@ func ftConfig(fp *fault.Plan) Config {
 		Fault:    fp,
 		FlopCost: 100 * time.Microsecond,
 		Detect: fault.DetectorConfig{
-			MissThreshold:  3,
 			MinLease:       1500 * time.Millisecond,
 			MaxLease:       4 * time.Second,
 			HeartbeatEvery: 200 * time.Millisecond,
@@ -90,7 +89,7 @@ func TestFaultCrashSOR(t *testing.T) {
 	cfg := ftConfig(fp)
 	cfg.FlopCost = 300 * time.Microsecond
 	cfg.Detect = fault.DetectorConfig{
-		MissThreshold: 3, MinLease: 600 * time.Millisecond,
+		MinLease: 600 * time.Millisecond,
 		MaxLease: 4 * time.Second, HeartbeatEvery: 150 * time.Millisecond,
 	}
 	cfg.Ckpt = fault.CkptPolicy{
@@ -225,7 +224,7 @@ func TestRealFaultCrashMM(t *testing.T) {
 		Plan: plan, Params: params, DLB: true,
 		Fault: (&fault.Plan{}).CrashAt(1, 0),
 		Detect: fault.DetectorConfig{
-			MissThreshold: 3, MinLease: 300 * time.Millisecond,
+			MinLease: 300 * time.Millisecond,
 			MaxLease: 2 * time.Second, HeartbeatEvery: 50 * time.Millisecond,
 		},
 		Ckpt: fault.CkptPolicy{

@@ -171,9 +171,6 @@ func weightedRound(e *engine) ([]int, bool) {
 
 // recordTrace appends the round's per-slave samples (Figure 9's series).
 func recordTrace(e *engine, ids []int, statuses []core.Status, d core.Decision, phase int) {
-	if !e.cfg.CollectTrace {
-		return
-	}
 	now := e.ep.Now()
 	work := e.own.ActiveCounts()
 	for _, id := range ids {

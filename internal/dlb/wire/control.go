@@ -14,11 +14,13 @@ import "time"
 // distribution directive, and every configuration knob whose value slave
 // code consults. The master ships it in the StartMsg; the slave compiles it
 // with its own toolchain and proves agreement by echoing the hash of the
-// plan it actually built (see HelloMsg.PlanHash).
+// plan it actually built (see HelloMsg.PlanHash). Every compile.Options
+// field has a carrier here (netrun's TestCompileOptionsReachTheDaemons).
 //
 // Removing a field needs no ProtocolVersion bump: gob drops a field the
-// receiver does not declare. The per-slave worker count that PR 21 removed
-// never changed a result, so a peer that still sends it agrees bit for bit.
+// receiver does not declare (TestStartMsgDropsRetiredSpecFields). Neither
+// retired field changed a result when sent at its only value: the per-slave
+// worker count, and the hook fraction, now compile's fixed 1 %.
 type RunSpec struct {
 	// Source is the program text (lang syntax; library programs are
 	// formatted back to source).
@@ -28,9 +30,8 @@ type RunSpec struct {
 	// DistDims and DistLoops carry the distribution directive.
 	DistDims  map[string]int
 	DistLoops []string
-	// HookFraction and HookCostFlops are the compiler's hook-placement cost
-	// model (zero: defaults).
-	HookFraction  float64
+	// HookCostFlops is the compiler's hook-placement cost model (zero:
+	// the default).
 	HookCostFlops float64
 	// Grain is the strip-mining block size the master chose; slaves must
 	// instantiate with exactly this grain to share the phase schedule.

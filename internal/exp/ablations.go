@@ -246,7 +246,7 @@ func AblationLUAdaptive(s Scale) (*LUResult, error) {
 	}
 	const slaves = 4
 	cc := cluster.Config{Slaves: slaves, Load: []cluster.LoadProfile{cluster.Constant(1)}}
-	cfg := dlb.Config{Plan: app.Plan, Params: app.Params, DLB: true, FlopCost: app.FlopCost, CollectTrace: true}
+	cfg := dlb.Config{Plan: app.Plan, Params: app.Params, DLB: true, FlopCost: app.FlopCost}
 	res, err := dlb.Run(cfg, cc)
 	if err != nil {
 		return nil, err

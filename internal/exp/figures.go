@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/depend"
-	"repro/internal/dlb"
 	"repro/internal/loopir"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -107,7 +106,7 @@ func Fig9(s Scale) (*Fig9Result, error) {
 		Period:     20 * time.Second,
 		OnDuration: 10 * time.Second,
 		Tasks:      1,
-	}}, func(c *dlb.Config) { c.CollectTrace = true })
+	}}, nil)
 	if err != nil {
 		return nil, err
 	}

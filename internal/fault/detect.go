@@ -8,9 +8,6 @@ import "time"
 // last sign of life is older than its lease — k missed hook deadlines'
 // worth of time — is declared dead.
 type DetectorConfig struct {
-	// MissThreshold is k, the number of expected contact intervals a slave
-	// may miss before it is declared dead. Default 3.
-	MissThreshold int
 	// MinLease is a floor on the lease, covering startup and very short
 	// balancing periods. Default 2s.
 	MinLease time.Duration
@@ -22,10 +19,11 @@ type DetectorConfig struct {
 	HeartbeatEvery time.Duration
 }
 
+// missThreshold is k, the number of expected contact intervals (and of
+// heartbeat intervals) a slave may miss before it is declared dead.
+const missThreshold = 3
+
 func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.MissThreshold <= 0 {
-		c.MissThreshold = 3
-	}
 	if c.MinLease <= 0 {
 		c.MinLease = 2 * time.Second
 	}
@@ -82,8 +80,8 @@ func (d *Detector) Reset(now time.Duration) {
 // intervals, floored by MinLease (it also covers heartbeat gaps) and capped
 // by MaxLease.
 func (d *Detector) Lease() time.Duration {
-	l := time.Duration(d.cfg.MissThreshold) * d.interval
-	if hb := time.Duration(d.cfg.MissThreshold) * d.cfg.HeartbeatEvery; l < hb {
+	l := missThreshold * d.interval
+	if hb := missThreshold * d.cfg.HeartbeatEvery; l < hb {
 		l = hb
 	}
 	if l < d.cfg.MinLease {

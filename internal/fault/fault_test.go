@@ -82,7 +82,7 @@ func TestInjector(t *testing.T) {
 }
 
 func TestDetectorLeases(t *testing.T) {
-	d := NewDetector(DetectorConfig{MissThreshold: 3, MinLease: 2 * time.Second, MaxLease: 20 * time.Second}, 4)
+	d := NewDetector(DetectorConfig{MinLease: 2 * time.Second, MaxLease: 20 * time.Second}, 4)
 	// No interval observed yet: lease is the floor.
 	if d.Lease() != 2*time.Second {
 		t.Errorf("initial lease = %v", d.Lease())

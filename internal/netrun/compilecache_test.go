@@ -2,12 +2,14 @@ package netrun
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/compile"
 	"repro/internal/dlb"
+	"repro/internal/dlb/wire"
 )
 
 // planFingerprint renders everything of a plan a run could have scribbled
@@ -83,5 +85,44 @@ func TestCachedPlanSharedBySessions(t *testing.T) {
 	wantHits := int64(2 + 1 + 2*len(sizes) - 1) // every lookup but the one that compiled
 	if hits, misses := shared.Stats(); misses != 1 || hits != wantHits {
 		t.Errorf("compile cache: %d hits, %d misses; want %d, 1", hits, misses, wantHits)
+	}
+}
+
+// TestCompileOptionsReachTheDaemons: a daemon recompiles the master's
+// program from the shipped RunSpec, so every compile.Options field needs a
+// RunSpec carrier. An option without one compiles a plan on the master that
+// no daemon can reproduce (as the dependence analysis' sample sizes once did).
+func TestCompileOptionsReachTheDaemons(t *testing.T) {
+	carriers := map[string][]string{
+		"Dist":          {"DistDims", "DistLoops"},
+		"HookCostFlops": {"HookCostFlops"},
+	}
+	opts, spec := reflect.TypeOf(compile.Options{}), reflect.TypeOf(wire.RunSpec{})
+	for i := 0; i < opts.NumField(); i++ {
+		name := opts.Field(i).Name
+		fields, ok := carriers[name]
+		if !ok {
+			t.Errorf("compile.Options.%s has no wire.RunSpec carrier: ship it in specFromConfig and configFromSpec, hash it in compile.cacheKey, and list it here", name)
+		}
+		for _, f := range fields {
+			if _, ok := spec.FieldByName(f); !ok {
+				t.Errorf("compile.Options.%s's carrier wire.RunSpec.%s does not exist", name, f)
+			}
+		}
+	}
+
+	// The carriers carry: the daemon's options are the master's.
+	plan, params := testPlan(t, "sor", 16, 2)
+	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, CompileOpts: compile.Options{HookCostFlops: 7}}
+	got, _, err := configFromSpec(compile.NewCache(1), specFromConfig(cfg, 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := compile.Options{Dist: plan.Dist, HookCostFlops: 7}
+	if !reflect.DeepEqual(got.CompileOpts, want) {
+		t.Errorf("daemon compiled under %+v, master under %+v", got.CompileOpts, want)
+	}
+	if got.Plan.Source != plan.Source {
+		t.Error("the daemon's plan renders differently from the master's")
 	}
 }

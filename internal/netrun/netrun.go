@@ -174,7 +174,6 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 		Params:         params,
 		DistDims:       dims,
 		DistLoops:      append([]string(nil), cfg.Plan.Dist.Loops...),
-		HookFraction:   cfg.CompileOpts.HookFraction,
 		HookCostFlops:  cfg.CompileOpts.HookCostFlops,
 		Grain:          grain,
 		DLB:            cfg.DLB,
@@ -194,7 +193,6 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 func configFromSpec(plans *compile.Cache, spec wire.RunSpec) (cfg dlb.Config, cached bool, err error) {
 	opts := compile.Options{
 		Dist:          depend.DistSpec{Dims: spec.DistDims, Loops: spec.DistLoops},
-		HookFraction:  spec.HookFraction,
 		HookCostFlops: spec.HookCostFlops,
 	}
 	plan, cached, err := plans.Compile(spec.Source, opts)

@@ -38,7 +38,8 @@ var (
 	ErrNotDone  = errors.New("svc: job has not finished")
 )
 
-// Options configures a Service.
+// Options configures a Service: its pool and its scheduling. What a job
+// runs — tier, cost model, groups — is named by the job's own JobSpec.
 type Options struct {
 	// Addrs is the shared slave pool: one dlbd address per daemon
 	// (required, non-empty).
@@ -48,9 +49,6 @@ type Options struct {
 	MaxQueue int
 	// Weights are per-tenant fairness weights; absent tenants weigh 1.
 	Weights map[string]float64
-	// RealQuantum is the target per-block compute time shipped to every
-	// run (default 2ms).
-	RealQuantum time.Duration
 	// Detect tunes failure detection for all runs; the zero value uses the
 	// fault package defaults.
 	Detect fault.DetectorConfig
@@ -60,16 +58,6 @@ type Options struct {
 	// MaxGroups caps the hierarchical group count a job may request
 	// (0: unlimited). Submissions beyond it are rejected at admission.
 	MaxGroups int
-	// Kernel is the default execution tier for jobs that do not name one
-	// ("" keeps dlb's own default, the portable VM). A job's explicit
-	// Kernel always wins; all tiers are bit-identical, so the choice is
-	// purely about speed versus toolchain availability on the host.
-	Kernel string
-	// CostModel is the default balancer cost model for jobs that do not
-	// name one ("" keeps dlb's own default, uniform). A job's explicit
-	// CostModel always wins. Unlike Kernel this changes schedules (that
-	// is its purpose), but never results.
-	CostModel string
 	// Timeouts bounds each run's transport operations.
 	Timeouts netrun.Timeouts
 	// Logf receives service events (nil: silent).
@@ -103,9 +91,6 @@ func New(opt Options) (*Service, error) {
 	if len(opt.Addrs) == 0 {
 		return nil, fmt.Errorf("svc: empty slave pool")
 	}
-	if opt.RealQuantum <= 0 {
-		opt.RealQuantum = 2 * time.Millisecond
-	}
 	if opt.Ckpt.MinInterval <= 0 {
 		opt.Ckpt.MinInterval = 300 * time.Millisecond
 	}
@@ -131,6 +116,9 @@ func (s *Service) logf(format string, args ...interface{}) {
 	}
 }
 
+// realQuantum is the target per-block compute time shipped to every run.
+const realQuantum = 2 * time.Millisecond
+
 // cfgFor builds the run Config for a spec. Every job runs with the fault
 // machinery on: checkpoints are both the crash-recovery substrate and the
 // preemption mechanism.
@@ -143,22 +131,16 @@ func (s *Service) cfgFor(plan *compile.Plan, spec JobSpec) dlb.Config {
 		Kernel:      spec.Kernel,
 		CostModel:   spec.CostModel,
 		Groups:      spec.Groups,
-		RealQuantum: s.opt.RealQuantum,
+		RealQuantum: realQuantum,
 		Fault:       &fault.Plan{},
 		Detect:      s.opt.Detect,
 		Ckpt:        s.opt.Ckpt,
 	}
 }
 
-// resolve applies the service defaults to spec and validates it against the
-// limits that never change: the pool size and the group caps.
+// resolve normalizes spec and validates it against the limits that never
+// change: the pool size and the group caps.
 func (s *Service) resolve(spec JobSpec) (JobSpec, error) {
-	if spec.Kernel == "" {
-		spec.Kernel = s.opt.Kernel
-	}
-	if spec.CostModel == "" {
-		spec.CostModel = s.opt.CostModel
-	}
 	if err := spec.normalize(); err != nil {
 		return spec, err
 	}
