@@ -1,18 +1,21 @@
 // Package aot closes the loop from compile.Plan to running native code:
 // it takes the Go kernel functions emitted by internal/loopir, assembles
-// them into a standalone package, builds that package with the Go
-// toolchain into a -buildmode=plugin shared object, and opens it in
-// process so the dlb runtime can dispatch to the emitted functions exactly
-// like a compiled kernel. A host that cannot build or open a plugin gets
-// an error naming the remedy (the VM tier, -kernel kernel); there is no
-// second load mode.
+// them into a standalone one-file package, compiles and links it with the
+// Go toolchain's own compile and link tools (the recipe go build
+// -buildmode=plugin uses, without DWARF) into a plugin shared object, and
+// opens it in process so the dlb runtime can dispatch to the emitted
+// functions exactly like a compiled kernel. The tools' directory and the
+// runtime's export files are probed from the go command once per process.
+// A host that cannot build or open a plugin gets an error naming the
+// remedy (the VM tier, -kernel kernel); there is no second load mode.
 //
 // Artifacts are cached on disk under os.UserCacheDir()/dlb-aot (override
 // with DLB_AOT_CACHE), keyed by a sha256 of the emitted source, the Go
-// version, GOARCH and the race-detector state: repeat
-// jobs of the same program skip the toolchain entirely and start in
-// milliseconds. Concurrent builds of the same key are single-flighted
-// both in-process (a memo) and across processes (a lock file).
+// version, GOARCH and the recipe's flags (which carry the race-detector
+// state): repeat jobs of the same program skip the toolchain entirely and
+// start in milliseconds. Concurrent builds of the same key are
+// single-flighted both in-process (a memo) and across processes (a lock
+// file).
 package aot
 
 import (
@@ -69,17 +72,23 @@ type BuildInfo struct {
 	// Dir is the cache directory holding source and artifact.
 	Dir string
 	// EmitDur, BuildDur and LoadDur split the build wall time: emission +
-	// hashing, toolchain invocation (zero when warm), artifact load.
+	// hashing, the toolchain's whole part of a cold build (zero when warm),
+	// artifact load.
 	EmitDur, BuildDur, LoadDur time.Duration
+	// ProbeDur, CompileDur and LinkDur are where BuildDur went: asking the
+	// go command for the toolchain (once per process), compiling the
+	// kernels, linking the plugin.
+	ProbeDur, CompileDur, LinkDur time.Duration
 	// Skipped lists region indices that could not be emitted and fell
 	// back to the VM tier.
 	Skipped []int
 }
 
 func (i BuildInfo) String() string {
-	return fmt.Sprintf("aot: key=%s mode=%s warm=%v emit=%s build=%s load=%s",
-		i.Key[:16], i.Mode, i.Warm,
-		i.EmitDur.Round(time.Microsecond), i.BuildDur.Round(time.Millisecond),
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	return fmt.Sprintf("aot: key=%s mode=%s warm=%v emit=%s build=%s (probe=%s compile=%s link=%s) load=%s",
+		i.Key[:16], i.Mode, i.Warm, i.EmitDur.Round(time.Microsecond),
+		ms(i.BuildDur), ms(i.ProbeDur), ms(i.CompileDur), ms(i.LinkDur),
 		i.LoadDur.Round(time.Microsecond))
 }
 

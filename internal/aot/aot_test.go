@@ -1,14 +1,22 @@
 package aot
 
 import (
+	"bytes"
+	"fmt"
 	"go/format"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +55,18 @@ func sameArrays(t *testing.T, label string, want, got *loopir.Instance) {
 		}
 	}
 }
+
+// freshProgram copies a library program under a name no other build in
+// this process has used, so its artifact is new: a test that builds cold
+// into a fresh cache directory must not load a second plugin under the
+// path of one already loaded, which the runtime refuses.
+func freshProgram(name string) *loopir.Program {
+	q := *loopir.Library()[name]
+	q.Name = fmt.Sprintf("%s-%d", name, freshCount.Add(1))
+	return &q
+}
+
+var freshCount atomic.Int64
 
 // TestWholeBodyDifferential builds every library program's whole body as
 // a native kernel and checks the result is bit-identical to both the
@@ -195,9 +215,10 @@ func TestWarmStart(t *testing.T) {
 }
 
 // TestEmittedPackageImportFree guards the cold-build cost: the emitted
-// package is go.mod plus kernels.go and imports nothing, so the plugin
-// links the kernels and the runtime only (a single standard-library import
-// such as encoding/gob doubles the build time and the artifact size).
+// package is kernels.go alone and imports nothing, so the plugin links the
+// kernels and the runtime only (a single standard-library import such as
+// encoding/gob doubles the build time and the artifact size) and the
+// compile needs no importcfg.
 func TestEmittedPackageImportFree(t *testing.T) {
 	for name, p := range loopir.Library() {
 		if loopir.UsesIArr(p.Body) {
@@ -207,14 +228,7 @@ func TestEmittedPackageImportFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(e.files) != 2 || e.files["go.mod"] == "" || e.files["kernels.go"] == "" {
-			var names []string
-			for fname := range e.files {
-				names = append(names, fname)
-			}
-			t.Fatalf("%s: emitted files %v, want exactly go.mod and kernels.go", name, names)
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), "kernels.go", e.files["kernels.go"], parser.ImportsOnly)
+		f, err := parser.ParseFile(token.NewFileSet(), "kernels.go", e.src, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,19 +239,337 @@ func TestEmittedPackageImportFree(t *testing.T) {
 }
 
 // TestToolchainUnavailable: a host with no usable Go toolchain gets an
-// error that names the remedy, not a panic and not a slower executor.
+// error that names the remedy, not a panic and not a slower executor —
+// even in a process that has already built with a toolchain that has since
+// gone, once ClearMemory has dropped the probe.
 func TestToolchainUnavailable(t *testing.T) {
+	defer ClearMemory() // do not leave the memoised failure behind
+	ClearMemory()
+	p := freshProgram("jacobi")
+	spec := Spec{Prog: p, Params: testParams(p, 14), WholeBody: true, CacheDir: t.TempDir()}
+	if _, err := Build(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	ClearMemory()
 	empty := t.TempDir()
 	t.Setenv("PATH", empty)
 	t.Setenv("GOROOT", empty)
-	defer ClearMemory() // do not leave the memoised failure behind
-	p := loopir.Library()["jacobi"]
-	_, err := Build(Spec{Prog: p, Params: testParams(p, 14), WholeBody: true, CacheDir: t.TempDir()})
+	spec.Prog, spec.CacheDir = freshProgram("jacobi"), t.TempDir()
+	_, err := Build(spec)
 	if err == nil {
 		t.Fatal("Build succeeded with no go binary reachable")
 	}
 	if !strings.Contains(err.Error(), "-kernel kernel") {
 		t.Fatalf("error does not name the remedy: %v", err)
+	}
+}
+
+// TestToolchainVersionMismatch: a go command of another release than the
+// running binary is refused at the probe, naming both releases, before
+// anything is compiled; plugin.Open would only say "different version of
+// package runtime".
+func TestToolchainVersionMismatch(t *testing.T) {
+	bin := t.TempDir()
+	fake := "#!/bin/sh\nprintf '%s\\n' /nonexistent/tool go1.0-fake /nonexistent/goroot gcc\n"
+	if err := os.WriteFile(filepath.Join(bin, "go"), []byte(fake), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("PATH", bin)
+	defer ClearMemory()
+	ClearMemory()
+	p := loopir.Library()["jacobi"]
+	_, err := Build(Spec{Prog: p, Params: testParams(p, 14), WholeBody: true, CacheDir: t.TempDir()})
+	if err == nil {
+		t.Fatal("Build succeeded with a go command of another release")
+	}
+	for _, want := range []string{"go1.0-fake", runtime.Version(), "-kernel kernel"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not name %q: %v", want, err)
+		}
+	}
+}
+
+// TestStaleDependencySetReprobes: the probe's export files live in the Go
+// build cache, which go trims. A link against a file that has gone
+// re-probes once and builds a kernel that runs.
+func TestStaleDependencySetReprobes(t *testing.T) {
+	defer ClearMemory()
+	ClearMemory()
+	if _, err := probe(nil); err != nil {
+		t.Fatal(err)
+	}
+	probeMu.Lock()
+	stale := *probed
+	stale.deps = append([]string(nil), probed.deps...)
+	found := false
+	for i, line := range stale.deps {
+		if strings.HasPrefix(line, "packagefile runtime=") {
+			stale.deps[i] = "packagefile runtime=" + filepath.Join(t.TempDir(), "trimmed-d")
+			found = true
+		}
+	}
+	probed = &stale
+	before := probes
+	probeMu.Unlock()
+	if !found {
+		t.Fatalf("no runtime line in the dependency set %q", stale.deps)
+	}
+
+	p := freshProgram("axpy")
+	params := testParams(p, 12)
+	prog, err := Build(Spec{Prog: p, Params: params, WholeBody: true, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeMu.Lock()
+	reprobes := probes - before
+	probeMu.Unlock()
+	if reprobes != 1 {
+		t.Fatalf("%d re-probes, want 1", reprobes)
+	}
+	ref := instance(t, p, params)
+	if err := ref.Interpret(); err != nil {
+		t.Fatal(err)
+	}
+	native := instance(t, p, params)
+	bk, err := prog.Kernels[0].Bind(native.Arrays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk.Run(0, 0, nil)
+	sameArrays(t, "interp vs aot after a re-probe", ref, native)
+}
+
+// TestConcurrentColdBuildsProbeOnce: cold builds of different programs
+// running at once share one probe, and each loads a kernel.
+func TestConcurrentColdBuildsProbeOnce(t *testing.T) {
+	defer ClearMemory()
+	ClearMemory()
+	probeMu.Lock()
+	before := probes
+	probeMu.Unlock()
+	names := []string{"axpy", "mm", "sor"}
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		i, p := i, freshProgram(name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Build(Spec{Prog: p, Params: testParams(p, 8), WholeBody: true, CacheDir: t.TempDir()})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+	}
+	probeMu.Lock()
+	n := probes - before
+	probeMu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d probes for %d concurrent cold builds, want 1", n, len(names))
+	}
+}
+
+// TestRecipeIsTheToolchains holds the recipe to the installed toolchain:
+// go build -n -buildmode=plugin on an emitted package must print the same
+// compile and link flags, and link the same packages, modulo what differs
+// per build by design — paths under $WORK, build IDs, the compiler's
+// backend concurrency (-c, which leaves the object file as it is), the
+// runtime's GODEBUG default (a plugin shares the host's runtime) and the
+// recipe's own -w. A Go release that changes the plugin recipe fails here,
+// not in plugin.Open on some daemon.
+func TestRecipeIsTheToolchains(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	tc, err := probe(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := loopir.Library()["jacobi"]
+	e, err := emitSpec(Spec{Prog: p, Params: testParams(p, 12), WholeBody: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgPath(cacheKey(e))
+	dir := t.TempDir()
+	gomod := "module " + pkg + "\n\ngo " + strings.TrimPrefix(langVersion, "go") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "kernels.go"), []byte(e.src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"build", "-n", "-buildmode=plugin", "-o", "kernel.so"}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	cmd := exec.Command(goBin, append(args, ".")...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=", "CGO_ENABLED=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -n: %v\n%s", err, out)
+	}
+	script := string(out)
+
+	for _, c := range []struct {
+		tool string
+		ours []string
+	}{
+		{"compile", compileArgs(tc, pkg, dir, "kernels.a")},
+		{"link", linkArgs(tc, pkg, "importcfg.link", "kernels.a", "kernel.so")},
+	} {
+		theirs := invocation(t, script, filepath.Join(tc.toolDir, c.tool), pkg)
+		if got, want := recipeOf(c.ours), recipeOf(theirs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s recipe %v, go build's %v", c.tool, got, want)
+		}
+	}
+
+	ours := []string{pkg}
+	for _, line := range tc.deps {
+		path, _, _ := strings.Cut(strings.TrimPrefix(line, "packagefile "), "=")
+		ours = append(ours, path)
+	}
+	sort.Strings(ours)
+	if theirs := linkedPackages(script); !reflect.DeepEqual(ours, theirs) {
+		t.Errorf("the link reads %v, go build's %v", ours, theirs)
+	}
+}
+
+// invocation returns the arguments of the one line of a go build -n
+// script that runs tool for package pkg.
+func invocation(t *testing.T, script, tool, pkg string) []string {
+	t.Helper()
+	var found []string
+	for _, line := range strings.Split(script, "\n") {
+		f := strings.Fields(line)
+		for len(f) > 0 && !strings.HasPrefix(f[0], "/") && strings.Contains(f[0], "=") {
+			f = f[1:] // an environment assignment such as GOROOT='...'
+		}
+		if len(f) == 0 || f[0] != tool || !strings.Contains(line, " "+pkg+" ") {
+			continue
+		}
+		if found != nil {
+			t.Fatalf("two %s lines for %s in\n%s", tool, pkg, script)
+		}
+		for _, a := range f[1:] {
+			found = append(found, strings.Trim(a, `"'`))
+		}
+	}
+	if found == nil {
+		t.Fatalf("no %s line for %s in\n%s", tool, pkg, script)
+	}
+	return found
+}
+
+// recipeOf reduces a tool's arguments to the recipe: each flag with its
+// value, less input files, paths, build IDs, -c, the GODEBUG default and -w.
+func recipeOf(args []string) []string {
+	var set []string
+	for i := 0; i < len(args); i++ {
+		a := args[i]
+		switch {
+		case !strings.HasPrefix(a, "-"): // an input file
+		case a == "-o" || a == "-importcfg" || a == "-trimpath" || a == "-buildid":
+			i++
+		case a == "-w" || strings.HasPrefix(a, "-buildid=") || strings.HasPrefix(a, "-c=") ||
+			strings.HasPrefix(a, "-X=runtime.godebugDefault="):
+		case a == "-p" || a == "-goversion" || a == "-installsuffix" || a == "-pluginpath":
+			set = append(set, a+" "+args[i+1])
+			i++
+		default:
+			set = append(set, a)
+		}
+	}
+	sort.Strings(set)
+	return set
+}
+
+// linkedPackages lists the import paths of a go build -n script's link
+// importcfg, sorted.
+func linkedPackages(script string) []string {
+	var paths []string
+	in := false
+	for _, line := range strings.Split(script, "\n") {
+		switch {
+		case strings.HasPrefix(line, "cat >") && strings.Contains(line, "importcfg.link"):
+			in = true
+		case line == "EOF":
+			in = false
+		case in && strings.HasPrefix(line, "packagefile "):
+			path, _, _ := strings.Cut(strings.TrimPrefix(line, "packagefile "), "=")
+			paths = append(paths, path)
+		}
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// TestReproducibleArtifact: the same emitted package built twice into two
+// fresh cache directories gives byte-identical plugins, and a key's
+// directory holds src/kernels.go and kernel.so and nothing else.
+func TestReproducibleArtifact(t *testing.T) {
+	p := loopir.Library()["jacobi"]
+	e, err := emitSpec(Spec{Prog: p, Params: testParams(p, 10), WholeBody: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey(e)
+	var sos [][]byte
+	for _, parent := range []string{"c", "a-longer-cache-root"} {
+		dir := filepath.Join(t.TempDir(), parent, key[:16])
+		var info BuildInfo
+		if err := buildArtifact(e.src, key, dir, &info); err != nil {
+			t.Fatal(err)
+		}
+		var files []string
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				rel, _ := filepath.Rel(dir, path)
+				files = append(files, filepath.ToSlash(rel))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"kernel.so", "src/kernels.go"}; !reflect.DeepEqual(files, want) {
+			t.Fatalf("the key directory holds %v, want %v", files, want)
+		}
+		so, err := os.ReadFile(filepath.Join(dir, "kernel.so"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sos = append(sos, so)
+	}
+	if !bytes.Equal(sos[0], sos[1]) {
+		t.Fatalf("two builds of one package differ (%d and %d bytes)", len(sos[0]), len(sos[1]))
+	}
+}
+
+// TestKernelsAttributable: without DWARF a loaded kernel still has its
+// name and file in the pclntab, which is what pprof reads.
+func TestKernelsAttributable(t *testing.T) {
+	p := loopir.Library()["mm"]
+	prog, err := Build(Spec{Prog: p, Params: testParams(p, 8), WholeBody: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := runtime.FuncForPC(reflect.ValueOf(prog.Kernels[0].fn).Pointer())
+	if fn == nil {
+		t.Fatal("no function at the kernel's entry")
+	}
+	if want := pkgPath(prog.Info.Key) + ".Kernel0"; fn.Name() != want {
+		t.Fatalf("the kernel is named %q, want %q", fn.Name(), want)
+	}
+	if file, _ := fn.FileLine(fn.Entry()); file != "kernels.go" {
+		t.Fatalf("the kernel's file is %q, want kernels.go", file)
 	}
 }
 
@@ -258,7 +590,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestEmittedSourceFormatted: every emitted source file of every library
+// TestEmittedSourceFormatted: the emitted kernels.go of every library
 // program must already be gofmt-clean — generated code is readable Go,
 // not just compilable Go.
 func TestEmittedSourceFormatted(t *testing.T) {
@@ -272,25 +604,20 @@ func TestEmittedSourceFormatted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for fname, content := range e.files {
-				if filepath.Ext(fname) != ".go" {
-					continue
-				}
-				formatted, err := format.Source([]byte(content))
-				if err != nil {
-					t.Fatalf("%s does not parse: %v", fname, err)
-				}
-				if string(formatted) != content {
-					t.Fatalf("%s is not gofmt-clean:\n--- emitted ---\n%s\n--- gofmt ---\n%s",
-						fname, content, formatted)
-				}
+			formatted, err := format.Source([]byte(e.src))
+			if err != nil {
+				t.Fatalf("kernels.go does not parse: %v", err)
+			}
+			if string(formatted) != e.src {
+				t.Fatalf("kernels.go is not gofmt-clean:\n--- emitted ---\n%s\n--- gofmt ---\n%s",
+					e.src, formatted)
 			}
 		})
 	}
 }
 
-// TestEmittedSourceVets materializes each library program's emitted
-// package and runs go vet over it.
+// TestEmittedSourceVets writes each library program's kernels.go and runs
+// go vet on the file.
 func TestEmittedSourceVets(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -307,10 +634,10 @@ func TestEmittedSourceVets(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			if err := writeSource(dir, e.files); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "kernels.go"), []byte(e.src), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cmd := exec.Command(goBin, "vet", ".")
+			cmd := exec.Command(goBin, "vet", "kernels.go")
 			cmd.Dir = dir
 			cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
 			if out, err := cmd.CombinedOutput(); err != nil {

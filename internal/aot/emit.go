@@ -9,14 +9,15 @@ import (
 )
 
 // This file assembles the emitted kernel functions into a standalone Go
-// main package with no imports: go.mod plus kernels.go. Built with
-// -buildmode=plugin, the host looks up the Kernels table; main is the
-// empty function the build mode requires and is never called. Staying
-// import-free keeps the cold build to the kernels and the runtime.
+// main package of one file, kernels.go, with no imports. Built as a
+// plugin, the host looks up the Kernels table; main is the empty function
+// the build mode requires and is never called. Staying import-free keeps
+// the cold build to the kernels and the runtime, and the compile's
+// importcfg empty.
 
 // emitted is the assembled package plus per-kernel metadata.
 type emitted struct {
-	files   map[string]string // file name -> content
+	src     string // kernels.go
 	kernels []*loopir.EmittedKernel
 	skipped []int // region indices refused by the emitter
 }
@@ -30,7 +31,7 @@ func emitSpec(spec Spec) (*emitted, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &emitted{files: map[string]string{}}
+	e := &emitted{}
 	if spec.WholeBody {
 		ek, err := in.EmitKernelGo(spec.Prog.Body, "Kernel0")
 		if err != nil {
@@ -58,12 +59,9 @@ func emitSpec(spec Spec) (*emitted, error) {
 		return nil, fmt.Errorf("aot: no emittable kernel region in %s", spec.Prog.Name)
 	}
 
-	kernelsSrc, err := kernelsFile(spec.Prog.Name, e.kernels)
-	if err != nil {
+	if e.src, err = kernelsFile(spec.Prog.Name, e.kernels); err != nil {
 		return nil, err
 	}
-	e.files["go.mod"] = "module dlbaot\n\ngo 1.22\n"
-	e.files["kernels.go"] = kernelsSrc
 	return e, nil
 }
 
