@@ -87,7 +87,7 @@ func main() {
 	kernel := flag.String("kernel", "", `execution tier for distributed-loop bodies: "interp", "kernel" (default) or "aot"`)
 	costModel := flag.String("costmodel", "", `balancer's view of work units: "uniform" (default) or "learned" (per-unit costs measured online)`)
 	overlap := flag.Bool("overlap", true, "overlap eligible ghost exchanges with interior computation (-overlap=false forces synchronous exchanges)")
-	groups := flag.Int("groups", 0, "hierarchical balancing: partition slaves into this many leader-led groups (0/1: flat)")
+	groups := flag.Int("groups", 0, "hierarchical balancing: partition slaves into this many leader-led groups (0/1: flat; refused with -fault or -slaves host:port)")
 	groupEvery := flag.Int("group-every", 0, "inter-group diffusive exchange cadence in balancing rounds (0: default 4)")
 	reportCost := flag.Duration("report-cost", 0, "per-report CPU charge on whoever collects a status (master, or group leaders)")
 	drag := flag.Float64("drag", 1.0, "with -real: slow slave 0 by this factor (emulated loaded machine)")

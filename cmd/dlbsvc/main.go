@@ -38,7 +38,6 @@ func main() {
 	pool := flag.Int("pool", 0, "spawn this many in-process slave daemons instead of -slaves (dev mode)")
 	drag := flag.Float64("drag", 1.0, "slow in-process pool daemons by this factor (dev mode)")
 	maxQueue := flag.Int("max-queue", 64, "waiting-set bound; submissions beyond it get 429")
-	maxGroups := flag.Int("groups", 0, "admission cap on a job's hierarchical group count (0: unlimited)")
 	weights := flag.String("weights", "", `per-tenant fairness weights, e.g. "alice=2,bob=1"`)
 	grace := flag.Duration("grace", 30*time.Second, "how long shutdown waits for running jobs to checkpoint and release")
 	quiet := flag.Bool("quiet", false, "suppress event logging on stderr")
@@ -95,11 +94,10 @@ func main() {
 	}
 
 	service, err := svc.New(svc.Options{
-		Addrs:     addrs,
-		MaxQueue:  *maxQueue,
-		MaxGroups: *maxGroups,
-		Weights:   w,
-		Logf:      logf,
+		Addrs:    addrs,
+		MaxQueue: *maxQueue,
+		Weights:  w,
+		Logf:     logf,
 	})
 	if err != nil {
 		fail(err)

@@ -1,6 +1,7 @@
 package dlb
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,23 +20,18 @@ var bytesPinned = map[string][2]int{
 	"mm/pipelined/g0/nofault":            {191, 206080},
 	"mm/pipelined/g0/crash":              {541, 698968},
 	"mm/pipelined/g2/nofault":            {178, 211520},
-	"mm/pipelined/g2/crash":              {547, 593696},
 	"sor/pipelined/g0/nofault":           {161, 80368},
 	"sor/pipelined/g0/crash":             {505, 174992},
 	"sor/pipelined/g2/nofault":           {158, 80336},
-	"sor/pipelined/g2/crash":             {494, 147824},
 	"lu/pipelined/g0/nofault":            {373, 157088},
 	"lu/pipelined/g0/crash":              {653, 259496},
 	"lu/pipelined/g2/nofault":            {375, 157712},
-	"lu/pipelined/g2/crash":              {654, 242888},
 	"jacobi/pipelined/g0/nofault":        {233, 165856},
 	"jacobi/pipelined/g0/crash":          {464, 313664},
 	"jacobi/pipelined/g2/nofault":        {234, 179232},
-	"jacobi/pipelined/g2/crash":          {494, 276976},
 	"spmv/pipelined/g0/nofault":          {93, 4528256},
 	"spmv/pipelined/g0/crash":            {359, 10193448},
 	"spmv/pipelined/g2/nofault":          {90, 4553216},
-	"spmv/pipelined/g2/crash":            {403, 10223168},
 	"sor/synchronous/g2/nofault":         {150, 79360},
 	"mm/pipelined/g0/join":               {500, 628312},
 	"jacobi-converge/pipelined/g0/crash": {690, 294296},
@@ -57,9 +53,10 @@ func TestMsgBytesUnknownPayloadPanics(t *testing.T) {
 // time, and a sub-nanosecond one can hide inside a rounded Elapsed. The
 // cells cover every state-carrying message: the scatter and gather of five
 // programs, checkpoints and recovery (a crash at the program's goldenProgs
-// time), the group relay's gstatus/ginstr (Groups 2 without faults), a
-// synchronous run, an elastic join, and reduction state (jacobi-converge).
-// -print-golden prints the literals.
+// time), the group relay's aggregated reports and leader-relayed
+// instructions (Groups 2), a synchronous run, an elastic join, and
+// reduction state (jacobi-converge). A Groups 2 crash cell pins the
+// refusal (ErrGroupsWithFaults) instead. -print-golden prints the literals.
 func TestSimulatedBytesPinned(t *testing.T) {
 	cc := cluster.Config{
 		Slaves: 6,
@@ -119,6 +116,13 @@ func TestSimulatedBytesPinned(t *testing.T) {
 			cfg.Synchronous = c.mode == "synchronous"
 			cfg.Groups = c.groups
 			cfg.GroupExchangeEvery = 2
+			if c.groups > 1 && fp != nil {
+				cfg.Plan, cfg.Params = plan, params
+				if _, err := Run(cfg, cc); !errors.Is(err, ErrGroupsWithFaults) {
+					t.Fatalf("grouped fault-tolerant run: err = %v, want ErrGroupsWithFaults", err)
+				}
+				return
+			}
 			res := runAndVerify(t, plan, params, cfg, cc)
 			if (c.fault == "crash" && len(res.Evicted) == 0) || (c.fault == "join" && len(res.Joined) == 0) {
 				t.Fatalf("the %s did not happen (evicted %v, joined %v)", c.fault, res.Evicted, res.Joined)

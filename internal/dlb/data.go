@@ -64,26 +64,16 @@ type InstrMsg struct {
 }
 
 // GroupStatusMsg aggregates one group's per-member status reports (tag
-// "gstatus") or termination announcements (tag "gdone"), assembled by the
+// "status") or termination announcements (tag "done"), assembled by the
 // group leader so the master receives one message per group instead of
 // one per slave. Ids and Statuses are aligned, member order ascending,
-// leader first. Only the simulator relays: fault-tolerant runs, which every
-// transport run is, report flat, so neither group envelope has a wire
-// encoding.
+// leader first. The master answers each leader with the round's plain
+// InstrMsg, which the leader relays to its members. Grouped runs are never
+// fault-tolerant (ErrGroupsWithFaults), and every transport run is, so the
+// group envelope has no wire encoding.
 type GroupStatusMsg struct {
-	Group    int
 	Ids      []int
 	Statuses []StatusMsg
-}
-
-// GroupShiftMsg is the master's grouped reply (tag "ginstr"): the round's
-// instruction, which the receiving leader relays to its members before
-// applying it itself. The embedded instruction already carries both the
-// intra-group rebalancing moves and the diffusive cross-boundary shifts —
-// a shift is an ordinary adjacent move whose endpoints straddle a group
-// boundary.
-type GroupShiftMsg struct {
-	Instr InstrMsg
 }
 
 // WorkMsg carries moved work units' data plus the ghost slices adjacent to
@@ -216,8 +206,6 @@ func msgBytes(data interface{}) int {
 			n += 16 + 8*len(mv.Units)
 		}
 		return n
-	case GroupShiftMsg:
-		return msgBytes(m.Instr)
 	case HeartbeatMsg, CheckpointRequestMsg, EvictMsg:
 		return 48
 	case FinAckMsg:

@@ -17,6 +17,7 @@
 package dlb
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -61,11 +62,13 @@ type Config struct {
 	// CompileOpts carries the hook cost model for instantiation.
 	CompileOpts compile.Options
 	// Groups partitions the slaves into that many contiguous groups for
-	// two-level hierarchical balancing (internal/hier): each group's
-	// leader aggregates its members' reports, the balancer runs within
-	// each group every period, and groups exchange whole block ranges
-	// diffusively on a slower cadence. 0 or 1 keeps the flat centralized
-	// master, bit-identical to earlier releases.
+	// two-level hierarchical balancing (internal/hier): members report to
+	// their group leader, each leader relays one aggregate to the master
+	// and the instruction back, the balancer runs within each group every
+	// period, and groups exchange whole block ranges diffusively on a
+	// slower cadence. 0 or 1 keeps the flat centralized master. More than
+	// one group with fault tolerance — a Fault plan, or any transport-driven
+	// run — is refused with ErrGroupsWithFaults.
 	Groups int
 	// GroupExchangeEvery is the inter-group exchange cadence in decision
 	// rounds (default 4): between exchanges groups balance independently.
@@ -223,10 +226,23 @@ type modes struct {
 	overlapOn bool
 }
 
+// ErrGroupsWithFaults refuses a grouped run (Groups > 1) that is also
+// fault-tolerant: a Fault plan under Run or RunReal, or any RunMasterOn or
+// RunSlaveOn, which always arm one. The relay hides members from the
+// master, so its lease detector could not observe them.
+var ErrGroupsWithFaults = errors.New("dlb: Groups > 1 cannot run fault-tolerant (a fault plan, or any transport-driven run)")
+
+// Validate returns the typed error every entry point would refuse c with
+// (nil: runnable), for a transport to call before it dials anyone.
+func (c Config) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
 // validate rejects a Config no entry point can run — no plan, an unknown
 // mode string, a fault plan without the DLB hooks it rides on, a malformed
-// fault plan — as a typed error before anything is instantiated or
-// spawned, and resolves the mode strings.
+// fault plan, groups under fault tolerance — as a typed error before
+// anything is instantiated or spawned, and resolves the mode strings.
 func (c *Config) validate() (m modes, err error) {
 	if c.Plan == nil {
 		return m, fmt.Errorf("dlb: no plan")
@@ -246,6 +262,9 @@ func (c *Config) validate() (m modes, err error) {
 		}
 		if err := c.Fault.Validate(); err != nil {
 			return m, err
+		}
+		if c.Groups > 1 {
+			return m, ErrGroupsWithFaults
 		}
 	}
 	return m, nil

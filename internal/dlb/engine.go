@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/hier"
 	"repro/internal/loopir"
 	"repro/internal/metrics"
 )
@@ -35,12 +34,10 @@ type engine struct {
 	bal   *core.Balancer
 	setup balancerSetup
 
-	// hier is the two-level hierarchy's cadence state (nil: the flat
-	// master); part is non-nil when the run is grouped, and relay routes
-	// the physical status/instruction traffic through the group leaders.
-	hier  *hierarchy
-	part  *hier.Partition
-	relay bool
+	// hier is the two-level hierarchy of a grouped run (nil: the flat
+	// master): status and instruction traffic relays through the group
+	// leaders.
+	hier *hierarchy
 
 	// Learned per-unit cost model. costModel is non-nil whenever cost
 	// blocks are collected (learned mode, or an indirect program under
@@ -81,9 +78,6 @@ func (e *engine) runOn(ep Endpoint) {
 	e.bal = e.setup.newBalancer(own)
 	if e.costMode == CostLearned || loopir.UsesIArr(e.plan.Prog.Body) {
 		e.costModel = NewUnitCostModel(e.exec.Units)
-	}
-	if e.part != nil && e.part.Groups() > 1 {
-		e.hier = &hierarchy{diff: hier.Diffuser{Alpha: groupDiffusion}, every: e.cfg.GroupExchangeEvery}
 	}
 	e.done = make([]bool, e.total)
 	e.pol.Init(e)
@@ -197,27 +191,18 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 		e.recordLoad(phase, ids)
 	}
 
-	ckptSeq := 0
-	if e.ckptEligible() {
-		ckptSeq = e.pol.CheckpointSeq(e, phase, ids)
-	}
-
+	ckptSeq := e.pol.CheckpointSeq(e, phase, ids)
 	instr := InstrMsg{Phase: phase, HookIndex: hookIdx, Moves: d.Moves, SkipHooks: d.SkipHooks, Epoch: e.pol.Epoch(), CkptSeq: ckptSeq}
-	if e.relay {
-		// Grouped fan-out: one GroupShiftMsg per leader; each leader
-		// relays the instruction to its members off the master's critical
-		// path.
-		gs := GroupShiftMsg{Instr: instr}
-		for g := 0; g < e.part.Groups(); g++ {
-			e.ep.Send(e.part.Leader(g), "ginstr", gs)
-		}
-		e.res.Counters.Add("instr_bytes", int64(msgBytes(gs))*int64(e.part.Groups()))
-	} else {
-		for _, id := range ids {
-			e.ep.Send(id, "instr", instr)
-		}
-		e.res.Counters.Add("instr_bytes", int64(msgBytes(instr))*int64(len(ids)))
+	// Grouped fan-out goes to the leaders only; each relays the instruction
+	// to its members off the master's critical path.
+	to := ids
+	if e.hier != nil {
+		to = e.hier.part.Leaders()
 	}
+	for _, id := range to {
+		e.ep.Send(id, "instr", instr)
+	}
+	e.res.Counters.Add("instr_bytes", int64(msgBytes(instr))*int64(len(to)))
 	e.pol.RoundSent(e)
 }
 

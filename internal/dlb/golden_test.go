@@ -2,6 +2,7 @@ package dlb
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -66,14 +67,13 @@ var goldenProgs = []struct {
 // with live (non-uniform) weights: the parent ran that combination through
 // hierTopology.decideWeighted, a fork nothing else exercised, and the
 // composition's behaviour is now the definition. That is every such cell of
-// the skewed programs (spmv, pbin) and — found by instrumenting the parent —
-// the lu crash cells, where replaying from the rollback feeds the cost
-// model unequal block costs for a round or two. Those cells assert instead
-// that the result matches the sequential reference bit for bit
-// (runAndVerify) and ownership is a partition over the surviving slaves;
-// on the skewed programs also that the makespan is no worse than the same
-// cell under the uniform cost model (on dense lu the two models differ only
-// in checkpoint timing, so that comparison says nothing about balancing).
+// the skewed programs (spmv, pbin). Those cells assert instead that the
+// result matches the sequential reference bit for bit (runAndVerify),
+// ownership is a partition over the slaves, and the makespan is no worse
+// than the same cell under the uniform cost model.
+//
+// Groups>1 × crash cells pin the refusal instead: a grouped run cannot be
+// fault-tolerant, so Run must return ErrGroupsWithFaults.
 func TestGoldenSchedules(t *testing.T) {
 	cc := cluster.Config{
 		Slaves: 6,
@@ -107,9 +107,15 @@ func TestGoldenSchedules(t *testing.T) {
 						cfg.Groups = groups
 						cfg.GroupExchangeEvery = 2
 						cfg.CostModel = cost
-						liveWeights := p.irregular || (p.name == "lu" && crash)
-						binding := !(liveWeights && groups > 1 && cost == CostLearned)
+						binding := !(p.irregular && groups > 1 && cost == CostLearned)
 						t.Run(key, func(t *testing.T) {
+							if crash && groups > 1 {
+								cfg.Plan, cfg.Params = plan, p.params
+								if _, err := Run(cfg, cc); !errors.Is(err, ErrGroupsWithFaults) {
+									t.Fatalf("grouped fault-tolerant run: err = %v, want ErrGroupsWithFaults", err)
+								}
+								return
+							}
 							res := runAndVerify(t, plan, p.params, cfg, cc)
 							got := fingerprintOf(res)
 							if cost == CostUniform {
@@ -127,7 +133,7 @@ func TestGoldenSchedules(t *testing.T) {
 							}
 							if !binding {
 								assertPartition(t, res, cc.Slaves)
-								if p.irregular && res.Elapsed > uniformElapsed {
+								if res.Elapsed > uniformElapsed {
 									t.Errorf("learned makespan %v worse than uniform %v", res.Elapsed, uniformElapsed)
 								}
 								return

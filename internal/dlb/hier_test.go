@@ -1,6 +1,7 @@
 package dlb
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -92,20 +93,82 @@ func TestGroupsExchangeMovesWorkAcrossBoundary(t *testing.T) {
 	}
 }
 
-// TestGroupsWithFaultPolicy exercises the decisions-only combination: the
-// two-level balancer with exchange-aligned checkpoint cuts under the
-// fault-tolerant policy, surviving an injected crash.
+// TestGroupsWithFaultPolicy pins the policy for grouped fault-tolerant
+// runs: refusal. Every entry point returns ErrGroupsWithFaults before
+// anything spawns — Run and RunReal under a fault plan (an empty one arms
+// fault tolerance too), RunMasterOn and RunSlaveOn always. One group is the
+// flat engine and still survives an injected crash bit-exactly.
 func TestGroupsWithFaultPolicy(t *testing.T) {
-	fp := (&fault.Plan{}).CrashAt(1, 1200*time.Millisecond)
-	cfg := ftConfig(fp)
-	cfg.Groups = 2
-	res := runAndVerify(t, planFor(t, "mm"), map[string]int{"n": 40},
-		cfg, cluster.Config{Slaves: 4})
+	plan := planFor(t, "mm")
+	params := map[string]int{"n": 40}
+	crash := (&fault.Plan{}).CrashAt(1, 1200*time.Millisecond)
+	grouped := ftConfig(crash)
+	grouped.Plan, grouped.Params, grouped.Groups = plan, params, 2
+	pre := mustPrepare(t, Config{Plan: plan, Params: params, DLB: true}, 4)
+	entries := map[string]func(Config) error{
+		"Run": func(c Config) error {
+			_, err := Run(c, cluster.Config{Slaves: 4})
+			return err
+		},
+		"Run/empty plan": func(c Config) error {
+			c.Fault = &fault.Plan{}
+			_, err := Run(c, cluster.Config{Slaves: 4})
+			return err
+		},
+		"RunReal": func(c Config) error {
+			_, err := RunReal(c, 4)
+			return err
+		},
+		"RunMasterOn": func(c Config) error {
+			c.Fault = nil
+			_, err := RunMasterOn(newLocalNet(4).endpoint(cluster.MasterID, 1), c, cluster.Config{Slaves: 4}, 4, 4, pre)
+			return err
+		},
+		"RunSlaveOn": func(c Config) error {
+			c.Fault = nil
+			return RunSlaveOn(newLocalNet(4).endpoint(0, 1), c, 0, 4, pre)
+		},
+	}
+	for name, call := range entries {
+		if err := call(grouped); !errors.Is(err, ErrGroupsWithFaults) {
+			t.Errorf("%s with Groups 2: err = %v, want ErrGroupsWithFaults", name, err)
+		}
+	}
+
+	flat := ftConfig(crash)
+	flat.Groups = 1
+	res := runAndVerify(t, plan, params, flat, cluster.Config{Slaves: 4})
 	if res.Recoveries == 0 {
 		t.Error("expected a recovery after the injected crash")
 	}
 	if len(res.Evicted) != 1 || res.Evicted[0] != 1 {
 		t.Errorf("evicted = %v, want [1]", res.Evicted)
+	}
+}
+
+// TestGroupsRelayOnWallClock runs the relay on goroutine slaves: members
+// report through their leader, leaders relay the instruction back, and the
+// diffusive exchange fires, with results bit-identical to the sequential
+// reference.
+func TestGroupsRelayOnWallClock(t *testing.T) {
+	for _, p := range []struct {
+		name   string
+		params map[string]int
+	}{
+		{"mm", map[string]int{"n": 96}},
+		{"sor", map[string]int{"n": 96, "maxiter": 8}},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			plan := planFor(t, p.name)
+			res, err := RunReal(Config{Plan: plan, Params: p.params, DLB: true, Groups: 2, GroupExchangeEvery: 1}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifyRealPlan(t, res, plan, p.params)
+			if res.Counters.Get("hier_exchanges") == 0 {
+				t.Errorf("no diffusive exchange in %d rounds", res.Counters.Get("rounds"))
+			}
+		})
 	}
 }
 

@@ -43,12 +43,14 @@ type launch struct {
 	exec  *compile.Exec
 	grain int
 
+	// part is the group partition of a grouped run (nil: flat). Members
+	// report to their group leader and leaders relay to the master.
+	part *hier.Partition
+
 	// Master side.
-	part  *hier.Partition
-	relay bool
-	inst  *loopir.Instance
-	res   *Result
-	pol   FaultPolicy
+	inst *loopir.Instance
+	res  *Result
+	pol  FaultPolicy
 
 	// Slave side.
 	native  bool // slaves run on the aot tier; adopt supplies bundle
@@ -95,19 +97,15 @@ func assemble(cfg Config, r role, initial, total int) (*launch, error) {
 		l.total = initial + len(l.joins)
 	}
 
-	if r != slaveOnly {
-		if cfg.Groups > 1 {
-			if !cfg.DLB {
-				return nil, fmt.Errorf("dlb: hierarchical groups require DLB (leaders aggregate the balancing contacts)")
-			}
-			if l.part, err = hier.Split(initial, cfg.Groups); err != nil {
-				return nil, err
-			}
+	if cfg.Groups > 1 {
+		if !cfg.DLB {
+			return nil, fmt.Errorf("dlb: hierarchical groups require DLB (leaders aggregate the balancing contacts)")
 		}
-		// Reports relay member→leader→master only without faults; with them
-		// the hierarchy is decisions-only — the lease detector must observe
-		// every slave itself.
-		l.relay = l.part != nil && !l.ft
+		if l.part, err = hier.Split(initial, cfg.Groups); err != nil {
+			return nil, err
+		}
+	}
+	if r != slaveOnly {
 		// Master instance: initial data source and final destination.
 		if l.inst, err = loopir.NewInstance(cfg.Plan.Prog, cfg.Params); err != nil {
 			return nil, err
@@ -160,6 +158,10 @@ func (l *launch) adopt(pre *Prepared) error {
 // engine hands out the master process over the given cluster parameters
 // (the endpoint's cost-model prior).
 func (l *launch) engine(cc cluster.Config) *engine {
+	var h *hierarchy
+	if l.part != nil {
+		h = &hierarchy{part: l.part, diff: hier.Diffuser{Alpha: groupDiffusion}, every: l.cfg.GroupExchangeEvery}
+	}
 	return &engine{
 		cfg:      l.cfg,
 		cc:       cc,
@@ -169,8 +171,7 @@ func (l *launch) engine(cc cluster.Config) *engine {
 		inst:     l.inst,
 		res:      l.res,
 		pol:      l.pol,
-		part:     l.part,
-		relay:    l.relay,
+		hier:     h,
 		costMode: l.costMode,
 	}
 }
@@ -190,9 +191,7 @@ func (l *launch) slave(id int) *slave {
 		fault:     l.sfault,
 		hbEvery:   l.hbEvery,
 		joiner:    id >= l.initial,
-	}
-	if l.relay {
-		s.part = l.part
+		part:      l.part,
 	}
 	if s.joiner && l.joins != nil {
 		s.joinAt = l.joins[id-l.initial]

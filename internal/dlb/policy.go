@@ -63,7 +63,7 @@ func (noFaultPolicy) Init(*engine)    {}
 func (noFaultPolicy) Started(*engine) {}
 
 // CollectRound is one blocking receive per not-yet-done reporter, in id
-// order. A reporter is a slave or, under the relay, a group leader whose
+// order. A reporter is a slave or, in a grouped run, a group leader whose
 // aggregate carries its whole group — the master's fan-in is then
 // O(groups). Slaves announce termination with a "done" message when their
 // (possibly data-dependent, §4.1) control flow finishes; since every slave
@@ -72,8 +72,8 @@ func (noFaultPolicy) Started(*engine) {}
 // aggregate is uniform for the same reason.
 func (p noFaultPolicy) CollectRound(e *engine) (map[int]StatusMsg, bool) {
 	reporters := p.Participants(e)
-	if e.relay {
-		reporters = e.part.Leaders()
+	if e.hier != nil {
+		reporters = e.hier.part.Leaders()
 	}
 	raw := map[int]StatusMsg{}
 	newDone := 0
@@ -84,10 +84,10 @@ func (p noFaultPolicy) CollectRound(e *engine) (map[int]StatusMsg, bool) {
 		msg := e.ep.Recv(r, "")
 		var done bool
 		switch msg.Tag {
-		case "done", "gdone":
+		case "done":
 			done = true
 			newDone++
-		case "status", "gstatus":
+		case "status":
 		default:
 			panic(fmt.Sprintf("dlb: master: unexpected tag %q from slave %d", msg.Tag, r))
 		}

@@ -122,11 +122,10 @@ type slave struct {
 	lastMove    time.Duration
 	lastInter   time.Duration
 
-	// part routes master traffic through the group hierarchy when set
-	// (grouped runs without a fault policy): members report to their group
-	// leader, the leader aggregates and talks to the master, and
-	// instructions relay back the same way. nil: every slave talks to the
-	// master directly.
+	// part routes master traffic through the group hierarchy in a grouped
+	// run: members report to their group leader, the leader aggregates and
+	// talks to the master, and instructions relay back the same way. nil:
+	// every slave talks to the master directly.
 	part *hier.Partition
 
 	// fault is the slave-side fault-tolerance policy; under noSlaveFault
@@ -823,7 +822,7 @@ func (s *slave) execHook(st *compile.Hook) {
 		CostBlocks: s.drainCostBlocks(),
 	}
 	if s.part != nil {
-		s.reportHier("status", "gstatus", status, s.cfg.PerReportCost)
+		s.reportHier("status", status, s.cfg.PerReportCost)
 	} else {
 		s.ep.Send(cluster.MasterID, "status", status)
 	}
@@ -967,14 +966,14 @@ func (s *slave) peerAlive(o int) bool { return s.fault.peerAlive(s, o) }
 
 func (s *slave) designated() bool { return s.fault.designated(s) }
 
-// reportHier routes a contact report ("status"/"gstatus") or the
-// termination announcement ("done"/"gdone") through the hierarchy: a
-// member reports to its group leader; the leader collects its members'
-// reports in id order, charges the processing cost that the centralized
-// master would otherwise pay for them, and ships one aggregate to the
-// master. Every slave follows the identical schedule, so when the leader
-// finishes its members finish in the same round.
-func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Duration) {
+// reportHier routes a contact report ("status") or the termination
+// announcement ("done") through the hierarchy: a member reports to its
+// group leader; the leader collects its members' reports in id order,
+// charges the processing cost that the centralized master would otherwise
+// pay for them, and ships one aggregate under the same tag to the master.
+// Every slave follows the identical schedule, so when the leader finishes
+// its members finish in the same round.
+func (s *slave) reportHier(tag string, msg StatusMsg, charge time.Duration) {
 	g := s.part.GroupOf(s.id)
 	if !s.part.IsLeader(s.id) {
 		s.ep.Send(s.part.Leader(g), tag, msg)
@@ -982,7 +981,6 @@ func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Dura
 	}
 	members := s.part.Members(g)
 	gs := GroupStatusMsg{
-		Group:    g,
 		Ids:      make([]int, 0, len(members)),
 		Statuses: make([]StatusMsg, 0, len(members)),
 	}
@@ -997,19 +995,19 @@ func (s *slave) reportHier(tag, groupTag string, msg StatusMsg, charge time.Dura
 		gs.Statuses = append(gs.Statuses, st)
 	}
 	s.ep.Compute(time.Duration(len(members))*charge, nil)
-	s.ep.Send(cluster.MasterID, groupTag, gs)
+	s.ep.Send(cluster.MasterID, tag, gs)
 }
 
 // recvInstrHier receives the grouped instruction. The leader takes the
-// master's GroupShiftMsg and relays the instruction to its members BEFORE
-// applying it itself: applying may block on work transfers from members,
-// and the members are blocked waiting for this very instruction.
+// master's instruction and relays it to its members BEFORE applying it
+// itself: applying may block on work transfers from members, and the
+// members are blocked waiting for this very instruction.
 func (s *slave) recvInstrHier() InstrMsg {
 	g := s.part.GroupOf(s.id)
 	if !s.part.IsLeader(s.id) {
 		return s.ep.Recv(s.part.Leader(g), "instr").Data.(InstrMsg)
 	}
-	instr := s.ep.Recv(cluster.MasterID, "ginstr").Data.(GroupShiftMsg).Instr
+	instr := s.ep.Recv(cluster.MasterID, "instr").Data.(InstrMsg)
 	for _, m := range s.part.Members(g) {
 		if m == s.id {
 			continue
@@ -1037,7 +1035,7 @@ func (s *slave) runTree() {
 		OverlapFallback: s.overlapFallback,
 	}
 	if s.part != nil {
-		s.reportHier("done", "gdone", done, 0)
+		s.reportHier("done", done, 0)
 		return
 	}
 	s.ep.Send(cluster.MasterID, "done", done)

@@ -13,9 +13,9 @@ import (
 // profitability, apply — lives in internal/core only; this file holds what
 // is genuinely the run-time's: converting reports into balancer statuses,
 // the hierarchy's exchange cadence and diffuser call, the master's modeled
-// coordination cost, checkpoint eligibility, and the run counters and
-// trace. It is orthogonal to FaultPolicy — the fault layer owns *who*
-// reports and *when* rounds restart.
+// coordination cost, and the run counters and trace. It is orthogonal to
+// FaultPolicy — the fault layer owns *who* reports and *when* rounds
+// restart.
 
 // hierarchy is the two-level scheme's run-time state. Every decision round
 // each group's allotment is re-apportioned over its own members (the
@@ -23,30 +23,29 @@ import (
 // diffuser shifts load across the group boundaries first. A nil *hierarchy
 // is the paper's centralized master.
 type hierarchy struct {
-	diff     hier.Diffuser
-	every    int // exchange cadence in decision rounds
-	round    int
-	exchange bool // the round just decided was an exchange round
+	part  *hier.Partition
+	diff  hier.Diffuser
+	every int // exchange cadence in decision rounds
+	round int
 }
 
 // grouping is the round's core.Grouping: the partition's leaders as group
 // starts, plus — on the exchange cadence — the diffuser as the exchange.
 // Rounds with no active work do not advance the cadence.
 func (h *hierarchy) grouping(e *engine, weighted bool) core.Grouping {
-	g := core.Grouping{Starts: e.part.Leaders()}
+	g := core.Grouping{Starts: h.part.Leaders()}
 	if e.own.ActiveTotal() == 0 {
 		return g
 	}
 	h.round++
-	h.exchange = h.every > 0 && h.round%h.every == 0
-	if !h.exchange {
+	if h.every <= 0 || h.round%h.every != 0 {
 		return g
 	}
 	e.res.Counters.Add("hier_exchanges", 1)
 	g.Exchange = func(loads []core.GroupLoad) []float64 {
 		sums := make([]hier.Summary, len(loads))
 		for i, l := range loads {
-			sums[i] = hier.Summary{Group: i, Rate: l.Rate, Backlog: l.Units, Members: e.part.Size(i), Weight: l.Weight}
+			sums[i] = hier.Summary{Rate: l.Rate, Backlog: l.Units, Weight: l.Weight}
 		}
 		if weighted {
 			return h.diff.FlowsWeighted(sums)
@@ -85,22 +84,12 @@ func (e *engine) decide(raw map[int]StatusMsg, ids []int, phase, hookIdx int) co
 // roundCharge is the master's CPU cost for processing this round's reports
 // and deciding.
 func (e *engine) roundCharge(nReports int) time.Duration {
-	if e.relay {
+	if e.hier != nil {
 		// The master processes one aggregate per group; the per-member
 		// processing was charged on the leaders.
-		nReports = e.part.Groups()
+		nReports = e.hier.part.Groups()
 	}
 	return masterDecisionCost + time.Duration(nReports)*e.cfg.PerReportCost
-}
-
-// ckptEligible reports whether the round just decided may carry a
-// checkpoint cut. Under the hierarchy cuts ride exchange rounds only:
-// between exchanges the groups balance independently, so a cut there would
-// capture the chain mid-diffusion and recovery would replay a half-applied
-// inter-group shift schedule. Aligning cuts with the exchange cadence
-// bounds preemption latency at GroupExchangeEvery rounds.
-func (e *engine) ckptEligible() bool {
-	return e.hier == nil || e.hier.exchange
 }
 
 // unitsPerHookAt is the total work executed between consecutive hook
@@ -199,7 +188,7 @@ func noteMoves(e *engine, d core.Decision) {
 		if e.hier == nil {
 			continue
 		}
-		from, to := e.part.GroupOf(mv.From), e.part.GroupOf(mv.To)
+		from, to := e.hier.part.GroupOf(mv.From), e.hier.part.GroupOf(mv.To)
 		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_moves", from), 1)
 		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_units_out", from), n)
 		if from != to {

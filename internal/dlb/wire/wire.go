@@ -5,9 +5,10 @@
 // little-endian binary layout (codec.go) for the balancing conversation
 // and the float-bearing data plane, and gob for the rare self-describing
 // control frames. Each frame's length prefix carries a codec bit, so the
-// two interleave freely. The simulator's group envelopes (GroupStatusMsg,
-// GroupShiftMsg) have no wire encoding: only fault-free runs relay through
-// group leaders, and every transport run is fault-tolerant.
+// two interleave freely. The group envelope (GroupStatusMsg) has no wire
+// encoding: only in-process runs (Run, RunReal) relay through group
+// leaders, because a grouped run refuses fault tolerance and every
+// transport run is fault-tolerant.
 package wire
 
 import (

@@ -134,10 +134,8 @@ func (p *Partition) String() string {
 // computation rates and the active work units currently inside the
 // group's block range.
 type Summary struct {
-	Group   int
 	Rate    float64 // aggregate units/second of the group's members
 	Backlog int     // active units assigned to the group
-	Members int     // live member count
 	// Weight is the group's backlog in learned cost-model units (the sum
 	// of its active units' relative weights). Zero on uniform-cost runs;
 	// FlowsWeighted uses it in place of the unit count so an expensive
@@ -161,11 +159,12 @@ type Diffuser struct {
 	Alpha float64
 }
 
-// pairFlow is the unclamped balanced exchange across one boundary;
-// positive shifts units left-to-right.
-func (d Diffuser) pairFlow(l, r Summary) float64 {
-	lr, rr := l.Rate, r.Rate
-	lb, rb := float64(l.Backlog), float64(r.Backlog)
+// pairFlow is the unclamped balanced exchange across one boundary between
+// a left group of rate lr and backlog lb and a right group of rate rr and
+// backlog rb; positive shifts work left-to-right. Backlogs are unit counts
+// (Flows) or learned weights with rates in weight units per second
+// (FlowsWeighted).
+func pairFlow(lr, rr, lb, rb float64) float64 {
 	switch {
 	case lr > 0 && rr > 0:
 		return (lb/lr - rb/rr) * (lr * rr / (lr + rr))
@@ -203,7 +202,8 @@ func (d Diffuser) Flows(sums []Summary) []int {
 	}
 	flows := make([]int, len(sums)-1)
 	for b := 0; b < len(flows); b++ {
-		f := int(math.Round(alpha * d.pairFlow(sums[b], sums[b+1])))
+		l, r := sums[b], sums[b+1]
+		f := int(math.Round(alpha * pairFlow(l.Rate, r.Rate, float64(l.Backlog), float64(r.Backlog))))
 		if f > prov[b] {
 			f = prov[b]
 		}
@@ -215,23 +215,6 @@ func (d Diffuser) Flows(sums []Summary) []int {
 		prov[b+1] += f
 	}
 	return flows
-}
-
-// pairFlowW is pairFlow over weighted backlogs: rates are in weight units
-// per second and the returned flow is an amount of weight to shift.
-func (d Diffuser) pairFlowW(l, r Summary) float64 {
-	lr, rr := l.Rate, r.Rate
-	lb, rb := l.Weight, r.Weight
-	switch {
-	case lr > 0 && rr > 0:
-		return (lb/lr - rb/rr) * (lr * rr / (lr + rr))
-	case lr <= 0 && rr > 0:
-		return lb
-	case rr <= 0 && lr > 0:
-		return -rb
-	default:
-		return (lb - rb) / 2
-	}
 }
 
 // FlowsWeighted is Flows under a learned cost model: summaries carry
@@ -254,7 +237,8 @@ func (d Diffuser) FlowsWeighted(sums []Summary) []float64 {
 	}
 	flows := make([]float64, len(sums)-1)
 	for b := 0; b < len(flows); b++ {
-		f := alpha * d.pairFlowW(sums[b], sums[b+1])
+		l, r := sums[b], sums[b+1]
+		f := alpha * pairFlow(l.Rate, r.Rate, l.Weight, r.Weight)
 		if f > prov[b] {
 			f = prov[b]
 		}

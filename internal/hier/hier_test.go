@@ -101,8 +101,8 @@ func TestFlowsEqualizeCompletionTimes(t *testing.T) {
 	// right-to-left... no — group 1 is slower, so its completion time is
 	// larger and units flow from group 1 to group 0 (negative flow).
 	sums := []Summary{
-		{Group: 0, Rate: 20, Backlog: 100},
-		{Group: 1, Rate: 10, Backlog: 100},
+		{Rate: 20, Backlog: 100},
+		{Rate: 10, Backlog: 100},
 	}
 	flows := Diffuser{Alpha: 1}.Flows(sums)
 	if len(flows) != 1 || flows[0] >= 0 {
@@ -118,8 +118,8 @@ func TestFlowsEqualizeCompletionTimes(t *testing.T) {
 
 func TestFlowsUnderRelaxed(t *testing.T) {
 	sums := []Summary{
-		{Group: 0, Rate: 10, Backlog: 200},
-		{Group: 1, Rate: 10, Backlog: 0},
+		{Rate: 10, Backlog: 200},
+		{Rate: 10, Backlog: 0},
 	}
 	full := Diffuser{Alpha: 1}.Flows(sums)[0]
 	half := Diffuser{Alpha: 0.5}.Flows(sums)[0]
@@ -135,9 +135,9 @@ func TestFlowsClampToBacklog(t *testing.T) {
 	// The middle group has 1 unit but both neighbors are idle and fast:
 	// flows must not overdraw it.
 	sums := []Summary{
-		{Group: 0, Rate: 100, Backlog: 0},
-		{Group: 1, Rate: 1, Backlog: 1},
-		{Group: 2, Rate: 100, Backlog: 0},
+		{Rate: 100, Backlog: 0},
+		{Rate: 1, Backlog: 1},
+		{Rate: 100, Backlog: 0},
 	}
 	flows := Diffuser{Alpha: 1}.Flows(sums)
 	after := applyFlows([]int{0, 1, 0}, flows)
@@ -152,8 +152,8 @@ func TestFlowsDeadGroupDrains(t *testing.T) {
 	// A group with no measured rate and positive backlog pushes work to
 	// a live neighbor instead of wedging on an infinite completion time.
 	sums := []Summary{
-		{Group: 0, Rate: 0, Backlog: 40},
-		{Group: 1, Rate: 10, Backlog: 10},
+		{Rate: 0, Backlog: 40},
+		{Rate: 10, Backlog: 10},
 	}
 	flows := Diffuser{Alpha: 0.5}.Flows(sums)
 	if flows[0] != 20 {
@@ -161,8 +161,8 @@ func TestFlowsDeadGroupDrains(t *testing.T) {
 	}
 	// Both dead: even out backlogs.
 	sums = []Summary{
-		{Group: 0, Rate: 0, Backlog: 40},
-		{Group: 1, Rate: 0, Backlog: 0},
+		{Rate: 0, Backlog: 40},
+		{Rate: 0, Backlog: 0},
 	}
 	if f := (Diffuser{Alpha: 1}).Flows(sums); f[0] != 20 {
 		t.Fatalf("both-dead flows = %v, want [20]", f)
@@ -171,10 +171,10 @@ func TestFlowsDeadGroupDrains(t *testing.T) {
 
 func TestFlowsDeterministic(t *testing.T) {
 	sums := []Summary{
-		{Group: 0, Rate: 3.7, Backlog: 41},
-		{Group: 1, Rate: 9.1, Backlog: 17},
-		{Group: 2, Rate: 0.4, Backlog: 66},
-		{Group: 3, Rate: 5.5, Backlog: 3},
+		{Rate: 3.7, Backlog: 41},
+		{Rate: 9.1, Backlog: 17},
+		{Rate: 0.4, Backlog: 66},
+		{Rate: 5.5, Backlog: 3},
 	}
 	d := Diffuser{Alpha: 0.5}
 	first := d.Flows(sums)
@@ -195,7 +195,7 @@ func TestFlowsConverge(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		sums := make([]Summary, len(backlogs))
 		for g := range sums {
-			sums[g] = Summary{Group: g, Rate: rates[g], Backlog: backlogs[g]}
+			sums[g] = Summary{Rate: rates[g], Backlog: backlogs[g]}
 		}
 		backlogs = applyFlows(backlogs, d.Flows(sums))
 	}
@@ -242,7 +242,7 @@ func TestFlowsSoak(t *testing.T) {
 		for it := 0; it < 20; it++ {
 			sums := make([]Summary, groups)
 			for g := range sums {
-				sums[g] = Summary{Group: g, Rate: rates[g], Backlog: backlogs[g]}
+				sums[g] = Summary{Rate: rates[g], Backlog: backlogs[g]}
 			}
 			flows := d.Flows(sums)
 			backlogs = applyFlows(backlogs, flows) // panics on overdraw

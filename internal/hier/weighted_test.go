@@ -10,8 +10,8 @@ func TestFlowsWeightedEqualizeCompletionTimes(t *testing.T) {
 	// as heavy. Unit-count Flows sees perfect balance; FlowsWeighted sees
 	// group 0 holding 4x the work and shifts weight left-to-right.
 	sums := []Summary{
-		{Group: 0, Rate: 10, Backlog: 100, Weight: 400},
-		{Group: 1, Rate: 10, Backlog: 100, Weight: 100},
+		{Rate: 10, Backlog: 100, Weight: 400},
+		{Rate: 10, Backlog: 100, Weight: 100},
 	}
 	if f := (Diffuser{Alpha: 1}).Flows(sums); f[0] != 0 {
 		t.Fatalf("unit-count flow %d, want 0 (backlogs equal)", f[0])
@@ -29,8 +29,8 @@ func TestFlowsWeightedEqualizeCompletionTimes(t *testing.T) {
 
 func TestFlowsWeightedUnderRelaxed(t *testing.T) {
 	sums := []Summary{
-		{Group: 0, Rate: 10, Backlog: 20, Weight: 200},
-		{Group: 1, Rate: 10, Backlog: 0, Weight: 0},
+		{Rate: 10, Backlog: 20, Weight: 200},
+		{Rate: 10, Backlog: 0, Weight: 0},
 	}
 	full := Diffuser{Alpha: 1}.FlowsWeighted(sums)[0]
 	half := Diffuser{Alpha: 0.5}.FlowsWeighted(sums)[0]
@@ -46,9 +46,9 @@ func TestFlowsWeightedClamp(t *testing.T) {
 	// The middle group's small weighted backlog must not be overdrawn by
 	// both neighbors draining it in the same exchange.
 	sums := []Summary{
-		{Group: 0, Rate: 100, Backlog: 0, Weight: 0},
-		{Group: 1, Rate: 1, Backlog: 1, Weight: 3},
-		{Group: 2, Rate: 100, Backlog: 0, Weight: 0},
+		{Rate: 100, Backlog: 0, Weight: 0},
+		{Rate: 1, Backlog: 1, Weight: 3},
+		{Rate: 100, Backlog: 0, Weight: 0},
 	}
 	flows := Diffuser{Alpha: 1}.FlowsWeighted(sums)
 	prov := []float64{0, 3, 0}
@@ -67,8 +67,8 @@ func TestFlowsWeightedDeadGroupDrains(t *testing.T) {
 	// A group with no measured rate pushes its weighted backlog to the
 	// live neighbor rather than wedging on an infinite completion time.
 	sums := []Summary{
-		{Group: 0, Rate: 0, Backlog: 4, Weight: 40},
-		{Group: 1, Rate: 10, Backlog: 1, Weight: 10},
+		{Rate: 0, Backlog: 4, Weight: 40},
+		{Rate: 10, Backlog: 1, Weight: 10},
 	}
 	flows := Diffuser{Alpha: 0.5}.FlowsWeighted(sums)
 	if len(flows) != 1 || flows[0] <= 0 {

@@ -76,8 +76,14 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 	if n < 1 {
 		return nil, fmt.Errorf("netrun: no slave addresses")
 	}
-	if !cfg.DLB {
-		return nil, fmt.Errorf("netrun: distributed runs require DLB (hooks are the heartbeat and checkpoint substrate)")
+	// Every TCP run is fault-tolerant (RunMasterOn arms the same empty
+	// plan): refuse what RunMasterOn would — no DLB, a grouped run — before
+	// any daemon is dialed.
+	if cfg.Fault == nil {
+		cfg.Fault = &fault.Plan{}
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	pre := opt.Prepared
 	if pre == nil {

@@ -1,8 +1,10 @@
 package netrun
 
 import (
+	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,13 +182,21 @@ func TestLoopbackAOT(t *testing.T) {
 	}
 }
 
-// TestLoopbackHierGroups runs a grouped (two-level) distributed run over
-// loopback daemons: the hierarchy is decisions-only on this transport —
-// the master alone consults Groups, daemons are never told — so the result
-// must stay bit-identical to the sequential reference.
+// TestLoopbackHierGroups checks that a grouped (two-level) run is refused
+// over TCP with dlb.ErrGroupsWithFaults: every transport run is
+// fault-tolerant, and the relay would hide members from the lease
+// detector. With or without a cached instantiation the refusal comes
+// before any daemon is dialed, so no session or lease outlives it: the same
+// daemons then complete a flat run bit-identical to the sequential
+// reference.
 func TestLoopbackHierGroups(t *testing.T) {
 	plan, params := testPlan(t, "mm", 48, 0)
-	addrs, _ := startServers(t, 4, ServerOptions{})
+	var sessions atomic.Int32
+	addrs, _ := startServers(t, 4, ServerOptions{Logf: func(format string, _ ...interface{}) {
+		if strings.HasPrefix(format, "node %d: run started") {
+			sessions.Add(1)
+		}
+	}})
 	cfg := dlb.Config{
 		Plan:        plan,
 		Params:      params,
@@ -194,7 +204,21 @@ func TestLoopbackHierGroups(t *testing.T) {
 		Groups:      2,
 		RealQuantum: 2 * time.Millisecond,
 	}
-	res, err := RunMaster(cfg, addrs, MasterOptions{})
+	if _, err := RunMaster(cfg, addrs, MasterOptions{}); !errors.Is(err, dlb.ErrGroupsWithFaults) {
+		t.Fatalf("grouped TCP run: err = %v, want dlb.ErrGroupsWithFaults", err)
+	}
+	pre, err := dlb.Prepare(cfg, len(addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunMaster(cfg, addrs, MasterOptions{Prepared: pre}); !errors.Is(err, dlb.ErrGroupsWithFaults) {
+		t.Fatalf("grouped TCP run with a cached instantiation: err = %v, want dlb.ErrGroupsWithFaults", err)
+	}
+	if n := sessions.Load(); n != 0 {
+		t.Fatalf("refused runs opened %d daemon sessions", n)
+	}
+	cfg.Groups = 1
+	res, err := RunMaster(cfg, addrs, MasterOptions{Prepared: pre})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,6 @@ type JobSpec struct {
 	// "learned"; empty: "uniform"). Learned weighting helps irregular
 	// programs (sparse rows, power-law bins) balance on measured cost.
 	CostModel string `json:"cost_model,omitempty"`
-	// Groups partitions the slaves for hierarchical two-level balancing
-	// (0 or 1: flat). The service may cap it (-groups on dlbsvc).
-	Groups int `json:"groups,omitempty"`
 }
 
 func (s *JobSpec) normalize() error {
@@ -98,9 +95,6 @@ func (s *JobSpec) normalize() error {
 	}
 	if s.Slaves <= 0 {
 		s.Slaves = 1
-	}
-	if s.Groups < 0 {
-		return fmt.Errorf("svc: negative group count %d", s.Groups)
 	}
 	if _, err := (dlb.Config{Kernel: s.Kernel}).KernelTier(); err != nil {
 		return fmt.Errorf("svc: %w", err)

@@ -39,7 +39,7 @@ var (
 )
 
 // Options configures a Service: its pool and its scheduling. What a job
-// runs — tier, cost model, groups — is named by the job's own JobSpec.
+// runs — tier, cost model — is named by the job's own JobSpec.
 type Options struct {
 	// Addrs is the shared slave pool: one dlbd address per daemon
 	// (required, non-empty).
@@ -55,9 +55,6 @@ type Options struct {
 	// Ckpt is the checkpoint cadence; its MinInterval also bounds how
 	// stale a preemption snapshot can be (default MinInterval 300ms).
 	Ckpt fault.CkptPolicy
-	// MaxGroups caps the hierarchical group count a job may request
-	// (0: unlimited). Submissions beyond it are rejected at admission.
-	MaxGroups int
 	// Timeouts bounds each run's transport operations.
 	Timeouts netrun.Timeouts
 	// Logf receives service events (nil: silent).
@@ -130,7 +127,6 @@ func (s *Service) cfgFor(plan *compile.Plan, spec JobSpec) dlb.Config {
 		Synchronous: spec.Synchronous,
 		Kernel:      spec.Kernel,
 		CostModel:   spec.CostModel,
-		Groups:      spec.Groups,
 		RealQuantum: realQuantum,
 		Fault:       &fault.Plan{},
 		Detect:      s.opt.Detect,
@@ -138,20 +134,14 @@ func (s *Service) cfgFor(plan *compile.Plan, spec JobSpec) dlb.Config {
 	}
 }
 
-// resolve normalizes spec and validates it against the limits that never
-// change: the pool size and the group caps.
+// resolve normalizes spec and validates it against the limit that never
+// changes: the pool size.
 func (s *Service) resolve(spec JobSpec) (JobSpec, error) {
 	if err := spec.normalize(); err != nil {
 		return spec, err
 	}
 	if pool := len(s.opt.Addrs); spec.Slaves > pool {
 		return spec, fmt.Errorf("svc: job wants %d slaves, pool has %d", spec.Slaves, pool)
-	}
-	if spec.Groups > spec.Slaves {
-		return spec, fmt.Errorf("svc: job wants %d groups over %d slaves", spec.Groups, spec.Slaves)
-	}
-	if s.opt.MaxGroups > 0 && spec.Groups > s.opt.MaxGroups {
-		return spec, fmt.Errorf("svc: job wants %d groups, service admits at most %d", spec.Groups, s.opt.MaxGroups)
 	}
 	return spec, nil
 }

@@ -1,7 +1,9 @@
 package svc
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -387,29 +389,40 @@ func TestFairnessOrdering(t *testing.T) {
 	}
 }
 
-// TestGroupsAdmissionAndRun covers the hierarchical-balancing knob at the
-// service layer: a group count exceeding the lease is rejected outright,
-// the -groups admission cap rejects before queueing, and a job that does
-// run hierarchically finishes bit-identical to the sequential reference.
+// TestGroupsAdmissionAndRun pins the service's answer to hierarchical
+// groups: every job is fault-tolerant, and a grouped run cannot be, so the
+// spec has no groups field and a submission carrying one is a 400 naming
+// it. Nothing was queued, so the same job without the field then runs on
+// the whole pool and finishes bit-identical to the sequential reference.
 func TestGroupsAdmissionAndRun(t *testing.T) {
-	s := newTestService(t, 4, netrun.ServerOptions{}, Options{MaxGroups: 2})
+	s := newTestService(t, 2, netrun.ServerOptions{}, Options{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 
-	spec := testSpec(t, "mm", 64, 0, 4)
-	spec.Groups = 8
-	if _, err := s.Submit(spec); err == nil {
-		t.Error("job wanting 8 groups over 4 slaves was admitted")
+	spec := testSpec(t, "mm", 64, 0, 2)
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	spec.Groups = 3
-	if _, err := s.Submit(spec); err == nil {
-		t.Error("job wanting 3 groups admitted past a MaxGroups=2 cap")
+	var body map[string]interface{}
+	if err := json.Unmarshal(b, &body); err != nil {
+		t.Fatal(err)
+	}
+	body["groups"] = 2
+	var bad struct {
+		Error string `json:"error"`
+	}
+	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", body, &bad); code != 400 || !strings.Contains(bad.Error, `"groups"`) {
+		t.Fatalf(`submit with "groups" = %d (%q), want 400 naming the field`, code, bad.Error)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("refused submission left %d jobs behind", n)
 	}
 
-	spec.Groups = 2
 	id, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, id, 30*time.Second, StateDone)
-	want := refSums(t, spec)
-	checkResultSums(t, s, id, want)
+	checkResultSums(t, s, id, refSums(t, spec))
 }
