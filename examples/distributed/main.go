@@ -67,9 +67,7 @@ func main() {
 	// sides derive must match, so master and daemons compile independently.
 	prog := loopir.MatMul()
 	params := map[string]int{"n": 256}
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: compile.LibraryDist(prog.Name),
-	})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,7 @@ import (
 func main() {
 	prog := loopir.MatMul()
 	params := map[string]int{"n": 160}
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: compile.LibraryDist(prog.Name),
-	})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

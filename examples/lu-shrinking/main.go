@@ -22,9 +22,7 @@ func main() {
 	prog := loopir.LU()
 	params := map[string]int{"n": 160}
 
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: compile.LibraryDist(prog.Name),
-	})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

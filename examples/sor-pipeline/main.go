@@ -24,9 +24,7 @@ func main() {
 	params := map[string]int{"n": 256, "maxiter": 16}
 
 	// Distribution directive: columns of b (the paper indexes b[col][row]).
-	plan, err := compile.Compile(prog, compile.Options{
-		Dist: compile.LibraryDist(prog.Name),
-	})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

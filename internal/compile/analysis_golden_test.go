@@ -10,25 +10,13 @@ import (
 	"repro/internal/loopir"
 )
 
-// libraryDirectives is the directive each library program runs under (the
-// dlbrun table); programs without one get the compiler's automatic
-// distribution.
-var libraryDirectives = map[string]depend.DistSpec{
-	"mm":           specMM(),
-	"sor":          specSOR(),
-	"lu":           specLU(),
-	"jacobi":       specJacobi(),
-	"axpy":         {Dims: map[string]int{"x": 0, "y": 0}, Loops: []string{"i"}},
-	"periodic-sor": specSOR(),
-}
-
 // TestAnalysisGolden pins, for every library program, what the concrete
 // dependence tracer concludes and what the compiler generates from it: the
 // unattributed dependences, the owner-attributed ones and the loop
-// properties under the program's directive, and the plan source. The
-// goldens were written before the tracer stopped copying its environment
-// per subscript, so they hold that rewrite — and any later one — to
-// byte-identical analysis.
+// properties under the program's directive (LibraryDist, else the derived
+// one), and the plan source. The goldens were written before the tracer
+// stopped copying its environment per subscript, so they hold that rewrite
+// — and any later one — to byte-identical analysis.
 func TestAnalysisGolden(t *testing.T) {
 	lib := loopir.Library()
 	names := make([]string, 0, len(lib))
@@ -39,7 +27,7 @@ func TestAnalysisGolden(t *testing.T) {
 	for _, name := range names {
 		prog := lib[name]
 		t.Run(name, func(t *testing.T) {
-			plan := mustCompile(t, prog, Options{Dist: libraryDirectives[name]})
+			plan := mustCompile(t, prog, Options{Dist: LibraryDist(name)})
 			a, err := depend.Analyze(prog)
 			if err != nil {
 				t.Fatal(err)

@@ -1,9 +1,11 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/depend"
 	"repro/internal/loopir"
@@ -33,10 +35,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// ErrNoDistribution is Compile's error when it was given no directive and
+// none of the directives it derived compiles; the wrapped text names the
+// first derived directive and why it was refused.
+var ErrNoDistribution = errors.New("compile: no derived distribution compiles; give one with -dist")
+
 // Compile parallelizes a sequential program for SPMD execution with dynamic
-// load balancing.
+// load balancing, under opts.Dist or, when it names no arrays, under the
+// first derived directive that compiles (deriveDistributions).
 func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
-	opts = opts.withDefaults()
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -44,22 +51,28 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := opts.Dist
-	if len(spec.Dims) == 0 {
-		spec, err = autoDistribute(analysis)
-		if err != nil {
-			return nil, err
+	if len(opts.Dist.Dims) > 0 {
+		return compileUnder(analysis, opts.Dist)
+	}
+	err = fmt.Errorf("%w (no loop scans a dimension of a written array)", ErrNoDistribution)
+	for i, spec := range deriveDistributions(analysis) {
+		plan, refusal := compileUnder(analysis, spec)
+		if refusal == nil {
+			return plan, nil
+		}
+		if i == 0 {
+			err = fmt.Errorf("%w (%s: %v)", ErrNoDistribution, distText(spec), refusal)
 		}
 	}
+	return nil, err
+}
+
+// compileUnder compiles the analysed program under one directive.
+func compileUnder(analysis *depend.Analysis, spec depend.DistSpec) (*Plan, error) {
+	prog := analysis.Prog
 	if len(spec.Loops) == 0 {
 		// Derive the distributed loops from the directive.
-		loopSet := map[string]bool{}
-		for arr, dim := range spec.Dims {
-			for _, l := range analysis.DistLoopsFor(arr, dim) {
-				loopSet[l] = true
-			}
-		}
-		spec.Loops = orderLoops(prog.Body, loopSet)
+		spec.Loops = distLoops(analysis, spec.Dims)
 		if len(spec.Loops) == 0 {
 			return nil, fmt.Errorf("compile: no loop scans the distributed dimension")
 		}
@@ -184,94 +197,105 @@ func (c *compiler) placeCombines(steps []Step) []Step {
 	return append(steps, combines()...)
 }
 
-// autoDistribute derives a distribution when no directive is given: the
-// first written array, distributed along the last dimension scanned by a
-// qualifying loop; other written arrays aligned by their scanning loops;
-// read-only arrays aligned when every read uses a distributed loop variable
-// exactly, replicated otherwise.
-func autoDistribute(a *depend.Analysis) (depend.DistSpec, error) {
+// deriveDistributions proposes one directive per dimension d, last first.
+// The first written array that a loop scans along d picks the loops; every
+// other written array takes the dimension those loops scan, or d if they
+// scan none (an array with no dimension d stays replicated). Read-only
+// arrays align when every reference subscripts one dimension, the same in
+// all, by exactly a distributed loop variable, and stay replicated
+// otherwise.
+func deriveDistributions(a *depend.Analysis) []depend.DistSpec {
 	written := a.WrittenArrays()
-	if len(written) == 0 {
-		return depend.DistSpec{}, fmt.Errorf("compile: program writes no arrays")
+	rank := 0
+	for _, arr := range written {
+		rank = max(rank, len(a.Prog.Array(arr).Dims))
 	}
-	main := written[0]
-	decl := a.Prog.Array(main)
-	spec := depend.DistSpec{Dims: map[string]int{}}
-	for dim := len(decl.Dims) - 1; dim >= 0; dim-- {
-		if loops := a.DistLoopsFor(main, dim); len(loops) > 0 {
-			spec.Dims[main] = dim
-			break
-		}
-	}
-	if len(spec.Dims) == 0 {
-		return depend.DistSpec{}, fmt.Errorf("compile: no distributable dimension for %q", main)
-	}
-	mainDim := spec.Dims[main]
-	loopSet := map[string]bool{}
-	for _, l := range a.DistLoopsFor(main, mainDim) {
-		loopSet[l] = true
-	}
-	// Align other written arrays whose some dimension is scanned by the
-	// same loops.
-	for _, other := range written {
-		if other == main {
-			continue
-		}
-		d := a.Prog.Array(other)
-		for dim := 0; dim < len(d.Dims); dim++ {
-			match := false
-			for _, l := range a.DistLoopsFor(other, dim) {
-				if loopSet[l] {
-					match = true
-				}
-			}
-			if match {
-				spec.Dims[other] = dim
+	var out []depend.DistSpec
+	for d := rank - 1; d >= 0; d-- {
+		var picked []string
+		dims := map[string]int{}
+		for _, arr := range written {
+			if picked = a.DistLoopsFor(arr, d); len(picked) > 0 {
+				dims[arr] = d
 				break
 			}
 		}
+		if len(picked) == 0 {
+			continue
+		}
+		for _, arr := range written {
+			if _, done := dims[arr]; done {
+				continue
+			}
+			n := len(a.Prog.Array(arr).Dims)
+			if d < n {
+				dims[arr] = d
+			}
+			for k := 0; k < n; k++ {
+				if slices.ContainsFunc(a.DistLoopsFor(arr, k), func(l string) bool { return slices.Contains(picked, l) }) {
+					dims[arr] = k
+					break
+				}
+			}
+		}
+		loops := distLoops(a, dims)
+		for _, decl := range a.Prog.Arrays {
+			if _, done := dims[decl.Name]; done {
+				continue
+			}
+			if dim, ok := alignedDim(a, decl.Name, loops); ok {
+				dims[decl.Name] = dim
+			}
+		}
+		out = append(out, depend.DistSpec{Dims: dims, Loops: loops})
 	}
-	// Extend the loop set with scanning loops of aligned arrays (e.g.
-	// Jacobi's copy-back nest) and align read-only arrays.
-	for arr, dim := range spec.Dims {
+	return out
+}
+
+// alignedDim returns the dimension every reference to a read-only array
+// subscripts by exactly one of the distributed loops, if there is one.
+func alignedDim(a *depend.Analysis, array string, loops []string) (int, bool) {
+	align := -1
+	for _, r := range a.Refs {
+		if r.Ref.Array != array {
+			continue
+		}
+		found := -1
+		for dim, ie := range r.Ref.Idx {
+			f, err := loopir.AffineOf(ie, nil)
+			if err == nil && len(f.Terms) == 1 && slices.Contains(loops, f.Terms[0].Var) {
+				if delta, ok := f.Offset(f.Terms[0].Var); ok && delta == 0 {
+					found = dim
+				}
+			}
+		}
+		if found == -1 || (align != -1 && align != found) {
+			return 0, false
+		}
+		align = found
+	}
+	return align, align != -1
+}
+
+// distLoops returns, in program order, the loops that scan the distributed
+// dimension of some distributed array.
+func distLoops(a *depend.Analysis, dims map[string]int) []string {
+	loopSet := map[string]bool{}
+	for arr, dim := range dims {
 		for _, l := range a.DistLoopsFor(arr, dim) {
 			loopSet[l] = true
 		}
 	}
-	for _, d := range a.Prog.Arrays {
-		if _, done := spec.Dims[d.Name]; done {
-			continue
-		}
-		// Read-only: align if every reference has some dimension that is
-		// exactly a distributed loop variable, and it is the same dimension
-		// in all references.
-		alignDim := -1
-		ok := true
-		for _, r := range a.Refs {
-			if r.Ref.Array != d.Name {
-				continue
-			}
-			found := -1
-			for dim, ie := range r.Ref.Idx {
-				f, err := loopir.AffineOf(ie, nil)
-				if err == nil && len(f.Terms) == 1 && loopSet[f.Terms[0].Var] {
-					if delta, ok := f.Offset(f.Terms[0].Var); ok && delta == 0 {
-						found = dim
-					}
-				}
-			}
-			if found == -1 || (alignDim != -1 && alignDim != found) {
-				ok = false
-				break
-			}
-			alignDim = found
-		}
-		if ok && alignDim != -1 {
-			spec.Dims[d.Name] = alignDim
-		}
+	return orderLoops(a.Prog.Body, loopSet)
+}
+
+// distText is a directive in -dist's array:dim form.
+func distText(spec depend.DistSpec) string {
+	parts := make([]string, 0, len(spec.Dims))
+	for _, arr := range sortedKeys(spec.Dims) {
+		parts = append(parts, fmt.Sprintf("%s:%d", arr, spec.Dims[arr]))
 	}
-	spec.Loops = orderLoops(a.Prog.Body, loopSet)
-	return spec, nil
+	return strings.Join(parts, ",")
 }
 
 // orderLoops returns the loop variables in loopSet in program order.
@@ -658,9 +682,10 @@ func (c *compiler) exchangeCarrier(read loopir.Ref) string {
 
 // lowerNonDistributed handles statements outside any distributed loop:
 // owner-computes blocks (all distributed writes at one index expression) or
-// replicated execution. Distributed reads at a different index are
-// satisfied by an owner broadcast before the block, and the written unit is
-// re-broadcast afterwards so later readers anywhere see it — the paper's
+// replicated execution, which may not read a distributed array. An owner
+// block's distributed reads at a different index are satisfied by an owner
+// broadcast before the block, and the written unit is re-broadcast
+// afterwards so later readers anywhere see it — the paper's
 // broadcast-and-discard rule for locating distributed data (§4.6). This is
 // what makes, e.g., periodic boundary copies (b[0][*] = b[n-2][*]) work.
 func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
@@ -702,23 +727,6 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 	if err != nil {
 		return nil, err
 	}
-	if replOnly {
-		return []Step{&AllStmts{Body: stmts}}, nil
-	}
-	// Mixed owner-computes + replicated writes cannot work: only the owner
-	// would update the replicated data, diverging the other slaves.
-	err = loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
-		if a, ok := s.(*loopir.Assign); ok {
-			if _, distributed := c.spec.Dims[a.LHS.Array]; !distributed {
-				return fmt.Errorf("compile: owner block writes replicated array %q; split the statement group", a.LHS.Array)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	// Non-local distributed reads become whole-unit broadcasts before the
 	// block.
 	var pre []Step
@@ -727,6 +735,11 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 		dim, distributed := c.spec.Dims[r.Array]
 		if !distributed {
 			return nil
+		}
+		if replOnly {
+			// Every slave runs the group on its own copy, so it would read
+			// units it may not own.
+			return fmt.Errorf("compile: replicated statement reads distributed array %q (%s); distribute the array it writes", r.Array, r.String())
 		}
 		sub := r.Idx[dim]
 		if sub.String() == ownerKey {
@@ -749,21 +762,27 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 		return nil
 	}
 	err = loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		// Mixed owner-computes + replicated writes cannot work: only the
+		// owner would update the replicated data, diverging the other
+		// slaves.
+		if a, ok := s.(*loopir.Assign); ok && !replOnly {
+			if _, distributed := c.spec.Dims[a.LHS.Array]; !distributed {
+				return fmt.Errorf("compile: owner block writes replicated array %q; split the statement group", a.LHS.Array)
+			}
+		}
 		return loopir.Reads(s, read)
 	})
 	if err != nil {
 		return nil, err
 	}
+	if replOnly {
+		return []Step{&AllStmts{Body: stmts}}, nil
+	}
 
 	steps := append(pre, &OwnerBlock{Index: ownerExpr, Body: stmts})
 	// Publish the written unit so readers on other slaves (distributed
 	// loops or later owner blocks) observe the update.
-	arrs := make([]string, 0, len(writtenArrays))
-	for a := range writtenArrays {
-		arrs = append(arrs, a)
-	}
-	sort.Strings(arrs)
-	for _, a := range arrs {
+	for _, a := range sortedKeys(writtenArrays) {
 		steps = append(steps, &Bcast{Array: a, Index: ownerExpr})
 	}
 	return steps, nil

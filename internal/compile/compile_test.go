@@ -1,10 +1,14 @@
 package compile
 
 import (
+	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/depend"
+	"repro/internal/lang"
 	"repro/internal/loopir"
 )
 
@@ -182,6 +186,40 @@ func TestAutoDistributeMM(t *testing.T) {
 	}
 	if len(p.Dist.Loops) != 1 || p.Dist.Loops[0] != "j" {
 		t.Errorf("auto loops = %v, want [j]", p.Dist.Loops)
+	}
+}
+
+// TestLoadProgram checks the commands' program loading: -dist applies to a
+// library program as well as to a file, a library program otherwise runs
+// under LibraryDist, and a file under the derived directive. The file is
+// the library jacobi as source text, which derives its columns.
+func TestLoadProgram(t *testing.T) {
+	file := filepath.Join("testdata", "jacobi.dlb")
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(src) != lang.Format(loopir.Jacobi()) {
+		t.Fatalf("%s is not lang.Format(loopir.Jacobi())", file)
+	}
+	for _, tc := range []struct {
+		file, dist, name string
+		want             map[string]int
+	}{
+		{"", "", "jacobi", map[string]int{"a": 0, "anew": 0}},
+		{"", "a:1,anew:1", "jacobi", map[string]int{"a": 1, "anew": 1}},
+		{"", "", "mm", map[string]int{"c": 1, "b": 1}},
+		{file, "", "jacobi", map[string]int{"a": 1, "anew": 1}},
+		{file, "a:0,anew:0", "", map[string]int{"a": 0, "anew": 0}},
+	} {
+		prog, spec, err := LoadProgram(tc.file, tc.dist, tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mustCompile(t, prog, Options{Dist: spec})
+		if !maps.Equal(p.Dist.Dims, tc.want) {
+			t.Errorf("LoadProgram(%q, %q, %q) compiles under %v, want %v", tc.file, tc.dist, tc.name, p.Dist.Dims, tc.want)
+		}
 	}
 }
 

@@ -158,6 +158,20 @@ for i = 0 to n { a[k] = 1; }`,
 			want: `unbound variable "k"`,
 		},
 		{
+			// Every slave would run the copy on its own a, most of which
+			// it does not own.
+			name: "replicated statement reads a distributed array",
+			dist: "a:0",
+			src: `program p(n, maxiter)
+array a[n];
+array s[n];
+for iter = 0 to maxiter {
+    for i = 0 to n { a[i] = a[i] + 1; }
+    for k = 0 to n { s[k] = a[k]; }
+}`,
+			want: `replicated statement reads distributed array "a" (a[k])`,
+		},
+		{
 			// Two refusals in one statement group: the multiple-owner write
 			// nested in the first loop comes before the distributed loop in
 			// program order, so it is the one reported.

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compile"
 	"repro/internal/fault"
-	"repro/internal/loopir"
 )
 
 // bytesPinned is the simulated network's traffic per cell: messages and
@@ -83,22 +81,10 @@ func TestSimulatedBytesPinned(t *testing.T) {
 	for _, c := range cells {
 		key := fmt.Sprintf("%s/%s/g%d/%s", c.prog, c.mode, c.groups, c.fault)
 		t.Run(key, func(t *testing.T) {
-			var plan *compile.Plan
+			plan := planFor(t, c.prog)
 			params := map[string]int{"n": 48, "maxiter": 8}
 			crashAt := 1500 * time.Millisecond
 			flopCost := 100 * time.Microsecond
-			switch c.prog {
-			case "spmv":
-				plan = irregularPlan(t, c.prog)
-			case "jacobi-converge":
-				var err error
-				plan, err = compile.Compile(loopir.Library()[c.prog], compile.Options{Dist: compile.LibraryDist(c.prog)})
-				if err != nil {
-					t.Fatal(err)
-				}
-			default:
-				plan = planFor(t, c.prog)
-			}
 			for _, p := range goldenProgs {
 				if p.name == c.prog {
 					params, crashAt, flopCost = p.params, p.crashAt, p.flopCost

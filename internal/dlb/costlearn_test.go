@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compile"
-	"repro/internal/loopir"
 )
 
 // TestDenseLearnedBitIdentical is the tentpole's safety guarantee: on
@@ -69,21 +67,6 @@ func TestDenseLearnedBitIdentical(t *testing.T) {
 	}
 }
 
-// irregularPlan compiles one of the sparse library programs with the
-// automatic distribution directive.
-func irregularPlan(t testing.TB, name string) *compile.Plan {
-	t.Helper()
-	prog := loopir.Library()[name]
-	if prog == nil {
-		t.Fatalf("no program %q", name)
-	}
-	plan, err := compile.Compile(prog, compile.Options{})
-	if err != nil {
-		t.Fatalf("compile %s: %v", name, err)
-	}
-	return plan
-}
-
 // TestIrregularLearnedBeatsUniform is the learned model's payoff: on skewed
 // data-dependent workloads it must deliver both a shorter makespan and a
 // lower weighted load imbalance than the uniform assumption, and the
@@ -102,7 +85,7 @@ func TestIrregularLearnedBeatsUniform(t *testing.T) {
 		{"pbin", map[string]int{"n": 256, "maxiter": 4}, 8},
 	}
 	for _, c := range cases {
-		plan := irregularPlan(t, c.name)
+		plan := planFor(t, c.name)
 		for _, groups := range []int{0, 2} {
 			elapsed := map[string]time.Duration{}
 			imbal := map[string]float64{}

@@ -10,22 +10,15 @@ import (
 	"repro/internal/loopir"
 )
 
+// planFor compiles a library program under its LibraryDist directive, or
+// the derived one where the table has none.
 func planFor(t testing.TB, name string) *compile.Plan {
 	t.Helper()
-	specs := map[string]depend.DistSpec{
-		"mm":     {Dims: map[string]int{"c": 1, "b": 1}, Loops: []string{"j"}},
-		"sor":    {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
-		"lu":     {Dims: map[string]int{"a": 1}, Loops: []string{"j"}},
-		"jacobi": {Dims: map[string]int{"a": 0, "anew": 0}, Loops: []string{"i", "i2"}},
-		"axpy":   {Dims: map[string]int{"x": 0, "y": 0}, Loops: []string{"i"}},
-
-		"periodic-sor": {Dims: map[string]int{"b": 0}, Loops: []string{"j"}},
-	}
 	prog := loopir.Library()[name]
 	if prog == nil {
 		t.Fatalf("no program %q", name)
 	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: specs[name]})
+	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist(name)})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}

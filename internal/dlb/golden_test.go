@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compile"
 	"repro/internal/fault"
 )
 
@@ -83,12 +82,7 @@ func TestGoldenSchedules(t *testing.T) {
 		Load: []cluster.LoadProfile{cluster.Constant(2), nil, cluster.Constant(1)},
 	}
 	for _, p := range goldenProgs {
-		var plan *compile.Plan
-		if p.irregular {
-			plan = irregularPlan(t, p.name)
-		} else {
-			plan = planFor(t, p.name)
-		}
+		plan := planFor(t, p.name)
 		for _, mode := range []string{"pipelined", "synchronous"} {
 			for _, groups := range []int{0, 1, 2, 3} {
 				for _, crash := range []bool{false, true} {

@@ -81,7 +81,7 @@ func TestKernelTierDifferential(t *testing.T) {
 func TestNoSilentInterpreterFallback(t *testing.T) {
 	interpreted := map[string]bool{}
 	for name := range loopir.Library() {
-		plan := planFor(t, name) // automatic distribution where planFor has no spec
+		plan := planFor(t, name)
 		params := map[string]int{}
 		for _, prm := range plan.Prog.Params {
 			params[prm] = 16

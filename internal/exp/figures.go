@@ -14,28 +14,22 @@ import (
 )
 
 // Table1 reproduces the paper's Table 1: application properties of MM, SOR,
-// and LU as derived by the dependence analyzer.
+// and LU, read from the plans the compiler derives for them.
 func Table1() (*metrics.Table, error) {
 	t := &metrics.Table{
 		Title:   "Table 1 — Application properties (derived by internal/depend)",
 		Headers: []string{"property (of distributed loop)", "MM", "SOR", "LU"},
 	}
-	cols := map[string]depend.Properties{}
+	var cols [][]string
 	for _, name := range []string{"mm", "sor", "lu"} {
-		prog := loopir.Library()[name]
-		a, err := depend.Analyze(prog)
+		plan, err := compile.Compile(loopir.Library()[name], compile.Options{})
 		if err != nil {
 			return nil, err
 		}
-		pr, err := a.PropertiesFor(compile.LibraryDist(name))
-		if err != nil {
-			return nil, err
-		}
-		cols[name] = pr
+		cols = append(cols, plan.Props.Row())
 	}
-	mm, sor, lu := cols["mm"].Row(), cols["sor"].Row(), cols["lu"].Row()
 	for i, prop := range depend.PropertyNames {
-		t.AddRow(prop, mm[i], sor[i], lu[i])
+		t.AddRow(prop, cols[0][i], cols[1][i], cols[2][i])
 	}
 	return t, nil
 }
