@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"os/exec"
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compile"
 	"repro/internal/loopir"
 )
 
@@ -118,34 +120,153 @@ func jacobiSweepRegion(t *testing.T, p *loopir.Program) Region {
 	return Region{DistVar: sweep.Var, Body: sweep.Body}
 }
 
-// TestRegionKernelMatchesVM checks that a region kernel run natively over
-// two adjacent sub-ranges — a slave's contiguous owned runs — stays
-// bit-identical to the VM's range kernel over the whole range.
-func TestRegionKernelMatchesVM(t *testing.T) {
-	p := loopir.Library()["jacobi"]
-	params := testParams(p, 24)
-	region := jacobiSweepRegion(t, p)
+// libraryParams sizes each library program for the region tests: small,
+// but with every loop running more than one iteration.
+var libraryParams = map[string]map[string]int{
+	"mm":              {"n": 12},
+	"sor":             {"n": 14, "maxiter": 4},
+	"lu":              {"n": 12},
+	"jacobi":          {"n": 12, "maxiter": 3},
+	"threshold-relax": {"n": 10, "maxiter": 3},
+	"axpy":            {"n": 50, "maxiter": 4},
+	"periodic-sor":    {"n": 14, "maxiter": 4},
+	"jacobi-converge": {"n": 12, "maxiter": 60},
+	"jacobi3d":        {"n": 8, "maxiter": 2},
+	"spmv":            {"n": 96, "maxiter": 2},
+	"pbin":            {"n": 48, "maxiter": 2},
+}
 
-	prog, err := Build(Spec{Prog: p, Params: params, Regions: []Region{region}})
+// libraryPlan compiles a library program under its LibraryDist directive,
+// the plan whose compile.KernelRegions a slave builds natively.
+func libraryPlan(t *testing.T, name string) *compile.Plan {
+	t.Helper()
+	plan, err := compile.Compile(loopir.Library()[name], compile.Options{Dist: compile.LibraryDist(name)})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("compile %s: %v", name, err)
 	}
-	vm := instance(t, p, params)
-	rk, err := vm.CompileRangeKernel(region.DistVar, region.Body)
+	return plan
+}
+
+func regionsOf(loops []*compile.OwnedLoop) []Region {
+	regions := make([]Region, len(loops))
+	for i, l := range loops {
+		regions[i] = Region{DistVar: l.Var, Body: l.Body}
+	}
+	return regions
+}
+
+// enclosing returns the loops around the loop over v, outermost first.
+func enclosing(t *testing.T, body []loopir.Stmt, v string) []*loopir.Loop {
+	t.Helper()
+	var out []*loopir.Loop
+	found := false
+	loopir.Walk(body, func(s loopir.Stmt, loops []*loopir.Loop) error {
+		if l, ok := s.(*loopir.Loop); ok && l.Var == v {
+			out, found = append([]*loopir.Loop(nil), loops...), true
+		}
+		return nil
+	})
+	if !found {
+		t.Fatalf("no loop over %q", v)
+	}
+	return out
+}
+
+// bound evaluates a loop bound under the parameters and the enclosing
+// loops' variables.
+func bound(t *testing.T, e loopir.IExpr, env map[string]int) int {
+	t.Helper()
+	a, err := loopir.AffineOf(e, env)
+	if err != nil || len(a.Terms) != 0 {
+		t.Fatalf("bound %v does not fold under %v: %v", e, env, err)
+	}
+	return a.Const
+}
+
+// TestRegionKernelMatchesVM runs every kernel region of every library
+// program natively, at every iteration of the loops around it, over two
+// adjacent sub-ranges — a slave's contiguous owned runs — and holds the
+// arrays bit-identical to the VM's range kernel run over the whole range.
+// The regions cover unit-step windows (the Jacobi family, axpy), strided
+// windows (sor, periodic-sor, lu), a second stride beside a window (mm)
+// and guarded sites (threshold-relax).
+func TestRegionKernelMatchesVM(t *testing.T) {
+	for name, p := range loopir.Library() {
+		if loopir.UsesIArr(p.Body) {
+			continue // data-dependent: refused by every compiled tier
+		}
+		name, params := name, libraryParams[name]
+		t.Run(name, func(t *testing.T) {
+			plan := libraryPlan(t, name)
+			loops := compile.KernelRegions(plan)
+			prog, err := Build(Spec{Prog: plan.Prog, Params: params, Regions: regionsOf(loops)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm, native := instance(t, plan.Prog, params), instance(t, plan.Prog, params)
+			for i, l := range loops {
+				rk, err := vm.CompileRangeKernel(l.Var, l.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bk, err := prog.Kernels[i].Bind(native.Arrays)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outer := enclosing(t, plan.Prog.Body, l.Var)
+				env := maps.Clone(params)
+				var visit func(d int)
+				visit = func(d int) {
+					if d == len(outer) {
+						lo, hi := bound(t, l.Lo, env), bound(t, l.Hi, env)
+						mid := lo + (hi-lo)/2
+						rk.Run(lo, hi, env)
+						bk.Run(lo, mid, env)
+						bk.Run(mid, hi, env)
+						return
+					}
+					o := outer[d]
+					for v := bound(t, o.Lo, env); v < bound(t, o.Hi, env); v++ {
+						env[o.Var] = v
+						visit(d + 1)
+					}
+					delete(env, o.Var)
+				}
+				visit(0)
+				sameArrays(t, fmt.Sprintf("vm vs aot region %s", l.Var), vm, native)
+			}
+		})
+	}
+}
+
+// TestOutOfRangePanicsWithTheEmittersMessage: a native region kernel run
+// over a range that runs past its arrays stops at the emitter's hoisted
+// check, which names the array, before any access or reslice of that
+// loop: a runtime bounds error would name neither the array nor the
+// kernel.
+func TestOutOfRangePanicsWithTheEmittersMessage(t *testing.T) {
+	p := loopir.Library()["jacobi"]
+	params := testParams(p, 16)
+	prog, err := Build(Spec{Prog: p, Params: params, Regions: []Region{jacobiSweepRegion(t, p)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := params["n"]
-	rk.Run(1, n-1, nil)
-
-	native := instance(t, p, params)
-	bk, err := prog.Kernels[0].Bind(native.Arrays)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range []struct{ lo, hi int }{{1, n + 3}, {-2, 3}} {
+		bk, err := prog.Kernels[0].Bind(instance(t, p, params).Arrays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "dlbaot: access to \"") || !strings.HasSuffix(msg, "\" out of range") {
+					t.Errorf("Run(%d, %d) on n=%d panicked with %q, want the emitter's out-of-range message", r.lo, r.hi, n, msg)
+				}
+			}()
+			bk.Run(r.lo, r.hi, nil)
+		}()
 	}
-	bk.Run(1, n/2, nil)
-	bk.Run(n/2, n-1, nil)
-	sameArrays(t, "vm vs aot region", vm, native)
 }
 
 // TestWarmStart measures the contractual cold/warm split: a second build

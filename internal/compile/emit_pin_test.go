@@ -31,17 +31,17 @@ func emitFingerprint(ek *loopir.EmittedKernel, err error) string {
 // here is a behaviour change.
 func TestEmittedKernelsPinned(t *testing.T) {
 	want := map[string]string{
-		"axpy":            "i=01e4754ede7fee79 whole=501a32f84573ab08",
-		"jacobi":          "i=c1d017b4ca717690 i2=b5dd9cd553127a2f whole=9d80b383b7ac2e94",
-		"jacobi-converge": "i=c019395f34866792 i2=bf15425d946afde0 whole=63e5c834e9b6269c",
-		"jacobi3d":        "i=821f184cdf9bbd79 i2=ee02cd24bfbfcf20 whole=ffe082c0cb7497be",
-		"lu":              "j=1cd5433181540651 whole=42d88dac1918b65b",
-		"mm":              "j=4ceaa5e0ddee9917 whole=d3faba6173ed9bae",
+		"axpy":            "i=daeccc8b795bdb5e whole=0adf24842f2e970d",
+		"jacobi":          "i=610f14542669919d i2=d87a93a3af0084c8 whole=028dc50e7763d7cb",
+		"jacobi-converge": "i=4df72b9f112d28eb i2=ab0355da64f8dd3b whole=47185bacbf8fdbe2",
+		"jacobi3d":        "i=7a703d2afb53e900 i2=d56dfd5d3d98c4d6 whole=0c8c9d7bd751ea22",
+		"lu":              "j=cf569821c5e8ff37 whole=81430a456eaf9b40",
+		"mm":              "j=3af39b054f067d80 whole=71b957af8e05ce44",
 		"pbin":            "i=refused whole=refused",
-		"periodic-sor":    "j=caa3fb5b06077d9b whole=81d066448d132d67",
-		"sor":             "j=2554d10fcfd64465 whole=34f91677d0c5a119",
+		"periodic-sor":    "j=1ca960ac1312cc21 whole=26a86de7b893e4ec",
+		"sor":             "j=37d54b4d57130db3 whole=2fad32bb2d00400c",
 		"spmv":            "i=refused whole=refused",
-		"threshold-relax": "j=c717bb8b8cbc595a whole=641e83d8d10c3a07",
+		"threshold-relax": "j=787f238ec3ddc9d7 whole=2f863cd1e4ed08e6",
 	}
 	names := make([]string, 0, len(loopir.Library()))
 	for name := range loopir.Library() {

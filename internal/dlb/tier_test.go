@@ -1,6 +1,7 @@
 package dlb
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -68,6 +69,60 @@ func TestKernelTierDifferential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// scaffoldNamesSrc names its loop variables after the emitted kernels'
+// own locals: a window (w0), the window counter (x), an offset (o1), a
+// trip count (t2) and the check temporary (e).
+const scaffoldNamesSrc = `program scaffold(n, maxiter)
+array a[n][n] init hash(7);
+array b[n][n];
+for t2 = 0 to maxiter {
+    for o1 = 1 to (n - 1) {
+        for w0 = 1 to (n - 1) {
+            b[o1][w0] = (0.25 * ((a[(o1 - 1)][w0] + a[(o1 + 1)][w0]) + (a[o1][(w0 - 1)] + a[o1][(w0 + 1)])));
+        }
+    }
+    for x = 1 to (n - 1) {
+        for e = 1 to (n - 1) {
+            a[x][e] = b[x][e];
+        }
+    }
+}
+`
+
+// TestScaffoldingNamesDoNotCapture: loop variables named like the emitted
+// scaffolding are renamed, so the program emits, builds, runs natively and
+// gathers arrays bit-identical to the tree interpreter's.
+func TestScaffoldingNamesDoNotCapture(t *testing.T) {
+	prog := mustParse(t, scaffoldNamesSrc)
+	plan, err := compile.Compile(prog, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int{"n": 20, "maxiter": 3}
+	res, err := Run(Config{Plan: plan, Params: params, DLB: true, Kernel: KernelAOT}, cluster.Config{Slaves: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.Get("aot_units") == 0 {
+		t.Fatalf("no unit ran natively: %v", res.Counters)
+	}
+	ref, err := loopir.NewInstance(prog, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Interpret(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range ref.Arrays {
+		got := res.Final[name]
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("array %q differs at %d: %v, the interpreter %v", name, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }

@@ -28,6 +28,13 @@ import (
 // arithmetic rounds per operation like the runtime, whereas untyped
 // constant folding would round once at the end and could diverge from the
 // VM by an ULP.
+//
+// An innermost loop reads and writes each site that steps with it through
+// a window: a re-slice of exactly the elements its iterations touch,
+// indexed by a counter the Go compiler proves in range, so the loop
+// carries no bounds check but for conditional sites and sites of a second
+// stride, which keep the offset form. The same loads and stores in the
+// same order reach the same backing arrays, so windows change no result.
 
 // EmittedKernel is one emitted Go kernel function plus the metadata a host
 // needs to call it: which storage slice goes in each data slot and which
@@ -79,10 +86,11 @@ type emitter struct {
 	depth    int
 	loopSeq  int
 	regNames map[int]string // register -> Go expression
-	freeRegs map[int]string // free register -> variable name
+	freeRegs map[int]string // free register -> source variable name (its FreeVars entry)
 	usedFree map[int]bool
 	arrayIdx map[string]int // array name -> data[] slot
 	arrays   []string
+	win      map[int32]bool // sites the current innermost loop indexes through windows
 }
 
 func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
@@ -92,6 +100,7 @@ func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
 		freeRegs: map[int]string{},
 		usedFree: map[int]bool{},
 		arrayIdx: map[string]int{},
+		win:      map[int32]bool{},
 	}
 	// Stable array order: by name.
 	seen := map[string]bool{}
@@ -119,20 +128,19 @@ func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
 		case r == hiReg:
 			em.regNames[r] = "hi"
 		default:
-			v := sanitizeVar(names[r])
-			em.regNames[r] = v
+			em.regNames[r] = sanitizeVar(names[r])
 			if !kc.internal[r] {
-				em.freeRegs[r] = v
+				em.freeRegs[r] = names[r]
 			}
 		}
 	}
 	return em
 }
 
-// goKeywords guards loop-variable names against the emitted scaffolding
-// (lo, hi, regs, data, dN/oN/tN/loN/hiN locals, the check temporary e) and
-// Go's keywords and predeclared identifiers a kernel body could plausibly
-// collide with.
+// goReserved guards loop-variable names against the emitted scaffolding
+// (lo, hi, regs, data, dN/oN/tN/wN/loN/hiN locals, the check temporary e,
+// the window counter x) and Go's keywords and predeclared identifiers a
+// kernel body could plausibly collide with.
 var goReserved = map[string]bool{
 	"break": true, "case": true, "chan": true, "const": true,
 	"continue": true, "default": true, "defer": true, "else": true,
@@ -141,7 +149,7 @@ var goReserved = map[string]bool{
 	"map": true, "package": true, "range": true, "return": true,
 	"select": true, "struct": true, "switch": true, "type": true,
 	"var": true, "len": true, "panic": true, "int": true, "float64": true,
-	"lo": true, "hi": true, "regs": true, "data": true, "e": true,
+	"lo": true, "hi": true, "regs": true, "data": true, "e": true, "x": true,
 }
 
 func sanitizeVar(name string) string {
@@ -157,8 +165,8 @@ func sanitizeVar(name string) string {
 		}
 	}
 	if ok {
-		// dN, oN, tN, loN, hiN are scaffolding names.
-		for _, p := range []string{"d", "o", "t", "lo", "hi"} {
+		// dN, oN, tN, wN, loN, hiN are scaffolding names.
+		for _, p := range []string{"d", "o", "t", "w", "lo", "hi"} {
 			if rest, found := strings.CutPrefix(name, p); found && rest != "" && isDigits(rest) {
 				ok = false
 				break
@@ -203,7 +211,7 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 			freeIdx = append(freeIdx, r)
 		}
 	}
-	sort.Slice(freeIdx, func(i, j int) bool { return em.freeRegs[freeIdx[i]] < em.freeRegs[freeIdx[j]] })
+	sort.Slice(freeIdx, func(i, j int) bool { return em.regNames[freeIdx[i]] < em.regNames[freeIdx[j]] })
 
 	ek := &EmittedKernel{Name: name, Arrays: em.arrays}
 	var b strings.Builder
@@ -223,7 +231,7 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 		fmt.Fprintf(&b, "\td%d := data[%d] // %s\n", i, i, arr)
 	}
 	for i, r := range freeIdx {
-		fmt.Fprintf(&b, "\t%s := regs[%d] // free variable\n", em.freeRegs[r], i)
+		fmt.Fprintf(&b, "\t%s := regs[%d] // free variable\n", em.regNames[r], i)
 		ek.FreeVars = append(ek.FreeVars, em.freeRegs[r])
 	}
 	b.WriteString(em.body.String())
@@ -281,7 +289,9 @@ func isSimpleOperand(s string) bool {
 // loop emits one counted loop in the VM's exact sequencing: entry test,
 // loop variable initialized to lo, offsets prepped (with hoisted endpoint
 // checks), then body / break test / increment / exit test / offset
-// advances per iteration.
+// advances per iteration. An innermost loop with windows (see windows)
+// iterates a counter over its first window instead; every other site
+// advances its offset at the end of the body.
 func (em *emitter) loop(l *kloop) {
 	id := em.loopSeq
 	em.loopSeq++
@@ -308,7 +318,15 @@ func (em *emitter) loop(l *kloop) {
 		}
 	}
 	em.preps(l.preps, trip)
-	em.p("for {")
+	first, step := em.windows(l, trip)
+	switch {
+	case first == "":
+		em.p("for {")
+	case step == 1:
+		em.p("for x := range %s {", first)
+	default:
+		em.p("for x := uint(0); x < uint(len(%s)); x += %d {", first, step)
+	}
 	em.depth++
 	em.stmts(l.body)
 	if l.brk != nil {
@@ -318,14 +336,17 @@ func (em *emitter) loop(l *kloop) {
 		em.depth--
 		em.p("}")
 	}
-	em.p("%s++", v)
-	em.p("if %s >= %s {", v, hiV)
-	em.depth++
-	em.p("break")
-	em.depth--
-	em.p("}")
+	if first == "" {
+		em.p("%s++", v)
+		em.p("if %s >= %s {", v, hiV)
+		em.depth++
+		em.p("break")
+		em.depth--
+		em.p("}")
+	}
 	for _, a := range l.advs {
 		switch {
+		case em.win[a.site]: // its window moves with x
 		case a.step == 1:
 			em.p("o%d++", a.site)
 		case a.step == -1:
@@ -336,10 +357,75 @@ func (em *emitter) loop(l *kloop) {
 			em.p("o%d -= %d", a.site, -a.step)
 		}
 	}
+	clear(em.win)
 	em.depth--
 	em.p("}")
 	em.depth--
 	em.p("}")
+}
+
+// windows gives an innermost loop one window per hoisted site that steps
+// by the loop's step s, the first positive hoisted step: wN := dX[oN :
+// oN+s*(t-1)+1], the elements the loop's t iterations touch, each tied
+// to the first window's length. The loop then counts x over the first
+// window by s and indexes wN[x], which the compiler's prove pass shows in
+// range, so those accesses pay no bounds check. For s > 1 the counter is
+// unsigned: prove cannot rule out that a signed x += s wraps negative,
+// and x < uint(len(wF)) is the very comparison a bounds check makes.
+//
+// It runs after preps, so a range the hoisted checks refuse panics with
+// their message before any reslice. Step-0 sites keep dX[oN], already
+// proved by their hoisted check; conditional sites, other steps and
+// negative steps keep the offset form. It returns the first window and s,
+// or "" when the loop keeps the offset form throughout.
+func (em *emitter) windows(l *kloop, trip string) (string, int) {
+	if hasLoop(l.body) {
+		return "", 0
+	}
+	step := 0
+	for _, pr := range l.preps {
+		if pr.hoist && pr.step > 0 {
+			step = pr.step
+			break
+		}
+	}
+	if step == 0 {
+		return "", 0
+	}
+	end := trip
+	if step != 1 {
+		end = fmt.Sprintf("%d*(%s-1)+1", step, trip)
+	}
+	first := ""
+	for _, pr := range l.preps {
+		if !pr.hoist || pr.step != step {
+			continue
+		}
+		w := fmt.Sprintf("w%d", pr.site)
+		em.p("%s := %s[o%d : o%d+%s]", w, em.data(pr.site), pr.site, pr.site, end)
+		if first == "" {
+			first = w
+		} else {
+			em.p("%s = %s[:len(%s)]", w, w, first)
+		}
+		em.win[pr.site] = true
+	}
+	return first, step
+}
+
+// hasLoop reports whether code contains a loop, under an If or not.
+func hasLoop(code []kinstr) bool {
+	for _, ins := range code {
+		switch ins := ins.(type) {
+		case *kloop:
+			return true
+		case *kif:
+			if hasLoop(ins.then) || hasLoop(ins.els) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // preps initializes each site's strength-reduced flat offset and emits the
@@ -350,7 +436,7 @@ func (em *emitter) loop(l *kloop) {
 func (em *emitter) preps(preps []kprep, trip string) {
 	for _, pr := range preps {
 		s := &em.k.sites[pr.site]
-		d := fmt.Sprintf("d%d", em.arrayIdx[s.name])
+		d := em.data(pr.site)
 		em.p("o%d := %s", pr.site, em.lin(s.flat))
 		if !pr.hoist {
 			continue
@@ -373,8 +459,21 @@ func (em *emitter) preps(preps []kprep, trip string) {
 }
 
 func (em *emitter) assign(a *kassign) {
-	s := &em.k.sites[a.dst]
-	em.p("d%d[o%d] = %s", em.arrayIdx[s.name], a.dst, em.expr(a.code))
+	em.p("%s = %s", em.access(a.dst), em.expr(a.code))
+}
+
+// data names the storage local of a site's array.
+func (em *emitter) data(site int32) string {
+	return fmt.Sprintf("d%d", em.arrayIdx[em.k.sites[site].name])
+}
+
+// access renders one access to a site: its window at the counter, or its
+// array at its offset.
+func (em *emitter) access(site int32) string {
+	if em.win[site] {
+		return fmt.Sprintf("w%d[x]", site)
+	}
+	return fmt.Sprintf("%s[o%d]", em.data(site), site)
 }
 
 func (em *emitter) condStmt(f *kif) {
@@ -426,8 +525,7 @@ func (em *emitter) expr(code []kop) string {
 		case opConst:
 			st = append(st, frag{"float64(" + formatConst(op.c) + ")", 3})
 		case opLoad:
-			s := &em.k.sites[op.site]
-			st = append(st, frag{fmt.Sprintf("d%d[o%d]", em.arrayIdx[s.name], op.site), 3})
+			st = append(st, frag{em.access(op.site), 3})
 		default:
 			var sym string
 			var prec int

@@ -80,7 +80,8 @@ func TestEmitSourceGofmtIdempotent(t *testing.T) {
 
 // TestEmitJacobiSweepMetadata pins the contract for the canonical region:
 // the jacobi i-sweep reads a, writes anew and has no free variables (n is
-// a compile-time parameter, i/j are kernel locals).
+// a compile-time parameter, i/j are kernel locals), and its inner loop
+// runs over windows.
 func TestEmitJacobiSweepMetadata(t *testing.T) {
 	p := Library()["jacobi"]
 	in, err := NewInstance(p, map[string]int{"n": 16, "maxiter": 2})
@@ -101,9 +102,9 @@ func TestEmitJacobiSweepMetadata(t *testing.T) {
 	if !strings.Contains(ek.Src, "func Kernel0(lo, hi int, regs []int, data [][]float64)") {
 		t.Errorf("missing stable signature:\n%s", ek.Src)
 	}
-	for _, want := range []string{"o0++", "o1++"} {
+	for _, want := range []string{"w0 := d1[o0 : o0+t1]", "for x := range w0 {"} {
 		if !strings.Contains(ek.Src, want) {
-			t.Errorf("expected strength-reduced offset advance %q in:\n%s", want, ek.Src)
+			t.Errorf("expected the inner loop's window form %q in:\n%s", want, ek.Src)
 		}
 	}
 	if !strings.Contains(ek.Src, "out of range") {
