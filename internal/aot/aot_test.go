@@ -386,6 +386,46 @@ func TestToolchainUnavailable(t *testing.T) {
 	}
 }
 
+// TestFailedProbeIsMemoized: on a host without a usable toolchain the
+// probe runs once per process, not once per artifact key, and a build it
+// fails writes no source; ClearMemory forgets the failure.
+func TestFailedProbeIsMemoized(t *testing.T) {
+	defer ClearMemory() // do not leave the memoised failure behind
+	ClearMemory()
+	empty := t.TempDir()
+	t.Setenv("PATH", empty)
+	t.Setenv("GOROOT", empty)
+	probeMu.Lock()
+	before := probes
+	probeMu.Unlock()
+	for i := 0; i < 3; i++ {
+		p, cache := freshProgram("jacobi"), t.TempDir()
+		if _, err := Build(Spec{Prog: p, Params: testParams(p, 14), WholeBody: true, CacheDir: cache}); err == nil ||
+			!strings.Contains(err.Error(), "-kernel kernel") {
+			t.Fatalf("build %d: got %v, want the error naming -kernel kernel", i, err)
+		}
+		if src, _ := filepath.Glob(filepath.Join(cache, "*", "src")); len(src) != 0 {
+			t.Errorf("build %d: a failed probe still wrote %v", i, src)
+		}
+	}
+	probeMu.Lock()
+	ran := probes - before
+	probeMu.Unlock()
+	if ran != 1 {
+		t.Errorf("three keys on a host without a toolchain probed %d times, want 1", ran)
+	}
+	ClearMemory()
+	if _, err := probe(nil); err == nil {
+		t.Fatal("probe succeeded with no go binary reachable")
+	}
+	probeMu.Lock()
+	ran = probes - before
+	probeMu.Unlock()
+	if ran != 2 {
+		t.Errorf("after ClearMemory the probe ran %d times in all, want 2", ran)
+	}
+}
+
 // TestToolchainVersionMismatch: a go command of another release than the
 // running binary is refused at the probe, naming both releases, before
 // anything is compiled; plugin.Open would only say "different version of

@@ -38,7 +38,7 @@ func ClearMemory() {
 	memo = map[string]*memoEntry{}
 	memoMu.Unlock()
 	probeMu.Lock()
-	probed = nil
+	probed, probeErr = nil, nil
 	probeMu.Unlock()
 }
 
@@ -211,6 +211,13 @@ func linkArgs(tc *toolchain, pkg, importcfg, archive, out string) []string {
 func buildArtifact(src, key, dir string, info *BuildInfo) error {
 	start := time.Now()
 	defer func() { info.BuildDur = time.Since(start) }()
+	// Probe first, so a host without a usable toolchain writes nothing.
+	tc, err := probe(nil)
+	info.ProbeDur += time.Since(start)
+	if err != nil {
+		return err
+	}
+
 	srcDir := filepath.Join(dir, "src")
 	if err := os.MkdirAll(srcDir, 0o755); err != nil {
 		return err
@@ -224,16 +231,9 @@ func buildArtifact(src, key, dir string, info *BuildInfo) error {
 	}
 	defer os.RemoveAll(work)
 
-	t := time.Now()
-	tc, err := probe(nil)
-	info.ProbeDur += time.Since(t)
-	if err != nil {
-		return err
-	}
-
 	pkg := pkgPath(key)
 	archive := filepath.Join(work, "kernels.a")
-	t = time.Now()
+	t := time.Now()
 	err = tc.run(work, "compile", compileArgs(tc, pkg, srcDir, archive)...)
 	info.CompileDur = time.Since(t)
 	if err != nil {
@@ -281,28 +281,28 @@ type toolchain struct {
 }
 
 // The probe runs once per process (and again after ClearMemory or when its
-// dependency set has gone stale); probes counts how often it ran.
+// dependency set has gone stale); probes counts how often it ran. A failed
+// probe is kept too, so a host without a usable toolchain pays for finding
+// out once, not once per artifact key.
 var (
-	probeMu sync.Mutex
-	probed  *toolchain
-	probes  int
+	probeMu  sync.Mutex
+	probed   *toolchain
+	probeErr error
+	probes   int
 )
 
-// probe returns the memoized toolchain, probing when there is none or when
-// the memoized one is stale, the one a failed link was handed.
+// probe returns the memoized toolchain (or the memoized failure), probing
+// when there is neither or when the memoized toolchain is stale, the one a
+// failed link was handed.
 func probe(stale *toolchain) (*toolchain, error) {
 	probeMu.Lock()
 	defer probeMu.Unlock()
-	if probed != nil && probed != stale {
-		return probed, nil
+	if probeErr != nil || (probed != nil && probed != stale) {
+		return probed, probeErr
 	}
 	probes++
-	tc, err := probeToolchain()
-	if err != nil {
-		return nil, err
-	}
-	probed = tc
-	return tc, nil
+	probed, probeErr = probeToolchain()
+	return probed, probeErr
 }
 
 // probeToolchain asks the go command where its tools are and where the

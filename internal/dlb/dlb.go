@@ -79,15 +79,20 @@ type Config struct {
 	// experiment sets it to make the O(slaves) centralized fan-in cost
 	// visible.
 	PerReportCost time.Duration
-	// Kernel selects the execution tier: "interp" runs every compute step
-	// — owned loops, owner blocks, replicated statements — on the
-	// tree-walking interpreter, the oracle; "kernel" (the default) compiles
-	// them to the kernel IR run by the postfix VM; and "aot" prints the
-	// owned loops' IR as Go source, builds it with the toolchain into a
-	// cached native artifact, and dispatches to it — falling back tier by
-	// tier for regions the emitter refuses. Bodies the kernel compiler
-	// refuses (indirect subscripts) run interpreted on every tier. All
-	// tiers are bit-identical.
+	// Kernel selects the execution tier. "" (the default) runs native where
+	// it pays, else on the VM: once the plan is instantiated, the run goes
+	// native when its predicted VM time is at least twice a cold native
+	// build (nativePays), and a build or plugin open that fails leaves it
+	// on the VM, with aot_units = 0 saying so. The three values are pins:
+	// "interp" runs every compute step — owned loops, owner blocks,
+	// replicated statements — on the tree-walking interpreter, the oracle;
+	// "kernel" compiles them to the kernel IR run by the postfix VM; and
+	// "aot" prints the owned loops' IR as Go source, builds it with the
+	// toolchain into a cached native artifact, and dispatches to it —
+	// falling back tier by tier for regions the emitter refuses, and
+	// failing the run with the remedy when the host cannot build. Bodies
+	// the kernel compiler refuses (indirect subscripts) run interpreted on
+	// every tier. All tiers are bit-identical.
 	Kernel string
 	// CostModel selects how the master weighs work units when balancing:
 	// "uniform" (the default) keeps the classic every-unit-equal
@@ -168,13 +173,12 @@ const (
 	KernelAOT    = "aot"
 )
 
-// KernelTier resolves the Kernel knob ("" means the VM tier) or returns
-// an error naming the valid tiers.
+// KernelTier checks the Kernel knob: a pinned tier, or "" — native where
+// it pays, else the VM, decided per run once the plan is instantiated
+// (resolveTier). Anything else is an error naming the valid tiers.
 func (c Config) KernelTier() (string, error) {
 	switch c.Kernel {
-	case "", KernelVM:
-		return KernelVM, nil
-	case KernelInterp, KernelAOT:
+	case "", KernelInterp, KernelVM, KernelAOT:
 		return c.Kernel, nil
 	}
 	return "", fmt.Errorf("dlb: unknown kernel tier %q (want %q, %q or %q)",

@@ -42,7 +42,10 @@ type Prepared struct {
 	// two sides would instantiate different hook schedules.
 	Opts compile.Options
 
-	native *aotBundle // LoadNative's kernels, nil until then
+	// tier and native are LoadNative's answer: the resolved tier ("" until
+	// then) and, on the aot tier, the native kernels.
+	tier   string
+	native *aotBundle
 }
 
 // Prepare instantiates cfg.Plan for a real (wall-clock) environment with

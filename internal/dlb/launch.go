@@ -52,8 +52,8 @@ type launch struct {
 	res  *Result
 	pol  FaultPolicy
 
-	// Slave side.
-	native  bool // slaves run on the aot tier; adopt supplies bundle
+	// Slave side. adopt resolves modes.tier ("" until then) and supplies
+	// bundle on the aot tier.
 	bundle  *aotBundle
 	sfault  slaveFault
 	inj     *fault.Injector
@@ -118,7 +118,6 @@ func assemble(cfg Config, r role, initial, total int) (*launch, error) {
 		}
 	}
 	if r != masterOnly {
-		l.native = l.tier == KernelAOT
 		l.sfault = noSlaveFault{}
 		if l.ft {
 			l.sfault = ftSlaveFault{}
@@ -130,26 +129,21 @@ func assemble(cfg Config, r role, initial, total int) (*launch, error) {
 }
 
 // adopt installs the instantiation the run executes and, where the
-// assembly runs slaves on the aot tier, their native kernels: the ones a
-// daemon's handshake already loaded into pre (Prepared.LoadNative), else
-// built (or cache-loaded) here — before any slave spawns, because the
-// toolchain must not run inside the virtual-time scheduler — and shared
-// read-only.
+// assembly runs slaves, resolves their tier (resolveTier) and the native
+// kernels that tier needs, shared read-only by every slave.
 func (l *launch) adopt(pre *Prepared) error {
 	l.exec, l.grain = pre.Exec, pre.Grain
 	if l.res != nil {
 		l.res.Exec, l.res.Grain = pre.Exec, pre.Grain
 	}
-	if !l.native {
-		return nil
+	if l.sfault == nil {
+		return nil // masterOnly: no slave here
 	}
-	if l.bundle = pre.native; l.bundle == nil {
-		var err error
-		if l.bundle, err = buildAOT(l.cfg.Plan, l.cfg.Params); err != nil {
-			return err
-		}
+	var err error
+	if l.tier, l.bundle, err = resolveTier(l.cfg, pre); err != nil {
+		return err
 	}
-	if l.res != nil {
+	if l.res != nil && l.bundle != nil {
 		l.res.AotInfo = &l.bundle.prog.Info
 	}
 	return nil
