@@ -2,6 +2,8 @@ package loopir
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -25,6 +27,13 @@ import (
 //     (which may exit early) keep a per-access check.
 //   - Expressions run on a tiny postfix stack machine with no error path;
 //     malformed programs are rejected at compile time instead.
+//   - Innermost loops run a strip at a time where that is exact: each op
+//     of the same postfix code fills or combines a 128-wide slot of the
+//     strip buffer, so dispatch, the interface call and stack traffic are
+//     paid per strip, not per iteration (kstrip). A strip never holds a
+//     load of what an earlier iteration of it stores (pairWidth), and the
+//     store writes the strip in iteration order, so every element sees the
+//     scalar loop's IEEE operations in the scalar loop's order.
 
 // Opcode kinds of the expression stack machine.
 const (
@@ -59,6 +68,7 @@ type ksite struct {
 	data  []float64
 	name  string
 	flat  lin
+	step  int  // per-iteration offset increment in its owning loop
 	check bool // per-access bounds check (conditional code); else hoisted
 }
 
@@ -87,6 +97,7 @@ type kexec struct {
 	regs  []int
 	offs  []int
 	stack []float64
+	strip []float64 // depth slots of stripW words
 	_     [cacheLine]byte
 }
 
@@ -111,6 +122,7 @@ type kloop struct {
 	advs   []kadv
 	body   []kinstr
 	brk    *kcond
+	strip  *kstrip // nil: the loop always runs scalar
 }
 
 func (l *kloop) run(k *Kernel, x *kexec) {
@@ -120,6 +132,12 @@ func (l *kloop) run(k *Kernel, x *kexec) {
 	}
 	x.regs[l.reg] = lo
 	k.initPreps(l.preps, hi-lo, x)
+	if l.strip != nil {
+		if w := l.strip.widthAt(k, x, hi-lo); w > 1 {
+			l.runStrips(k, x, hi-lo, w)
+			return
+		}
+	}
 	for v := lo; ; {
 		for _, ins := range l.body {
 			ins.run(k, x)
@@ -134,6 +152,91 @@ func (l *kloop) run(k *Kernel, x *kexec) {
 		x.regs[l.reg] = v
 		for _, a := range l.advs {
 			x.offs[a.site] += a.step
+		}
+	}
+}
+
+// stripW is the widest strip an innermost loop runs at once.
+const stripW = 128
+
+// kstrip is an innermost loop's strip plan. The loop's body is one
+// assignment whose sites all have hoisted checks; it runs w iterations at
+// once, where w is the compile-time cap narrowed by the pairs only loop
+// entry can decide. A reduction (a step-0 store whose address the code
+// loads once, as a direct operand of the top operator) evaluates the other
+// operand over the strip and folds it into the stored value serially.
+type kstrip struct {
+	a       *kassign
+	code    []kop   // evaluated over the strip: a.code, or a reduction's other operand
+	width   int     // cap from the pairs decided at compile time; > 1
+	pairs   []int32 // load sites on the stored array whose distance is known only at entry
+	reduce  bool
+	accLeft bool // the reduction's stored value is the top operator's left operand
+}
+
+// widthAt is the strip width for one entry of the loop: the compile-time
+// cap narrowed by each entry-checked pair. 1 runs the scalar loop.
+func (s *kstrip) widthAt(k *Kernel, x *kexec, trip int) int {
+	w := s.width
+	oD, sD := x.offs[s.a.dst], k.sites[s.a.dst].step
+	for _, p := range s.pairs {
+		w = min(w, pairWidth(x.offs[p]-oD, sD, k.sites[p].step, trip))
+	}
+	return w
+}
+
+// pairWidth is the widest strip at which a load may run ahead of the store
+// of the same assignment: over iterations t in [0,trip) the store writes
+// oD + sD·t and the load reads oD + d + sL·t. A strip is wrong exactly when
+// an iteration loads what an earlier iteration of its own strip stored.
+func pairWidth(d, sD, sL, trip int) int {
+	switch {
+	case sD == 0:
+		// Every iteration stores to one address: no load after the first
+		// may read it.
+		if sL == 0 {
+			if d == 0 && trip > 1 {
+				return 1
+			}
+		} else if -d%sL == 0 && -d/sL >= 1 && -d/sL <= trip-1 {
+			return 1
+		}
+	case sL == sD:
+		// Iteration t loads what iteration t−q stored, q = −d/sD: a strip
+		// narrower than q never holds both.
+		if d%sD == 0 {
+			if q := -d / sD; q >= 1 && q <= trip-1 {
+				return min(stripW, q)
+			}
+		}
+	default:
+		// Unequal steps: batch only when the two address ranges over the
+		// trip are disjoint.
+		dlo, dhi := span(0, sD, trip)
+		llo, lhi := span(d, sL, trip)
+		if dlo <= lhi && llo <= dhi {
+			return 1
+		}
+	}
+	return stripW
+}
+
+// span is the address range of o + s·t over t in [0,trip).
+func span(o, s, trip int) (lo, hi int) {
+	lo, hi = o, o+s*(trip-1)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// runStrips runs the loop's trip iterations w at a time.
+func (l *kloop) runStrips(k *Kernel, x *kexec, trip, w int) {
+	for t := 0; t < trip; t += w {
+		n := min(w, trip-t)
+		l.strip.run(k, x, n)
+		for _, a := range l.advs {
+			x.offs[a.site] += a.step * n
 		}
 	}
 }
@@ -217,6 +320,7 @@ func (k *Kernel) getExec() *kexec {
 		regs:  isolated[int](k.nregs),
 		offs:  isolated[int](len(k.sites)),
 		stack: isolated[float64](k.depth)[:0],
+		strip: isolated[float64](k.depth * stripW),
 	}
 }
 
@@ -291,6 +395,125 @@ func (k *Kernel) eval(code []kop, x *kexec) float64 {
 	return v
 }
 
+// run executes w iterations of the assignment from the current offsets.
+func (s *kstrip) run(k *Kernel, x *kexec, w int) {
+	v := k.evalStrip(s.code, x, w)
+	d := &k.sites[s.a.dst]
+	off := x.offs[s.a.dst]
+	switch {
+	case s.reduce:
+		d.data[off] = fold(s.a.code[len(s.a.code)-1].kind, s.accLeft, d.data[off], v)
+	case d.step == 1:
+		copy(d.data[off:off+w], v)
+	default:
+		for _, e := range v {
+			d.data[off] = e
+			off += d.step
+		}
+	}
+}
+
+// fold applies op between acc and each v[t] in order, keeping acc on the
+// side the scalar code has it.
+func fold(op byte, accLeft bool, acc float64, v []float64) float64 {
+	switch {
+	case op == opAdd && accLeft:
+		for _, e := range v {
+			acc = acc + e
+		}
+	case op == opAdd:
+		for _, e := range v {
+			acc = e + acc
+		}
+	case op == opSub && accLeft:
+		for _, e := range v {
+			acc = acc - e
+		}
+	case op == opSub:
+		for _, e := range v {
+			acc = e - acc
+		}
+	case op == opMul && accLeft:
+		for _, e := range v {
+			acc = acc * e
+		}
+	case op == opMul:
+		for _, e := range v {
+			acc = e * acc
+		}
+	case accLeft: // opDiv
+		for _, e := range v {
+			acc = acc / e
+		}
+	default:
+		for _, e := range v {
+			acc = e / acc
+		}
+	}
+	return acc
+}
+
+// evalStrip runs code over w iterations from the current offsets. Stack
+// slot j is x.strip[j·stripW:][:w]; each op fills or combines whole slots,
+// and the result is the bottom slot.
+func (k *Kernel) evalStrip(code []kop, x *kexec, w int) []float64 {
+	buf := x.strip
+	sp := 0
+	for i := range code {
+		op := &code[i]
+		switch op.kind {
+		case opConst:
+			out := buf[sp*stripW:][:w]
+			for t := range out {
+				out[t] = op.c
+			}
+			sp++
+		case opLoad:
+			out := buf[sp*stripW:][:w]
+			s := &k.sites[op.site]
+			off := x.offs[op.site]
+			switch s.step {
+			case 0:
+				v := s.data[off]
+				for t := range out {
+					out[t] = v
+				}
+			case 1:
+				copy(out, s.data[off:off+w])
+			default:
+				for t := range out {
+					out[t] = s.data[off]
+					off += s.step
+				}
+			}
+			sp++
+		default:
+			sp--
+			l := buf[(sp-1)*stripW:][:w]
+			r := buf[sp*stripW:][:len(l)]
+			switch op.kind {
+			case opAdd:
+				for t := range l {
+					l[t] += r[t]
+				}
+			case opSub:
+				for t := range l {
+					l[t] -= r[t]
+				}
+			case opMul:
+				for t := range l {
+					l[t] *= r[t]
+				}
+			default: // opDiv
+				for t := range l {
+					l[t] /= r[t]
+				}
+			}
+		}
+	}
+	return buf[:w]
+}
+
 func (k *Kernel) exec(x *kexec) {
 	k.initPreps(k.rootPreps, 1, x)
 	for _, ins := range k.code {
@@ -349,8 +572,8 @@ func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool
 		return id
 	}
 	id := int32(len(kc.sites))
-	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, check: !hoist})
 	step := flat.coef(lvl.reg)
+	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, step: step, check: !hoist})
 	lvl.siteOf[key] = id
 	lvl.prepIdx[id] = len(lvl.preps)
 	lvl.preps = append(lvl.preps, kprep{site: id, step: step, hoist: hoist})
@@ -462,6 +685,87 @@ func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool) (*k
 	return &kassign{dst: dst, code: code}, nil
 }
 
+// stripPlan decides whether the compiled loop l may run a strip at a time
+// and returns its plan, or nil for a loop that always runs scalar: one
+// with a BreakIf, a body other than one assignment, a site under a
+// per-access check, or a load pair whose distance, known now, forbids
+// any strip (sor's b[j-1][i] against b[j][i]).
+func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
+	if l.brk != nil || len(l.body) != 1 {
+		return nil
+	}
+	a, ok := l.body[0].(*kassign)
+	if !ok {
+		return nil
+	}
+	dst := &kc.sites[a.dst]
+	if dst.check {
+		return nil
+	}
+	st := &kstrip{a: a, code: a.code, width: stripW}
+	n := len(a.code)
+	if dst.step == 0 && n >= 3 && a.code[n-1].kind > opLoad && loadsOf(a.code, a.dst) == 1 {
+		switch {
+		case isLoad(a.code[0], a.dst) && whole(a.code[1:n-1]):
+			st.code, st.reduce, st.accLeft = a.code[1:n-1], true, true
+		case isLoad(a.code[n-2], a.dst):
+			st.code, st.reduce = a.code[:n-2], true
+		}
+	}
+	for _, op := range a.code {
+		if op.kind != opLoad {
+			continue
+		}
+		ld := &kc.sites[op.site]
+		switch {
+		case ld.check:
+			return nil
+		case ld.name != dst.name || (st.reduce && op.site == a.dst):
+			// Another array, or the reduction's own operand: no pair.
+		case !slices.Equal(ld.flat.terms, dst.flat.terms):
+			if !slices.Contains(st.pairs, op.site) {
+				st.pairs = append(st.pairs, op.site)
+			}
+		default:
+			// Equal terms: d is a constant and the steps are equal, so
+			// the pair is decided for every trip now.
+			st.width = min(st.width, pairWidth(ld.flat.c-dst.flat.c, dst.step, ld.step, math.MaxInt))
+		}
+	}
+	if st.width == 1 {
+		return nil
+	}
+	return st
+}
+
+func isLoad(op kop, site int32) bool { return op.kind == opLoad && op.site == site }
+
+func loadsOf(code []kop, site int32) int {
+	n := 0
+	for _, op := range code {
+		if isLoad(op, site) {
+			n++
+		}
+	}
+	return n
+}
+
+// whole reports whether code is one complete expression.
+func whole(code []kop) bool {
+	depth := 0
+	for _, op := range code {
+		if op.kind > opLoad {
+			if depth < 2 {
+				return false
+			}
+			depth--
+		} else {
+			depth++
+		}
+	}
+	return depth == 1
+}
+
 func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) ([]kinstr, error) {
 	var out []kinstr
 	for _, s := range stmts {
@@ -492,6 +796,7 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 				l.brk = &brk
 			}
 			l.preps, l.advs = inner.preps, inner.advs
+			l.strip = kc.stripPlan(l)
 			out = append(out, l)
 		case *Assign:
 			a, err := kc.compileAssign(s, lvl, conditional)

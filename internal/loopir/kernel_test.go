@@ -1,6 +1,7 @@
 package loopir
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -130,8 +131,19 @@ func TestQuickKernelEquivalence(t *testing.T) {
 	quickVsInterpreter(t, func(fast *Instance, _ int) error { return fast.RunKernel() })
 }
 
-// TestKernelRate sanity-checks the calibration: a positive, cached rate.
+// TestKernelRate sanity-checks the calibration: a positive, cached rate,
+// measured on a kernel whose every loop runs scalar, so that KernelRate
+// stays the VM's scalar rate whatever the strip batcher accepts.
 func TestKernelRate(t *testing.T) {
+	k, _, err := rateKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range stripPlans(k) {
+		if !strings.HasSuffix(p, " scalar") {
+			t.Errorf("the calibration kernel batches: %v", stripPlans(k))
+		}
+	}
 	r1 := KernelRate()
 	if r1 <= 0 {
 		t.Fatalf("KernelRate = %g, want > 0", r1)
@@ -143,7 +155,8 @@ func TestKernelRate(t *testing.T) {
 
 // BenchmarkKernel compares the in-process executors — interpreter and
 // compiled kernel — on the stencil (jacobi) and pipelined (sor) programs
-// plus mm. The kernel/interp ratio here is the ≥5x acceptance bar the
+// plus mm and lu, the service's other two. jacobi, mm and lu run their
+// innermost loops a strip at a time; sor's recurrence keeps it scalar. The kernel/interp ratio here is the ≥5x acceptance bar the
 // kernel tier was admitted on; the benchmark module's
 // loopir.kernel_mflops / loopir.interp_mflops record it per workload.
 func BenchmarkKernel(b *testing.B) {
@@ -154,6 +167,7 @@ func BenchmarkKernel(b *testing.B) {
 		{"jacobi", map[string]int{"n": 64, "maxiter": 2}},
 		{"sor", map[string]int{"n": 64, "maxiter": 2}},
 		{"mm", map[string]int{"n": 48}},
+		{"lu", map[string]int{"n": 64}},
 	}
 	for _, p := range progs {
 		prog := Library()[p.name]
@@ -201,7 +215,7 @@ func BenchmarkKernel(b *testing.B) {
 func TestKexecStateIsolated(t *testing.T) {
 	var x kexec
 	lo := unsafe.Offsetof(x.regs)
-	hi := unsafe.Offsetof(x.stack) + unsafe.Sizeof(x.stack)
+	hi := unsafe.Offsetof(x.strip) + unsafe.Sizeof(x.strip)
 	if lo < cacheLine || unsafe.Sizeof(x)-hi < cacheLine {
 		t.Errorf("kexec state at [%d,%d) of %d bytes: want %d bytes of padding on both sides", lo, hi, unsafe.Sizeof(x), cacheLine)
 	}
@@ -209,6 +223,21 @@ func TestKexecStateIsolated(t *testing.T) {
 		if s := isolated[int](n); len(s) != n || cap(s) != n {
 			t.Errorf("isolated(%d): len %d cap %d", n, len(s), cap(s))
 		}
+		if s := isolated[float64](n * stripW); len(s) != n*stripW || cap(s) != n*stripW {
+			t.Errorf("isolated(%d): len %d cap %d", n*stripW, len(s), cap(s))
+		}
+	}
+	// The strip buffer is depth slots of stripW words, exactly.
+	in, err := NewInstance(Library()["mm"], kernelTestParams()["mm"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := in.CompileKernel(in.Prog.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, n := k.getExec(), k.depth*stripW; len(x.strip) != n || cap(x.strip) != n {
+		t.Errorf("strip buffer len %d cap %d, want %d", len(x.strip), cap(x.strip), n)
 	}
 }
 

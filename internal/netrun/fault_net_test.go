@@ -296,6 +296,42 @@ func runFT(cfg dlb.Config, addrs []string, opt MasterOptions) chan struct {
 	return done
 }
 
+// watchRun makes the next RunMaster hand its router to the test and returns
+// a wait for progress: it blocks until the master is linked to node and
+// holds at least parts checkpoint parts (the slaves' count: the first
+// checkpoint), so that an event injected next lands mid-run however fast
+// the kernels are. A run that ends first, or never gets there, fails the
+// test: it is too short for the event it was meant to carry.
+func watchRun(t *testing.T) func(node int, parts int64) {
+	t.Helper()
+	rts := make(chan *router, 1)
+	observeMaster = func(rt *router) {
+		select {
+		case rts <- rt: // the first run is the one watched
+		default:
+		}
+	}
+	t.Cleanup(func() { observeMaster = nil })
+	return func(node int, parts int64) {
+		t.Helper()
+		deadline := time.After(20 * time.Second)
+		var rt *router
+		select {
+		case rt = <-rts:
+		case <-deadline:
+			t.Fatal("the run never started")
+		}
+		for !rt.hasLink(node) || rt.ckptParts.Load() < parts {
+			select {
+			case <-deadline:
+				t.Fatalf("node %d never held a live session past %d checkpoint parts (linked %v, %d parts): the run is too short to fault mid-run",
+					node, parts, rt.hasLink(node), rt.ckptParts.Load())
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+}
+
 func evictedHas(res *dlb.Result, id int) bool {
 	for _, e := range res.Evicted {
 		if e == id {
@@ -305,13 +341,15 @@ func evictedHas(res *dlb.Result, id int) bool {
 	return false
 }
 
-// TestConnLossEviction kills one slave daemon mid-run. The master gets no
-// error from the transport — the connection just goes quiet — so the
-// PR-1 lease detector must evict the node, roll back to the last
-// consistent checkpoint, and finish bit-identical on the survivors.
+// TestConnLossEviction kills one slave daemon mid-run, once the run has
+// committed its first checkpoint. The master gets no error from the
+// transport — the connection just goes quiet — so the PR-1 lease detector
+// must evict the node, roll back to the last consistent checkpoint, and
+// finish bit-identical on the survivors. Drag 60 keeps ≈ 0.8 s of the run
+// after that checkpoint.
 func TestConnLossEviction(t *testing.T) {
 	plan, params := testPlan(t, "mm", 256, 0)
-	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 20, Timeouts: Timeouts{Dial: 2 * time.Second}})
+	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 60, Timeouts: Timeouts{Dial: 2 * time.Second}})
 	cfg := dlb.Config{
 		Plan:        plan,
 		Params:      params,
@@ -321,9 +359,10 @@ func TestConnLossEviction(t *testing.T) {
 		Detect:      ftDetect(),
 		Ckpt:        fault.CkptPolicy{MinInterval: 150 * time.Millisecond},
 	}
+	live := watchRun(t)
 	done := runFT(cfg, addrs, MasterOptions{})
 
-	time.Sleep(800 * time.Millisecond)
+	live(2, int64(len(addrs)))
 	srvs[2].Close()
 
 	out := <-done
@@ -341,10 +380,13 @@ func TestConnLossEviction(t *testing.T) {
 
 // TestInjectedCrashEviction ships a fault schedule in the RunSpec: slave 1
 // crashes itself mid-run, exercising the FormatSpec/ParseSpec round trip
-// and the same eviction path as a real process death.
+// and the same eviction path as a real process death. The crash is timed
+// (0.5 s) and a crash past the run's end is silent, so the eviction check
+// is also the check that the run was live at the event; Drag 60 makes the
+// run ≈ 1.4 s.
 func TestInjectedCrashEviction(t *testing.T) {
 	plan, params := testPlan(t, "mm", 256, 0)
-	addrs, _ := startServers(t, 4, ServerOptions{Drag: 20, Timeouts: Timeouts{Dial: 2 * time.Second}})
+	addrs, _ := startServers(t, 4, ServerOptions{Drag: 60, Timeouts: Timeouts{Dial: 2 * time.Second}})
 	fp, err := fault.ParseSpec("crash:1@0.5")
 	if err != nil {
 		t.Fatal(err)
@@ -372,12 +414,14 @@ func TestInjectedCrashEviction(t *testing.T) {
 }
 
 // TestReconnectRejoin pulls the network cable between the master and one
-// slave: the master must evict the silent node, and the daemon — still
-// alive behind the broken connection — must redial the master and re-enter
-// the same run as an elastic joiner under a fresh id.
+// slave once the run has committed its first checkpoint: the master must
+// evict the silent node, and the daemon — still alive behind the broken
+// connection — must redial the master and re-enter the same run as an
+// elastic joiner under a fresh id, so the run must outlast a lease and a
+// handshake after the drop (Drag 90).
 func TestReconnectRejoin(t *testing.T) {
 	plan, params := testPlan(t, "mm", 256, 0)
-	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 30, Timeouts: Timeouts{Dial: 2 * time.Second}})
+	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 90, Timeouts: Timeouts{Dial: 2 * time.Second}})
 	cfg := dlb.Config{
 		Plan:        plan,
 		Params:      params,
@@ -387,11 +431,12 @@ func TestReconnectRejoin(t *testing.T) {
 		Detect:      ftDetect(),
 		Ckpt:        fault.CkptPolicy{MinInterval: 150 * time.Millisecond},
 	}
+	live := watchRun(t)
 	done := runFT(cfg, addrs, MasterOptions{ExtraSlots: 1})
 
-	time.Sleep(800 * time.Millisecond)
+	live(1, int64(len(addrs)))
 	if !dropMasterLink(srvs[1]) {
-		t.Log("no active session on server 1 at drop time (run too fast?)")
+		t.Fatal("no active session on server 1 at drop time")
 	}
 
 	out := <-done

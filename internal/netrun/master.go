@@ -39,6 +39,11 @@ type MasterOptions struct {
 	Logf func(format string, args ...interface{})
 }
 
+// observeMaster, when set, is handed each run's master router as the run
+// starts. Tests set it to wait on the run's progress (its links and
+// checkpoint parts) before they inject a mid-run event.
+var observeMaster func(*router)
+
 // netMaster is the master's transport state, shared between the run and
 // the accept loop.
 type netMaster struct {
@@ -108,6 +113,9 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 		total: n + opt.ExtraSlots,
 	}
 	m.rt = newRouter(cluster.MasterID, m.run, m.to, false)
+	if observeMaster != nil {
+		observeMaster(m.rt)
+	}
 	for slot := n; slot < m.total; slot++ {
 		m.free = append(m.free, slot)
 	}

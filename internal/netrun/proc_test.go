@@ -78,9 +78,10 @@ func spawnDaemon(t *testing.T, bin string, drag float64) *daemon {
 
 // TestMultiProcessMM is the acceptance harness: a master plus four dlbd
 // slave OS processes over loopback TCP run the calibrated MM plan; one
-// slave process is SIGKILLed mid-run. The run must survive through the
-// PR-1 evict/rollback path, hand every unit of the dead node to a live
-// slave, and finish bit-identical to the sequential reference.
+// slave process is SIGKILLed mid-run, once the run has committed its first
+// checkpoint. The run must survive through the PR-1 evict/rollback path,
+// hand every unit of the dead node to a live slave, and finish
+// bit-identical to the sequential reference.
 func TestMultiProcessMM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness is not -short")
@@ -89,7 +90,7 @@ func TestMultiProcessMM(t *testing.T) {
 	daemons := make([]*daemon, 4)
 	addrs := make([]string, 4)
 	for i := range daemons {
-		daemons[i] = spawnDaemon(t, bin, 20)
+		daemons[i] = spawnDaemon(t, bin, 60)
 		addrs[i] = daemons[i].addr
 	}
 
@@ -103,9 +104,17 @@ func TestMultiProcessMM(t *testing.T) {
 		Detect:      ftDetect(),
 		Ckpt:        fault.CkptPolicy{MinInterval: 150 * time.Millisecond},
 	}
+	live := watchRun(t)
 	done := runFT(cfg, addrs, MasterOptions{})
 
-	time.Sleep(800 * time.Millisecond)
+	parts := int64(len(addrs))
+	if raceDetector {
+		// A race-built master with daemons that are not race-built commits
+		// no checkpoint before the run ends (0 in a 2.2 s run): kill on the
+		// live session, and the recovery restarts from the initial cut.
+		parts = 0
+	}
+	live(2, parts)
 	if err := daemons[2].cmd.Process.Kill(); err != nil {
 		t.Fatalf("killing slave process 2: %v", err)
 	}
@@ -156,9 +165,12 @@ func TestDaemonSIGTERMDrains(t *testing.T) {
 
 	plan, params := testPlan(t, "mm", 256, 0)
 	cfg := dlb.Config{Plan: plan, Params: params, DLB: true, RealQuantum: 2 * time.Millisecond}
+	live := watchRun(t)
 	done := runFT(cfg, addrs, MasterOptions{})
 
-	time.Sleep(500 * time.Millisecond)
+	// The default checkpoint interval (2 s) outlasts the run: a live
+	// session on daemon 1 is the progress mark.
+	live(1, 0)
 	if err := daemons[1].cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("signaling daemon 1: %v", err)
 	}

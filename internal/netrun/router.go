@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -50,6 +51,11 @@ type router struct {
 	closed  bool
 	writers sync.WaitGroup
 	readers sync.WaitGroup
+
+	// ckptParts counts the checkpoint parts delivered here, which only the
+	// master receives: a run's progress mark, so a harness can land an
+	// event after the first checkpoint instead of after a guessed delay.
+	ckptParts atomic.Int64
 }
 
 type link struct {
@@ -276,6 +282,9 @@ func (r *router) reader(l *link, readLimited bool) {
 			reason, _ := env.Payload.(string)
 			r.box.Fail(&dlb.PeerFailure{Peer: l.peer, Reason: reason})
 		default:
+			if env.Tag == "ckpt" {
+				r.ckptParts.Add(1)
+			}
 			r.box.Put(cluster.Msg{From: env.From, Tag: env.Tag, Data: env.Payload})
 		}
 	}

@@ -195,9 +195,12 @@ func TestRejectBusyTyped(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	cfg := ftConfig(t, "sor", 128, 6)
 	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 10, Timeouts: Timeouts{Dial: 5 * time.Second}})
+	live := watchRun(t)
 	done := runFT(cfg, addrs, MasterOptions{})
 
-	time.Sleep(300 * time.Millisecond)
+	// A pipelined sor run this short commits no checkpoint: a live session
+	// on daemon 0 is the progress mark.
+	live(0, 0)
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srvs[0].Shutdown(60 * time.Second) }()
 
@@ -225,16 +228,18 @@ func TestShutdownDrains(t *testing.T) {
 	ln.Close()
 }
 
-// TestClosePromptAndRebindable closes a daemon mid-run the hard way: Close
-// must return promptly (the poisoned mailbox unwinds the slave loop while
-// the router flushes) and leave the port rebindable; the master evicts the
-// node and finishes on the survivors.
+// TestClosePromptAndRebindable closes a daemon mid-run the hard way, once
+// the run has committed its first checkpoint: Close must return promptly
+// (the poisoned mailbox unwinds the slave loop while the router flushes)
+// and leave the port rebindable; the master evicts the node and finishes on
+// the survivors.
 func TestClosePromptAndRebindable(t *testing.T) {
 	cfg := ftConfig(t, "mm", 256, 0)
-	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 20, Timeouts: Timeouts{Dial: 2 * time.Second}})
+	addrs, srvs := startServers(t, 4, ServerOptions{Drag: 60, Timeouts: Timeouts{Dial: 2 * time.Second}})
+	live := watchRun(t)
 	done := runFT(cfg, addrs, MasterOptions{})
 
-	time.Sleep(800 * time.Millisecond)
+	live(2, int64(len(addrs)))
 	closed := make(chan error, 1)
 	go func() { closed <- srvs[2].Close() }()
 	select {

@@ -264,9 +264,11 @@ func TestConcurrentJobsShareNothing(t *testing.T) {
 // TestPriorityPreemption submits a low-priority job that fills the pool,
 // then a high-priority one: the scheduler must checkpoint-and-release the
 // low job, run the high one, then resume the low job — whose final result
-// must still be bit-identical to the sequential reference.
+// must still be bit-identical to the sequential reference. The preemption
+// count is the check that the low job was still running when the high one
+// came; Drag 75 keeps it running ≈ 1 s past the submission.
 func TestPriorityPreemption(t *testing.T) {
-	s := newTestService(t, 4, netrun.ServerOptions{Drag: 25, Timeouts: netrun.Timeouts{Dial: 10 * time.Second}}, Options{})
+	s := newTestService(t, 4, netrun.ServerOptions{Drag: 75, Timeouts: netrun.Timeouts{Dial: 10 * time.Second}}, Options{})
 	low := testSpec(t, "mm", 256, 0, 4)
 	low.Tenant = "batch"
 	low.Priority = PriorityLow
