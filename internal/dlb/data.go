@@ -26,25 +26,33 @@ type StatusMsg struct {
 	// Epoch is the recovery epoch this report belongs to (fault-tolerant
 	// runs only); the master drops reports from earlier epochs.
 	Epoch int
-	// Dispatch accounting, reported with the termination announcement:
-	// how many owned units ran through AOT-built native kernels, compiled
-	// range kernels, or the tree interpreter (engine counters
-	// aot_units / kernel_units / fallback_units).
-	AotUnits      int64
-	KernelUnits   int64
-	FallbackUnits int64
-	// Overlap accounting (engine counters overlap_rounds /
-	// overlap_fallback): owned-loop executions that ran the split
-	// interior/boundary schedule with ghost receives deferred past the
-	// interior pass, and eligible exchange rounds that ended up effectively
-	// synchronous at run time (drained with no interior work, or abandoned
-	// by an epoch restart).
-	OverlapRounds   int64
-	OverlapFallback int64
+	// Tally is the slave's accounting, reported with the termination
+	// announcement (zero on a plain status report).
+	Tally
 	// CostBlocks summarizes the measured per-unit cost of the work this
 	// report covers (learned cost model; nil under the uniform model).
 	// Ranges are clamped to maxCostBlocks entries per report.
 	CostBlocks []CostBlock
+}
+
+// Tally is one slave's accounting since the cut its epoch started from:
+// how many owned units ran through AOT-built native kernels, compiled range
+// kernels, or the tree interpreter, and how the split-loop ghost exchange
+// fared. A recovery resets it, except OverlapFallback. The master sums the
+// participants' final Tallies into the engine counters of the same names
+// (aot_units, kernel_units, fallback_units, overlap_rounds,
+// overlap_fallback).
+type Tally struct {
+	AotUnits      int64
+	KernelUnits   int64
+	FallbackUnits int64
+	// OverlapRounds counts owned-loop executions that ran the split
+	// interior/boundary schedule with ghost receives deferred past the
+	// interior pass; OverlapFallback counts eligible exchange rounds that
+	// ended up effectively synchronous at run time (drained with no
+	// interior work, or abandoned by an epoch restart).
+	OverlapRounds   int64
+	OverlapFallback int64
 }
 
 // InstrMsg is the master's reply: redistribution moves and the hook-skip

@@ -96,6 +96,7 @@ func RunMasterOn(ep Endpoint, cfg Config, cc cluster.Config, initial, total int,
 				// A cooperative stop: the policy committed the stop
 				// checkpoint, published it on the Result, and released the
 				// slaves before unwinding.
+				eng.fold()
 				l.res.Elapsed = ep.Now() - start
 				res, err = l.res, ErrPreempted
 				return

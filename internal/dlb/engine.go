@@ -52,6 +52,10 @@ type engine struct {
 
 	done      []bool
 	doneCount int
+	// tallies holds each slot's Tally from its "done" report; a recovery
+	// clears it with done, so fold sums only the finishing epoch's reports.
+	tallies []Tally
+	acct    masterAcct
 
 	final        map[string]*loopir.Array
 	computeStart time.Duration
@@ -66,9 +70,6 @@ const groupDiffusion = 0.5
 func (e *engine) runOn(ep Endpoint) {
 	e.ep = ep
 	e.plan = e.exec.Plan
-	if e.res.Counters == nil {
-		e.res.Counters = metrics.Counters{}
-	}
 
 	// Authoritative ownership + balancer.
 	own := core.NewBlockOwnership(e.exec.Units, e.initial)
@@ -80,6 +81,7 @@ func (e *engine) runOn(ep Endpoint) {
 		e.costModel = NewUnitCostModel(e.exec.Units)
 	}
 	e.done = make([]bool, e.total)
+	e.tallies = make([]Tally, e.total)
 	e.pol.Init(e)
 
 	e.scatter()
@@ -130,19 +132,16 @@ func (e *engine) scatter() {
 			msg.Replicated = copyArrays(e.inst.Arrays, e.plan.Replicated)
 		}
 		e.ep.Send(sl, "init", msg)
-		e.res.Counters.Add("scatter_bytes", int64(msgBytes(msg)))
+		e.acct.scatterBytes += int64(msgBytes(msg))
 	}
 }
 
-// noteDispatch folds a terminating slave's compute-dispatch accounting
-// into the engine counters: how much owned work ran through AOT-built
-// native kernels, compiled range kernels, or the tree interpreter.
-func (e *engine) noteDispatch(st StatusMsg) {
-	e.res.Counters.Add("aot_units", st.AotUnits)
-	e.res.Counters.Add("kernel_units", st.KernelUnits)
-	e.res.Counters.Add("fallback_units", st.FallbackUnits)
-	e.res.Counters.Add("overlap_rounds", st.OverlapRounds)
-	e.res.Counters.Add("overlap_fallback", st.OverlapFallback)
+// markDone records participant id's termination announcement and the
+// Tally it carried.
+func (e *engine) markDone(id int, st StatusMsg) {
+	e.done[id] = true
+	e.doneCount++
+	e.tallies[id] = st.Tally
 }
 
 // handleRound runs the load-balancing decision for one complete round and
@@ -159,8 +158,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 		}
 	}
 	e.res.Phases++
-	e.res.Counters.Add("rounds", 1)
-	e.res.Counters.Add("status_reports", int64(len(raw)))
+	e.acct.statusReports += int64(len(raw))
 	e.pol.RoundObserved(e)
 
 	e.ep.Compute(e.roundCharge(len(raw)), nil)
@@ -202,7 +200,7 @@ func (e *engine) handleRound(raw map[int]StatusMsg) {
 	for _, id := range to {
 		e.ep.Send(id, "instr", instr)
 	}
-	e.res.Counters.Add("instr_bytes", int64(msgBytes(instr))*int64(len(to)))
+	e.acct.instrBytes += int64(msgBytes(instr)) * int64(len(to))
 	e.pol.RoundSent(e)
 }
 
@@ -274,9 +272,64 @@ func (e *engine) gather() {
 			msg = e.ep.Recv(cluster.AnySource, "gather")
 		}
 		g := msg.Data.(GatherMsg)
-		e.res.Counters.Add("gather_msgs", 1)
+		e.acct.gatherMsgs++
 		installUnits(e.plan.DistArrays, final, g.Data)
 		installArrays(final, g.Reduced)
 	}
 	e.final = final
+}
+
+// masterAcct is the master's accounting of the facts that have no Result
+// field of their own; fold is its only reader.
+type masterAcct struct {
+	statusReports, scatterBytes, instrBytes, gatherMsgs int64
+	// Grouped runs: diffusive exchanges, and moves (and their units)
+	// crossing a group boundary.
+	hierExchanges, hierCrossMoves, hierCrossUnits int64
+}
+
+// fold writes Result.Counters, and is its only writer: every counter name,
+// zeros included, from the Result fields, the master's accounting and the
+// participants' final Tallies. A run that recovered counts in its tallies
+// only the work since the cut it resumed from.
+func (e *engine) fold() {
+	var t Tally
+	for _, d := range e.tallies {
+		t.AotUnits += d.AotUnits
+		t.KernelUnits += d.KernelUnits
+		t.FallbackUnits += d.FallbackUnits
+		t.OverlapRounds += d.OverlapRounds
+		t.OverlapFallback += d.OverlapFallback
+	}
+	res, a := e.res, e.acct
+	var resumes, preemptions int64
+	if e.cfg.Resume != nil {
+		resumes = 1
+	}
+	if res.Checkpoint != nil {
+		preemptions = 1
+	}
+	res.Counters = metrics.Counters{
+		"rounds":           int64(res.Phases),
+		"status_reports":   a.statusReports,
+		"scatter_bytes":    a.scatterBytes,
+		"instr_bytes":      a.instrBytes,
+		"gather_msgs":      a.gatherMsgs,
+		"moves":            int64(res.Moves),
+		"units_moved":      int64(res.UnitsMoved),
+		"aot_units":        t.AotUnits,
+		"kernel_units":     t.KernelUnits,
+		"fallback_units":   t.FallbackUnits,
+		"overlap_rounds":   t.OverlapRounds,
+		"overlap_fallback": t.OverlapFallback,
+		"checkpoints":      int64(res.Checkpoints),
+		"recoveries":       int64(res.Recoveries),
+		"evictions":        int64(len(res.Evicted)),
+		"joins":            int64(len(res.Joined)),
+		"resumes":          resumes,
+		"preemptions":      preemptions,
+		"hier_exchanges":   a.hierExchanges,
+		"hier_cross_moves": a.hierCrossMoves,
+		"hier_cross_units": a.hierCrossUnits,
+	}
 }

@@ -2,6 +2,13 @@ package dlb
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +146,125 @@ func TestEngineCountersReal(t *testing.T) {
 	}
 	if c.Get("scatter_bytes") <= 0 {
 		t.Errorf("scatter_bytes not populated: %d", c.Get("scatter_bytes"))
+	}
+}
+
+// TestDispatchTallyIgnoresVoidedEpoch: a slave's dispatch tally counts
+// only once its "done" report survives. Slave 1 crashes at two moments that
+// both recover from checkpoint 2 (hook 29); at the later one slaves 0, 2
+// and 3 have already reported done in epoch 0, and the recovery voids
+// those reports. Either way the run's tallies cover exactly the work since
+// the cut it resumed from: 400 of mm's 1600 units.
+func TestDispatchTallyIgnoresVoidedEpoch(t *testing.T) {
+	for _, at := range []time.Duration{4508600 * time.Microsecond, 4608600 * time.Microsecond} {
+		t.Run(at.String(), func(t *testing.T) {
+			fp := (&fault.Plan{}).CrashAt(1, at)
+			res := runAndVerify(t, planFor(t, "mm"), map[string]int{"n": 40},
+				ftConfig(fp), cluster.Config{Slaves: 4})
+			if !strings.Contains(res.FaultLog.String(), "from checkpoint 2 (hook 29)") {
+				t.Fatalf("scenario moved; fault log:\n%s", res.FaultLog)
+			}
+			c := res.Counters
+			if got := c.Get("aot_units") + c.Get("kernel_units") + c.Get("fallback_units"); got != 400 {
+				t.Errorf("dispatch tally = %d units, want 400 (the work since the cut)", got)
+			}
+		})
+	}
+}
+
+// TestCounterNamesProduced: every counter name a reader looks up — the
+// benchmark's observeCounters and observeFault, and the experiments'
+// Counters.Get calls — is a key of Result.Counters on every kind of run,
+// so a misspelled or never-written name fails here instead of reading 0.
+func TestCounterNamesProduced(t *testing.T) {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	collect := func(path string, inspect func(n ast.Node)) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool { inspect(n); return true })
+	}
+	str := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		return s, err == nil
+	}
+	collect(filepath.Join("..", "..", "benchmark", "results.go"), func(n ast.Node) {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || (fn.Name.Name != "observeCounters" && fn.Name.Name != "observeFault") {
+			return
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if s, ok := str(x.Key); ok {
+					names[s] = true
+				}
+			case *ast.IndexExpr:
+				if s, ok := str(x.Index); ok {
+					names[s] = true
+				}
+			}
+			return true
+		})
+	})
+	fromBench := len(names)
+	files, err := filepath.Glob(filepath.Join("..", "exp", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		collect(path, func(n ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return
+			}
+			get, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || get.Sel.Name != "Get" {
+				return
+			}
+			if recv, ok := get.X.(*ast.SelectorExpr); !ok || recv.Sel.Name != "Counters" {
+				return
+			}
+			if s, ok := str(call.Args[0]); ok {
+				names[s] = true
+			}
+		})
+	}
+	if fromBench < 13 || len(names) == fromBench {
+		t.Fatalf("found %d benchmark names and %d in all; the readers moved", fromBench, len(names))
+	}
+	var want []string
+	for name := range names {
+		want = append(want, name)
+	}
+	sort.Strings(want)
+
+	mm := planFor(t, "mm")
+	flat := runAndVerify(t, mm, map[string]int{"n": 24}, Config{DLB: true}, cluster.Config{Slaves: 3})
+	wall, err := RunReal(Config{Plan: mm, Params: map[string]int{"n": 24}, DLB: true}, 2)
+	if err != nil {
+		t.Fatalf("RunReal: %v", err)
+	}
+	ft := runAndVerify(t, mm, map[string]int{"n": 40},
+		ftConfig((&fault.Plan{}).CrashAt(1, 1200*time.Millisecond)), cluster.Config{Slaves: 4})
+	for _, run := range []struct {
+		name string
+		res  *Result
+	}{{"simulated", flat}, {"RunReal", wall}, {"fault-tolerant", ft}} {
+		for _, name := range want {
+			if _, ok := run.res.Counters[name]; !ok {
+				t.Errorf("%s run: counter %q is read but not produced", run.name, name)
+			}
+		}
 	}
 }
 

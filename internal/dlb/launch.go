@@ -113,7 +113,9 @@ func assemble(cfg Config, r role, initial, total int) (*launch, error) {
 		l.res = &Result{}
 		l.pol = noFaultPolicy{}
 		if l.ft {
-			l.res.FaultLog = &fault.Log{} // written by the master only
+			// Written by the master and, on the simulator, by the slaves'
+			// fault endpoints (injected crashes and stalls).
+			l.res.FaultLog = &fault.Log{}
 			l.pol = &ftPolicy{log: l.res.FaultLog, resume: cfg.Resume}
 		}
 	}
@@ -198,6 +200,7 @@ func (l *launch) finish(eng *engine, elapsed time.Duration) (*Result, error) {
 	if eng.err != nil {
 		return nil, eng.err
 	}
+	eng.fold()
 	l.res.Elapsed = elapsed
 	l.res.Final = eng.final
 	l.res.ComputeElapsed = eng.computeEnd - eng.computeStart

@@ -96,9 +96,7 @@ func (p noFaultPolicy) CollectRound(e *engine) (map[int]StatusMsg, bool) {
 				raw[id] = st
 				return
 			}
-			e.done[id] = true
-			e.doneCount++
-			e.noteDispatch(st)
+			e.markDone(id, st)
 		}
 		switch d := msg.Data.(type) {
 		case StatusMsg:

@@ -87,7 +87,6 @@ func (p *ftPolicy) Started(e *engine) {
 		// scatter that preceded it is discarded.
 		p.resume = nil
 		p.recoverFrom(e, nil, nil)
-		e.res.Counters.Add("resumes", 1)
 	}
 }
 
@@ -163,9 +162,7 @@ func (p *ftPolicy) CollectRound(e *engine) (map[int]StatusMsg, bool) {
 					panic("dlb: slave schedules diverged (mixed status/done round)")
 				}
 				dones++
-				e.done[id] = true
-				e.doneCount++
-				e.noteDispatch(ev.st)
+				e.markDone(id, ev.st)
 				// The computation ended before the next contact hook, so an
 				// outstanding checkpoint request will never be answered.
 				p.pending = nil
@@ -378,7 +375,6 @@ func (p *ftPolicy) commitCkpt(e *engine) {
 	}
 	p.ck = ck
 	e.res.Checkpoints++
-	e.res.Counters.Add("checkpoints", 1)
 	p.lastCkptAt = now
 	e.wRisk = 0 // the committed cut retires the weighted work at risk
 	p.log.Add(now, fault.LogCheckpoint, -1, "seq %d committed at hook %d", pk.seq, ck.Hook)
@@ -404,7 +400,6 @@ func (p *ftPolicy) stopForPreemption(e *engine) {
 		}
 	}
 	e.res.Checkpoint = p.ck
-	e.res.Counters.Add("preemptions", 1)
 	p.log.Add(now, fault.LogEvict, -1, "preempted: released at checkpoint %d (hook %d)", p.ck.Seq, p.ck.Hook)
 	panic(preemptStop{})
 }
@@ -424,7 +419,6 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 		}
 		e.ep.Send(dd, "evict", EvictMsg{Epoch: p.epoch, Reason: "lease expired"})
 		e.res.Evicted = append(e.res.Evicted, dd)
-		e.res.Counters.Add("evictions", 1)
 		p.log.Add(now, fault.LogEvict, dd, "lease %.2fs expired", p.det.Lease().Seconds())
 	}
 	p.epoch++
@@ -453,7 +447,6 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 		p.admitted[slot] = true
 		p.alive[slot] = true
 		e.res.Joined = append(e.res.Joined, slot)
-		e.res.Counters.Add("joins", 1)
 		p.log.Add(now, fault.LogAdopt, slot, "admitted into epoch %d", p.epoch)
 	}
 	for _, j := range admitIDs {
@@ -488,9 +481,8 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 	e.bal = e.setup.newBalancerFor(own, slots)
 	e.bal.SetAlive(aliveMask)
 
-	for i := range e.done {
-		e.done[i] = false
-	}
+	clear(e.done)
+	clear(e.tallies)
 	e.doneCount = 0
 	p.inbox = map[int][]slaveEvent{} // queued events predate the epoch bump
 	p.pending = nil
@@ -524,7 +516,6 @@ func (p *ftPolicy) recoverFrom(e *engine, newDead, admitIDs []int) {
 		e.ep.Send(id, "recover", adopt)
 	}
 	e.res.Recoveries++
-	e.res.Counters.Add("recoveries", 1)
 	p.log.Add(now, fault.LogRecover, -1, "epoch %d from checkpoint %d (hook %d)", p.epoch, ck.Seq, ck.Hook)
 	p.det.Reset(now)
 	p.lastRoundAt = now

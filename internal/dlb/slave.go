@@ -48,7 +48,7 @@ func (r *interpRange) Run(lo, hi int, bind map[string]int) {
 // ownedExec is one distributed loop's resolved executor.
 type ownedExec struct {
 	run   rangeRunner // bound native kernel › VM range kernel › interpreter
-	units *int64      // the dispatch counter this loop's units feed
+	units *int64      // the Tally field this loop's units feed
 	// iarr marks a body with indirect (array-valued) subscripts: its
 	// per-unit cost is data-dependent, so the flop estimate walks each
 	// unit instead of sampling the midpoint.
@@ -86,9 +86,7 @@ type slave struct {
 	tier string
 	aot  *aotBundle
 
-	aotUnits      int64 // units executed through AOT-built native kernels
-	kernelUnits   int64 // units executed through compiled range kernels
-	fallbackUnits int64 // units executed through the tree interpreter
+	tally Tally // reported with the termination announcement
 
 	// Split-loop async ghost exchange (Config.Overlap): pending maps a
 	// carrier loop to the exchange group whose sends were posted but whose
@@ -96,10 +94,8 @@ type slave struct {
 	// Entries only live between an Exchange step and the OwnedLoop that
 	// directly follows it (the compile-time carrier), so the map is empty
 	// across hooks, combines, and epoch restarts.
-	overlapOn       bool
-	pending         map[*compile.OwnedLoop]*compile.Exchange
-	overlapRounds   int64
-	overlapFallback int64
+	overlapOn bool
+	pending   map[*compile.OwnedLoop]*compile.Exchange
 
 	// Message tags are built once, not per message: each distributed
 	// array's exchange tag, and the fault policy's epoch-qualified form of
@@ -256,19 +252,19 @@ func (s *slave) lowerOwned(st *compile.OwnedLoop) *ownedExec {
 	ox := &ownedExec{iarr: loopir.UsesIArr(st.Body)}
 	if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
 		if bk, err := k.Bind(s.inst.Arrays); err == nil {
-			ox.run, ox.units = bk, &s.aotUnits
+			ox.run, ox.units = bk, &s.tally.AotUnits
 			return ox
 		}
 	}
 	if s.tier != KernelInterp {
 		if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
-			ox.run, ox.units = rk, &s.kernelUnits
+			ox.run, ox.units = rk, &s.tally.KernelUnits
 			return ox
 		}
 	}
 	loop := loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...)
 	ox.run = &interpRange{loopir.InterpFragment{In: s.inst, Stmts: []loopir.Stmt{loop}}}
-	ox.units = &s.fallbackUnits
+	ox.units = &s.tally.FallbackUnits
 	return ox
 }
 
@@ -604,7 +600,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 				runRange(ihi, r[1])
 			}
 		})
-		s.overlapRounds++
+		s.tally.OverlapRounds++
 	}
 	s.unitsDone += float64(count)
 	*ox.units += int64(count)
@@ -618,7 +614,7 @@ func (s *slave) drainPending(pend *compile.Exchange) {
 		return
 	}
 	s.recvGhosts(pend)
-	s.overlapFallback++
+	s.tally.OverlapFallback++
 }
 
 func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
@@ -1024,16 +1020,7 @@ func (s *slave) runTree() {
 	if err := s.exec.Plan.Run(s.env, s.grain, s.leaf, s.brk); err != nil {
 		panic(fmt.Sprintf("slave%d: %v", s.id, err))
 	}
-	done := StatusMsg{
-		Phase:           s.phase,
-		HookIndex:       s.hookVisit,
-		Epoch:           s.epoch,
-		AotUnits:        s.aotUnits,
-		KernelUnits:     s.kernelUnits,
-		FallbackUnits:   s.fallbackUnits,
-		OverlapRounds:   s.overlapRounds,
-		OverlapFallback: s.overlapFallback,
-	}
+	done := StatusMsg{Phase: s.phase, HookIndex: s.hookVisit, Epoch: s.epoch, Tally: s.tally}
 	if s.part != nil {
 		s.reportHier("done", done, 0)
 		return
@@ -1070,16 +1057,15 @@ func (s *slave) applyRecover(a AdoptMsg) {
 	s.ffUntil = a.Hook
 	s.skipInstrOnce = !s.cfg.Synchronous && a.Hook >= 0
 	s.unitsDone = 0
-	s.aotUnits, s.kernelUnits, s.fallbackUnits = 0, 0, 0
-	// Overlap rounds are replayed by the restarted epoch, so the counter
-	// resets with the other dispatch counters; abandoned rounds are not
-	// replayed as overlap (their in-flight ghosts died with the old
-	// epoch's tags), so the fallback count survives the restart.
+	// The restarted epoch replays the work since the cut, so the tally
+	// restarts there; abandoned overlap rounds are not replayed as overlap
+	// (their in-flight ghosts died with the old epoch's tags), so the
+	// fallback count survives the restart.
+	s.tally = Tally{OverlapFallback: s.tally.OverlapFallback}
 	if len(s.pending) > 0 {
 		clear(s.pending)
-		s.overlapFallback++
+		s.tally.OverlapFallback++
 	}
-	s.overlapRounds = 0
 	for i := range s.costAcc {
 		s.costAcc[i] = 0
 	}

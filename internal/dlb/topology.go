@@ -1,7 +1,6 @@
 package dlb
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -41,7 +40,7 @@ func (h *hierarchy) grouping(e *engine, weighted bool) core.Grouping {
 	if h.every <= 0 || h.round%h.every != 0 {
 		return g
 	}
-	e.res.Counters.Add("hier_exchanges", 1)
+	e.acct.hierExchanges++
 	g.Exchange = func(loads []core.GroupLoad) []float64 {
 		sums := make([]hier.Summary, len(loads))
 		for i, l := range loads {
@@ -176,24 +175,15 @@ func recordTrace(e *engine, ids []int, statuses []core.Status, d core.Decision, 
 	}
 }
 
-// noteMoves folds a decision's movement into the run counters; under the
-// hierarchy also per source group and across group boundaries.
+// noteMoves records a decision's movement; under the hierarchy also the
+// moves across group boundaries.
 func noteMoves(e *engine, d core.Decision) {
 	e.res.Moves += len(d.Moves)
-	e.res.Counters.Add("moves", int64(len(d.Moves)))
 	for _, mv := range d.Moves {
-		n := int64(len(mv.Units))
 		e.res.UnitsMoved += len(mv.Units)
-		e.res.Counters.Add("units_moved", n)
-		if e.hier == nil {
-			continue
-		}
-		from, to := e.hier.part.GroupOf(mv.From), e.hier.part.GroupOf(mv.To)
-		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_moves", from), 1)
-		e.res.Counters.Add(fmt.Sprintf("hier_g%02d_units_out", from), n)
-		if from != to {
-			e.res.Counters.Add("hier_cross_moves", 1)
-			e.res.Counters.Add("hier_cross_units", n)
+		if e.hier != nil && e.hier.part.GroupOf(mv.From) != e.hier.part.GroupOf(mv.To) {
+			e.acct.hierCrossMoves++
+			e.acct.hierCrossUnits += int64(len(mv.Units))
 		}
 	}
 }

@@ -155,13 +155,6 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// ParseSpec parses a comma-separated textual fault plan, the command-line
-// syntax shared by dlbrun and dlbbench:
-//
-//	crash:<slave>@<sec>            crash slave at t
-//	stall:<slave>@<sec>:<sec>      stall slave at t for d
-//	drop:<slave>@<sec>:<sec>       drop slave's links at t for d
-//	join@<sec>                     a new node registers at t
 // FormatSpec renders a plan back to the ParseSpec syntax. The distributed
 // runtime ships fault schedules to slave daemons as spec strings (the plan
 // structs never cross the wire), so FormatSpec ∘ ParseSpec must be the
@@ -186,6 +179,13 @@ func FormatSpec(p *Plan) string {
 	return strings.Join(parts, ",")
 }
 
+// ParseSpec parses a comma-separated textual fault plan, the command-line
+// syntax shared by dlbrun and dlbbench:
+//
+//	crash:<slave>@<sec>            crash slave at t
+//	stall:<slave>@<sec>:<sec>      stall slave at t for d
+//	drop:<slave>@<sec>:<sec>       drop slave's links at t for d
+//	join@<sec>                     a new node registers at t
 func ParseSpec(spec string) (*Plan, error) {
 	p := &Plan{}
 	if spec == "" || spec == "none" {

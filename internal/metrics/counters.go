@@ -5,17 +5,13 @@ import (
 	"sort"
 )
 
-// Counters is a set of named monotonic event counters. The run-time engine
-// fills one per run — the same names on every endpoint (simulated,
-// wall-clock, TCP), so harnesses can compare runs across transports without
-// endpoint-specific accounting. Counters is not safe for concurrent
-// writers; the engine only writes from the master's context.
+// Counters is a set of named event counters. The run-time engine builds
+// one per run, once, when the run ends — every name on every endpoint
+// (simulated, wall-clock, TCP), zeros included, so harnesses can compare
+// runs across transports without endpoint-specific accounting.
 type Counters map[string]int64
 
-// Add increments a counter by delta.
-func (c Counters) Add(name string, delta int64) { c[name] += delta }
-
-// Get returns a counter's value (0 when never incremented).
+// Get returns a counter's value (0 for a name the run does not produce).
 func (c Counters) Get(name string) int64 { return c[name] }
 
 // Names lists the counter names in sorted order.

@@ -78,7 +78,9 @@ func TestHTTPAPI(t *testing.T) {
 	// A good submission round-trips through status to a verified result.
 	spec := testSpec(t, "mm", 64, 0, 2)
 	spec.Tenant = "alice"
-	var sub struct{ ID string `json:"id"` }
+	var sub struct {
+		ID string `json:"id"`
+	}
 	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", spec, &sub); code != 202 {
 		t.Fatalf("submit = %d, want 202", code)
 	}
@@ -151,7 +153,9 @@ func TestHTTPQueueFull(t *testing.T) {
 	t.Cleanup(ts.Close)
 	spec := testSpec(t, "mm", 128, 0, 1)
 
-	var first struct{ ID string `json:"id"` }
+	var first struct {
+		ID string `json:"id"`
+	}
 	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", spec, &first); code != 202 {
 		t.Fatalf("submit = %d", code)
 	}

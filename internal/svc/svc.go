@@ -503,7 +503,7 @@ func (s *Service) runJob(j *Job, cfg dlb.Config, addrs []string, started time.Ti
 	t := s.stats.tenant(j.Spec.Tenant)
 	if res != nil {
 		for k, v := range res.Counters {
-			t.Counters.Add(k, v)
+			t.Counters[k] += v
 		}
 	}
 	switch {
