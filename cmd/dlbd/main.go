@@ -30,7 +30,7 @@ func main() {
 	advertise := flag.String("advertise", "", "address peers should dial (default: the bound address)")
 	join := flag.String("join", "", "master join listener to volunteer into at startup (elastic join)")
 	drag := flag.Float64("drag", 1.0, "slow this daemon's computation by the given factor (emulated loaded machine)")
-	kernel := flag.String("kernel", "", `pin this daemon's execution tier: "interp", "kernel" or "aot"; empty uses the master's setting (if that is empty too, native where the build pays for itself, else the VM)`)
+	kernel := flag.String("kernel", "", `pin this daemon's execution tier: "kernel" (the VM) or "aot" (native); empty uses the master's setting (if that is empty too, native where the build pays for itself, else the VM)`)
 	grace := flag.Duration("grace", 30*time.Second, "how long SIGTERM waits for an in-flight run to drain before forcing teardown")
 	quiet := flag.Bool("quiet", false, "suppress event logging on stderr")
 	flag.Parse()

@@ -84,7 +84,7 @@ func main() {
 	showStats := flag.Bool("stats", false, "print the engine's event counters")
 	flopCost := flag.Duration("flopcost", time.Microsecond, "virtual CPU time per flop (1µs ≈ Sun 4/330)")
 	real := flag.Bool("real", false, "run for real: wall-clock goroutines instead of the simulated cluster")
-	kernel := flag.String("kernel", "", `pin the execution tier for distributed-loop bodies: "interp", "kernel" or "aot"; empty (default) runs native where the build pays for itself, else on the VM`)
+	kernel := flag.String("kernel", "", `pin the execution tier for distributed-loop bodies: "kernel" (the VM) or "aot" (native); empty (default) runs native where the build pays for itself, else on the VM`)
 	costModel := flag.String("costmodel", "", `balancer's view of work units: "uniform" (default) or "learned" (per-unit costs measured online)`)
 	overlap := flag.Bool("overlap", true, "overlap eligible ghost exchanges with interior computation (-overlap=false forces synchronous exchanges)")
 	groups := flag.Int("groups", 0, "hierarchical balancing: partition slaves into this many leader-led groups (0/1: flat; refused with -fault or -slaves host:port)")

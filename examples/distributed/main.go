@@ -107,7 +107,7 @@ func main() {
 	}
 	res := out.res
 
-	// Verify against the sequential interpreter, as every test does.
+	// Verify against the sequential run, as every test does.
 	inst, err := loopir.NewInstance(prog, params)
 	if err != nil {
 		log.Fatal(err)

@@ -47,8 +47,7 @@ type Spec struct {
 	Prog   *loopir.Program
 	Params map[string]int
 	// Regions are the kernel-eligible regions to emit, one kernel per
-	// region in order. A region whose body cannot be emitted (non-affine
-	// subscripts) yields a nil Kernel slot instead of failing the build.
+	// region in order.
 	Regions []Region
 	// WholeBody emits a single kernel from Prog.Body instead of Regions
 	// (benchmark use).
@@ -79,9 +78,6 @@ type BuildInfo struct {
 	// go command for the toolchain (once per process), compiling the
 	// kernels, linking the plugin.
 	ProbeDur, CompileDur, LinkDur time.Duration
-	// Skipped lists region indices that could not be emitted and fell
-	// back to the VM tier.
-	Skipped []int
 }
 
 func (i BuildInfo) String() string {
@@ -93,7 +89,7 @@ func (i BuildInfo) String() string {
 }
 
 // Program is a built and loaded AOT artifact: one native kernel per
-// requested region (nil where emission was refused).
+// requested region.
 type Program struct {
 	Kernels []*Kernel
 	Info    BuildInfo

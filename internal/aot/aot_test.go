@@ -75,17 +75,14 @@ var freshCount atomic.Int64
 // tree-walking interpreter and the postfix-VM kernel.
 func TestWholeBodyDifferential(t *testing.T) {
 	for name, p := range loopir.Library() {
-		p, params := p, testParams(p, 12)
+		p, params := p, libraryParams[name]
 		t.Run(name, func(t *testing.T) {
-			if loopir.UsesIArr(p.Body) {
-				t.Skip("data-dependent program runs interpreted, no kernels to compare")
-			}
 			ref := instance(t, p, params)
 			if err := ref.Interpret(); err != nil {
 				t.Fatal(err)
 			}
 			vm := instance(t, p, params)
-			if err := vm.RunKernel(); err != nil {
+			if err := vm.Run(); err != nil {
 				t.Fatal(err)
 			}
 			sameArrays(t, "interp vs kernel", ref, vm)
@@ -191,10 +188,7 @@ func bound(t *testing.T, e loopir.IExpr, env map[string]int) int {
 // windows (sor, periodic-sor, lu), a second stride beside a window (mm)
 // and guarded sites (threshold-relax).
 func TestRegionKernelMatchesVM(t *testing.T) {
-	for name, p := range loopir.Library() {
-		if loopir.UsesIArr(p.Body) {
-			continue // data-dependent: refused by every compiled tier
-		}
+	for name := range loopir.Library() {
 		name, params := name, libraryParams[name]
 		t.Run(name, func(t *testing.T) {
 			plan := libraryPlan(t, name)
@@ -265,6 +259,46 @@ func TestOutOfRangePanicsWithTheEmittersMessage(t *testing.T) {
 				}
 			}()
 			bk.Run(r.lo, r.hi, nil)
+		}()
+	}
+}
+
+// TestIndexArrayPastItsDimension: pbin at n=8 with cnt[2] = 65 reads
+// px[2][64], one past px's 64 columns, at a flat offset still inside px.
+// Interpret errors at dim 1; the VM and the native kernel must each panic
+// naming px and dim 1 instead of reading row 3.
+func TestIndexArrayPastItsDimension(t *testing.T) {
+	p := loopir.Library()["pbin"]
+	params := map[string]int{"n": 8, "maxiter": 1}
+	prog, err := Build(Spec{Prog: p, Params: params, WholeBody: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overrun := func() *loopir.Instance {
+		in := instance(t, p, params)
+		in.Arrays["cnt"].SetAt(65, 2)
+		return in
+	}
+	if err := overrun().Interpret(); err == nil || !strings.Contains(err.Error(), `array "px" index 64 out of range [0,64) in dim 1`) {
+		t.Fatalf("Interpret: %v, want px's dim 1 out of range", err)
+	}
+	vm := overrun()
+	native, err := prog.Kernels[0].Bind(overrun().Arrays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tier, run := range map[string]func(){
+		"vm":     func() { vm.Run() },
+		"native": func() { native.Run(0, 0, nil) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `"px"`) || !strings.Contains(msg, "dim 1") {
+					t.Errorf("%s panicked with %q, want one naming px and dim 1", tier, msg)
+				}
+			}()
+			run()
 		}()
 	}
 }
@@ -342,9 +376,6 @@ func TestWarmStart(t *testing.T) {
 // compile needs no importcfg.
 func TestEmittedPackageImportFree(t *testing.T) {
 	for name, p := range loopir.Library() {
-		if loopir.UsesIArr(p.Body) {
-			continue
-		}
 		e, err := emitSpec(Spec{Prog: p, Params: testParams(p, 12), WholeBody: true})
 		if err != nil {
 			t.Fatal(err)
@@ -758,9 +789,6 @@ func TestEmittedSourceFormatted(t *testing.T) {
 	for name, p := range loopir.Library() {
 		p := p
 		t.Run(name, func(t *testing.T) {
-			if loopir.UsesIArr(p.Body) {
-				t.Skip("data-dependent program runs interpreted, nothing to emit")
-			}
 			e, err := emitSpec(Spec{Prog: p, Params: testParams(p, 12), WholeBody: true})
 			if err != nil {
 				t.Fatal(err)
@@ -787,9 +815,6 @@ func TestEmittedSourceVets(t *testing.T) {
 	for name, p := range loopir.Library() {
 		p := p
 		t.Run(name, func(t *testing.T) {
-			if loopir.UsesIArr(p.Body) {
-				t.Skip("data-dependent program runs interpreted, nothing to emit")
-			}
 			e, err := emitSpec(Spec{Prog: p, Params: testParams(p, 12), WholeBody: true})
 			if err != nil {
 				t.Fatal(err)

@@ -122,7 +122,7 @@ func buildAndLoad(spec Spec, e *emitted, key string, emitDur time.Duration) (*Pr
 	dir := filepath.Join(root, key[:16])
 	artifact := filepath.Join(dir, "kernel.so")
 
-	info := BuildInfo{Key: key, Mode: ModePlugin, Dir: dir, EmitDur: emitDur, Skipped: e.skipped}
+	info := BuildInfo{Key: key, Mode: ModePlugin, Dir: dir, EmitDur: emitDur}
 
 	if _, err := os.Stat(artifact); err != nil {
 		// Cold: build under the cross-process lock; a racing process may
@@ -151,9 +151,7 @@ func buildAndLoad(spec Spec, e *emitted, key string, emitDur time.Duration) (*Pr
 	}
 	p := &Program{Info: info, Kernels: make([]*Kernel, len(e.kernels))}
 	for i, ek := range e.kernels {
-		if ek != nil {
-			p.Kernels[i] = &Kernel{Meta: ek, fn: fns[i]}
-		}
+		p.Kernels[i] = &Kernel{Meta: ek, fn: fns[i]}
 	}
 	p.Info.LoadDur = time.Since(loadStart)
 	return p, nil

@@ -19,13 +19,11 @@ import (
 type emitted struct {
 	src     string // kernels.go
 	kernels []*loopir.EmittedKernel
-	skipped []int // region indices refused by the emitter
 }
 
 // emitSpec emits every region of the spec (or the whole body) and
-// assembles the package source. A region the emitter refuses (non-affine
-// subscripts) is recorded in skipped and gets a nil kernel slot; the
-// build fails only if nothing at all is emittable.
+// assembles the package source. A region either emits or the build fails
+// with the emitter's error.
 func emitSpec(spec Spec) (*emitted, error) {
 	in, err := loopir.NewInstance(spec.Prog, spec.Params)
 	if err != nil {
@@ -42,21 +40,10 @@ func emitSpec(spec Spec) (*emitted, error) {
 		for i, r := range spec.Regions {
 			ek, err := in.EmitRangeKernelGo(r.DistVar, r.Body, fmt.Sprintf("Kernel%d", i))
 			if err != nil {
-				e.kernels = append(e.kernels, nil)
-				e.skipped = append(e.skipped, i)
-				continue
+				return nil, fmt.Errorf("aot: emit %s region %d: %w", spec.Prog.Name, i, err)
 			}
 			e.kernels = append(e.kernels, ek)
 		}
-	}
-	live := 0
-	for _, ek := range e.kernels {
-		if ek != nil {
-			live++
-		}
-	}
-	if live == 0 {
-		return nil, fmt.Errorf("aot: no emittable kernel region in %s", spec.Prog.Name)
 	}
 
 	if e.src, err = kernelsFile(spec.Prog.Name, e.kernels); err != nil {
@@ -65,31 +52,22 @@ func emitSpec(spec Spec) (*emitted, error) {
 	return e, nil
 }
 
-// kernelsFile renders the kernel functions and the lookup table. A nil
-// slot (skipped region) keeps its table index with a nil entry so kernel
-// indices always equal region indices.
+// kernelsFile renders the kernel functions and the lookup table, whose
+// indices are region indices.
 func kernelsFile(progName string, kernels []*loopir.EmittedKernel) (string, error) {
 	var b strings.Builder
 	b.WriteString("// Code generated by repro/internal/aot; DO NOT EDIT.\n")
 	fmt.Fprintf(&b, "//\n// AOT kernels for program %q.\n", progName)
 	b.WriteString("package main\n\n")
 	for _, ek := range kernels {
-		if ek == nil {
-			continue
-		}
 		b.WriteString(ek.Src)
 		b.WriteString("\n")
 	}
 	b.WriteString("// Kernels indexes the emitted kernels by region; the host looks this\n")
-	b.WriteString("// symbol up. A nil entry is a region the emitter refused (the host\n")
-	b.WriteString("// falls back to the VM tier for it).\n")
+	b.WriteString("// symbol up.\n")
 	b.WriteString("var Kernels = []func(lo, hi int, regs []int, data [][]float64){\n")
 	for _, ek := range kernels {
-		if ek == nil {
-			b.WriteString("\tnil,\n")
-		} else {
-			fmt.Fprintf(&b, "\t%s,\n", ek.Name)
-		}
+		fmt.Fprintf(&b, "\t%s,\n", ek.Name)
 	}
 	b.WriteString("}\n\n")
 	b.WriteString("// main exists because a plugin is built from package main.\n")

@@ -37,10 +37,10 @@ func TestEmittedKernelsPinned(t *testing.T) {
 		"jacobi3d":        "i=7a703d2afb53e900 i2=d56dfd5d3d98c4d6 whole=0c8c9d7bd751ea22",
 		"lu":              "j=cf569821c5e8ff37 whole=81430a456eaf9b40",
 		"mm":              "j=3af39b054f067d80 whole=71b957af8e05ce44",
-		"pbin":            "i=refused whole=refused",
+		"pbin":            "i=430038d973ad0216 whole=5b8f728eb59c231d",
 		"periodic-sor":    "j=1ca960ac1312cc21 whole=26a86de7b893e4ec",
 		"sor":             "j=37d54b4d57130db3 whole=2fad32bb2d00400c",
-		"spmv":            "i=refused whole=refused",
+		"spmv":            "i=d3f4237708254f31 whole=641846d84b8789e2",
 		"threshold-relax": "j=787f238ec3ddc9d7 whole=2f863cd1e4ed08e6",
 	}
 	names := make([]string, 0, len(loopir.Library()))

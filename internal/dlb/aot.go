@@ -116,7 +116,7 @@ func (p *Prepared) LoadNative(cfg Config) (err error) {
 }
 
 // kernelFor returns the loaded kernel for a distributed-loop step, or nil
-// when the emitter refused the region (the caller falls back a tier).
+// off the aot tier.
 func (b *aotBundle) kernelFor(st *compile.OwnedLoop) *aot.Kernel {
 	if b == nil {
 		return nil

@@ -36,16 +36,14 @@ type StatusMsg struct {
 }
 
 // Tally is one slave's accounting since the cut its epoch started from:
-// how many owned units ran through AOT-built native kernels, compiled range
-// kernels, or the tree interpreter, and how the split-loop ghost exchange
-// fared. A recovery resets it, except OverlapFallback. The master sums the
-// participants' final Tallies into the engine counters of the same names
-// (aot_units, kernel_units, fallback_units, overlap_rounds,
-// overlap_fallback).
+// how many owned units ran through AOT-built native kernels or the VM's
+// range kernels, and how the split-loop ghost exchange fared. A recovery
+// resets it, except OverlapFallback. The master sums the participants'
+// final Tallies into the engine counters of the same names (aot_units,
+// kernel_units, overlap_rounds, overlap_fallback).
 type Tally struct {
-	AotUnits      int64
-	KernelUnits   int64
-	FallbackUnits int64
+	AotUnits    int64
+	KernelUnits int64
 	// OverlapRounds counts owned-loop executions that ran the split
 	// interior/boundary schedule with ghost receives deferred past the
 	// interior pass; OverlapFallback counts eligible exchange rounds that

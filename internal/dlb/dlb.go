@@ -83,16 +83,14 @@ type Config struct {
 	// it pays, else on the VM: once the plan is instantiated, the run goes
 	// native when its predicted VM time is at least twice a cold native
 	// build (nativePays), and a build or plugin open that fails leaves it
-	// on the VM, with aot_units = 0 saying so. The three values are pins:
-	// "interp" runs every compute step — owned loops, owner blocks,
-	// replicated statements — on the tree-walking interpreter, the oracle;
-	// "kernel" compiles them to the kernel IR run by the postfix VM; and
+	// on the VM, with aot_units = 0 saying so. The two values are pins:
+	// "kernel" compiles every compute step — owned loops, owner blocks,
+	// replicated statements — to the kernel IR run by the postfix VM; and
 	// "aot" prints the owned loops' IR as Go source, builds it with the
-	// toolchain into a cached native artifact, and dispatches to it —
-	// falling back tier by tier for regions the emitter refuses, and
-	// failing the run with the remedy when the host cannot build. Bodies
-	// the kernel compiler refuses (indirect subscripts) run interpreted on
-	// every tier. All tiers are bit-identical.
+	// toolchain into a cached native artifact, and dispatches to it,
+	// failing the run with the remedy when the host cannot build. Both
+	// tiers lower every program, indirect subscripts included, and are
+	// bit-identical.
 	Kernel string
 	// CostModel selects how the master weighs work units when balancing:
 	// "uniform" (the default) keeps the classic every-unit-equal
@@ -166,11 +164,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Kernel execution tiers, ordered interp < kernel < aot.
+// Kernel execution tiers.
 const (
-	KernelInterp = "interp"
-	KernelVM     = "kernel"
-	KernelAOT    = "aot"
+	KernelVM  = "kernel"
+	KernelAOT = "aot"
 )
 
 // KernelTier checks the Kernel knob: a pinned tier, or "" — native where
@@ -178,11 +175,10 @@ const (
 // (resolveTier). Anything else is an error naming the valid tiers.
 func (c Config) KernelTier() (string, error) {
 	switch c.Kernel {
-	case "", KernelInterp, KernelVM, KernelAOT:
+	case "", KernelVM, KernelAOT:
 		return c.Kernel, nil
 	}
-	return "", fmt.Errorf("dlb: unknown kernel tier %q (want %q, %q or %q)",
-		c.Kernel, KernelInterp, KernelVM, KernelAOT)
+	return "", fmt.Errorf("dlb: unknown kernel tier %q (want %q or %q)", c.Kernel, KernelVM, KernelAOT)
 }
 
 // Cost-model modes for the balancer's view of work units.
@@ -225,7 +221,6 @@ func (c Config) OverlapOn() (bool, error) {
 
 // modes is what a valid Config's mode strings resolve to.
 type modes struct {
-	tier      string
 	costMode  string
 	overlapOn bool
 }
@@ -251,7 +246,7 @@ func (c *Config) validate() (m modes, err error) {
 	if c.Plan == nil {
 		return m, fmt.Errorf("dlb: no plan")
 	}
-	if m.tier, err = c.KernelTier(); err != nil {
+	if _, err = c.KernelTier(); err != nil {
 		return m, err
 	}
 	if m.costMode, err = c.CostModelMode(); err != nil {

@@ -286,7 +286,7 @@ func buggyConfig(t *testing.T) Config {
 			loopir.Fref("c", loopir.Ic(1<<20), loopir.Ic(0)))},
 	}
 	plan.Steps = append(append([]compile.Step(nil), plan.Steps...), bad)
-	return Config{Plan: &plan, Params: map[string]int{"n": 48}, DLB: true, Kernel: KernelInterp}
+	return Config{Plan: &plan, Params: map[string]int{"n": 48}, DLB: true, Kernel: KernelVM}
 }
 
 // TestSimSlaveBugFailsRun is the same contract in the simulator: the bug is
@@ -374,11 +374,12 @@ func TestBadConfigIsATypedErrorEverywhere(t *testing.T) {
 	good := Config{Plan: plan, Params: map[string]int{"n": 16}, DLB: true}
 	pre := mustPrepare(t, good, 2)
 	bad := map[string]func(*Config){
-		"bad kernel":         func(c *Config) { c.Kernel = "jit" },
-		"bad cost model":     func(c *Config) { c.CostModel = "oracle" },
-		"bad overlap":        func(c *Config) { c.Overlap = "maybe" },
-		"nil plan":           func(c *Config) { c.Plan = nil },
-		"faults without DLB": func(c *Config) { c.Fault = &fault.Plan{}; c.DLB = false },
+		"bad kernel":          func(c *Config) { c.Kernel = "jit" },
+		"retired interp tier": func(c *Config) { c.Kernel = "interp" },
+		"bad cost model":      func(c *Config) { c.CostModel = "oracle" },
+		"bad overlap":         func(c *Config) { c.Overlap = "maybe" },
+		"nil plan":            func(c *Config) { c.Plan = nil },
+		"faults without DLB":  func(c *Config) { c.Fault = &fault.Plan{}; c.DLB = false },
 	}
 	entries := map[string]func(Config) error{
 		"Run": func(c Config) error {

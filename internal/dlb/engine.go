@@ -297,7 +297,6 @@ func (e *engine) fold() {
 	for _, d := range e.tallies {
 		t.AotUnits += d.AotUnits
 		t.KernelUnits += d.KernelUnits
-		t.FallbackUnits += d.FallbackUnits
 		t.OverlapRounds += d.OverlapRounds
 		t.OverlapFallback += d.OverlapFallback
 	}
@@ -319,7 +318,7 @@ func (e *engine) fold() {
 		"units_moved":      int64(res.UnitsMoved),
 		"aot_units":        t.AotUnits,
 		"kernel_units":     t.KernelUnits,
-		"fallback_units":   t.FallbackUnits,
+		"fallback_units":   0, // no interpreter tier remains; benchmark/ reads the name
 		"overlap_rounds":   t.OverlapRounds,
 		"overlap_fallback": t.OverlapFallback,
 		"checkpoints":      int64(res.Checkpoints),

@@ -165,7 +165,7 @@ func TestDispatchTallyIgnoresVoidedEpoch(t *testing.T) {
 				t.Fatalf("scenario moved; fault log:\n%s", res.FaultLog)
 			}
 			c := res.Counters
-			if got := c.Get("aot_units") + c.Get("kernel_units") + c.Get("fallback_units"); got != 400 {
+			if got := c.Get("aot_units") + c.Get("kernel_units"); got != 400 {
 				t.Errorf("dispatch tally = %d units, want 400 (the work since the cut)", got)
 			}
 		})

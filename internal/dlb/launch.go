@@ -52,8 +52,8 @@ type launch struct {
 	res  *Result
 	pol  FaultPolicy
 
-	// Slave side. adopt resolves modes.tier ("" until then) and supplies
-	// bundle on the aot tier.
+	// Slave side. adopt resolves the tier and supplies bundle on the aot
+	// tier.
 	bundle  *aotBundle
 	sfault  slaveFault
 	inj     *fault.Injector
@@ -142,7 +142,7 @@ func (l *launch) adopt(pre *Prepared) error {
 		return nil // masterOnly: no slave here
 	}
 	var err error
-	if l.tier, l.bundle, err = resolveTier(l.cfg, pre); err != nil {
+	if _, l.bundle, err = resolveTier(l.cfg, pre); err != nil {
 		return err
 	}
 	if l.res != nil && l.bundle != nil {
@@ -180,7 +180,6 @@ func (l *launch) slave(id int) *slave {
 		cfg:       l.cfg,
 		exec:      l.exec,
 		grain:     l.grain,
-		tier:      l.tier,
 		aot:       l.bundle,
 		costMode:  l.costMode,
 		overlapOn: l.overlapOn,

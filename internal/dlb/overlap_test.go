@@ -132,11 +132,11 @@ func TestOverlapBitIdentical(t *testing.T) {
 }
 
 // TestOverlapTiersBitIdentical runs the eligible jacobi-family programs
-// through every execution tier (interp, VM kernel, AOT) with overlap on and
+// through both execution tiers (VM kernel, AOT) with overlap on and
 // off: the split is just two range calls, so every tier must agree bit for
 // bit and still overlap.
 func TestOverlapTiersBitIdentical(t *testing.T) {
-	tiers := []string{KernelInterp, KernelVM, KernelAOT}
+	tiers := []string{KernelVM, KernelAOT}
 	for _, name := range []string{"jacobi", "jacobi3d"} {
 		plan := overlapPlans(t)[name]
 		params := overlapParams[name]

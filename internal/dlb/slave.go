@@ -11,43 +11,15 @@ import (
 	"repro/internal/loopir"
 )
 
-// rangeLo and rangeHi are the free variables of the interpreted range
-// fragment that executes a contiguous run of owned distributed-loop
-// iterations.
-const (
-	rangeLo = "__lo"
-	rangeHi = "__hi"
-)
-
-// fragRunner is a compiled or interpreted compute fragment. Affine bodies
-// compile to a loopir.Kernel; bodies the kernel compiler refuses — indirect
-// subscripts like a[idx[i]] — and everything on the interp tier run on the
-// tree-walking InterpFragment, which executes the same statements against
-// the same arrays.
-type fragRunner interface {
-	Run(bind map[string]int)
-}
-
 // rangeRunner executes iterations [lo,hi) of one distributed loop. Both
 // aot.BoundKernel and loopir.RangeKernel have this shape.
 type rangeRunner interface {
 	Run(lo, hi int, bind map[string]int)
 }
 
-// interpRange adapts the tree interpreter to rangeRunner: the loop header
-// is part of the fragment and its bounds arrive as free variables.
-type interpRange struct{ frag loopir.InterpFragment }
-
-func (r *interpRange) Run(lo, hi int, bind map[string]int) {
-	bind[rangeLo], bind[rangeHi] = lo, hi
-	r.frag.Run(bind) // copies bind
-	delete(bind, rangeLo)
-	delete(bind, rangeHi)
-}
-
 // ownedExec is one distributed loop's resolved executor.
 type ownedExec struct {
-	run   rangeRunner // bound native kernel › VM range kernel › interpreter
+	run   rangeRunner // bound native kernel or VM range kernel
 	units *int64      // the Tally field this loop's units feed
 	// iarr marks a body with indirect (array-valued) subscripts: its
 	// per-unit cost is data-dependent, so the flop estimate walks each
@@ -67,8 +39,8 @@ type slave struct {
 	own  *core.Ownership
 
 	ownedLoops map[*compile.OwnedLoop]*ownedExec
-	ownerFrags map[*compile.OwnerBlock]fragRunner
-	allFrags   map[*compile.AllStmts]fragRunner
+	ownerFrags map[*compile.OwnerBlock]*loopir.Kernel
+	allFrags   map[*compile.AllStmts]*loopir.Kernel
 	env        map[string]int
 	redSnap    map[string][]float64 // reduction arrays at the last Combine
 
@@ -80,11 +52,9 @@ type slave struct {
 	costOn   bool
 	costAcc  []float64
 
-	// tier is the resolved kernel tier; aot carries the run's shared
-	// native kernels (only regions the emitter accepted — others fall
-	// back tier by tier).
-	tier string
-	aot  *aotBundle
+	// aot carries the run's shared native kernels on the aot tier (nil:
+	// the VM).
+	aot *aotBundle
 
 	tally Tally // reported with the termination announcement
 
@@ -147,17 +117,18 @@ func (s *slave) runOn(ep Endpoint) {
 	// read of non-owned data surfaces as corruption instead of silently
 	// using initial values.
 	inst, err := loopir.NewZeroInstance(plan.Prog, s.exec.Params)
+	if err == nil {
+		s.inst = inst
+		err = s.lowerPlan()
+	}
 	if err != nil {
 		panic(fmt.Sprintf("slave%d: %v", s.id, err))
 	}
-	s.inst = inst
 
 	// Local ownership map — the paper's index array, kept in sync with the
 	// master by applying the same instructions.
 	s.own = core.NewBlockOwnership(s.exec.Units, s.slaves)
 	s.own.RetireOutside(s.exec.InitialLo, s.exec.InitialHi)
-
-	s.lowerPlan()
 
 	// Per-unit cost measurement: always on for indirect (data-dependent)
 	// programs so the weighted imbalance metric is meaningful in either
@@ -225,59 +196,37 @@ func (s *slave) eval(e loopir.IExpr) int {
 }
 
 // lowerPlan compiles the generated code against the local arrays: one
-// range runner per distributed loop, one fragment per owner block and per
+// range runner per distributed loop, one kernel per owner block and per
 // replicated statement list.
-func (s *slave) lowerPlan() {
+func (s *slave) lowerPlan() error {
 	s.ownedLoops = map[*compile.OwnedLoop]*ownedExec{}
-	s.ownerFrags = map[*compile.OwnerBlock]fragRunner{}
-	s.allFrags = map[*compile.AllStmts]fragRunner{}
-	compile.WalkSteps(s.exec.Plan.Steps, func(st compile.Step, _ []compile.Step) error {
+	s.ownerFrags = map[*compile.OwnerBlock]*loopir.Kernel{}
+	s.allFrags = map[*compile.AllStmts]*loopir.Kernel{}
+	return compile.WalkSteps(s.exec.Plan.Steps, func(st compile.Step, _ []compile.Step) (err error) {
 		switch st := st.(type) {
 		case *compile.OwnedLoop:
-			s.ownedLoops[st] = s.lowerOwned(st)
+			s.ownedLoops[st], err = s.lowerOwned(st)
 		case *compile.OwnerBlock:
-			s.ownerFrags[st] = s.kernelOrInterp(st.Body)
+			s.ownerFrags[st], err = s.inst.CompileKernel(st.Body)
 		case *compile.AllStmts:
-			s.allFrags[st] = s.kernelOrInterp(st.Body)
+			s.allFrags[st], err = s.inst.CompileKernel(st.Body)
 		}
-		return nil
+		return err
 	})
 }
 
-// lowerOwned resolves one distributed loop's executor for the slave's
-// tier: the bound native kernel (aot), else the VM range kernel, else the
-// tree interpreter — which is all the interp tier uses, and where bodies
-// the kernel compiler refuses (non-affine subscripts) land on any tier.
-func (s *slave) lowerOwned(st *compile.OwnedLoop) *ownedExec {
+// lowerOwned resolves one distributed loop's executor: the bound native
+// kernel on the aot tier, else the VM range kernel.
+func (s *slave) lowerOwned(st *compile.OwnedLoop) (*ownedExec, error) {
 	ox := &ownedExec{iarr: loopir.UsesIArr(st.Body)}
-	if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
-		if bk, err := k.Bind(s.inst.Arrays); err == nil {
-			ox.run, ox.units = bk, &s.tally.AotUnits
-			return ox
-		}
+	if k := s.aot.kernelFor(st); k != nil {
+		bk, err := k.Bind(s.inst.Arrays)
+		ox.run, ox.units = bk, &s.tally.AotUnits
+		return ox, err
 	}
-	if s.tier != KernelInterp {
-		if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
-			ox.run, ox.units = rk, &s.tally.KernelUnits
-			return ox
-		}
-	}
-	loop := loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...)
-	ox.run = &interpRange{loopir.InterpFragment{In: s.inst, Stmts: []loopir.Stmt{loop}}}
-	ox.units = &s.tally.FallbackUnits
-	return ox
-}
-
-// kernelOrInterp compiles statements to a kernel, falling back to the
-// tree-walking interpreter for bodies the compiler refuses (indirect
-// subscripts); the interp tier runs the interpreter unconditionally.
-func (s *slave) kernelOrInterp(stmts []loopir.Stmt) fragRunner {
-	if s.tier != KernelInterp {
-		if k, err := s.inst.CompileKernel(stmts); err == nil {
-			return k
-		}
-	}
-	return &loopir.InterpFragment{In: s.inst, Stmts: stmts}
+	rk, err := s.inst.CompileRangeKernel(st.Var, st.Body)
+	ox.run, ox.units = rk, &s.tally.KernelUnits
+	return ox, err
 }
 
 // leaf runs one step the plan's interpreter (compile.Plan.Run) hands the

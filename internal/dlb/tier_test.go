@@ -2,7 +2,6 @@ package dlb
 
 import (
 	"math"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,14 +14,14 @@ import (
 	"repro/internal/loopir"
 )
 
-// TestKernelTierDifferential runs every library program under every
-// kernel tier that accepts it: the tiers must produce bit-identical
-// arrays (runAndVerify already pins each run to the sequential reference;
-// the cross-tier comparison below additionally pins reduction arrays —
-// jacobi-converge's replicated residual — which runAndVerify only bounds).
-// The aot runs must actually dispatch to native kernels, and the interp
-// runs must never touch the VM kernels. The aot tier refuses the indirect
-// programs (spmv, pbin: no emittable region), so they run on two tiers.
+// TestKernelTierDifferential runs every library program on both kernel
+// tiers: they must produce bit-identical arrays (runAndVerify already pins
+// each run to the sequential reference; the cross-tier comparison below
+// additionally pins reduction arrays — jacobi-converge's replicated
+// residual — which runAndVerify only bounds), and the aot runs must
+// actually dispatch to native kernels. The interp leg holds that
+// sequential reference, the VM's whole-program run, to the tree
+// interpreter bit for bit, so every tier answers to the oracle.
 func TestKernelTierDifferential(t *testing.T) {
 	plans := overlapPlans(t) // every library program under its directive
 	var names []string
@@ -32,22 +31,34 @@ func TestKernelTierDifferential(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		plan, params := plans[name], overlapParams[name]
-		tiers := []string{KernelInterp, KernelVM, KernelAOT}
-		if loopir.UsesIArr(plan.Prog.Body) {
-			tiers = tiers[:2]
-		}
+		t.Run(name+"/interp", func(t *testing.T) {
+			oracle, err := loopir.NewInstance(plan.Prog, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm, err := loopir.NewInstance(plan.Prog, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.Interpret(); err != nil {
+				t.Fatal(err)
+			}
+			if err := vm.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for arr, want := range oracle.Arrays {
+				if d := want.MaxAbsDiff(vm.Arrays[arr]); d != 0 {
+					t.Errorf("array %q: the VM's sequential run differs from Interpret by %g", arr, d)
+				}
+			}
+		})
 		var base map[string]*loopir.Array
-		for _, tier := range tiers {
+		for _, tier := range []string{KernelVM, KernelAOT} {
 			t.Run(name+"/"+tier, func(t *testing.T) {
 				res := runAndVerify(t, plan, params,
 					Config{DLB: true, Kernel: tier},
 					cluster.Config{Slaves: 3})
-				switch tier {
-				case KernelInterp:
-					if res.Counters.Get("kernel_units")+res.Counters.Get("aot_units") != 0 {
-						t.Errorf("interp tier dispatched to kernels: %v", res.Counters)
-					}
-				case KernelAOT:
+				if tier == KernelAOT {
 					if res.AotInfo == nil {
 						t.Fatal("aot run has no AotInfo")
 					}
@@ -127,58 +138,45 @@ func TestScaffoldingNamesDoNotCapture(t *testing.T) {
 	}
 }
 
-// TestNoSilentInterpreterFallback: an affine body the kernel compiler
-// refused would drop to the tree interpreter — an order of magnitude slower
-// and still bit-correct, so no differential would notice. Lower every
-// library program's plan the way a kernel-tier slave does and require that
-// the only steps left on the interpreter are the indirect (IArr) bodies of
-// spmv and pbin.
-func TestNoSilentInterpreterFallback(t *testing.T) {
-	interpreted := map[string]bool{}
-	for name := range loopir.Library() {
-		plan := planFor(t, name)
-		params := map[string]int{}
-		for _, prm := range plan.Prog.Params {
-			params[prm] = 16
-			if strings.Contains(prm, "iter") {
-				params[prm] = 2
-			}
-		}
-		inst, err := loopir.NewInstance(plan.Prog, params)
+// TestEveryLibraryPlanLowers: every compute step of every library plan
+// lowers on both tiers the way a slave lowers it, indirect (IArr) bodies
+// included. Each distributed loop runs on the VM's range kernel on the
+// kernel tier and on a bound native kernel on the aot tier; owner blocks
+// and replicated statements compile to VM kernels on both.
+func TestEveryLibraryPlanLowers(t *testing.T) {
+	for name, plan := range overlapPlans(t) {
+		params := overlapParams[name]
+		native, err := buildAOT(plan, params)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := &slave{inst: inst, exec: &compile.Exec{Plan: plan}}
-		s.lowerPlan()
-		check := func(kind string, compiled bool, body []loopir.Stmt) {
-			switch {
-			case compiled:
-			case loopir.UsesIArr(body):
-				interpreted[name] = true
-			default:
-				var sb strings.Builder
-				loopir.RenderStmts(&sb, body, 1)
-				t.Errorf("%s: affine %s body runs on the interpreter:\n%s", name, kind, sb.String())
+		for _, tier := range []string{KernelVM, KernelAOT} {
+			inst, err := loopir.NewInstance(plan.Prog, params)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s := &slave{inst: inst, exec: &compile.Exec{Plan: plan}}
+			if tier == KernelAOT {
+				s.aot = native
+			}
+			if err := s.lowerPlan(); err != nil {
+				t.Fatalf("%s on %s: %v", name, tier, err)
+			}
+			if len(s.ownedLoops) == 0 {
+				t.Errorf("%s: plan has no distributed loop", name)
+			}
+			for st, ox := range s.ownedLoops {
+				var ok bool
+				if tier == KernelAOT {
+					_, ok = ox.run.(*aot.BoundKernel)
+				} else {
+					_, ok = ox.run.(*loopir.RangeKernel)
+				}
+				if !ok {
+					t.Errorf("%s on %s: distributed loop %q runs on %T", name, tier, st.Var, ox.run)
+				}
 			}
 		}
-		for st, ox := range s.ownedLoops {
-			_, interp := ox.run.(*interpRange)
-			check("owned-loop", !interp, st.Body)
-		}
-		for st, f := range s.ownerFrags {
-			_, ok := f.(*loopir.Kernel)
-			check("owner-block", ok, st.Body)
-		}
-		for st, f := range s.allFrags {
-			_, ok := f.(*loopir.Kernel)
-			check("replicated", ok, st.Body)
-		}
-		if len(s.ownedLoops) == 0 {
-			t.Errorf("%s: plan has no distributed loop", name)
-		}
-	}
-	if want := map[string]bool{"spmv": true, "pbin": true}; !reflect.DeepEqual(interpreted, want) {
-		t.Errorf("programs with interpreted steps = %v, want %v", interpreted, want)
 	}
 }
 

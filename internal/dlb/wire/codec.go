@@ -35,7 +35,7 @@ import (
 // if the layout of any message changes (the handshake's ProtocolVersion
 // already gates incompatible deployments, this is a belt-and-suspenders
 // check against stream corruption).
-const binaryVersion = 5
+const binaryVersion = 6
 
 // Binary message type tags.
 const (
@@ -215,7 +215,6 @@ func putStatus(b []byte, s dlb.StatusMsg) []byte {
 	b = putI64(b, s.Epoch)
 	b = putI64(b, int(s.AotUnits))
 	b = putI64(b, int(s.KernelUnits))
-	b = putI64(b, int(s.FallbackUnits))
 	b = putI64(b, int(s.OverlapRounds))
 	b = putI64(b, int(s.OverlapFallback))
 	b = putU32(b, uint32(len(s.CostBlocks)))
@@ -580,10 +579,10 @@ func (r *binReader) ownedMap() (map[string]map[int][]float64, error) {
 	return m, nil
 }
 
-// statusSize is the minimum encoded size of one StatusMsg: 12 scalars and
+// statusSize is the minimum encoded size of one StatusMsg: 11 scalars and
 // the cost-block count prefix. Cost blocks (24 bytes each) follow when
 // present.
-const statusSize = 12*8 + 4
+const statusSize = 11*8 + 4
 
 // costBlockSize is the fixed encoded size of one CostBlock (Lo, Hi, PerUnit).
 const costBlockSize = 3 * 8
@@ -603,8 +602,7 @@ func (r *binReader) status() (dlb.StatusMsg, error) {
 	s.Epoch, _ = r.i64()
 	au, _ := r.i64()
 	ku, _ := r.i64()
-	fu, _ := r.i64()
-	s.AotUnits, s.KernelUnits, s.FallbackUnits = int64(au), int64(ku), int64(fu)
+	s.AotUnits, s.KernelUnits = int64(au), int64(ku)
 	or, _ := r.i64()
 	of, _ := r.i64()
 	s.OverlapRounds, s.OverlapFallback = int64(or), int64(of)

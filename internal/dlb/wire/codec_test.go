@@ -68,7 +68,7 @@ func bulkMessages() []Envelope {
 			CostBlocks: []dlb.CostBlock{{Lo: 0, Hi: 32, PerUnit: 1.5e-6}, {Lo: 40, Hi: 41, PerUnit: 0.012}},
 		}},
 		{Tag: "done", From: 2, Payload: dlb.StatusMsg{
-			Phase: 3, HookIndex: 40, Epoch: 2, Tally: dlb.Tally{AotUnits: 12, KernelUnits: 96, FallbackUnits: 4,
+			Phase: 3, HookIndex: 40, Epoch: 2, Tally: dlb.Tally{AotUnits: 12, KernelUnits: 96,
 				OverlapRounds: 7, OverlapFallback: 2},
 		}},
 		{Tag: "instr", From: -1, Payload: dlb.InstrMsg{

@@ -39,11 +39,10 @@ type RunSpec struct {
 	// DLB and Synchronous select the balancing mode.
 	DLB         bool
 	Synchronous bool
-	// Kernel is the execution tier (dlb.Config.Kernel: "interp" — the
-	// tree interpreter for every compute step — "kernel" or "aot"; empty
-	// means "kernel"). Daemons may override it locally with their own
-	// -kernel setting. The tier does not enter the plan hash — all tiers
-	// execute the same plan bit-identically.
+	// Kernel is the execution tier (dlb.Config.Kernel: "kernel" or "aot";
+	// empty leaves it to the tier gate). Daemons may override it locally
+	// with their own -kernel setting. The tier does not enter the plan
+	// hash — both tiers execute the same plan bit-identically.
 	Kernel string
 	// CostModel selects the balancer's view of work units
 	// (dlb.Config.CostModel: "uniform" or "learned"; empty means

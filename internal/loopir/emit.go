@@ -3,6 +3,7 @@ package loopir
 import (
 	"fmt"
 	"go/format"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,6 +36,9 @@ import (
 // carries no bounds check but for conditional sites and sites of a second
 // stride, which keep the offset form. The same loads and stores in the
 // same order reach the same backing arrays, so windows change no result.
+//
+// A kderive prints as := locals, rN registers and oN offsets, each
+// subscript checked by the kernel's one closure ix (no imports needed).
 
 // EmittedKernel is one emitted Go kernel function plus the metadata a host
 // needs to call it: which storage slice goes in each data slot and which
@@ -91,6 +95,7 @@ type emitter struct {
 	arrayIdx map[string]int // array name -> data[] slot
 	arrays   []string
 	win      map[int32]bool // sites the current innermost loop indexes through windows
+	ix       bool           // the body calls the range-check closure ix
 }
 
 func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
@@ -127,6 +132,8 @@ func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
 			em.regNames[r] = "lo"
 		case r == hiReg:
 			em.regNames[r] = "hi"
+		case strings.HasPrefix(names[r], "#"): // derived
+			em.regNames[r] = "r" + names[r][1:]
 		default:
 			em.regNames[r] = sanitizeVar(names[r])
 			if !kc.internal[r] {
@@ -138,9 +145,9 @@ func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
 }
 
 // goReserved guards loop-variable names against the emitted scaffolding
-// (lo, hi, regs, data, dN/oN/tN/wN/loN/hiN locals, the check temporary e,
-// the window counter x) and Go's keywords and predeclared identifiers a
-// kernel body could plausibly collide with.
+// (lo, hi, regs, data, dN/oN/tN/wN/loN/hiN/rN locals, the check temporary
+// e, the window counter x, the range check ix) and Go's keywords and
+// predeclared identifiers a kernel body could plausibly collide with.
 var goReserved = map[string]bool{
 	"break": true, "case": true, "chan": true, "const": true,
 	"continue": true, "default": true, "defer": true, "else": true,
@@ -150,6 +157,7 @@ var goReserved = map[string]bool{
 	"select": true, "struct": true, "switch": true, "type": true,
 	"var": true, "len": true, "panic": true, "int": true, "float64": true,
 	"lo": true, "hi": true, "regs": true, "data": true, "e": true, "x": true,
+	"ix": true,
 }
 
 func sanitizeVar(name string) string {
@@ -165,8 +173,8 @@ func sanitizeVar(name string) string {
 		}
 	}
 	if ok {
-		// dN, oN, tN, wN, loN, hiN are scaffolding names.
-		for _, p := range []string{"d", "o", "t", "w", "lo", "hi"} {
+		// dN, oN, tN, wN, loN, hiN, rN are scaffolding names.
+		for _, p := range []string{"d", "o", "t", "w", "lo", "hi", "r"} {
 			if rest, found := strings.CutPrefix(name, p); found && rest != "" && isDigits(rest) {
 				ok = false
 				break
@@ -234,6 +242,9 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 		fmt.Fprintf(&b, "\t%s := regs[%d] // free variable\n", em.regNames[r], i)
 		ek.FreeVars = append(ek.FreeVars, em.freeRegs[r])
 	}
+	if em.ix {
+		b.WriteString("\tix := func(v, n int, msg string) int {\n\t\tif v < 0 || v >= n {\n\t\t\tpanic(msg)\n\t\t}\n\t\treturn v\n\t}\n")
+	}
 	b.WriteString(em.body.String())
 	b.WriteString("}\n")
 	// Canonicalize: gofmt tightens spacing around higher-precedence
@@ -263,6 +274,8 @@ func (em *emitter) stmts(code []kinstr) {
 			em.assign(ins)
 		case *kif:
 			em.condStmt(ins)
+		case kderive:
+			em.derive(ins)
 		}
 	}
 }
@@ -311,7 +324,7 @@ func (em *emitter) loop(l *kloop) {
 	em.p("%s := %s", v, loV)
 	trip := ""
 	for _, pr := range l.preps {
-		if pr.hoist && pr.step != 0 {
+		if pr.hoist && (pr.step != 0 || slices.ContainsFunc(pr.dims, func(d kdim) bool { return d.step != 0 })) {
 			trip = fmt.Sprintf("t%d", id)
 			em.p("%s := %s - %s", trip, hiV, loV)
 			break
@@ -377,9 +390,10 @@ func (em *emitter) loop(l *kloop) {
 // their message before any reslice. Step-0 sites keep dX[oN], already
 // proved by their hoisted check; conditional sites, other steps and
 // negative steps keep the offset form. It returns the first window and s,
-// or "" when the loop keeps the offset form throughout.
+// or "" when the loop keeps the offset form throughout, as it does when
+// its body derives: x does not advance the loop variable that reads.
 func (em *emitter) windows(l *kloop, trip string) (string, int) {
-	if hasLoop(l.body) {
+	if holds[*kloop](l.body) || holds[kderive](l.body) {
 		return "", 0
 	}
 	step := 0
@@ -413,16 +427,14 @@ func (em *emitter) windows(l *kloop, trip string) (string, int) {
 	return first, step
 }
 
-// hasLoop reports whether code contains a loop, under an If or not.
-func hasLoop(code []kinstr) bool {
+// holds reports whether code contains a T, under an If or not.
+func holds[T kinstr](code []kinstr) bool {
 	for _, ins := range code {
-		switch ins := ins.(type) {
-		case *kloop:
+		if _, ok := ins.(T); ok {
 			return true
-		case *kif:
-			if hasLoop(ins.then) || hasLoop(ins.els) {
-				return true
-			}
+		}
+		if f, ok := ins.(*kif); ok && (holds[T](f.then) || holds[T](f.els)) {
+			return true
 		}
 	}
 	return false
@@ -432,7 +444,8 @@ func hasLoop(code []kinstr) bool {
 // hoisted endpoint bounds check: an affine offset is monotonic in the loop
 // variable, so checking the first and last iterations' offsets covers
 // every access. trip is the trip-count local ("" when every hoisted step
-// is 0, e.g. at the root where the implicit trip is 1).
+// is 0, e.g. at the root where the implicit trip is 1). Under data-dependent
+// bounds ix checks each subscript first; windows need the flat check.
 func (em *emitter) preps(preps []kprep, trip string) {
 	for _, pr := range preps {
 		s := &em.k.sites[pr.site]
@@ -440,6 +453,13 @@ func (em *emitter) preps(preps []kprep, trip string) {
 		em.p("o%d := %s", pr.site, em.lin(s.flat))
 		if !pr.hoist {
 			continue
+		}
+		for i, dm := range pr.dims {
+			em.ix = true
+			em.p("ix(%s, %d, %q)", em.lin(dm.at), dm.n, dimRange(s.name, i))
+			if dm.step != 0 && trip != "" {
+				em.p("ix(%s + %d*(%s-1), %d, %q)", em.lin(dm.at), dm.step, trip, dm.n, dimRange(s.name, i))
+			}
 		}
 		if pr.step == 0 || trip == "" {
 			em.p("if o%d < 0 || o%d >= len(%s) {", pr.site, pr.site, d)
@@ -456,6 +476,40 @@ func (em *emitter) preps(preps []kprep, trip string) {
 		em.depth--
 		em.p("}")
 	}
+}
+
+// dimRange is ix's message for an out-of-range subscript.
+func dimRange(array string, dim int) string {
+	return fmt.Sprintf("dlbaot: access to %q out of range in dim %d", array, dim)
+}
+
+// derive prints a kderive: rN := for each derived register, oN := for
+// each derived site's offset.
+func (em *emitter) derive(d kderive) {
+	em.ix = true
+	for i := range d {
+		switch r := &d[i]; {
+		case r.arr == nil:
+			em.p("%s := (%s) * (%s)", em.reg(r.reg), em.lin(r.idx[0]), em.lin(r.idx[1]))
+		case r.reg >= 0:
+			em.p("%s := int(%s[%s])", em.reg(r.reg), em.data(r.site), em.offset(r))
+		default:
+			em.p("o%d := %s", r.site, em.offset(r))
+		}
+	}
+}
+
+// offset renders a derived reference's flat offset, each subscript
+// checked by ix.
+func (em *emitter) offset(r *kref) string {
+	terms := make([]string, len(r.idx))
+	for d, l := range r.idx {
+		terms[d] = fmt.Sprintf("ix(%s, %d, %q)", em.lin(l), r.arr.Dims[d], dimRange(r.arr.Name, d))
+		if s := r.arr.Stride[d]; s != 1 {
+			terms[d] += "*" + strconv.Itoa(s)
+		}
+	}
+	return strings.Join(terms, " + ")
 }
 
 func (em *emitter) assign(a *kassign) {

@@ -62,17 +62,17 @@ func TestEmitSourceGofmtIdempotent(t *testing.T) {
 						label, ek.Src, formatted)
 				}
 			}
-			if ek, err := in.EmitKernelGo(p.Body, "Whole"); err == nil {
-				check("whole body", ek)
-			} else if !UsesIArr(p.Body) {
-				// Data-dependent (IArr) programs are refused by every
-				// compiled tier and run interpreted; anything else must emit.
+			ek, err := in.EmitKernelGo(p.Body, "Whole")
+			if err != nil {
 				t.Fatalf("whole body: %v", err)
 			}
+			check("whole body", ek)
 			for _, l := range distLoops(p) {
-				if ek, err := in.EmitRangeKernelGo(l.Var, l.Body, "Region"); err == nil {
-					check("loop "+l.Var, ek)
+				ek, err := in.EmitRangeKernelGo(l.Var, l.Body, "Region")
+				if err != nil {
+					t.Fatalf("loop %s: %v", l.Var, err)
 				}
+				check("loop "+l.Var, ek)
 			}
 		})
 	}

@@ -418,37 +418,3 @@ func (in *Instance) interpretStmts(stmts []Stmt, env map[string]int, obs Observe
 	}
 	return nil
 }
-
-// InterpFragment runs a statement list through the tree-walking
-// interpreter under a caller-supplied binding — the oracle the "interp"
-// tier runs everything on, and the fallback for fragments the kernel
-// compiler refuses (data-dependent IArr subscripts and bounds). It
-// satisfies the same Run contract as a Kernel.
-type InterpFragment struct {
-	In    *Instance
-	Stmts []Stmt
-}
-
-// Run executes the fragment with bind layered over the instance parameters.
-func (f *InterpFragment) Run(bind map[string]int) {
-	env := map[string]int{}
-	for k, v := range f.In.Params {
-		env[k] = v
-	}
-	for k, v := range bind {
-		env[k] = v
-	}
-	if err := f.In.interpretStmts(f.Stmts, env, nil); err != nil {
-		panic(fmt.Sprintf("loopir: interpreted fragment: %v", err))
-	}
-}
-
-// Run executes the program on the compiled kernel, falling back to the
-// interpreter for programs the kernel compiler refuses (non-affine
-// subscripts).
-func (in *Instance) Run() error {
-	if err := in.RunKernel(); err == nil {
-		return nil
-	}
-	return in.Interpret()
-}

@@ -9,8 +9,8 @@ import (
 
 // This file is the kernel compiler: it specializes a statement tree into a
 // form the runtime can execute at close to memory speed. It is the one
-// in-process executor of affine code; the tree-walking interpreter (eval.go)
-// stays as the semantic reference and the non-affine fallback.
+// in-process executor of every program Validate accepts; the tree-walking
+// interpreter (eval.go) stays as the semantic reference.
 //
 // What makes a kernel fast:
 //
@@ -25,6 +25,10 @@ import (
 //     endpoint offsets covers every iteration. Only references under an If
 //     (which may never execute) or inside a data-dependent BreakIf loop
 //     (which may exit early) keep a per-access check.
+//   - What AffineOf refuses (an index-array read, a product of two
+//     non-constant forms) becomes a derived register that a kderive sets
+//     just before its statement, with the offsets it subscripts checked
+//     per dimension; under data-dependent bounds hoisted checks are too.
 //   - Expressions run on a tiny postfix stack machine with no error path;
 //     malformed programs are rejected at compile time instead.
 //   - Innermost loops run a strip at a time where that is exact: each op
@@ -77,6 +81,13 @@ type kprep struct {
 	site  int32
 	step  int // per-iteration offset increment (coefficient of the loop reg)
 	hoist bool
+	dims  []kdim // per-dimension endpoint checks, under data-dependent bounds
+}
+
+// kdim is one subscript of a prepped site: entry value, step and extent.
+type kdim struct {
+	at      lin
+	step, n int
 }
 
 // kadv advances a site's offset per iteration (preps with step != 0).
@@ -295,6 +306,44 @@ func (f *kif) run(k *Kernel, x *kexec) {
 	}
 }
 
+// kderive sets a statement's derived registers and the offsets of its
+// derived sites, in dependency order: before a loop for its bounds, before
+// an assignment or an If, and last in a loop's body for its break condition.
+type kderive []kref
+
+// kref is one step of a kderive: a reference whose offset is computed at
+// each execution, each subscript checked against its dimension as
+// Instance.offset checks it. With reg >= 0 its element, truncated toward
+// zero as EvalIndex truncates it, sets a derived register; with a nil arr
+// that register is the product idx[0]·idx[1] instead.
+type kref struct {
+	site int32
+	reg  int
+	arr  *Array
+	idx  []lin
+}
+
+func (d kderive) run(k *Kernel, x *kexec) {
+	for i := range d {
+		r := &d[i]
+		if r.arr == nil {
+			x.regs[r.reg] = r.idx[0].eval(x.regs) * r.idx[1].eval(x.regs)
+			continue
+		}
+		off := 0
+		for j, l := range r.idx {
+			v := l.eval(x.regs)
+			if v < 0 || v >= r.arr.Dims[j] {
+				panic(fmt.Sprintf("loopir: kernel access to array %q index %d out of range [0,%d) in dim %d", r.arr.Name, v, r.arr.Dims[j], j))
+			}
+			off += v * r.arr.Stride[j]
+		}
+		if x.offs[r.site] = off; r.reg >= 0 {
+			x.regs[r.reg] = int(r.arr.Data[off])
+		}
+	}
+}
+
 // Kernel is a compiled statement list. It is immutable after compilation
 // and safe for concurrent Run calls: all mutable state lives in per-call
 // kexec records drawn from a pool.
@@ -337,7 +386,7 @@ func (k *Kernel) applyBind(x *kexec, bind map[string]int) {
 // initPreps evaluates each site's start offset for a loop executing trip
 // iterations and performs the hoisted range check: affine offsets are
 // monotonic in the loop variable, so the two endpoint offsets bound every
-// access of the loop.
+// access of the loop; under data-dependent bounds, each subscript's too.
 func (k *Kernel) initPreps(preps []kprep, trip int, x *kexec) {
 	for i := range preps {
 		p := &preps[i]
@@ -345,11 +394,14 @@ func (k *Kernel) initPreps(preps []kprep, trip int, x *kexec) {
 		off := s.flat.eval(x.regs)
 		x.offs[p.site] = off
 		if p.hoist {
-			mn, mx := off, off+p.step*(trip-1)
-			if mn > mx {
-				mn, mx = mx, mn
+			for d, dm := range p.dims {
+				mn, mx := span(dm.at.eval(x.regs), dm.step, trip)
+				if mn < 0 || mx >= dm.n {
+					panic(fmt.Sprintf("loopir: kernel access to array %q index [%d,%d] out of range [0,%d) in dim %d",
+						s.name, mn, mx, dm.n, d))
+				}
 			}
-			if mn < 0 || mx >= len(s.data) {
+			if mn, mx := span(off, p.step, trip); mn < 0 || mx >= len(s.data) {
 				panic(fmt.Sprintf("loopir: kernel access to %q out of range: [%d,%d] not in [0,%d)",
 					s.name, mn, mx, len(s.data)))
 			}
@@ -539,14 +591,15 @@ func (k *Kernel) Run(bind map[string]int) {
 type klevel struct {
 	reg      int // -1 at the root
 	canHoist bool
+	dims     bool // under data-dependent bounds: subscripts checked per dimension
 	preps    []kprep
 	advs     []kadv
 	siteOf   map[string]int32
 	prepIdx  map[int32]int
 }
 
-func newLevel(reg int, canHoist bool) *klevel {
-	return &klevel{reg: reg, canHoist: canHoist, siteOf: map[string]int32{}, prepIdx: map[int32]int{}}
+func newLevel(reg int, canHoist, dims bool) *klevel {
+	return &klevel{reg: reg, canHoist: canHoist, dims: dims, siteOf: map[string]int32{}, prepIdx: map[int32]int{}}
 }
 
 type kcompiler struct {
@@ -555,15 +608,15 @@ type kcompiler struct {
 	nregs    int
 	sites    []ksite
 	depth    int
-	internal map[int]bool // registers bound by loops inside the kernel
+	internal map[int]bool // registers bound by loops inside the kernel, and derived ones
 }
 
 // addSite interns one (array, flat offset) reference at its owning level.
 // conditional references (under an If, or in a loop that can break early)
-// keep per-access checks; unconditional ones get the hoisted entry check.
-func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool) int32 {
+// keep per-access checks; unconditional ones get the hoisted entry check,
+// per dimension too under data-dependent bounds.
+func (kc *kcompiler) addSite(arr *Array, flat lin, idx []Affine, lvl *klevel, hoist bool) int32 {
 	key := fmt.Sprint(arr.Name, flat)
-	hoist := !conditional && lvl.canHoist
 	if id, ok := lvl.siteOf[key]; ok {
 		if hoist && kc.sites[id].check {
 			kc.sites[id].check = false
@@ -576,50 +629,134 @@ func (kc *kcompiler) addSite(arr *Array, flat lin, lvl *klevel, conditional bool
 	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, step: step, check: !hoist})
 	lvl.siteOf[key] = id
 	lvl.prepIdx[id] = len(lvl.preps)
-	lvl.preps = append(lvl.preps, kprep{site: id, step: step, hoist: hoist})
+	p := kprep{site: id, step: step, hoist: hoist}
+	if lvl.dims {
+		for d, a := range idx {
+			at := kc.lin(a)
+			p.dims = append(p.dims, kdim{at: at, step: at.coef(lvl.reg), n: arr.Dims[d]})
+		}
+	}
+	lvl.preps = append(lvl.preps, p)
 	if step != 0 {
 		lvl.advs = append(lvl.advs, kadv{site: id, step: step})
 	}
 	return id
 }
 
-// lowerRef lowers a reference to its flat offset: one affine form over all
-// dimensions, Σ Stride[d]·Idx[d], converted once to register form.
-func (kc *kcompiler) lowerRef(r Ref) (*Array, lin, error) {
-	arr, ok := kc.in.Arrays[r.Array]
-	if !ok {
-		return nil, lin{}, fmt.Errorf("unknown array %q", r.Array)
+// index decomposes an index expression. AffineOf decides first; only the
+// parts it refuses, an index-array read or a product of two non-constant
+// forms, become derived registers, which d sets.
+func (kc *kcompiler) index(e IExpr, d *kderive) (Affine, error) {
+	if a, err := AffineOf(e, kc.in.Params); err == nil {
+		return a, nil
 	}
-	var flat Affine
-	for d, ie := range r.Idx {
-		a, err := AffineOf(ie, kc.in.Params)
+	var step kref
+	switch e := e.(type) {
+	case IBin:
+		l, err := kc.index(e.L, d)
 		if err != nil {
-			return nil, lin{}, err
+			return Affine{}, err
 		}
-		flat = flat.addScaled(a, arr.Stride[d])
+		r, err := kc.index(e.R, d)
+		if err != nil {
+			return Affine{}, err
+		}
+		switch {
+		case e.Op == '+':
+			return l.addScaled(r, 1), nil
+		case e.Op == '-':
+			return l.addScaled(r, -1), nil
+		case e.Op != '*':
+			return Affine{}, fmt.Errorf("bad index op %q", string(e.Op))
+		// A zero factor derives a product too, so the reads it would
+		// cancel stay checked.
+		case len(l.Terms) == 0 && l.Const != 0:
+			return Affine{}.addScaled(r, l.Const), nil
+		case len(r.Terms) == 0 && r.Const != 0:
+			return Affine{}.addScaled(l, r.Const), nil
+		}
+		step = kref{idx: []lin{kc.lin(l), kc.lin(r)}}
+	case IArr:
+		arr, subs, flat, err := kc.lowerRef(e.Array, e.Idx, d)
+		if err != nil {
+			return Affine{}, err
+		}
+		step = kc.derivedRef(arr, subs, flat)
+	default:
+		return Affine{}, fmt.Errorf("unknown index expression %T", e)
 	}
-	return arr, kc.lin(flat), nil
+	name := fmt.Sprint("#", kc.nregs) // a fresh register no source variable names
+	step.reg = kc.regFor(name)
+	kc.internal[step.reg] = true
+	*d = append(*d, step)
+	return Affine{Terms: []Term{{Var: name, Coef: 1}}}, nil
+}
+
+// lowerRef decomposes a reference's subscripts, deriving into d what
+// AffineOf refuses, and lowers its flat offset: one affine form over all
+// dimensions, Σ Stride[d]·Idx[d], converted once to register form.
+func (kc *kcompiler) lowerRef(array string, idx []IExpr, d *kderive) (*Array, []Affine, lin, error) {
+	arr, ok := kc.in.Arrays[array]
+	if !ok {
+		return nil, nil, lin{}, fmt.Errorf("unknown array %q", array)
+	}
+	subs := make([]Affine, len(idx))
+	var flat Affine
+	for i, ie := range idx {
+		a, err := kc.index(ie, d)
+		if err != nil {
+			return nil, nil, lin{}, err
+		}
+		subs[i], flat = a, flat.addScaled(a, arr.Stride[i])
+	}
+	return arr, subs, kc.lin(flat), nil
+}
+
+// derivedRef makes a per-access checked site whose offset a kderive sets.
+func (kc *kcompiler) derivedRef(arr *Array, subs []Affine, flat lin) kref {
+	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, check: true})
+	r := kref{site: int32(len(kc.sites) - 1), reg: -1, arr: arr}
+	for _, a := range subs {
+		r.idx = append(r.idx, kc.lin(a))
+	}
+	return r
+}
+
+// ref lowers a data reference to a site. One whose subscripts read a
+// derived register, or one that needs a per-access check under
+// data-dependent bounds, is a derived site: d sets its offset.
+func (kc *kcompiler) ref(r Ref, lvl *klevel, conditional bool, d *kderive) (int32, error) {
+	n := len(*d)
+	arr, subs, flat, err := kc.lowerRef(r.Array, r.Idx, d)
+	if err != nil {
+		return 0, err
+	}
+	hoist := !conditional && lvl.canHoist
+	if len(*d) > n || (lvl.dims && !hoist) {
+		*d = append(*d, kc.derivedRef(arr, subs, flat))
+		return (*d)[len(*d)-1].site, nil
+	}
+	return kc.addSite(arr, flat, subs, lvl, hoist), nil
 }
 
 // compileExpr appends postfix code for e and returns the updated code and
 // the expression's stack depth.
-func (kc *kcompiler) compileExpr(e Expr, lvl *klevel, conditional bool, code []kop) ([]kop, int, error) {
+func (kc *kcompiler) compileExpr(e Expr, lvl *klevel, conditional bool, d *kderive, code []kop) ([]kop, int, error) {
 	switch e := e.(type) {
 	case Const:
 		return append(code, kop{kind: opConst, c: float64(e)}), 1, nil
 	case Ref:
-		arr, flat, err := kc.lowerRef(e)
+		site, err := kc.ref(e, lvl, conditional, d)
 		if err != nil {
 			return nil, 0, err
 		}
-		site := kc.addSite(arr, flat, lvl, conditional)
 		return append(code, kop{kind: opLoad, site: site}), 1, nil
 	case Bin:
-		code, dl, err := kc.compileExpr(e.L, lvl, conditional, code)
+		code, dl, err := kc.compileExpr(e.L, lvl, conditional, d, code)
 		if err != nil {
 			return nil, 0, err
 		}
-		code, dr, err := kc.compileExpr(e.R, lvl, conditional, code)
+		code, dr, err := kc.compileExpr(e.R, lvl, conditional, d, code)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -641,12 +778,12 @@ func (kc *kcompiler) compileExpr(e Expr, lvl *klevel, conditional bool, code []k
 	return nil, 0, fmt.Errorf("unknown expression %T", e)
 }
 
-func (kc *kcompiler) compileCond(c Cond, lvl *klevel, conditional bool) (kcond, error) {
-	l, dl, err := kc.compileExpr(c.L, lvl, conditional, nil)
+func (kc *kcompiler) compileCond(c Cond, lvl *klevel, conditional bool, d *kderive) (kcond, error) {
+	l, dl, err := kc.compileExpr(c.L, lvl, conditional, d, nil)
 	if err != nil {
 		return kcond{}, err
 	}
-	r, dr, err := kc.compileExpr(c.R, lvl, conditional, nil)
+	r, dr, err := kc.compileExpr(c.R, lvl, conditional, d, nil)
 	if err != nil {
 		return kcond{}, err
 	}
@@ -671,17 +808,16 @@ func (kc *kcompiler) compileCond(c Cond, lvl *klevel, conditional bool) (kcond, 
 	return kcond{l: l, r: r, op: op}, nil
 }
 
-func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool) (*kassign, error) {
-	arr, flat, err := kc.lowerRef(s.LHS)
+func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool, d *kderive) (*kassign, error) {
+	dst, err := kc.ref(s.LHS, lvl, conditional, d)
 	if err != nil {
 		return nil, err
 	}
-	dst := kc.addSite(arr, flat, lvl, conditional)
-	code, d, err := kc.compileExpr(s.RHS, lvl, conditional, nil)
+	code, depth, err := kc.compileExpr(s.RHS, lvl, conditional, d, nil)
 	if err != nil {
 		return nil, err
 	}
-	kc.depth = max(kc.depth, d)
+	kc.depth = max(kc.depth, depth)
 	return &kassign{dst: dst, code: code}, nil
 }
 
@@ -769,43 +905,49 @@ func whole(code []kop) bool {
 func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) ([]kinstr, error) {
 	var out []kinstr
 	for _, s := range stmts {
+		d := &kderive{} // what the statement derives, run just before it
+		var ins kinstr
 		switch s := s.(type) {
 		case *Loop:
-			lo, err := AffineOf(s.Lo, kc.in.Params)
+			lo, err := kc.index(s.Lo, d)
 			if err != nil {
 				return nil, err
 			}
-			hi, err := AffineOf(s.Hi, kc.in.Params)
+			hi, err := kc.index(s.Hi, d)
 			if err != nil {
 				return nil, err
 			}
 			loL, hiL := kc.lin(lo), kc.lin(hi) // bound registers before the loop's own
 			reg := kc.regFor(s.Var)
 			kc.internal[reg] = true
-			inner := newLevel(reg, s.BreakIf == nil)
+			// Under data-dependent bounds subscripts are checked per dimension.
+			inner := newLevel(reg, s.BreakIf == nil, lvl.dims || len(*d) > 0)
 			body, err := kc.compileStmts(s.Body, inner, false)
 			if err != nil {
 				return nil, err
 			}
 			l := &kloop{reg: reg, lo: loL, hi: hiL, body: body}
 			if s.BreakIf != nil {
-				brk, err := kc.compileCond(*s.BreakIf, inner, false)
+				var bd kderive
+				brk, err := kc.compileCond(*s.BreakIf, inner, false, &bd)
 				if err != nil {
 					return nil, err
 				}
-				l.brk = &brk
+				if l.brk = &brk; len(bd) > 0 {
+					l.body = append(l.body, bd)
+				}
 			}
 			l.preps, l.advs = inner.preps, inner.advs
 			l.strip = kc.stripPlan(l)
-			out = append(out, l)
+			ins = l
 		case *Assign:
-			a, err := kc.compileAssign(s, lvl, conditional)
+			a, err := kc.compileAssign(s, lvl, conditional, d)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, a)
+			ins = a
 		case *If:
-			cond, err := kc.compileCond(s.Cond, lvl, conditional)
+			cond, err := kc.compileCond(s.Cond, lvl, conditional, d)
 			if err != nil {
 				return nil, err
 			}
@@ -817,17 +959,21 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, &kif{cond: cond, then: then, els: els})
+			ins = &kif{cond: cond, then: then, els: els}
 		default:
 			return nil, fmt.Errorf("unknown statement %T", s)
 		}
+		if len(*d) > 0 {
+			out = append(out, *d)
+		}
+		out = append(out, ins)
 	}
 	return out, nil
 }
 
 func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
 	kc := &kcompiler{in: in, regIndex: map[string]int{}, internal: map[int]bool{}}
-	root := newLevel(-1, true)
+	root := newLevel(-1, true, false)
 	code, err := kc.compileStmts(stmts, root, false)
 	if err != nil {
 		return nil, nil, err
@@ -846,14 +992,16 @@ func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
 // CompileKernel compiles a statement list against this instance's arrays.
 // Variables that are neither parameters nor bound by loops inside the
 // statement list become free variables, set per call via Run's bind map.
-// It fails for programs with non-affine subscripts (use the interpreter).
+// It lowers every statement list Validate accepts.
 func (in *Instance) CompileKernel(stmts []Stmt) (*Kernel, error) {
 	k, _, err := in.compileKernel(stmts)
 	return k, err
 }
 
-// RunKernel compiles the whole program body to a kernel and executes it.
-func (in *Instance) RunKernel() error {
+// Run compiles the whole program body to a kernel and executes it. An
+// access out of range panics, naming the array, where Interpret returns
+// the error.
+func (in *Instance) Run() error {
 	k, err := in.CompileKernel(in.Prog.Body)
 	if err != nil {
 		return err

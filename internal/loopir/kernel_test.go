@@ -43,16 +43,10 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 		}
 		fast := ref.Clone()
 		k, err := fast.CompileKernel(fast.Prog.Body)
-		switch {
-		case err == nil:
-			k.Run(nil)
-		case UsesIArr(prog.Body):
-			// Data-dependent programs run on the interpreted fragment by
-			// design; exercise it through the same comparison.
-			(&InterpFragment{In: fast, Stmts: fast.Prog.Body}).Run(nil)
-		default:
+		if err != nil {
 			t.Fatalf("%s: compile kernel: %v", name, err)
 		}
+		k.Run(nil)
 		for arr := range ref.Arrays {
 			if d := ref.Arrays[arr].MaxAbsDiff(fast.Arrays[arr]); d != 0 {
 				t.Errorf("%s: array %q differs by %g between interpreter and kernel", name, arr, d)
@@ -109,9 +103,6 @@ func TestRangeKernelLibraryEquivalence(t *testing.T) {
 		}
 		rk, err := fast.CompileRangeKernel(v, outer.Body)
 		if err != nil {
-			if UsesIArr(prog.Body) {
-				continue // data-dependent programs run interpreted by design
-			}
 			t.Fatalf("%s: compile range kernel: %v", name, err)
 		}
 		mid := lo + (hi-lo)/2
@@ -128,7 +119,7 @@ func TestRangeKernelLibraryEquivalence(t *testing.T) {
 // TestQuickKernelEquivalence cross-checks the whole-program kernel against
 // the interpreter on random programs (randProgram, quick_test.go).
 func TestQuickKernelEquivalence(t *testing.T) {
-	quickVsInterpreter(t, func(fast *Instance, _ int) error { return fast.RunKernel() })
+	quickVsInterpreter(t, func(fast *Instance, _ int) error { return fast.Run() })
 }
 
 // TestKernelRate sanity-checks the calibration: a positive, cached rate,

@@ -342,7 +342,7 @@ func collectIArrIdx(e IExpr, set map[string]bool) {
 
 // UsesIArr reports whether the statement list contains any data-dependent
 // IArr index read — the property that routes a program to data-aware cost
-// accounting and the interpreter execution tier.
+// accounting (its per-unit cost depends on the index arrays' values).
 func UsesIArr(stmts []Stmt) bool {
 	set := map[string]bool{}
 	Walk(stmts, func(s Stmt, _ []*Loop) error {

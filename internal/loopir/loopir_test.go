@@ -1,6 +1,10 @@
 package loopir
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"math"
 	"strings"
 	"testing"
@@ -187,29 +191,54 @@ func TestFragmentFreeVariables(t *testing.T) {
 	}
 }
 
-func TestKernelRejectsNonAffine(t *testing.T) {
+// TestKernelLowersProducts: a subscript multiplying two loop variables,
+// which AffineOf refuses and compile.Compile accepts, lowers to a derived
+// register on the VM and in the emitted Go, and matches the interpreter.
+// So does a zero times such a product, which must still be derived (and
+// its register used) rather than folded away.
+func TestKernelLowersProducts(t *testing.T) {
+	i, j := Iv("i"), Iv("j")
 	p := &Program{
 		Name:   "nonaffine",
 		Params: []string{"n"},
-		Arrays: []*ArrayDecl{{Name: "a", Dims: []IExpr{Imul(Iv("n"), Iv("n"))}}},
+		Arrays: []*ArrayDecl{
+			{Name: "a", Dims: []IExpr{Imul(Iv("n"), Iv("n"))}},
+			{Name: "b", Dims: []IExpr{Iv("n")}},
+		},
 		Body: []Stmt{For("i", Ic(0), Iv("n"),
 			For("j", Ic(0), Iv("n"),
-				Set(Fref("a", Imul(Iv("i"), Iv("j"))), Fc(1)))),
+				Set(Fref("a", Imul(i, j)), Fadd(Fref("a", Imul(i, j)), Fc(1))),
+				Set(Fref("b", j), Fadd(Fref("b", j), Fref("a", Imul(Ic(0), Imul(i, j))))))),
 		},
 	}
-	in, err := NewInstance(p, map[string]int{"n": 3})
+	ref, err := NewInstance(p, map[string]int{"n": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.CompileKernel(p.Body); err == nil {
-		t.Fatal("non-affine subscript compiled without error")
+	fast := ref.Clone()
+	if err := ref.Interpret(); err != nil {
+		t.Fatal(err)
 	}
-	// Run must fall back to the interpreter and still work.
-	if err := in.Run(); err != nil {
-		t.Fatalf("interpreter fallback failed: %v", err)
+	if err := fast.Run(); err != nil {
+		t.Fatalf("non-affine subscript: %v", err)
 	}
-	if in.Arrays["a"].At(2*2) != 1 {
-		t.Fatal("fallback run produced wrong data")
+	if err := sameBits(ref, fast); err != nil {
+		t.Error(err)
+	}
+	if got := fast.Arrays["a"].At(2 * 2); got != 1 {
+		t.Errorf("a[4] = %v, want 1 (written once, by i=j=2)", got)
+	}
+	ek, err := fast.EmitKernelGo(p.Body, "Kernel0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "kernels.go", "package p\n\n"+ek.Src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, nil); err != nil {
+		t.Errorf("emitted kernel does not type-check: %v\n%s", err, ek.Src)
 	}
 }
 
@@ -327,7 +356,7 @@ func TestBreakIfInterpreterMatchesKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := ref.Clone()
-	if err := fast.RunKernel(); err != nil {
+	if err := fast.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for name := range ref.Arrays {
@@ -389,7 +418,7 @@ func TestAllComparisonOperators(t *testing.T) {
 			if engine == "interpret" {
 				err = in.Interpret()
 			} else {
-				err = in.RunKernel()
+				err = in.Run()
 			}
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.op, engine, err)
@@ -416,7 +445,7 @@ func TestAllComparisonOperators(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := ref.Clone()
-		if err := fast.RunKernel(); err != nil {
+		if err := fast.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if d := ref.Arrays["a"].MaxAbsDiff(fast.Arrays["a"]); d != 0 {

@@ -241,6 +241,8 @@ func TestLibraryStripPlans(t *testing.T) {
 		"sor":             {"j scalar"},
 		"threshold-relax": {"j scalar"},
 		"jacobi-converge": {"j w=128", "j2 scalar"},
+		"spmv":            {"k scalar"},
+		"pbin":            {"l w=128 reduce"},
 	}
 	params := kernelTestParams()
 	for name, prog := range Library() {
@@ -250,9 +252,6 @@ func TestLibraryStripPlans(t *testing.T) {
 		}
 		k, err := in.CompileKernel(in.Prog.Body)
 		if err != nil {
-			if UsesIArr(prog.Body) {
-				continue // interpreted by design
-			}
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := stripPlans(k); !reflect.DeepEqual(got, want[name]) {

@@ -44,12 +44,13 @@ func recvReject(t *testing.T, wc *wire.Conn) wire.RejectMsg {
 
 // TestRejectVersionMismatch dials a slave daemon and opens the handshake
 // with another protocol version — 4, the last that sent status and
-// instruction frames on gob, and one from the future; the daemon must refuse
-// each with a typed version-mismatch rejection and stay available for a real
+// instruction frames on gob, 5, the last whose status frame carried the
+// interpreter's units, and one from the future; the daemon must refuse each
+// with a typed version-mismatch rejection and stay available for a real
 // run.
 func TestRejectVersionMismatch(t *testing.T) {
 	addrs, _ := startServers(t, 1, ServerOptions{})
-	for _, version := range []int{4, ProtocolVersion + 99} {
+	for _, version := range []int{4, 5, ProtocolVersion + 99} {
 		nc, wc := rawDial(t, addrs[0])
 		defer nc.Close()
 		start := wire.StartMsg{Version: version, Node: 0, Slaves: 1, Total: 1}

@@ -52,7 +52,8 @@ import (
 // dropped the init cache: the binary init frame lost its marker byte.
 // Version 5 sends status and instruction frames binary, and the checkpoint
 // and adoption frames write their shared fault.Cut in one layout.
-const ProtocolVersion = 5
+// Version 6 drops the interpreter tier's unit count from the status frame.
+const ProtocolVersion = 6
 
 // Handshake failure modes. Errors returned by dials and accepts wrap one
 // of these sentinels; use errors.Is to classify.

@@ -165,7 +165,7 @@ func TestLoopbackSOR(t *testing.T) {
 // TestLoopbackAOT runs jacobi on native kernels over loopback daemons: each
 // daemon loads the plugin while it handshakes and its slave then runs on
 // those kernels — every owned-loop unit must be dispatched natively, none on
-// the VM or the interpreter — bit-identical to the sequential reference.
+// the VM — bit-identical to the sequential reference.
 func TestLoopbackAOT(t *testing.T) {
 	plan, params := testPlan(t, "jacobi", 40, 3)
 	addrs, _ := startServers(t, 2, ServerOptions{})
@@ -176,9 +176,8 @@ func TestLoopbackAOT(t *testing.T) {
 	}
 	checkBitIdentical(t, res, seqReference(t, plan, params))
 	c := res.Counters
-	if c.Get("aot_units") == 0 || c.Get("kernel_units")+c.Get("fallback_units") != 0 {
-		t.Errorf("aot run over TCP dispatched aot=%d kernel=%d fallback=%d units",
-			c.Get("aot_units"), c.Get("kernel_units"), c.Get("fallback_units"))
+	if c.Get("aot_units") == 0 || c.Get("kernel_units") != 0 {
+		t.Errorf("aot run over TCP dispatched aot=%d kernel=%d units", c.Get("aot_units"), c.Get("kernel_units"))
 	}
 }
 

@@ -31,8 +31,8 @@ type ServerOptions struct {
 	Drag float64
 	// Kernel overrides the master's shipped execution tier for this daemon
 	// ("" uses the shipped value, and when that is empty too the daemon's
-	// own tier gate decides; "interp", "kernel" or "aot" force a tier).
-	// All tiers are bit-identical, so heterogeneous overrides are
+	// own tier gate decides; "kernel" or "aot" force a tier). Both tiers
+	// are bit-identical, so heterogeneous overrides are
 	// safe — a daemon without a working toolchain can pin itself to
 	// "kernel" while its peers run "aot".
 	Kernel   string

@@ -69,11 +69,11 @@ type JobSpec struct {
 	Slaves int `json:"slaves,omitempty"`
 	// Synchronous disables pipelined master interactions.
 	Synchronous bool `json:"synchronous,omitempty"`
-	// Kernel pins the execution tier ("interp" — the tree interpreter, the
-	// slow oracle — "kernel" or "aot"). Empty runs native where the build
-	// pays for itself and on the VM otherwise, deciding per job before
-	// anything is emitted. All tiers are bit-identical; "aot" pays a
-	// one-time toolchain build per program, cached on disk across jobs.
+	// Kernel pins the execution tier ("kernel", the VM, or "aot"). Empty
+	// runs native where the build pays for itself and on the VM otherwise,
+	// deciding per job before anything is emitted. Both tiers are
+	// bit-identical; "aot" pays a one-time toolchain build per program,
+	// cached on disk across jobs.
 	Kernel string `json:"kernel,omitempty"`
 	// CostModel selects the balancer's view of work units ("uniform" or
 	// "learned"; empty: "uniform"). Learned weighting helps irregular
