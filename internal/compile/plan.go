@@ -7,7 +7,8 @@
 //     dimension, preserving the sequential loop structure (§4.1),
 //   - boundary-exchange, pipelined, and broadcast communication synthesized
 //     from the dependence analysis (§3.2, §4.6),
-//   - strip mining of pipelined loops with a startup-measured grain (§4.4),
+//   - strip mining of pipelined loops, the grain sized by the runtime from
+//     the modelled cost of one strip row (§4.4),
 //   - load-balancing hook placement by the 1% cost rule (§4.2),
 //   - application-specific work-movement payloads, including the ghost data
 //     adjacent to moved slices (§4.5),

@@ -91,8 +91,8 @@ func HookSkip(period, hookInterval time.Duration, maxSkip int) int {
 
 // GrainSize returns the number of iterations per strip-mined block so that
 // one block costs about factor x quantum of computation (the paper uses
-// 150 ms = 1.5 quanta, measured at startup). timePerIter is the measured
-// cost of one iteration.
+// 150 ms = 1.5 quanta, measured at startup). timePerIter is the cost of
+// one iteration; dlb models it from the plan's flops.
 func GrainSize(timePerIter, quantum time.Duration, factor float64) int {
 	if timePerIter <= 0 {
 		return 1

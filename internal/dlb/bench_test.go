@@ -73,8 +73,8 @@ func BenchmarkUnitCopy(b *testing.B) {
 // BenchmarkSlavesPerHost answers "how do I use the other CPUs of this
 // host": a full RunReal of the jacobi stencil on one slave versus one slave
 // per CPU. The interesting figure is the elapsed-time ratio between the two
-// sub-benchmarks, not either absolute number (a full run includes start-up
-// grain measurement).
+// sub-benchmarks, not either absolute number (a full run includes
+// scatter and gather).
 func BenchmarkSlavesPerHost(b *testing.B) {
 	cpus := runtime.NumCPU()
 	if cpus < 2 {

@@ -100,38 +100,13 @@ var (
 	memBW     float64
 )
 
-// realHookCostFlops rebases the hook-placement cost constant on measured
-// kernel speed: the §4.2 rule places hooks at the deepest level where a
-// visit costs under 1 % of the enclosed work, and both sides of
-// that ratio must come from the same clock. A visit is dominated by two
-// monotonic clock reads (the busy mark and the contact check); measuring
-// those and multiplying by the measured kernel rate (flops/second) yields
-// the visit cost in kernel-flop units. With the compiled kernels roughly
-// an order of magnitude faster than the interpreter the static default
-// would place hooks an entire loop level too deep. Measured once per
-// process and cached; real and TCP runs use it whenever the caller did
-// not pin HookCostFlops explicitly.
-func realHookCostFlops() float64 {
-	hookCostOnce.Do(func() {
-		const probes = 4096
-		start := time.Now()
-		var sink time.Duration
-		for i := 0; i < probes; i++ {
-			sink += time.Since(start)
-		}
-		elapsed := time.Since(start)
-		_ = sink
-		perVisit := 2 * elapsed.Seconds() / probes
-		f := perVisit * loopir.KernelRate()
-		if f < 1 {
-			f = 1
-		}
-		hookCostFlops = f
-	})
-	return hookCostFlops
-}
-
-var (
-	hookCostOnce  sync.Once
-	hookCostFlops float64
-)
+// wallHookCostFlops is what an unpinned HookCostFlops resolves to on wall
+// clock: one hook visit, 80 ns, in VM flops (12 at vmRate). A visit is
+// dominated by two monotonic clock reads (the busy mark and the contact
+// check), which a probe timed at 70–120 ns on the host vmRate describes;
+// the hook level is the same for every cost from 2 to 25 flops on every
+// benchmark shape, so that spread does not move a plan. Pricing the visit
+// at vmRate keeps both sides of the §4.2 rule — a hook costs under 1 % of
+// the work it encloses — on the one rate. The simulator keeps compile's
+// default, 200.
+const wallHookCostFlops = 80e-9 * vmRate

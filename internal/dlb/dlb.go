@@ -359,7 +359,7 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 	if quantum <= 0 {
 		quantum = 100 * time.Millisecond
 	}
-	pre, err := instantiate(l.cfg, l.initial, quantum, modelRow)
+	pre, err := instantiate(l.cfg, l.initial, quantum, float64(l.cfg.FlopCost))
 	if err != nil {
 		return nil, err
 	}
@@ -401,15 +401,6 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 	mn.FinishAt(k.Now())
 	l.res.MasterUsage = mn.Usage()
 	return l.finish(eng, k.Now())
-}
-
-// modelRow is the simulator's startup measurement: the cost of one strip
-// row is the work of one row of an even share of the active units.
-func modelRow(cfg *Config, probe *compile.Exec, slaves int) (time.Duration, error) {
-	lo, hi := probe.InitialLo, probe.InitialHi
-	perSlaveUnits := (hi - lo + slaves - 1) / slaves
-	rowFlops := probe.FlopsPerUnit * float64(perSlaveUnits)
-	return time.Duration(rowFlops * float64(cfg.FlopCost)), nil
 }
 
 // SequentialTime estimates the sequential execution time of the program on

@@ -31,16 +31,11 @@ var ErrNoSurvivors = errors.New("dlb: recovery impossible: no surviving slaves")
 
 // Prepared is the instantiation both sides of a distributed run must agree
 // on: the same plan, parameters, strip-mining grain and compile options
-// (including a measured hook cost) yield the same phase schedule — and
-// hence the same plan hash — everywhere.
+// yield the same phase schedule — and hence the same plan hash —
+// everywhere.
 type Prepared struct {
 	Exec  *compile.Exec
 	Grain int
-	// Opts is the resolved compile.Options actually used: if Prepare
-	// rebased HookCostFlops on measured kernel speed, transports must ship
-	// this resolved value to slaves instead of the caller's zero, or the
-	// two sides would instantiate different hook schedules.
-	Opts compile.Options
 
 	// tier and native are LoadNative's answer: the resolved tier ("" until
 	// then) and, on the aot tier, the native kernels.
@@ -48,11 +43,14 @@ type Prepared struct {
 	native *aotBundle
 }
 
-// Prepare instantiates cfg.Plan for a real (wall-clock) environment with
-// the startup grain measurement RunReal uses: time one strip row, size
-// blocks to grainFactor × RealQuantum (§4.4). cfg.ForcedGrain overrides
-// the measurement — the master ships its computed grain to slaves, which
-// re-instantiate with exactly that value. A Config no entry point would
+// Prepare instantiates cfg.Plan for a real (wall-clock) environment. It
+// runs no program code: the plan's shape is a function of the plan, costed
+// at the VM's rate vmRate — strip blocks sized to grainFactor × RealQuantum
+// from the modelled cost of one strip row (§4.4), and an unpinned
+// HookCostFlops resolved to wallHookCostFlops (§4.2) — so every process
+// that prepares the same Config gets the same grain, hook level and tier.
+// cfg.ForcedGrain overrides the grain: the master ships its grain to
+// slaves, which do not know its RealQuantum. A Config no entry point would
 // run (no plan, an unknown mode string, faults without DLB) is refused
 // here, which is where both sides of a transport handshake find out.
 func Prepare(cfg Config, slaves int) (*Prepared, error) {
@@ -64,13 +62,13 @@ func Prepare(cfg Config, slaves int) (*Prepared, error) {
 		return nil, fmt.Errorf("dlb: need at least one slave")
 	}
 	if cfg.CompileOpts.HookCostFlops <= 0 {
-		cfg.CompileOpts.HookCostFlops = realHookCostFlops()
+		cfg.CompileOpts.HookCostFlops = wallHookCostFlops
 	}
 	quantum := cfg.RealQuantum
 	if quantum <= 0 {
 		quantum = 10 * time.Millisecond
 	}
-	return instantiate(&cfg, slaves, quantum, measureRealRow)
+	return instantiate(&cfg, slaves, quantum, 1e9/vmRate)
 }
 
 // RunMasterOn drives the master over an arbitrary endpoint. initial is the

@@ -13,6 +13,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/loopir"
+	"repro/internal/testutil/leak"
 	"repro/internal/vtime"
 )
 
@@ -302,9 +303,7 @@ func TestSimSlaveBugFailsRun(t *testing.T) {
 	if !strings.Contains(string(pp.Stack), "execOwnerBlock") {
 		t.Errorf("stack does not reach the bug:\n%s", pp.Stack)
 	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after Run, %d before", n, base)
-	}
+	leak.Settle(t, base)
 }
 
 // TestRealSlaveBugFailsRun is the same contract on RunReal: a slave
@@ -423,6 +422,54 @@ func TestBadConfigIsATypedErrorEverywhere(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("%s, %s: no answer in 10 s (something was spawned and is waiting)", entry, what)
 			}
+		}
+	}
+}
+
+// TestWallPlanShape: a wall-clock plan's shape is a function of the plan.
+// Prepare runs no program code and costs every decision at vmRate, so two
+// calls agree on the grain, the hook level, the phase count and the tier
+// the gate picks, and each benchmark shape lands where it is pinned here:
+// sor's strip blocks exceed its 510-iteration inner loop at 512 × 24, so
+// each sweep is one block, and the stencil and the matrix products are
+// not strip-mined and keep their hooks at level 0.
+func TestWallPlanShape(t *testing.T) {
+	type shape struct {
+		grain, level, phases int
+		tier                 string
+	}
+	ms2 := 2 * time.Millisecond
+	for _, c := range []struct {
+		name, prog string
+		params     map[string]int
+		slaves     int
+		quantum    time.Duration
+		want       shape
+	}{
+		{"dlbrun sor", "sor", map[string]int{"n": 512, "maxiter": 24}, 2, 0, shape{1260, 1, 24, KernelVM}},
+		{"dlbrun sor P=1", "sor", map[string]int{"n": 128, "maxiter": 12}, 1, 0, shape{2551, 1, 12, KernelVM}},
+		{"real_mm_drag", "mm", map[string]int{"n": 384}, 2, ms2, shape{1, 0, 384, KernelAOT}},
+		{"tcp_jacobi_aot", "jacobi", map[string]int{"n": 512, "maxiter": 1500}, 2, ms2, shape{1, 0, 1500, KernelAOT}},
+		{"svc_mix mm", "mm", map[string]int{"n": 96}, 1, ms2, shape{1, 0, 96, KernelVM}},
+		{"svc_mix lu", "lu", map[string]int{"n": 160}, 2, ms2, shape{1, 0, 160, KernelVM}},
+		{"svc_mix mm P=2", "mm", map[string]int{"n": 128}, 2, ms2, shape{1, 0, 128, KernelVM}},
+		{"svc_mix sor", "sor", map[string]int{"n": 128, "maxiter": 12}, 1, ms2, shape{510, 1, 12, KernelVM}},
+	} {
+		cfg := Config{Plan: planFor(t, c.prog), Params: c.params, DLB: true, RealQuantum: c.quantum}
+		prepare := func() shape {
+			pre := mustPrepare(t, cfg, c.slaves)
+			tier := KernelVM
+			if nativePays(pre.Exec.TotalFlops) {
+				tier = KernelAOT
+			}
+			return shape{pre.Grain, pre.Exec.ActiveLevel, len(pre.Exec.Phases), tier}
+		}
+		got := prepare()
+		if again := prepare(); again != got {
+			t.Errorf("%s: two Prepares disagree: %+v then %+v", c.name, got, again)
+		}
+		if got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
 }

@@ -209,10 +209,11 @@ func (l *launch) finish(eng *engine, elapsed time.Duration) (*Result, error) {
 // instantiate picks the strip-mining grain and instantiates the plan with
 // it: once at grain 1 to estimate per-unit cost, then — blocks sized to
 // grainFactor × quantum from the cost of one strip row (§4.4) — again, so
-// the phase schedule reflects the strip-mined structure. rowCost is all
-// that differs between environments: the FlopCost model on the simulator,
-// a timed sweep on wall clock. cfg.ForcedGrain overrides it.
-func instantiate(cfg *Config, slaves int, quantum time.Duration, rowCost func(cfg *Config, probe *compile.Exec, slaves int) (time.Duration, error)) (*Prepared, error) {
+// the phase schedule reflects the strip-mined structure. flopNs, the time
+// of one flop in nanoseconds, is all that differs between environments:
+// FlopCost on the simulator, 1/vmRate on wall clock. cfg.ForcedGrain
+// overrides the grain.
+func instantiate(cfg *Config, slaves int, quantum time.Duration, flopNs float64) (*Prepared, error) {
 	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, cfg.CompileOpts)
 	if err != nil {
 		return nil, err
@@ -222,16 +223,21 @@ func instantiate(cfg *Config, slaves int, quantum time.Duration, rowCost func(cf
 		if cfg.ForcedGrain > 0 {
 			grain = cfg.ForcedGrain
 		} else {
-			row, err := rowCost(cfg, probe, slaves)
-			if err != nil {
-				return nil, err
-			}
-			grain = core.GrainSize(row, quantum, grainFactor)
+			grain = core.GrainSize(modelRow(probe, slaves, flopNs), quantum, grainFactor)
 		}
 	}
 	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, cfg.CompileOpts)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Exec: exec, Grain: grain, Opts: cfg.CompileOpts}, nil
+	return &Prepared{Exec: exec, Grain: grain}, nil
+}
+
+// modelRow is the cost of one strip row: the work of one row of an even
+// share of the active units, at flopNs nanoseconds per flop.
+func modelRow(probe *compile.Exec, slaves int, flopNs float64) time.Duration {
+	lo, hi := probe.InitialLo, probe.InitialHi
+	perSlaveUnits := (hi - lo + slaves - 1) / slaves
+	rowFlops := probe.FlopsPerUnit * float64(perSlaveUnits)
+	return time.Duration(rowFlops * flopNs)
 }

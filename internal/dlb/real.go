@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compile"
-	"repro/internal/loopir"
 )
 
 // RunReal executes the plan for real: master and slaves are goroutines
@@ -27,8 +25,8 @@ func RunReal(cfg Config, slaves int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The wall-clock instantiation (§4.4 startup measurement, hook cost
-	// rebased on measured kernel speed) shared with the TCP transport.
+	// The wall-clock instantiation (grain and hook cost from vmRate)
+	// shared with the TCP transport.
 	pre, err := Prepare(*l.cfg, slaves)
 	if err != nil {
 		return nil, err
@@ -98,37 +96,4 @@ func RunReal(cfg Config, slaves int) (*Result, error) {
 		l.res.Usage = append(l.res.Usage, cluster.Usage{BusyElapsed: ep.Busy(), AppCPU: ep.Busy()})
 	}
 	return l.finish(eng, time.Since(net.start))
-}
-
-// measureRealRow times one pipelined strip row of a single slave's share
-// by running the sequential program once on a scratch instance (through
-// the same kernel-first path the slaves execute, so strip blocks are sized
-// to kernel speed, not interpreter speed) and scaling by iteration counts.
-func measureRealRow(cfg *Config, probe *compile.Exec, slaves int) (time.Duration, error) {
-	scratch, err := loopir.NewInstance(cfg.Plan.Prog, cfg.Params)
-	if err != nil {
-		return 0, err
-	}
-	// The cost of one strip row ≈ per-unit flops x (active units / slaves):
-	// run one full sweep of the program body and divide by the total rows.
-	t0 := time.Now()
-	if err := scratch.Run(); err != nil {
-		return 0, err
-	}
-	total := time.Since(t0)
-	totalUnitExecs := probe.TotalFlops / probe.FlopsPerUnit
-	if totalUnitExecs < 1 {
-		totalUnitExecs = 1
-	}
-	perUnit := time.Duration(float64(total) / totalUnitExecs)
-	lo, hi := probe.InitialLo, probe.InitialHi
-	units := hi - lo
-	if units < 1 {
-		units = 1
-	}
-	row := perUnit * time.Duration((units+slaves-1)/slaves)
-	if row <= 0 {
-		row = time.Microsecond
-	}
-	return row, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/loopir"
+	"repro/internal/testutil/leak"
 )
 
 // TestKernelTierDifferential runs every library program on both kernel
@@ -211,7 +212,5 @@ func TestAOTUnavailableFailsBeforeSpawn(t *testing.T) {
 			t.Fatalf("%s: no answer in 10 s (something was spawned and is waiting)", entry)
 		}
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines %d -> %d: a failed aot build left something running", before, after)
-	}
+	leak.Settle(t, before) // a failed aot build left nothing running
 }

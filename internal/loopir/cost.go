@@ -1,66 +1,11 @@
 package loopir
 
-import (
-	"sync"
-	"time"
-)
-
-// This file provides the static cost model the compiler uses for hook
-// placement (paper §4.2: place the hook at the deepest level where its cost
-// is a negligible fraction of the enclosed work) and for grain-size and
-// calibration decisions.
-
-var (
-	kernelRateOnce sync.Once
-	kernelRateVal  float64
-)
-
-// KernelRate reports the measured execution rate of the compiled-kernel
-// path, in model flops per second, by timing a small kernel once per
-// process and caching the result. The real and TCP runtimes use it to
-// rebase ratio-style constants (the §4.2 <1% hook rule, the adaptive
-// balancing period) on actual kernel speed instead of the tree-walking
-// interpreter's: a per-visit cost that was negligible against interpreted
-// iterations is an order of magnitude more visible against compiled ones.
-//
-// It is the VM's scalar rate: the calibration kernel (rateKernel) is sor,
-// whose sweep the strip batcher refuses, so the rate neither depends on
-// which loops batch nor moves hook placement when they do. A batched nest
-// runs 4–8× faster than this rate says.
-func KernelRate() float64 {
-	kernelRateOnce.Do(func() {
-		kernelRateVal = 1e9 // conservative fallback if calibration fails
-		k, flops, err := rateKernel()
-		if err != nil {
-			return
-		}
-		k.Run(nil) // warm caches and the exec pool
-		const runs = 3
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			k.Run(nil)
-		}
-		if sec := time.Since(start).Seconds(); sec > 0 {
-			kernelRateVal = runs * flops / sec
-		}
-	})
-	return kernelRateVal
-}
-
-// rateKernel compiles KernelRate's calibration kernel, sor at n=96 for 4
-// sweeps, and returns it with its exact flops.
-func rateKernel() (*Kernel, float64, error) {
-	params := map[string]int{"n": 96, "maxiter": 4}
-	in, err := NewInstance(SOR(), params)
-	if err != nil {
-		return nil, 0, err
-	}
-	k, err := in.CompileKernel(in.Prog.Body)
-	if err != nil {
-		return nil, 0, err
-	}
-	return k, float64(ExactFlops(in.Prog.Body, params)), nil
-}
+// This file provides the static cost model: flop counts of statement
+// lists, which the compiler uses for hook placement (paper §4.2: place the
+// hook at the deepest level where its cost is a negligible fraction of the
+// enclosed work) and the runtime for grain sizing and the tier gate. A
+// flop count becomes a time only at one rate, dlb's vmRate on wall clock
+// and FlopCost on the simulator; nothing here reads a clock.
 
 func exprOps(e Expr) int {
 	switch e := e.(type) {

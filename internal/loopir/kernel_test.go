@@ -1,7 +1,6 @@
 package loopir
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -120,28 +119,6 @@ func TestRangeKernelLibraryEquivalence(t *testing.T) {
 // the interpreter on random programs (randProgram, quick_test.go).
 func TestQuickKernelEquivalence(t *testing.T) {
 	quickVsInterpreter(t, func(fast *Instance, _ int) error { return fast.Run() })
-}
-
-// TestKernelRate sanity-checks the calibration: a positive, cached rate,
-// measured on a kernel whose every loop runs scalar, so that KernelRate
-// stays the VM's scalar rate whatever the strip batcher accepts.
-func TestKernelRate(t *testing.T) {
-	k, _, err := rateKernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range stripPlans(k) {
-		if !strings.HasSuffix(p, " scalar") {
-			t.Errorf("the calibration kernel batches: %v", stripPlans(k))
-		}
-	}
-	r1 := KernelRate()
-	if r1 <= 0 {
-		t.Fatalf("KernelRate = %g, want > 0", r1)
-	}
-	if r2 := KernelRate(); r2 != r1 {
-		t.Errorf("KernelRate not cached: %g then %g", r1, r2)
-	}
 }
 
 // BenchmarkKernel compares the in-process executors — interpreter and

@@ -67,7 +67,6 @@ func TestCachedPlanSharedBySessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.CompileOpts = pre.Opts
 	shipped, cached, err := configFromSpec(shared, specFromConfig(cfg, pre.Grain, time.Second))
 	if err != nil || !cached {
 		t.Fatalf("the sessions' plan is not in the cache under the shipped content: cached %v, err %v", cached, err)

@@ -85,7 +85,6 @@ func TestRejectPlanHashMismatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.CompileOpts = pre.Opts // what RunMaster ships
 			if warm {
 				if _, err := RunMaster(cfg, addrs, MasterOptions{Prepared: pre}); err != nil {
 					t.Fatal(err)

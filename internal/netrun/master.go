@@ -29,11 +29,10 @@ type MasterOptions struct {
 	OnListen func(addr string)
 	Timeouts Timeouts
 	// Prepared, when set, skips the Prepare step: the caller supplies the
-	// instantiation (typically from a plan cache) whose grain and resolved
-	// compile options this run must reuse. Required for resumed runs — a
-	// checkpoint replays only under the phase schedule it was cut with —
-	// and the reason resubmitted plans hash identically (grain measurement
-	// is timing-dependent; a cached Prepared pins it).
+	// instantiation (typically from a plan cache) whose phase schedule this
+	// run reuses. Required for resumed runs — a checkpoint replays only
+	// under the phase schedule it was cut with — and it saves a cached
+	// plan its two instantiations.
 	Prepared *dlb.Prepared
 	// Logf receives transport events (nil: silent).
 	Logf func(format string, args ...interface{})
@@ -98,10 +97,6 @@ func RunMaster(cfg dlb.Config, slaveAddrs []string, opt MasterOptions) (*dlb.Res
 			return nil, err
 		}
 	}
-	// Ship the resolved compile options: Prepare may have rebased the hook
-	// cost on measured kernel speed, and slaves must instantiate with the
-	// same value or their plan hashes (phase schedules) would diverge.
-	cfg.CompileOpts = pre.Opts
 	hbEvery := fault.NewDetector(cfg.Detect, 1).Config().HeartbeatEvery
 	m := &netMaster{
 		opt:   opt,

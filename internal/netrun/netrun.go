@@ -158,9 +158,10 @@ func PlanHash(plan *compile.Plan, exec *compile.Exec, params map[string]int, gra
 }
 
 // specFromConfig builds the wire RunSpec a slave daemon needs to
-// reconstruct the run. grain is the master's measured strip-mining grain;
-// slaves instantiate with exactly it (ForcedGrain) so every process shares
-// one phase schedule.
+// reconstruct the run. grain is the master's strip-mining grain, sized
+// from its RealQuantum, which a slave does not know; slaves instantiate
+// with exactly it (ForcedGrain) so every process shares one phase
+// schedule.
 func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSpec {
 	params := map[string]int{}
 	for k, v := range cfg.Params {

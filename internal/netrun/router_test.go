@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dlb"
 	"repro/internal/dlb/wire"
+	"repro/internal/testutil/leak"
 )
 
 // crossDialed builds what two slaves that dialed each other for the same
@@ -63,18 +64,6 @@ func closeBoth(t *testing.T, a, b *router) {
 	}
 }
 
-// settlesTo waits for the goroutine count to come back down to base.
-func settlesTo(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before the routers existed: a reader or writer outlived close", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestCrossAttachKeepsFIFO: when a second connection to a peer appears
 // mid-stream, everything one router sends that peer still arrives in the
 // order it was sent. Each router queues 1 500 frames before its second
@@ -107,7 +96,7 @@ func TestCrossAttachKeepsFIFO(t *testing.T) {
 			}
 		}
 		closeBoth(t, a, b)
-		settlesTo(t, base)
+		leak.Settle(t, base)
 	}
 }
 
@@ -123,5 +112,5 @@ func TestCloseWithConnectionOrphanedOnBothEnds(t *testing.T) {
 		t.Fatalf("received unit %d, want 7", got)
 	}
 	closeBoth(t, a, b)
-	settlesTo(t, base)
+	leak.Settle(t, base)
 }

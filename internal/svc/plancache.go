@@ -14,11 +14,10 @@ import (
 )
 
 // planEntry is one compiled, instantiated plan: everything a run reuses.
-// Pinning the Prepared (grain + resolved compile options) is what gives a
-// resubmission the plan hash of the first submission — the grain
-// measurement is timing-dependent, so instantiating per run would hash
-// differently — and what lets a preempted job resume under the phase
-// schedule its checkpoint was cut with.
+// Keeping the Prepared saves a resubmission its two instantiations and
+// lets a preempted job resume under the very phase schedule its checkpoint
+// was cut with. It is a memo for cost, not a pin: Prepare is a function of
+// the plan, so a resubmission would hash identically without it.
 type planEntry struct {
 	plan *compile.Plan
 	pre  *dlb.Prepared
@@ -28,7 +27,7 @@ type planEntry struct {
 // program text and directive — Compile reads no run parameter, so every
 // size and slave count of a program shares it. prepared holds what does
 // depend on the run: the plan instantiated at (params, slaves, tier) with
-// its measured grain. Both synchronize themselves and compute once per key,
+// its grain. Both synchronize themselves and compute once per key,
 // so lookups run outside the Service's mutex.
 type planCache struct {
 	compiled *compile.Cache
@@ -76,7 +75,7 @@ func specKey(spec JobSpec) string {
 }
 
 // lookup compiles and instantiates spec (or returns the cached entry).
-// cfgFor builds the run Config the instantiation must measure under.
+// cfgFor builds the run Config the plan is instantiated under.
 func (c *planCache) lookup(spec JobSpec, cfgFor func(*compile.Plan) dlb.Config) (*planEntry, error) {
 	e, _, err := c.prepared.Do(specKey(spec), func() (*planEntry, error) {
 		plan, _, err := c.compiled.Compile(spec.Program, compile.Options{

@@ -162,8 +162,9 @@ func (s *Service) refusal(tenant string) error {
 }
 
 // plan resolves spec's cache entry. It runs without s.mu — the plan cache
-// synchronizes itself — so a miss (parse, compile, Prepare's grain
-// measurement) stalls neither the scheduler nor status polls nor /statsz.
+// synchronizes itself — so a miss (parse, compile, Prepare's two
+// instantiations) stalls neither the scheduler nor status polls nor
+// /statsz.
 func (s *Service) plan(spec JobSpec) (*planEntry, error) {
 	return s.plans.lookup(spec, func(p *compile.Plan) dlb.Config { return s.cfgFor(p, spec) })
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testutil/leak"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -348,9 +350,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		if unwound != 2 {
 			t.Errorf("%s: %d of 2 processes ran their defers", c.name, unwound)
 		}
-		if n := runtime.NumGoroutine(); n != base {
-			t.Errorf("%s: %d goroutines after Run, %d before", c.name, n, base)
-		}
+		leak.Settle(t, base)
 	}
 }
 
