@@ -234,10 +234,10 @@ func TestRegionKernelMatchesVM(t *testing.T) {
 }
 
 // TestOutOfRangePanicsWithTheEmittersMessage: a native region kernel run
-// over a range that runs past its arrays stops at the emitter's hoisted
-// check, which names the array, before any access or reslice of that
-// loop: a runtime bounds error would name neither the array nor the
-// kernel.
+// over a range that runs past its arrays stops at the emitter's entry
+// check of the distributed variable against its hull, which names the
+// variable and the hull, before any access or reslice of that loop: a
+// runtime bounds error would name neither.
 func TestOutOfRangePanicsWithTheEmittersMessage(t *testing.T) {
 	p := loopir.Library()["jacobi"]
 	params := testParams(p, 16)
@@ -254,7 +254,7 @@ func TestOutOfRangePanicsWithTheEmittersMessage(t *testing.T) {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "dlbaot: access to \"") || !strings.HasSuffix(msg, "\" out of range") {
+				if msg != fmt.Sprintf("dlbaot: variable \"i\" out of range [1,%d]", n-2) {
 					t.Errorf("Run(%d, %d) on n=%d panicked with %q, want the emitter's out-of-range message", r.lo, r.hi, n, msg)
 				}
 			}()

@@ -25,14 +25,6 @@ import (
 var innerLoopChecks = []struct{ row, reason string }{
 	{"mm j: d1[o2]", "b[k][j] steps by n beside the window of the unit-step a[i][k]"},
 	{"mm whole: d1[o2]", "b[k][j] steps by n beside the window of the unit-step a[i][k]"},
-	{"threshold-relax j: d0[o1]", "conditional site: read only when the guard holds"},
-	{"threshold-relax j: d0[o2]", "conditional site: read only when the guard holds"},
-	{"threshold-relax j: d0[o3]", "conditional site: read only when the guard holds"},
-	{"threshold-relax j: d0[o4]", "conditional site: read only when the guard holds"},
-	{"threshold-relax whole: d0[o1]", "conditional site: read only when the guard holds"},
-	{"threshold-relax whole: d0[o2]", "conditional site: read only when the guard holds"},
-	{"threshold-relax whole: d0[o3]", "conditional site: read only when the guard holds"},
-	{"threshold-relax whole: d0[o4]", "conditional site: read only when the guard holds"},
 }
 
 // TestEmittedInnerLoopsBoundsCheckFree compiles the emitted kernels.go of

@@ -96,6 +96,61 @@ func (a Affine) Offset(v string) (delta int, ok bool) {
 	return 0, false
 }
 
+// ival is an integer range [lo, hi] for the kernel compiler's bounds
+// proof; the zero value, !ok, is unknown.
+type ival struct {
+	lo, hi int
+	ok     bool
+}
+
+// rangeOf is the range of a when each variable v ranges over of[v],
+// unknown if any variable's range is.
+func (a Affine) rangeOf(of map[string]ival) ival {
+	r := ival{a.Const, a.Const, true}
+	for _, t := range a.Terms {
+		v := of[t.Var]
+		if !v.ok {
+			return v
+		}
+		lo, hi := t.Coef*v.lo, t.Coef*v.hi
+		r.lo, r.hi = r.lo+min(lo, hi), r.hi+max(lo, hi)
+	}
+	return r
+}
+
+// loopRange is the range of a loop variable over [lo, hi): [min lo,
+// max hi − 1], unknown for a loop that never runs.
+func loopRange(lo, hi Affine, of map[string]ival) ival {
+	l, h := lo.rangeOf(of), hi.rangeOf(of)
+	return ival{l.lo, h.hi - 1, l.ok && h.ok && l.lo < h.hi}
+}
+
+// hulls gives each loop variable of the program its hull: the union, over
+// every loop of that name, of its loopRange with the enclosing loops at
+// theirs (cur: no loop shadows another, so the last loop of a name the
+// walk met is the enclosing one). A bound AffineOf refuses, an
+// index-array read, leaves the name's hull unknown.
+func (in *Instance) hulls() map[string]ival {
+	cur, out := map[string]ival{}, map[string]ival{}
+	Walk(in.Prog.Body, func(s Stmt, _ []*Loop) error {
+		l, ok := s.(*Loop)
+		if !ok {
+			return nil
+		}
+		lo, err1 := AffineOf(l.Lo, in.Params)
+		hi, err2 := AffineOf(l.Hi, in.Params)
+		r := loopRange(lo, hi, cur)
+		r.ok = r.ok && err1 == nil && err2 == nil
+		cur[l.Var] = r
+		if h, seen := out[l.Var]; seen {
+			r = ival{min(h.lo, r.lo), max(h.hi, r.hi), h.ok && r.ok}
+		}
+		out[l.Var] = r
+		return nil
+	})
+	return out
+}
+
 // lin is the register form of an affine form, the one the VM and the Go
 // emitter execute: c + Σ coef·reg over the kernel's register file, terms
 // sorted by register.
@@ -136,11 +191,19 @@ func (kc *kcompiler) regFor(name string) int {
 }
 
 // lin converts an affine form to register form: registers are assigned in
-// term order, then the terms are sorted by register.
+// term order, then the terms are sorted by register. A loop of the kernel
+// takes its register before its body converts anything, so a variable
+// first met here is free; the proof takes its hull on trust, and each call
+// checks it.
 func (kc *kcompiler) lin(a Affine) lin {
 	out := lin{c: a.Const}
 	for _, t := range a.Terms {
-		out.terms = append(out.terms, linTerm{kc.regFor(t.Var), t.Coef})
+		_, seen := kc.regIndex[t.Var]
+		r := kc.regFor(t.Var)
+		if h := kc.hulls[t.Var]; !seen && h.ok {
+			kc.free = append(kc.free, hullCheck(r, t.Var, h, 0))
+		}
+		out.terms = append(out.terms, linTerm{r, t.Coef})
 	}
 	sort.Slice(out.terms, func(i, j int) bool { return out.terms[i].reg < out.terms[j].reg })
 	return out

@@ -3,7 +3,6 @@ package loopir
 import (
 	"fmt"
 	"go/format"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,23 +21,29 @@ import (
 // per array in EmittedKernel.Arrays order.
 //
 // The emitted code replicates the VM's execution order exactly — loop
-// entry test, strength-reduced offset initialization with hoisted endpoint
-// bounds checks, body / break / increment / advance sequencing — so its
-// floating-point results are bit-identical to Kernel.Run. Floating-point
-// constants are wrapped as float64(...) conversions: typed-constant
-// arithmetic rounds per operation like the runtime, whereas untyped
-// constant folding would round once at the end and could diverge from the
-// VM by an ULP.
+// entry test, entry checks, strength-reduced offset initialization, body /
+// break / increment / advance sequencing — so its floating-point results
+// are bit-identical to Kernel.Run. Floating-point constants are wrapped as
+// float64(...) conversions: typed-constant arithmetic rounds per operation
+// like the runtime, whereas untyped constant folding would round once at
+// the end and could diverge from the VM by an ULP.
+//
+// It prints the VM's one bounds rule (kernel.go): a proven subscript
+// carries no check, and every runtime check is one if statement comparing
+// one subscript with its dimension, or one variable with its hull, and
+// panicking with a message that names it — at a loop's entry for its two
+// endpoints, or at each access of a derived site. Go's own slice bounds
+// checks stay underneath.
 //
 // An innermost loop reads and writes each site that steps with it through
-// a window: a re-slice of exactly the elements its iterations touch,
-// indexed by a counter the Go compiler proves in range, so the loop
-// carries no bounds check but for conditional sites and sites of a second
-// stride, which keep the offset form. The same loads and stores in the
-// same order reach the same backing arrays, so windows change no result.
+// a window, a re-slice of exactly the elements its iterations touch,
+// indexed by a counter the Go compiler proves in range, and each step-0
+// site through a pointer, so the loop carries no bounds check but for
+// sites of a second stride, which keep the offset form. The same loads
+// and stores in the same order reach the same backing arrays, so windows
+// and pointers change no result.
 //
-// A kderive prints as := locals, rN registers and oN offsets, each
-// subscript checked by the kernel's one closure ix (no imports needed).
+// A kderive prints as := locals, rN registers and oN offsets.
 
 // EmittedKernel is one emitted Go kernel function plus the metadata a host
 // needs to call it: which storage slice goes in each data slot and which
@@ -87,15 +92,13 @@ type emitter struct {
 	loReg, hiReg int
 
 	body     strings.Builder
-	depth    int
 	loopSeq  int
 	regNames map[int]string // register -> Go expression
 	freeRegs map[int]string // free register -> source variable name (its FreeVars entry)
 	usedFree map[int]bool
 	arrayIdx map[string]int // array name -> data[] slot
 	arrays   []string
-	win      map[int32]bool // sites the current innermost loop indexes through windows
-	ix       bool           // the body calls the range-check closure ix
+	win      map[int32]string // the current innermost loop's window and pointer accesses
 }
 
 func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
@@ -105,7 +108,7 @@ func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
 		freeRegs: map[int]string{},
 		usedFree: map[int]bool{},
 		arrayIdx: map[string]int{},
-		win:      map[int32]bool{},
+		win:      map[int32]string{},
 	}
 	// Stable array order: by name.
 	seen := map[string]bool{}
@@ -145,8 +148,8 @@ func newEmitter(k *Kernel, kc *kcompiler, loReg, hiReg int) *emitter {
 }
 
 // goReserved guards loop-variable names against the emitted scaffolding
-// (lo, hi, regs, data, dN/oN/tN/wN/loN/hiN/rN locals, the check temporary
-// e, the window counter x, the range check ix) and Go's keywords and
+// (lo, hi, regs, data, dN/oN/pN/wN/loN/hiN/rN locals, the check temporary
+// e, the window counter x) and Go's keywords and
 // predeclared identifiers a kernel body could plausibly collide with.
 var goReserved = map[string]bool{
 	"break": true, "case": true, "chan": true, "const": true,
@@ -157,7 +160,6 @@ var goReserved = map[string]bool{
 	"select": true, "struct": true, "switch": true, "type": true,
 	"var": true, "len": true, "panic": true, "int": true, "float64": true,
 	"lo": true, "hi": true, "regs": true, "data": true, "e": true, "x": true,
-	"ix": true,
 }
 
 func sanitizeVar(name string) string {
@@ -173,8 +175,8 @@ func sanitizeVar(name string) string {
 		}
 	}
 	if ok {
-		// dN, oN, tN, wN, loN, hiN, rN are scaffolding names.
-		for _, p := range []string{"d", "o", "t", "w", "lo", "hi", "r"} {
+		// dN, oN, pN, wN, loN, hiN, rN are scaffolding names.
+		for _, p := range []string{"d", "o", "p", "w", "lo", "hi", "r"} {
 			if rest, found := strings.CutPrefix(name, p); found && rest != "" && isDigits(rest) {
 				ok = false
 				break
@@ -209,8 +211,7 @@ func isDigits(s string) bool {
 func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 	// Emit the body first (into em.body) so the prologue can bind only the
 	// free variables the rendered expressions actually use.
-	em.depth = 1
-	em.preps(em.k.rootPreps, "")
+	em.enter(em.k.rootChecks, em.k.rootPreps, "")
 	em.stmts(em.k.code)
 
 	var freeIdx []int
@@ -242,9 +243,6 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 		fmt.Fprintf(&b, "\t%s := regs[%d] // free variable\n", em.regNames[r], i)
 		ek.FreeVars = append(ek.FreeVars, em.freeRegs[r])
 	}
-	if em.ix {
-		b.WriteString("\tix := func(v, n int, msg string) int {\n\t\tif v < 0 || v >= n {\n\t\t\tpanic(msg)\n\t\t}\n\t\treturn v\n\t}\n")
-	}
 	b.WriteString(em.body.String())
 	b.WriteString("}\n")
 	// Canonicalize: gofmt tightens spacing around higher-precedence
@@ -257,10 +255,8 @@ func (em *emitter) emit(name, doc string) (*EmittedKernel, error) {
 	return ek, nil
 }
 
+// p prints one line of the body; emit's gofmt pass indents it.
 func (em *emitter) p(format string, args ...interface{}) {
-	for i := 0; i < em.depth; i++ {
-		em.body.WriteByte('\t')
-	}
 	fmt.Fprintf(&em.body, format, args...)
 	em.body.WriteByte('\n')
 }
@@ -300,9 +296,9 @@ func isSimpleOperand(s string) bool {
 }
 
 // loop emits one counted loop in the VM's exact sequencing: entry test,
-// loop variable initialized to lo, offsets prepped (with hoisted endpoint
-// checks), then body / break test / increment / exit test / offset
-// advances per iteration. An innermost loop with windows (see windows)
+// loop variable initialized to lo, entry checks, offsets prepped, then
+// body / break test / increment / exit test / offset advances per
+// iteration. An innermost loop with windows (see windows)
 // iterates a counter over its first window instead; every other site
 // advances its offset at the end of the body.
 func (em *emitter) loop(l *kloop) {
@@ -319,18 +315,10 @@ func (em *emitter) loop(l *kloop) {
 		em.p("%s := %s", hiV, hiS)
 	}
 	em.p("if %s > %s {", hiV, loV)
-	em.depth++
 	v := em.regNames[l.reg]
 	em.p("%s := %s", v, loV)
-	trip := ""
-	for _, pr := range l.preps {
-		if pr.hoist && (pr.step != 0 || slices.ContainsFunc(pr.dims, func(d kdim) bool { return d.step != 0 })) {
-			trip = fmt.Sprintf("t%d", id)
-			em.p("%s := %s - %s", trip, hiV, loV)
-			break
-		}
-	}
-	em.preps(l.preps, trip)
+	trip := fmt.Sprintf("(%s - %s)", hiV, loV)
+	em.enter(l.checks, l.preps, trip)
 	first, step := em.windows(l, trip)
 	switch {
 	case first == "":
@@ -340,89 +328,72 @@ func (em *emitter) loop(l *kloop) {
 	default:
 		em.p("for x := uint(0); x < uint(len(%s)); x += %d {", first, step)
 	}
-	em.depth++
 	em.stmts(l.body)
 	if l.brk != nil {
-		em.p("if %s {", em.cond(l.brk))
-		em.depth++
-		em.p("break")
-		em.depth--
-		em.p("}")
+		em.p("if %s { break }", em.cond(l.brk)) // gofmt (emit) spreads it over lines
 	}
 	if first == "" {
 		em.p("%s++", v)
-		em.p("if %s >= %s {", v, hiV)
-		em.depth++
-		em.p("break")
-		em.depth--
-		em.p("}")
+		em.p("if %s >= %s { break }", v, hiV)
 	}
 	for _, a := range l.advs {
-		switch {
-		case em.win[a.site]: // its window moves with x
-		case a.step == 1:
-			em.p("o%d++", a.site)
-		case a.step == -1:
-			em.p("o%d--", a.site)
-		case a.step > 0:
+		if em.win[a.site] == "" { // a window moves with x
 			em.p("o%d += %d", a.site, a.step)
-		default:
-			em.p("o%d -= %d", a.site, -a.step)
 		}
 	}
 	clear(em.win)
-	em.depth--
 	em.p("}")
-	em.depth--
 	em.p("}")
 }
 
-// windows gives an innermost loop one window per hoisted site that steps
-// by the loop's step s, the first positive hoisted step: wN := dX[oN :
+// windows gives an innermost loop one window per site that steps by the
+// loop's step s, its first positive site step: wN := dX[oN :
 // oN+s*(t-1)+1], the elements the loop's t iterations touch, each tied
 // to the first window's length. The loop then counts x over the first
 // window by s and indexes wN[x], which the compiler's prove pass shows in
 // range, so those accesses pay no bounds check. For s > 1 the counter is
 // unsigned: prove cannot rule out that a signed x += s wraps negative,
-// and x < uint(len(wF)) is the very comparison a bounds check makes.
+// and x < uint(len(wF)) is the very comparison a bounds check makes. Each
+// step-0 site gets a pointer, pN := &dX[oN], whose bounds Go checks once;
+// the loop reads and writes *pN.
 //
-// It runs after preps, so a range the hoisted checks refuse panics with
-// their message before any reslice. Step-0 sites keep dX[oN], already
-// proved by their hoisted check; conditional sites, other steps and
-// negative steps keep the offset form. It returns the first window and s,
-// or "" when the loop keeps the offset form throughout, as it does when
-// its body derives: x does not advance the loop variable that reads.
+// Every subscript of a site is proven or checked at entry, so each window
+// and pointer lies inside its array; they follow the entry checks, so a
+// range those refuse panics with their message first. Other steps keep
+// the offset form. It returns the first window and s, or "" when the loop
+// keeps the offset form throughout, as it does when its body derives: x
+// does not advance the loop variable that reads.
 func (em *emitter) windows(l *kloop, trip string) (string, int) {
-	if holds[*kloop](l.body) || holds[kderive](l.body) {
+	if holds[*kloop](l.body) {
 		return "", 0
 	}
 	step := 0
-	for _, pr := range l.preps {
-		if pr.hoist && pr.step > 0 {
-			step = pr.step
+	for _, s := range l.preps {
+		if st := em.k.sites[s].step; st > 0 && !holds[kderive](l.body) {
+			step = st
 			break
 		}
-	}
-	if step == 0 {
-		return "", 0
 	}
 	end := trip
 	if step != 1 {
 		end = fmt.Sprintf("%d*(%s-1)+1", step, trip)
 	}
 	first := ""
-	for _, pr := range l.preps {
-		if !pr.hoist || pr.step != step {
-			continue
+	for _, s := range l.preps {
+		switch em.k.sites[s].step {
+		case 0:
+			em.p("p%d := &%s[o%d]", s, em.data(s), s)
+			em.win[s] = fmt.Sprintf("*p%d", s)
+		case step:
+			w := fmt.Sprintf("w%d", s)
+			em.p("%s := %s[o%d : o%d+%s]", w, em.data(s), s, s, end)
+			if first == "" {
+				first = w
+			} else {
+				em.p("%s = %s[:len(%s)]", w, w, first)
+			}
+			em.win[s] = w + "[x]"
 		}
-		w := fmt.Sprintf("w%d", pr.site)
-		em.p("%s := %s[o%d : o%d+%s]", w, em.data(pr.site), pr.site, pr.site, end)
-		if first == "" {
-			first = w
-		} else {
-			em.p("%s = %s[:len(%s)]", w, w, first)
-		}
-		em.win[pr.site] = true
 	}
 	return first, step
 }
@@ -440,76 +411,39 @@ func holds[T kinstr](code []kinstr) bool {
 	return false
 }
 
-// preps initializes each site's strength-reduced flat offset and emits the
-// hoisted endpoint bounds check: an affine offset is monotonic in the loop
-// variable, so checking the first and last iterations' offsets covers
-// every access. trip is the trip-count local ("" when every hoisted step
-// is 0, e.g. at the root where the implicit trip is 1). Under data-dependent
-// bounds ix checks each subscript first; windows need the flat check.
-func (em *emitter) preps(preps []kprep, trip string) {
-	for _, pr := range preps {
-		s := &em.k.sites[pr.site]
-		d := em.data(pr.site)
-		em.p("o%d := %s", pr.site, em.lin(s.flat))
-		if !pr.hoist {
+// enter emits a loop's entry checks, each of the first and, when it
+// steps, the last iteration's value, then initializes each site's
+// strength-reduced flat offset. trip is the trip count's expression (""
+// outside a loop, where the implicit trip is 1).
+func (em *emitter) enter(checks []kdim, preps []int32, trip string) {
+	for i := range checks {
+		d := &checks[i]
+		at := em.lin(d.at)
+		check := "if e := %s; e < 0 || e >= %d { panic(%q) }"
+		em.p(check, at, d.n, "dlbaot: "+d.msg)
+		if d.step != 0 && trip != "" {
+			em.p(check, fmt.Sprintf("%s + %d*(%s-1)", at, d.step, trip), d.n, "dlbaot: "+d.msg)
+		}
+	}
+	for _, s := range preps {
+		em.p("o%d := %s", s, em.lin(em.k.sites[s].flat))
+	}
+}
+
+// derive prints a kderive: rN := for each derived register, its checks
+// and oN := for each derived site's offset.
+func (em *emitter) derive(d kderive) {
+	for i := range d {
+		r := &d[i]
+		if r.site < 0 {
+			em.p("%s := (%s) * (%s)", em.reg(r.reg), em.lin(r.l), em.lin(r.r))
 			continue
 		}
-		for i, dm := range pr.dims {
-			em.ix = true
-			em.p("ix(%s, %d, %q)", em.lin(dm.at), dm.n, dimRange(s.name, i))
-			if dm.step != 0 && trip != "" {
-				em.p("ix(%s + %d*(%s-1), %d, %q)", em.lin(dm.at), dm.step, trip, dm.n, dimRange(s.name, i))
-			}
-		}
-		if pr.step == 0 || trip == "" {
-			em.p("if o%d < 0 || o%d >= len(%s) {", pr.site, pr.site, d)
-		} else {
-			step := strconv.Itoa(pr.step)
-			if pr.step < 0 {
-				step = "(" + step + ")"
-			}
-			em.p("if e := o%d + %s*(%s-1); o%d < 0 || o%d >= len(%s) || e < 0 || e >= len(%s) {",
-				pr.site, step, trip, pr.site, pr.site, d, d)
-		}
-		em.depth++
-		em.p("panic(%q)", fmt.Sprintf("dlbaot: access to %q out of range", s.name))
-		em.depth--
-		em.p("}")
-	}
-}
-
-// dimRange is ix's message for an out-of-range subscript.
-func dimRange(array string, dim int) string {
-	return fmt.Sprintf("dlbaot: access to %q out of range in dim %d", array, dim)
-}
-
-// derive prints a kderive: rN := for each derived register, oN := for
-// each derived site's offset.
-func (em *emitter) derive(d kderive) {
-	em.ix = true
-	for i := range d {
-		switch r := &d[i]; {
-		case r.arr == nil:
-			em.p("%s := (%s) * (%s)", em.reg(r.reg), em.lin(r.idx[0]), em.lin(r.idx[1]))
-		case r.reg >= 0:
-			em.p("%s := int(%s[%s])", em.reg(r.reg), em.data(r.site), em.offset(r))
-		default:
-			em.p("o%d := %s", r.site, em.offset(r))
+		em.enter(r.checks, []int32{r.site}, "")
+		if r.reg >= 0 {
+			em.p("%s := int(%s[o%d])", em.reg(r.reg), em.data(r.site), r.site)
 		}
 	}
-}
-
-// offset renders a derived reference's flat offset, each subscript
-// checked by ix.
-func (em *emitter) offset(r *kref) string {
-	terms := make([]string, len(r.idx))
-	for d, l := range r.idx {
-		terms[d] = fmt.Sprintf("ix(%s, %d, %q)", em.lin(l), r.arr.Dims[d], dimRange(r.arr.Name, d))
-		if s := r.arr.Stride[d]; s != 1 {
-			terms[d] += "*" + strconv.Itoa(s)
-		}
-	}
-	return strings.Join(terms, " + ")
 }
 
 func (em *emitter) assign(a *kassign) {
@@ -521,25 +455,21 @@ func (em *emitter) data(site int32) string {
 	return fmt.Sprintf("d%d", em.arrayIdx[em.k.sites[site].name])
 }
 
-// access renders one access to a site: its window at the counter, or its
-// array at its offset.
+// access renders one access to a site: its window at the counter, its
+// pointer, or its array at its offset.
 func (em *emitter) access(site int32) string {
-	if em.win[site] {
-		return fmt.Sprintf("w%d[x]", site)
+	if a := em.win[site]; a != "" {
+		return a
 	}
 	return fmt.Sprintf("%s[o%d]", em.data(site), site)
 }
 
 func (em *emitter) condStmt(f *kif) {
 	em.p("if %s {", em.cond(&f.cond))
-	em.depth++
 	em.stmts(f.then)
-	em.depth--
 	if len(f.els) > 0 {
 		em.p("} else {")
-		em.depth++
 		em.stmts(f.els)
-		em.depth--
 	}
 	em.p("}")
 }

@@ -102,7 +102,7 @@ func TestEmitJacobiSweepMetadata(t *testing.T) {
 	if !strings.Contains(ek.Src, "func Kernel0(lo, hi int, regs []int, data [][]float64)") {
 		t.Errorf("missing stable signature:\n%s", ek.Src)
 	}
-	for _, want := range []string{"w0 := d1[o0 : o0+t1]", "for x := range w0 {"} {
+	for _, want := range []string{"w0 := d1[o0 : o0+(15-1)]", "for x := range w0 {"} {
 		if !strings.Contains(ek.Src, want) {
 			t.Errorf("expected the inner loop's window form %q in:\n%s", want, ek.Src)
 		}

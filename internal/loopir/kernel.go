@@ -2,6 +2,7 @@ package loopir
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -20,15 +21,20 @@ import (
 //     per-element linear-form evaluation happens.
 //   - Loop variables live in a flat []int register file; free variables are
 //     bound once per Run call, never through a map in the inner loop.
-//   - Bounds checks are hoisted to loop entry: an affine offset over a
-//     counted range is monotonic in the loop variable, so checking the two
-//     endpoint offsets covers every iteration. Only references under an If
-//     (which may never execute) or inside a data-dependent BreakIf loop
-//     (which may exit early) keep a per-access check.
+//   - One bounds rule. When a kernel is compiled, interval arithmetic over
+//     the loop bounds either proves a subscript in [0, dim) for every
+//     iteration, and it carries no check, or it does not, and it is checked
+//     against its own dimension (kdim): at loop entry, over the loop's
+//     range, when its site runs on every iteration (an affine subscript is
+//     monotonic in the loop variable, so the two endpoints bound it); at
+//     every access otherwise, under an If or in a BreakIf loop, as a
+//     derived site. Free registers, and a range kernel's [lo, hi), take
+//     their loop's program-wide hull and are checked against it once per
+//     call, which makes the proof sound for any caller.
 //   - What AffineOf refuses (an index-array read, a product of two
 //     non-constant forms) becomes a derived register that a kderive sets
-//     just before its statement, with the offsets it subscripts checked
-//     per dimension; under data-dependent bounds hoisted checks are too.
+//     just before its statement; the subscripts that read one are never
+//     proven.
 //   - Expressions run on a tiny postfix stack machine with no error path;
 //     malformed programs are rejected at compile time instead.
 //   - Innermost loops run a strip at a time where that is exact: each op
@@ -67,27 +73,29 @@ type kop struct {
 }
 
 // ksite is one array-reference site: a flat affine offset into one array's
-// storage, advanced incrementally by its owning loop.
+// storage, set at its owning loop's entry (or by a kderive) and advanced
+// incrementally by that loop.
 type ksite struct {
-	data  []float64
-	name  string
-	flat  lin
-	step  int  // per-iteration offset increment in its owning loop
-	check bool // per-access bounds check (conditional code); else hoisted
+	data []float64
+	name string
+	flat lin
+	step int // per-iteration offset increment in its owning loop
 }
 
-// kprep initializes a site at its owning loop's entry.
-type kprep struct {
-	site  int32
-	step  int // per-iteration offset increment (coefficient of the loop reg)
-	hoist bool
-	dims  []kdim // per-dimension endpoint checks, under data-dependent bounds
-}
-
-// kdim is one subscript of a prepped site: entry value, step and extent.
+// kdim is one runtime bounds check, made over a loop's trip at its entry
+// (or once, trip 1): at + step·t for t in [0, trip) must lie in [0, n). It
+// checks one subscript of an array against its dimension, or one register
+// v against its hull [base, base+n) as v − base; msg names which.
 type kdim struct {
-	at      lin
-	step, n int
+	at            lin
+	step, n, base int
+	msg           string
+}
+
+func (d *kdim) check(regs []int, trip int) {
+	if mn, mx := span(d.at.eval(regs), d.step, trip); mn < 0 || mx >= d.n {
+		panic(fmt.Sprintf("loopir: kernel %s: [%d,%d]", d.msg, mn+d.base, mx+d.base))
+	}
 }
 
 // kadv advances a site's offset per iteration (preps with step != 0).
@@ -129,7 +137,8 @@ type kinstr interface {
 type kloop struct {
 	reg    int
 	lo, hi lin
-	preps  []kprep
+	checks []kdim  // made at entry, over the trip
+	preps  []int32 // sites whose offsets are set at entry
 	advs   []kadv
 	body   []kinstr
 	brk    *kcond
@@ -142,7 +151,7 @@ func (l *kloop) run(k *Kernel, x *kexec) {
 		return
 	}
 	x.regs[l.reg] = lo
-	k.initPreps(l.preps, hi-lo, x)
+	k.enter(l.checks, l.preps, hi-lo, x)
 	if l.strip != nil {
 		if w := l.strip.widthAt(k, x, hi-lo); w > 1 {
 			l.runStrips(k, x, hi-lo, w)
@@ -171,7 +180,7 @@ func (l *kloop) run(k *Kernel, x *kexec) {
 const stripW = 128
 
 // kstrip is an innermost loop's strip plan. The loop's body is one
-// assignment whose sites all have hoisted checks; it runs w iterations at
+// assignment, none of whose sites is derived; it runs w iterations at
 // once, where w is the compile-time cap narrowed by the pairs only loop
 // entry can decide. A reduction (a step-0 store whose address the code
 // loads once, as a direct operand of the top operator) evaluates the other
@@ -259,12 +268,7 @@ type kassign struct {
 
 func (a *kassign) run(k *Kernel, x *kexec) {
 	v := k.eval(a.code, x)
-	s := &k.sites[a.dst]
-	off := x.offs[a.dst]
-	if s.check && uint(off) >= uint(len(s.data)) {
-		panic(fmt.Sprintf("loopir: kernel store to %q out of range: %d not in [0,%d)", s.name, off, len(s.data)))
-	}
-	s.data[off] = v
+	k.sites[a.dst].data[x.offs[a.dst]] = v
 }
 
 type kcond struct {
@@ -311,35 +315,32 @@ func (f *kif) run(k *Kernel, x *kexec) {
 // an assignment or an If, and last in a loop's body for its break condition.
 type kderive []kref
 
-// kref is one step of a kderive: a reference whose offset is computed at
-// each execution, each subscript checked against its dimension as
-// Instance.offset checks it. With reg >= 0 its element, truncated toward
-// zero as EvalIndex truncates it, sets a derived register; with a nil arr
-// that register is the product idx[0]·idx[1] instead.
+// kref is one step of a kderive: a site whose offset is set at each
+// execution, after the checks of the subscripts the proof left open. With
+// reg >= 0 its element, truncated toward zero as EvalIndex truncates it,
+// sets a derived register; with site -1 that register is the product
+// l·r instead.
 type kref struct {
-	site int32
-	reg  int
-	arr  *Array
-	idx  []lin
+	site   int32
+	reg    int
+	checks []kdim
+	l, r   lin
 }
 
 func (d kderive) run(k *Kernel, x *kexec) {
 	for i := range d {
 		r := &d[i]
-		if r.arr == nil {
-			x.regs[r.reg] = r.idx[0].eval(x.regs) * r.idx[1].eval(x.regs)
+		if r.site < 0 {
+			x.regs[r.reg] = r.l.eval(x.regs) * r.r.eval(x.regs)
 			continue
 		}
-		off := 0
-		for j, l := range r.idx {
-			v := l.eval(x.regs)
-			if v < 0 || v >= r.arr.Dims[j] {
-				panic(fmt.Sprintf("loopir: kernel access to array %q index %d out of range [0,%d) in dim %d", r.arr.Name, v, r.arr.Dims[j], j))
-			}
-			off += v * r.arr.Stride[j]
+		for j := range r.checks {
+			r.checks[j].check(x.regs, 1)
 		}
+		s := &k.sites[r.site]
+		off := s.flat.eval(x.regs)
 		if x.offs[r.site] = off; r.reg >= 0 {
-			x.regs[r.reg] = int(r.arr.Data[off])
+			x.regs[r.reg] = int(s.data[off])
 		}
 	}
 }
@@ -348,13 +349,14 @@ func (d kderive) run(k *Kernel, x *kexec) {
 // and safe for concurrent Run calls: all mutable state lives in per-call
 // kexec records drawn from a pool.
 type Kernel struct {
-	code      []kinstr
-	sites     []ksite
-	rootPreps []kprep
-	regIndex  map[string]int
-	nregs     int
-	depth     int
-	pool      sync.Pool
+	code       []kinstr
+	sites      []ksite
+	rootChecks []kdim // once per call: free registers against their hulls first
+	rootPreps  []int32
+	regIndex   map[string]int
+	nregs      int
+	depth      int
+	pool       sync.Pool
 }
 
 func (k *Kernel) getExec() *kexec {
@@ -383,29 +385,14 @@ func (k *Kernel) applyBind(x *kexec, bind map[string]int) {
 	}
 }
 
-// initPreps evaluates each site's start offset for a loop executing trip
-// iterations and performs the hoisted range check: affine offsets are
-// monotonic in the loop variable, so the two endpoint offsets bound every
-// access of the loop; under data-dependent bounds, each subscript's too.
-func (k *Kernel) initPreps(preps []kprep, trip int, x *kexec) {
-	for i := range preps {
-		p := &preps[i]
-		s := &k.sites[p.site]
-		off := s.flat.eval(x.regs)
-		x.offs[p.site] = off
-		if p.hoist {
-			for d, dm := range p.dims {
-				mn, mx := span(dm.at.eval(x.regs), dm.step, trip)
-				if mn < 0 || mx >= dm.n {
-					panic(fmt.Sprintf("loopir: kernel access to array %q index [%d,%d] out of range [0,%d) in dim %d",
-						s.name, mn, mx, dm.n, d))
-				}
-			}
-			if mn, mx := span(off, p.step, trip); mn < 0 || mx >= len(s.data) {
-				panic(fmt.Sprintf("loopir: kernel access to %q out of range: [%d,%d] not in [0,%d)",
-					s.name, mn, mx, len(s.data)))
-			}
-		}
+// enter makes a loop's entry checks over its trip iterations, then sets
+// each of its sites' start offsets.
+func (k *Kernel) enter(checks []kdim, preps []int32, trip int, x *kexec) {
+	for i := range checks {
+		checks[i].check(x.regs, trip)
+	}
+	for _, s := range preps {
+		x.offs[s] = k.sites[s].flat.eval(x.regs)
 	}
 }
 
@@ -418,12 +405,7 @@ func (k *Kernel) eval(code []kop, x *kexec) float64 {
 		case opConst:
 			st = append(st, op.c)
 		case opLoad:
-			s := &k.sites[op.site]
-			off := x.offs[op.site]
-			if s.check && uint(off) >= uint(len(s.data)) {
-				panic(fmt.Sprintf("loopir: kernel load from %q out of range: %d not in [0,%d)", s.name, off, len(s.data)))
-			}
-			st = append(st, s.data[off])
+			st = append(st, k.sites[op.site].data[x.offs[op.site]])
 		case opAdd:
 			n := len(st) - 1
 			st[n-1] += st[n]
@@ -567,7 +549,7 @@ func (k *Kernel) evalStrip(code []kop, x *kexec, w int) []float64 {
 }
 
 func (k *Kernel) exec(x *kexec) {
-	k.initPreps(k.rootPreps, 1, x)
+	k.enter(k.rootChecks, k.rootPreps, 1, x)
 	for _, ins := range k.code {
 		ins.run(k, x)
 	}
@@ -589,17 +571,16 @@ func (k *Kernel) Run(bind map[string]int) {
 
 // klevel is the compile-time context of one loop nesting level.
 type klevel struct {
-	reg      int // -1 at the root
-	canHoist bool
-	dims     bool // under data-dependent bounds: subscripts checked per dimension
-	preps    []kprep
+	reg      int  // -1 at the root
+	fullTrip bool // no BreakIf: an unconditional site runs on every iteration
+	checks   []kdim
+	preps    []int32
 	advs     []kadv
 	siteOf   map[string]int32
-	prepIdx  map[int32]int
 }
 
-func newLevel(reg int, canHoist, dims bool) *klevel {
-	return &klevel{reg: reg, canHoist: canHoist, dims: dims, siteOf: map[string]int32{}, prepIdx: map[int32]int{}}
+func newLevel(reg int, fullTrip bool) *klevel {
+	return &klevel{reg: reg, fullTrip: fullTrip, siteOf: map[string]int32{}}
 }
 
 type kcompiler struct {
@@ -609,34 +590,41 @@ type kcompiler struct {
 	sites    []ksite
 	depth    int
 	internal map[int]bool // registers bound by loops inside the kernel, and derived ones
+	hulls    map[string]ival
+	// ranges is each variable's range as the proof sees it: a loop of the
+	// kernel's over its bounds, any other name (a free variable) over its
+	// hull, a derived register unknown.
+	ranges map[string]ival
+	free   []kdim // each free variable with a hull, checked against it
 }
 
-// addSite interns one (array, flat offset) reference at its owning level.
-// conditional references (under an If, or in a loop that can break early)
-// keep per-access checks; unconditional ones get the hoisted entry check,
-// per dimension too under data-dependent bounds.
-func (kc *kcompiler) addSite(arr *Array, flat lin, idx []Affine, lvl *klevel, hoist bool) int32 {
+// proven reports whether subscript a lies in [0, n) wherever it runs.
+func (kc *kcompiler) proven(a Affine, n int) bool {
+	r := a.rangeOf(kc.ranges)
+	return r.ok && r.lo >= 0 && r.hi < n
+}
+
+// hullCheck checks register reg, of variable v, against v's hull h: as
+// v − h.lo against the extent h.hi − h.lo + 1, over a loop's trip when
+// step is 1, once when it is 0.
+func hullCheck(reg int, v string, h ival, step int) kdim {
+	return kdim{at: lin{c: -h.lo, terms: []linTerm{{reg, 1}}}, step: step, n: h.hi - h.lo + 1, base: h.lo,
+		msg: fmt.Sprintf("variable %q out of range [%d,%d]", v, h.lo, h.hi)}
+}
+
+// addSite interns one (array, flat offset) reference at its owning level;
+// each reference brings its entry checks to the level.
+func (kc *kcompiler) addSite(arr *Array, flat lin, checks []kdim, lvl *klevel) int32 {
+	lvl.checks = append(lvl.checks, checks...)
 	key := fmt.Sprint(arr.Name, flat)
 	if id, ok := lvl.siteOf[key]; ok {
-		if hoist && kc.sites[id].check {
-			kc.sites[id].check = false
-			lvl.preps[lvl.prepIdx[id]].hoist = true
-		}
 		return id
 	}
 	id := int32(len(kc.sites))
 	step := flat.coef(lvl.reg)
-	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, step: step, check: !hoist})
+	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, step: step})
 	lvl.siteOf[key] = id
-	lvl.prepIdx[id] = len(lvl.preps)
-	p := kprep{site: id, step: step, hoist: hoist}
-	if lvl.dims {
-		for d, a := range idx {
-			at := kc.lin(a)
-			p.dims = append(p.dims, kdim{at: at, step: at.coef(lvl.reg), n: arr.Dims[d]})
-		}
-	}
-	lvl.preps = append(lvl.preps, p)
+	lvl.preps = append(lvl.preps, id)
 	if step != 0 {
 		lvl.advs = append(lvl.advs, kadv{site: id, step: step})
 	}
@@ -675,13 +663,13 @@ func (kc *kcompiler) index(e IExpr, d *kderive) (Affine, error) {
 		case len(r.Terms) == 0 && r.Const != 0:
 			return Affine{}.addScaled(l, r.Const), nil
 		}
-		step = kref{idx: []lin{kc.lin(l), kc.lin(r)}}
+		step = kref{site: -1, l: kc.lin(l), r: kc.lin(r)}
 	case IArr:
-		arr, subs, flat, err := kc.lowerRef(e.Array, e.Idx, d)
+		arr, checks, flat, err := kc.lowerRef(e.Array, e.Idx, -1, d)
 		if err != nil {
 			return Affine{}, err
 		}
-		step = kc.derivedRef(arr, subs, flat)
+		step = kc.derivedRef(arr, checks, flat)
 	default:
 		return Affine{}, fmt.Errorf("unknown index expression %T", e)
 	}
@@ -693,50 +681,52 @@ func (kc *kcompiler) index(e IExpr, d *kderive) (Affine, error) {
 }
 
 // lowerRef decomposes a reference's subscripts, deriving into d what
-// AffineOf refuses, and lowers its flat offset: one affine form over all
+// AffineOf refuses, checks each one the proof leaves open over the loop of
+// register reg, and lowers its flat offset: one affine form over all
 // dimensions, Σ Stride[d]·Idx[d], converted once to register form.
-func (kc *kcompiler) lowerRef(array string, idx []IExpr, d *kderive) (*Array, []Affine, lin, error) {
+func (kc *kcompiler) lowerRef(array string, idx []IExpr, reg int, d *kderive) (*Array, []kdim, lin, error) {
 	arr, ok := kc.in.Arrays[array]
 	if !ok {
 		return nil, nil, lin{}, fmt.Errorf("unknown array %q", array)
 	}
-	subs := make([]Affine, len(idx))
+	var checks []kdim
 	var flat Affine
 	for i, ie := range idx {
 		a, err := kc.index(ie, d)
 		if err != nil {
 			return nil, nil, lin{}, err
 		}
-		subs[i], flat = a, flat.addScaled(a, arr.Stride[i])
+		if flat = flat.addScaled(a, arr.Stride[i]); !kc.proven(a, arr.Dims[i]) {
+			at := kc.lin(a)
+			checks = append(checks, kdim{at: at, step: at.coef(reg), n: arr.Dims[i],
+				msg: fmt.Sprintf("access to %q out of range [0,%d) in dim %d", array, arr.Dims[i], i)})
+		}
 	}
-	return arr, subs, kc.lin(flat), nil
+	return arr, checks, kc.lin(flat), nil
 }
 
-// derivedRef makes a per-access checked site whose offset a kderive sets.
-func (kc *kcompiler) derivedRef(arr *Array, subs []Affine, flat lin) kref {
-	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat, check: true})
-	r := kref{site: int32(len(kc.sites) - 1), reg: -1, arr: arr}
-	for _, a := range subs {
-		r.idx = append(r.idx, kc.lin(a))
-	}
-	return r
+// derivedRef makes a site whose offset a kderive sets, after its checks,
+// at each access.
+func (kc *kcompiler) derivedRef(arr *Array, checks []kdim, flat lin) kref {
+	kc.sites = append(kc.sites, ksite{data: arr.Data, name: arr.Name, flat: flat})
+	return kref{site: int32(len(kc.sites) - 1), reg: -1, checks: checks}
 }
 
-// ref lowers a data reference to a site. One whose subscripts read a
-// derived register, or one that needs a per-access check under
-// data-dependent bounds, is a derived site: d sets its offset.
+// ref lowers a data reference to a site. A subscript the proof leaves open
+// is checked at loop entry when the site runs on every iteration of its
+// loop; otherwise, or when a subscript reads a derived register, the
+// reference is a derived site: d sets its offset and checks it.
 func (kc *kcompiler) ref(r Ref, lvl *klevel, conditional bool, d *kderive) (int32, error) {
 	n := len(*d)
-	arr, subs, flat, err := kc.lowerRef(r.Array, r.Idx, d)
+	arr, checks, flat, err := kc.lowerRef(r.Array, r.Idx, lvl.reg, d)
 	if err != nil {
 		return 0, err
 	}
-	hoist := !conditional && lvl.canHoist
-	if len(*d) > n || (lvl.dims && !hoist) {
-		*d = append(*d, kc.derivedRef(arr, subs, flat))
+	if len(*d) > n || len(checks) > 0 && (conditional || !lvl.fullTrip) {
+		*d = append(*d, kc.derivedRef(arr, checks, flat))
 		return (*d)[len(*d)-1].site, nil
 	}
-	return kc.addSite(arr, flat, subs, lvl, hoist), nil
+	return kc.addSite(arr, flat, checks, lvl), nil
 }
 
 // compileExpr appends postfix code for e and returns the updated code and
@@ -823,9 +813,9 @@ func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool, d *
 
 // stripPlan decides whether the compiled loop l may run a strip at a time
 // and returns its plan, or nil for a loop that always runs scalar: one
-// with a BreakIf, a body other than one assignment, a site under a
-// per-access check, or a load pair whose distance, known now, forbids
-// any strip (sor's b[j-1][i] against b[j][i]).
+// with a BreakIf, a body other than one assignment (a derived site's
+// kderive is a second instruction), or a load pair whose distance, known
+// now, forbids any strip (sor's b[j-1][i] against b[j][i]).
 func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 	if l.brk != nil || len(l.body) != 1 {
 		return nil
@@ -835,9 +825,6 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 		return nil
 	}
 	dst := &kc.sites[a.dst]
-	if dst.check {
-		return nil
-	}
 	st := &kstrip{a: a, code: a.code, width: stripW}
 	n := len(a.code)
 	if dst.step == 0 && n >= 3 && a.code[n-1].kind > opLoad && loadsOf(a.code, a.dst) == 1 {
@@ -854,8 +841,6 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 		}
 		ld := &kc.sites[op.site]
 		switch {
-		case ld.check:
-			return nil
 		case ld.name != dst.name || (st.reduce && op.site == a.dst):
 			// Another array, or the reduction's own operand: no pair.
 		case !slices.Equal(ld.flat.terms, dst.flat.terms):
@@ -920,8 +905,15 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 			loL, hiL := kc.lin(lo), kc.lin(hi) // bound registers before the loop's own
 			reg := kc.regFor(s.Var)
 			kc.internal[reg] = true
-			// Under data-dependent bounds subscripts are checked per dimension.
-			inner := newLevel(reg, s.BreakIf == nil, lvl.dims || len(*d) > 0)
+			inner := newLevel(reg, s.BreakIf == nil)
+			r := loopRange(lo, hi, kc.ranges)
+			if h := kc.hulls[s.Var]; !r.ok && h.ok {
+				// Bounds the proof cannot see, a range kernel's [lo, hi):
+				// the variable takes its hull, checked at entry.
+				r = h
+				inner.checks = append(inner.checks, hullCheck(reg, s.Var, h, 1))
+			}
+			kc.ranges[s.Var] = r
 			body, err := kc.compileStmts(s.Body, inner, false)
 			if err != nil {
 				return nil, err
@@ -937,7 +929,7 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 					l.body = append(l.body, bd)
 				}
 			}
-			l.preps, l.advs = inner.preps, inner.advs
+			l.checks, l.preps, l.advs = inner.checks, inner.preps, inner.advs
 			l.strip = kc.stripPlan(l)
 			ins = l
 		case *Assign:
@@ -972,19 +964,21 @@ func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) (
 }
 
 func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
-	kc := &kcompiler{in: in, regIndex: map[string]int{}, internal: map[int]bool{}}
-	root := newLevel(-1, true, false)
+	hulls := in.hulls()
+	kc := &kcompiler{in: in, regIndex: map[string]int{}, internal: map[int]bool{}, hulls: hulls, ranges: maps.Clone(hulls)}
+	root := newLevel(-1, true)
 	code, err := kc.compileStmts(stmts, root, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	k := &Kernel{
-		code:      code,
-		sites:     kc.sites,
-		rootPreps: root.preps,
-		regIndex:  kc.regIndex,
-		nregs:     kc.nregs,
-		depth:     kc.depth + 1,
+		code:       code,
+		sites:      kc.sites,
+		rootChecks: append(kc.free, root.checks...),
+		rootPreps:  root.preps,
+		regIndex:   kc.regIndex,
+		nregs:      kc.nregs,
+		depth:      kc.depth + 1,
 	}
 	return k, kc, nil
 }

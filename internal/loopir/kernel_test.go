@@ -118,7 +118,7 @@ func TestRangeKernelLibraryEquivalence(t *testing.T) {
 // TestQuickKernelEquivalence cross-checks the whole-program kernel against
 // the interpreter on random programs (randProgram, quick_test.go).
 func TestQuickKernelEquivalence(t *testing.T) {
-	quickVsInterpreter(t, func(fast *Instance, _ int) error { return fast.Run() })
+	quickVsInterpreter(t, func(fast *Instance) error { return fast.Run() })
 }
 
 // BenchmarkKernel compares the in-process executors — interpreter and

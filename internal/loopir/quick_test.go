@@ -1,7 +1,7 @@
 package loopir
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,8 +11,11 @@ import (
 // 1–3 loops over [1, n-1) with affine subscripts offset by -1/0/+1 (safe
 // within the loop bounds) and random arithmetic right-hand sides. It is
 // used to cross-check the compiled kernel against the interpreter on inputs
-// no human wrote.
-func randProgram(r *rand.Rand) *Program {
+// no human wrote. With unsafe set, each loop runs over one of [0, n),
+// [0, n-1), [1, n) and [1, n-1), so a ±1 subscript may leave its
+// dimension, and each assignment may sit under an If on a read of a, so
+// an out-of-range access may run only for some data.
+func randProgram(r *rand.Rand, unsafe bool) *Program {
 	n := Iv("n")
 	depth := 1 + r.Intn(3)
 	vars := []string{"i", "j", "k"}[:depth]
@@ -44,14 +47,22 @@ func randProgram(r *rand.Rand) *Program {
 	nAssigns := 1 + r.Intn(3)
 	var body []Stmt
 	for a := 0; a < nAssigns; a++ {
-		body = append(body, Set(ref(), dataExpr(2)))
+		var s Stmt = Set(ref(), dataExpr(2))
+		if unsafe && r.Intn(2) == 0 {
+			s = &If{Cond: Cond{Op: ">", L: ref(), R: Fc(0.7)}, Then: []Stmt{s}}
+		}
+		body = append(body, s)
 	}
 	var stmt Stmt
 	for d := depth - 1; d >= 0; d-- {
 		if stmt != nil {
 			body = []Stmt{stmt}
 		}
-		stmt = For(vars[d], Ic(1), Isub(n, Ic(1)), body...)
+		lo, hi := Ic(1), Isub(n, Ic(1))
+		if unsafe {
+			lo, hi = Ic(r.Intn(2)), Isub(n, Ic(r.Intn(2)))
+		}
+		stmt = For(vars[d], lo, hi, body...)
 	}
 	return &Program{
 		Name:   "rand",
@@ -61,43 +72,71 @@ func randProgram(r *rand.Rand) *Program {
 	}
 }
 
-// quickVsInterpreter is the random-program differential: exec runs a random
-// program (parameter n) on a clone of an instance the interpreter has run,
-// and must leave the interpreter's result bit for bit.
-func quickVsInterpreter(t *testing.T, exec func(fast *Instance, n int) error) {
+// quickVsInterpreter is the random-program differential, over safe and
+// unsafe programs (randProgram): exec runs a random program on a clone of
+// an instance the interpreter has run. It must panic exactly when the
+// interpreter errors, and leave the interpreter's result bit for bit
+// otherwise.
+func quickVsInterpreter(t *testing.T, exec func(fast *Instance) error) {
 	t.Helper()
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randProgram(r)
-		if err := p.Validate(); err != nil {
-			t.Logf("seed %d: generated invalid program: %v", seed, err)
-			return false
+	for _, unsafe := range []bool{false, true} {
+		check := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			p := randProgram(r, unsafe)
+			if err := p.Validate(); err != nil {
+				t.Logf("seed %d: generated invalid program: %v", seed, err)
+				return false
+			}
+			ref, err := NewInstance(p, map[string]int{"n": 5 + r.Intn(6)})
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			fast := ref.Clone()
+			want := ref.Interpret()
+			if want != nil && !unsafe {
+				t.Logf("seed %d: interpret: %v", seed, want)
+				return false
+			}
+			got, err := runRecovered(func() error { return exec(fast) })
+			if err != nil {
+				t.Logf("seed %d: compile: %v", seed, err)
+				return false
+			}
+			switch {
+			case (got != "") != (want != nil):
+				t.Logf("seed %d: interpreter %v, kernel panic %q", seed, want, got)
+				return false
+			case want == nil:
+				if err := sameBits(ref, fast); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+			}
+			return true
 		}
-		nVal := 5 + r.Intn(6)
-		ref, err := NewInstance(p, map[string]int{"n": nVal})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+		if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatalf("unsafe=%v: %v", unsafe, err)
 		}
-		fast := ref.Clone()
-		if err := ref.Interpret(); err != nil {
-			t.Logf("seed %d: interpret: %v", seed, err)
-			return false
-		}
-		if err := exec(fast, nVal); err != nil {
-			t.Logf("seed %d: compile: %v", seed, err)
-			return false
-		}
-		d := ref.Arrays["a"].MaxAbsDiff(fast.Arrays["a"])
-		if d != 0 && !math.IsNaN(d) {
-			t.Logf("seed %d: divergence %g", seed, d)
-			return false
-		}
-		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// runRecovered runs f and returns the message it panicked with, or "".
+func runRecovered(f func() error) (msg string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	return "", f()
+}
+
+// outerBounds evaluates a random program's outermost loop bounds.
+func outerBounds(in *Instance) (*Loop, int, int) {
+	outer := in.Prog.Body[0].(*Loop)
+	lo, _ := EvalIndex(outer.Lo, in.Params)
+	hi, _ := EvalIndex(outer.Hi, in.Params)
+	return outer, lo, hi
 }
 
 // TestQuickKernelFragmentEquivalence peels the outermost loop of a random
@@ -105,13 +144,13 @@ func quickVsInterpreter(t *testing.T, exec func(fast *Instance, n int) error) {
 // free, bound per call — how the slave runs owner blocks and replicated
 // statements. (TestQuickKernelEquivalence covers the fully-bound kernel.)
 func TestQuickKernelFragmentEquivalence(t *testing.T) {
-	quickVsInterpreter(t, func(fast *Instance, n int) error {
-		outer := fast.Prog.Body[0].(*Loop)
+	quickVsInterpreter(t, func(fast *Instance) error {
+		outer, lo, hi := outerBounds(fast)
 		frag, err := fast.CompileKernel(outer.Body)
 		if err != nil {
 			return err
 		}
-		for v := 1; v < n-1; v++ {
+		for v := lo; v < hi; v++ {
 			frag.Run(map[string]int{outer.Var: v})
 		}
 		return nil
@@ -122,15 +161,15 @@ func TestQuickKernelFragmentEquivalence(t *testing.T) {
 // kernel over two adjacent sub-ranges — how the slave runs the contiguous
 // runs of a distributed loop it owns.
 func TestQuickRangeKernelEquivalence(t *testing.T) {
-	quickVsInterpreter(t, func(fast *Instance, n int) error {
-		outer := fast.Prog.Body[0].(*Loop)
+	quickVsInterpreter(t, func(fast *Instance) error {
+		outer, lo, hi := outerBounds(fast)
 		rk, err := fast.CompileRangeKernel(outer.Var, outer.Body)
 		if err != nil {
 			return err
 		}
-		mid := n / 2
-		rk.Run(1, mid, nil)
-		rk.Run(mid, n-1, nil)
+		mid := (lo + hi) / 2
+		rk.Run(lo, mid, nil)
+		rk.Run(mid, hi, nil)
 		return nil
 	})
 }
@@ -140,7 +179,7 @@ func TestQuickEstFlopsRectangularExact(t *testing.T) {
 	// equal the exact count.
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := randProgram(r)
+		p := randProgram(r, false)
 		env := map[string]int{"n": 4 + r.Intn(8)}
 		return EstFlops(p.Body, env) == float64(ExactFlops(p.Body, env))
 	}
@@ -170,3 +209,7 @@ func TestQuickArrayFlatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// RandProgram is randProgram for the native quick test, which lives in
+// package loopir_test so that it may import the AOT builder.
+var RandProgram = randProgram
