@@ -211,9 +211,17 @@ func (a *Analysis) traceSample(params map[string]int, owners map[loopir.Stmt]loo
 		return err
 	}
 
+	// The loops two references share, computed once per pair: every
+	// depAgg and Dep holding one only reads it.
+	commons := make([][]string, len(a.Refs)*len(a.Refs))
+	known := make([]bool, len(commons))
 	addInstance := func(src, dst access, kind Kind) {
 		sc, dc := &a.Refs[src.ref], &a.Refs[dst.ref]
-		common := commonLoops(sc.Loops, dc.Loops)
+		pair := src.ref*len(a.Refs) + dst.ref
+		if !known[pair] {
+			commons[pair], known[pair] = commonLoops(sc.Loops, dc.Loops), true
+		}
+		common := commons[pair]
 		carrier := ""
 		for _, l := range common {
 			if dst.iter[l] != src.iter[l] {

@@ -50,7 +50,7 @@ const (
 	// with go1.24, where the benchmark's aot.build_cold_ms reads 0.22–0.26 s.
 	coldBuild = 0.26
 	// vmRate is the VM's scalar rate in flops per second on that host,
-	// where sor's sweep (which the strip batcher refuses) read 104–159
+	// where sor's sweep, before it ran as carried strips, read 104–159
 	// MFLOP/s in fresh processes. It is the one rate every wall-clock plan
 	// decision reads — this gate, the strip grain (Prepare) and the hook
 	// cost (wallHookCostFlops) — and it is not measured per run: a
@@ -58,9 +58,9 @@ const (
 	// so it sent sor at n=512, maxiter 24 native in 2 of 5 processes of
 	// the same benchmark run and gave each process its own grain; and a
 	// build slows with its host as the VM does. A nest whose innermost
-	// loop runs a strip at a time (mm, lu, the Jacobi family) runs 4–8×
-	// faster than this, so on those the gate errs toward native, which
-	// costs at most one build.
+	// loop runs a strip at a time (mm, lu, the Jacobi family, and sor's
+	// carried strips) runs 2–8× faster than this, so on those the gate
+	// errs toward native, which costs at most one build.
 	vmRate = 150e6
 	// nativePayback is k, the margin the saving must clear: the predicted
 	// VM time must cover the cold build twice, a threshold of 78 Mflop.

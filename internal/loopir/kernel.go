@@ -44,6 +44,13 @@ import (
 //     load of what an earlier iteration of it stores (pairWidth), and the
 //     store writes the strip in iteration order, so every element sees the
 //     scalar loop's IEEE operations in the scalar loop's order.
+//   - A recurrence runs a strip at a time too when one load blocks it: the
+//     load of what the previous iteration stored (distance 1, sor's
+//     b[j-1][i]), made once. Every operand off its path to the root fills
+//     its own slot over the strip; then one serial loop walks the strip,
+//     applies the path's ops innermost first to the carried value and
+//     stores each result, so only the carried chain runs an iteration at a
+//     time, in the scalar loop's order.
 
 // Opcode kinds of the expression stack machine.
 const (
@@ -184,14 +191,27 @@ const stripW = 128
 // once, where w is the compile-time cap narrowed by the pairs only loop
 // entry can decide. A reduction (a step-0 store whose address the code
 // loads once, as a direct operand of the top operator) evaluates the other
-// operand over the strip and folds it into the stored value serially.
+// operand over the strip and folds it into the stored value serially. A
+// carried strip (a stepping store whose previous value the code loads
+// once) evaluates each operand off the carried load's path over the strip
+// and applies the path serially.
 type kstrip struct {
 	a       *kassign
-	code    []kop   // evaluated over the strip: a.code, or a reduction's other operand
+	code    []kop   // evaluated over the strip: a.code, a reduction's other operand, or nil when carried
 	width   int     // cap from the pairs decided at compile time; > 1
 	pairs   []int32 // load sites on the stored array whose distance is known only at entry
 	reduce  bool
-	accLeft bool // the reduction's stored value is the top operator's left operand
+	accLeft bool    // the reduction's stored value is the top operator's left operand
+	carried bool    // a recurrence: one load reads what the previous iteration stored
+	path    []kpath // carried: the ops from the carried load to the root, innermost first
+}
+
+// kpath is one op on a carried strip's path. Its other operand, sib, fills
+// strip slot i for path op i.
+type kpath struct {
+	kind byte
+	left bool // the carried value is the op's left operand
+	sib  []kop
 }
 
 // widthAt is the strip width for one entry of the loop: the compile-time
@@ -354,9 +374,16 @@ type Kernel struct {
 	rootChecks []kdim // once per call: free registers against their hulls first
 	rootPreps  []int32
 	regIndex   map[string]int
+	binds      []kfree // the free registers, which Run's bind map sets
 	nregs      int
-	depth      int
+	depth      int // stack slots, and strip slots: a carried strip's path slots and the stacks above them
 	pool       sync.Pool
+}
+
+// kfree is one free variable and its register.
+type kfree struct {
+	name string
+	reg  int
 }
 
 func (k *Kernel) getExec() *kexec {
@@ -378,9 +405,9 @@ func (k *Kernel) getExec() *kexec {
 func (k *Kernel) putExec(x *kexec) { k.pool.Put(x) }
 
 func (k *Kernel) applyBind(x *kexec, bind map[string]int) {
-	for name, v := range bind {
-		if r, ok := k.regIndex[name]; ok {
-			x.regs[r] = v
+	for _, f := range k.binds {
+		if v, ok := bind[f.name]; ok {
+			x.regs[f.reg] = v
 		}
 	}
 }
@@ -431,7 +458,11 @@ func (k *Kernel) eval(code []kop, x *kexec) float64 {
 
 // run executes w iterations of the assignment from the current offsets.
 func (s *kstrip) run(k *Kernel, x *kexec, w int) {
-	v := k.evalStrip(s.code, x, w)
+	if s.carried {
+		s.runCarried(k, x, w)
+		return
+	}
+	v := k.evalStrip(s.code, x, w, 0)
 	d := &k.sites[s.a.dst]
 	off := x.offs[s.a.dst]
 	switch {
@@ -444,6 +475,45 @@ func (s *kstrip) run(k *Kernel, x *kexec, w int) {
 			d.data[off] = e
 			off += d.step
 		}
+	}
+}
+
+// runCarried executes w iterations of a recurrence: each path op's other
+// operand over the strip first, then the carried chain one iteration at a
+// time. Iteration t's carried load reads what iteration t−1 stored, one
+// step behind the store, so the chain keeps the stored value in v instead
+// of reloading it.
+func (s *kstrip) runCarried(k *Kernel, x *kexec, w int) {
+	for i := range s.path {
+		k.evalStrip(s.path[i].sib, x, w, i)
+	}
+	path, buf := s.path, x.strip
+	d := &k.sites[s.a.dst]
+	data, step, off := d.data, d.step, x.offs[s.a.dst]
+	v := data[off-step]
+	for t := 0; t < w; t++ {
+		for i := range path {
+			p := &path[i]
+			e := buf[i*stripW+t]
+			// + and × are commutative in IEEE arithmetic; − and ÷ keep v
+			// on the side the scalar code has it.
+			switch {
+			case p.kind == opAdd:
+				v += e
+			case p.kind == opMul:
+				v *= e
+			case p.kind == opSub && p.left:
+				v -= e
+			case p.kind == opSub:
+				v = e - v
+			case p.left: // opDiv
+				v /= e
+			default:
+				v = e / v
+			}
+		}
+		data[off] = v
+		off += step
 	}
 }
 
@@ -488,11 +558,11 @@ func fold(op byte, accLeft bool, acc float64, v []float64) float64 {
 }
 
 // evalStrip runs code over w iterations from the current offsets. Stack
-// slot j is x.strip[j·stripW:][:w]; each op fills or combines whole slots,
-// and the result is the bottom slot.
-func (k *Kernel) evalStrip(code []kop, x *kexec, w int) []float64 {
+// slot j is x.strip[j·stripW:][:w]; the stack starts at slot base, each op
+// fills or combines whole slots, and the result is slot base.
+func (k *Kernel) evalStrip(code []kop, x *kexec, w, base int) []float64 {
 	buf := x.strip
-	sp := 0
+	sp := base
 	for i := range code {
 		op := &code[i]
 		switch op.kind {
@@ -545,7 +615,7 @@ func (k *Kernel) evalStrip(code []kop, x *kexec, w int) []float64 {
 			}
 		}
 	}
-	return buf[:w]
+	return buf[base*stripW:][:w]
 }
 
 func (k *Kernel) exec(x *kexec) {
@@ -815,7 +885,9 @@ func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool, d *
 // and returns its plan, or nil for a loop that always runs scalar: one
 // with a BreakIf, a body other than one assignment (a derived site's
 // kderive is a second instruction), or a load pair whose distance, known
-// now, forbids any strip (sor's b[j-1][i] against b[j][i]).
+// now, forbids any strip. A load at distance 1 from a stepping store (sor's
+// b[j-1][i] against b[j][i]) forbids none when the code loads it once: it
+// becomes the strip's carried load.
 func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 	if l.brk != nil || len(l.body) != 1 {
 		return nil
@@ -826,6 +898,7 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 	}
 	dst := &kc.sites[a.dst]
 	st := &kstrip{a: a, code: a.code, width: stripW}
+	var carry int32 // the carried load's site
 	n := len(a.code)
 	if dst.step == 0 && n >= 3 && a.code[n-1].kind > opLoad && loadsOf(a.code, a.dst) == 1 {
 		switch {
@@ -847,6 +920,9 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 			if !slices.Contains(st.pairs, op.site) {
 				st.pairs = append(st.pairs, op.site)
 			}
+		case dst.step != 0 && ld.flat.c-dst.flat.c == -dst.step && loadsOf(a.code, op.site) == 1:
+			// Equal terms at distance 1, loaded once: the carried load.
+			st.carried, carry = true, op.site
 		default:
 			// Equal terms: d is a constant and the steps are equal, so
 			// the pair is decided for every trip now.
@@ -856,7 +932,62 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 	if st.width == 1 {
 		return nil
 	}
+	if st.carried {
+		st.code, st.path = nil, carriedPath(a.code, carry)
+		for i, p := range st.path {
+			kc.depth = max(kc.depth, i+stackDepth(p.sib))
+		}
+	}
 	return st
+}
+
+// carriedPath splits code at its one load of site c into the ops on the
+// path from that load to the root, innermost first, each with the code of
+// its other operand.
+func carriedPath(code []kop, c int32) []kpath {
+	// start[i] is the first op of the subexpression that op i ends.
+	start := make([]int, len(code))
+	var open []int
+	at := -1
+	for i, op := range code {
+		if op.kind > opLoad {
+			open = open[:len(open)-1]
+			start[i] = open[len(open)-1]
+			continue
+		}
+		start[i], open = i, append(open, i)
+		if isLoad(op, c) {
+			at = i
+		}
+	}
+	var path []kpath
+	for r := len(code) - 1; r != at; {
+		right := r - 1           // the right operand ends just before its op
+		left := start[right] - 1 // and the left one just before the right one starts
+		if at > left {
+			path = append(path, kpath{kind: code[r].kind, sib: code[start[r] : left+1]})
+			r = right
+		} else {
+			path = append(path, kpath{kind: code[r].kind, left: true, sib: code[start[right] : right+1]})
+			r = left
+		}
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// stackDepth is the deepest stack code reaches.
+func stackDepth(code []kop) int {
+	n, d := 0, 0
+	for _, op := range code {
+		if op.kind > opLoad {
+			n--
+		} else {
+			n++
+			d = max(d, n)
+		}
+	}
+	return d
 }
 
 func isLoad(op kop, site int32) bool { return op.kind == opLoad && op.site == site }
@@ -979,6 +1110,11 @@ func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
 		regIndex:   kc.regIndex,
 		nregs:      kc.nregs,
 		depth:      kc.depth + 1,
+	}
+	for name, r := range kc.regIndex {
+		if !kc.internal[r] {
+			k.binds = append(k.binds, kfree{name, r})
+		}
 	}
 	return k, kc, nil
 }

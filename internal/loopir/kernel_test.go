@@ -124,8 +124,9 @@ func TestQuickKernelEquivalence(t *testing.T) {
 // BenchmarkKernel compares the in-process executors — interpreter and
 // compiled kernel — on the stencil (jacobi) and pipelined (sor) programs
 // plus mm and lu, the service's other two. jacobi, mm and lu run their
-// innermost loops a strip at a time; sor's recurrence keeps it scalar. The kernel/interp ratio here is the ≥5x acceptance bar the
-// kernel tier was admitted on; the benchmark module's
+// innermost loops a strip at a time, and sor's recurrence runs as carried
+// strips, its chain alone serial. The kernel/interp ratio here is the ≥5x
+// acceptance bar the kernel tier was admitted on; the benchmark module's
 // loopir.kernel_mflops / loopir.interp_mflops record it per workload.
 func BenchmarkKernel(b *testing.B) {
 	progs := []struct {

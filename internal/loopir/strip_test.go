@@ -8,7 +8,8 @@ import (
 )
 
 // stripPlans describes, in program order, how each innermost loop of k
-// runs: "v scalar", or "v w=W" with " reduce" for a folded reduction and
+// runs: "v scalar", or "v w=W" with " reduce" for a folded reduction,
+// " carried" for a recurrence whose distance-1 load runs serially and
 // " +N at entry" for the load pairs loop entry decides.
 func stripPlans(k *Kernel) []string {
 	names := map[int]string{}
@@ -34,6 +35,9 @@ func stripPlans(k *Kernel) []string {
 				d := fmt.Sprintf("%s w=%d", names[ins.reg], s.width)
 				if s.reduce {
 					d += " reduce"
+				}
+				if s.carried {
+					d += " carried"
 				}
 				if len(s.pairs) > 0 {
 					d += fmt.Sprintf(" +%d at entry", len(s.pairs))
@@ -88,11 +92,12 @@ func TestStripBatchLegality(t *testing.T) {
 	var rows []row
 
 	// x[i] = x[i∓q]·0.75 + y[i]: a load q iterations behind the store is a
-	// true dependence of distance q; one ahead of it never is.
+	// true dependence of distance q; one ahead of it never is. At q = 1 the
+	// load is the strip's carried load.
 	for _, q := range []int{1, 2, 127, 128, 129} {
 		w := fmt.Sprintf("i w=%d", min(q, stripW))
 		if q == 1 {
-			w = "i scalar"
+			w = "i w=128 carried"
 		}
 		rows = append(rows,
 			row{fmt.Sprintf("distance +%d", q), 300, []*ArrayDecl{vec("x", 1, q), vec("y", 2, q)},
@@ -109,11 +114,11 @@ func TestStripBatchLegality(t *testing.T) {
 		lo, ofs int
 		want    string
 	}{
-		{1, 0, "i scalar"}, // loads x[m-i], stored one iteration earlier
-		{2, 1, "i w=2"},    // loads x[m+1-i], stored two iterations earlier
-		{0, -3, "i w=128"}, // loads x[m-3-i], stored two iterations later
-		{0, -1, "i w=128"}, // loads the stored element itself
-		{3, 2, "i w=3"},    // three iterations earlier
+		{1, 0, "i w=128 carried"}, // loads x[m-i], stored one iteration earlier
+		{2, 1, "i w=2"},           // loads x[m+1-i], stored two iterations earlier
+		{0, -3, "i w=128"},        // loads x[m-3-i], stored two iterations later
+		{0, -1, "i w=128"},        // loads the stored element itself
+		{3, 2, "i w=3"},           // three iterations earlier
 	} {
 		rows = append(rows, row{fmt.Sprintf("negative step, load x[m-i%+d]", c.ofs), 300,
 			[]*ArrayDecl{vec("x", 3, 0), vec("y", 4, 0)},
@@ -173,6 +178,43 @@ func TestStripBatchLegality(t *testing.T) {
 			For("i", Ic(1), Ic(4), For("j", Ic(0), m,
 				Set(Fref("x", Iadd(j, Imul(Ic(3), i))), Fadd(Fmul(Fref("x", Iadd(j, Imul(Ic(2), i))), Fc(0.75)), Fref("y", j))))),
 			[]string{"j w=128 +1 at entry"}},
+	)
+
+	// Carried strips: the distance-1 load runs serially, everything off its
+	// path to the root over the strip.
+	yi, zi, xm1 := Fref("y", i), Fref("z", i), Fref("x", Isub(i, Ic(1)))
+	carried := func(name string, rhs Expr, want string) row {
+		return row{name, 300, []*ArrayDecl{vec("x", 14, 0), vec("y", 15, 0), vec("z", 16, 0)},
+			For("i", Ic(2), m, Set(Fref("x", i), rhs)), []string{want}}
+	}
+	rows = append(rows,
+		carried("carried left of -", Fsub(xm1, yi), "i w=128 carried"),
+		carried("carried right of -", Fsub(yi, Fmul(xm1, Fc(0.5))), "i w=128 carried"),
+		carried("carried left of /", Fdiv(xm1, Fadd(yi, Fc(1.5))), "i w=128 carried"),
+		carried("carried right of /", Fdiv(yi, Fadd(xm1, Fc(2.5))), "i w=128 carried"),
+		// Three ops deep, the carried value on alternating sides.
+		carried("carried three ops deep", Fmul(Fsub(zi, Fmul(xm1, Fc(0.75))), Fadd(yi, Fc(0.5))), "i w=128 carried"),
+		// Loaded twice: both loads would have to run serially.
+		carried("carried load used twice", Fadd(Fmul(xm1, Fc(0.25)), Fmul(xm1, yi)), "i scalar"),
+		// a[i] = a[i-1] + a[i-2]: the q = 2 load narrows the strip to 2.
+		carried("q = 2 beside q = 1", Fadd(xm1, Fmul(Fref("x", Isub(i, Ic(2))), Fc(0.5))), "i w=2 carried"),
+		// The path is empty: the strip copies the carried value down the
+		// diagonal.
+		row{"carried, empty path", 130, []*ArrayDecl{mat("a", 17)},
+			For("i", Ic(1), Isub(m, Ic(1)), Set(Fref("a", Iadd(i, Ic(1)), i), Fref("a", i, Isub(i, Ic(1))))),
+			[]string{"i w=128 carried"}},
+		// A negative step: x[m-1-i] loads x[m-i], stored one iteration
+		// earlier.
+		row{"carried, negative step", 300, []*ArrayDecl{vec("x", 3, 0), vec("y", 4, 0)},
+			For("i", Ic(1), m, Set(Fref("x", down(-1)), Fsub(Fref("y", i), Fmul(Fref("x", down(0)), Fc(0.5))))),
+			[]string{"i w=128 carried"}},
+		// x[j+3i] against x[j+2i] at distance i narrows the carried strip
+		// to 1, 2, 3 by row: at i = 1 the loop runs scalar.
+		row{"carried plus x[j+3i] against x[j+2i]", 300, []*ArrayDecl{vec("x", 9, 12), vec("y", 10, 0)},
+			For("i", Ic(1), Ic(4), For("j", Ic(1), m,
+				Set(Fref("x", Iadd(j, Imul(Ic(3), i))), Fadd(Fmul(Fref("x", Iadd(Isub(j, Ic(1)), Imul(Ic(3), i))), Fc(0.75)),
+					Fmul(Fref("x", Iadd(j, Imul(Ic(2), i))), Fref("y", j)))))),
+			[]string{"j w=128 carried +1 at entry"}},
 	)
 
 	// Trips of 1, 127 and a non-multiple of 128, plain and reduced.
@@ -237,8 +279,8 @@ func TestLibraryStripPlans(t *testing.T) {
 		"jacobi":          {"j w=128", "j2 w=128"},
 		"jacobi3d":        {"k w=128", "k2 w=128"},
 		"axpy":            {"i w=128"},
-		"periodic-sor":    {"i2 w=128", "i3 w=128", "j scalar"},
-		"sor":             {"j scalar"},
+		"periodic-sor":    {"i2 w=128", "i3 w=128", "j w=128 carried"},
+		"sor":             {"j w=128 carried"},
 		"threshold-relax": {"j scalar"},
 		"jacobi-converge": {"j w=128", "j2 scalar"},
 		"spmv":            {"k scalar"},
