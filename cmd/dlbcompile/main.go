@@ -8,8 +8,8 @@
 //	dlbcompile [-deps] [-table1] [-file src.dlb] [-dist array:dim] [prog]
 //
 // where prog is a loopir.Library program (default sor). With no -dist a
-// program runs under compile.LibraryDist, else under the directive the
-// compiler derives.
+// program runs under the directive the compiler derives, ranked by exposed
+// ghost exchanges.
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 	deps := flag.Bool("deps", false, "print the dependence analysis")
 	table1 := flag.Bool("table1", false, "print Table 1 (application properties) for mm, sor, lu")
 	file := flag.String("file", "", "compile a source file instead of a library program")
-	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim...] (default: the program's LibraryDist, else derived)")
+	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim...] (default: derived, ranked by exposed exchanges)")
 	flag.Parse()
 
 	if *table1 {

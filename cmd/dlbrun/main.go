@@ -71,7 +71,7 @@ func parseLoad(s string) (cluster.LoadProfile, error) {
 func main() {
 	progName := flag.String("prog", "mm", "program: mm, sor, lu, jacobi, axpy, periodic-sor, spmv, pbin")
 	file := flag.String("file", "", "run a source file instead of a library program")
-	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim] (default: the program's LibraryDist, else derived)")
+	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim] (default: derived, ranked by exposed exchanges)")
 	n := flag.Int("n", 128, "problem size")
 	maxiter := flag.Int("maxiter", 12, "outer iterations (sor, jacobi, axpy)")
 	slavesFlag := flag.String("slaves", "4", "slave count, or comma-separated dlbd addresses for a distributed TCP run")

@@ -46,9 +46,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The source above is the library's jacobi-converge in text form and
-	// takes its directive: rows of a and anew, scanned by i and i2.
-	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist("jacobi-converge")})
+	// The source above is the library's jacobi-converge in text form. With
+	// no directive the compiler derives one: rows of a and anew, scanned by
+	// i and i2, the proposal whose ghost exchange overlaps the sweep; the
+	// residual r stays replicated.
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

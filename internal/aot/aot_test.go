@@ -133,11 +133,11 @@ var libraryParams = map[string]map[string]int{
 	"pbin":            {"n": 48, "maxiter": 2},
 }
 
-// libraryPlan compiles a library program under its LibraryDist directive,
+// libraryPlan compiles a library program under its derived directive,
 // the plan whose compile.KernelRegions a slave builds natively.
 func libraryPlan(t *testing.T, name string) *compile.Plan {
 	t.Helper()
-	plan, err := compile.Compile(loopir.Library()[name], compile.Options{Dist: compile.LibraryDist(name)})
+	plan, err := compile.Compile(loopir.Library()[name], compile.Options{})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}

@@ -13,8 +13,7 @@ import (
 // TestAnalysisGolden pins, for every library program, what the concrete
 // dependence tracer concludes and what the compiler generates from it: the
 // unattributed dependences, the owner-attributed ones and the loop
-// properties under the program's directive (LibraryDist, else the derived
-// one), and the plan source. The goldens were written before the tracer
+// properties under the program's derived directive, and the plan source. The goldens were written before the tracer
 // stopped copying its environment per subscript, so they hold that rewrite
 // — and any later one — to byte-identical analysis.
 func TestAnalysisGolden(t *testing.T) {
@@ -27,7 +26,7 @@ func TestAnalysisGolden(t *testing.T) {
 	for _, name := range names {
 		prog := lib[name]
 		t.Run(name, func(t *testing.T) {
-			plan := mustCompile(t, prog, Options{Dist: LibraryDist(name)})
+			plan := mustCompile(t, prog, Options{})
 			a, err := depend.Analyze(prog)
 			if err != nil {
 				t.Fatal(err)

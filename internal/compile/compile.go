@@ -41,8 +41,10 @@ func (o Options) withDefaults() Options {
 var ErrNoDistribution = errors.New("compile: no derived distribution compiles; give one with -dist")
 
 // Compile parallelizes a sequential program for SPMD execution with dynamic
-// load balancing, under opts.Dist or, when it names no arrays, under the
-// first derived directive that compiles (deriveDistributions).
+// load balancing, under opts.Dist or, when it names no arrays, under a
+// derived directive (deriveDistributions): the first that compiles and
+// leaves no ghost exchange exposed (every group may overlap its consumer's
+// interior compute), else the first that compiles.
 func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -55,16 +57,32 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 		return compileUnder(analysis, opts.Dist)
 	}
 	err = fmt.Errorf("%w (no loop scans a dimension of a written array)", ErrNoDistribution)
+	var first *Plan
 	for i, spec := range deriveDistributions(analysis) {
 		plan, refusal := compileUnder(analysis, spec)
-		if refusal == nil {
+		if refusal == nil && !exposesExchange(plan) {
 			return plan, nil
-		}
-		if i == 0 {
+		} else if refusal == nil && first == nil {
+			first = plan
+		} else if i == 0 {
 			err = fmt.Errorf("%w (%s: %v)", ErrNoDistribution, distText(spec), refusal)
 		}
 	}
+	if first != nil {
+		return first, nil
+	}
 	return nil, err
+}
+
+// exposesExchange reports whether markOverlap left some exchange group of p
+// to complete its receives in place.
+func exposesExchange(p *Plan) (exposed bool) {
+	WalkSteps(p.Steps, func(s Step, _ []Step) error {
+		ex, ok := s.(*Exchange)
+		exposed = exposed || ok && !ex.Overlap
+		return nil
+	})
+	return exposed
 }
 
 // compileUnder compiles the analysed program under one directive.
@@ -200,10 +218,10 @@ func (c *compiler) placeCombines(steps []Step) []Step {
 // deriveDistributions proposes one directive per dimension d, last first.
 // The first written array that a loop scans along d picks the loops; every
 // other written array takes the dimension those loops scan, or d if they
-// scan none (an array with no dimension d stays replicated). Read-only
-// arrays align when every reference subscripts one dimension, the same in
-// all, by exactly a distributed loop variable, and stay replicated
-// otherwise.
+// scan none but some loop scans it along a dimension (an array with no
+// dimension d, or that no loop scans, stays replicated). Read-only arrays
+// align when every reference subscripts one dimension, the same in all, by
+// exactly a distributed loop variable, and stay replicated otherwise.
 func deriveDistributions(a *depend.Analysis) []depend.DistSpec {
 	written := a.WrittenArrays()
 	rank := 0
@@ -228,11 +246,12 @@ func deriveDistributions(a *depend.Analysis) []depend.DistSpec {
 				continue
 			}
 			n := len(a.Prog.Array(arr).Dims)
-			if d < n {
-				dims[arr] = d
-			}
 			for k := 0; k < n; k++ {
-				if slices.ContainsFunc(a.DistLoopsFor(arr, k), func(l string) bool { return slices.Contains(picked, l) }) {
+				loops := a.DistLoopsFor(arr, k)
+				if len(loops) > 0 && d < n {
+					dims[arr] = d
+				}
+				if slices.ContainsFunc(loops, func(l string) bool { return slices.Contains(picked, l) }) {
 					dims[arr] = k
 					break
 				}

@@ -189,10 +189,65 @@ func TestAutoDistributeMM(t *testing.T) {
 	}
 }
 
+// TestDerivationRanking pins how Compile ranks the derived proposals when
+// it is given no directive: the first that compiles with no exchange group
+// exposed, else the first that compiles. Every proposal before the pick is
+// refused or exposes an exchange; replicated names an array that no
+// proposal distributes.
+func TestDerivationRanking(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pick       int  // the proposal Compile returns
+		exposed    bool // whether its plan exposes an exchange
+		replicated string
+	}{
+		// The residual r is written, but no loop scans it along any
+		// dimension, so it stays replicated and the rows compile.
+		{"jacobi-converge", 1, false, "r"},
+		// The columns put the ghost exchange before the sequential i loop;
+		// the rows overlap it with the sweep.
+		{"jacobi", 1, false, ""},
+		// The rows would need loop interchange, so the exposed columns stay.
+		{"threshold-relax", 0, true, ""},
+		// No exchange at all: Compile compiles the first proposal only.
+		{"mm", 0, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := loopir.Library()[tc.name]
+			analysis, err := depend.Analyze(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proposals := deriveDistributions(analysis)
+			for i, spec := range proposals {
+				if _, ok := spec.Dims[tc.replicated]; ok {
+					t.Errorf("proposal %d distributes %s: %v", i, tc.replicated, spec.Dims)
+				}
+				if i < tc.pick {
+					if p, err := compileUnder(analysis, spec); err == nil && !exposesExchange(p) {
+						t.Errorf("proposal %d (%v) compiles with no exposed exchange, ahead of the pick", i, spec.Dims)
+					}
+				}
+			}
+			want, err := compileUnder(analysis, proposals[tc.pick])
+			if err != nil {
+				t.Fatalf("proposal %d (%v): %v", tc.pick, proposals[tc.pick].Dims, err)
+			}
+			if got := exposesExchange(want); got != tc.exposed {
+				t.Errorf("proposal %d exposes an exchange: %v, want %v", tc.pick, got, tc.exposed)
+			}
+			p := mustCompile(t, prog, Options{})
+			if p.Source != want.Source {
+				t.Errorf("Compile chose %v, want proposal %d %v", p.Dist.Dims, tc.pick, proposals[tc.pick].Dims)
+			}
+		})
+	}
+}
+
 // TestLoadProgram checks the commands' program loading: -dist applies to a
-// library program as well as to a file, a library program otherwise runs
-// under LibraryDist, and a file under the derived directive. The file is
-// the library jacobi as source text, which derives its columns.
+// library program as well as to a file, and without it both compile under
+// the derived directive. The file is the library jacobi as source text, so
+// it derives the same rows.
 func TestLoadProgram(t *testing.T) {
 	file := filepath.Join("testdata", "jacobi.dlb")
 	src, err := os.ReadFile(file)
@@ -209,8 +264,8 @@ func TestLoadProgram(t *testing.T) {
 		{"", "", "jacobi", map[string]int{"a": 0, "anew": 0}},
 		{"", "a:1,anew:1", "jacobi", map[string]int{"a": 1, "anew": 1}},
 		{"", "", "mm", map[string]int{"c": 1, "b": 1}},
-		{file, "", "jacobi", map[string]int{"a": 1, "anew": 1}},
-		{file, "a:0,anew:0", "", map[string]int{"a": 0, "anew": 0}},
+		{file, "", "jacobi", map[string]int{"a": 0, "anew": 0}},
+		{file, "a:1,anew:1", "", map[string]int{"a": 1, "anew": 1}},
 	} {
 		prog, spec, err := LoadProgram(tc.file, tc.dist, tc.name)
 		if err != nil {
@@ -358,10 +413,11 @@ func TestInstantiateHookLevelFallsBackOutward(t *testing.T) {
 }
 
 // TestCompileAllLibraryPrograms compiles every library program under the
-// directive table the commands, experiments and examples share.
+// directive the compiler derives, which the commands, experiments and
+// examples share.
 func TestCompileAllLibraryPrograms(t *testing.T) {
 	for name, prog := range loopir.Library() {
-		p, err := Compile(prog, Options{Dist: LibraryDist(name)})
+		p, err := Compile(prog, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

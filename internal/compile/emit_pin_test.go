@@ -25,7 +25,7 @@ func emitFingerprint(ek *loopir.EmittedKernel, err error) string {
 }
 
 // TestEmittedKernelsPinned pins the Go source the AOT emitter produces for
-// every library program under its LibraryDist directive, at the
+// every library program under its derived directive, at the
 // instantiateParams sizes: one FNV-64a hash per KernelRegions region
 // (EmitRangeKernelGo) and one for the whole body (EmitKernelGo), or
 // "refused" where the emitter refuses. The source spells out register
@@ -53,7 +53,7 @@ func TestEmittedKernelsPinned(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		prog := loopir.Library()[name]
-		p := mustCompile(t, prog, Options{Dist: LibraryDist(name)})
+		p := mustCompile(t, prog, Options{})
 		in, err := loopir.NewInstance(prog, instantiateParams[name])
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestRuntimeChecksPinned(t *testing.T) {
 		"threshold-relax": `variable "i" out of range [1,8]; variable "j" out of range [1,8]`,
 	}
 	for name, prog := range loopir.Library() {
-		p := mustCompile(t, prog, Options{Dist: LibraryDist(name)})
+		p := mustCompile(t, prog, Options{})
 		in, err := loopir.NewInstance(prog, instantiateParams[name])
 		if err != nil {
 			t.Fatal(err)

@@ -45,7 +45,7 @@ func execFingerprint(e *Exec) string {
 }
 
 // TestInstantiatePinned pins Instantiate's whole output for every library
-// program under its LibraryDist directive, at grain 1 and at a
+// program under its derived directive, at grain 1 and at a
 // strip-mining grain of 3, under the default hook cost and under hooks so
 // cheap that the deepest level fires (a strip-mined program's per-block
 // hooks). The table was recorded before the phase schedule moved onto
@@ -103,7 +103,7 @@ func TestInstantiatePinned(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		p := mustCompile(t, loopir.Library()[name], Options{Dist: LibraryDist(name)})
+		p := mustCompile(t, loopir.Library()[name], Options{})
 		for _, grain := range []int{1, 3} {
 			for _, hooks := range []string{"default", "cheap"} {
 				opts := Options{}

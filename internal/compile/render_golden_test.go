@@ -64,14 +64,14 @@ func TestRenderPlanGolden(t *testing.T) {
 }
 
 // TestRenderLibraryGolden pins the rendered plan of every library program
-// under its LibraryDist directive — the text the cross-process plan hash is
+// under its derived directive — the text the cross-process plan hash is
 // taken over. The files were written by the commit before exchange groups
 // became one step, so a passing run is the proof that regrouping the step
 // tree left every plan's text, and hash, where it was.
 func TestRenderLibraryGolden(t *testing.T) {
 	for name, prog := range loopir.Library() {
 		t.Run(name, func(t *testing.T) {
-			p := mustCompile(t, prog, Options{Dist: LibraryDist(name)})
+			p := mustCompile(t, prog, Options{})
 			checkGolden(t, "render_"+strings.ReplaceAll(name, "-", "_"), p.Source)
 		})
 	}

@@ -2,6 +2,7 @@ package dlb
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/compile"
@@ -589,26 +590,16 @@ func ghostSupplies(o *core.Ownership, me, delta int) []supply {
 }
 
 // contiguousRuns decomposes an ascending unit list intersected with
-// [lo, hi) into maximal [start, end) runs.
+// [lo, hi) into maximal [start, end) runs. The units are distinct, so
+// units[k]-k never falls and rises exactly where a run ends: both the
+// first unit at or above lo and each run's end are binary searches.
 func contiguousRuns(units []int, lo, hi int) [][2]int {
 	var runs [][2]int
-	for i := 0; i < len(units); {
-		u := units[i]
-		if u < lo {
-			i++
-			continue
-		}
-		if u >= hi {
-			break
-		}
-		start := u
-		end := u + 1
-		i++
-		for i < len(units) && units[i] == end && end < hi {
-			end++
-			i++
-		}
-		runs = append(runs, [2]int{start, end})
+	for i := sort.SearchInts(units, lo); i < len(units) && units[i] < hi; {
+		gap := units[i] - i
+		j := i + sort.Search(len(units)-i, func(k int) bool { return units[i+k]-(i+k) != gap })
+		runs = append(runs, [2]int{units[i], min(units[j-1]+1, hi)})
+		i = j
 	}
 	return runs
 }

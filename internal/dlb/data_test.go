@@ -359,7 +359,8 @@ func TestContiguousRuns(t *testing.T) {
 }
 
 func TestContiguousRunsQuickCoverage(t *testing.T) {
-	// The runs exactly cover units ∩ [lo, hi), in order, without overlap.
+	// The runs exactly cover units ∩ [lo, hi), in order, without overlap,
+	// and are maximal: a unit missing from the list separates each pair.
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		set := map[int]bool{}
@@ -373,9 +374,9 @@ func TestContiguousRunsQuickCoverage(t *testing.T) {
 		lo := r.Intn(40)
 		hi := lo + r.Intn(40-lo+1)
 		covered := map[int]bool{}
-		prevEnd := -1
+		prevEnd := lo - 2
 		for _, run := range contiguousRuns(units, lo, hi) {
-			if run[0] >= run[1] || run[0] < lo || run[1] > hi || run[0] <= prevEnd {
+			if run[0] >= run[1] || run[0] < lo || run[1] > hi || run[0] <= prevEnd+1 {
 				return false
 			}
 			prevEnd = run[1] - 1

@@ -417,6 +417,11 @@ func SequentialTime(plan *compile.Plan, params map[string]int, flopCost time.Dur
 	if err := inst.Run(); err != nil {
 		return 0, nil, err
 	}
+	// The estimate binds loop variables in env: a map this call owns.
+	env := map[string]int{}
+	for k, v := range params {
+		env[k] = v
+	}
 	var flops float64
 	if loopir.UsesIArr(plan.Prog.Body) {
 		// Indirect programs' trip counts are data-dependent: estimate
@@ -427,13 +432,9 @@ func SequentialTime(plan *compile.Plan, params map[string]int, flopCost time.Dur
 		if err != nil {
 			return 0, nil, err
 		}
-		env := map[string]int{}
-		for k, v := range params {
-			env[k] = v
-		}
 		flops = est.EstFlops(plan.Prog.Body, env)
 	} else {
-		flops = loopir.EstFlops(plan.Prog.Body, params)
+		flops = loopir.EstFlops(plan.Prog.Body, env)
 	}
 	return time.Duration(flops * float64(flopCost)), inst.Arrays, nil
 }

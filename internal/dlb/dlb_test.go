@@ -10,15 +10,14 @@ import (
 	"repro/internal/loopir"
 )
 
-// planFor compiles a library program under its LibraryDist directive, or
-// the derived one where the table has none.
+// planFor compiles a library program under its derived directive.
 func planFor(t testing.TB, name string) *compile.Plan {
 	t.Helper()
 	prog := loopir.Library()[name]
 	if prog == nil {
 		t.Fatalf("no program %q", name)
 	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist(name)})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}

@@ -22,7 +22,7 @@ var aboveGate = map[string]int{"n": 320}
 // the schedule and arrays every unpinned run of it must reproduce;
 // computed once.
 var vmReference = sync.OnceValues(func() (*Result, error) {
-	plan, err := compile.Compile(loopir.Library()["mm"], compile.Options{Dist: compile.LibraryDist("mm")})
+	plan, err := compile.Compile(loopir.Library()["mm"], compile.Options{})
 	if err != nil {
 		return nil, err
 	}

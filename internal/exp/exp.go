@@ -22,6 +22,7 @@ package exp
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/cluster"
@@ -71,11 +72,12 @@ func NewApp(name string, params map[string]int, paperSeq time.Duration) (*App, e
 	if prog == nil {
 		return nil, fmt.Errorf("exp: unknown program %q", name)
 	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist(name)})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		return nil, err
 	}
-	flops := loopir.EstFlops(prog.Body, params)
+	// The estimate binds loop variables in the map it is given: a copy.
+	flops := loopir.EstFlops(prog.Body, maps.Clone(params))
 	if flops <= 0 {
 		return nil, fmt.Errorf("exp: program %q has no work", name)
 	}

@@ -22,9 +22,10 @@ func exprOps(e Expr) int {
 // handles triangular nests like LU (where inner bounds depend on outer
 // indices) with O(depth) work. If arms are averaged. A loop whose bounds
 // read an index array (IArr) cannot be evaluated without data and counts
-// as zero; use the instance-bound estimate for those.
+// as zero; use the instance-bound estimate for those. The walk binds loop
+// variables in env (never nil) and restores it before it returns.
 func EstFlops(stmts []Stmt, env map[string]int) float64 {
-	return estFlops(nil, stmts, cloneEnv(env))
+	return estFlops(nil, stmts, env)
 }
 
 // EstFlops is the instance-bound estimate: loop bounds are evaluated
@@ -33,21 +34,21 @@ func EstFlops(stmts []Stmt, env map[string]int) float64 {
 // way the package-level EstFlops must. Index arrays are read-only by
 // validation, so the estimate is stable across the run.
 func (in *Instance) EstFlops(stmts []Stmt, env map[string]int) float64 {
-	return estFlops(in, stmts, cloneEnv(env))
+	return estFlops(in, stmts, env)
 }
 
-// cloneEnv copies env (never nil) so a walk can bind loop variables in it.
-func cloneEnv(env map[string]int) map[string]int {
-	local := make(map[string]int, len(env))
-	for k, v := range env {
-		local[k] = v
+// rebind restores env[v] to what it was before a loop bound v.
+func rebind(env map[string]int, v string, prev int, bound bool) {
+	if bound {
+		env[v] = prev
+	} else {
+		delete(env, v)
 	}
-	return local
 }
 
 // estFlops is the one estimate walk. in, when non-nil, evaluates loop
-// bounds against its arrays; nil evaluates them from env alone. env is
-// scratch: loop variables are bound and unbound in place.
+// bounds against its arrays; nil evaluates them from env alone. Loop
+// variables are bound in env and rebound on the way out.
 func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
 	total := 0.0
 	for _, s := range stmts {
@@ -62,6 +63,7 @@ func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
 			if trip <= 0 {
 				continue
 			}
+			prev, bound := env[s.Var]
 			if in != nil && dataDependentTrips(s.Body) {
 				// A nested trip count reads an index array through this
 				// loop's variable: the midpoint row is not representative
@@ -70,12 +72,11 @@ func estFlops(in *Instance, stmts []Stmt, env map[string]int) float64 {
 					env[s.Var] = v
 					total += estFlops(in, s.Body, env)
 				}
-				delete(env, s.Var)
-				continue
+			} else {
+				env[s.Var] = lo + trip/2
+				total += float64(trip) * estFlops(in, s.Body, env)
 			}
-			env[s.Var] = lo + trip/2
-			total += float64(trip) * estFlops(in, s.Body, env)
-			delete(env, s.Var)
+			rebind(env, s.Var, prev, bound)
 		case *Assign:
 			total += float64(exprOps(s.RHS) + 1)
 		case *If:
@@ -104,12 +105,9 @@ func dataDependentTrips(stmts []Stmt) bool {
 // ExactFlops counts the floating-point operations of a statement list by
 // walking the full iteration space (without touching data, so If arms are
 // maximized). Exponential in nothing, but linear in total iterations — use
-// for small instances and tests.
+// for small instances and tests. Like EstFlops, it binds loop variables in
+// env (never nil) and restores it before it returns.
 func ExactFlops(stmts []Stmt, env map[string]int) int64 {
-	return exactFlops(stmts, cloneEnv(env))
-}
-
-func exactFlops(stmts []Stmt, env map[string]int) int64 {
 	var total int64
 	for _, s := range stmts {
 		switch s := s.(type) {
@@ -119,16 +117,17 @@ func exactFlops(stmts []Stmt, env map[string]int) int64 {
 			if err1 != nil || err2 != nil {
 				continue
 			}
+			prev, bound := env[s.Var]
 			for v := lo; v < hi; v++ {
 				env[s.Var] = v
-				total += exactFlops(s.Body, env)
+				total += ExactFlops(s.Body, env)
 			}
-			delete(env, s.Var)
+			rebind(env, s.Var, prev, bound)
 		case *Assign:
 			total += int64(exprOps(s.RHS) + 1)
 		case *If:
 			total += int64(exprOps(s.Cond.L) + exprOps(s.Cond.R) + 1)
-			t, e := exactFlops(s.Then, env), exactFlops(s.Else, env)
+			t, e := ExactFlops(s.Then, env), ExactFlops(s.Else, env)
 			if t > e {
 				total += t
 			} else {

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -244,8 +245,10 @@ func TestKernelLowersProducts(t *testing.T) {
 
 func TestExactAndEstFlops(t *testing.T) {
 	mm := MatMul()
-	// c[i][j] = c[i][j] + a*b : one add, one mul, one store = 3 ops.
-	env := map[string]int{"n": 6}
+	// c[i][j] = c[i][j] + a*b : one add, one mul, one store = 3 ops. The
+	// walks bind loop variables in env and must hand it back unchanged,
+	// a prior binding of a loop's own variable included.
+	env := map[string]int{"n": 6, "i": 99}
 	exact := ExactFlops(mm.Body, env)
 	if exact != 3*6*6*6 {
 		t.Fatalf("ExactFlops = %d, want %d", exact, 3*6*6*6)
@@ -253,6 +256,9 @@ func TestExactAndEstFlops(t *testing.T) {
 	est := EstFlops(mm.Body, env)
 	if est != float64(exact) {
 		t.Fatalf("EstFlops = %v, want %d (rectangular nest should be exact)", est, exact)
+	}
+	if want := map[string]int{"n": 6, "i": 99}; !maps.Equal(env, want) {
+		t.Fatalf("env after the walks = %v, want %v", env, want)
 	}
 }
 

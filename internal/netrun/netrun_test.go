@@ -23,7 +23,7 @@ func testPlan(t *testing.T, name string, n, iter int) (*compile.Plan, map[string
 	if prog == nil {
 		t.Fatalf("unknown program %q", name)
 	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist(name)})
+	plan, err := compile.Compile(prog, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestBackToBackRunsScatterTheirOwnData(t *testing.T) {
 		base := a.Init
 		a.InitSpec = ""
 		a.Init = func(idx []int) float64 { return scale * base(idx) }
-		plan, err := compile.Compile(prog, compile.Options{Dist: compile.LibraryDist("mm")})
+		plan, err := compile.Compile(prog, compile.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
