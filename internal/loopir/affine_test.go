@@ -117,7 +117,7 @@ func TestAffineOfMatchesEvalIndex(t *testing.T) {
 	}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := randProgram(r, false)
+		p := randProgram(r, false, false)
 		checkAffineAgainstEval(t, p, map[string]int{"n": 5 + r.Intn(6)}, r)
 		return true
 	}

@@ -45,12 +45,13 @@ import (
 //     store writes the strip in iteration order, so every element sees the
 //     scalar loop's IEEE operations in the scalar loop's order.
 //   - A recurrence runs a strip at a time too when one load blocks it: the
-//     load of what the previous iteration stored (distance 1, sor's
-//     b[j-1][i]), made once. Every operand off its path to the root fills
-//     its own slot over the strip; then one serial loop walks the strip,
-//     applies the path's ops innermost first to the carried value and
-//     stores each result, so only the carried chain runs an iteration at a
-//     time, in the scalar loop's order.
+//     load of what the previous iteration stored, one step behind the
+//     store (sor's b[j-1][i]; at step 0 the stored element itself, mm's
+//     reduction into c[i][j]), made once. Every operand off its path to the
+//     root fills its own slot over the strip; then one serial loop walks
+//     the strip, applies the path's ops innermost first to the carried
+//     value and stores each result, so only the carried chain runs an
+//     iteration at a time, in the scalar loop's order.
 
 // Opcode kinds of the expression stack machine.
 const (
@@ -189,19 +190,15 @@ const stripW = 128
 // kstrip is an innermost loop's strip plan. The loop's body is one
 // assignment, none of whose sites is derived; it runs w iterations at
 // once, where w is the compile-time cap narrowed by the pairs only loop
-// entry can decide. A reduction (a step-0 store whose address the code
-// loads once, as a direct operand of the top operator) evaluates the other
-// operand over the strip and folds it into the stored value serially. A
-// carried strip (a stepping store whose previous value the code loads
-// once) evaluates each operand off the carried load's path over the strip
-// and applies the path serially.
+// entry can decide. A plain strip evaluates the assignment's code over the
+// strip. A carried strip (the code loads the element one step behind the
+// store once: the previous iteration's, or at step 0 the stored element
+// itself) evaluates each operand off the carried load's path over the
+// strip and applies the path serially.
 type kstrip struct {
 	a       *kassign
-	code    []kop   // evaluated over the strip: a.code, a reduction's other operand, or nil when carried
 	width   int     // cap from the pairs decided at compile time; > 1
 	pairs   []int32 // load sites on the stored array whose distance is known only at entry
-	reduce  bool
-	accLeft bool    // the reduction's stored value is the top operator's left operand
 	carried bool    // a recurrence: one load reads what the previous iteration stored
 	path    []kpath // carried: the ops from the carried load to the root, innermost first
 }
@@ -462,19 +459,16 @@ func (s *kstrip) run(k *Kernel, x *kexec, w int) {
 		s.runCarried(k, x, w)
 		return
 	}
-	v := k.evalStrip(s.code, x, w, 0)
+	v := k.evalStrip(s.a.code, x, w, 0)
 	d := &k.sites[s.a.dst]
 	off := x.offs[s.a.dst]
-	switch {
-	case s.reduce:
-		d.data[off] = fold(s.a.code[len(s.a.code)-1].kind, s.accLeft, d.data[off], v)
-	case d.step == 1:
+	if d.step == 1 {
 		copy(d.data[off:off+w], v)
-	default:
-		for _, e := range v {
-			d.data[off] = e
-			off += d.step
-		}
+		return
+	}
+	for _, e := range v {
+		d.data[off] = e
+		off += d.step
 	}
 }
 
@@ -482,7 +476,8 @@ func (s *kstrip) run(k *Kernel, x *kexec, w int) {
 // operand over the strip first, then the carried chain one iteration at a
 // time. Iteration t's carried load reads what iteration t−1 stored, one
 // step behind the store, so the chain keeps the stored value in v instead
-// of reloading it.
+// of reloading it. A step-0 store with a one-op path, a reduction, folds
+// the strip into v and stores it once.
 func (s *kstrip) runCarried(k *Kernel, x *kexec, w int) {
 	for i := range s.path {
 		k.evalStrip(s.path[i].sib, x, w, i)
@@ -491,6 +486,10 @@ func (s *kstrip) runCarried(k *Kernel, x *kexec, w int) {
 	d := &k.sites[s.a.dst]
 	data, step, off := d.data, d.step, x.offs[s.a.dst]
 	v := data[off-step]
+	if step == 0 && len(path) == 1 {
+		data[off] = fold(path[0].kind, path[0].left, v, buf[:w])
+		return
+	}
 	for t := 0; t < w; t++ {
 		for i := range path {
 			p := &path[i]
@@ -518,10 +517,10 @@ func (s *kstrip) runCarried(k *Kernel, x *kexec, w int) {
 }
 
 // fold applies op between acc and each v[t] in order, keeping acc on the
-// side the scalar code has it.
-func fold(op byte, accLeft bool, acc float64, v []float64) float64 {
+// side the scalar code has it: the left operand when left is set.
+func fold(op byte, left bool, acc float64, v []float64) float64 {
 	switch {
-	case op == opAdd && accLeft:
+	case op == opAdd && left:
 		for _, e := range v {
 			acc = acc + e
 		}
@@ -529,7 +528,7 @@ func fold(op byte, accLeft bool, acc float64, v []float64) float64 {
 		for _, e := range v {
 			acc = e + acc
 		}
-	case op == opSub && accLeft:
+	case op == opSub && left:
 		for _, e := range v {
 			acc = acc - e
 		}
@@ -537,7 +536,7 @@ func fold(op byte, accLeft bool, acc float64, v []float64) float64 {
 		for _, e := range v {
 			acc = e - acc
 		}
-	case op == opMul && accLeft:
+	case op == opMul && left:
 		for _, e := range v {
 			acc = acc * e
 		}
@@ -545,7 +544,7 @@ func fold(op byte, accLeft bool, acc float64, v []float64) float64 {
 		for _, e := range v {
 			acc = e * acc
 		}
-	case accLeft: // opDiv
+	case left: // opDiv
 		for _, e := range v {
 			acc = acc / e
 		}
@@ -885,9 +884,9 @@ func (kc *kcompiler) compileAssign(s *Assign, lvl *klevel, conditional bool, d *
 // and returns its plan, or nil for a loop that always runs scalar: one
 // with a BreakIf, a body other than one assignment (a derived site's
 // kderive is a second instruction), or a load pair whose distance, known
-// now, forbids any strip. A load at distance 1 from a stepping store (sor's
-// b[j-1][i] against b[j][i]) forbids none when the code loads it once: it
-// becomes the strip's carried load.
+// now, forbids any strip. A load one step behind the store (sor's
+// b[j-1][i] against b[j][i]; at step 0, mm's c[i][j] itself) forbids none
+// when the code loads it once: it becomes the strip's carried load.
 func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 	if l.brk != nil || len(l.body) != 1 {
 		return nil
@@ -897,31 +896,23 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 		return nil
 	}
 	dst := &kc.sites[a.dst]
-	st := &kstrip{a: a, code: a.code, width: stripW}
+	st := &kstrip{a: a, width: stripW}
 	var carry int32 // the carried load's site
-	n := len(a.code)
-	if dst.step == 0 && n >= 3 && a.code[n-1].kind > opLoad && loadsOf(a.code, a.dst) == 1 {
-		switch {
-		case isLoad(a.code[0], a.dst) && whole(a.code[1:n-1]):
-			st.code, st.reduce, st.accLeft = a.code[1:n-1], true, true
-		case isLoad(a.code[n-2], a.dst):
-			st.code, st.reduce = a.code[:n-2], true
-		}
-	}
 	for _, op := range a.code {
 		if op.kind != opLoad {
 			continue
 		}
 		ld := &kc.sites[op.site]
 		switch {
-		case ld.name != dst.name || (st.reduce && op.site == a.dst):
-			// Another array, or the reduction's own operand: no pair.
+		case ld.name != dst.name:
+			// Another array: no pair.
 		case !slices.Equal(ld.flat.terms, dst.flat.terms):
 			if !slices.Contains(st.pairs, op.site) {
 				st.pairs = append(st.pairs, op.site)
 			}
-		case dst.step != 0 && ld.flat.c-dst.flat.c == -dst.step && loadsOf(a.code, op.site) == 1:
-			// Equal terms at distance 1, loaded once: the carried load.
+		case ld.flat.c-dst.flat.c == -dst.step && loadsOf(a.code, op.site) == 1:
+			// Equal terms one step behind the store, loaded once: the
+			// carried load, at q = 1, or at step 0 the stored element.
 			st.carried, carry = true, op.site
 		default:
 			// Equal terms: d is a constant and the steps are equal, so
@@ -933,7 +924,7 @@ func (kc *kcompiler) stripPlan(l *kloop) *kstrip {
 		return nil
 	}
 	if st.carried {
-		st.code, st.path = nil, carriedPath(a.code, carry)
+		st.path = carriedPath(a.code, carry)
 		for i, p := range st.path {
 			kc.depth = max(kc.depth, i+stackDepth(p.sib))
 		}
@@ -1000,22 +991,6 @@ func loadsOf(code []kop, site int32) int {
 		}
 	}
 	return n
-}
-
-// whole reports whether code is one complete expression.
-func whole(code []kop) bool {
-	depth := 0
-	for _, op := range code {
-		if op.kind > opLoad {
-			if depth < 2 {
-				return false
-			}
-			depth--
-		} else {
-			depth++
-		}
-	}
-	return depth == 1
 }
 
 func (kc *kcompiler) compileStmts(stmts []Stmt, lvl *klevel, conditional bool) ([]kinstr, error) {

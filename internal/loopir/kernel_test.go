@@ -123,11 +123,13 @@ func TestQuickKernelEquivalence(t *testing.T) {
 
 // BenchmarkKernel compares the in-process executors — interpreter and
 // compiled kernel — on the stencil (jacobi) and pipelined (sor) programs
-// plus mm and lu, the service's other two. jacobi, mm and lu run their
-// innermost loops a strip at a time, and sor's recurrence runs as carried
-// strips, its chain alone serial. The kernel/interp ratio here is the ≥5x
-// acceptance bar the kernel tier was admitted on; the benchmark module's
-// loopir.kernel_mflops / loopir.interp_mflops record it per workload.
+// plus mm and lu, the service's other two, and pbin, whose reduction has
+// power-law trips and so runs many short strips. jacobi and lu run their
+// innermost loops a strip at a time; sor's recurrence and the mm and pbin
+// reductions run as carried strips, the chain alone serial. The
+// kernel/interp ratio here is the ≥5x acceptance bar the kernel tier was
+// admitted on; the benchmark module's loopir.kernel_mflops /
+// loopir.interp_mflops record it per workload.
 func BenchmarkKernel(b *testing.B) {
 	progs := []struct {
 		name   string
@@ -137,6 +139,7 @@ func BenchmarkKernel(b *testing.B) {
 		{"sor", map[string]int{"n": 64, "maxiter": 2}},
 		{"mm", map[string]int{"n": 48}},
 		{"lu", map[string]int{"n": 64}},
+		{"pbin", map[string]int{"n": 256, "maxiter": 4}},
 	}
 	for _, p := range progs {
 		prog := Library()[p.name]

@@ -25,7 +25,7 @@ func TestQuickNativeUnsafe(t *testing.T) {
 	outcomes := map[bool]int{}
 	for _, seed := range []int64{5, 6, 7, 8, 13, 33, 105, 128} {
 		r := rand.New(rand.NewSource(seed))
-		p := loopir.RandProgram(r, true)
+		p := loopir.RandProgram(r, true, false)
 		p.Name = fmt.Sprintf("rand%d", seed)
 		params := map[string]int{"n": 5 + r.Intn(6)}
 		ref, err := loopir.NewInstance(p, params)

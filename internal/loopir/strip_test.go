@@ -8,8 +8,8 @@ import (
 )
 
 // stripPlans describes, in program order, how each innermost loop of k
-// runs: "v scalar", or "v w=W" with " reduce" for a folded reduction,
-// " carried" for a recurrence whose distance-1 load runs serially and
+// runs: "v scalar", or "v w=W" with " carried" for a recurrence or
+// reduction whose load one step behind the store runs serially and
 // " +N at entry" for the load pairs loop entry decides.
 func stripPlans(k *Kernel) []string {
 	names := map[int]string{}
@@ -33,9 +33,6 @@ func stripPlans(k *Kernel) []string {
 					continue
 				}
 				d := fmt.Sprintf("%s w=%d", names[ins.reg], s.width)
-				if s.reduce {
-					d += " reduce"
-				}
 				if s.carried {
 					d += " carried"
 				}
@@ -68,15 +65,53 @@ func sameBits(a, b *Instance) error {
 	return nil
 }
 
-// TestStripBatchLegality pins, per row, how the kernel compiler plans each
-// innermost loop, and runs the kernel against Interpret bit for bit. The
-// rows sit on either side of every edge of the rule: dependence distances
-// 1, 2, 127, 128 and 129 in both directions and on negative steps,
-// step-0 reductions for + − × ÷ in both operand orders, reductions whose
-// other operand reads the stored address, pairs that differ in an outer
-// register's coefficient (decided at entry), and trips of 1, 127 and a
-// non-multiple of 128.
-func TestStripBatchLegality(t *testing.T) {
+// capWidths caps the width of every strip plan in code at w. At w = 1
+// every innermost loop runs scalar.
+func capWidths(code []kinstr, w int) {
+	for _, ins := range code {
+		switch ins := ins.(type) {
+		case *kloop:
+			if ins.strip != nil {
+				ins.strip.width = min(ins.strip.width, w)
+			}
+			capWidths(ins.body, w)
+		case *kif:
+			capWidths(ins.then, w)
+			capWidths(ins.els, w)
+		}
+	}
+}
+
+// capped compiles a clone's whole body and runs it with every strip
+// capped at w.
+func capped(w int) func(fast *Instance) error {
+	return func(fast *Instance) error {
+		k, err := fast.CompileKernel(fast.Prog.Body)
+		if err != nil {
+			return err
+		}
+		capWidths(k.code, w)
+		k.Run(nil)
+		return nil
+	}
+}
+
+// stripRow is one program of TestStripBatchLegality with the strip plans
+// its innermost loops must get.
+type stripRow struct {
+	name   string
+	prog   *Program
+	params map[string]int
+	want   []string
+}
+
+// stripRows are TestStripBatchLegality's programs. They sit on either side
+// of every edge of the rule: dependence distances 1, 2, 127, 128 and 129
+// in both directions and on negative steps, step-0 reductions for + − × ÷
+// in both operand orders, reductions whose other operand reads the stored
+// address, pairs that differ in an outer register's coefficient (decided
+// at entry), and trips of 1, 127 and a non-multiple of 128.
+func stripRows() []stripRow {
 	m, i, j, k := Iv("m"), Iv("i"), Iv("j"), Iv("k")
 	vec := func(name string, salt float64, extra int) *ArrayDecl {
 		return initArray(name, "hash", salt, Iadd(m, Ic(extra)))
@@ -133,15 +168,15 @@ func TestStripBatchLegality(t *testing.T) {
 			e = Fadd(Fmul(Fref("a", i, k), Fc(0.01)), Fc(0.995))
 		}
 		acc := Fref("c", i)
-		for _, accLeft := range []bool{true, false} {
+		for _, left := range []bool{true, false} {
 			rhs, side := Bin{Op: op, L: acc, R: e}, "acc left"
-			if !accLeft {
+			if !left {
 				rhs, side = Bin{Op: op, L: e, R: acc}, "acc right"
 			}
 			rows = append(rows, row{fmt.Sprintf("reduction %c, %s", op, side), 130,
 				[]*ArrayDecl{vec("c", 5, 0), mat("a", 6)},
 				For("i", Ic(0), m, For("k", Ic(0), m, Set(acc, rhs))),
-				[]string{"k w=128 reduce"}})
+				[]string{"k w=128 carried"}})
 		}
 	}
 	rows = append(rows,
@@ -149,17 +184,18 @@ func TestStripBatchLegality(t *testing.T) {
 		row{"reduction, other operand reads c[i] via c[k]", 130, []*ArrayDecl{vec("c", 5, 0), mat("a", 6)},
 			For("i", Ic(0), m, For("k", Ic(0), m,
 				Set(Fref("c", i), Fadd(Fref("c", i), Fmul(Fref("a", i, k), Fref("c", k)))))),
-			[]string{"k w=128 reduce +1 at entry"}},
+			[]string{"k w=128 carried +1 at entry"}},
 		// ... and through the stored site itself: loaded twice, no reduction.
 		row{"reduction, other operand reads c[i] itself", 130, []*ArrayDecl{vec("c", 5, 0), mat("a", 6)},
 			For("i", Ic(0), m, For("k", Ic(0), m,
 				Set(Fref("c", i), Fadd(Fref("c", i), Fmul(Fref("a", i, k), Fref("c", i)))))),
 			[]string{"k scalar"}},
-		// The stored value is not a direct operand of the top operator.
+		// The stored value is not a direct operand of the top operator: a
+		// two-op carried path at step 0.
 		row{"step-0 store under a product", 130, []*ArrayDecl{vec("c", 5, 0), mat("a", 6)},
 			For("i", Ic(0), m, For("k", Ic(0), m,
 				Set(Fref("c", i), Fmul(Fadd(Fref("c", i), Fref("a", i, k)), Fc(0.5))))),
-			[]string{"k scalar"}},
+			[]string{"k w=128 carried"}},
 		// A step-0 store nothing loads: the last iteration's value stays.
 		row{"step-0 store, no load", 130, []*ArrayDecl{vec("c", 5, 0), mat("a", 6)},
 			For("i", Ic(0), m, For("k", Ic(0), m, Set(Fref("c", i), Fmul(Fref("a", i, k), Fc(2))))),
@@ -225,20 +261,55 @@ func TestStripBatchLegality(t *testing.T) {
 				[]string{"i w=128"}},
 			row{fmt.Sprintf("sum, trip %d", trip), trip, []*ArrayDecl{vec("x", 11, 0), vec("s", 13, 0)},
 				For("i", Ic(0), m, Set(Fref("s", Ic(0)), Fadd(Fref("s", Ic(0)), Fref("x", i)))),
-				[]string{"i w=128 reduce"}})
+				[]string{"i w=128 carried"}})
 	}
 
+	var out []stripRow
 	for _, r := range rows {
+		p := &Program{Name: "strip", Params: []string{"m"}, Arrays: r.arrays, Body: []Stmt{r.body}}
+		out = append(out, stripRow{r.name, p, map[string]int{"m": r.m}, r.want})
+	}
+	// lu's a[k][j] and a[ii][k] against a[ii][j], with trips crossing 128.
+	return append(out, stripRow{"lu n=140", LU(), map[string]int{"n": 140}, []string{"i w=128 +1 at entry", "ii w=128 +2 at entry"}})
+}
+
+// TestStripBatchLegality pins, per row of stripRows, how the kernel
+// compiler plans each innermost loop, and runs the kernel against
+// Interpret bit for bit.
+func TestStripBatchLegality(t *testing.T) {
+	for _, r := range stripRows() {
 		t.Run(r.name, func(t *testing.T) {
-			p := &Program{Name: "strip", Params: []string{"m"}, Arrays: r.arrays, Body: []Stmt{r.body}}
-			stripAgainstInterpret(t, p, map[string]int{"m": r.m}, r.want)
+			stripAgainstInterpret(t, r.prog, r.params, r.want)
 		})
 	}
+}
 
-	// lu's a[k][j] and a[ii][k] against a[ii][j], with trips crossing 128.
-	t.Run("lu n=140", func(t *testing.T) {
-		stripAgainstInterpret(t, LU(), map[string]int{"n": 140}, []string{"i w=128 +1 at entry", "ii w=128 +2 at entry"})
-	})
+// TestStripForcedWidths runs every library program and every
+// TestStripBatchLegality row with each strip plan capped at widths 1, 2, 3
+// and 128, bit for bit against Interpret: strip edges fall where trips of
+// 127 and 300 at the planned width never put them.
+func TestStripForcedWidths(t *testing.T) {
+	rows := stripRows()
+	params := kernelTestParams()
+	for name, prog := range Library() {
+		rows = append(rows, stripRow{name: name, prog: prog, params: params[name]})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			in, err := NewInstance(r.prog, r.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Clone().Interpret(); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 2, 3, stripW} {
+				if err := againstInterpret(in, capped(w)); err != nil {
+					t.Errorf("cap %d: %v", w, err)
+				}
+			}
+		})
+	}
 }
 
 // stripAgainstInterpret compiles p's body, checks its strip plans against
@@ -274,7 +345,7 @@ func stripAgainstInterpret(t *testing.T, p *Program, params map[string]int, want
 // service's jobs rests on, and the ones that must stay scalar.
 func TestLibraryStripPlans(t *testing.T) {
 	want := map[string][]string{
-		"mm":              {"k w=128 reduce"},
+		"mm":              {"k w=128 carried"},
 		"lu":              {"i w=128 +1 at entry", "ii w=128 +2 at entry"},
 		"jacobi":          {"j w=128", "j2 w=128"},
 		"jacobi3d":        {"k w=128", "k2 w=128"},
@@ -284,7 +355,7 @@ func TestLibraryStripPlans(t *testing.T) {
 		"threshold-relax": {"j scalar"},
 		"jacobi-converge": {"j w=128", "j2 scalar"},
 		"spmv":            {"k scalar"},
-		"pbin":            {"l w=128 reduce"},
+		"pbin":            {"l w=128 carried"},
 	}
 	params := kernelTestParams()
 	for name, prog := range Library() {
