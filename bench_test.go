@@ -183,16 +183,16 @@ func BenchmarkHeterogeneous(b *testing.B) {
 // (crash/stall/join scenarios on the calibrated workloads) and reports the
 // cost of surviving a crash near the end of the MM run.
 func BenchmarkFaultRecovery(b *testing.B) {
-	var rows []exp.FaultRow
+	var rep *exp.FaultReport
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.FaultTolerance(exp.Quick)
+		rep, err = exp.FaultTolerance(exp.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	var free, crash exp.FaultRow
-	for _, r := range rows {
+	for _, r := range rep.Rows {
 		if r.App == "mm" && r.Scenario == "fault-free" {
 			free = r
 		}

@@ -1,14 +1,14 @@
-// Command dlbbench regenerates every table and figure of the paper's
-// evaluation, plus the ablation and extension experiments, as text tables,
-// CSV and BENCH_*.json. Everything it prints is deterministic virtual-time
-// model output; wall-clock measurement is the benchmark/ module's job.
+// Command dlbbench regenerates the paper's evaluation and the extension
+// experiments as JSON reports, each the checked-in BENCH_<name>.json at
+// full scale. Everything it prints is deterministic virtual-time model
+// output; wall-clock measurement is the benchmark/ module's job.
 //
 // Usage:
 //
-//	dlbbench                  # everything, full scale, to stdout
-//	dlbbench -exp fig5        # one experiment
+//	dlbbench                  # every report, full scale, to stdout
+//	dlbbench -exp paper       # one report
 //	dlbbench -quick           # reduced problem sizes (same virtual scale)
-//	dlbbench -out results/    # write <name>.txt (plus fig9.csv, BENCH_*.json)
+//	dlbbench -out results/    # write BENCH_<name>.json there
 //
 // The experiment names are exp.Experiments; `dlbbench -h` lists them.
 package main
@@ -35,7 +35,7 @@ func main() {
 	}
 	which := flag.String("exp", "all", "experiment to run: all, "+strings.Join(names, ", "))
 	quick := flag.Bool("quick", false, "reduced problem sizes")
-	out := flag.String("out", "", "directory to write artifacts to (default: stdout)")
+	out := flag.String("out", "", "directory to write BENCH_<name>.json to (default: stdout)")
 	flag.Parse()
 
 	scale := exp.Full
@@ -47,13 +47,6 @@ func main() {
 			fail(err)
 		}
 	}
-	write := func(name, content string) {
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", path)
-	}
 
 	ran := false
 	for _, e := range exp.Experiments {
@@ -61,18 +54,23 @@ func main() {
 			continue
 		}
 		ran = true
-		a, err := e.Run(scale)
+		rep, err := e.Run(scale)
+		if err != nil {
+			fail(err)
+		}
+		b, err := exp.Marshal(rep)
 		if err != nil {
 			fail(err)
 		}
 		if *out == "" {
-			fmt.Println(a.Text)
+			os.Stdout.Write(b)
 			continue
 		}
-		write(e.Name+".txt", a.Text)
-		for name, content := range a.Files {
-			write(name, content)
+		path := filepath.Join(*out, "BENCH_"+e.Name+".json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			fail(err)
 		}
+		fmt.Println("wrote", path)
 	}
 	if !ran {
 		fail(fmt.Errorf("unknown experiment %q (have: all, %s)", *which, strings.Join(names, ", ")))

@@ -1,11 +1,11 @@
 // Command dlbcompile runs the parallelizing compiler on a library program
-// or a source file and prints the dependence analysis, Table 1 properties,
-// and the generated SPMD program with its communication and load-balancing
-// hooks.
+// or a source file and prints the dependence analysis, its Table 1
+// properties, and the generated SPMD program with its communication and
+// load-balancing hooks.
 //
 // Usage:
 //
-//	dlbcompile [-deps] [-table1] [-file src.dlb] [-dist array:dim] [prog]
+//	dlbcompile [-deps] [-file src.dlb] [-dist array:dim] [prog]
 //
 // where prog is a loopir.Library program (default sor). With no -dist a
 // program runs under the directive the compiler derives, ranked by exposed
@@ -19,25 +19,14 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/depend"
-	"repro/internal/exp"
 	"repro/internal/loopir"
 )
 
 func main() {
 	deps := flag.Bool("deps", false, "print the dependence analysis")
-	table1 := flag.Bool("table1", false, "print Table 1 (application properties) for mm, sor, lu")
 	file := flag.String("file", "", "compile a source file instead of a library program")
 	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim...] (default: derived, ranked by exposed exchanges)")
 	flag.Parse()
-
-	if *table1 {
-		t, err := exp.Table1()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(t)
-		return
-	}
 
 	name := "sor"
 	if flag.NArg() > 0 {

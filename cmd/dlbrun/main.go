@@ -245,8 +245,10 @@ func main() {
 	}
 
 	if *showStats && res.Counters != nil {
-		fmt.Println()
-		fmt.Print(res.Counters.Table("engine counters"))
+		fmt.Println("\nengine counters:")
+		for _, name := range res.Counters.Names() {
+			fmt.Printf("  %-22s %d\n", name, res.Counters[name])
+		}
 	}
 	if *showStats && len(res.Loads) > 0 {
 		// Average imbalance factor: max/mean weighted per-slave backlog,

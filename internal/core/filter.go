@@ -57,6 +57,3 @@ func (f *RateFilter) Update(sample float64) float64 {
 
 // Value returns the current filtered rate (0 before the first sample).
 func (f *RateFilter) Value() float64 { return f.value }
-
-// Primed reports whether at least one sample has been consumed.
-func (f *RateFilter) Primed() bool { return f.primed }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -12,12 +11,12 @@ import (
 // PipeliningRow compares pipelined vs. synchronous master interactions at
 // one network latency.
 type PipeliningRow struct {
-	Latency   time.Duration
-	TimePipe  time.Duration
-	TimeSync  time.Duration
-	EffPipe   float64
-	EffSync   float64
-	PhasesNum int
+	Latency   time.Duration `json:"latency_ns"`
+	TimePipe  time.Duration `json:"pipelined_ns"`
+	TimeSync  time.Duration `json:"synchronous_ns"`
+	EffPipe   float64       `json:"eff_pipelined"`
+	EffSync   float64       `json:"eff_synchronous"`
+	PhasesNum int           `json:"phases"`
 }
 
 // AblationPipelining reproduces the §3.3 claim that pipelining master-slave
@@ -67,24 +66,12 @@ func AblationPipelining(s Scale) ([]PipeliningRow, error) {
 	return rows, nil
 }
 
-// RenderPipelining formats the pipelining ablation.
-func RenderPipelining(rows []PipeliningRow) string {
-	t := &metrics.Table{
-		Title:   "Ablation §3.3 — pipelined vs synchronous master interactions (MM, 4 slaves, one loaded)",
-		Headers: []string{"latency", "t_pipelined", "t_synchronous", "eff_pipe", "eff_sync"},
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Latency.String(), r.TimePipe, r.TimeSync, r.EffPipe, r.EffSync)
-	}
-	return t.String()
-}
-
 // GrainRow is one strip-mining block size.
 type GrainRow struct {
-	Grain   int // 0 = automatic (1.5 x quantum rule)
-	Used    int
-	Elapsed time.Duration
-	Eff     float64
+	Grain   int           `json:"forced"` // 0 = automatic (1.5 x quantum rule)
+	Used    int           `json:"used"`
+	Elapsed time.Duration `json:"elapsed_ns"`
+	Eff     float64       `json:"eff"`
 }
 
 // AblationGrain reproduces §4.4: SOR with one loaded slave at forced strip
@@ -134,29 +121,13 @@ func AblationGrain(s Scale) ([]GrainRow, error) {
 	return rows, nil
 }
 
-// RenderGrain formats the grain ablation.
-func RenderGrain(rows []GrainRow) string {
-	t := &metrics.Table{
-		Title:   "Ablation §4.4 — strip-mining grain size (SOR, 4 slaves, one loaded)",
-		Headers: []string{"forced", "grain used", "time", "efficiency"},
-	}
-	for _, r := range rows {
-		forced := fmt.Sprintf("%d", r.Grain)
-		if r.Grain == 0 {
-			forced = "auto"
-		}
-		t.AddRowf(forced, r.Used, r.Elapsed, r.Eff)
-	}
-	return t.String()
-}
-
 // RefinementRow is one balancer variant under the oscillating load.
 type RefinementRow struct {
-	Variant    string
-	Elapsed    time.Duration
-	Eff        float64
-	Moves      int
-	UnitsMoved int
+	Variant    string        `json:"variant"`
+	Elapsed    time.Duration `json:"elapsed_ns"`
+	Eff        float64       `json:"eff"`
+	Moves      int           `json:"moves"`
+	UnitsMoved int           `json:"units_moved"`
 }
 
 // AblationRefinements reproduces the §3.2 refinements: rate filtering, the
@@ -208,32 +179,20 @@ func AblationRefinements(s Scale) ([]RefinementRow, error) {
 	return rows, nil
 }
 
-// RenderRefinements formats the refinements ablation.
-func RenderRefinements(rows []RefinementRow) string {
-	t := &metrics.Table{
-		Title:   "Ablation §3.2 — balancer refinements under oscillating load (MM, 4 slaves)",
-		Headers: []string{"variant", "time", "efficiency", "moves", "units moved"},
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Variant, r.Elapsed, r.Eff, r.Moves, r.UnitsMoved)
-	}
-	return t.String()
-}
-
 // LUAdaptiveRow is one load-balancing phase of the LU run.
 type LUAdaptiveRow struct {
-	Time      time.Duration
-	Phase     int
-	SkipHooks int
-	Period    time.Duration
-	WorkLeft  int
+	Time      time.Duration `json:"t_ns"`
+	Phase     int           `json:"phase"`
+	SkipHooks int           `json:"skip_hooks"`
+	Period    time.Duration `json:"period_ns"`
+	WorkLeft  int           `json:"active_units"`
 }
 
 // LUResult is the §4.7 experiment output.
 type LUResult struct {
-	Rows    []LUAdaptiveRow
-	Elapsed time.Duration
-	Eff     float64
+	Rows    []LUAdaptiveRow `json:"rows"`
+	Elapsed time.Duration   `json:"elapsed_ns"`
+	Eff     float64         `json:"eff"`
 }
 
 // AblationLUAdaptive reproduces §4.7: as LU's per-invocation work shrinks,
@@ -274,16 +233,4 @@ func AblationLUAdaptive(s Scale) (*LUResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// Render formats the LU adaptive-frequency experiment.
-func (l *LUResult) Render() string {
-	t := &metrics.Table{
-		Title:   "§4.7 — adaptive balancing frequency for LU (4 slaves, one loaded)",
-		Headers: []string{"time", "phase", "active columns", "skip", "period"},
-	}
-	for _, r := range l.Rows {
-		t.AddRowf(r.Time, r.Phase, r.WorkLeft, r.SkipHooks, r.Period)
-	}
-	return t.String() + fmt.Sprintf("total: %.1fs, efficiency %.3f\n", l.Elapsed.Seconds(), l.Eff)
 }

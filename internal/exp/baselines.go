@@ -11,18 +11,18 @@ import (
 
 // BaselineRow compares one load-distribution strategy in one environment.
 type BaselineRow struct {
-	Strategy string
-	Scenario string
-	Elapsed  time.Duration
-	Eff      float64
+	Strategy string        `json:"strategy"`
+	Scenario string        `json:"scenario"`
+	Elapsed  time.Duration `json:"elapsed_ns"`
+	Eff      float64       `json:"eff"`
 	// MBMoved is the mid-run application data shipped because of
 	// scheduling decisions (excluding the initial scatter and final
 	// gather, which every strategy pays): per unit, DLB ships its B and C
 	// columns between slaves; the central queue ships B+C to the slave and
 	// C back through the master; diffusion ships the B column to the
 	// neighbor.
-	MBMoved float64
-	Assigns int
+	MBMoved float64 `json:"mb_moved"`
+	Assigns int     `json:"decisions"`
 }
 
 // Baselines quantifies the related-work comparison (§6) on the MM workload:
@@ -113,16 +113,4 @@ func Baselines(s Scale) ([]BaselineRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderBaselines formats the comparison.
-func RenderBaselines(rows []BaselineRow) string {
-	t := &metrics.Table{
-		Title:   "Related-work comparison (§6) — MM on 8 slaves",
-		Headers: []string{"scenario", "strategy", "time", "efficiency", "MB moved (slaves)", "decisions"},
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Scenario, r.Strategy, r.Elapsed, r.Eff, r.MBMoved, r.Assigns)
-	}
-	return t.String()
 }

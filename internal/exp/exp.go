@@ -2,8 +2,8 @@
 // 5-9, and the ablations implied by the text (pipelined vs. synchronous
 // interactions §3.3, grain-size selection §4.4, balancer refinements §3.2,
 // adaptive frequency for LU §4.7). Each driver builds the workload, runs
-// the compiled program on a simulated cluster, and renders the same rows or
-// series the paper reports.
+// the compiled program on a simulated cluster, and reports the same rows or
+// series the paper does.
 //
 // Virtual times are calibrated so the sequential baselines land on the
 // paper's figures (500x500 MM ≈ 250 s, 2000x2000 SOR ≈ 350 s on a Sun
@@ -122,21 +122,22 @@ func (a *App) RunOnce(slaves int, load []cluster.LoadProfile, mod func(*dlb.Conf
 
 // SweepRow is one processor count of a Figure 5-8 style sweep.
 type SweepRow struct {
-	P          int
-	TimePar    time.Duration // static distribution (no DLB)
-	TimeDLB    time.Duration
-	SpeedupPar float64
-	SpeedupDLB float64
-	EffPar     float64
-	EffDLB     float64
+	P          int           `json:"p"`
+	TimePar    time.Duration `json:"par_ns"` // static distribution (no DLB)
+	TimeDLB    time.Duration `json:"dlb_ns"`
+	SpeedupPar float64       `json:"speedup_par"`
+	SpeedupDLB float64       `json:"speedup_dlb"`
+	EffPar     float64       `json:"eff_par"`
+	EffDLB     float64       `json:"eff_dlb"`
 }
 
-// Sweep is a full Figure 5-8 result.
+// Sweep is a full Figure 5-8 result: the paper's three panels (time,
+// speedup, efficiency) as one row per processor count.
 type Sweep struct {
-	Name    string
-	Caption string
-	Seq     time.Duration
-	Rows    []SweepRow
+	Name    string        `json:"name"`
+	Caption string        `json:"caption"`
+	Seq     time.Duration `json:"seq_ns"`
+	Rows    []SweepRow    `json:"rows"`
 }
 
 // RunSweep executes the app at P = 1..maxP with and without DLB under the
@@ -167,17 +168,4 @@ func (a *App) RunSweep(name, caption string, maxP int, loadFor func(p int) []clu
 		})
 	}
 	return sw, nil
-}
-
-// Render formats the sweep as the paper's three panels (time, speedup,
-// efficiency) in one table.
-func (s *Sweep) Render() string {
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("%s — %s (sequential: %.0fs)", s.Name, s.Caption, s.Seq.Seconds()),
-		Headers: []string{"P", "t_par", "t_dlb", "speedup_par", "speedup_dlb", "eff_par", "eff_dlb"},
-	}
-	for _, r := range s.Rows {
-		t.AddRowf(r.P, r.TimePar, r.TimeDLB, r.SpeedupPar, r.SpeedupDLB, r.EffPar, r.EffDLB)
-	}
-	return t.String()
 }

@@ -13,16 +13,23 @@ import (
 // FaultRow is one scenario of the fault-tolerance evaluation: a fault plan
 // injected into a calibrated paper workload, with the cost of surviving it.
 type FaultRow struct {
-	Scenario    string
-	App         string
-	Elapsed     time.Duration
-	Eff         float64
-	Overhead    float64 // elapsed increase over the fault-free run
-	Recoveries  int
-	Checkpoints int
-	Evicted     int
-	Joined      int
-	MaxDiff     float64 // vs the sequential reference (0 = bit-exact)
+	Scenario    string        `json:"scenario"`
+	App         string        `json:"app"`
+	Elapsed     time.Duration `json:"elapsed_ns"`
+	Eff         float64       `json:"eff"`
+	Overhead    float64       `json:"overhead"` // elapsed increase over the fault-free run
+	Recoveries  int           `json:"recoveries"`
+	Checkpoints int           `json:"checkpoints"`
+	Evicted     int           `json:"evicted"`
+	Joined      int           `json:"joined"`
+	MaxDiff     float64       `json:"max_diff"` // vs the sequential reference (0 = bit-exact)
+}
+
+// FaultReport is the fault-tolerance evaluation: one row per scenario.
+type FaultReport struct {
+	Header
+	Slaves int        `json:"slaves"`
+	Rows   []FaultRow `json:"rows"`
 }
 
 // faultScenario pairs a label with the fault plan it injects.
@@ -37,9 +44,12 @@ type faultScenario struct {
 // with a tolerated short stall, with an over-lease stall that leads to
 // eviction, and with a node joining mid-run; plus the restricted SOR
 // pipeline surviving the same crash via adjacent-only reassignment.
-func FaultTolerance(s Scale) ([]FaultRow, error) {
+func FaultTolerance(s Scale) (*FaultReport, error) {
 	const slaves = 8
-	var rows []FaultRow
+	rep := &FaultReport{
+		Header: virtual("virtual-time runs of the fault-tolerant runtime under deterministic fault plans; overhead is against each app's fault-free row"),
+		Slaves: slaves,
+	}
 
 	mm, err := MMApp(s)
 	if err != nil {
@@ -52,7 +62,7 @@ func FaultTolerance(s Scale) ([]FaultRow, error) {
 		{"stall 20s @20s (evicted)", (&fault.Plan{}).StallAt(3, 20*time.Second, 20*time.Second)},
 		{"join @10s", (&fault.Plan{}).JoinAt(10 * time.Second)},
 	}
-	if err := runFaultScenarios(mm, slaves, mmScen, &rows); err != nil {
+	if err := runFaultScenarios(mm, slaves, mmScen, &rep.Rows); err != nil {
 		return nil, err
 	}
 
@@ -64,10 +74,10 @@ func FaultTolerance(s Scale) ([]FaultRow, error) {
 		{"fault-free", nil},
 		{"crash @30s", (&fault.Plan{}).CrashAt(3, 30*time.Second)},
 	}
-	if err := runFaultScenarios(sor, slaves, sorScen, &rows); err != nil {
+	if err := runFaultScenarios(sor, slaves, sorScen, &rep.Rows); err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return rep, nil
 }
 
 func runFaultScenarios(app *App, slaves int, scens []faultScenario, rows *[]FaultRow) error {
@@ -119,19 +129,4 @@ func runFaultScenarios(app *App, slaves int, scens []faultScenario, rows *[]Faul
 		})
 	}
 	return nil
-}
-
-// RenderFaultTolerance formats the fault-tolerance evaluation.
-func RenderFaultTolerance(rows []FaultRow) string {
-	t := &metrics.Table{
-		Title: "Fault tolerance — elastic runtime under injected faults (8 slaves, calibrated workloads)",
-		Headers: []string{"app", "scenario", "elapsed", "eff", "overhead",
-			"recov", "ckpts", "evicted", "joined", "maxdiff"},
-	}
-	for _, r := range rows {
-		t.AddRowf(r.App, r.Scenario, r.Elapsed, r.Eff,
-			fmt.Sprintf("%+.1f%%", r.Overhead*100),
-			r.Recoveries, r.Checkpoints, r.Evicted, r.Joined, r.MaxDiff)
-	}
-	return t.String()
 }

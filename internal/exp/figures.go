@@ -2,36 +2,26 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/depend"
 	"repro/internal/loopir"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
-// Table1 reproduces the paper's Table 1: application properties of MM, SOR,
-// and LU, read from the plans the compiler derives for them.
-func Table1() (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Table 1 — Application properties (derived by internal/depend)",
-		Headers: []string{"property (of distributed loop)", "MM", "SOR", "LU"},
-	}
-	var cols [][]string
+// Table1 reproduces the paper's Table 1: the application properties of MM,
+// SOR and LU, read from the plans the compiler derives for them.
+func Table1() (map[string]depend.Properties, error) {
+	props := map[string]depend.Properties{}
 	for _, name := range []string{"mm", "sor", "lu"} {
 		plan, err := compile.Compile(loopir.Library()[name], compile.Options{})
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, plan.Props.Row())
+		props[name] = plan.Props
 	}
-	for i, prop := range depend.PropertyNames {
-		t.AddRow(prop, cols[0][i], cols[1][i], cols[2][i])
-	}
-	return t, nil
+	return props, nil
 }
 
 // loadedSlave0 puts one constant competing task on slave 0 (Figures 7/8).
@@ -77,19 +67,25 @@ func Fig8(s Scale) (*Sweep, error) {
 	return app.RunSweep("Figure 8", fmt.Sprintf("%dx%d SOR, constant load on slave 0", s.SOR, s.SOR), s.MaxP, loadedSlave0)
 }
 
+// Fig9Sample is one balancing round of slave 0, normalized as in the
+// paper: rates by the maximum raw rate, work by the even-distribution share.
+type Fig9Sample struct {
+	T        float64 `json:"t_s"`
+	Raw      float64 `json:"raw_rate"`
+	Filtered float64 `json:"adjusted_rate"`
+	Work     float64 `json:"work"`
+}
+
 // Fig9Result is the oscillating-load tracking experiment.
 type Fig9Result struct {
-	Raw      *trace.Series
-	Filtered *trace.Series
-	Work     *trace.Series
-	Elapsed  time.Duration
-	Moves    int
+	Elapsed time.Duration `json:"elapsed_ns"`
+	Moves   int           `json:"moves"`
+	Samples []Fig9Sample  `json:"samples"`
 }
 
 // Fig9 reproduces Figure 9: MM on 4 slaves with an oscillating load (20 s
-// period, 10 s on) on slave 0; the series are slave 0's raw rate, filtered
-// rate, and work assignment, each normalized as in the paper (rates by the
-// maximum rate, work by the even-distribution share).
+// period, 10 s on) on slave 0; the samples are slave 0's raw rate, filtered
+// rate and work assignment at each balancing round.
 func Fig9(s Scale) (*Fig9Result, error) {
 	app, err := MMApp(s)
 	if err != nil {
@@ -104,13 +100,7 @@ func Fig9(s Scale) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig9Result{
-		Raw:      &trace.Series{Name: "raw-rate"},
-		Filtered: &trace.Series{Name: "adjusted-rate"},
-		Work:     &trace.Series{Name: "work"},
-		Elapsed:  res.Elapsed,
-		Moves:    res.Moves,
-	}
+	out := &Fig9Result{Elapsed: res.Elapsed, Moves: res.Moves}
 	maxRate := 0.0
 	for _, smp := range res.Trace {
 		if smp.Slave == 0 && smp.RawRate > maxRate {
@@ -122,10 +112,12 @@ func Fig9(s Scale) (*Fig9Result, error) {
 		if smp.Slave != 0 {
 			continue
 		}
-		t := smp.Time.Seconds()
-		out.Raw.Append(t, smp.RawRate/nonZero(maxRate))
-		out.Filtered.Append(t, smp.Filtered/nonZero(maxRate))
-		out.Work.Append(t, float64(smp.Work)/nonZero(evenShare))
+		out.Samples = append(out.Samples, Fig9Sample{
+			T:        smp.Time.Seconds(),
+			Raw:      smp.RawRate / nonZero(maxRate),
+			Filtered: smp.Filtered / nonZero(maxRate),
+			Work:     float64(smp.Work) / nonZero(evenShare),
+		})
 	}
 	return out, nil
 }
@@ -135,15 +127,4 @@ func nonZero(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// Render formats Figure 9 as an ASCII plot plus CSV.
-func (f *Fig9Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 9 — MM, oscillating load on slave 0 (20s period, 10s on); run %.0fs, %d moves\n",
-		f.Elapsed.Seconds(), f.Moves)
-	sb.WriteString(trace.PlotASCII(72, 14, f.Raw, f.Filtered, f.Work))
-	sb.WriteString("\nCSV:\n")
-	sb.WriteString(trace.CSV(f.Raw, f.Filtered, f.Work))
-	return sb.String()
 }

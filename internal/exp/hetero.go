@@ -11,13 +11,13 @@ import (
 // HeteroRow is one configuration of the heterogeneous-environment
 // experiment.
 type HeteroRow struct {
-	Speeds     []float64
-	TimePar    time.Duration
-	TimeDLB    time.Duration
-	SpeedupPar float64
-	SpeedupDLB float64
+	Speeds     []float64     `json:"speeds"`
+	TimePar    time.Duration `json:"static_ns"`
+	TimeDLB    time.Duration `json:"dlb_ns"`
+	SpeedupPar float64       `json:"speedup_static"`
+	SpeedupDLB float64       `json:"speedup_dlb"`
 	// Ideal is the best possible speedup: the sum of relative speeds.
-	Ideal float64
+	Ideal float64 `json:"ideal"`
 }
 
 // Heterogeneous measures the claim from the paper's conclusions that "the
@@ -65,34 +65,4 @@ func Heterogeneous(s Scale) ([]HeteroRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderHeterogeneous formats the experiment.
-func RenderHeterogeneous(rows []HeteroRow) string {
-	t := &metrics.Table{
-		Title:   "Heterogeneous environment (paper conclusions) — MM, 4 workstations",
-		Headers: []string{"speeds", "t_static", "t_dlb", "speedup_static", "speedup_dlb", "ideal"},
-	}
-	for _, r := range rows {
-		t.AddRowf(speedsLabel(r.Speeds), r.TimePar, r.TimeDLB, r.SpeedupPar, r.SpeedupDLB, r.Ideal)
-	}
-	return t.String()
-}
-
-func speedsLabel(speeds []float64) string {
-	out := ""
-	for i, s := range speeds {
-		if i > 0 {
-			out += "/"
-		}
-		if s == float64(int(s)) {
-			out += string(rune('0' + int(s)))
-		} else {
-			out += "½"
-			if s == 0.25 {
-				out = out[:len(out)-len("½")] + "¼"
-			}
-		}
-	}
-	return out
 }

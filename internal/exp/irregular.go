@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -137,31 +136,4 @@ func Irregular(s Scale) (*IrregularReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// RenderIrregular formats the report as the experiment's text artifact.
-func RenderIrregular(rep *IrregularReport) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Irregular workloads on %d slaves: uniform vs learned per-unit cost model\n", rep.Slaves)
-	sb.WriteString("(imbalance = avg max/mean weighted backlog per round; gain = uniform/learned makespan)\n\n")
-	fmt.Fprintf(&sb, "%-6s %-8s %10s %9s %7s %6s %10s %7s %7s\n",
-		"prog", "model", "seq", "elapsed", "speedup", "eff", "imbalance", "moves", "units")
-	prev := ""
-	for _, r := range rep.Rows {
-		if prev != "" && r.Prog != prev {
-			sb.WriteString("\n")
-		}
-		prev = r.Prog
-		fmt.Fprintf(&sb, "%-6s %-8s %9.2fs %8.2fs %7.2f %6.3f %10.3f %7d %7d\n",
-			r.Prog, r.CostModel, rep.Seq[r.Prog], r.ElapsedS, r.Speedup, r.Efficiency,
-			r.Imbalance, r.Moves, r.UnitsMoved)
-	}
-	sb.WriteString("\nmakespan gains (uniform/learned):\n")
-	for _, r := range rep.Rows {
-		if r.CostModel != "learned" {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %-6s %.2fx\n", r.Prog, rep.Gains[r.Prog])
-	}
-	return sb.String()
 }

@@ -1,16 +1,13 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestIrregular runs the quick-scale irregular experiment and checks its
-// defining claim: on both skewed workloads the learned cost model beats
-// the uniform assumption on makespan and on weighted load imbalance, and
-// the artifacts render and parse back (runBench).
+// TestIrregular checks the irregular experiment's defining claim on the
+// checked-in report: on both skewed workloads the learned cost model beats
+// the uniform assumption on makespan and on weighted load imbalance.
 func TestIrregular(t *testing.T) {
-	rep, text := runBench[IrregularReport](t, "irregular", "BENCH_irregular.json")
+	var rep IrregularReport
+	checkedIn(t, "irregular", &rep)
 	if len(rep.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4 (2 programs x 2 models)", len(rep.Rows))
 	}
@@ -33,11 +30,6 @@ func TestIrregular(t *testing.T) {
 		}
 		if g := rep.Gains[prog]; g <= 1 {
 			t.Errorf("%s: makespan gain %.3f, want > 1", prog, g)
-		}
-	}
-	for _, want := range []string{"spmv", "pbin", "makespan gains"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, text)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -116,30 +115,4 @@ func Overlap(s Scale) (*OverlapReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// RenderOverlap formats the report as the experiment's text artifact.
-func RenderOverlap(rep *OverlapReport) string {
-	var sb strings.Builder
-	sb.WriteString("Ghost-exchange overlap: split-loop async data plane vs synchronous exchange\n")
-	sb.WriteString("(speedup = sync/overlap makespan; sor is the pipelined control — no split, ≈1.0)\n")
-	fmt.Fprintf(&sb, "%s\n\n", rep.Note)
-	fmt.Fprintf(&sb, "%-8s %3s %9s %12s %12s %8s %8s %9s\n",
-		"prog", "P", "flopcost", "sync ms", "overlap ms", "speedup", "rounds", "fallback")
-	prev := ""
-	for _, r := range rep.Rows {
-		if prev != "" && r.Prog != prev {
-			sb.WriteString("\n")
-		}
-		prev = r.Prog
-		fmt.Fprintf(&sb, "%-8s %3d %9s %12.2f %12.2f %7.2fx %8d %9d\n",
-			r.Prog, r.Slaves, r.FlopCost, r.SyncMS, r.OverlapMS, r.Speedup, r.Rounds, r.Fallback)
-	}
-	sb.WriteString("\nbest speedup:\n")
-	for _, p := range []string{"jacobi", "sor"} {
-		if v, ok := rep.Best[p]; ok {
-			fmt.Fprintf(&sb, "  %-8s %.2fx\n", p, v)
-		}
-	}
-	return sb.String()
 }

@@ -3,81 +3,40 @@ package exp
 import (
 	"encoding/json"
 
-	"repro/internal/metrics"
-	"repro/internal/trace"
+	"repro/internal/depend"
 )
 
-// Artifact is what one experiment produces: the text table, plus any
-// machine-readable files (CSV, BENCH_*.json) by file name.
-type Artifact struct {
-	Text  string
-	Files map[string]string
-}
-
-// Experiment is one registry entry.
+// Experiment is one registry entry: Run returns the experiment's report, a
+// plain value whose one form is Marshal's JSON.
 type Experiment struct {
 	Name string
-	Run  func(Scale) (Artifact, error)
+	Run  func(Scale) (any, error)
 }
 
 // Experiments is every experiment this package can regenerate, in the
-// order cmd/dlbbench prints them. All of it is deterministic model output
+// order cmd/dlbbench runs them; each one's checked-in form is
+// BENCH_<name>.json at Full scale. All of it is deterministic model output
 // (see the package comment); wall-clock measurement lives in benchmark/.
 var Experiments = []Experiment{
-	{"table1", text(func(Scale) (*metrics.Table, error) { return Table1() }, (*metrics.Table).String)},
-	{"fig5", text(Fig5, (*Sweep).Render)},
-	{"fig6", text(Fig6, (*Sweep).Render)},
-	{"fig7", text(Fig7, (*Sweep).Render)},
-	{"fig8", text(Fig8, (*Sweep).Render)},
-	{"fig9", func(s Scale) (Artifact, error) {
-		f, err := Fig9(s)
-		if err != nil {
-			return Artifact{}, err
-		}
-		return Artifact{
-			Text:  f.Render(),
-			Files: map[string]string{"fig9.csv": trace.CSV(f.Raw, f.Filtered, f.Work)},
-		}, nil
-	}},
-	{"pipeline", text(AblationPipelining, RenderPipelining)},
-	{"grain", text(AblationGrain, RenderGrain)},
-	{"refinements", text(AblationRefinements, RenderRefinements)},
-	{"lu", text(AblationLUAdaptive, (*LUResult).Render)},
-	{"baselines", text(Baselines, RenderBaselines)},
-	{"hetero", text(Heterogeneous, RenderHeterogeneous)},
-	{"fault", text(FaultTolerance, RenderFaultTolerance)},
-	{"scale", bench("BENCH_scale.json", ScaleSweep, RenderScale)},
-	{"irregular", bench("BENCH_irregular.json", Irregular, RenderIrregular)},
-	{"overlap", bench("BENCH_overlap.json", Overlap, RenderOverlap)},
+	{"paper", report(Paper)},
+	{"fault", report(FaultTolerance)},
+	{"scale", report(ScaleSweep)},
+	{"irregular", report(Irregular)},
+	{"overlap", report(Overlap)},
 }
 
-// text adapts a driver and its renderer to a text-only registry entry.
-func text[T any](run func(Scale) (T, error), render func(T) string) func(Scale) (Artifact, error) {
-	return func(s Scale) (Artifact, error) {
-		v, err := run(s)
-		if err != nil {
-			return Artifact{}, err
-		}
-		return Artifact{Text: render(v)}, nil
-	}
+// report adapts a driver to the registry's signature.
+func report[T any](run func(Scale) (T, error)) func(Scale) (any, error) {
+	return func(s Scale) (any, error) { return run(s) }
 }
 
-// bench is text plus the report itself as the checked-in JSON file.
-func bench[T any](file string, run func(Scale) (T, error), render func(T) string) func(Scale) (Artifact, error) {
-	return func(s Scale) (Artifact, error) {
-		rep, err := run(s)
-		if err != nil {
-			return Artifact{}, err
-		}
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return Artifact{}, err
-		}
-		return Artifact{
-			Text:  render(rep),
-			Files: map[string]string{file: string(b) + "\n"},
-		}, nil
+// Marshal is a report's one form: indented JSON with a trailing newline.
+func Marshal(rep any) ([]byte, error) {
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return nil, err
 	}
+	return append(b, '\n'), nil
 }
 
 // Header is the two fields every BENCH_*.json report starts with. Clock is
@@ -88,3 +47,67 @@ type Header struct {
 }
 
 func virtual(note string) Header { return Header{Clock: "virtual", Note: note} }
+
+// PaperReport is the paper's evaluation (DESIGN.md §4): Table 1, Figures
+// 5-9, the §3.3/§4.4/§3.2/§4.7 ablations, the §6 related-work baselines and
+// the heterogeneous-environment claim of the conclusions. Times are
+// virtual nanoseconds, calibrated to the paper's sequential baselines.
+type PaperReport struct {
+	Header
+	Table1        map[string]depend.Properties `json:"table1"`
+	Fig5          *Sweep                       `json:"fig5"`
+	Fig6          *Sweep                       `json:"fig6"`
+	Fig7          *Sweep                       `json:"fig7"`
+	Fig8          *Sweep                       `json:"fig8"`
+	Fig9          *Fig9Result                  `json:"fig9"`
+	Pipelining    []PipeliningRow              `json:"pipelining"`
+	Grain         []GrainRow                   `json:"grain"`
+	Refinements   []RefinementRow              `json:"refinements"`
+	LU            *LUResult                    `json:"lu"`
+	Baselines     []BaselineRow                `json:"baselines"`
+	Heterogeneous []HeteroRow                  `json:"heterogeneous"`
+}
+
+// Paper runs every driver of the paper's evaluation into one report.
+func Paper(s Scale) (*PaperReport, error) {
+	rep := &PaperReport{Header: virtual("the paper's Table 1, Figures 5-9, ablations A1-A5 and the heterogeneous claim; " +
+		"times in virtual ns, calibrated so MM's and SOR's sequential runs take the paper's 250 s and 350 s")}
+	var err error
+	if rep.Table1, err = Table1(); err != nil {
+		return nil, err
+	}
+	if rep.Fig5, err = Fig5(s); err != nil {
+		return nil, err
+	}
+	if rep.Fig6, err = Fig6(s); err != nil {
+		return nil, err
+	}
+	if rep.Fig7, err = Fig7(s); err != nil {
+		return nil, err
+	}
+	if rep.Fig8, err = Fig8(s); err != nil {
+		return nil, err
+	}
+	if rep.Fig9, err = Fig9(s); err != nil {
+		return nil, err
+	}
+	if rep.Pipelining, err = AblationPipelining(s); err != nil {
+		return nil, err
+	}
+	if rep.Grain, err = AblationGrain(s); err != nil {
+		return nil, err
+	}
+	if rep.Refinements, err = AblationRefinements(s); err != nil {
+		return nil, err
+	}
+	if rep.LU, err = AblationLUAdaptive(s); err != nil {
+		return nil, err
+	}
+	if rep.Baselines, err = Baselines(s); err != nil {
+		return nil, err
+	}
+	if rep.Heterogeneous, err = Heterogeneous(s); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}

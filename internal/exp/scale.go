@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -159,32 +158,4 @@ func efficiency(seq, par time.Duration, p int) float64 {
 		return 0
 	}
 	return float64(seq) / (float64(p) * float64(par))
-}
-
-// RenderScale formats the report as the experiment's text artifact.
-func RenderScale(rep *ScaleReport) string {
-	var sb strings.Builder
-	sb.WriteString("Scale wall-finder: flat centralized master vs two-level hierarchy\n")
-	fmt.Fprintf(&sb, "workload %s, group size %d, per-report cost %v (both modes)\n\n",
-		rep.Workload, rep.GroupSize, scaleReportCost)
-	fmt.Fprintf(&sb, "%5s %4s %12s %12s %7s %7s %12s %12s %12s %7s %7s\n",
-		"P", "G", "t(flat)", "t(hier)", "e(flat)", "e(hier)",
-		"mstr/rd flat", "mstr/rd hier", "ldr/rd", "xchg", "xunits")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(&sb, "%5d %4d %12s %12s %7.3f %7.3f %12s %12s %12s %7d %7d\n",
-			r.P, r.Groups,
-			r.FlatTime.Round(time.Millisecond), r.HierTime.Round(time.Millisecond),
-			r.FlatEff, r.HierEff,
-			r.FlatMasterRound.Round(time.Microsecond), r.HierMasterRound.Round(time.Microsecond),
-			r.LeaderRound, r.Exchanges, r.CrossUnits)
-	}
-	sb.WriteString("\n")
-	if rep.Crossover > 0 {
-		fmt.Fprintf(&sb, "crossover: hierarchy first beats the flat master at P=%d\n", rep.Crossover)
-	} else {
-		sb.WriteString("crossover: not reached within the sweep (flat master still ahead)\n")
-	}
-	sb.WriteString("(mstr/rd: measured master busy time per decision round; ldr/rd: modeled\n")
-	sb.WriteString(" leader aggregation charge per round = per-report cost x group size)\n")
-	return sb.String()
 }

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Counters is a set of named event counters. The run-time engine builds
 // one per run, once, when the run ends — every name on every endpoint
@@ -22,13 +19,4 @@ func (c Counters) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Table renders the counters as an aligned two-column table.
-func (c Counters) Table(title string) *Table {
-	t := &Table{Title: title, Headers: []string{"counter", "value"}}
-	for _, name := range c.Names() {
-		t.AddRow(name, fmt.Sprintf("%d", c[name]))
-	}
-	return t
 }

@@ -1,11 +1,8 @@
 // Package metrics computes the paper's evaluation quantities — speedup and
-// efficiency of resource usage (§5.1) — and renders aligned text tables for
-// the benchmark harness.
+// efficiency of resource usage (§5.1).
 package metrics
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -39,69 +36,4 @@ func Efficiency(seq, elapsed time.Duration, usage []cluster.Usage) float64 {
 		return 0
 	}
 	return seq.Seconds() / avail.Seconds()
-}
-
-// Table renders rows as an aligned text table.
-type Table struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
-}
-
-// AddRow appends a row of cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// AddRowf appends a row formatting each value with %v (floats get %.3g
-// unless they are durations/strings).
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		case time.Duration:
-			row[i] = fmt.Sprintf("%.2fs", v.Seconds())
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	if t.Title != "" {
-		sb.WriteString(t.Title + "\n")
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return sb.String()
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -48,21 +47,5 @@ func TestEfficiencyGuards(t *testing.T) {
 	usage := []cluster.Usage{{CompetingCPU: 10 * time.Second}}
 	if e := Efficiency(time.Second, time.Second, usage); e != 0 {
 		t.Fatalf("efficiency with no available CPU = %v, want 0", e)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tab := &Table{Title: "demo", Headers: []string{"P", "time", "speedup"}}
-	tab.AddRowf(1, 2500*time.Millisecond, 1.0)
-	tab.AddRowf(2, 1250*time.Millisecond, 2.0)
-	out := tab.String()
-	for _, want := range []string{"demo", "P", "speedup", "2.50s", "2.000"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("table has %d lines, want 5", len(lines))
 	}
 }

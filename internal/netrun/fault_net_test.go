@@ -3,6 +3,7 @@ package netrun
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -324,8 +325,13 @@ func watchRun(t *testing.T) func(node int, parts int64) {
 		for !rt.hasLink(node) || rt.ckptParts.Load() < parts {
 			select {
 			case <-deadline:
-				t.Fatalf("node %d never held a live session past %d checkpoint parts (linked %v, %d parts): the run is too short to fault mid-run",
-					node, parts, rt.hasLink(node), rt.ckptParts.Load())
+				peers := rt.linkedPeers()
+				slices.Sort(peers)
+				rt.mu.Lock()
+				closed := rt.closed
+				rt.mu.Unlock()
+				t.Fatalf("node %d never held a live session past %d checkpoint parts (master linked to %v, router closed %v, %d parts): the run is too short to fault mid-run",
+					node, parts, peers, closed, rt.ckptParts.Load())
 			case <-time.After(time.Millisecond):
 			}
 		}

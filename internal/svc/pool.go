@@ -21,7 +21,6 @@ func newPool(addrs []string) *pool {
 
 func (p *pool) size() int    { return len(p.addrs) }
 func (p *pool) freeLen() int { return len(p.free) }
-func (p *pool) busyLen() int { return len(p.addrs) - len(p.free) }
 
 // lease takes n free slots; the caller must have checked freeLen() >= n.
 func (p *pool) lease(n int) []int {

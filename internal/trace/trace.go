@@ -1,6 +1,5 @@
 // Package trace renders time series (Figure 9: raw rate, filtered rate,
-// work assignment over time) as CSV and as ASCII plots for terminal
-// inspection.
+// work assignment over time) as ASCII plots for terminal inspection.
 package trace
 
 import (
@@ -44,43 +43,6 @@ func (s *Series) Normalized(denom float64) *Series {
 		out.Append(s.T[i], s.V[i]/d)
 	}
 	return out
-}
-
-// CSV renders the series as columns on a shared time axis (union of all
-// sample times; missing values are carried forward).
-func CSV(series ...*Series) string {
-	times := map[float64]bool{}
-	for _, s := range series {
-		for _, t := range s.T {
-			times[t] = true
-		}
-	}
-	axis := make([]float64, 0, len(times))
-	for t := range times {
-		axis = append(axis, t)
-	}
-	sortFloats(axis)
-
-	var sb strings.Builder
-	sb.WriteString("time")
-	for _, s := range series {
-		sb.WriteString("," + s.Name)
-	}
-	sb.WriteString("\n")
-	cursor := make([]int, len(series))
-	last := make([]float64, len(series))
-	for _, t := range axis {
-		fmt.Fprintf(&sb, "%.3f", t)
-		for i, s := range series {
-			for cursor[i] < len(s.T) && s.T[cursor[i]] <= t {
-				last[i] = s.V[cursor[i]]
-				cursor[i]++
-			}
-			fmt.Fprintf(&sb, ",%.4f", last[i])
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }
 
 // PlotASCII renders the series as an ASCII chart of the given size. Values
@@ -144,12 +106,4 @@ func PlotASCII(width, height int, series ...*Series) string {
 	}
 	sb.WriteString("\n")
 	return sb.String()
-}
-
-func sortFloats(a []float64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

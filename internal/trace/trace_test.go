@@ -20,35 +20,6 @@ func wave() (*Series, *Series) {
 	return a, b
 }
 
-func TestCSV(t *testing.T) {
-	a, b := wave()
-	out := CSV(a, b)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if lines[0] != "time,raw,work" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 21 {
-		t.Fatalf("lines = %d, want 21", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "0.000,0.5000,5.0000") {
-		t.Fatalf("first row = %q", lines[1])
-	}
-}
-
-func TestCSVCarriesForward(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Append(0, 1)
-	a.Append(2, 3)
-	b := &Series{Name: "b"}
-	b.Append(1, 7)
-	out := CSV(a, b)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// At t=1, a carries forward its t=0 value.
-	if lines[2] != "1.000,1.0000,7.0000" {
-		t.Fatalf("row at t=1 = %q", lines[2])
-	}
-}
-
 func TestPlotASCII(t *testing.T) {
 	a, b := wave()
 	out := PlotASCII(40, 8, a, b.Normalized(10))
