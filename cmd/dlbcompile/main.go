@@ -1,7 +1,7 @@
 // Command dlbcompile runs the parallelizing compiler on a library program
-// or a source file and prints the dependence analysis, its Table 1
-// properties, and the generated SPMD program with its communication and
-// load-balancing hooks.
+// or a source file and prints it as source text (which -file reads back),
+// the dependence analysis, its Table 1 properties, and the generated SPMD
+// program with its communication and load-balancing hooks.
 //
 // Usage:
 //
@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/depend"
-	"repro/internal/loopir"
+	"repro/internal/lang"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 	}
 
 	fmt.Println("=== sequential source ===")
-	fmt.Println(loopir.Render(prog))
+	fmt.Println(lang.Format(prog))
 
 	if *deps {
 		analysis, err := depend.Analyze(prog)

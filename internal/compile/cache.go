@@ -34,7 +34,6 @@ func NewCache(max int) *Cache {
 // Compile parses and compiles source under opts, or returns the plan an
 // earlier call produced for the same content. cached reports the latter.
 func (c *Cache) Compile(source string, opts Options) (plan *Plan, cached bool, err error) {
-	opts = opts.withDefaults()
 	return c.plans.Do(cacheKey(source, opts), func() (*Plan, error) {
 		prog, err := lang.Parse(source)
 		if err != nil {
@@ -51,7 +50,8 @@ func (c *Cache) Compile(source string, opts Options) (plan *Plan, cached bool, e
 func (c *Cache) Stats() (hits, misses int64) { return c.plans.Stats() }
 
 // cacheKey hashes every input of Compile: the source text and each Options
-// field, defaults applied. A new Options field must be added here.
+// field Compile reads. HookCostFlops is Instantiate's alone, so options
+// that differ only there share one entry.
 func cacheKey(source string, o Options) (key [sha256.Size]byte) {
 	h := sha256.New()
 	fmt.Fprintf(h, "compile-cache-v1 %d\n", len(source))
@@ -62,7 +62,6 @@ func cacheKey(source string, o Options) (key [sha256.Size]byte) {
 	for _, l := range o.Dist.Loops {
 		fmt.Fprintf(h, "loop %q\n", l)
 	}
-	fmt.Fprintf(h, "hook %x\n", o.HookCostFlops)
 	h.Sum(key[:0])
 	return key
 }

@@ -32,16 +32,21 @@ func TestCacheCompilesOncePerContent(t *testing.T) {
 }
 
 // TestCacheKeyCoversEveryOption: anything Compile reads makes its own entry
-// — the hook rule and the directive change the generated program.
+// — the directive changes the generated program. The hook cost is
+// Instantiate's alone, so options that differ only there share one entry.
 func TestCacheKeyCoversEveryOption(t *testing.T) {
 	c := NewCache(8)
 	src := lang.Format(loopir.Jacobi())
+	if _, _, err := c.Compile(src, Options{Dist: specJacobi(), HookCostFlops: 5}); err != nil {
+		t.Fatal(err)
+	}
 	variants := []Options{
-		{Dist: specJacobi()},
-		{Dist: specJacobi(), HookCostFlops: 5},
 		{Dist: depend.DistSpec{Dims: specJacobi().Dims}}, // loops derived, not given
 		{Dist: depend.DistSpec{Dims: specJacobi().Dims, Loops: []string{"i2", "i"}}},
 		{}, // automatic distribution
+	}
+	if _, cached, _ := c.Compile(src, Options{Dist: specJacobi()}); !cached {
+		t.Error("options differing only in the hook cost made two entries")
 	}
 	plans := map[*Plan]bool{}
 	for i, o := range variants {
@@ -57,8 +62,8 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	if _, cached, _ := c.Compile(lang.Format(loopir.JacobiConverge()), variants[0]); cached {
 		t.Error("a different program text hit")
 	}
-	if _, misses := c.Stats(); int(misses) != len(variants)+1 || len(plans) != len(variants) {
-		t.Errorf("%d misses, %d distinct plans; want %d, %d", misses, len(plans), len(variants)+1, len(variants))
+	if _, misses := c.Stats(); int(misses) != len(variants)+2 || len(plans) != len(variants) {
+		t.Errorf("%d misses, %d distinct plans; want %d, %d", misses, len(plans), len(variants)+2, len(variants))
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 	"repro/internal/loopir"
 )
 
-// Options configures compilation. A transport ships every field to its
-// daemons (wire.RunSpec), and the compile cache hashes every field, so a new
-// field needs a carrier in both.
+// Options configures compilation and instantiation. A transport ships
+// every field Compile reads to its daemons (wire.RunSpec), and the compile
+// cache hashes each of them, so a new one needs a carrier in both.
 type Options struct {
 	// Dist is the data-distribution directive (the paper assumes Fortran
 	// D-style directives from the programmer). If Dist.Dims is empty the
 	// compiler derives a distribution automatically.
 	Dist depend.DistSpec
 	// HookCostFlops is the estimated cost of one hook visit, in
-	// floating-point-operation equivalents.
+	// floating-point-operation equivalents. Only Instantiate reads it; the
+	// runtime sets it from its clock (dlb.instantiate).
 	HookCostFlops float64
 }
 
@@ -438,12 +439,26 @@ func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 								pr.Array, s.Var)
 						}
 						pr.RowDim = dim
+						if err := c.checkPipeRows(rest, s.Var, pr); err != nil {
+							return nil, err
+						}
 					}
 					for _, st := range post {
 						ps := st.(*PipeSend)
 						if dim, ok := c.varDimOfArray(s.Var, ps.Array); ok {
 							ps.RowDim = dim
 						}
+					}
+					// An owner broadcast inside the pipeline waits for a
+					// slave that is itself waiting for its predecessor's
+					// block: every slave would stall.
+					if err := WalkSteps(rest, func(st Step, _ []Step) error {
+						if b, ok := st.(*Bcast); ok {
+							return fmt.Errorf("compile: pipelined loop %q broadcasts %s[%s] from its owner inside the pipeline", s.Var, b.Array, b.Index)
+						}
+						return nil
+					}); err != nil {
+						return nil, err
 					}
 					c.stripMined = true
 					out = append(out, &StripLoop{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Pre: pre, Body: rest, Post: post})
@@ -553,6 +568,7 @@ func (n *commNeeds) once(key string) bool {
 func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
 	needs := &commNeeds{owned: owned, inner: map[string]bool{}, seen: map[string]bool{}}
 	read := func(r loopir.Ref) error { return c.classifyRead(needs, r) }
+	written := map[string]bool{}
 	err := loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
 		if l, ok := s.(*loopir.Loop); ok {
 			needs.inner[l.Var] = true // before any read its body makes
@@ -571,8 +587,21 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
 		if a.LHS.Idx[dim].String() != owned.Var {
 			return fmt.Errorf("compile: write %s is not owner-computes for loop %q", a.LHS.String(), owned.Var)
 		}
+		written[a.LHS.Array] = true
 		return nil
 	})
+	// A broadcast slice is the one before the loop: no iteration may write
+	// it, so its index must lie provably outside [Lo, Hi).
+	for _, st := range needs.bcasts {
+		b := st.(*Bcast)
+		below, err1 := loopir.AffineOf(loopir.Isub(b.Index, owned.Lo), nil)
+		above, err2 := loopir.AffineOf(loopir.Isub(b.Index, owned.Hi), nil)
+		if err == nil && written[b.Array] &&
+			!(err1 == nil && len(below.Terms) == 0 && below.Const < 0) &&
+			!(err2 == nil && len(above.Terms) == 0 && above.Const >= 0) {
+			err = fmt.Errorf("compile: distributed loop %q writes %s's broadcast slice %s", owned.Var, b.Array, b.Index)
+		}
+	}
 	return needs, err
 }
 
@@ -618,11 +647,15 @@ func (c *compiler) classifyRead(needs *commNeeds, r loopir.Ref) error {
 	case f.Coef(v) == 0:
 		// The distributed subscript does not scan with the loop: the slice
 		// at that index must be broadcast by its owner, before the loop, so
-		// the index may not name a variable the loop's body binds.
+		// the index may not name a variable the loop's body binds (a
+		// variable that cancels, i - i, has no term but is still unbound
+		// there).
+		bound, inner := map[string]int{}, false
 		for _, t := range f.Terms {
-			if needs.inner[t.Var] {
-				return fmt.Errorf("compile: distributed loop %q reads %s with a loop-internal index; per-element communication not supported", v, r.String())
-			}
+			bound[t.Var], inner = 0, inner || needs.inner[t.Var]
+		}
+		if _, err := loopir.EvalIndex(sub, bound); inner || err != nil {
+			return fmt.Errorf("compile: distributed loop %q reads %s with a loop-internal index; per-element communication not supported", v, r.String())
 		}
 		if needs.once("bcast " + r.Array + "@" + sub.String()) {
 			needs.bcasts = append(needs.bcasts, &Bcast{Array: r.Array, Index: sub})
@@ -631,6 +664,42 @@ func (c *compiler) classifyRead(needs *commNeeds, r loopir.Ref) error {
 	default:
 		return fmt.Errorf("compile: unsupported distributed subscript %s in %s", sub.String(), r.String())
 	}
+}
+
+// checkPipeRows refuses an access to a pipelined array that the pipeline
+// would serve out of sequential order. A received block holds each of its
+// rows as it stands after the block, so an iteration may write only its own
+// row, and a pipelined read must name that row or one before it.
+func (c *compiler) checkPipeRows(steps []Step, strip string, pr *PipeRecv) error {
+	// rowOffset is d when subscript e is the strip-mined variable plus d.
+	rowOffset := func(e loopir.IExpr) (int, bool) {
+		f, err := loopir.AffineOf(e, nil)
+		d, ok := f.Offset(strip)
+		return d, err == nil && ok
+	}
+	return WalkSteps(steps, func(st Step, _ []Step) error {
+		owned, ok := st.(*OwnedLoop)
+		if !ok {
+			return nil
+		}
+		return loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
+			if a, ok := s.(*loopir.Assign); ok && a.LHS.Array == pr.Array {
+				if d, ok := rowOffset(a.LHS.Idx[pr.RowDim]); !ok || d != 0 {
+					return fmt.Errorf("compile: pipelined loop %q writes %s out of the pipeline's row order", strip, a.LHS.String())
+				}
+			}
+			return loopir.Reads(s, func(r loopir.Ref) error {
+				dist, err := loopir.AffineOf(r.Idx[c.spec.Dims[r.Array]], nil)
+				if d, ok := dist.Offset(owned.Var); r.Array != pr.Array || err != nil || !ok || d != pr.Delta {
+					return nil
+				}
+				if d, ok := rowOffset(r.Idx[pr.RowDim]); !ok || d > 0 {
+					return fmt.Errorf("compile: pipelined loop %q reads %s out of the pipeline's row order", strip, r.String())
+				}
+				return nil
+			})
+		})
+	})
 }
 
 // varDimOfArray returns the non-distributed dimension of the array whose
@@ -686,17 +755,21 @@ func (c *compiler) hasPipeFlow(distVar string, read loopir.Ref) bool {
 	return false
 }
 
-// exchangeCarrier finds the outer loop whose iterations stale the ghost
-// data (the carrier of the flow dependence feeding this read); the exchange
-// is inserted at the start of that loop's body. "" means before the whole
-// program (read-only ghost data).
+// exchangeCarrier finds the loop whose iterations stale the ghost data:
+// of the carriers of the flow dependences feeding this read, the innermost,
+// since an exchange at the start of its body also follows every outer
+// carrier's writes. The exchange is inserted there. "" means before the
+// whole program (read-only ghost data).
 func (c *compiler) exchangeCarrier(read loopir.Ref) string {
+	carrier, depth := "", -1
 	for _, d := range c.deps {
 		if d.Kind == depend.Flow && d.Dst.String() == read.String() && d.Carrier != "" && !c.isDistLoop(d.Carrier) {
-			return d.Carrier
+			if k := slices.Index(d.CommonLoops, d.Carrier); k > depth {
+				carrier, depth = d.Carrier, k
+			}
 		}
 	}
-	return ""
+	return carrier
 }
 
 // lowerNonDistributed handles statements outside any distributed loop:
@@ -848,10 +921,10 @@ func mergeOwnerBlocks(steps []Step) []Step {
 func (c *compiler) placeExchanges(steps []Step) error {
 	err := WalkSteps(steps, func(s Step, _ []Step) error {
 		if l, ok := s.(*StripLoop); ok && len(c.pendingExchanges[l.Var]) > 0 {
-			// The exchange belongs before the whole sweep, and the
-			// strip-mined loop is the sweep: Pre would repeat it per block.
-			// Carriers enclose the pipelined loop, so a plan that gets here
-			// is a compiler bug worth naming.
+			// A flow carried by the strip-mined loop feeds a ghost read: an
+			// earlier row of this sweep wrote it on the neighbour, and only
+			// a per-element transfer could deliver that (a sweep-start
+			// exchange would repeat per block and still be stale).
 			return fmt.Errorf("compile: ghost exchange carried by strip-mined loop %q cannot be placed", l.Var)
 		}
 		if l, ok := s.(*SeqLoop); ok && len(c.pendingExchanges[l.Var]) > 0 {

@@ -10,8 +10,8 @@ import (
 // grain: it selects the active hook level by the 1% rule (§4.2) and builds
 // the master's phase schedule by running the slave loop structure (§4.1)
 // with integers only — Run with no data and no break conditions.
-// opts are the options the plan was compiled with (hook cost model); pass
-// the zero value for defaults.
+// Of opts it reads only HookCostFlops, the cost of one hook visit (zero:
+// 200 flops); the runtime passes its clock's.
 func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exec, error) {
 	opts = opts.withDefaults()
 	units, err := loopir.EvalIndex(p.UnitsExpr, params)
@@ -39,9 +39,13 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 			if err != nil {
 				return err
 			}
+			// Range clamps to the units; an iteration it drops has no owner.
+			if rlo, rhi, _ := evalBounds(s.Lo, s.Hi, env); rlo < rhi && (rlo != lo || rhi != hi) {
+				return fmt.Errorf("compile: distributed loop %q runs [%d, %d), past the distributed extent %d", s.Var, rlo, rhi, units)
+			}
 			initLo, initHi = min(initLo, lo), max(initHi, hi)
 			if n := hi - lo; n > 0 {
-				totalFlops += float64(n) * perUnitFlops(p, s.Body, env, lo+n/2)
+				totalFlops += float64(n) * perUnitFlops(s.Body, env, s.Var, lo+n/2)
 				totalUnitExecs += n
 			}
 		case *OwnerBlock:
@@ -84,9 +88,12 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 	}
 
 	// Pass 2: phase schedule at the active level.
+	// A phase retires, for good, the units outside its active range, so no
+	// later distributed loop may run one (§4.7 assumes ranges that shrink).
 	var phases []PhaseMeta
 	unitsBetween := 0
 	curLo, curHi := 0, units
+	liveLo, liveHi := 0, units
 	err = p.Run(env, grain, func(s Step, _, _ int) error {
 		switch s := s.(type) {
 		case *OwnedLoop:
@@ -94,12 +101,16 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 			if err != nil {
 				return err
 			}
+			if lo < hi && (lo < liveLo || hi > liveHi) {
+				return fmt.Errorf("compile: distributed loop %q runs [%d, %d) after a hook retired the units outside [%d, %d)", s.Var, lo, hi, liveLo, liveHi)
+			}
 			unitsBetween += max(hi-lo, 0)
 			curLo, curHi = lo, hi
 		case *Hook:
 			if s.Level == active {
 				phases = append(phases, PhaseMeta{ActiveLo: curLo, ActiveHi: curHi, UnitsBetween: unitsBetween})
 				unitsBetween = 0
+				liveLo, liveHi = max(liveLo, curLo), min(liveHi, curHi)
 			}
 		}
 		return nil
@@ -124,15 +135,16 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 	}, nil
 }
 
-// perUnitFlops estimates the flops of one distributed-loop iteration with
-// the distributed variable at mid.
-func perUnitFlops(p *Plan, body []loopir.Stmt, env map[string]int, mid int) float64 {
-	local := map[string]int{}
-	for k, v := range env {
-		local[k] = v
+// perUnitFlops estimates the flops of one iteration of the distributed
+// loop v with v bound to mid, leaving env as it found it.
+func perUnitFlops(body []loopir.Stmt, env map[string]int, v string, mid int) float64 {
+	prev, bound := env[v]
+	env[v] = mid
+	flops := loopir.EstFlops(body, env)
+	if bound {
+		env[v] = prev
+	} else {
+		delete(env, v)
 	}
-	for _, l := range p.Dist.Loops {
-		local[l] = mid
-	}
-	return loopir.EstFlops(body, local)
+	return flops
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/loopir"
+	"repro/internal/lang"
 )
 
 // RenderPlan pretty-prints the generated SPMD slave program in the style of
@@ -39,41 +39,31 @@ func renderSteps(sb *strings.Builder, steps []Step, depth int) {
 	for _, s := range steps {
 		switch s := s.(type) {
 		case *SeqLoop:
-			fmt.Fprintf(sb, "%sfor (%s = %s; %s < %s; %s++) {\n",
-				ind, s.Var, s.Lo.String(), s.Var, s.Hi.String(), s.Var)
-			renderSteps(sb, s.Body, depth+1)
+			note := ""
 			if s.BreakIf != nil {
-				fmt.Fprintf(sb, "%s    if (%s %s %s) break;   /* data-dependent termination */\n",
-					ind, s.BreakIf.L.String(), s.BreakIf.Op, s.BreakIf.R.String())
+				note = "   /* data-dependent termination */"
 			}
+			fmt.Fprintf(sb, "%s%s {%s\n", ind, lang.LoopHeader(s.Var, s.Lo, s.Hi, s.BreakIf), note)
+			renderSteps(sb, s.Body, depth+1)
 			fmt.Fprintf(sb, "%s}\n", ind)
 		case *StripLoop:
-			fmt.Fprintf(sb, "%sfor (%s_blk = %s; %s_blk < %s; %s_blk += grain) {   /* strip mined */\n",
-				ind, s.Var, s.Lo.String(), s.Var, s.Hi.String(), s.Var)
+			fmt.Fprintf(sb, "%sfor %s_blk = %s to %s by grain {   /* strip mined */\n", ind, s.Var, s.Lo, s.Hi)
 			renderSteps(sb, s.Pre, depth+1)
-			fmt.Fprintf(sb, "%s    for (%s = %s_blk; %s < min(%s_blk + grain, %s); %s++) {\n",
-				ind, s.Var, s.Var, s.Var, s.Var, s.Hi.String(), s.Var)
+			fmt.Fprintf(sb, "%s    for %s = %s_blk to min(%s_blk + grain, %s) {\n", ind, s.Var, s.Var, s.Var, s.Hi)
 			renderSteps(sb, s.Body, depth+2)
 			fmt.Fprintf(sb, "%s    }\n", ind)
 			renderSteps(sb, s.Post, depth+1)
 			fmt.Fprintf(sb, "%s}\n", ind)
 		case *OwnedLoop:
-			fmt.Fprintf(sb, "%sfor (%s in owned_active() ∩ [%s, %s)) {   /* distributed loop */\n",
-				ind, s.Var, s.Lo.String(), s.Hi.String())
-			var body strings.Builder
-			loopir.RenderStmts(&body, s.Body, depth+1)
-			sb.WriteString(body.String())
+			fmt.Fprintf(sb, "%s%s {   /* distributed loop: owned_active() only */\n", ind, lang.LoopHeader(s.Var, s.Lo, s.Hi, nil))
+			lang.FormatStmts(sb, s.Body, depth+1)
 			fmt.Fprintf(sb, "%s}\n", ind)
 		case *OwnerBlock:
-			fmt.Fprintf(sb, "%sif (owner(%s) == pid) {   /* owner computes */\n", ind, s.Index.String())
-			var body strings.Builder
-			loopir.RenderStmts(&body, s.Body, depth+1)
-			sb.WriteString(body.String())
+			fmt.Fprintf(sb, "%sif owner(%s) == pid {   /* owner computes */\n", ind, s.Index)
+			lang.FormatStmts(sb, s.Body, depth+1)
 			fmt.Fprintf(sb, "%s}\n", ind)
 		case *AllStmts:
-			var body strings.Builder
-			loopir.RenderStmts(&body, s.Body, depth)
-			sb.WriteString(body.String())
+			lang.FormatStmts(sb, s.Body, depth)
 		case *Exchange:
 			note := "old boundary values"
 			if s.Overlap {

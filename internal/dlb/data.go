@@ -2,6 +2,7 @@ package dlb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -316,6 +317,19 @@ func reductionArrays(p *compile.Plan) []string {
 		names[i] = r.Array
 	}
 	return names
+}
+
+// writtenReplicated lists, once each, the replicated arrays the program
+// assigns.
+func writtenReplicated(p *compile.Plan) []string {
+	var out []string
+	loopir.Walk(p.Prog.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
+		if a, ok := s.(*loopir.Assign); ok && slices.Contains(p.Replicated, a.LHS.Array) && !slices.Contains(out, a.LHS.Array) {
+			out = append(out, a.LHS.Array)
+		}
+		return nil
+	})
+	return out
 }
 
 // installArrays writes whole-array copies back, the inverse of copyArrays.

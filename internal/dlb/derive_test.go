@@ -34,18 +34,14 @@ func libraryParams(prog *loopir.Program) map[string]int {
 	return params
 }
 
-// TestDerivedDirectives compiles every library program with no directive.
-// The want table holds the directives the programs were first written
-// with, and the derivation must find each and render the same plan text.
-// The Jacobi family's rows are not the first proposal: the columns it
-// proposes first leave the ghost exchange exposed before a sequential loop,
-// and the rows overlap it. Every derived plan gathers bit-exact on the
-// simulator and on RunReal.
-func TestDerivedDirectives(t *testing.T) {
+// derivedWant is, per library program, the directive it was first written
+// with, which the derivation must find (TestDerivedDirectives) and which
+// FuzzCompileRun gives Compile.
+var derivedWant = func() map[string]depend.DistSpec {
 	dist := func(dims map[string]int, loops ...string) depend.DistSpec {
 		return depend.DistSpec{Dims: dims, Loops: loops}
 	}
-	want := map[string]depend.DistSpec{
+	return map[string]depend.DistSpec{
 		"mm":              dist(map[string]int{"c": 1, "b": 1}, "j"),
 		"lu":              dist(map[string]int{"a": 1}, "j"),
 		"sor":             dist(map[string]int{"b": 0}, "j"),
@@ -58,6 +54,17 @@ func TestDerivedDirectives(t *testing.T) {
 		"jacobi-converge": dist(map[string]int{"a": 0, "anew": 0}, "i", "i2"),
 		"jacobi3d":        dist(map[string]int{"u": 0, "unew": 0}, "i", "i2"),
 	}
+}()
+
+// TestDerivedDirectives compiles every library program with no directive.
+// The want table holds the directives the programs were first written
+// with, and the derivation must find each and render the same plan text.
+// The Jacobi family's rows are not the first proposal: the columns it
+// proposes first leave the ghost exchange exposed before a sequential loop,
+// and the rows overlap it. Every derived plan gathers bit-exact on the
+// simulator and on RunReal.
+func TestDerivedDirectives(t *testing.T) {
+	want := derivedWant
 	for name, prog := range loopir.Library() {
 		t.Run(name, func(t *testing.T) {
 			plan, err := compile.Compile(prog, compile.Options{})

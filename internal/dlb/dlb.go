@@ -59,8 +59,6 @@ type Config struct {
 	// (grain-size ablation; 1 disables strip mining's benefit, reproducing
 	// Figure 3b's fine-grain pipeline).
 	ForcedGrain int
-	// CompileOpts carries the hook cost model for instantiation.
-	CompileOpts compile.Options
 	// Groups partitions the slaves into that many contiguous groups for
 	// two-level hierarchical balancing (internal/hier): members report to
 	// their group leader, each leader relays one aggregate to the master
@@ -359,7 +357,7 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 	if quantum <= 0 {
 		quantum = 100 * time.Millisecond
 	}
-	pre, err := instantiate(l.cfg, l.initial, quantum, float64(l.cfg.FlopCost))
+	pre, err := instantiate(l.cfg, l.initial, quantum, float64(l.cfg.FlopCost), 0)
 	if err != nil {
 		return nil, err
 	}

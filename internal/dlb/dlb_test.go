@@ -26,7 +26,8 @@ func planFor(t testing.TB, name string) *compile.Plan {
 
 // runAndVerify executes the plan in parallel and demands bit-exact
 // agreement with the sequential reference (per-element operations execute
-// in the same order, so even floating point must match exactly).
+// in the same order, so even floating point must match exactly; reduction
+// partial sums reassociate: sameGather).
 func runAndVerify(t *testing.T, plan *compile.Plan, params map[string]int, cfg Config, cc cluster.Config) *Result {
 	t.Helper()
 	cfg.Plan = plan
@@ -42,25 +43,8 @@ func runAndVerify(t *testing.T, plan *compile.Plan, params map[string]int, cfg C
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
-	reduction := map[string]bool{}
-	for _, r := range plan.Reductions {
-		reduction[r.Array] = true
-	}
-	for name, want := range ref.Arrays {
-		got := res.Final[name]
-		if got == nil {
-			t.Fatalf("array %q missing from result", name)
-		}
-		d := want.MaxAbsDiff(got)
-		if reduction[name] {
-			// Parallel reductions reassociate the sum, so the last bits
-			// may differ from the sequential order.
-			if d > 1e-9 {
-				t.Errorf("reduction array %q differs from sequential reference by %g", name, d)
-			}
-		} else if d != 0 {
-			t.Errorf("array %q differs from sequential reference by %g", name, d)
-		}
+	if err := sameGather(plan, ref, res.Final); err != nil {
+		t.Error(err)
 	}
 	return res
 }

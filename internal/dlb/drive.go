@@ -46,8 +46,8 @@ type Prepared struct {
 // Prepare instantiates cfg.Plan for a real (wall-clock) environment. It
 // runs no program code: the plan's shape is a function of the plan, costed
 // at the VM's rate vmRate — strip blocks sized to grainFactor × RealQuantum
-// from the modelled cost of one strip row (§4.4), and an unpinned
-// HookCostFlops resolved to wallHookCostFlops (§4.2) — so every process
+// from the modelled cost of one strip row (§4.4), and hooks placed at the
+// hook cost wallHookCostFlops (§4.2) — so every process
 // that prepares the same Config gets the same grain, hook level and tier.
 // cfg.ForcedGrain overrides the grain: the master ships its grain to
 // slaves, which do not know its RealQuantum. A Config no entry point would
@@ -61,14 +61,11 @@ func Prepare(cfg Config, slaves int) (*Prepared, error) {
 	if slaves < 1 {
 		return nil, fmt.Errorf("dlb: need at least one slave")
 	}
-	if cfg.CompileOpts.HookCostFlops <= 0 {
-		cfg.CompileOpts.HookCostFlops = wallHookCostFlops
-	}
 	quantum := cfg.RealQuantum
 	if quantum <= 0 {
 		quantum = 10 * time.Millisecond
 	}
-	return instantiate(&cfg, slaves, quantum, 1e9/vmRate)
+	return instantiate(&cfg, slaves, quantum, 1e9/vmRate, wallHookCostFlops)
 }
 
 // RunMasterOn drives the master over an arbitrary endpoint. initial is the

@@ -210,11 +210,13 @@ func (l *launch) finish(eng *engine, elapsed time.Duration) (*Result, error) {
 // it: once at grain 1 to estimate per-unit cost, then — blocks sized to
 // grainFactor × quantum from the cost of one strip row (§4.4) — again, so
 // the phase schedule reflects the strip-mined structure. flopNs, the time
-// of one flop in nanoseconds, is all that differs between environments:
-// FlopCost on the simulator, 1/vmRate on wall clock. cfg.ForcedGrain
-// overrides the grain.
-func instantiate(cfg *Config, slaves int, quantum time.Duration, flopNs float64) (*Prepared, error) {
-	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, cfg.CompileOpts)
+// of one flop in nanoseconds, and hookFlops, the cost of one hook visit in
+// flops, are all that differ between environments: FlopCost and compile's
+// default (0: 200 flops) on the simulator, 1/vmRate and wallHookCostFlops
+// on wall clock. cfg.ForcedGrain overrides the grain.
+func instantiate(cfg *Config, slaves int, quantum time.Duration, flopNs, hookFlops float64) (*Prepared, error) {
+	opts := compile.Options{HookCostFlops: hookFlops}
+	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +228,7 @@ func instantiate(cfg *Config, slaves int, quantum time.Duration, flopNs float64)
 			grain = core.GrainSize(modelRow(probe, slaves, flopNs), quantum, grainFactor)
 		}
 	}
-	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, cfg.CompileOpts)
+	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -177,12 +177,15 @@ func (s *slave) runOn(ep Endpoint) {
 	}
 
 	// Final gather: ship every owned unit of every distributed array back
-	// to the master; slave 0 also reports the combined reduction values.
+	// to the master. The designated (lowest alive) slave also reports the
+	// replicated arrays the program writes — the reductions, identical on
+	// every slave after Combine, and what replicated statements assign,
+	// identical because every slave runs them.
 	g := GatherMsg{Data: packUnits(plan.DistArrays, s.own.Owned(s.id), slicesOf(s.inst.Arrays))}
-	// The designated (lowest alive) slave reports the combined reduction
-	// values — identical on every slave after Combine.
-	if s.designated() && len(plan.Reductions) > 0 {
-		g.Reduced = copyArrays(s.inst.Arrays, reductionArrays(plan))
+	if s.designated() {
+		if written := writtenReplicated(plan); len(written) > 0 {
+			g.Reduced = copyArrays(s.inst.Arrays, written)
+		}
 	}
 	s.ep.Send(cluster.MasterID, "gather", g)
 }
@@ -578,13 +581,20 @@ func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
 func (s *slave) execAll(st *compile.AllStmts) {
 	flops := loopir.EstFlops(st.Body, s.env)
 	s.ep.Compute(time.Duration(flops*float64(s.cfg.FlopCost)), func() { s.allFrags[st].Run(s.env) })
-	// Replicated statements run identically on every slave, so their
-	// result is shared state: refresh reduction snapshots so the next
-	// Combine's deltas are measured from here (e.g. the residual reset at
-	// the top of a convergence sweep).
-	for arr, snap := range s.redSnap {
-		copy(snap, s.inst.Arrays[arr].Data)
+	// Replicated statements run identically on every slave, so what they
+	// write is shared state: refresh the snapshots of the reduction arrays
+	// they write so the next Combine's deltas are measured from here (e.g.
+	// the residual reset at the top of a convergence sweep). A reduction
+	// array they leave alone keeps the delta it has pending.
+	if len(s.redSnap) == 0 {
+		return
 	}
+	loopir.Walk(st.Body, func(ls loopir.Stmt, _ []*loopir.Loop) error {
+		if a, ok := ls.(*loopir.Assign); ok && s.redSnap[a.LHS.Array] != nil {
+			copy(s.redSnap[a.LHS.Array], s.inst.Arrays[a.LHS.Array].Data)
+		}
+		return nil
+	})
 }
 
 // execExchange performs the sweep-start ghost exchange (paper Figure 3a's
@@ -831,10 +841,6 @@ func (s *slave) applyMove(m core.Move) {
 	plan := s.exec.Plan
 	switch {
 	case m.From == s.id:
-		moved := map[int]bool{}
-		for _, u := range m.Units {
-			moved[u] = true
-		}
 		w := WorkMsg{Units: m.Units, Data: map[string][][]float64{}, Ghosts: map[string]map[int][]float64{}}
 		for arr, dim := range plan.DistArrays {
 			a := s.inst.Arrays[arr]
@@ -843,24 +849,11 @@ func (s *slave) applyMove(m core.Move) {
 				slices[i] = unitSlice(a, dim, u)
 			}
 			w.Data[arr] = slices
-			// Ghost payload: data adjacent to the moved range so the new
-			// owner's stale copies are refreshed (§4.5).
-			if len(plan.GhostDeltas) > 0 {
-				gm := map[int][]float64{}
-				for _, delta := range plan.GhostDeltas {
-					for _, u := range m.Units {
-						g := u + delta
-						if g < 0 || g >= s.exec.Units || moved[g] {
-							continue
-						}
-						if _, dup := gm[g]; dup {
-							continue
-						}
-						gm[g] = unitSlice(a, dim, g)
-					}
-				}
-				w.Ghosts[arr] = gm
-			}
+		}
+		// Ghost payload: data adjacent to the moved range so the new
+		// owner's stale copies are refreshed (§4.5).
+		if len(plan.GhostDeltas) > 0 {
+			w.Ghosts = packUnits(plan.DistArrays, s.ghostUnits(m.Units), slicesOf(s.inst.Arrays))
 		}
 		s.send(m.To, "work", w)
 		if err := s.own.Apply(m); err != nil {
@@ -895,6 +888,25 @@ func (s *slave) applyMove(m core.Move) {
 			panic(fmt.Sprintf("slave%d: %v", s.id, err))
 		}
 	}
+}
+
+// ghostUnits lists, once each, the units one ghost delta away from the
+// moved units that are in range and not moved themselves.
+func (s *slave) ghostUnits(moved []int) []int {
+	skip := make(map[int]bool, len(moved))
+	for _, u := range moved {
+		skip[u] = true
+	}
+	var out []int
+	for _, delta := range s.exec.Plan.GhostDeltas {
+		for _, u := range moved {
+			if g := u + delta; g >= 0 && g < s.exec.Units && !skip[g] {
+				skip[g] = true
+				out = append(out, g)
+			}
+		}
+	}
+	return out
 }
 
 // send is the slave-to-slave send (epoch-scoped tag under the FT policy).

@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// runSpecRetired is RunSpec as a peer that predates two retirements still
-// sends it: with the per-slave worker count (Cores) and the hook fraction.
+// runSpecRetired is RunSpec as a peer that predates three retirements
+// still sends it: with the per-slave worker count (Cores), the hook
+// fraction and the hook cost.
 type runSpecRetired struct {
 	Source         string
 	Params         map[string]int
@@ -63,8 +64,8 @@ func TestStartMsgDropsRetiredSpecFields(t *testing.T) {
 		Spec: RunSpec{
 			Source: "program p(n) ...", Params: map[string]int{"n": 64},
 			DistDims: map[string]int{"a": 0}, DistLoops: []string{"i"},
-			HookCostFlops: 200, Grain: 3,
-			DLB: true, Synchronous: true,
+			Grain: 3,
+			DLB:   true, Synchronous: true,
 			Kernel: "aot", CostModel: "learned", Overlap: "off",
 			HeartbeatEvery: 500 * time.Millisecond, FaultSpec: "crash:1@0.5",
 		},

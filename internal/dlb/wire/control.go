@@ -15,12 +15,15 @@ import "time"
 // code consults. The master ships it in the StartMsg; the slave compiles it
 // with its own toolchain and proves agreement by echoing the hash of the
 // plan it actually built (see HelloMsg.PlanHash). Every compile.Options
-// field has a carrier here (netrun's TestCompileOptionsReachTheDaemons).
+// field Compile reads has a carrier here (netrun's
+// TestCompileOptionsReachTheDaemons); the hook cost is the daemon's own
+// constant, as it is the master's.
 //
 // Removing a field needs no ProtocolVersion bump: gob drops a field the
-// receiver does not declare (TestStartMsgDropsRetiredSpecFields). Neither
+// receiver does not declare (TestStartMsgDropsRetiredSpecFields). No
 // retired field changed a result when sent at its only value: the per-slave
-// worker count, and the hook fraction, now compile's fixed 1 %.
+// worker count, the hook fraction, now compile's fixed 1 %, and the hook
+// cost, now the wall-clock constant every process derives.
 type RunSpec struct {
 	// Source is the program text (lang syntax; library programs are
 	// formatted back to source).
@@ -30,9 +33,6 @@ type RunSpec struct {
 	// DistDims and DistLoops carry the distribution directive.
 	DistDims  map[string]int
 	DistLoops []string
-	// HookCostFlops is the compiler's hook-placement cost model (zero:
-	// the default).
-	HookCostFlops float64
 	// Grain is the strip-mining block size the master chose; slaves must
 	// instantiate with exactly this grain to share the phase schedule.
 	Grain int

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"sync"
 
 	"repro/internal/depend"
 )
@@ -68,46 +69,40 @@ type PaperReport struct {
 	Heterogeneous []HeteroRow                  `json:"heterogeneous"`
 }
 
-// Paper runs every driver of the paper's evaluation into one report.
+// Paper runs every driver of the paper's evaluation into one report. The
+// drivers share nothing, so they run concurrently, each writing its own
+// field; the first error in the report's order wins.
 func Paper(s Scale) (*PaperReport, error) {
 	rep := &PaperReport{Header: virtual("the paper's Table 1, Figures 5-9, ablations A1-A5 and the heterogeneous claim; " +
 		"times in virtual ns, calibrated so MM's and SOR's sequential runs take the paper's 250 s and 350 s")}
-	var err error
-	if rep.Table1, err = Table1(); err != nil {
-		return nil, err
+	drivers := []func() error{
+		func() (err error) { rep.Table1, err = Table1(); return },
+		func() (err error) { rep.Fig5, err = Fig5(s); return },
+		func() (err error) { rep.Fig6, err = Fig6(s); return },
+		func() (err error) { rep.Fig7, err = Fig7(s); return },
+		func() (err error) { rep.Fig8, err = Fig8(s); return },
+		func() (err error) { rep.Fig9, err = Fig9(s); return },
+		func() (err error) { rep.Pipelining, err = AblationPipelining(s); return },
+		func() (err error) { rep.Grain, err = AblationGrain(s); return },
+		func() (err error) { rep.Refinements, err = AblationRefinements(s); return },
+		func() (err error) { rep.LU, err = AblationLUAdaptive(s); return },
+		func() (err error) { rep.Baselines, err = Baselines(s); return },
+		func() (err error) { rep.Heterogeneous, err = Heterogeneous(s); return },
 	}
-	if rep.Fig5, err = Fig5(s); err != nil {
-		return nil, err
+	errs := make([]error, len(drivers))
+	var wg sync.WaitGroup
+	for i, run := range drivers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run()
+		}()
 	}
-	if rep.Fig6, err = Fig6(s); err != nil {
-		return nil, err
-	}
-	if rep.Fig7, err = Fig7(s); err != nil {
-		return nil, err
-	}
-	if rep.Fig8, err = Fig8(s); err != nil {
-		return nil, err
-	}
-	if rep.Fig9, err = Fig9(s); err != nil {
-		return nil, err
-	}
-	if rep.Pipelining, err = AblationPipelining(s); err != nil {
-		return nil, err
-	}
-	if rep.Grain, err = AblationGrain(s); err != nil {
-		return nil, err
-	}
-	if rep.Refinements, err = AblationRefinements(s); err != nil {
-		return nil, err
-	}
-	if rep.LU, err = AblationLUAdaptive(s); err != nil {
-		return nil, err
-	}
-	if rep.Baselines, err = Baselines(s); err != nil {
-		return nil, err
-	}
-	if rep.Heterogeneous, err = Heterogeneous(s); err != nil {
-		return nil, err
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/depend"
 	"repro/internal/lang"
 	"repro/internal/loopir"
+	"repro/internal/loopir/looptest"
 )
 
 const sorSrc = `
@@ -241,11 +242,12 @@ func TestFormatRoundTripBuiltins(t *testing.T) {
 	}
 }
 
+// TestFormatRoundTripQuick: random programs, unsafe and recurrent ones
+// included, survive a format -> parse -> format cycle.
 func TestFormatRoundTripQuick(t *testing.T) {
-	// Random affine programs survive a format -> parse -> format cycle.
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		prog := randProgram(r)
+		prog := looptest.Program(r, seed&1 != 0, seed&2 != 0)
 		src := lang.Format(prog)
 		parsed, err := lang.Parse(src)
 		if err != nil {
@@ -255,49 +257,6 @@ func TestFormatRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// randProgram builds a small random valid program (mirrors the loopir
-// quick-test generator, but expressed through the public constructors).
-func randProgram(r *rand.Rand) *loopir.Program {
-	n := loopir.Iv("n")
-	vars := []string{"i", "j", "k"}[:1+r.Intn(3)]
-	idx := func() loopir.IExpr {
-		v := loopir.Iv(vars[r.Intn(len(vars))])
-		switch r.Intn(3) {
-		case 0:
-			return loopir.Isub(v, loopir.Ic(1))
-		case 1:
-			return loopir.Iadd(v, loopir.Ic(1))
-		}
-		return v
-	}
-	ref := func() loopir.Ref { return loopir.Fref("a", idx(), idx()) }
-	var expr func(d int) loopir.Expr
-	expr = func(d int) loopir.Expr {
-		if d == 0 || r.Intn(3) == 0 {
-			if r.Intn(2) == 0 {
-				return loopir.Fc(float64(r.Intn(9)) * 0.25)
-			}
-			return ref()
-		}
-		ops := []func(loopir.Expr, loopir.Expr) loopir.Expr{loopir.Fadd, loopir.Fsub, loopir.Fmul}
-		return ops[r.Intn(len(ops))](expr(d-1), expr(d-1))
-	}
-	body := []loopir.Stmt{loopir.Set(ref(), expr(2))}
-	var stmt loopir.Stmt
-	for d := len(vars) - 1; d >= 0; d-- {
-		if stmt != nil {
-			body = []loopir.Stmt{stmt}
-		}
-		stmt = loopir.For(vars[d], loopir.Ic(1), loopir.Isub(n, loopir.Ic(1)), body...)
-	}
-	return &loopir.Program{
-		Name:   "rand",
-		Params: []string{"n"},
-		Arrays: []*loopir.ArrayDecl{{Name: "a", Dims: []loopir.IExpr{n, n}}},
-		Body:   []loopir.Stmt{stmt},
 	}
 }
 

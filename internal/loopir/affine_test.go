@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 // indexExprs lists every index expression of p: array extents, loop
@@ -103,26 +102,6 @@ func checkAffineAgainstEval(t *testing.T, p *Program, params map[string]int, r *
 				}
 			}
 		}
-	}
-}
-
-// TestAffineOfMatchesEvalIndex: on every library program and on random
-// affine programs, the affine form of every subscript and loop bound
-// evaluates to what the interpreter's EvalIndex computes.
-func TestAffineOfMatchesEvalIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	params := kernelTestParams()
-	for name, p := range Library() {
-		checkAffineAgainstEval(t, p, params[name], r)
-	}
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randProgram(r, false, false)
-		checkAffineAgainstEval(t, p, map[string]int{"n": 5 + r.Intn(6)}, r)
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

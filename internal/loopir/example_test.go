@@ -32,21 +32,6 @@ func Example() {
 	// Output: [0 2 4 6 8]
 }
 
-// Render the paper's SOR kernel as C-like source.
-func ExampleRender() {
-	src := loopir.Render(loopir.Axpy())
-	fmt.Print(src)
-	// Output:
-	// /* axpy(n, maxiter) */
-	// double x[n];
-	// double y[n];
-	// for (iter = 0; iter < maxiter; iter++) {
-	//     for (i = 0; i < n; i++) {
-	//         y[i] = (1.0001 * x[i]) + y[i];
-	//     }
-	// }
-}
-
 // Estimate the floating-point work of a loop nest.
 func ExampleEstFlops() {
 	mm := loopir.MatMul()

@@ -115,12 +115,6 @@ func TestRangeKernelLibraryEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuickKernelEquivalence cross-checks the whole-program kernel against
-// the interpreter on random programs (randProgram, quick_test.go).
-func TestQuickKernelEquivalence(t *testing.T) {
-	quickVsInterpreter(t, func(fast *Instance) error { return fast.Run() })
-}
-
 // BenchmarkKernel compares the in-process executors — interpreter and
 // compiled kernel — on the stencil (jacobi) and pipelined (sor) programs
 // plus mm and lu, the service's other two, and pbin, whose reduction has

@@ -2,13 +2,13 @@ package loopir_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os/exec"
 	"testing"
 
 	"repro/internal/aot"
 	"repro/internal/loopir"
+	"repro/internal/loopir/looptest"
 )
 
 // TestQuickNativeUnsafe is the unsafe half of the random-program
@@ -25,7 +25,7 @@ func TestQuickNativeUnsafe(t *testing.T) {
 	outcomes := map[bool]int{}
 	for _, seed := range []int64{5, 6, 7, 8, 13, 33, 105, 128} {
 		r := rand.New(rand.NewSource(seed))
-		p := loopir.RandProgram(r, true, false)
+		p := looptest.Program(r, true, false)
 		p.Name = fmt.Sprintf("rand%d", seed)
 		params := map[string]int{"n": 5 + r.Intn(6)}
 		ref, err := loopir.NewInstance(p, params)
@@ -52,12 +52,8 @@ func TestQuickNativeUnsafe(t *testing.T) {
 		case (got != nil) != (want != nil):
 			t.Errorf("seed %d: interpreter %v, native panic %v", seed, want, got)
 		case want == nil:
-			for name, a := range ref.Arrays {
-				for i, v := range a.Data {
-					if w := fast.Arrays[name].Data[i]; math.Float64bits(v) != math.Float64bits(w) {
-						t.Fatalf("seed %d: %s[%d]: interpreter %v, native %v", seed, name, i, v, w)
-					}
-				}
+			if err := loopir.SameBits(ref, fast); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
 	}

@@ -65,6 +65,34 @@ func sameBits(a, b *Instance) error {
 	return nil
 }
 
+// againstInterpret runs one clone of in through Interpret and another
+// through exec. exec must panic exactly when the interpreter errors, and
+// leave the interpreter's result bit for bit otherwise.
+func againstInterpret(in *Instance, exec func(fast *Instance) error) error {
+	ref, fast := in.Clone(), in.Clone()
+	want := ref.Interpret()
+	got, err := runRecovered(func() error { return exec(fast) })
+	switch {
+	case err != nil:
+		return fmt.Errorf("compile: %v", err)
+	case (got != "") != (want != nil):
+		return fmt.Errorf("interpreter %v, kernel panic %q", want, got)
+	case want == nil:
+		return sameBits(ref, fast)
+	}
+	return nil
+}
+
+// runRecovered runs f and returns the message it panicked with, or "".
+func runRecovered(f func() error) (msg string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	return "", f()
+}
+
 // capWidths caps the width of every strip plan in code at w. At w = 1
 // every innermost loop runs scalar.
 func capWidths(code []kinstr, w int) {

@@ -176,7 +176,6 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 		Params:         params,
 		DistDims:       dims,
 		DistLoops:      append([]string(nil), cfg.Plan.Dist.Loops...),
-		HookCostFlops:  cfg.CompileOpts.HookCostFlops,
 		Grain:          grain,
 		DLB:            cfg.DLB,
 		Synchronous:    cfg.Synchronous,
@@ -193,10 +192,7 @@ func specFromConfig(cfg dlb.Config, grain int, hbEvery time.Duration) wire.RunSp
 // daemon's compile cache — and pin the master's grain. cached reports that
 // the plan came out of the cache.
 func configFromSpec(plans *compile.Cache, spec wire.RunSpec) (cfg dlb.Config, cached bool, err error) {
-	opts := compile.Options{
-		Dist:          depend.DistSpec{Dims: spec.DistDims, Loops: spec.DistLoops},
-		HookCostFlops: spec.HookCostFlops,
-	}
+	opts := compile.Options{Dist: depend.DistSpec{Dims: spec.DistDims, Loops: spec.DistLoops}}
 	plan, cached, err := plans.Compile(spec.Source, opts)
 	if err != nil {
 		return dlb.Config{}, false, fmt.Errorf("netrun: shipped program: %w", err)
@@ -210,7 +206,6 @@ func configFromSpec(plans *compile.Cache, spec wire.RunSpec) (cfg dlb.Config, ca
 		CostModel:   spec.CostModel,
 		Overlap:     spec.Overlap,
 		ForcedGrain: spec.Grain,
-		CompileOpts: opts,
 		Detect:      fault.DetectorConfig{HeartbeatEvery: spec.HeartbeatEvery},
 	}
 	if spec.FaultSpec != "" {
