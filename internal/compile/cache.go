@@ -50,8 +50,7 @@ func (c *Cache) Compile(source string, opts Options) (plan *Plan, cached bool, e
 func (c *Cache) Stats() (hits, misses int64) { return c.plans.Stats() }
 
 // cacheKey hashes every input of Compile: the source text and each Options
-// field Compile reads. HookCostFlops is Instantiate's alone, so options
-// that differ only there share one entry.
+// field.
 func cacheKey(source string, o Options) (key [sha256.Size]byte) {
 	h := sha256.New()
 	fmt.Fprintf(h, "compile-cache-v1 %d\n", len(source))

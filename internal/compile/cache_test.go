@@ -16,9 +16,8 @@ func TestCacheCompilesOncePerContent(t *testing.T) {
 	if err != nil || cached {
 		t.Fatalf("cold Compile: cached %v, err %v", cached, err)
 	}
-	// Equal content in fresh maps, and the defaults spelled out, are the
-	// same key.
-	again, cached, err := c.Compile(src, Options{Dist: specSOR(), HookCostFlops: 200})
+	// Equal content in fresh maps is the same key.
+	again, cached, err := c.Compile(src, Options{Dist: specSOR()})
 	if err != nil || !cached || again != first {
 		t.Fatalf("warm Compile: cached %v, same plan %v, err %v", cached, again == first, err)
 	}
@@ -32,21 +31,15 @@ func TestCacheCompilesOncePerContent(t *testing.T) {
 }
 
 // TestCacheKeyCoversEveryOption: anything Compile reads makes its own entry
-// — the directive changes the generated program. The hook cost is
-// Instantiate's alone, so options that differ only there share one entry.
+// — the directive changes the generated program.
 func TestCacheKeyCoversEveryOption(t *testing.T) {
 	c := NewCache(8)
 	src := lang.Format(loopir.Jacobi())
-	if _, _, err := c.Compile(src, Options{Dist: specJacobi(), HookCostFlops: 5}); err != nil {
-		t.Fatal(err)
-	}
 	variants := []Options{
+		{Dist: specJacobi()},
 		{Dist: depend.DistSpec{Dims: specJacobi().Dims}}, // loops derived, not given
 		{Dist: depend.DistSpec{Dims: specJacobi().Dims, Loops: []string{"i2", "i"}}},
 		{}, // automatic distribution
-	}
-	if _, cached, _ := c.Compile(src, Options{Dist: specJacobi()}); !cached {
-		t.Error("options differing only in the hook cost made two entries")
 	}
 	plans := map[*Plan]bool{}
 	for i, o := range variants {
@@ -62,8 +55,8 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	if _, cached, _ := c.Compile(lang.Format(loopir.JacobiConverge()), variants[0]); cached {
 		t.Error("a different program text hit")
 	}
-	if _, misses := c.Stats(); int(misses) != len(variants)+2 || len(plans) != len(variants) {
-		t.Errorf("%d misses, %d distinct plans; want %d, %d", misses, len(plans), len(variants)+2, len(variants))
+	if _, misses := c.Stats(); int(misses) != len(variants)+1 || len(plans) != len(variants) {
+		t.Errorf("%d misses, %d distinct plans; want %d, %d", misses, len(plans), len(variants)+1, len(variants))
 	}
 }
 
@@ -116,7 +109,7 @@ func TestCacheConcurrentMisses(t *testing.T) {
 				return
 			}
 			// Every caller instantiates the shared plan at its own size.
-			if _, err := p.Instantiate(map[string]int{"n": 16 + i}, 1, Options{}); err != nil {
+			if _, err := p.InstantiateHook(map[string]int{"n": 16 + i}, 1, 0); err != nil {
 				t.Error(err)
 			}
 			plans[i] = p

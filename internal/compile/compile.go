@@ -11,30 +11,19 @@ import (
 	"repro/internal/loopir"
 )
 
-// Options configures compilation and instantiation. A transport ships
-// every field Compile reads to its daemons (wire.RunSpec), and the compile
-// cache hashes each of them, so a new one needs a carrier in both.
+// Options configures compilation. A transport ships every field to its
+// daemons (wire.RunSpec), and the compile cache hashes each of them, so a
+// new one needs a carrier in both.
 type Options struct {
 	// Dist is the data-distribution directive (the paper assumes Fortran
 	// D-style directives from the programmer). If Dist.Dims is empty the
 	// compiler derives a distribution automatically.
 	Dist depend.DistSpec
-	// HookCostFlops is the estimated cost of one hook visit, in
-	// floating-point-operation equivalents. Only Instantiate reads it; the
-	// runtime sets it from its clock (dlb.instantiate).
-	HookCostFlops float64
 }
 
 // hookFraction is the §4.2 rule: a hook visit may cost at most this share
 // of the work it encloses.
 const hookFraction = 0.01
-
-func (o Options) withDefaults() Options {
-	if o.HookCostFlops <= 0 {
-		o.HookCostFlops = 200
-	}
-	return o
-}
 
 // ErrNoDistribution is Compile's error when it was given no directive and
 // none of the directives it derived compiles; the wrapped text names the

@@ -319,7 +319,7 @@ func TestCompileRejectsOuterDistributedPipeline(t *testing.T) {
 
 func TestInstantiateMM(t *testing.T) {
 	p := mustCompile(t, loopir.MatMul(), Options{Dist: specMM()})
-	e, err := p.Instantiate(map[string]int{"n": 16}, 1, Options{})
+	e, err := p.InstantiateHook(map[string]int{"n": 16}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestInstantiateMM(t *testing.T) {
 
 func TestInstantiateLUShrinks(t *testing.T) {
 	p := mustCompile(t, loopir.LU(), Options{Dist: specLU()})
-	e, err := p.Instantiate(map[string]int{"n": 8}, 1, Options{})
+	e, err := p.InstantiateHook(map[string]int{"n": 8}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestInstantiateSORGrain(t *testing.T) {
 	params := map[string]int{"n": 14, "maxiter": 3}
 	// 12 interior rows, grain 5 -> 3 blocks per sweep; level-1 hooks fire
 	// per block, level-0 per sweep.
-	e, err := p.Instantiate(params, 5, Options{HookCostFlops: 0.02})
+	e, err := p.InstantiateHook(params, 5, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestInstantiateHookLevelFallsBackOutward(t *testing.T) {
 	params := map[string]int{"n": 14, "maxiter": 3}
 	// Absurdly expensive hooks: even level 0 fails the 1% rule, so the
 	// outermost level is chosen as fallback.
-	e, err := p.Instantiate(params, 5, Options{HookCostFlops: 1e12})
+	e, err := p.InstantiateHook(params, 5, 1e12)
 	if err != nil {
 		t.Fatal(err)
 	}

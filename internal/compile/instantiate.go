@@ -6,14 +6,22 @@ import (
 	"repro/internal/loopir"
 )
 
-// Instantiate binds the plan to concrete parameters and a strip-mining
+// Instantiate is InstantiateHook at the default hook cost. It does not
+// read its Options; it keeps the signature the benchmark harness calls.
+func (p *Plan) Instantiate(params map[string]int, grain int, _ Options) (*Exec, error) {
+	return p.InstantiateHook(params, grain, 0)
+}
+
+// InstantiateHook binds the plan to concrete parameters and a strip-mining
 // grain: it selects the active hook level by the 1% rule (§4.2) and builds
 // the master's phase schedule by running the slave loop structure (§4.1)
 // with integers only — Run with no data and no break conditions.
-// Of opts it reads only HookCostFlops, the cost of one hook visit (zero:
-// 200 flops); the runtime passes its clock's.
-func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exec, error) {
-	opts = opts.withDefaults()
+// hookFlops is the cost of one hook visit in flops (0: 200); the runtime
+// passes its clock's (dlb.instantiate).
+func (p *Plan) InstantiateHook(params map[string]int, grain int, hookFlops float64) (*Exec, error) {
+	if hookFlops <= 0 {
+		hookFlops = 200
+	}
 	units, err := loopir.EvalIndex(p.UnitsExpr, params)
 	if err != nil {
 		return nil, err
@@ -64,7 +72,7 @@ func (p *Plan) Instantiate(params map[string]int, grain int, opts Options) (*Exe
 
 	// Choose the deepest hook level whose per-visit work keeps hook cost
 	// under the fraction; fall back to the outermost level.
-	minWork := opts.HookCostFlops / hookFraction
+	minWork := hookFlops / hookFraction
 	active := -1
 	for level, n := range visits {
 		if n == 0 {

@@ -106,12 +106,12 @@ func TestInstantiatePinned(t *testing.T) {
 		p := mustCompile(t, loopir.Library()[name], Options{})
 		for _, grain := range []int{1, 3} {
 			for _, hooks := range []string{"default", "cheap"} {
-				opts := Options{}
+				hookFlops := 0.0
 				if hooks == "cheap" {
-					opts = Options{HookCostFlops: 0.02}
+					hookFlops = 0.02
 				}
 				key := fmt.Sprintf("%s/grain=%d/%s", name, grain, hooks)
-				e, err := p.Instantiate(instantiateParams[name], grain, opts)
+				e, err := p.InstantiateHook(instantiateParams[name], grain, hookFlops)
 				if err != nil {
 					t.Errorf("%s: %v", key, err)
 					continue

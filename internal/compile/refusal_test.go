@@ -1,406 +1,47 @@
 package compile
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/depend"
 	"repro/internal/lang"
+	"repro/internal/loopir/looptest"
 )
+
+// refusalTable reads testdata/refusals.txt, the one table of programs the
+// compiler refuses.
+func refusalTable(t *testing.T) []looptest.Refusal {
+	t.Helper()
+	cases, err := looptest.Refusals("testdata/refusals.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
 
 // TestCompileRefusals gives every refusal raised while walking a program's
 // statements — by Validate and by the compiler's passes — one minimal
-// source program, and checks the error names it. dist is the command-line
+// source program, and checks the whole error. dist is the command-line
 // directive; the compiler derives the distributed loops from it.
 func TestCompileRefusals(t *testing.T) {
-	cases := []struct {
-		name, dist, src, want string
-	}{
-		{
-			name: "multiple owners",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = a[i] + 1; }
-    if a[0] > 0 { a[0] = 1; a[1] = 2; }
-}`,
-			want: "writes multiple owners (0 vs 1)",
-		},
-		{
-			name: "owner block writes a replicated array",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-array s[1];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = a[i] + 1; }
-    if a[0] > 0 { a[0] = 1; s[0] = 2; }
-}`,
-			want: `owner block writes replicated array "s"`,
-		},
-		{
-			name: "block-internal index read",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = a[i] + 1; }
-    for k = 0 to n { a[0] = a[0] + a[k]; }
-}`,
-			want: "reads a[k] with a block-internal index",
-		},
-		{
-			// The owner broadcast of b[j][*] would run before the loop
-			// that binds j.
-			name: "loop-internal index read",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n][n];
-array b[n][n];
-for iter = 0 to maxiter {
-    for i = 0 to n {
-        for j = 0 to n { a[i][j] = b[j][i] + 1; }
-    }
-}`,
-			want: `distributed loop "i" reads b[j][i] with a loop-internal index`,
-		},
-		{
-			// The owner broadcasts b[2] before the loop, but iteration 2
-			// writes it and iterations 3.. read the new value.
-			name: "broadcast slice written by the loop",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[n];
-for iter = 0 to maxiter {
-    for i = 2 to n { b[i] = a[i] * b[2]; }
-}`,
-			want: `distributed loop "i" writes b's broadcast slice 2`,
-		},
-		{
-			// Row i of c is broadcast by its owner while that owner's
-			// predecessor in the pipeline waits for it before sending a
-			// block.
-			name: "broadcast inside a pipeline",
-			dist: "a:0,c:0",
-			src: `program p(n, maxiter)
-array a[n][n];
-array c[n][n];
-for iter = 0 to maxiter {
-    for i = 1 to n-1 {
-        for j = 1 to n-1 { a[j][i] = a[j-1][i] + c[i][j]; }
-    }
-}`,
-			want: `pipelined loop "i" broadcasts c[i] from its owner inside the pipeline`,
-		},
-		{
-			// Row i of the block arrives with column 2 already updated,
-			// which rows i < 2 must read old.
-			name: "pipelined read out of row order",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n][n];
-for iter = 0 to maxiter {
-    for i = 1 to n-1 {
-        for j = 1 to n-1 { a[j][i] = a[j-1][i] + a[j-1][2]; }
-    }
-}`,
-			want: `pipelined loop "i" reads a[(j - 1)][2] out of the pipeline's row order`,
-		},
-		{
-			// Every row i rewrites row 0, so the block a neighbour
-			// receives holds row 0 as it stands after the whole block.
-			name: "pipelined write out of row order",
-			dist: "a:1",
-			src: `program p(n, maxiter)
-array a[n][n];
-for iter = 0 to maxiter {
-    for i = 0 to n {
-        for j = 1 to n-1 { a[0][j] = a[0][j] * a[i][j-1]; }
-    }
-}`,
-			want: `pipelined loop "i" writes a[0][j] out of the pipeline's row order`,
-		},
-		{
-			// Row 1 of the right neighbour's column is rewritten in this
-			// sweep before rows 2.. read it: a flow carried by the
-			// strip-mined loop, which a sweep-start exchange cannot serve.
-			name: "ghost read fed within the sweep",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n][n];
-for iter = 0 to maxiter {
-    for i = 1 to n-1 {
-        for j = 1 to n-1 { a[j][i] = a[j-1][i] + a[j+1][1]; }
-    }
-}`,
-			want: `ghost exchange carried by strip-mined loop "i" cannot be placed`,
-		},
-		{
-			name: "distributed loop in an unsupported context",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter {
-    if a[0] > 0 {
-        for i = 0 to n { a[i] = a[i] + 1; }
-    }
-}`,
-			want: `distributed loop "i" nested in unsupported context`,
-		},
-		{
-			name: "write not owner-computes",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter {
-    for i = 0 to n-1 { a[i+1] = a[i]; }
-}`,
-			want: `write a[(i + 1)] is not owner-computes for loop "i"`,
-		},
-		{
-			name: "ghost offset beyond one",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[n];
-for iter = 0 to maxiter {
-    for i = 2 to n { b[i] = a[i-2]; }
-}`,
-			want: "ghost offset -2 of a[(i - 2)] unsupported",
-		},
-		{
-			name: "non-affine distributed subscript",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[n];
-for iter = 0 to maxiter {
-    for i = 0 to 3 { b[i] = a[i*i]; }
-}`,
-			want: "non-affine distributed subscript a[(i * i)]",
-		},
-		{
-			name: "break condition reads a distributed array",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter until a[0] < 1 {
-    for i = 0 to n { a[i] = a[i] + 1; }
-}`,
-			want: `break condition reads distributed array "a"`,
-		},
-		{
-			name: "loop variable shadows a loop",
-			dist: "a:0",
-			src: `program p(n)
-array a[n];
-for i = 0 to n {
-    for i = 0 to n { a[i] = 1; }
-}`,
-			want: `loop variable "i" shadows an enclosing loop`,
-		},
-		{
-			name: "loop variable shadows a parameter",
-			dist: "a:0",
-			src: `program p(n)
-array a[4];
-for n = 0 to 4 { a[n] = 1; }`,
-			want: `loop variable "n" shadows a parameter`,
-		},
-		{
-			name: "write to an index array",
-			dist: "a:0",
-			src: `program p(n)
-array a[n];
-array idx[n];
-for i = 0 to n {
-    a[idx[i]] = 1;
-    idx[i] = 0;
-}`,
-			want: `array "idx" is read as an index and must be read-only`,
-		},
-		{
-			name: "unbound variable",
-			dist: "a:0",
-			src: `program p(n)
-array a[n];
-for i = 0 to n { a[k] = 1; }`,
-			want: `unbound variable "k"`,
-		},
-		{
-			// Every slave would run the copy on its own a, most of which
-			// it does not own.
-			name: "replicated statement reads a distributed array",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-array s[n];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = a[i] + 1; }
-    for k = 0 to n { s[k] = a[k]; }
-}`,
-			want: `replicated statement reads distributed array "a" (a[k])`,
-		},
-		{
-			name: "no loop scans the distributed dimension",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter { a[0] = a[0] + 1; }`,
-			want: "no loop scans the distributed dimension",
-		},
-		{
-			name: "no loop to host a hook",
-			dist: "a:0",
-			src: `program p(n)
-array a[n];
-for i = 0 to n { a[i] = a[i] + 1; }`,
-			want: "has no loop enclosing the distributed loop to host a hook",
-		},
-		{
-			name: "pipeline with nothing to strip-mine",
-			dist: "a:0",
-			src: `program p(n)
-array a[n];
-for i = 1 to n { a[i] = a[i-1] + 1; }`,
-			want: "pipelined distributed loop has no enclosing sequential loop to strip-mine",
-		},
-		{
-			name: "pipelined array not indexed by the enclosing loop",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter {
-    for i = 1 to n { a[i] = a[i-1] + 1; }
-}`,
-			want: `pipelined array "a" is not indexed by enclosing loop "iter"`,
-		},
-		{
-			name: "distributed extents disagree",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[4];
-for iter = 0 to maxiter {
-    for i = 0 to 4 { a[i] = b[i]; }
-}`,
-			want: "distributed extents disagree: n vs 4",
-		},
-		{
-			name: "distributed loop with a break condition",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-array r[1];
-for iter = 0 to maxiter {
-    for i = 0 to n until r[0] > 1 { a[i] = a[i] + 1; }
-}`,
-			want: `distributed loop "i" cannot carry a break condition`,
-		},
-		{
-			name: "strip-mined loop with a break condition",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n][n];
-array r[1];
-for iter = 0 to maxiter {
-    for i = 1 to n-1 until r[0] > 1 {
-        for j = 1 to n-1 { a[j][i] = a[j-1][i] + 1; }
-    }
-}`,
-			want: `strip-mined loop "i" cannot carry a break condition`,
-		},
-		{
-			name: "strided distributed subscript",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[n];
-for iter = 0 to maxiter {
-    for i = 0 to 3 { b[i] = a[2*i]; }
-}`,
-			want: "unsupported distributed subscript (2 * i) in a[(2 * i)]",
-		},
-		{
-			name: "replicated write that is not a sum",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-array s[1];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = a[i] + 1; s[0] = a[i]; }
-}`,
-			want: "is not a recognized sum reduction",
-		},
-		{
-			name: "reduction target indexed by the loop",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-array s[n];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = a[i] + 1; s[i] = s[i] + a[i]; }
-}`,
-			want: "reduction target s[i] must use loop-invariant subscripts",
-		},
-		{
-			name: "ghost data with no loop to refresh it",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[n];
-for iter = 0 to maxiter {
-    for i = 1 to n-1 { b[i] = a[i-1] + a[i+1]; }
-}`,
-			want: "one-time pre-distribution exchange not supported yet",
-		},
-		{
-			// i - i is 0, but the broadcast before the loop cannot
-			// evaluate it there.
-			name: "broadcast index naming the loop's own variable",
-			dist: "a:0,b:0",
-			src: `program p(n, maxiter)
-array a[n];
-array b[n];
-for iter = 0 to maxiter {
-    for i = 0 to n { a[i] = b[i-i]; }
-}`,
-			want: `distributed loop "i" reads b[(i - i)] with a loop-internal index`,
-		},
-		{
-			// Two refusals in one statement group: the multiple-owner write
-			// nested in the first loop comes before the distributed loop in
-			// program order, so it is the one reported.
-			name: "first violation in program order",
-			dist: "a:0",
-			src: `program p(n, maxiter)
-array a[n];
-for iter = 0 to maxiter {
-    if a[0] > 0 {
-        for k = 0 to 1 { a[0] = 1; a[1] = 2; }
-        for i = 0 to n { a[i] = a[i] + 1; }
-    }
-}`,
-			want: "writes multiple owners (0 vs 1)",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec, err := depend.ParseDist(tc.dist)
+	for _, tc := range refusalTable(t) {
+		if tc.Params != nil {
+			continue
+		}
+		t.Run(tc.Name, func(t *testing.T) {
+			spec, err := depend.ParseDist(tc.Dist)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := lang.Parse(tc.src)
+			prog, err := lang.Parse(tc.Src)
 			if err == nil {
 				_, err = Compile(prog, Options{Dist: spec})
 			}
 			if err == nil {
-				t.Fatalf("accepted; want an error containing %q", tc.want)
+				t.Fatalf("accepted; want %q", tc.Want)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
+			if err.Error() != tc.Want {
+				t.Fatalf("error %q, want %q", err, tc.Want)
 			}
 		})
 	}
@@ -410,42 +51,16 @@ for iter = 0 to maxiter {
 // cannot run at one program: Instantiate must refuse it rather than let a
 // slave skip iterations the sequential program runs.
 func TestInstantiateRefusals(t *testing.T) {
-	cases := []struct {
-		name, dist, src, want string
-	}{
-		{
-			// Units exist for b's 9 columns, the loop runs to n = 16.
-			name: "distributed loop past the extent",
-			dist: "b:1",
-			src: `program p(n, maxiter)
-array b[n][9];
-for iter = 0 to maxiter {
-    for j = 0 to n { b[0][j] = b[0][j] + 1; }
-}`,
-			want: `distributed loop "j" runs [0, 16), past the distributed extent 9`,
-		},
-		{
-			// The hook after the i2 loop retires unit 14; the next
-			// sweep's i loop needs it again.
-			name: "distributed loop over retired units",
-			dist: "a:0,c:0",
-			src: `program p(n, maxiter)
-array a[n];
-array c[n];
-for iter = 0 to maxiter {
-    for i = 1 to n-1 { c[i] = a[i] * 0.5; }
-    for i2 = 1 to n-2 { a[i2] = c[i2] + 1; }
-}`,
-			want: `distributed loop "i" runs [1, 15) after a hook retired the units outside [1, 14)`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec, err := depend.ParseDist(tc.dist)
+	for _, tc := range refusalTable(t) {
+		if tc.Params == nil {
+			continue
+		}
+		t.Run(tc.Name, func(t *testing.T) {
+			spec, err := depend.ParseDist(tc.Dist)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := lang.Parse(tc.src)
+			prog, err := lang.Parse(tc.Src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,9 +68,9 @@ for iter = 0 to maxiter {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = plan.Instantiate(map[string]int{"n": 16, "maxiter": 3}, 1, Options{})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Instantiate: %v, want an error containing %q", err, tc.want)
+			_, err = plan.InstantiateHook(tc.Params, 1, 0)
+			if err == nil || err.Error() != tc.Want {
+				t.Fatalf("Instantiate: %v, want %q", err, tc.Want)
 			}
 		})
 	}

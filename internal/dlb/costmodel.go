@@ -100,8 +100,8 @@ var (
 	memBW     float64
 )
 
-// wallHookCostFlops is what an unpinned HookCostFlops resolves to on wall
-// clock: one hook visit, 80 ns, in VM flops (12 at vmRate). A visit is
+// wallHookCostFlops is the hook cost every wall-clock process instantiates
+// with: one hook visit, 80 ns, in VM flops (12 at vmRate). A visit is
 // dominated by two monotonic clock reads (the busy mark and the contact
 // check), which a probe timed at 70–120 ns on the host vmRate describes;
 // the hook level is the same for every cost from 2 to 25 flops on every

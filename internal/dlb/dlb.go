@@ -345,7 +345,11 @@ type Result struct {
 // Run executes the plan on the given cluster configuration and returns the
 // result. It builds its own virtual-time kernel; the run is a deterministic
 // function of (cfg, cc).
-func Run(cfg Config, cc cluster.Config) (*Result, error) {
+func Run(cfg Config, cc cluster.Config) (*Result, error) { return run(cfg, cc, 0) }
+
+// run is Run with its virtual clock bounded: past limit (0: none) it stops
+// every process and returns vtime.ErrLimit.
+func run(cfg Config, cc cluster.Config, limit time.Duration) (*Result, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
@@ -366,6 +370,7 @@ func Run(cfg Config, cc cluster.Config) (*Result, error) {
 	}
 
 	k := vtime.NewKernel()
+	k.SetLimit(limit)
 	cc.Slaves = l.total
 	c := cluster.New(k, cc)
 	eng := l.engine(c.Config())

@@ -43,7 +43,7 @@ func runAndVerify(t *testing.T, plan *compile.Plan, params map[string]int, cfg C
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sameGather(plan, ref, res.Final); err != nil {
+	if err := sameGather(plan, ref, res.Final, false); err != nil {
 		t.Error(err)
 	}
 	return res

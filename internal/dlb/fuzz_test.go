@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -16,56 +17,8 @@ import (
 	"repro/internal/lang"
 	"repro/internal/loopir"
 	"repro/internal/loopir/looptest"
+	"repro/internal/vtime"
 )
-
-// refusals is the closed list of reasons Compile may give for a program it
-// will not parallelize: the refusals TestCompileRefusals pins, and the
-// dependence analysis' sample run overrunning an array. ErrNoDistribution
-// wraps one of them. Any other error is a compiler fault.
-var refusals = []string{
-	"writes multiple owners",
-	"owner block writes replicated array",
-	"with a block-internal index",
-	"with a loop-internal index",
-	"broadcast slice",
-	"from its owner inside the pipeline",
-	"out of the pipeline's row order",
-	"carried by strip-mined loop",
-	"nested in unsupported context",
-	"is not owner-computes for loop",
-	"unsupported (only ±1)",
-	"non-affine distributed subscript",
-	"break condition reads distributed array",
-	"shadows an enclosing loop",
-	"shadows a parameter",
-	"is read as an index and must be read-only",
-	"unbound variable",
-	"replicated statement reads distributed array",
-	"no loop scans the distributed dimension",
-	"no enclosing sequential loop to strip-mine",
-	"no loop enclosing the distributed loop to host a hook",
-	"distributed extents disagree",
-	"cannot carry a break condition",
-	"loop interchange required",
-	"unsupported distributed subscript",
-	"is not a recognized sum reduction",
-	"must use loop-invariant subscripts",
-	"pre-distribution exchange not supported",
-	"out of range",
-}
-
-// unfit is the closed list of reasons Instantiate may give for params a
-// compiled plan cannot run at: nothing to balance, a distributed loop past
-// its dimension's extent, or one that grows back over units a hook has
-// retired. Run gives them before any slave starts.
-var unfit = []string{
-	"compile: no distributed work for params",
-	"compile: distributed dimension has extent",
-	"compile: no hook sites visited",
-	"past the distributed extent",
-	"after a hook retired the units",
-	"never fires",
-}
 
 // fuzzVirtualBound is the virtual time past which a fuzzed run has hung:
 // the programs are small, and a run takes at most a few virtual seconds.
@@ -74,20 +27,50 @@ const fuzzVirtualBound = time.Minute
 // FuzzCompileRun is the compiler's differential from source text to the
 // gathered arrays. The program is src parsed, or, when src is empty,
 // looptest.Program drawn from seed. Its text must reformat byte-exact; it
-// compiles under dir's directive — derived, a random array:dim set, or a
-// library program's TestDerivedDirectives row — and Compile either refuses
-// it with a reason on the refusals list or the plan runs on 2–4 simulated
-// slaves, slave 0 under a constant competing load so that work moves. The
-// run must then gather Interpret's arrays bit for bit (reduction arrays to
-// 1e-9 relative: partial sums reassociate), or fail exactly where
-// Interpret fails. A library program's text runs on the VM or, with tier
-// odd, native (the VM alone under -short or with no go toolchain); every
-// other program runs on the VM, where FuzzKernel and TestQuickNativeUnsafe
-// already hold it to the native tier.
+// compiles under dir's directive — derived, a random array:dim set, or the
+// one a library program (TestDerivedDirectives) or a refusal case names —
+// and Compile or Instantiate refuses it with an error of the compiler's
+// refusal table (refusalPattern), or the plan runs on 2–4 simulated slaves,
+// slave 0 under a constant competing load so that work moves. The run must
+// end within fuzzVirtualBound and gather Interpret's arrays bit for bit
+// (reduction arrays to 1e-9 relative: partial sums reassociate, and a
+// mutated program's sums pass 1e7, as in corpus entry reduction-large-sum),
+// or fail exactly where Interpret fails. A library program's text runs on
+// the VM or, with tier odd, native (the VM alone under -short or with no go
+// toolchain); every other program runs on the VM, where FuzzKernel and
+// TestQuickNativeUnsafe already hold it to the native tier.
 func FuzzCompileRun(f *testing.F) {
-	library := map[string]string{}
+	// row is the directive and, for an Instantiate refusal, the params a
+	// library program or refusal case is given, by its formatted text.
+	type row struct {
+		spec   depend.DistSpec
+		params map[string]int
+	}
+	rows := map[string]row{}
+	library := map[string]bool{}
 	for name, p := range loopir.Library() {
-		library[lang.Format(p)] = name
+		text := lang.Format(p)
+		rows[text], library[text] = row{spec: derivedWant[name]}, true
+	}
+	cases, err := looptest.Refusals("../compile/testdata/refusals.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var compileRefusals, instantiateRefusals []*regexp.Regexp
+	for _, c := range cases {
+		if c.Params == nil {
+			compileRefusals = append(compileRefusals, refusalPattern(c))
+		} else {
+			instantiateRefusals = append(instantiateRefusals, refusalPattern(c))
+		}
+		spec, err := depend.ParseDist(c.Dist)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if p, err := lang.Parse(c.Src); err == nil {
+			rows[lang.Format(p)] = row{spec, c.Params}
+		}
+		f.Add(c.Src, int64(0), byte(2), byte(0), byte(0))
 	}
 	_, goErr := exec.LookPath("go")
 	f.Fuzz(func(t *testing.T, src string, seed int64, dir, slaves, tier byte) {
@@ -106,7 +89,10 @@ func FuzzCompileRun(f *testing.F) {
 			prog, params = p, libraryParams(p)
 		}
 		text := lang.Format(prog)
-		if library[text] != "" && tier%2 == 1 && !testing.Short() && goErr == nil {
+		if row := rows[text]; row.params != nil {
+			params = row.params
+		}
+		if library[text] && tier%2 == 1 && !testing.Short() && goErr == nil {
 			kernel = KernelAOT
 		}
 		if again, err := lang.Parse(text); err != nil || lang.Format(again) != text {
@@ -130,23 +116,25 @@ func FuzzCompileRun(f *testing.F) {
 				}
 			}
 		case 2:
-			spec = derivedWant[library[text]]
+			spec = rows[text].spec
 		}
 		plan, err := compile.Compile(prog, compile.Options{Dist: spec})
 		if err != nil {
-			if !errors.Is(err, compile.ErrNoDistribution) && !mentions(err, refusals) {
+			if !refused(err, compileRefusals) {
 				t.Fatalf("Compile under %v: %v", spec, err)
 			}
 			return
 		}
 
 		want := ref.Interpret()
-		res, err := Run(Config{Plan: plan, Params: params, DLB: true, Kernel: kernel}, cluster.Config{
+		res, err := run(Config{Plan: plan, Params: params, DLB: true, Kernel: kernel}, cluster.Config{
 			Slaves: 2 + int(slaves%3),
 			Load:   []cluster.LoadProfile{cluster.Constant(1)},
-		})
+		}, fuzzVirtualBound)
 		switch {
-		case err != nil && mentions(err, unfit):
+		case errors.Is(err, vtime.ErrLimit):
+			t.Fatalf("the run under %v passed %v virtual\n%s", plan.Dist, fuzzVirtualBound, plan.Source)
+		case err != nil && refused(err, instantiateRefusals):
 			return
 		case want != nil && err == nil:
 			t.Fatalf("Interpret fails (%v), the run under %v gathers", want, plan.Dist)
@@ -154,13 +142,70 @@ func FuzzCompileRun(f *testing.F) {
 			t.Fatalf("the run under %v fails: %v\n%s", plan.Dist, err, plan.Source)
 		case want != nil:
 			return
-		case res.Elapsed > fuzzVirtualBound:
-			t.Fatalf("the run under %v took %v virtual, past %v", plan.Dist, res.Elapsed, fuzzVirtualBound)
 		}
-		if err := sameGather(plan, ref, res.Final); err != nil {
+		if err := sameGather(plan, ref, res.Final, true); err != nil {
 			t.Fatalf("under %v on %s: %v\n%s", plan.Dist, kernel, err, plan.Source)
 		}
 	})
+}
+
+// refusalToken splits an error into quoted names, words, runs of space and
+// single other characters.
+var refusalToken = regexp.MustCompile(`"[^"]*"|\w+|\s+|.`)
+
+// refusalPattern matches c.Want as a whole message with its operands
+// varied: each run of quoted names, numbers, identifiers of c's program and
+// the brackets, operators and signs between them (an expression, a
+// subscripted reference, a params map) matches any text. A hyphen between
+// two words and a colon before a space are prose.
+func refusalPattern(c looptest.Refusal) *regexp.Regexp {
+	idents := map[string]bool{}
+	for _, id := range regexp.MustCompile(`[A-Za-z_]\w*`).FindAllString(c.Src, -1) {
+		idents[id] = true
+	}
+	toks := refusalToken.FindAllString(c.Want, -1)
+	wordRE := regexp.MustCompile(`^\w`)
+	word := func(i int) bool { return i >= 0 && i < len(toks) && wordRE.MatchString(toks[i]) }
+	space := func(i int) bool { return i >= len(toks) || strings.TrimSpace(toks[i]) == "" }
+	op := make([]bool, len(toks))
+	for i, tok := range toks {
+		op[i] = tok[0] == '"' || idents[tok] || strings.Trim(tok, "0123456789") == "" ||
+			strings.Contains("[](){}+*/", tok) || tok == ":" && !space(i+1) ||
+			tok == "-" && !(word(i-1) && word(i+1))
+	}
+	var b strings.Builder
+	b.WriteString("^")
+	for i := 0; i < len(toks); i++ {
+		if !op[i] {
+			b.WriteString(regexp.QuoteMeta(toks[i]))
+			continue
+		}
+		for i+1 < len(toks) && (op[i+1] || space(i+1) && i+2 < len(toks) && op[i+2]) {
+			i++
+		}
+		b.WriteString(".+")
+	}
+	b.WriteString("$")
+	return regexp.MustCompile(b.String())
+}
+
+// refused reports whether err is one of the refusals, or the error
+// Compile gives when no derived directive compiles, naming one of them.
+func refused(err error, refusals []*regexp.Regexp) bool {
+	msg := err.Error()
+	if inner, ok := strings.CutPrefix(msg, compile.ErrNoDistribution.Error()+" ("); ok {
+		inner = strings.TrimSuffix(inner, ")")
+		if inner == "no loop scans a dimension of a written array" {
+			return true
+		}
+		_, msg, _ = strings.Cut(inner, ": ")
+	}
+	for _, re := range refusals {
+		if re.MatchString(msg) {
+			return true
+		}
+	}
+	return false
 }
 
 // small reports whether a program is cheap enough to fuzz at params, before
@@ -182,19 +227,11 @@ func small(p *loopir.Program, params map[string]int) bool {
 	return loopir.EstFlops(p.Body, params) <= 1e6
 }
 
-// mentions reports whether err's text contains one of reasons.
-func mentions(err error, reasons []string) bool {
-	for _, r := range reasons {
-		if strings.Contains(err.Error(), r) {
-			return true
-		}
-	}
-	return false
-}
-
 // sameGather compares a run's gathered arrays with the reference bit for
-// bit, and reduction arrays to 1e-9 relative.
-func sameGather(plan *compile.Plan, ref *loopir.Instance, final map[string]*loopir.Array) error {
+// bit, and reduction arrays to 1e-9, times the reference value's magnitude
+// (at least 1) with relative set: the parallel run reassociates their sums,
+// so the last bits may differ from the sequential order.
+func sameGather(plan *compile.Plan, ref *loopir.Instance, final map[string]*loopir.Array, relative bool) error {
 	reduction := map[string]bool{}
 	for _, r := range plan.Reductions {
 		reduction[r.Array] = true
@@ -205,9 +242,11 @@ func sameGather(plan *compile.Plan, ref *loopir.Instance, final map[string]*loop
 			return fmt.Errorf("array %q missing from the gather", name)
 		}
 		for i, w := range want.Data {
-			g := got.Data[i]
-			if math.Float64bits(w) == math.Float64bits(g) ||
-				reduction[name] && math.Abs(w-g) <= 1e-9*math.Max(1, math.Abs(w)) {
+			g, tol := got.Data[i], 1e-9
+			if relative {
+				tol *= math.Max(1, math.Abs(w))
+			}
+			if math.Float64bits(w) == math.Float64bits(g) || reduction[name] && math.Abs(w-g) <= tol {
 				continue
 			}
 			return fmt.Errorf("%s[%d]: sequential %v, gathered %v", name, i, w, g)

@@ -215,8 +215,7 @@ func (l *launch) finish(eng *engine, elapsed time.Duration) (*Result, error) {
 // default (0: 200 flops) on the simulator, 1/vmRate and wallHookCostFlops
 // on wall clock. cfg.ForcedGrain overrides the grain.
 func instantiate(cfg *Config, slaves int, quantum time.Duration, flopNs, hookFlops float64) (*Prepared, error) {
-	opts := compile.Options{HookCostFlops: hookFlops}
-	probe, err := cfg.Plan.Instantiate(cfg.Params, 1, opts)
+	probe, err := cfg.Plan.InstantiateHook(cfg.Params, 1, hookFlops)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +227,7 @@ func instantiate(cfg *Config, slaves int, quantum time.Duration, flopNs, hookFlo
 			grain = core.GrainSize(modelRow(probe, slaves, flopNs), quantum, grainFactor)
 		}
 	}
-	exec, err := cfg.Plan.Instantiate(cfg.Params, grain, opts)
+	exec, err := cfg.Plan.InstantiateHook(cfg.Params, grain, hookFlops)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestTierGate(t *testing.T) {
 			{"mm", map[string]int{"n": 256}, false},
 			{"sor", map[string]int{"n": 512, "maxiter": 24}, false},
 		} {
-			exec, err := planFor(t, c.prog).Instantiate(c.params, 1, compile.Options{})
+			exec, err := planFor(t, c.prog).InstantiateHook(c.params, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

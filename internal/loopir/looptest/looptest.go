@@ -1,5 +1,5 @@
-// Package looptest generates loop-IR programs for differential tests. Only
-// _test.go files import it.
+// Package looptest generates loop-IR programs for differential tests and
+// reads the compiler's refusal table. Only _test.go files import it.
 package looptest
 
 import (

@@ -88,11 +88,10 @@ func TestCachedPlanSharedBySessions(t *testing.T) {
 }
 
 // TestCompileOptionsReachTheDaemons: a daemon recompiles the master's
-// program from the shipped RunSpec, so every compile.Options field Compile
-// reads needs a RunSpec carrier. An option without one compiles a plan on
-// the master that no daemon can reproduce (as the dependence analysis'
-// sample sizes once did). HookCostFlops is Instantiate's alone, and every
-// wall-clock process sets it to the same constant.
+// program from the shipped RunSpec, so every compile.Options field needs a
+// RunSpec carrier. An option without one compiles a plan on the master
+// that no daemon can reproduce (as the dependence analysis' sample sizes
+// once did).
 func TestCompileOptionsReachTheDaemons(t *testing.T) {
 	carriers := map[string][]string{
 		"Dist": {"DistDims", "DistLoops"},
@@ -100,9 +99,6 @@ func TestCompileOptionsReachTheDaemons(t *testing.T) {
 	opts, spec := reflect.TypeOf(compile.Options{}), reflect.TypeOf(wire.RunSpec{})
 	for i := 0; i < opts.NumField(); i++ {
 		name := opts.Field(i).Name
-		if name == "HookCostFlops" {
-			continue
-		}
 		fields, ok := carriers[name]
 		if !ok {
 			t.Errorf("compile.Options.%s has no wire.RunSpec carrier: ship it in specFromConfig and configFromSpec, hash it in compile.cacheKey, and list it here", name)
