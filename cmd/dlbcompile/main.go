@@ -1,7 +1,8 @@
 // Command dlbcompile runs the parallelizing compiler on a library program
 // or a source file and prints it as source text (which -file reads back),
-// the dependence analysis, its Table 1 properties, and the generated SPMD
-// program with its communication and load-balancing hooks.
+// with -deps the dependences under the compiled plan's directive (each
+// flagged whether it crosses owners), its Table 1 properties, and the
+// generated SPMD program with its communication and load-balancing hooks.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@ import (
 )
 
 func main() {
-	deps := flag.Bool("deps", false, "print the dependence analysis")
+	deps := flag.Bool("deps", false, "print the dependences under the plan's directive")
 	file := flag.String("file", "", "compile a source file instead of a library program")
 	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim...] (default: derived, ranked by exposed exchanges)")
 	flag.Parse()
@@ -40,20 +41,24 @@ func main() {
 	fmt.Println("=== sequential source ===")
 	fmt.Println(lang.Format(prog))
 
+	plan, err := compile.Compile(prog, compile.Options{Dist: spec})
+	if err != nil {
+		fail(err)
+	}
 	if *deps {
 		analysis, err := depend.Analyze(prog)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println("=== dependences ===")
-		for _, d := range analysis.Deps() {
-			fmt.Println(" ", d)
+		deps, err := analysis.DepsFor(plan.Dist)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println("=== dependences under the plan's directive ===")
+		for _, d := range deps {
+			fmt.Printf("  %v cross-owner=%v\n", d, d.CrossOwner)
 		}
 		fmt.Println()
-	}
-	plan, err := compile.Compile(prog, compile.Options{Dist: spec})
-	if err != nil {
-		fail(err)
 	}
 	fmt.Println("=== application properties (Table 1 row) ===")
 	fmt.Println(" ", plan.Props)

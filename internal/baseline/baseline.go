@@ -3,8 +3,8 @@
 // can be made quantitatively on the same simulated cluster:
 //
 //   - Self-scheduling (central task queue): work units live in a queue at
-//     the master; idle slaves request chunks (fixed-size, guided [7], or
-//     trapezoid [10] chunking). On a distributed-memory system the data
+//     the master; idle slaves request chunks (fixed-size or guided [7]
+//     chunking). On a distributed-memory system the data
 //     for every chunk must travel to the executing slave and the results
 //     back — the central-location bottleneck the paper calls out in §3.1.
 //

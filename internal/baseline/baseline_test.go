@@ -18,7 +18,7 @@ func mm(t *testing.T, n int) *MM {
 
 func TestSelfSchedCorrectDedicated(t *testing.T) {
 	m := mm(t, 24)
-	for _, pol := range []ChunkPolicy{FixedChunk(1), FixedChunk(4), GSS{}, NewTSS(24, 3)} {
+	for _, pol := range []ChunkPolicy{FixedChunk(1), FixedChunk(4), GSS{}} {
 		res, err := RunSelfSched(m, cluster.Config{Slaves: 3}, pol, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
@@ -61,25 +61,6 @@ func TestGSSChunksShrink(t *testing.T) {
 	}
 	if n := g.Next(3, 4); n != 1 {
 		t.Fatalf("small-remainder GSS chunk = %d, want 1", n)
-	}
-}
-
-func TestTSSChunksDecreaseLinearly(t *testing.T) {
-	tss := NewTSS(128, 4)
-	prev := 1 << 30
-	seen := 0
-	remaining := 128
-	for remaining > 0 {
-		n := tss.Next(remaining, 4)
-		if n > prev {
-			t.Fatalf("TSS chunk grew: %d after %d", n, prev)
-		}
-		prev = n
-		remaining -= n
-		seen++
-		if seen > 1000 {
-			t.Fatal("TSS did not terminate")
-		}
 	}
 }
 

@@ -50,54 +50,6 @@ func (GSS) Next(remaining, slaves int) int {
 // Name implements ChunkPolicy.
 func (GSS) Name() string { return "gss" }
 
-// TSS is trapezoid self-scheduling (Tzen & Ni): chunk sizes decrease
-// linearly from First to Last.
-type TSS struct {
-	First, Last int
-	step        int
-	cur         int
-	started     bool
-}
-
-// NewTSS builds a trapezoid policy with the classic defaults
-// (first = N/(2P), last = 1) for N units on P slaves.
-func NewTSS(units, slaves int) *TSS {
-	first := units / (2 * slaves)
-	if first < 1 {
-		first = 1
-	}
-	// Number of chunks ≈ 2N/(first+last); step chosen to reach Last.
-	n := 2 * units / (first + 1)
-	step := 0
-	if n > 1 {
-		step = (first - 1) / (n - 1)
-	}
-	return &TSS{First: first, Last: 1, step: step}
-}
-
-// Next implements ChunkPolicy.
-func (t *TSS) Next(remaining, slaves int) int {
-	if !t.started {
-		t.cur = t.First
-		t.started = true
-	}
-	n := t.cur
-	t.cur -= t.step
-	if t.cur < t.Last {
-		t.cur = t.Last
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > remaining {
-		n = remaining
-	}
-	return n
-}
-
-// Name implements ChunkPolicy.
-func (t *TSS) Name() string { return "tss" }
-
 // self-scheduling message payloads.
 type ssChunk struct {
 	Units []int

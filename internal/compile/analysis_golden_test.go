@@ -31,6 +31,10 @@ func TestAnalysisGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			unattributed, err := a.DepsFor(depend.DistSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			deps, err := a.DepsFor(plan.Dist)
 			if err != nil {
 				t.Fatal(err)
@@ -41,7 +45,7 @@ func TestAnalysisGolden(t *testing.T) {
 			}
 			var sb strings.Builder
 			sb.WriteString("== dependences\n")
-			writeDeps(&sb, a.Deps())
+			writeDeps(&sb, unattributed)
 			fmt.Fprintf(&sb, "== dependences under %+v\n", plan.Dist)
 			writeDeps(&sb, deps)
 			fmt.Fprintf(&sb, "== properties\n%+v\n== plan\n%s", props, plan.Source)

@@ -44,13 +44,21 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	if len(opts.Dist.Dims) > 0 {
-		return compileUnder(analysis, opts.Dist)
+		plan, err := compileUnder(analysis, opts.Dist)
+		var fault sampleFault
+		if errors.As(err, &fault) {
+			err = fault.error
+		}
+		return plan, err
 	}
 	err = fmt.Errorf("%w (no loop scans a dimension of a written array)", ErrNoDistribution)
 	var first *Plan
 	for i, spec := range deriveDistributions(analysis) {
 		plan, refusal := compileUnder(analysis, spec)
-		if refusal == nil && !exposesExchange(plan) {
+		var fault sampleFault
+		if errors.As(refusal, &fault) {
+			return nil, fault.error
+		} else if refusal == nil && !exposesExchange(plan) {
 			return plan, nil
 		} else if refusal == nil && first == nil {
 			first = plan
@@ -63,6 +71,11 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 	}
 	return nil, err
 }
+
+// sampleFault is a fault of the program at a sample size of the dependence
+// trace (an index out of range): no directive avoids it, so Compile returns
+// it as it stands rather than as one proposal's refusal.
+type sampleFault struct{ error }
 
 // exposesExchange reports whether markOverlap left some exchange group of p
 // to complete its receives in place.
@@ -87,7 +100,7 @@ func compileUnder(analysis *depend.Analysis, spec depend.DistSpec) (*Plan, error
 	}
 	deps, err := analysis.DepsFor(spec)
 	if err != nil {
-		return nil, err
+		return nil, sampleFault{err}
 	}
 	props, err := analysis.PropertiesFrom(spec, deps)
 	if err != nil {
@@ -325,6 +338,9 @@ type compiler struct {
 	spec     depend.DistSpec
 	deps     []depend.Dep
 
+	// loops holds synthesizeComm's record of each distributed loop, which
+	// the passes that judge the loop later read instead of its body.
+	loops       map[*OwnedLoop]*commNeeds
 	ghostDeltas map[int]bool
 	// pendingExchanges maps carrier loop -> the parts of the exchange group
 	// to insert at the start of that loop's body ("" = before everything).
@@ -384,6 +400,7 @@ func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 		c.ghostDeltas = map[int]bool{}
 		c.pendingExchanges = map[string][]GhostPart{}
 		c.reductions = map[string]bool{}
+		c.loops = map[*OwnedLoop]*commNeeds{}
 	}
 	var out []Step
 	for _, s := range stmts {
@@ -533,13 +550,36 @@ func extractPipes(steps []Step) (pre, post, rest []Step, ok bool) {
 
 // commNeeds is what one distributed loop's reads require: owner broadcasts
 // before the loop and pipelined transfers around its strip-mined block
-// (ghost exchanges go to the compiler's pendingExchanges).
+// (ghost exchanges go to the compiler's pendingExchanges). It also records
+// the loop's accesses to distributed arrays, for the passes that judge the
+// loop later (the broadcast-slice check, checkPipeRows, overlapEligible).
 type commNeeds struct {
 	owned      *OwnedLoop
 	inner      map[string]bool // variables of the loops inside owned's body
 	seen       map[string]bool // broadcast, pipe and exchange keys placed
 	bcasts     []Step
 	recv, send []Step // PipeRecv and PipeSend steps
+
+	reads     []offsetRead // reads whose distributed subscript is owned.Var + an offset
+	writes    []loopir.Ref // writes of distributed arrays
+	reduction bool         // the loop accumulates a sum into a replicated array
+}
+
+// offsetRead is a read whose distributed subscript is the distributed loop
+// variable plus delta.
+type offsetRead struct {
+	ref   loopir.Ref
+	delta int
+}
+
+// readsAt reports whether the loop reads array at offset delta.
+func (n *commNeeds) readsAt(array string, delta int) bool {
+	return slices.ContainsFunc(n.reads, func(r offsetRead) bool { return r.ref.Array == array && r.delta == delta })
+}
+
+// writesTo reports whether the loop writes array.
+func (n *commNeeds) writesTo(array string) bool {
+	return slices.ContainsFunc(n.writes, func(w loopir.Ref) bool { return w.Array == array })
 }
 
 // once reports whether key is new, and marks it seen.
@@ -556,8 +596,8 @@ func (n *commNeeds) once(key string) bool {
 // (§3.2, §4.6). Writes must be local to the owner (owner-computes).
 func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
 	needs := &commNeeds{owned: owned, inner: map[string]bool{}, seen: map[string]bool{}}
+	c.loops[owned] = needs
 	read := func(r loopir.Ref) error { return c.classifyRead(needs, r) }
-	written := map[string]bool{}
 	err := loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
 		if l, ok := s.(*loopir.Loop); ok {
 			needs.inner[l.Var] = true // before any read its body makes
@@ -571,12 +611,13 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
 		}
 		dim, distributed := c.spec.Dims[a.LHS.Array]
 		if !distributed {
+			needs.reduction = true
 			return c.classifyReplicatedWrite(a)
 		}
 		if a.LHS.Idx[dim].String() != owned.Var {
 			return fmt.Errorf("compile: write %s is not owner-computes for loop %q", a.LHS.String(), owned.Var)
 		}
-		written[a.LHS.Array] = true
+		needs.writes = append(needs.writes, a.LHS)
 		return nil
 	})
 	// A broadcast slice is the one before the loop: no iteration may write
@@ -585,7 +626,7 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
 		b := st.(*Bcast)
 		below, err1 := loopir.AffineOf(loopir.Isub(b.Index, owned.Lo), nil)
 		above, err2 := loopir.AffineOf(loopir.Isub(b.Index, owned.Hi), nil)
-		if err == nil && written[b.Array] &&
+		if err == nil && needs.writesTo(b.Array) &&
 			!(err1 == nil && len(below.Terms) == 0 && below.Const < 0) &&
 			!(err2 == nil && len(above.Terms) == 0 && above.Const >= 0) {
 			err = fmt.Errorf("compile: distributed loop %q writes %s's broadcast slice %s", owned.Var, b.Array, b.Index)
@@ -611,6 +652,7 @@ func (c *compiler) classifyRead(needs *commNeeds, r loopir.Ref) error {
 	delta, neighbour := f.Offset(v)
 	switch {
 	case neighbour:
+		needs.reads = append(needs.reads, offsetRead{r, delta})
 		if delta == 0 {
 			return nil // local
 		}
@@ -671,23 +713,23 @@ func (c *compiler) checkPipeRows(steps []Step, strip string, pr *PipeRecv) error
 		if !ok {
 			return nil
 		}
-		return loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
-			if a, ok := s.(*loopir.Assign); ok && a.LHS.Array == pr.Array {
-				if d, ok := rowOffset(a.LHS.Idx[pr.RowDim]); !ok || d != 0 {
-					return fmt.Errorf("compile: pipelined loop %q writes %s out of the pipeline's row order", strip, a.LHS.String())
-				}
+		for _, w := range c.loops[owned].writes {
+			if w.Array != pr.Array {
+				continue
 			}
-			return loopir.Reads(s, func(r loopir.Ref) error {
-				dist, err := loopir.AffineOf(r.Idx[c.spec.Dims[r.Array]], nil)
-				if d, ok := dist.Offset(owned.Var); r.Array != pr.Array || err != nil || !ok || d != pr.Delta {
-					return nil
-				}
-				if d, ok := rowOffset(r.Idx[pr.RowDim]); !ok || d > 0 {
-					return fmt.Errorf("compile: pipelined loop %q reads %s out of the pipeline's row order", strip, r.String())
-				}
-				return nil
-			})
-		})
+			if d, ok := rowOffset(w.Idx[pr.RowDim]); !ok || d != 0 {
+				return fmt.Errorf("compile: pipelined loop %q writes %s out of the pipeline's row order", strip, w.String())
+			}
+		}
+		for _, r := range c.loops[owned].reads {
+			if r.ref.Array != pr.Array || r.delta != pr.Delta {
+				continue
+			}
+			if d, ok := rowOffset(r.ref.Idx[pr.RowDim]); !ok || d > 0 {
+				return fmt.Errorf("compile: pipelined loop %q reads %s out of the pipeline's row order", strip, r.ref.String())
+			}
+		}
+		return nil
 	})
 }
 
@@ -886,14 +928,10 @@ func dedupeBcasts(steps []Step) []Step {
 	return out
 }
 
-// mergeOwnerBlocks fuses adjacent OwnerBlocks with the same owner index and
-// drops nil placeholders left by extractPipes.
+// mergeOwnerBlocks fuses adjacent OwnerBlocks with the same owner index.
 func mergeOwnerBlocks(steps []Step) []Step {
 	var out []Step
 	for _, s := range steps {
-		if s == nil {
-			continue
-		}
 		if ob, ok := s.(*OwnerBlock); ok && len(out) > 0 {
 			if prev, ok2 := out[len(out)-1].(*OwnerBlock); ok2 && prev.Index.String() == ob.Index.String() {
 				prev.Body = append(prev.Body, ob.Body...)
@@ -969,71 +1007,29 @@ func (c *compiler) markOverlap(steps []Step) {
 // overlapEligible checks the split-loop safety conditions for one exchange
 // group against its consuming loop.
 func (c *compiler) overlapEligible(group *Exchange, l *OwnedLoop) bool {
-	// Unit-stride deltas only: the runtime peels exactly one unit per run
-	// edge into the boundary region.
-	for _, ex := range group.Parts {
-		if ex.Delta != 1 && ex.Delta != -1 {
-			return false
-		}
-	}
-
-	writes := map[string]bool{}
-	readDeltas := map[string]map[int]bool{}
-	replWrite := false
-	read := func(r loopir.Ref) error {
-		dim, distributed := c.spec.Dims[r.Array]
-		if !distributed {
-			return nil
-		}
-		f, err := loopir.AffineOf(r.Idx[dim], nil)
-		if err != nil {
-			return nil
-		}
-		if delta, ok := f.Offset(l.Var); ok {
-			if readDeltas[r.Array] == nil {
-				readDeltas[r.Array] = map[int]bool{}
-			}
-			readDeltas[r.Array][delta] = true
-		}
-		// Loop-invariant subscripts are broadcast-fed before the loop
-		// and order-independent: they do not affect eligibility.
-		return nil
-	}
-	loopir.Walk(l.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
-		loopir.Reads(s, read)
-		if a, ok := s.(*loopir.Assign); ok {
-			if _, distributed := c.spec.Dims[a.LHS.Array]; distributed {
-				writes[a.LHS.Array] = true
-			} else {
-				replWrite = true
-			}
-		}
-		return nil
-	})
-
+	loop := c.loops[l]
 	// Reduction (replicated) accumulations fold in ascending unit order;
 	// running interior before boundary would change the floating-point
 	// accumulation order across the split.
-	if replWrite {
+	if loop.reduction {
 		return false
 	}
 	// In-place stencils — the loop writes an array it also reads at a
 	// neighbor offset — depend on the ascending execution order for which
-	// sweep's values an edge unit observes.
-	for arr, deltas := range readDeltas {
-		if !writes[arr] {
-			continue
-		}
-		for d := range deltas {
-			if d != 0 {
-				return false
-			}
+	// sweep's values an edge unit observes. (Loop-invariant subscripts are
+	// broadcast-fed before the loop and order-independent: they are not
+	// offset reads.)
+	for _, r := range loop.reads {
+		if r.delta != 0 && loop.writesTo(r.ref.Array) {
+			return false
 		}
 	}
-	// Every part of the group must feed this loop; a ghost refreshed for a
-	// later consumer must not be delayed past unrelated compute.
+	// Unit-stride deltas only: the runtime peels exactly one unit per run
+	// edge into the boundary region. Every part of the group must feed this
+	// loop; a ghost refreshed for a later consumer must not be delayed past
+	// unrelated compute.
 	for _, ex := range group.Parts {
-		if !readDeltas[ex.Array][ex.Delta] {
+		if ex.Delta != 1 && ex.Delta != -1 || !loop.readsAt(ex.Array, ex.Delta) {
 			return false
 		}
 	}

@@ -134,6 +134,30 @@ func TestOverlapIneligibleReductionCarrier(t *testing.T) {
 	}
 }
 
+// TestOverlapIneligibleInPlaceStencil: a loop that writes the array it
+// reads at a neighbour offset must stay synchronous. Split, the boundary
+// unit at a run's left edge would run after the interior and read its
+// right neighbour's new value where the sequential order reads the old one
+// (FuzzCompileRun's corpus entry overlap-in-place-stencil runs it).
+func TestOverlapIneligibleInPlaceStencil(t *testing.T) {
+	prog, err := lang.Parse(`
+program inplace(n, maxiter)
+array a[n] init hash(1);
+for iter = 0 to maxiter {
+    for i = 0 to n-1 { a[i] = 0.5*(a[i] + a[i+1]); }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exs := collectExchanges(mustCompile(t, prog, Options{}).Steps)
+	if len(exs) != 1 || len(exs[0].Parts) != 1 {
+		t.Fatalf("exchanges = %v, want one group of a's +1 ghost", exs)
+	}
+	if exs[0].Overlap || exs[0].Carrier != nil {
+		t.Errorf("in-place stencil's exchange marked eligible: Overlap=%v Carrier=%v", exs[0].Overlap, exs[0].Carrier)
+	}
+}
+
 // threeArraySrc is a stencil over three arrays: its sweep reads both
 // neighbours of a, b and c, so the carrier's exchange group has six parts.
 // With the second loop reading c's neighbours instead of the first, the

@@ -19,23 +19,34 @@ func refusalTable(t *testing.T) []looptest.Refusal {
 	return cases
 }
 
+// refusalSpec is a case's directive; a case without one compiles under
+// the derived directive.
+func refusalSpec(t *testing.T, tc looptest.Refusal) depend.DistSpec {
+	t.Helper()
+	if tc.Dist == "" {
+		return depend.DistSpec{}
+	}
+	spec, err := depend.ParseDist(tc.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 // TestCompileRefusals gives every refusal raised while walking a program's
 // statements — by Validate and by the compiler's passes — one minimal
 // source program, and checks the whole error. dist is the command-line
-// directive; the compiler derives the distributed loops from it.
+// directive, from which the compiler derives the distributed loops; a case
+// without one compiles under the derived directive.
 func TestCompileRefusals(t *testing.T) {
 	for _, tc := range refusalTable(t) {
 		if tc.Params != nil {
 			continue
 		}
 		t.Run(tc.Name, func(t *testing.T) {
-			spec, err := depend.ParseDist(tc.Dist)
-			if err != nil {
-				t.Fatal(err)
-			}
 			prog, err := lang.Parse(tc.Src)
 			if err == nil {
-				_, err = Compile(prog, Options{Dist: spec})
+				_, err = Compile(prog, Options{Dist: refusalSpec(t, tc)})
 			}
 			if err == nil {
 				t.Fatalf("accepted; want %q", tc.Want)
@@ -56,15 +67,11 @@ func TestInstantiateRefusals(t *testing.T) {
 			continue
 		}
 		t.Run(tc.Name, func(t *testing.T) {
-			spec, err := depend.ParseDist(tc.Dist)
-			if err != nil {
-				t.Fatal(err)
-			}
 			prog, err := lang.Parse(tc.Src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := Compile(prog, Options{Dist: spec})
+			plan, err := Compile(prog, Options{Dist: refusalSpec(t, tc)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,7 +32,7 @@ type access struct {
 type tracer struct {
 	a      *Analysis
 	in     *loopir.Instance
-	owners map[loopir.Stmt]loopir.IExpr // each statement's owner subscript; nil attributes nothing
+	owners map[loopir.Stmt]loopir.IExpr // each statement's owner subscript; one without is attributed to no owner
 	log    map[string][][]access        // array -> flat index -> accesses in time order
 
 	// The statement execution in progress.
@@ -125,15 +125,15 @@ type depAgg struct {
 	crossOwner bool
 }
 
-// concreteDeps runs the tracer on each sample and merges the aggregated
-// dependences. When spec is non-nil, every access is attributed to the
-// distributed-dimension owner of its executing statement, and dependences
-// connecting different owners are flagged CrossOwner.
-func (a *Analysis) concreteDeps(spec *DistSpec) ([]Dep, error) {
-	var owners map[loopir.Stmt]loopir.IExpr
-	if spec != nil {
-		owners = ownerExprs(a.Prog.Body, spec)
-	}
+// DepsFor runs the tracer on each sample with owner attribution for the
+// given distribution and merges the aggregated dependences: every access is
+// attributed to the distributed-dimension owner of its executing statement,
+// and a dependence connecting different owners is flagged CrossOwner. An
+// empty DistSpec attributes no owner, so it gives the unattributed view.
+// A sample run that faults (an index out of range) fails it, whatever the
+// directive.
+func (a *Analysis) DepsFor(spec DistSpec) ([]Dep, error) {
+	owners := ownerExprs(a.Prog.Body, spec)
 	agg := map[depKey]*depAgg{}
 	for _, params := range a.samples {
 		if err := a.traceSample(params, owners, agg); err != nil {
@@ -178,7 +178,7 @@ func (a *Analysis) concreteDeps(spec *DistSpec) ([]Dep, error) {
 // assignments to replicated arrays, fall back to the innermost in-scope
 // distributed loop variable, so they are attributed to the iterations that
 // execute them.
-func ownerExprs(stmts []loopir.Stmt, spec *DistSpec) map[loopir.Stmt]loopir.IExpr {
+func ownerExprs(stmts []loopir.Stmt, spec DistSpec) map[loopir.Stmt]loopir.IExpr {
 	out := map[loopir.Stmt]loopir.IExpr{}
 	loopir.Walk(stmts, func(s loopir.Stmt, loops []*loopir.Loop) error {
 		if _, ok := s.(*loopir.Loop); ok {

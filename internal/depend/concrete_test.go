@@ -43,9 +43,11 @@ func TestObservedKeysAreRefs(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRefusesOutOfRange: a subscript out of range at a sample size
-// fails the analysis instead of the process.
-func TestAnalyzeRefusesOutOfRange(t *testing.T) {
+// TestDepsForRefusesOutOfRange: a subscript out of range at a sample size
+// fails the trace instead of the process, under every directive, with the
+// interpreter's whole message. Analyze runs nothing, so it accepts the
+// program.
+func TestDepsForRefusesOutOfRange(t *testing.T) {
 	n, i := loopir.Iv("n"), loopir.Iv("i")
 	p := &loopir.Program{
 		Name:   "oob",
@@ -53,14 +55,21 @@ func TestAnalyzeRefusesOutOfRange(t *testing.T) {
 		Arrays: []*loopir.ArrayDecl{{Name: "a", Dims: []loopir.IExpr{n}}},
 		Body:   []loopir.Stmt{loopir.For("i", loopir.Ic(0), n, loopir.Set(loopir.Fref("a", i), loopir.Fref("a", loopir.Iadd(i, loopir.Ic(1)))))},
 	}
-	if _, err := Analyze(p); err == nil {
-		t.Fatal("Analyze accepted a program that reads past its array")
+	a, err := Analyze(p)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	const want = `array "a" index 9 out of range [0,9) in dim 0`
+	for _, spec := range []DistSpec{{}, {Dims: map[string]int{"a": 0}, Loops: []string{"i"}}} {
+		if _, err := a.DepsFor(spec); err == nil || err.Error() != want {
+			t.Errorf("DepsFor(%v): %v, want %q", spec, err, want)
+		}
 	}
 }
 
-// BenchmarkAnalyze is the compiler's analysis cost per program: Analyze
-// plus DepsFor under the library directive, the two tracer passes every
-// compile makes.
+// BenchmarkAnalyze is the compiler's analysis cost per program under one
+// directive: Analyze, which collects the references, plus DepsFor under the
+// library directive, the one tracer pass.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, name := range []string{"mm", "sor", "lu"} {
 		prog := loopir.Library()[name]

@@ -8,7 +8,8 @@
 // broadcasts each outer iteration), and the six Table 1 application
 // properties.
 //
-// Analyze runs one engine, a concrete one: it runs small instances of the
+// The analysis has one engine, a concrete one. Analyze collects a program's
+// references; DepsFor, once per directive, runs small instances of the
 // program on loopir's reference interpreter, which reports every data
 // access (Instance.InterpretObserved), and generalizes the observed
 // dependence distance vectors over two sample sizes — which covers uniform
@@ -83,8 +84,8 @@ type Dep struct {
 	CommonLoops []string
 	// CrossOwner reports whether some instance of this dependence connects
 	// iterations executed by different owners of the distributed dimension.
-	// Only meaningful when the analysis ran with a DistSpec (see
-	// PropertiesFor); such dependences require communication.
+	// Only meaningful under a directive that distributes arrays (DepsFor);
+	// such dependences require communication.
 	CrossOwner bool
 	// Src and Dst are the textual references (source executes first).
 	Src, Dst loopir.Ref
@@ -127,12 +128,12 @@ type RefCtx struct {
 	RefIdx int // position among the statement's reads (writes use -1)
 }
 
-// Analysis holds the dependence information for one program.
+// Analysis holds what the dependence analysis knows of one program before
+// any directive: its references and the sample sizes DepsFor traces it at.
 type Analysis struct {
 	Prog    *loopir.Program
 	Refs    []RefCtx
 	stmts   map[loopir.Stmt]stmtRefs
-	deps    []Dep
 	samples []map[string]int
 }
 
@@ -140,24 +141,16 @@ type Analysis struct {
 // ord is Refs[first+ord] for ord < reads, an Assign's write Refs[first+reads].
 type stmtRefs struct{ id, first, reads int }
 
-// Analyze runs dependence analysis. sizes optionally overrides the two
-// sample parameter bindings used by the concrete engine; by default small
-// values (9/6 for every size-like parameter, 3/2 for iteration counts) are
-// used.
-func Analyze(p *loopir.Program, sizes ...map[string]int) (*Analysis, error) {
+// Analyze validates the program, collects its references and picks two
+// small sample parameter bindings (9/6 for every size-like parameter, 3/2
+// for iteration counts). It runs nothing: DepsFor traces the samples, once
+// per directive.
+func Analyze(p *loopir.Program) (*Analysis, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Analysis{Prog: p, stmts: map[loopir.Stmt]stmtRefs{}, samples: sizes}
+	a := &Analysis{Prog: p, stmts: map[loopir.Stmt]stmtRefs{}, samples: defaultSamples(p)}
 	a.collectRefs()
-	if len(a.samples) == 0 {
-		a.samples = defaultSamples(p)
-	}
-	deps, err := a.concreteDeps(nil)
-	if err != nil {
-		return nil, err
-	}
-	a.deps = deps
 	return a, nil
 }
 
@@ -241,31 +234,6 @@ func (a *Analysis) collectRefs() {
 		a.stmts[s] = sr
 		return nil
 	})
-}
-
-// Deps returns all dependences.
-func (a *Analysis) Deps() []Dep { return a.deps }
-
-// CarriedBy returns the dependences carried by the named loop.
-func (a *Analysis) CarriedBy(loopVar string) []Dep {
-	var out []Dep
-	for _, d := range a.deps {
-		if d.Carrier == loopVar {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Writes returns the write references, in program order.
-func (a *Analysis) Writes() []RefCtx {
-	var out []RefCtx
-	for _, r := range a.Refs {
-		if r.Write {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // WrittenArrays returns the names of arrays that are written, sorted.

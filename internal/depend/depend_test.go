@@ -38,6 +38,22 @@ func analyze(t *testing.T, p *loopir.Program) *Analysis {
 	return a
 }
 
+// carriedBy returns the unattributed dependences carried by the named loop.
+func carriedBy(t *testing.T, a *Analysis, loopVar string) []Dep {
+	t.Helper()
+	deps, err := a.DepsFor(DistSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Dep
+	for _, d := range deps {
+		if d.Carrier == loopVar {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // TestTable1 reproduces Table 1 of the paper exactly: the six application
 // properties for MM, SOR, and LU.
 func TestTable1(t *testing.T) {
@@ -77,7 +93,7 @@ func TestSORDependenceStructure(t *testing.T) {
 	// The within-sweep anti dependence carried by j (b[j+1][i] read before
 	// its write) — requires the OLD value, hence the sweep-start exchange.
 	foundAntiJ := false
-	for _, d := range a.CarriedBy("j") {
+	for _, d := range carriedBy(t, a, "j") {
 		if d.Kind == Flow && !d.Distance.Any && d.Distance.D == 1 {
 			foundPipelineFlow = true
 		}
@@ -94,7 +110,7 @@ func TestSORDependenceStructure(t *testing.T) {
 
 	// The row pipeline: flow carried by i with distance +1.
 	foundRowFlow := false
-	for _, d := range a.CarriedBy("i") {
+	for _, d := range carriedBy(t, a, "i") {
 		if d.Kind == Flow && !d.Distance.Any && d.Distance.D == 1 {
 			foundRowFlow = true
 		}
@@ -107,7 +123,7 @@ func TestSORDependenceStructure(t *testing.T) {
 	// through b[j+1][i] was written one column to the right in the previous
 	// sweep. This is what forces communication outside the distributed loop.
 	foundIterCross := false
-	for _, d := range a.CarriedBy("iter") {
+	for _, d := range carriedBy(t, a, "iter") {
 		if c, ok := d.At("j"); ok && !c.Any && c.D == -1 && d.Kind == Flow {
 			foundIterCross = true
 		}
@@ -119,15 +135,15 @@ func TestSORDependenceStructure(t *testing.T) {
 
 func TestMMDependenceStructure(t *testing.T) {
 	a := analyze(t, loopir.MatMul())
-	if deps := a.CarriedBy("j"); len(deps) != 0 {
+	if deps := carriedBy(t, a, "j"); len(deps) != 0 {
 		t.Errorf("MM has %d dependences carried by distributed loop j: %v", len(deps), deps)
 	}
-	if deps := a.CarriedBy("i"); len(deps) != 0 {
+	if deps := carriedBy(t, a, "i"); len(deps) != 0 {
 		t.Errorf("MM has %d dependences carried by i: %v", len(deps), deps)
 	}
 	// The reduction dependence on c is carried by k with distance 1.
 	foundReduction := false
-	for _, d := range a.CarriedBy("k") {
+	for _, d := range carriedBy(t, a, "k") {
 		if d.Array == "c" && d.Kind == Flow && !d.Distance.Any && d.Distance.D == 1 {
 			foundReduction = true
 		}
@@ -139,10 +155,10 @@ func TestMMDependenceStructure(t *testing.T) {
 
 func TestLUDependenceStructure(t *testing.T) {
 	a := analyze(t, loopir.LU())
-	if deps := a.CarriedBy("j"); len(deps) != 0 {
+	if deps := carriedBy(t, a, "j"); len(deps) != 0 {
 		t.Errorf("LU has %d dependences carried by distributed loop j: %v", len(deps), deps)
 	}
-	if len(a.CarriedBy("k")) == 0 {
+	if len(carriedBy(t, a, "k")) == 0 {
 		t.Error("LU should have dependences carried by the outer k loop")
 	}
 	// The normalize->update flow is loop-independent (same k) and crosses
@@ -294,8 +310,11 @@ func TestWrittenArrays(t *testing.T) {
 }
 
 func TestDepStringsAreReadable(t *testing.T) {
-	a := analyze(t, loopir.SOR())
-	for _, d := range a.Deps() {
+	deps, err := analyze(t, loopir.SOR()).DepsFor(DistSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range deps {
 		if d.String() == "" {
 			t.Fatal("empty dependence description")
 		}
@@ -306,15 +325,11 @@ func TestSampleSizeRobustness(t *testing.T) {
 	// The same structural conclusions must hold for a different pair of
 	// sample sizes.
 	a1 := analyze(t, loopir.SOR())
-	a2, err := Analyze(loopir.SOR(),
-		map[string]int{"n": 11, "maxiter": 4},
-		map[string]int{"n": 7, "maxiter": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a1.CarriedBy("j")) != len(a2.CarriedBy("j")) {
+	a2 := analyze(t, loopir.SOR())
+	a2.samples = []map[string]int{{"n": 11, "maxiter": 4}, {"n": 7, "maxiter": 2}}
+	if len(carriedBy(t, a1, "j")) != len(carriedBy(t, a2, "j")) {
 		t.Errorf("j-carried dependence count differs across sample sizes: %d vs %d",
-			len(a1.CarriedBy("j")), len(a2.CarriedBy("j")))
+			len(carriedBy(t, a1, "j")), len(carriedBy(t, a2, "j")))
 	}
 }
 

@@ -77,14 +77,6 @@ func (pr Properties) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// DepsFor re-runs the concrete analysis with owner attribution for the
-// given distribution, so every dependence carries a CrossOwner flag telling
-// whether it connects iterations executed by different owners of the
-// distributed dimension.
-func (a *Analysis) DepsFor(spec DistSpec) ([]Dep, error) {
-	return a.concreteDeps(&spec)
-}
-
 // PropertiesFor derives the Table 1 features for the given distribution.
 // The primary distributed loop (spec.Loops[0]) provides the loop-structure
 // properties; dependence properties consider every distributed loop.

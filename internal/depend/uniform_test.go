@@ -57,7 +57,11 @@ func uniformEquations(p *loopir.Program, src, dst loopir.Ref) ([]pairEquation, b
 // the involved loops have fixed observed distances. It returns an error
 // describing the first inconsistency.
 func UniformCheck(a *Analysis) error {
-	for _, dep := range a.deps {
+	deps, err := a.DepsFor(DistSpec{})
+	if err != nil {
+		return err
+	}
+	for _, dep := range deps {
 		eqs, ok := uniformEquations(a.Prog, dep.Src, dep.Dst)
 		if !ok {
 			continue

@@ -63,9 +63,11 @@ func FuzzCompileRun(f *testing.F) {
 		} else {
 			instantiateRefusals = append(instantiateRefusals, refusalPattern(c))
 		}
-		spec, err := depend.ParseDist(c.Dist)
-		if err != nil {
-			f.Fatal(err)
+		var spec depend.DistSpec // no dist line: the derived directive
+		if c.Dist != "" {
+			if spec, err = depend.ParseDist(c.Dist); err != nil {
+				f.Fatal(err)
+			}
 		}
 		if p, err := lang.Parse(c.Src); err == nil {
 			rows[lang.Format(p)] = row{spec, c.Params}

@@ -9,8 +9,9 @@ import (
 
 // Refusal is one case of the compiler's refusal table
 // (internal/compile/testdata/refusals.txt): a program, the directive it
-// compiles under, and the whole error it is refused with — by Compile, or,
-// when Params is set, by Instantiate at those params.
+// compiles under (empty: the derived one), and the whole error it is
+// refused with — by Compile, or, when Params is set, by Instantiate at
+// those params.
 type Refusal struct {
 	Name, Dist, Src, Want string
 	Params                map[string]int
