@@ -108,21 +108,28 @@ func compileUnder(analysis *depend.Analysis, spec depend.DistSpec) (*Plan, error
 	}
 
 	c := &compiler{
-		prog:     prog,
-		analysis: analysis,
-		spec:     spec,
-		deps:     deps,
-		hookID:   0,
+		prog:             prog,
+		analysis:         analysis,
+		spec:             spec,
+		deps:             deps,
+		outer:            map[string]int{},
+		loops:            map[*OwnedLoop]*scope{},
+		ghostDeltas:      map[int]bool{},
+		pendingExchanges: map[string][]GhostPart{},
+		reductions:       map[string]bool{},
+	}
+	for _, p := range prog.Params {
+		c.outer[p] = 0
 	}
 	unitsExpr, err := c.unitsExpr()
 	if err != nil {
 		return nil, err
 	}
-	steps, err := c.transform(prog.Body, 0)
+	steps, err := c.transform(prog.Body)
 	if err != nil {
 		return nil, err
 	}
-	if _, _, _, leftover := extractPipes(steps); leftover {
+	if recv, _ := c.pipes(steps); len(recv) > 0 {
 		return nil, fmt.Errorf("compile: pipelined distributed loop has no enclosing sequential loop to strip-mine")
 	}
 	if err := c.placeExchanges(steps); err != nil {
@@ -338,9 +345,14 @@ type compiler struct {
 	spec     depend.DistSpec
 	deps     []depend.Dep
 
-	// loops holds synthesizeComm's record of each distributed loop, which
-	// the passes that judge the loop later read instead of its body.
-	loops       map[*OwnedLoop]*commNeeds
+	// outer binds the parameters and the variables of the loops enclosing
+	// the statements transform is lowering: all an index the runtime
+	// evaluates before a group runs (an owner block's, a broadcast's) may
+	// name.
+	outer map[string]int
+	// loops holds each distributed loop's scope, which the passes that
+	// judge the loop later read instead of its body.
+	loops       map[*OwnedLoop]*scope
 	ghostDeltas map[int]bool
 	// pendingExchanges maps carrier loop -> the parts of the exchange group
 	// to insert at the start of that loop's body ("" = before everything).
@@ -395,13 +407,7 @@ func (c *compiler) unitsExpr() (loopir.IExpr, error) {
 
 // transform builds the SPMD step tree mirroring the sequential loop
 // structure (§4.1).
-func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
-	if c.ghostDeltas == nil {
-		c.ghostDeltas = map[int]bool{}
-		c.pendingExchanges = map[string][]GhostPart{}
-		c.reductions = map[string]bool{}
-		c.loops = map[*OwnedLoop]*commNeeds{}
-	}
+func (c *compiler) transform(stmts []loopir.Stmt) ([]Step, error) {
 	var out []Step
 	for _, s := range stmts {
 		switch s := s.(type) {
@@ -412,70 +418,70 @@ func (c *compiler) transform(stmts []loopir.Stmt, depth int) ([]Step, error) {
 					return nil, fmt.Errorf("compile: distributed loop %q cannot carry a break condition", s.Var)
 				}
 				owned := &OwnedLoop{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Body: s.Body}
-				comm, err := c.synthesizeComm(owned)
+				sc, err := c.synthesizeComm(owned)
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, comm.bcasts...)
-				if len(comm.recv) > 0 {
-					out = append(out, &pipeMarker{recv: comm.recv, send: comm.send})
-				}
+				out = append(out, sc.bcasts...)
 				out = append(out, owned)
 			case c.enclosesDistLoop(s.Body):
-				body, err := c.transform(s.Body, depth+1)
+				c.outer[s.Var] = 0
+				body, err := c.transform(s.Body)
+				delete(c.outer, s.Var)
 				if err != nil {
 					return nil, err
 				}
-				// If the body carries a pipeline marker, this level is the
-				// one to strip-mine (§4.4).
-				if pre, post, rest, ok := extractPipes(body); ok {
-					if s.BreakIf != nil {
-						return nil, fmt.Errorf("compile: strip-mined loop %q cannot carry a break condition", s.Var)
-					}
-					// The strip-mined loop must scan the pipelined (non-
-					// distributed) dimension of the piped arrays; otherwise
-					// the program needs loop interchange first, which this
-					// compiler does not perform.
-					for _, st := range pre {
-						pr := st.(*PipeRecv)
-						dim, ok := c.varDimOfArray(s.Var, pr.Array)
-						if !ok {
-							return nil, fmt.Errorf(
-								"compile: pipelined array %q is not indexed by enclosing loop %q (distributed loop encloses the pipelined dimension; loop interchange required)",
-								pr.Array, s.Var)
-						}
-						pr.RowDim = dim
-						if err := c.checkPipeRows(rest, s.Var, pr); err != nil {
-							return nil, err
-						}
-					}
-					for _, st := range post {
-						ps := st.(*PipeSend)
-						if dim, ok := c.varDimOfArray(s.Var, ps.Array); ok {
-							ps.RowDim = dim
-						}
-					}
-					// An owner broadcast inside the pipeline waits for a
-					// slave that is itself waiting for its predecessor's
-					// block: every slave would stall.
-					if err := WalkSteps(rest, func(st Step, _ []Step) error {
-						if b, ok := st.(*Bcast); ok {
-							return fmt.Errorf("compile: pipelined loop %q broadcasts %s[%s] from its owner inside the pipeline", s.Var, b.Array, b.Index)
-						}
-						return nil
-					}); err != nil {
-						return nil, err
-					}
-					c.stripMined = true
-					out = append(out, &StripLoop{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Pre: pre, Body: rest, Post: post})
-				} else {
+				// If a distributed loop of the body is pipelined, this level
+				// is the one to strip-mine (§4.4).
+				pre, post := c.pipes(body)
+				if len(pre) == 0 {
 					if s.BreakIf != nil {
 						if err := c.checkBreakCond(s.BreakIf); err != nil {
 							return nil, err
 						}
 					}
 					out = append(out, &SeqLoop{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Body: body, BreakIf: s.BreakIf})
+					continue
 				}
+				if s.BreakIf != nil {
+					return nil, fmt.Errorf("compile: strip-mined loop %q cannot carry a break condition", s.Var)
+				}
+				// The strip-mined loop must scan the pipelined (non-
+				// distributed) dimension of the piped arrays; otherwise the
+				// program needs loop interchange first, which this compiler
+				// does not perform.
+				for _, st := range pre {
+					pr := st.(*PipeRecv)
+					dim, ok := c.varDimOfArray(s.Var, pr.Array)
+					if !ok {
+						return nil, fmt.Errorf(
+							"compile: pipelined array %q is not indexed by enclosing loop %q (distributed loop encloses the pipelined dimension; loop interchange required)",
+							pr.Array, s.Var)
+					}
+					pr.RowDim = dim
+					if err := c.checkPipeRows(body, s.Var, pr); err != nil {
+						return nil, err
+					}
+				}
+				for _, st := range post {
+					ps := st.(*PipeSend)
+					if dim, ok := c.varDimOfArray(s.Var, ps.Array); ok {
+						ps.RowDim = dim
+					}
+				}
+				// An owner broadcast inside the pipeline waits for a slave
+				// that is itself waiting for its predecessor's block: every
+				// slave would stall.
+				if err := WalkSteps(body, func(st Step, _ []Step) error {
+					if b, ok := st.(*Bcast); ok {
+						return fmt.Errorf("compile: pipelined loop %q broadcasts %s[%s] from its owner inside the pipeline", s.Var, b.Array, b.Index)
+					}
+					return nil
+				}); err != nil {
+					return nil, err
+				}
+				c.stripMined = true
+				out = append(out, &StripLoop{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Pre: pre, Body: body, Post: post})
 			default:
 				// No distributed loop inside: owner-computes block or
 				// replicated execution of the whole subtree.
@@ -523,42 +529,18 @@ func (c *compiler) enclosesDistLoop(stmts []loopir.Stmt) bool {
 	return found
 }
 
-// pipeMarker carries pipeline comm requirements upward from an OwnedLoop to
-// the sequential loop that will be strip-mined.
-type pipeMarker struct {
-	recv []Step // PipeRecv steps
-	send []Step // PipeSend steps
-}
-
-func (*pipeMarker) isStep() {}
-
-// extractPipes removes a pipeMarker from the step list, returning its
-// pre/post steps and the filtered list.
-func extractPipes(steps []Step) (pre, post, rest []Step, ok bool) {
-	for _, s := range steps {
-		if m, is := s.(*pipeMarker); is {
-			pre, post, ok = m.recv, m.send, true
-			continue
-		}
-		rest = append(rest, s)
-	}
-	if !ok {
-		rest = steps
-	}
-	return pre, post, rest, ok
-}
-
-// commNeeds is what one distributed loop's reads require: owner broadcasts
-// before the loop and pipelined transfers around its strip-mined block
-// (ghost exchanges go to the compiler's pendingExchanges). It also records
-// the loop's accesses to distributed arrays, for the passes that judge the
-// loop later (the broadcast-slice check, checkPipeRows, overlapEligible).
-type commNeeds struct {
-	owned      *OwnedLoop
-	inner      map[string]bool // variables of the loops inside owned's body
-	seen       map[string]bool // broadcast, pipe and exchange keys placed
-	bcasts     []Step
-	recv, send []Step // PipeRecv and PipeSend steps
+// scope is one statement group — a distributed loop's iterations, an owner
+// block, or a replicated group every slave runs — and what serving its
+// distributed reads takes: the owner broadcasts before the group (ghost
+// exchanges go to the compiler's pendingExchanges). A distributed loop's
+// scope also records its accesses to distributed arrays, which the
+// strip-mined loop's pipeline, the broadcast-slice check, checkPipeRows and
+// overlapEligible read later.
+type scope struct {
+	owned  *OwnedLoop      // the distributed loop; nil for the other groups
+	owner  loopir.IExpr    // an owner block's index; nil for the other groups
+	seen   map[string]bool // broadcast and exchange keys placed
+	bcasts []Step
 
 	reads     []offsetRead // reads whose distributed subscript is owned.Var + an offset
 	writes    []loopir.Ref // writes of distributed arrays
@@ -570,38 +552,36 @@ type commNeeds struct {
 type offsetRead struct {
 	ref   loopir.Ref
 	delta int
+	piped bool // a flow carried by the distributed loop feeds it: the pipeline serves it
 }
 
 // readsAt reports whether the loop reads array at offset delta.
-func (n *commNeeds) readsAt(array string, delta int) bool {
-	return slices.ContainsFunc(n.reads, func(r offsetRead) bool { return r.ref.Array == array && r.delta == delta })
+func (sc *scope) readsAt(array string, delta int) bool {
+	return slices.ContainsFunc(sc.reads, func(r offsetRead) bool { return r.ref.Array == array && r.delta == delta })
 }
 
 // writesTo reports whether the loop writes array.
-func (n *commNeeds) writesTo(array string) bool {
-	return slices.ContainsFunc(n.writes, func(w loopir.Ref) bool { return w.Array == array })
+func (sc *scope) writesTo(array string) bool {
+	return slices.ContainsFunc(sc.writes, func(w loopir.Ref) bool { return w.Array == array })
 }
 
 // once reports whether key is new, and marks it seen.
-func (n *commNeeds) once(key string) bool {
-	if n.seen[key] {
+func (sc *scope) once(key string) bool {
+	if sc.seen[key] {
 		return false
 	}
-	n.seen[key] = true
+	sc.seen[key] = true
 	return true
 }
 
 // synthesizeComm inspects the reads and writes in a distributed loop body
 // and derives the required communication from the dependence analysis
 // (§3.2, §4.6). Writes must be local to the owner (owner-computes).
-func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
-	needs := &commNeeds{owned: owned, inner: map[string]bool{}, seen: map[string]bool{}}
-	c.loops[owned] = needs
-	read := func(r loopir.Ref) error { return c.classifyRead(needs, r) }
+func (c *compiler) synthesizeComm(owned *OwnedLoop) (*scope, error) {
+	sc := &scope{owned: owned, seen: map[string]bool{}}
+	c.loops[owned] = sc
+	read := func(r loopir.Ref) error { return c.read(sc, r) }
 	err := loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
-		if l, ok := s.(*loopir.Loop); ok {
-			needs.inner[l.Var] = true // before any read its body makes
-		}
 		if err := loopir.Reads(s, read); err != nil {
 			return err
 		}
@@ -611,90 +591,121 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*commNeeds, error) {
 		}
 		dim, distributed := c.spec.Dims[a.LHS.Array]
 		if !distributed {
-			needs.reduction = true
+			sc.reduction = true
 			return c.classifyReplicatedWrite(a)
 		}
 		if a.LHS.Idx[dim].String() != owned.Var {
 			return fmt.Errorf("compile: write %s is not owner-computes for loop %q", a.LHS.String(), owned.Var)
 		}
-		needs.writes = append(needs.writes, a.LHS)
+		sc.writes = append(sc.writes, a.LHS)
 		return nil
 	})
 	// A broadcast slice is the one before the loop: no iteration may write
 	// it, so its index must lie provably outside [Lo, Hi).
-	for _, st := range needs.bcasts {
+	for _, st := range sc.bcasts {
 		b := st.(*Bcast)
 		below, err1 := loopir.AffineOf(loopir.Isub(b.Index, owned.Lo), nil)
 		above, err2 := loopir.AffineOf(loopir.Isub(b.Index, owned.Hi), nil)
-		if err == nil && needs.writesTo(b.Array) &&
+		if err == nil && sc.writesTo(b.Array) &&
 			!(err1 == nil && len(below.Terms) == 0 && below.Const < 0) &&
 			!(err2 == nil && len(above.Terms) == 0 && above.Const >= 0) {
 			err = fmt.Errorf("compile: distributed loop %q writes %s's broadcast slice %s", owned.Var, b.Array, b.Index)
 		}
 	}
-	return needs, err
+	return sc, err
 }
 
-// classifyRead decides how a read of a distributed array is satisfied:
-// locally, by a pipelined neighbor transfer (new values), by a sweep-start
-// ghost exchange (old values), or by an owner broadcast.
-func (c *compiler) classifyRead(needs *commNeeds, r loopir.Ref) error {
+// read decides how a read of a distributed array in sc's group is served:
+// locally (the loop's own unit, or the owner block's), by a pipelined
+// neighbour transfer (new values), by a sweep-start ghost exchange (old
+// values), or by an owner broadcast before the group (§4.6). A replicated
+// group may read no distributed array: every slave runs it on its own
+// copy, most of which it does not own.
+func (c *compiler) read(sc *scope, r loopir.Ref) error {
 	dim, distributed := c.spec.Dims[r.Array]
 	if !distributed {
 		return nil // replicated: always local
 	}
+	if sc.owned == nil && sc.owner == nil {
+		return fmt.Errorf("compile: replicated statement reads distributed array %q (%s); distribute the array it writes", r.Array, r.String())
+	}
 	sub := r.Idx[dim]
+	if sc.owner != nil && sub.String() == sc.owner.String() {
+		return nil // owner-local
+	}
 	f, err := loopir.AffineOf(sub, nil)
 	if err != nil {
 		return fmt.Errorf("compile: non-affine distributed subscript %s", r.String())
 	}
-	v := needs.owned.Var
-	delta, neighbour := f.Offset(v)
-	switch {
-	case neighbour:
-		needs.reads = append(needs.reads, offsetRead{r, delta})
-		if delta == 0 {
-			return nil // local
-		}
-		c.ghostDeltas[delta] = true
-		if delta < -1 || delta > 1 {
-			return fmt.Errorf("compile: ghost offset %d of %s unsupported (only ±1)", delta, r.String())
-		}
-		// Pipelined if a flow dependence carried by the distributed loop
-		// targets this read (the neighbor's new values are needed);
-		// otherwise a sweep-start exchange of old values.
-		if c.hasPipeFlow(v, r) {
-			if needs.once(fmt.Sprintf("pipe %s@%d", r.Array, delta)) {
-				needs.recv = append(needs.recv, &PipeRecv{Array: r.Array, Delta: delta})
-				needs.send = append(needs.send, &PipeSend{Array: r.Array, Delta: -delta})
+	if sc.owned != nil {
+		v := sc.owned.Var
+		if delta, neighbour := f.Offset(v); neighbour {
+			// Local at offset 0. Otherwise pipelined if a flow dependence
+			// carried by the distributed loop targets the read (the
+			// neighbour's new values are needed), else a sweep-start
+			// exchange of old values.
+			read := offsetRead{ref: r, delta: delta}
+			if delta != 0 {
+				c.ghostDeltas[delta] = true
+				if delta < -1 || delta > 1 {
+					return fmt.Errorf("compile: ghost offset %d of %s unsupported (only ±1)", delta, r.String())
+				}
+				read.piped = c.hasPipeFlow(v, r)
+				if !read.piped && sc.once(fmt.Sprintf("exchange %s@%d", r.Array, delta)) {
+					carrier := c.exchangeCarrier(r)
+					c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], GhostPart{Array: r.Array, Delta: delta})
+				}
 			}
+			sc.reads = append(sc.reads, read)
 			return nil
 		}
-		if needs.once(fmt.Sprintf("exchange %s@%d", r.Array, delta)) {
-			carrier := c.exchangeCarrier(r)
-			c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], GhostPart{Array: r.Array, Delta: delta})
+		if f.Coef(v) != 0 {
+			return fmt.Errorf("compile: unsupported distributed subscript %s in %s", sub.String(), r.String())
 		}
-		return nil
-	case f.Coef(v) == 0:
-		// The distributed subscript does not scan with the loop: the slice
-		// at that index must be broadcast by its owner, before the loop, so
-		// the index may not name a variable the loop's body binds (a
-		// variable that cancels, i - i, has no term but is still unbound
-		// there).
-		bound, inner := map[string]int{}, false
-		for _, t := range f.Terms {
-			bound[t.Var], inner = 0, inner || needs.inner[t.Var]
-		}
-		if _, err := loopir.EvalIndex(sub, bound); inner || err != nil {
-			return fmt.Errorf("compile: distributed loop %q reads %s with a loop-internal index; per-element communication not supported", v, r.String())
-		}
-		if needs.once("bcast " + r.Array + "@" + sub.String()) {
-			needs.bcasts = append(needs.bcasts, &Bcast{Array: r.Array, Index: sub})
-		}
-		return nil
-	default:
-		return fmt.Errorf("compile: unsupported distributed subscript %s in %s", sub.String(), r.String())
 	}
+	// The slice at sub does not scan with a distributed loop: its owner
+	// broadcasts it before the group, where the index must evaluate.
+	if !c.evaluable(sub) {
+		if sc.owned != nil {
+			return fmt.Errorf("compile: distributed loop %q reads %s with a loop-internal index; per-element communication not supported", sc.owned.Var, r.String())
+		}
+		return fmt.Errorf("compile: owner block (owner %s) reads %s with a block-internal index; per-element communication not supported", sc.owner, r.String())
+	}
+	if sc.once("bcast " + r.Array + "@" + sub.String()) {
+		sc.bcasts = append(sc.bcasts, &Bcast{Array: r.Array, Index: sub})
+	}
+	return nil
+}
+
+// evaluable reports whether index e evaluates from the parameters and the
+// enclosing loops' variables alone, as it must where the runtime evaluates
+// it: before the group runs.
+func (c *compiler) evaluable(e loopir.IExpr) bool {
+	_, err := loopir.EvalIndex(e, c.outer)
+	return err == nil
+}
+
+// pipes collects the pipelined reads of the distributed loops among steps,
+// each (array, offset) once: the receives before each strip block and the
+// sends after it (§4.4). A loop nested deeper is its own nearest loop's to
+// strip-mine.
+func (c *compiler) pipes(steps []Step) (recv, send []Step) {
+	seen := map[GhostPart]bool{}
+	for _, st := range steps {
+		owned, ok := st.(*OwnedLoop)
+		if !ok {
+			continue
+		}
+		for _, r := range c.loops[owned].reads {
+			key := GhostPart{Array: r.ref.Array, Delta: r.delta}
+			if r.piped && !seen[key] {
+				seen[key] = true
+				recv = append(recv, &PipeRecv{Array: key.Array, Delta: key.Delta})
+				send = append(send, &PipeSend{Array: key.Array, Delta: -key.Delta})
+			}
+		}
+	}
+	return recv, send
 }
 
 // checkPipeRows refuses an access to a pipelined array that the pipeline
@@ -805,28 +816,18 @@ func (c *compiler) exchangeCarrier(read loopir.Ref) string {
 
 // lowerNonDistributed handles statements outside any distributed loop:
 // owner-computes blocks (all distributed writes at one index expression) or
-// replicated execution, which may not read a distributed array. An owner
-// block's distributed reads at a different index are satisfied by an owner
-// broadcast before the block, and the written unit is re-broadcast
-// afterwards so later readers anywhere see it — the paper's
-// broadcast-and-discard rule for locating distributed data (§4.6). This is
-// what makes, e.g., periodic boundary copies (b[0][*] = b[n-2][*]) work.
+// replicated execution. read serves the group's distributed reads, and the
+// written unit is re-broadcast afterwards so later readers anywhere see it
+// — the paper's broadcast-and-discard rule for locating distributed data
+// (§4.6). This is what makes, e.g., periodic boundary copies (b[0][*] =
+// b[n-2][*]) work.
 func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
-	ownerKey := ""
-	var ownerExpr loopir.IExpr
-	replOnly := true
+	sc := &scope{seen: map[string]bool{}}
+	var first loopir.Ref // the block's first distributed write
 	writtenArrays := map[string]bool{}
-	// Variables bound by loops inside the block: a remote read whose
-	// distributed subscript depends on them would need per-element
-	// communication, which is not supported.
-	internal := map[string]bool{}
 	err := loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
-		if l, ok := s.(*loopir.Loop); ok {
-			if c.isDistLoop(l.Var) {
-				return fmt.Errorf("compile: distributed loop %q nested in unsupported context", l.Var)
-			}
-			internal[l.Var] = true
-			return nil
+		if l, ok := s.(*loopir.Loop); ok && c.isDistLoop(l.Var) {
+			return fmt.Errorf("compile: distributed loop %q nested in unsupported context", l.Var)
 		}
 		a, ok := s.(*loopir.Assign)
 		if !ok {
@@ -836,77 +837,47 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 		if !distributed {
 			return nil
 		}
-		replOnly = false
 		writtenArrays[a.LHS.Array] = true
-		e := a.LHS.Idx[dim]
-		if ownerExpr == nil {
-			ownerExpr = e
-			ownerKey = e.String()
-		} else if ownerKey != e.String() {
-			return fmt.Errorf("compile: statement group writes multiple owners (%s vs %s)", ownerKey, e.String())
+		if e := a.LHS.Idx[dim]; sc.owner == nil {
+			sc.owner, first = e, a.LHS
+		} else if sc.owner.String() != e.String() {
+			return fmt.Errorf("compile: statement group writes multiple owners (%s vs %s)", sc.owner, e)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Non-local distributed reads become whole-unit broadcasts before the
-	// block.
-	var pre []Step
-	seen := map[string]bool{}
-	read := func(r loopir.Ref) error {
-		dim, distributed := c.spec.Dims[r.Array]
-		if !distributed {
-			return nil
+	if sc.owner != nil {
+		// Every slave evaluates the owner index before the block runs.
+		if _, err := loopir.AffineOf(sc.owner, nil); err != nil {
+			return nil, fmt.Errorf("compile: non-affine distributed subscript %s", first.String())
+		} else if !c.evaluable(sc.owner) {
+			return nil, fmt.Errorf("compile: owner block writes %s at a block-internal index; per-element communication not supported", first.String())
 		}
-		if replOnly {
-			// Every slave runs the group on its own copy, so it would read
-			// units it may not own.
-			return fmt.Errorf("compile: replicated statement reads distributed array %q (%s); distribute the array it writes", r.Array, r.String())
-		}
-		sub := r.Idx[dim]
-		if sub.String() == ownerKey {
-			return nil // owner-local
-		}
-		f, err := loopir.AffineOf(sub, nil)
-		if err != nil {
-			return fmt.Errorf("compile: non-affine distributed subscript %s", r.String())
-		}
-		for _, t := range f.Terms {
-			if internal[t.Var] {
-				return fmt.Errorf("compile: owner block (owner %s) reads %s with a block-internal index; per-element communication not supported", ownerKey, r.String())
-			}
-		}
-		key := r.Array + "@" + sub.String()
-		if !seen[key] {
-			seen[key] = true
-			pre = append(pre, &Bcast{Array: r.Array, Index: sub})
-		}
-		return nil
 	}
 	err = loopir.Walk(stmts, func(s loopir.Stmt, _ []*loopir.Loop) error {
 		// Mixed owner-computes + replicated writes cannot work: only the
 		// owner would update the replicated data, diverging the other
 		// slaves.
-		if a, ok := s.(*loopir.Assign); ok && !replOnly {
+		if a, ok := s.(*loopir.Assign); ok && sc.owner != nil {
 			if _, distributed := c.spec.Dims[a.LHS.Array]; !distributed {
 				return fmt.Errorf("compile: owner block writes replicated array %q; split the statement group", a.LHS.Array)
 			}
 		}
-		return loopir.Reads(s, read)
+		return loopir.Reads(s, func(r loopir.Ref) error { return c.read(sc, r) })
 	})
 	if err != nil {
 		return nil, err
 	}
-	if replOnly {
+	if sc.owner == nil {
 		return []Step{&AllStmts{Body: stmts}}, nil
 	}
-
-	steps := append(pre, &OwnerBlock{Index: ownerExpr, Body: stmts})
+	steps := append(sc.bcasts, &OwnerBlock{Index: sc.owner, Body: stmts})
 	// Publish the written unit so readers on other slaves (distributed
 	// loops or later owner blocks) observe the update.
 	for _, a := range sortedKeys(writtenArrays) {
-		steps = append(steps, &Bcast{Array: a, Index: ownerExpr})
+		steps = append(steps, &Bcast{Array: a, Index: sc.owner})
 	}
 	return steps, nil
 }

@@ -1,9 +1,11 @@
 package compile
 
 import (
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -577,5 +579,62 @@ func TestRenderPlanDeterministic(t *testing.T) {
 		if src := mustCompile(t, loopir.Library()["mm"], Options{Dist: specMM()}).Source; src != first {
 			t.Fatalf("compilation %d rendered a different source:\n--- first\n%s\n--- now\n%s", i, first, src)
 		}
+	}
+}
+
+// TestDistributedReadStructure pins where read places the transfers of two
+// programs: a strip-mined loop receives and sends the pipelines of both
+// distributed loops in its body, and a broadcast whose index cancels to a
+// parameter's runs before the loop that reads it.
+func TestDistributedReadStructure(t *testing.T) {
+	parse := func(src string) *loopir.Program {
+		t.Helper()
+		p, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	two := mustCompile(t, parse(`program twopipe(n, maxiter)
+array a[n][n] init hash(1);
+array b[n][n] init hash(2);
+for iter = 0 to maxiter {
+    for i = 1 to n-2 {
+        for j = 1 to n-1 { a[j][i] = 0.5 * (a[j-1][i] + a[j][i+2]); }
+        for j2 = 1 to n-1 { b[j2][i] = 0.5 * (b[j2-1][i] + b[j2][i]); }
+    }
+}`), Options{})
+	strip, ok := two.Steps[0].(*SeqLoop).Body[0].(*StripLoop)
+	if !ok || strip.Var != "i" {
+		t.Fatalf("iter body[0] = %T, want StripLoop(i)\n%s", two.Steps[0].(*SeqLoop).Body[0], two.Source)
+	}
+	var got []string
+	for _, st := range append(slices.Clone(strip.Pre), strip.Post...) {
+		switch st := st.(type) {
+		case *PipeRecv:
+			got = append(got, fmt.Sprintf("recv %s@%d row %d", st.Array, st.Delta, st.RowDim))
+		case *PipeSend:
+			got = append(got, fmt.Sprintf("send %s@%d row %d", st.Array, st.Delta, st.RowDim))
+		}
+	}
+	want := []string{"recv a@-1 row 1", "recv b@-1 row 1", "send a@1 row 1", "send b@1 row 1"}
+	if !slices.Equal(got, want) {
+		t.Errorf("strip loop transfers = %q, want %q\n%s", got, want, two.Source)
+	}
+
+	bcast := mustCompile(t, parse(`program bcastparam(n, maxiter)
+array a[n] init hash(1);
+array b[n] init hash(2);
+for iter = 0 to maxiter {
+    for i2 = 0 to n { b[i2] = b[i2] * 0.5; }
+    for i = 0 to n { a[i] = a[i] + b[n - n]; }
+}`), Options{})
+	body := bcast.Steps[0].(*SeqLoop).Body
+	i := slices.IndexFunc(body, func(st Step) bool { l, ok := st.(*OwnedLoop); return ok && l.Var == "i" })
+	if i < 1 {
+		t.Fatalf("no step before loop i:\n%s", bcast.Source)
+	}
+	if b, ok := body[i-1].(*Bcast); !ok || b.Array != "b" || b.Index.String() != "(n - n)" {
+		t.Errorf("step before loop i = %#v, want Bcast b[(n - n)]\n%s", body[i-1], bcast.Source)
 	}
 }

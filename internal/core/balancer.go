@@ -109,14 +109,10 @@ func NewBalancer(cfg Config, own *Ownership, costs *MoveCostModel) *Balancer {
 // Ownership exposes the balancer's authoritative distribution map.
 func (b *Balancer) Ownership() *Ownership { return b.own }
 
-// Deactivate marks a unit as having no remaining work.
-func (b *Balancer) Deactivate(unit int) { b.own.Deactivate(unit) }
-
 // SetAlive installs the liveness mask used after a failure: dead slots are
 // excluded from target allocations and never appear as move endpoints, and
 // their (stale) rate reports are ignored. Passing nil restores the
-// no-failures behavior. The mask is also grown implicitly by AddSlave via
-// Grow.
+// no-failures behavior.
 func (b *Balancer) SetAlive(alive []bool) {
 	if alive == nil {
 		b.alive = nil
@@ -126,20 +122,6 @@ func (b *Balancer) SetAlive(alive []bool) {
 		panic("core: alive mask size mismatch")
 	}
 	b.alive = append([]bool(nil), alive...)
-}
-
-// Grow extends the balancer (and its ownership map) to cover newly joined
-// slave slots. New slots start alive with a fresh rate filter and zero
-// owned units.
-func (b *Balancer) Grow(slaves int) {
-	for b.cfg.Slaves < slaves {
-		b.own.AddSlave()
-		b.cfg.Slaves++
-		b.filters = append(b.filters, NewRateFilter(filterMinWeight, filterMaxWeight))
-		if b.alive != nil {
-			b.alive = append(b.alive, true)
-		}
-	}
 }
 
 // Grouping splits the slots into contiguous groups for StepGrouped: every

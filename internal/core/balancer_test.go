@@ -223,7 +223,7 @@ func TestBalancerRestrictedKeepsBlocks(t *testing.T) {
 func TestBalancerDeactivationShrinksWork(t *testing.T) {
 	b := mkBalancer(2, 10, true)
 	for u := 0; u < 6; u++ {
-		b.Deactivate(u)
+		b.Ownership().Deactivate(u)
 	}
 	d := b.Step(allStatuses(100, 100), 4)
 	if got := b.Ownership().ActiveTotal(); got != 4 {

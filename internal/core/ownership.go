@@ -116,23 +116,6 @@ func (o *Ownership) Owned(slave int) []int {
 	return out
 }
 
-// IsBlock reports whether the active units form contiguous per-slave blocks
-// in slave order — the invariant restricted movement must preserve so that
-// loop-carried dependences only cross adjacent processors.
-func (o *Ownership) IsBlock() bool {
-	last := -1
-	for u, s := range o.owner {
-		if !o.active[u] {
-			continue
-		}
-		if s < last {
-			return false
-		}
-		last = s
-	}
-	return true
-}
-
 // Apply transfers the units listed in the move to the destination slave.
 // It verifies that every unit is active and currently owned by move.From.
 func (o *Ownership) Apply(m Move) error {

@@ -309,3 +309,20 @@ func TestMovesNoopWhenBalanced(t *testing.T) {
 		t.Errorf("unrestricted moves on balanced system: %v", moves)
 	}
 }
+
+// IsBlock reports whether the active units form contiguous per-slave blocks
+// in slave order — the invariant restricted movement must preserve so that
+// loop-carried dependences only cross adjacent processors.
+func (o *Ownership) IsBlock() bool {
+	last := -1
+	for u, s := range o.owner {
+		if !o.active[u] {
+			continue
+		}
+		if s < last {
+			return false
+		}
+		last = s
+	}
+	return true
+}

@@ -297,15 +297,6 @@ func TestBalancerSetAlive(t *testing.T) {
 	if own.ActiveCounts()[2] != 0 {
 		t.Fatal("dead slot owns units after step")
 	}
-
-	// Elastic join: grow to 5 slots; the joiner starts alive and empty and
-	// receives a proportional target on the next step.
-	b.Grow(5)
-	statuses = append(statuses, Status{Rate: 10})
-	d = b.Step(statuses, 80)
-	if len(d.Targets) != 5 || d.Targets[4] == 0 {
-		t.Fatalf("joiner got no target: %v", d.Targets)
-	}
 }
 
 func TestApportionAlive(t *testing.T) {

@@ -199,10 +199,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block(stateSleeping)
 }
 
-// Yield gives other processes scheduled at the current instant a chance to
-// run. Equivalent to Sleep(0).
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Run executes events until none remain, the time limit is exceeded, a
 // deadlock is detected, or a process panics (*ProcPanic). It returns nil on
 // normal completion (all processes finished or the queue drained with no
@@ -292,15 +288,6 @@ func (p *Proc) Send(mb *Mailbox, data interface{}, delay time.Duration) {
 	}
 	at := p.k.now + delay
 	p.k.post(&event{at: at, kind: evDeliver, mb: mb, msg: Message{From: p.name, At: at, Data: data}})
-}
-
-// Inject delivers a message from outside any process (e.g. test setup) at
-// the given absolute virtual time.
-func (k *Kernel) Inject(mb *Mailbox, data interface{}, at time.Duration) {
-	if at < k.now {
-		at = k.now
-	}
-	k.post(&event{at: at, kind: evDeliver, mb: mb, msg: Message{At: at, Data: data}})
 }
 
 // Recv blocks until a message is available and returns the oldest one.

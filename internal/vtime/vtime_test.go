@@ -161,7 +161,7 @@ func TestTryRecv(t *testing.T) {
 			t.Error("TryRecv on empty mailbox returned ok")
 		}
 		p.Send(mb, 42, 0)
-		p.Yield() // let delivery event fire
+		p.Sleep(0) // let delivery event fire
 		m, ok := p.TryRecv(mb)
 		if !ok || m.Data != 42 {
 			t.Errorf("TryRecv = %v, %v; want 42, true", m.Data, ok)
@@ -219,26 +219,6 @@ func TestSpawnFromRunningProcess(t *testing.T) {
 	}
 	if childAt != 10*time.Millisecond {
 		t.Fatalf("child started at %v, want 10ms", childAt)
-	}
-}
-
-func TestInjectFromOutside(t *testing.T) {
-	k := NewKernel()
-	mb := k.NewMailbox("inbox")
-	k.Inject(mb, "external", 25*time.Millisecond)
-	var at time.Duration
-	k.Spawn("receiver", func(p *Proc) {
-		m := p.Recv(mb)
-		at = p.Now()
-		if m.From != "" {
-			t.Errorf("from = %q, want empty", m.From)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if at != 25*time.Millisecond {
-		t.Fatalf("received at %v, want 25ms", at)
 	}
 }
 
