@@ -1,12 +1,11 @@
 // Command dlbcompile runs the parallelizing compiler on a library program
 // or a source file and prints it as source text (which -file reads back),
-// with -deps the dependences under the compiled plan's directive (each
-// flagged whether it crosses owners), its Table 1 properties, and the
-// generated SPMD program with its communication and load-balancing hooks.
+// its Table 1 properties, and the generated SPMD program with its
+// communication and load-balancing hooks.
 //
 // Usage:
 //
-//	dlbcompile [-deps] [-file src.dlb] [-dist array:dim] [prog]
+//	dlbcompile [-file src.dlb] [-dist array:dim] [prog]
 //
 // where prog is a loopir.Library program (default sor). With no -dist a
 // program runs under the directive the compiler derives, ranked by exposed
@@ -19,12 +18,10 @@ import (
 	"os"
 
 	"repro/internal/compile"
-	"repro/internal/depend"
 	"repro/internal/lang"
 )
 
 func main() {
-	deps := flag.Bool("deps", false, "print the dependences under the plan's directive")
 	file := flag.String("file", "", "compile a source file instead of a library program")
 	distFlag := flag.String("dist", "", "distribution directive array:dim[,array:dim...] (default: derived, ranked by exposed exchanges)")
 	flag.Parse()
@@ -44,21 +41,6 @@ func main() {
 	plan, err := compile.Compile(prog, compile.Options{Dist: spec})
 	if err != nil {
 		fail(err)
-	}
-	if *deps {
-		analysis, err := depend.Analyze(prog)
-		if err != nil {
-			fail(err)
-		}
-		deps, err := analysis.DepsFor(plan.Dist)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("=== dependences under the plan's directive ===")
-		for _, d := range deps {
-			fmt.Printf("  %v cross-owner=%v\n", d, d.CrossOwner)
-		}
-		fmt.Println()
 	}
 	fmt.Println("=== application properties (Table 1 row) ===")
 	fmt.Println(" ", plan.Props)

@@ -44,21 +44,13 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	if len(opts.Dist.Dims) > 0 {
-		plan, err := compileUnder(analysis, opts.Dist)
-		var fault sampleFault
-		if errors.As(err, &fault) {
-			err = fault.error
-		}
-		return plan, err
+		return compileUnder(analysis, opts.Dist)
 	}
 	err = fmt.Errorf("%w (no loop scans a dimension of a written array)", ErrNoDistribution)
 	var first *Plan
 	for i, spec := range deriveDistributions(analysis) {
 		plan, refusal := compileUnder(analysis, spec)
-		var fault sampleFault
-		if errors.As(refusal, &fault) {
-			return nil, fault.error
-		} else if refusal == nil && !exposesExchange(plan) {
+		if refusal == nil && !exposesExchange(plan) {
 			return plan, nil
 		} else if refusal == nil && first == nil {
 			first = plan
@@ -71,11 +63,6 @@ func Compile(prog *loopir.Program, opts Options) (*Plan, error) {
 	}
 	return nil, err
 }
-
-// sampleFault is a fault of the program at a sample size of the dependence
-// trace (an index out of range): no directive avoids it, so Compile returns
-// it as it stands rather than as one proposal's refusal.
-type sampleFault struct{ error }
 
 // exposesExchange reports whether markOverlap left some exchange group of p
 // to complete its receives in place.
@@ -98,11 +85,7 @@ func compileUnder(analysis *depend.Analysis, spec depend.DistSpec) (*Plan, error
 			return nil, fmt.Errorf("compile: no loop scans the distributed dimension")
 		}
 	}
-	deps, err := analysis.DepsFor(spec)
-	if err != nil {
-		return nil, sampleFault{err}
-	}
-	props, err := analysis.PropertiesFrom(spec, deps)
+	props, err := analysis.LoopShape(spec.Primary())
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +94,6 @@ func compileUnder(analysis *depend.Analysis, spec depend.DistSpec) (*Plan, error
 		prog:             prog,
 		analysis:         analysis,
 		spec:             spec,
-		deps:             deps,
 		outer:            map[string]int{},
 		loops:            map[*OwnedLoop]*scope{},
 		ghostDeltas:      map[int]bool{},
@@ -155,29 +137,26 @@ func compileUnder(analysis *depend.Analysis, spec depend.DistSpec) (*Plan, error
 	}
 	sort.Ints(deltas)
 
-	// Reduction accumulations look like loop-carried dependences to the
-	// analysis but are resolved by the Combine steps, not by pipelining or
-	// movement restrictions: classify carried dependences without them.
-	if props.LoopCarriedDeps && len(c.reductions) > 0 {
-		carried := false
-		for _, d := range deps {
-			if c.reductions[d.Array] {
-				continue
-			}
-			for _, l := range spec.Loops {
-				if d.Carrier == l {
-					carried = true
-				}
-			}
-		}
-		props.LoopCarriedDeps = carried
+	// Table 1's communication properties read the plan: a dependence
+	// carried by a distributed loop is an in-place offset read (writes are
+	// owner-computes, and a loop may not write its broadcast slice), and
+	// communication outside it is an exchange or a broadcast.
+	for _, sc := range c.loops {
+		props.LoopCarriedDeps = props.LoopCarriedDeps || sc.inPlace()
 	}
+	WalkSteps(steps, func(s Step, _ []Step) error {
+		switch s.(type) {
+		case *Exchange, *Bcast:
+			props.CommOutsideLoop = true
+		}
+		return nil
+	})
 
 	plan := &Plan{
 		Prog:        prog,
 		Dist:        spec,
 		Props:       props,
-		Restricted:  props.LoopCarriedDeps || len(deltas) > 0,
+		Restricted:  len(deltas) > 0,
 		UnitsExpr:   unitsExpr,
 		Steps:       steps,
 		DistArrays:  spec.Dims,
@@ -343,7 +322,6 @@ type compiler struct {
 	prog     *loopir.Program
 	analysis *depend.Analysis
 	spec     depend.DistSpec
-	deps     []depend.Dep
 
 	// outer binds the parameters and the variables of the loops enclosing
 	// the statements transform is lowering: all an index the runtime
@@ -539,8 +517,9 @@ func (c *compiler) enclosesDistLoop(stmts []loopir.Stmt) bool {
 type scope struct {
 	owned  *OwnedLoop      // the distributed loop; nil for the other groups
 	owner  loopir.IExpr    // an owner block's index; nil for the other groups
-	seen   map[string]bool // broadcast and exchange keys placed
+	seen   map[string]bool // broadcast keys placed
 	bcasts []Step
+	ghosts []ghostNeed // the loop's exchanged reads, by array and offset
 
 	reads     []offsetRead // reads whose distributed subscript is owned.Var + an offset
 	writes    []loopir.Ref // writes of distributed arrays
@@ -555,6 +534,23 @@ type offsetRead struct {
 	piped bool // a flow carried by the distributed loop feeds it: the pipeline serves it
 }
 
+// ghostNeed is what feeds a distributed loop's exchanged reads of one array
+// at one offset: the sources of each.
+type ghostNeed struct {
+	part    GhostPart
+	sources []depend.Source
+}
+
+// ghost files an exchanged read of part and its sources.
+func (sc *scope) ghost(part GhostPart, sources []depend.Source) {
+	i := slices.IndexFunc(sc.ghosts, func(g ghostNeed) bool { return g.part == part })
+	if i < 0 {
+		i = len(sc.ghosts)
+		sc.ghosts = append(sc.ghosts, ghostNeed{part: part})
+	}
+	sc.ghosts[i].sources = append(sc.ghosts[i].sources, sources...)
+}
+
 // readsAt reports whether the loop reads array at offset delta.
 func (sc *scope) readsAt(array string, delta int) bool {
 	return slices.ContainsFunc(sc.reads, func(r offsetRead) bool { return r.ref.Array == array && r.delta == delta })
@@ -563,6 +559,13 @@ func (sc *scope) readsAt(array string, delta int) bool {
 // writesTo reports whether the loop writes array.
 func (sc *scope) writesTo(array string) bool {
 	return slices.ContainsFunc(sc.writes, func(w loopir.Ref) bool { return w.Array == array })
+}
+
+// inPlace reports whether the loop reads, at a neighbour offset, an array
+// it writes. (Loop-invariant subscripts are broadcast-fed before the loop
+// and order-independent: they are not offset reads.)
+func (sc *scope) inPlace() bool {
+	return slices.ContainsFunc(sc.reads, func(r offsetRead) bool { return r.delta != 0 && sc.writesTo(r.ref.Array) })
 }
 
 // once reports whether key is new, and marks it seen.
@@ -580,9 +583,8 @@ func (sc *scope) once(key string) bool {
 func (c *compiler) synthesizeComm(owned *OwnedLoop) (*scope, error) {
 	sc := &scope{owned: owned, seen: map[string]bool{}}
 	c.loops[owned] = sc
-	read := func(r loopir.Ref) error { return c.read(sc, r) }
 	err := loopir.Walk(owned.Body, func(s loopir.Stmt, _ []*loopir.Loop) error {
-		if err := loopir.Reads(s, read); err != nil {
+		if err := loopir.Reads(s, func(r loopir.Ref) error { return c.read(sc, s, r) }); err != nil {
 			return err
 		}
 		a, ok := s.(*loopir.Assign)
@@ -600,6 +602,12 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*scope, error) {
 		sc.writes = append(sc.writes, a.LHS)
 		return nil
 	})
+	// One exchange per array and offset, at the innermost carrier of every
+	// read it serves: two reads may be staled by different loops.
+	for _, g := range sc.ghosts {
+		carrier := c.exchangeCarrier(g.sources)
+		c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], g.part)
+	}
 	// A broadcast slice is the one before the loop: no iteration may write
 	// it, so its index must lie provably outside [Lo, Hi).
 	for _, st := range sc.bcasts {
@@ -615,13 +623,13 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*scope, error) {
 	return sc, err
 }
 
-// read decides how a read of a distributed array in sc's group is served:
-// locally (the loop's own unit, or the owner block's), by a pipelined
-// neighbour transfer (new values), by a sweep-start ghost exchange (old
-// values), or by an owner broadcast before the group (§4.6). A replicated
-// group may read no distributed array: every slave runs it on its own
-// copy, most of which it does not own.
-func (c *compiler) read(sc *scope, r loopir.Ref) error {
+// read decides how read r, by statement s, of a distributed array in sc's
+// group is served: locally (the loop's own unit, or the owner block's), by
+// a pipelined neighbour transfer (new values), by a sweep-start ghost
+// exchange (old values), or by an owner broadcast before the group (§4.6).
+// A replicated group may read no distributed array: every slave runs it on
+// its own copy, most of which it does not own.
+func (c *compiler) read(sc *scope, s loopir.Stmt, r loopir.Ref) error {
 	dim, distributed := c.spec.Dims[r.Array]
 	if !distributed {
 		return nil // replicated: always local
@@ -650,10 +658,10 @@ func (c *compiler) read(sc *scope, r loopir.Ref) error {
 				if delta < -1 || delta > 1 {
 					return fmt.Errorf("compile: ghost offset %d of %s unsupported (only ±1)", delta, r.String())
 				}
-				read.piped = c.hasPipeFlow(v, r)
-				if !read.piped && sc.once(fmt.Sprintf("exchange %s@%d", r.Array, delta)) {
-					carrier := c.exchangeCarrier(r)
-					c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], GhostPart{Array: r.Array, Delta: delta})
+				sources := c.analysis.Sources(s, r)
+				read.piped = slices.ContainsFunc(sources, func(src depend.Source) bool { return src.Carrier == v })
+				if !read.piped {
+					sc.ghost(GhostPart{Array: r.Array, Delta: delta}, sources)
 				}
 			}
 			sc.reads = append(sc.reads, read)
@@ -786,29 +794,24 @@ func (c *compiler) classifyReplicatedWrite(s *loopir.Assign) error {
 	return nil
 }
 
-// hasPipeFlow reports whether a flow dependence carried by the distributed
-// loop targets the given read.
-func (c *compiler) hasPipeFlow(distVar string, read loopir.Ref) bool {
-	for _, d := range c.deps {
-		if d.Kind == depend.Flow && d.Carrier == distVar && d.Dst.String() == read.String() {
-			return true
-		}
-	}
-	return false
-}
-
-// exchangeCarrier finds the loop whose iterations stale the ghost data:
-// of the carriers of the flow dependences feeding this read, the innermost,
-// since an exchange at the start of its body also follows every outer
-// carrier's writes. The exchange is inserted there. "" means before the
-// whole program (read-only ghost data).
-func (c *compiler) exchangeCarrier(read loopir.Ref) string {
+// exchangeCarrier finds the loop whose iterations stale the ghost data: of
+// the carriers of the flows feeding the reads, the innermost that is not a
+// distributed loop, since an exchange at the start of its body also follows
+// every outer carrier's writes. The exchange is inserted there. A
+// loop-independent flow from an owner block needs none (the block
+// publishes what it writes); from a distributed loop, only an exchange
+// between the two loops would serve it. "" means before the whole program:
+// that flow, or read-only ghost data.
+func (c *compiler) exchangeCarrier(sources []depend.Source) string {
 	carrier, depth := "", -1
-	for _, d := range c.deps {
-		if d.Kind == depend.Flow && d.Dst.String() == read.String() && d.Carrier != "" && !c.isDistLoop(d.Carrier) {
-			if k := slices.Index(d.CommonLoops, d.Carrier); k > depth {
-				carrier, depth = d.Carrier, k
-			}
+	for _, src := range sources {
+		inDist := slices.ContainsFunc(src.Write.Loops, func(l *loopir.Loop) bool { return c.isDistLoop(l.Var) })
+		d := slices.IndexFunc(src.Write.Loops, func(l *loopir.Loop) bool { return l.Var == src.Carrier })
+		switch {
+		case src.Carrier == "" && inDist:
+			return ""
+		case src.Carrier != "" && !c.isDistLoop(src.Carrier) && d > depth:
+			carrier, depth = src.Carrier, d
 		}
 	}
 	return carrier
@@ -865,7 +868,7 @@ func (c *compiler) lowerNonDistributed(stmts []loopir.Stmt) ([]Step, error) {
 				return fmt.Errorf("compile: owner block writes replicated array %q; split the statement group", a.LHS.Array)
 			}
 		}
-		return loopir.Reads(s, func(r loopir.Ref) error { return c.read(sc, r) })
+		return loopir.Reads(s, func(r loopir.Ref) error { return c.read(sc, s, r) })
 	})
 	if err != nil {
 		return nil, err
@@ -985,15 +988,10 @@ func (c *compiler) overlapEligible(group *Exchange, l *OwnedLoop) bool {
 	if loop.reduction {
 		return false
 	}
-	// In-place stencils — the loop writes an array it also reads at a
-	// neighbor offset — depend on the ascending execution order for which
-	// sweep's values an edge unit observes. (Loop-invariant subscripts are
-	// broadcast-fed before the loop and order-independent: they are not
-	// offset reads.)
-	for _, r := range loop.reads {
-		if r.delta != 0 && loop.writesTo(r.ref.Array) {
-			return false
-		}
+	// In-place stencils depend on the ascending execution order for which
+	// sweep's values an edge unit observes.
+	if loop.inPlace() {
+		return false
 	}
 	// Unit-stride deltas only: the runtime peels exactly one unit per run
 	// edge into the boundary region. Every part of the group must feed this

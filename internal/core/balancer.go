@@ -250,7 +250,7 @@ func (b *Balancer) StepGrouped(statuses []Status, unitsPerHook float64, weights 
 
 	var moves []Move
 	if b.cfg.Restricted {
-		moves = movesRestricted(b.own, d.Targets, b.alive)
+		moves = movesRestricted(b.own, reachableTargets(b.own, d.Targets, b.alive), b.alive)
 	} else {
 		// Unrestricted movement is dead-slot safe as is: a dead slot has
 		// zero owned units and a zero target, so it is neither surplus nor

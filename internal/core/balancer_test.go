@@ -299,3 +299,37 @@ func TestPeriodShrinksWhenMovementCheaper(t *testing.T) {
 		t.Fatalf("period = %v, want the 500ms floor", p)
 	}
 }
+
+// TestRestrictedMovesKeepInactiveUnitsInPlace: a pipelined loop whose range
+// starts past the first slave's block leaves that slave only inactive
+// units, which the loop's first active unit still reads. Restricted
+// movement must not hand the idle slave active units across them: their
+// owner would then read from the idle slave and feed it, and the pipeline
+// would wait on itself. Every unit, active or not, stays in slave order.
+func TestRestrictedMovesKeepInactiveUnitsInPlace(t *testing.T) {
+	for _, slaves := range []int{2, 3, 4} {
+		b := mkBalancer(slaves, 16, true)
+		b.Ownership().RetireOutside(10, 15)
+		for i := 0; i < 5; i++ {
+			rates := make([]float64, slaves)
+			for s := range rates {
+				rates[s] = 100
+			}
+			rates[slaves-1] = 10
+			b.Step(allStatuses(rates...), 64)
+		}
+		last := 0
+		for u := 0; u < 16; u++ {
+			if s := b.Ownership().OwnerOf(u); s < last {
+				t.Fatalf("%d slaves: unit %d on slave %d after a unit on slave %d", slaves, u, s, last)
+			} else {
+				last = s
+			}
+		}
+		// With two slaves the idle one lies wholly below the active range
+		// and can take nothing; with more, a neighbour can.
+		if got := b.Ownership().ActiveCounts(); slaves > 2 && got[slaves-1] >= 4 {
+			t.Errorf("%d slaves: the slow slave kept its work: %v", slaves, got)
+		}
+	}
+}

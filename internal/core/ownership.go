@@ -251,6 +251,50 @@ func movesRestricted(o *Ownership, targetCounts []int, alive []bool) []Move {
 	return append(leftward, rightward...)
 }
 
+// reachableTargets is targetCounts as nearly as restricted movement may
+// realize them. Inactive units do not move, and a distributed loop's
+// neighbours may still read them (a loop whose range starts past the first
+// slave's block), so no active unit may cross one: an active unit ends on
+// no slave before the owner of an inactive unit below it, and on none
+// after the owner of one above it. Otherwise the k-th active unit ends
+// where the target prefix covers k, as movesRestricted places it.
+func reachableTargets(o *Ownership, targetCounts []int, alive []bool) []int {
+	pos := make([]int, o.slaves) // a slave's place among the alive; -1 if dead
+	var ids []int
+	for s := range pos {
+		pos[s] = -1
+		if alive == nil || alive[s] {
+			pos[s] = len(ids)
+			ids = append(ids, s)
+		}
+	}
+	n := len(ids)
+	final := make([]int, len(o.owner)) // an active unit's place
+	k, i, end, floor := 0, 0, targetCounts[ids[0]], 0
+	for u, s := range o.owner {
+		switch {
+		case o.active[u]:
+			for i < n-1 && k >= end {
+				i++
+				end += targetCounts[ids[i]]
+			}
+			final[u], k = max(i, floor), k+1
+		case pos[s] >= 0:
+			floor = pos[s]
+		}
+	}
+	out := make([]int, len(targetCounts))
+	ceil := n - 1
+	for u := len(o.owner) - 1; u >= 0; u-- {
+		if p := pos[o.owner[u]]; o.active[u] {
+			out[ids[min(final[u], ceil)]]++
+		} else if p >= 0 {
+			ceil = p
+		}
+	}
+	return out
+}
+
 // movesUnrestricted computes direct moves from surplus slaves to deficit
 // slaves (paper Figure 1a). Surplus slaves give up their highest-numbered
 // active units first.

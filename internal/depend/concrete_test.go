@@ -66,25 +66,3 @@ func TestDepsForRefusesOutOfRange(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkAnalyze is the compiler's analysis cost per program under one
-// directive: Analyze, which collects the references, plus DepsFor under the
-// library directive, the one tracer pass.
-func BenchmarkAnalyze(b *testing.B) {
-	for _, name := range []string{"mm", "sor", "lu"} {
-		prog := loopir.Library()[name]
-		spec := specFor(b, name)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a, err := Analyze(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := a.DepsFor(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

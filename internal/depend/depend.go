@@ -1,28 +1,25 @@
 // Package depend performs data-dependence analysis on loopir programs.
 //
 // The paper's load balancer "explicitly consider[s] application data
-// dependences and loop structure"; this package supplies that knowledge:
-// which loops carry dependences (forcing restricted, block-preserving work
-// movement and pipelined execution), which dependences cross the distributed
-// dimension outside the distributed loop (requiring boundary exchanges or
-// broadcasts each outer iteration), and the six Table 1 application
-// properties.
+// dependences and loop structure"; this package supplies that knowledge
+// from the program text: which loop carries the flow from a write into a
+// read (forcing a pipeline when it is the distributed loop, and placing a
+// boundary exchange otherwise), the loops that scan a distributed
+// dimension, and the loop-shape half of the Table 1 application properties.
 //
-// The analysis has one engine, a concrete one. Analyze collects a program's
-// references; DepsFor, once per directive, runs small instances of the
-// program on loopir's reference interpreter, which reports every data
-// access (Instance.InterpretObserved), and generalizes the observed
-// dependence distance vectors over two sample sizes — which covers uniform
-// pairs and non-uniform ones (LU's pivot references) alike. What the
-// analysis says a program accesses thus comes from the code that defines
-// what it computes; there is no second interpreter to drift. The classic
-// symbolic machinery for uniformly generated pairs (distance equations, the
-// GCD test) lives in the tests, as the oracle the concrete results are
-// checked against.
+// Analyze numbers a program's references and runs nothing. Sources
+// decides, for one read, which writes may feed it and which loop carries
+// each flow, by the
+// uniform-pair distance equations: one per subscript dimension, over the
+// loops the write and the read share. A pair the equations cannot pin is
+// taken to depend at every free loop, so the answer errs toward more
+// communication, never less. The tests hold it to a concrete oracle, a
+// tracer that runs small instances of the program on loopir's interpreter.
 package depend
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,126 +27,34 @@ import (
 	"repro/internal/loopir"
 )
 
-// Kind classifies a dependence.
-type Kind int
-
-// Dependence kinds.
-const (
-	Flow   Kind = iota // write then read (true dependence)
-	Anti               // read then write
-	Output             // write then write
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Flow:
-		return "flow"
-	case Anti:
-		return "anti"
-	case Output:
-		return "output"
-	}
-	return "?"
-}
-
-// Constraint describes the possible distance of a dependence at one loop.
-type Constraint struct {
-	Any bool // distance varies between instances
-	D   int  // fixed distance when !Any
-}
-
-func (c Constraint) String() string {
-	if c.Any {
-		return "*"
-	}
-	return fmt.Sprintf("%+d", c.D)
-}
-
-// Dep is one dependence edge between two references, attributed to the loop
-// that carries it. A single reference pair may yield several Dep entries,
-// one per carrying loop observed.
-type Dep struct {
-	Array    string
-	Kind     Kind
-	Carrier  string     // carrying loop variable; "" if loop-independent
-	Distance Constraint // distance at the carrier loop (meaningless if Carrier == "")
-	// PerLoop gives the distance constraint at every common loop of the two
-	// references, aggregated over the dependence instances with this
-	// carrier. The compiler uses it to ask, e.g., whether a dependence
-	// carried by an outer loop relates different indices of the distributed
-	// loop (which means boundary communication every outer iteration).
-	PerLoop map[string]Constraint
-	// CommonLoops lists the loops common to both references, outermost
-	// first.
-	CommonLoops []string
-	// CrossOwner reports whether some instance of this dependence connects
-	// iterations executed by different owners of the distributed dimension.
-	// Only meaningful under a directive that distributes arrays (DepsFor);
-	// such dependences require communication.
-	CrossOwner bool
-	// Src and Dst are the textual references (source executes first).
-	Src, Dst loopir.Ref
-	// SrcStmt and DstStmt are statement ids in program order.
-	SrcStmt, DstStmt int
-}
-
-// At returns the distance constraint of this dependence at the given loop.
-// ok is false when the loop is not common to both endpoints.
-func (d Dep) At(loop string) (Constraint, bool) {
-	c, ok := d.PerLoop[loop]
-	return c, ok
-}
-
-func (d Dep) String() string {
-	carrier := d.Carrier
-	if carrier == "" {
-		carrier = "independent"
-	}
-	parts := make([]string, 0, len(d.CommonLoops))
-	for _, l := range d.CommonLoops {
-		parts = append(parts, fmt.Sprintf("%s:%s", l, d.PerLoop[l]))
-	}
-	return fmt.Sprintf("%s dep on %q: %s -> %s carried by %s (%s)",
-		d.Kind, d.Array, d.Src.String(), d.Dst.String(), carrier, strings.Join(parts, " "))
-}
-
-// LoopCtx records one enclosing loop of a reference.
-type LoopCtx struct {
-	Var    string
-	Lo, Hi loopir.IExpr
-}
-
 // RefCtx is a reference together with its nest context.
 type RefCtx struct {
 	Ref    loopir.Ref
 	Write  bool
-	Loops  []LoopCtx // outermost first
-	StmtID int
-	RefIdx int // position among the statement's reads (writes use -1)
+	Loops  []*loopir.Loop // enclosing loops, outermost first
+	StmtID int            // the statement's place in program order
+	RefIdx int            // position among the statement's reads (writes use -1)
 }
 
 // Analysis holds what the dependence analysis knows of one program before
-// any directive: its references and the sample sizes DepsFor traces it at.
+// any directive: its references.
 type Analysis struct {
-	Prog    *loopir.Program
-	Refs    []RefCtx
-	stmts   map[loopir.Stmt]stmtRefs
-	samples []map[string]int
+	Prog  *loopir.Program
+	Refs  []RefCtx
+	stmts map[loopir.Stmt]stmtRefs
 }
 
 // stmtRefs locates one Assign's or If's references in Analysis.Refs: read
 // ord is Refs[first+ord] for ord < reads, an Assign's write Refs[first+reads].
 type stmtRefs struct{ id, first, reads int }
 
-// Analyze validates the program, collects its references and picks two
-// small sample parameter bindings (9/6 for every size-like parameter, 3/2
-// for iteration counts). It runs nothing: DepsFor traces the samples, once
-// per directive.
+// Analyze validates the program and collects its references. It runs
+// nothing.
 func Analyze(p *loopir.Program) (*Analysis, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Analysis{Prog: p, stmts: map[loopir.Stmt]stmtRefs{}, samples: defaultSamples(p)}
+	a := &Analysis{Prog: p, stmts: map[loopir.Stmt]stmtRefs{}}
 	a.collectRefs()
 	return a, nil
 }
@@ -191,23 +96,6 @@ func (s DistSpec) Primary() string {
 	return s.Loops[0]
 }
 
-// defaultSamples picks two small parameter bindings. Parameters named like
-// iteration counts get small values; everything else gets a matrix size.
-func defaultSamples(p *loopir.Program) []map[string]int {
-	mk := func(size, iters int) map[string]int {
-		m := map[string]int{}
-		for _, prm := range p.Params {
-			if strings.Contains(prm, "iter") {
-				m[prm] = iters
-			} else {
-				m[prm] = size
-			}
-		}
-		return m
-	}
-	return []map[string]int{mk(9, 3), mk(6, 2)}
-}
-
 // collectRefs numbers the program's Assign and If statements in program
 // order and files their references in a.Refs: the reads in the order the
 // interpreter reports them, then an Assign's write.
@@ -217,10 +105,7 @@ func (a *Analysis) collectRefs() {
 		if _, ok := s.(*loopir.Loop); ok {
 			return nil
 		}
-		var ctx []LoopCtx
-		for _, l := range loops {
-			ctx = append(ctx, LoopCtx{l.Var, l.Lo, l.Hi})
-		}
+		ctx := slices.Clone(loops)
 		sr := stmtRefs{id: id, first: len(a.Refs)}
 		id++
 		loopir.Reads(s, func(r loopir.Ref) error {
@@ -252,18 +137,114 @@ func (a *Analysis) WrittenArrays() []string {
 	return out
 }
 
-// commonLoops returns loop variables common to both contexts, outermost
-// first, following the source's order (common prefixes share order anyway).
-func commonLoops(a, b []LoopCtx) []string {
-	inB := map[string]bool{}
-	for _, l := range b {
-		inB[l.Var] = true
+// Source is a write that may feed a read, and the loop that carries the
+// flow from it, one of the write's enclosing loops: "" for a
+// loop-independent flow (the write comes earlier in the same iteration of
+// every loop the two share), which is innermost.
+type Source struct {
+	Write   RefCtx
+	Carrier string
+}
+
+// Sources returns the writes that may feed read r of statement s, in
+// program order, with the loop carrying each flow.
+func (a *Analysis) Sources(s loopir.Stmt, r loopir.Ref) []Source {
+	sr := a.stmts[s]
+	i := slices.IndexFunc(a.Refs[sr.first:sr.first+sr.reads], func(rc RefCtx) bool { return rc.Ref.String() == r.String() })
+	if i < 0 {
+		return nil
 	}
-	var out []string
-	for _, l := range a {
-		if inB[l.Var] {
-			out = append(out, l.Var)
+	var out []Source
+	for _, w := range a.Refs {
+		if w.Write && w.Ref.Array == r.Array {
+			if l, flow := a.carrier(w, a.Refs[sr.first+i]); flow {
+				out = append(out, Source{w, l})
+			}
 		}
 	}
 	return out
+}
+
+// carrier decides which loop carries the flow from write w into read r,
+// and whether there can be one. Walking the loops the two share outermost
+// first, with the loops pins leaves free at 0, the first non-zero distance
+// decides: Δ > 0 is carried by its loop, Δ < 0 by the innermost free loop
+// before it. If every pin is 0, the flow is loop-independent ("") when w's
+// statement comes first, and otherwise carried by the innermost free loop.
+// With no loop to carry it, there is no flow.
+func (a *Analysis) carrier(w, r RefCtx) (string, bool) {
+	n := 0
+	for n < len(w.Loops) && n < len(r.Loops) && w.Loops[n] == r.Loops[n] {
+		n++
+	}
+	common := w.Loops[:n]
+	pins, flow := a.pins(w.Ref, r.Ref, common)
+	if !flow {
+		return "", false
+	}
+	// innermostFree is the innermost unpinned loop of common[:k].
+	innermostFree := func(k int) (string, bool) {
+		for k--; k >= 0; k-- {
+			if _, pinned := pins[common[k].Var]; !pinned {
+				return common[k].Var, true
+			}
+		}
+		return "", false
+	}
+	for k, l := range common {
+		if d := pins[l.Var]; d > 0 {
+			return l.Var, true
+		} else if d < 0 {
+			return innermostFree(k)
+		}
+	}
+	if w.StmtID < r.StmtID {
+		return "", true
+	}
+	return innermostFree(len(common))
+}
+
+// pins solves the uniform-pair distance equations of write w and read r,
+// one per subscript dimension, over the loops common to both. A dimension
+// pins the distance Δ (r's iteration minus w's) of loop L when both
+// subscripts are L times the same coefficient plus a constant, with the
+// same parameters; a dimension whose subscripts name no loop and differ by
+// a constant proves there is no flow, as do two pins of one loop that
+// disagree, or a distance the coefficient does not divide. Every other
+// dimension pins nothing.
+func (a *Analysis) pins(w, r loopir.Ref, common []*loopir.Loop) (map[string]int, bool) {
+	pins := map[string]int{}
+	for d := range w.Idx {
+		fw, err1 := loopir.AffineOf(w.Idx[d], nil)
+		fr, err2 := loopir.AffineOf(r.Idx[d], nil)
+		if err1 != nil || err2 != nil || !a.sameParams(fw, fr) {
+			continue
+		}
+		tw, tr := a.loopTerms(fw), a.loopTerms(fr)
+		switch {
+		case len(tw) == 0 && len(tr) == 0:
+			if fw.Const != fr.Const {
+				return nil, false
+			}
+		case len(tw) == 1 && len(tr) == 1 && tw[0] == tr[0] &&
+			slices.ContainsFunc(common, func(l *loopir.Loop) bool { return l.Var == tw[0].Var }):
+			diff, c := fw.Const-fr.Const, tw[0].Coef
+			if pin, seen := pins[tw[0].Var]; diff%c != 0 || seen && pin != diff/c {
+				return nil, false
+			}
+			pins[tw[0].Var] = diff / c
+		}
+	}
+	return pins, true
+}
+
+// sameParams reports whether two forms name every parameter with the same
+// coefficient, so that the parameters cancel between them.
+func (a *Analysis) sameParams(f, g loopir.Affine) bool {
+	for _, t := range slices.Concat(f.Terms, g.Terms) {
+		if a.Prog.IsParam(t.Var) && f.Coef(t.Var) != g.Coef(t.Var) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package depend
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/loopir"
@@ -324,12 +325,16 @@ func TestDepStringsAreReadable(t *testing.T) {
 func TestSampleSizeRobustness(t *testing.T) {
 	// The same structural conclusions must hold for a different pair of
 	// sample sizes.
-	a1 := analyze(t, loopir.SOR())
-	a2 := analyze(t, loopir.SOR())
-	a2.samples = []map[string]int{{"n": 11, "maxiter": 4}, {"n": 7, "maxiter": 2}}
-	if len(carriedBy(t, a1, "j")) != len(carriedBy(t, a2, "j")) {
-		t.Errorf("j-carried dependence count differs across sample sizes: %d vs %d",
-			len(carriedBy(t, a1, "j")), len(carriedBy(t, a2, "j")))
+	a := analyze(t, loopir.SOR())
+	count := func(samples []map[string]int) int {
+		deps, err := a.depsAt(samples, DistSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(slices.DeleteFunc(deps, func(d Dep) bool { return d.Carrier != "j" }))
+	}
+	if n1, n2 := count(defaultSamples(a.Prog)), count([]map[string]int{{"n": 11, "maxiter": 4}, {"n": 7, "maxiter": 2}}); n1 != n2 {
+		t.Errorf("j-carried dependence count differs across sample sizes: %d vs %d", n1, n2)
 	}
 }
 

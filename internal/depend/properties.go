@@ -16,12 +16,14 @@ import (
 type Properties struct {
 	// LoopCarriedDeps: some dependence is carried by the distributed loop,
 	// so the mapping of iterations to processors affects communication and
-	// work movement must preserve the block distribution (Figure 1b).
+	// work movement must preserve the block distribution (Figure 1b). The
+	// compiler reads it as a distributed loop that reads, at an offset, an
+	// array it writes.
 	LoopCarriedDeps bool
 	// CommOutsideLoop: some dependence carried outside the distributed loop
 	// crosses distributed-loop indices (or connects a statement outside the
 	// distributed loop), so the parallel code must communicate each outer
-	// iteration (boundary exchange, pivot broadcast, ...).
+	// iteration: the plan has a boundary exchange or an owner broadcast.
 	CommOutsideLoop bool
 	// RepeatedExecution: the distributed loop is nested inside another
 	// loop, so each distributed iteration re-touches the same data and
@@ -77,22 +79,11 @@ func (pr Properties) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// PropertiesFor derives the Table 1 features for the given distribution.
-// The primary distributed loop (spec.Loops[0]) provides the loop-structure
-// properties; dependence properties consider every distributed loop.
-func (a *Analysis) PropertiesFor(spec DistSpec) (Properties, error) {
-	deps, err := a.DepsFor(spec)
-	if err != nil {
-		return Properties{}, err
-	}
-	return a.PropertiesFrom(spec, deps)
-}
-
-// PropertiesFrom is PropertiesFor for a caller that already holds
-// DepsFor(spec): each DepsFor traces every sample, so compile.Compile, which
-// needs both, computes the dependences once.
-func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error) {
-	distLoop := spec.Primary()
+// LoopShape derives the four Table 1 properties that the distributed
+// loop's place and shape decide: repeated execution, varying loop bounds,
+// index-dependent and data-dependent iteration size. The compiler sets the
+// two communication properties from the plan it generates.
+func (a *Analysis) LoopShape(distLoop string) (Properties, error) {
 	var pr Properties
 	var loop *loopir.Loop
 	loopir.Walk(a.Prog.Body, func(s loopir.Stmt, loops []*loopir.Loop) error {
@@ -104,22 +95,6 @@ func (a *Analysis) PropertiesFrom(spec DistSpec, deps []Dep) (Properties, error)
 	})
 	if loop == nil {
 		return Properties{}, fmt.Errorf("depend: no loop %q in program %q", distLoop, a.Prog.Name)
-	}
-
-	isDistLoop := map[string]bool{}
-	for _, l := range spec.Loops {
-		isDistLoop[l] = true
-	}
-	for _, d := range deps {
-		if isDistLoop[d.Carrier] {
-			// Carried by the distributed loop itself: the iteration-to-
-			// processor mapping determines communication (pipelining).
-			pr.LoopCarriedDeps = true
-		} else if d.CrossOwner {
-			// Any other owner-crossing dependence forces communication
-			// outside the distributed loop (boundary exchange, broadcast).
-			pr.CommOutsideLoop = true
-		}
 	}
 
 	referencesLoopVar := func(e loopir.IExpr) bool {

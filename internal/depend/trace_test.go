@@ -9,14 +9,18 @@ import (
 	"repro/internal/loopir"
 )
 
-// The concrete dependence engine runs small instances of the program on
-// loopir's interpreter, logs every data access it reports with the
-// iteration vector of the executing statement, pairs accesses to the same
-// element into dependence instances, and generalizes the observed distance
-// vectors. Running two sample sizes and merging guards against
-// size-specific coincidences. For affine programs of the kind the paper
-// targets this recovers exact constant distances, and non-uniform
-// references are covered the same way.
+// The tracer is the tests' concrete dependence oracle. It runs small
+// instances of the program on loopir's interpreter, logs every data access
+// it reports with the iteration vector of the executing statement, pairs
+// accesses to the same element into dependence instances, and generalizes
+// the observed distance vectors. Running two sample sizes and merging
+// guards against size-specific coincidences. For affine programs of the
+// kind the paper targets this recovers exact constant distances, and
+// non-uniform references are covered the same way; a dependence that first
+// occurs past the samples it does not see, which is why the compiler
+// decides from the program text (Sources) and the tracer only checks
+// it. Its names are exported for the depend_test package (the analysis
+// goldens and the static-against-trace table).
 
 const ownerNone = int(^uint(0) >> 1) // sentinel: access has no owner index
 
@@ -95,7 +99,7 @@ func (tr *tracer) observe(s loopir.Stmt, ord int, array string, flat int, env ma
 }
 
 // sameIter reports whether iter holds exactly the loops' current values.
-func sameIter(iter map[string]int, loops []LoopCtx, env map[string]int) bool {
+func sameIter(iter map[string]int, loops []*loopir.Loop, env map[string]int) bool {
 	if len(iter) != len(loops) {
 		return false
 	}
@@ -125,17 +129,22 @@ type depAgg struct {
 	crossOwner bool
 }
 
-// DepsFor runs the tracer on each sample with owner attribution for the
+// DepsFor is depsAt the default samples.
+func (a *Analysis) DepsFor(spec DistSpec) ([]Dep, error) {
+	return a.depsAt(defaultSamples(a.Prog), spec)
+}
+
+// depsAt runs the tracer on each sample with owner attribution for the
 // given distribution and merges the aggregated dependences: every access is
 // attributed to the distributed-dimension owner of its executing statement,
 // and a dependence connecting different owners is flagged CrossOwner. An
 // empty DistSpec attributes no owner, so it gives the unattributed view.
 // A sample run that faults (an index out of range) fails it, whatever the
 // directive.
-func (a *Analysis) DepsFor(spec DistSpec) ([]Dep, error) {
+func (a *Analysis) depsAt(samples []map[string]int, spec DistSpec) ([]Dep, error) {
 	owners := ownerExprs(a.Prog.Body, spec)
 	agg := map[depKey]*depAgg{}
-	for _, params := range a.samples {
+	for _, params := range samples {
 		if err := a.traceSample(params, owners, agg); err != nil {
 			return nil, err
 		}
@@ -276,4 +285,142 @@ func (a *Analysis) traceSample(params map[string]int, owners map[loopir.Stmt]loo
 		}
 	}
 	return nil
+}
+
+// Kind classifies a dependence.
+type Kind int
+
+// Dependence kinds.
+const (
+	Flow   Kind = iota // write then read (true dependence)
+	Anti               // read then write
+	Output             // write then write
+)
+
+func (k Kind) String() string {
+	switch k {
+	case Flow:
+		return "flow"
+	case Anti:
+		return "anti"
+	case Output:
+		return "output"
+	}
+	return "?"
+}
+
+// Constraint describes the possible distance of a dependence at one loop.
+type Constraint struct {
+	Any bool // distance varies between instances
+	D   int  // fixed distance when !Any
+}
+
+func (c Constraint) String() string {
+	if c.Any {
+		return "*"
+	}
+	return fmt.Sprintf("%+d", c.D)
+}
+
+// Dep is one dependence edge between two references, attributed to the loop
+// that carries it. A single reference pair may yield several Dep entries,
+// one per carrying loop observed.
+type Dep struct {
+	Array    string
+	Kind     Kind
+	Carrier  string     // carrying loop variable; "" if loop-independent
+	Distance Constraint // distance at the carrier loop (meaningless if Carrier == "")
+	// PerLoop gives the distance constraint at every common loop of the two
+	// references, aggregated over the dependence instances with this
+	// carrier. The compiler uses it to ask, e.g., whether a dependence
+	// carried by an outer loop relates different indices of the distributed
+	// loop (which means boundary communication every outer iteration).
+	PerLoop map[string]Constraint
+	// CommonLoops lists the loops common to both references, outermost
+	// first.
+	CommonLoops []string
+	// CrossOwner reports whether some instance of this dependence connects
+	// iterations executed by different owners of the distributed dimension.
+	// Only meaningful under a directive that distributes arrays (DepsFor);
+	// such dependences require communication.
+	CrossOwner bool
+	// Src and Dst are the textual references (source executes first).
+	Src, Dst loopir.Ref
+	// SrcStmt and DstStmt are statement ids in program order.
+	SrcStmt, DstStmt int
+}
+
+// At returns the distance constraint of this dependence at the given loop.
+// ok is false when the loop is not common to both endpoints.
+func (d Dep) At(loop string) (Constraint, bool) {
+	c, ok := d.PerLoop[loop]
+	return c, ok
+}
+
+func (d Dep) String() string {
+	carrier := d.Carrier
+	if carrier == "" {
+		carrier = "independent"
+	}
+	parts := make([]string, 0, len(d.CommonLoops))
+	for _, l := range d.CommonLoops {
+		parts = append(parts, fmt.Sprintf("%s:%s", l, d.PerLoop[l]))
+	}
+	return fmt.Sprintf("%s dep on %q: %s -> %s carried by %s (%s)",
+		d.Kind, d.Array, d.Src.String(), d.Dst.String(), carrier, strings.Join(parts, " "))
+}
+
+// defaultSamples picks two small parameter bindings. Parameters named like
+// iteration counts get small values; everything else gets a matrix size.
+func defaultSamples(p *loopir.Program) []map[string]int {
+	mk := func(size, iters int) map[string]int {
+		m := map[string]int{}
+		for _, prm := range p.Params {
+			if strings.Contains(prm, "iter") {
+				m[prm] = iters
+			} else {
+				m[prm] = size
+			}
+		}
+		return m
+	}
+	return []map[string]int{mk(9, 3), mk(6, 2)}
+}
+
+// commonLoops returns loop variables common to both contexts, outermost
+// first, following the source's order (common prefixes share order anyway).
+func commonLoops(a, b []*loopir.Loop) []string {
+	inB := map[string]bool{}
+	for _, l := range b {
+		inB[l.Var] = true
+	}
+	var out []string
+	for _, l := range a {
+		if inB[l.Var] {
+			out = append(out, l.Var)
+		}
+	}
+	return out
+}
+
+// PropertiesFor is Table 1 as the trace reads it under spec: the loop
+// shape, a dependence carried by a distributed loop, and an owner-crossing
+// dependence carried elsewhere.
+func (a *Analysis) PropertiesFor(spec DistSpec) (Properties, error) {
+	deps, err := a.DepsFor(spec)
+	if err != nil {
+		return Properties{}, err
+	}
+	pr, err := a.LoopShape(spec.Primary())
+	if err != nil {
+		return Properties{}, err
+	}
+	for _, d := range deps {
+		if slices.Contains(spec.Loops, d.Carrier) {
+			pr.LoopCarriedDeps = true
+		} else if d.CrossOwner {
+			pr.CommOutsideLoop = true
+		}
+	}
+	return pr, nil
 }

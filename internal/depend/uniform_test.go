@@ -7,77 +7,48 @@ import (
 	"repro/internal/loopir"
 )
 
-// This file is the test oracle: the classic symbolic dependence machinery
-// for uniformly generated reference pairs (equal subscript coefficients) —
-// the per-dimension distance equations and the GCD independence test. The
-// concrete engine is the analysis (it models exactly the last-write pairing
-// the communication generator needs); the symbolic one validates it — every
-// fixed distance the concrete engine reports for a uniform pair must
-// satisfy the per-dimension equations, and the GCD test must never prove
-// independent a pair the concrete engine observed.
+// This file checks the compiler's static rule (carrier and its
+// uniform-pair distance equations, pins) against the concrete tracer, and
+// keeps the GCD independence test as a second, symbolic oracle: every
+// distance the trace observes must satisfy the equations, every flow it
+// observes must have a static carrier at least as deep as the trace's, and
+// the GCD test must never prove independent a pair the trace observed.
 
-// pairEquation is the constraint Σ coef·Δvar = rhs derived from one
-// subscript dimension of a uniformly generated pair.
-type pairEquation struct {
-	coef map[string]int // per common loop variable
-	rhs  int            // srcConst - dstConst
-}
-
-// uniformEquations derives the per-dimension distance equations for a pair
-// of references to the same array, or ok=false when the pair is not
-// uniformly generated (different coefficients) or not affine.
-func uniformEquations(p *loopir.Program, src, dst loopir.Ref) ([]pairEquation, bool) {
-	if src.Array != dst.Array || len(src.Idx) != len(dst.Idx) {
-		return nil, false
-	}
-	var eqs []pairEquation
-	for d := range src.Idx {
-		ls, err1 := loopir.AffineOf(src.Idx[d], nil)
-		ld, err2 := loopir.AffineOf(dst.Idx[d], nil)
-		if err1 != nil || err2 != nil {
-			return nil, false
-		}
-		if !sameCoeffs(ls, ld) {
-			return nil, false
-		}
-		coef := map[string]int{}
-		for _, t := range ls.Terms {
-			if !p.IsParam(t.Var) {
-				coef[t.Var] = t.Coef
-			}
-		}
-		eqs = append(eqs, pairEquation{coef: coef, rhs: ls.Const - ld.Const})
-	}
-	return eqs, true
-}
-
-// UniformCheck validates every concrete dependence between uniformly
-// generated reference pairs against the symbolic distance equations:
-// for each dimension, Σ coef·Δ must equal srcConst − dstConst whenever all
-// the involved loops have fixed observed distances. It returns an error
+// UniformCheck validates the unattributed trace of a against the static
+// rule. For each flow the trace observed from a write to a read: carrier
+// must allow the flow and name a carrier no outer than the trace's (a
+// loop-independent flow is innermost), and every distance pins fixes must
+// be the one the trace observed at that loop. It returns an error
 // describing the first inconsistency.
 func UniformCheck(a *Analysis) error {
 	deps, err := a.DepsFor(DistSpec{})
 	if err != nil {
 		return err
 	}
+	ctx := func(stmt int, r loopir.Ref, write bool) RefCtx {
+		i := slices.IndexFunc(a.Refs, func(rc RefCtx) bool {
+			return rc.StmtID == stmt && rc.Write == write && rc.Ref.String() == r.String()
+		})
+		return a.Refs[i]
+	}
 	for _, dep := range deps {
-		eqs, ok := uniformEquations(a.Prog, dep.Src, dep.Dst)
-		if !ok {
+		if dep.Kind != Flow {
 			continue
 		}
-		for _, eq := range eqs {
-			sum, allFixed := 0, true
-			for v, c := range eq.coef {
-				cons, has := dep.PerLoop[v]
-				if !has || cons.Any {
-					allFixed = false
-					break
-				}
-				sum += c * cons.D
+		w, r := ctx(dep.SrcStmt, dep.Src, true), ctx(dep.DstStmt, dep.Dst, false)
+		depth := func(carrier string) int {
+			if carrier == "" {
+				return len(r.Loops)
 			}
-			if allFixed && sum != eq.rhs {
-				return fmt.Errorf("depend: %s violates uniform equation (Σcoef·Δ = %d, want %d)", dep.String(), sum, eq.rhs)
+			return slices.IndexFunc(r.Loops, func(l *loopir.Loop) bool { return l.Var == carrier })
+		}
+		if c, flow := a.carrier(w, r); !flow || depth(c) < depth(dep.Carrier) {
+			return fmt.Errorf("depend: %s: static carrier %q (flow %v) is outer to the trace's", dep.String(), c, flow)
+		}
+		pins, _ := a.pins(w.Ref, r.Ref, r.Loops[:len(dep.CommonLoops)])
+		for v, d := range pins {
+			if cons := dep.PerLoop[v]; cons.Any || cons.D != d {
+				return fmt.Errorf("depend: %s violates the uniform equation Δ%s = %d", dep.String(), v, d)
 			}
 		}
 	}
@@ -127,20 +98,6 @@ func GCDIndependent(p *loopir.Program, a, b loopir.Ref) bool {
 		}
 	}
 	return false
-}
-
-// sameCoeffs reports whether two forms have the same coefficient for every
-// variable, in whatever order their terms appear.
-func sameCoeffs(a, b loopir.Affine) bool {
-	if len(a.Terms) != len(b.Terms) {
-		return false
-	}
-	for _, t := range a.Terms {
-		if b.Coef(t.Var) != t.Coef {
-			return false
-		}
-	}
-	return true
 }
 
 func gcd(a, b int) int {

@@ -570,8 +570,12 @@ func (s *slave) drainPending(pend *compile.Exchange) {
 }
 
 func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
+	// An index past the distributed extent has no owner: every slave runs
+	// the block, whose first write (at that index) fails the kernel's
+	// bounds check exactly where Interpret fails; a block that writes
+	// nothing changes nothing.
 	idx := s.eval(st.Index)
-	if idx < 0 || idx >= s.exec.Units || s.own.OwnerOf(idx) != s.id {
+	if idx >= 0 && idx < s.exec.Units && s.own.OwnerOf(idx) != s.id {
 		return
 	}
 	flops := loopir.EstFlops(st.Body, s.env)

@@ -17,10 +17,11 @@ import (
 )
 
 // overrunProgram is the bounds rule's reproducer, b[i][j] = a[i][j+1] for
-// i < n-1, repeated maxiter times over n×m arrays with j < n-1: at n = m, the sizes the
-// compiler's dependence analysis samples, it stays in range, so the
-// program compiles; at m = n-1 it reads one past each row of a at a flat
+// i < n-1, repeated maxiter times over n×m arrays with j < n-1: at n = m it
+// stays in range; at m = n-1 it reads one past each row of a at a flat
 // offset still inside a, where Interpret reports a's dim 1 out of range.
+// The compiler runs no program code, so it compiles the program whatever
+// the sizes, and the runtime's bounds rule is the one range check.
 func overrunProgram() *loopir.Program {
 	n, m, i, j := loopir.Iv("n"), loopir.Iv("m"), loopir.Iv("i"), loopir.Iv("j")
 	hash, spec, _ := loopir.Initializer("hash", 3)
