@@ -104,10 +104,12 @@ type Kernel struct {
 }
 
 // BoundKernel is a Kernel bound to a concrete instance's arrays, ready to
-// run with per-call free-variable bindings.
+// run with its free variables read from a run's integer frame.
 type BoundKernel struct {
-	K    *Kernel
-	data [][]float64
+	K     *Kernel
+	data  [][]float64
+	slots []int // each free variable's frame slot (Frame)
+	regs  []int // reused per call: one BoundKernel serves one caller
 }
 
 // Bind resolves the kernel's data slots against an instance's arrays.
@@ -123,21 +125,21 @@ func (k *Kernel) Bind(arrays map[string]*loopir.Array) (*BoundKernel, error) {
 	return &BoundKernel{K: k, data: data}, nil
 }
 
-func (b *BoundKernel) regs(bind map[string]int) []int {
-	fv := b.K.Meta.FreeVars
-	if len(fv) == 0 {
-		return nil
+// Frame resolves the kernel's free variables to slots of f, the layout
+// of the frames Run is given.
+func (b *BoundKernel) Frame(f loopir.Frame) {
+	for _, name := range b.K.Meta.FreeVars {
+		b.slots = append(b.slots, f.Slot(name))
 	}
-	regs := make([]int, len(fv))
-	for i, name := range fv {
-		regs[i] = bind[name]
-	}
-	return regs
+	b.regs = make([]int, len(b.slots))
 }
 
 // Run executes iterations [lo,hi). An empty range is the kernel's own
 // business: emitted range loops bail out on hi <= lo exactly like the VM,
 // and whole-body kernels ignore lo/hi entirely.
-func (b *BoundKernel) Run(lo, hi int, bind map[string]int) {
-	b.K.fn(lo, hi, b.regs(bind), b.data)
+func (b *BoundKernel) Run(lo, hi int, frame []int) {
+	for i, s := range b.slots {
+		b.regs[i] = frame[s]
+	}
+	b.K.fn(lo, hi, b.regs, b.data)
 }

@@ -207,6 +207,7 @@ func TestRegionKernelMatchesVM(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				bk.Frame(vm.Frame)
 				outer := enclosing(t, plan.Prog.Body, l.Var)
 				env := maps.Clone(params)
 				var visit func(d int)
@@ -214,9 +215,13 @@ func TestRegionKernelMatchesVM(t *testing.T) {
 					if d == len(outer) {
 						lo, hi := bound(t, l.Lo, env), bound(t, l.Hi, env)
 						mid := lo + (hi-lo)/2
-						rk.Run(lo, hi, env)
-						bk.Run(lo, mid, env)
-						bk.Run(mid, hi, env)
+						frame := make([]int, len(vm.Frame))
+						for name, s := range vm.Frame {
+							frame[s] = env[name]
+						}
+						rk.Run(lo, hi, frame)
+						bk.Run(lo, mid, frame)
+						bk.Run(mid, hi, frame)
 						return
 					}
 					o := outer[d]

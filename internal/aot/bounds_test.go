@@ -154,12 +154,20 @@ func TestBoundsRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			frameOf := func(f loopir.Frame) []int {
+				frame := make([]int, len(f))
+				for name, s := range f {
+					frame[s] = c.region.env[name]
+				}
+				return frame
+			}
 			runs := map[string]func(){
 				"native": func() {
 					if c.region == nil {
 						bk.Run(0, 0, nil)
 					} else {
-						bk.Run(c.region.lo, c.region.hi, c.region.env)
+						bk.Frame(native.Frame)
+						bk.Run(c.region.lo, c.region.hi, frameOf(native.Frame))
 					}
 				},
 				"vm": func() {
@@ -171,7 +179,7 @@ func TestBoundsRule(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rk.Run(c.region.lo, c.region.hi, c.region.env)
+					rk.Run(c.region.lo, c.region.hi, frameOf(vm.Frame))
 				},
 			}
 			for _, tier := range []string{"vm", "native"} {

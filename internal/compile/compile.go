@@ -605,7 +605,10 @@ func (c *compiler) synthesizeComm(owned *OwnedLoop) (*scope, error) {
 	// One exchange per array and offset, at the innermost carrier of every
 	// read it serves: two reads may be staled by different loops.
 	for _, g := range sc.ghosts {
-		carrier := c.exchangeCarrier(g.sources)
+		carrier, writer := c.exchangeCarrier(g.sources)
+		if writer != "" && err == nil {
+			err = fmt.Errorf("compile: distributed loop %q reads ghosts of %s that distributed loop %q writes in the same iteration; an exchange between the two loops is not supported yet", owned.Var, g.part.Array, writer)
+		}
 		c.pendingExchanges[carrier] = append(c.pendingExchanges[carrier], g.part)
 	}
 	// A broadcast slice is the one before the loop: no iteration may write
@@ -797,24 +800,24 @@ func (c *compiler) classifyReplicatedWrite(s *loopir.Assign) error {
 // exchangeCarrier finds the loop whose iterations stale the ghost data: of
 // the carriers of the flows feeding the reads, the innermost that is not a
 // distributed loop, since an exchange at the start of its body also follows
-// every outer carrier's writes. The exchange is inserted there. A
-// loop-independent flow from an owner block needs none (the block
-// publishes what it writes); from a distributed loop, only an exchange
-// between the two loops would serve it. "" means before the whole program:
-// that flow, or read-only ghost data.
-func (c *compiler) exchangeCarrier(sources []depend.Source) string {
-	carrier, depth := "", -1
+// every outer carrier's writes. The exchange is inserted there; "" means
+// before the whole program, for read-only ghost data. A loop-independent
+// flow from an owner block needs none (the block publishes what it
+// writes); from a distributed loop, writer names that loop, and only an
+// exchange between the two loops would serve it.
+func (c *compiler) exchangeCarrier(sources []depend.Source) (carrier, writer string) {
+	depth := -1
 	for _, src := range sources {
-		inDist := slices.ContainsFunc(src.Write.Loops, func(l *loopir.Loop) bool { return c.isDistLoop(l.Var) })
+		dist := slices.IndexFunc(src.Write.Loops, func(l *loopir.Loop) bool { return c.isDistLoop(l.Var) })
 		d := slices.IndexFunc(src.Write.Loops, func(l *loopir.Loop) bool { return l.Var == src.Carrier })
 		switch {
-		case src.Carrier == "" && inDist:
-			return ""
+		case src.Carrier == "" && dist >= 0:
+			return "", src.Write.Loops[dist].Var
 		case src.Carrier != "" && !c.isDistLoop(src.Carrier) && d > depth:
 			carrier, depth = src.Carrier, d
 		}
 	}
-	return carrier
+	return carrier, ""
 }
 
 // lowerNonDistributed handles statements outside any distributed loop:

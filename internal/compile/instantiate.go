@@ -29,9 +29,9 @@ func (p *Plan) InstantiateHook(params map[string]int, grain int, hookFlops float
 	if units <= 0 {
 		return nil, fmt.Errorf("compile: distributed dimension has extent %d", units)
 	}
-	env := map[string]int{}
-	for k, v := range params {
-		env[k] = v
+	f, err := p.Lower(loopir.Frame{}, params, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 1: total flops, total unit executions, hook visit counts per
@@ -40,24 +40,21 @@ func (p *Plan) InstantiateHook(params map[string]int, grain int, hookFlops float
 	totalFlops := 0.0
 	totalUnitExecs := 0
 	initLo, initHi := units, 0
-	err = p.Run(env, grain, func(s Step, _, _ int) error {
-		switch s := s.(type) {
+	err = p.Run(f, grain, func(l *Node, _, _ int) error {
+		switch s := l.Step.(type) {
 		case *OwnedLoop:
-			lo, hi, err := s.Range(env, units)
-			if err != nil {
-				return err
-			}
+			lo, hi := l.Range(f.Slots, units)
 			// Range clamps to the units; an iteration it drops has no owner.
-			if rlo, rhi, _ := evalBounds(s.Lo, s.Hi, env); rlo < rhi && (rlo != lo || rhi != hi) {
+			if rlo, rhi := at(l.Lo, f.Slots), at(l.Hi, f.Slots); rlo < rhi && (rlo != lo || rhi != hi) {
 				return fmt.Errorf("compile: distributed loop %q runs [%d, %d), past the distributed extent %d", s.Var, rlo, rhi, units)
 			}
 			initLo, initHi = min(initLo, lo), max(initHi, hi)
 			if n := hi - lo; n > 0 {
-				totalFlops += float64(n) * perUnitFlops(s.Body, env, s.Var, lo+n/2)
+				totalFlops += float64(n) * l.PerUnit(f.Slots, lo+n/2)
 				totalUnitExecs += n
 			}
 		case *OwnerBlock:
-			totalFlops += loopir.EstFlops(s.Body, env)
+			totalFlops += l.Cost(f.Slots)
 		case *Hook:
 			visits[s.Level]++
 		}
@@ -102,13 +99,10 @@ func (p *Plan) InstantiateHook(params map[string]int, grain int, hookFlops float
 	unitsBetween := 0
 	curLo, curHi := 0, units
 	liveLo, liveHi := 0, units
-	err = p.Run(env, grain, func(s Step, _, _ int) error {
-		switch s := s.(type) {
+	err = p.Run(f, grain, func(l *Node, _, _ int) error {
+		switch s := l.Step.(type) {
 		case *OwnedLoop:
-			lo, hi, err := s.Range(env, units)
-			if err != nil {
-				return err
-			}
+			lo, hi := l.Range(f.Slots, units)
 			if lo < hi && (lo < liveLo || hi > liveHi) {
 				return fmt.Errorf("compile: distributed loop %q runs [%d, %d) after a hook retired the units outside [%d, %d)", s.Var, lo, hi, liveLo, liveHi)
 			}
@@ -141,18 +135,4 @@ func (p *Plan) InstantiateHook(params map[string]int, grain int, hookFlops float
 		FlopsPerUnit: totalFlops / float64(totalUnitExecs),
 		TotalFlops:   totalFlops,
 	}, nil
-}
-
-// perUnitFlops estimates the flops of one iteration of the distributed
-// loop v with v bound to mid, leaving env as it found it.
-func perUnitFlops(body []loopir.Stmt, env map[string]int, v string, mid int) float64 {
-	prev, bound := env[v]
-	env[v] = mid
-	flops := loopir.EstFlops(body, env)
-	if bound {
-		env[v] = prev
-	} else {
-		delete(env, v)
-	}
-	return flops
 }

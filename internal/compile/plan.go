@@ -23,6 +23,7 @@
 package compile
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/depend"
@@ -274,90 +275,153 @@ func WalkSteps(steps []Step, visit func(s Step, rest []Step) error) error {
 	return nil
 }
 
-// Run is the one interpreter of the plan's control flow: the slave's step
-// loop and the master's phase schedule (Instantiate) both run on it, so the
-// master mimics the slave loop structure by construction (§4.1). Each
-// loop's bounds are evaluated once against env, and its variable is bound
-// in env while the loop runs and deleted after. After each SeqLoop
-// iteration with a BreakIf, brk decides whether the condition holds; a nil
-// brk runs every loop to its bound. A StripLoop runs Pre, Body and Post per
-// block of max(grain, 1) iterations. Every other step goes to leaf with its
-// innermost strip block [lo, hi) ([0, 0) outside any strip). An error from
-// a bound, leaf or brk ends the run and is returned.
-func (p *Plan) Run(env map[string]int, grain int, leaf func(s Step, lo, hi int) error, brk func(c *loopir.Cond) (bool, error)) error {
-	grain = max(grain, 1)
-	var run func(steps []Step, blo, bhi int) error
-	run = func(steps []Step, blo, bhi int) error {
+// Frame is the plan lowered onto one run's integer frame (loopir.Frame)
+// by Lower. Every run lowers its own and the Plan is never written, so one
+// plan serves concurrent runs.
+type Frame struct {
+	Slots  []int   // the frame's values
+	Leaves []*Node // the steps that are not loops, in pre-order, at their IDs
+	steps  []*Node
+}
+
+// Node is a step lowered onto the frame: a loop's variable (Slot) and
+// bounds (Lo, Hi), an owner block's or a broadcast's index (Lo), the flop
+// estimate of a distributed loop's, an owner block's or a replicated
+// group's body (Cost), and a loop's lowered children (kids: a SeqLoop's
+// Body, a StripLoop's Pre, Body and Post).
+type Node struct {
+	ID     int
+	Step   Step
+	Slot   int
+	Lo, Hi loopir.Index
+	Cost   loopir.Cost
+	kids   [][]*Node
+}
+
+// at is a plan index's value; one reads no index array (Lower refuses it).
+func at(x loopir.Index, slots []int) int {
+	v, _ := x(slots)
+	return v
+}
+
+// Lower lowers the plan onto layout, parameters folded to their values.
+// each, if non-nil, sees every leaf in pre-order; the names it adds to
+// layout get slots too, as Slots is sized last.
+func (p *Plan) Lower(layout loopir.Frame, params map[string]int, each func(*Node) error) (*Frame, error) {
+	f := &Frame{}
+	var err error
+	index := func(e loopir.IExpr) loopir.Index {
+		x, xerr := layout.Index(nil, e, params)
+		err = cmp.Or(err, xerr)
+		return x
+	}
+	var lower func(steps []Step) []*Node
+	lower = func(steps []Step) (out []*Node) {
 		for _, s := range steps {
+			n := &Node{Step: s}
 			switch s := s.(type) {
 			case *SeqLoop:
-				lo, hi, err := evalBounds(s.Lo, s.Hi, env)
-				if err != nil {
-					return err
-				}
-				for v := lo; v < hi; v++ {
-					env[s.Var] = v
-					if err := run(s.Body, blo, bhi); err != nil {
-						return err
-					}
-					if s.BreakIf == nil || brk == nil {
-						continue
-					}
-					stop, err := brk(s.BreakIf)
-					if err != nil {
-						return err
-					}
-					if stop {
-						break
-					}
-				}
-				delete(env, s.Var)
+				n.Slot, n.Lo, n.Hi, n.kids = layout.Slot(s.Var), index(s.Lo), index(s.Hi), [][]*Node{lower(s.Body)}
 			case *StripLoop:
-				lo, hi, err := evalBounds(s.Lo, s.Hi, env)
-				if err != nil {
+				n.Slot, n.Lo, n.Hi = layout.Slot(s.Var), index(s.Lo), index(s.Hi)
+				n.kids = [][]*Node{lower(s.Pre), lower(s.Body), lower(s.Post)}
+			case *OwnedLoop:
+				n.Slot, n.Lo, n.Hi, n.Cost = layout.Slot(s.Var), index(s.Lo), index(s.Hi), layout.Cost(nil, s.Body, params, false)
+			case *OwnerBlock:
+				n.Lo, n.Cost = index(s.Index), layout.Cost(nil, s.Body, params, false)
+			case *AllStmts:
+				n.Cost = layout.Cost(nil, s.Body, params, false)
+			case *Bcast:
+				n.Lo = index(s.Index)
+			}
+			if n.kids == nil {
+				n.ID, f.Leaves = len(f.Leaves), append(f.Leaves, n)
+				if err == nil && each != nil {
+					err = each(n)
+				}
+			}
+			out = append(out, n)
+		}
+		return out
+	}
+	f.steps = lower(p.Steps)
+	f.Slots = make([]int, len(layout))
+	return f, err
+}
+
+// Run is the one interpreter of the plan's control flow: the slave's step
+// loop and the master's phase schedule (Instantiate) both run on it, so the
+// master mimics the slave loop structure by construction (§4.1). f is the
+// plan lowered for this run: each loop's bounds are evaluated once from
+// f.Slots, and its slot holds the current iteration while the body runs.
+// After each SeqLoop iteration with a BreakIf, brk decides whether the
+// condition holds; a nil brk runs every loop to its bound. A StripLoop runs
+// Pre, Body and Post per block of max(grain, 1) iterations. Every other
+// step goes to leaf with its innermost strip block [lo, hi) ([0, 0) outside
+// any strip). An error from leaf or brk ends the run and is returned.
+func (p *Plan) Run(f *Frame, grain int, leaf func(n *Node, lo, hi int) error, brk func(c *loopir.Cond) (bool, error)) error {
+	grain = max(grain, 1)
+	slots := f.Slots
+	var run func(nodes []*Node, blo, bhi int) error
+	run = func(nodes []*Node, blo, bhi int) error {
+		for _, n := range nodes {
+			if n.kids == nil {
+				if err := leaf(n, blo, bhi); err != nil {
 					return err
 				}
+				continue
+			}
+			lo, hi := at(n.Lo, slots), at(n.Hi, slots)
+			if len(n.kids) == 3 { // a StripLoop
 				for start := lo; start < hi; start += grain {
 					end := min(start+grain, hi)
-					if err := run(s.Pre, start, end); err != nil {
+					if err := run(n.kids[0], start, end); err != nil {
 						return err
 					}
 					for v := start; v < end; v++ {
-						env[s.Var] = v
-						if err := run(s.Body, start, end); err != nil {
+						slots[n.Slot] = v
+						if err := run(n.kids[1], start, end); err != nil {
 							return err
 						}
 					}
-					delete(env, s.Var)
-					if err := run(s.Post, start, end); err != nil {
+					if err := run(n.kids[2], start, end); err != nil {
 						return err
 					}
 				}
-			default:
-				if err := leaf(s, blo, bhi); err != nil {
+				continue
+			}
+			cond := n.Step.(*SeqLoop).BreakIf
+			for v := lo; v < hi; v++ {
+				slots[n.Slot] = v
+				if err := run(n.kids[0], blo, bhi); err != nil {
 					return err
+				}
+				if cond == nil || brk == nil {
+					continue
+				}
+				stop, err := brk(cond)
+				if err != nil {
+					return err
+				}
+				if stop {
+					break
 				}
 			}
 		}
 		return nil
 	}
-	return run(p.Steps, 0, 0)
+	return run(f.steps, 0, 0)
 }
 
-// Range evaluates the distributed loop's bounds against env, clamped to
-// the units that exist, [0, units).
-func (l *OwnedLoop) Range(env map[string]int, units int) (lo, hi int, err error) {
-	lo, hi, err = evalBounds(l.Lo, l.Hi, env)
-	return max(lo, 0), min(hi, units), err
+// Range is a distributed loop's bounds on frame, clamped to [0, units).
+func (n *Node) Range(frame []int, units int) (lo, hi int) {
+	return max(at(n.Lo, frame), 0), min(at(n.Hi, frame), units)
 }
 
-func evalBounds(lo, hi loopir.IExpr, env map[string]int) (int, int, error) {
-	l, err := loopir.EvalIndex(lo, env)
-	if err != nil {
-		return 0, 0, err
-	}
-	h, err := loopir.EvalIndex(hi, env)
-	return l, h, err
+// PerUnit is a distributed loop's estimate of one iteration at u.
+func (n *Node) PerUnit(frame []int, u int) float64 {
+	frame[n.Slot] = u
+	return n.Cost(frame)
 }
 
 // KernelRegions collects the plan's distributed loops in program order —

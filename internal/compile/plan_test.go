@@ -101,94 +101,102 @@ func TestWalkStepsOrderRestAndStop(t *testing.T) {
 	}
 }
 
+// lowered lowers a plan of the given steps at n = 7.
+func lowered(t *testing.T, steps []Step) (*Plan, *Frame, loopir.Frame) {
+	t.Helper()
+	layout := loopir.Frame{}
+	p := &Plan{Steps: steps}
+	f, err := p.Lower(layout, map[string]int{"n": 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, f, layout
+}
+
 // runTrace runs a plan of the given steps and records every leaf as
-// "label[lo,hi) var=value ..." with the loop variables bound at the time.
-func runTrace(steps []Step, grain int, brk func(c *loopir.Cond) (bool, error), vars ...string) ([]string, map[string]int, error) {
-	env := map[string]int{"n": 7}
+// "label[lo,hi)", a distributed loop's with "var=value ..." for the loop
+// variables' slots at the time.
+func runTrace(t *testing.T, steps []Step, grain int, brk func(c *loopir.Cond) (bool, error), vars ...string) ([]string, error) {
+	p, f, layout := lowered(t, steps)
 	var got []string
-	leaf := func(s Step, lo, hi int) error {
-		line := fmt.Sprintf("%s[%d,%d)", stepLabel(s), lo, hi)
-		for _, v := range vars {
-			if x, ok := env[v]; ok {
-				line += fmt.Sprintf(" %s=%d", v, x)
+	leaf := func(l *Node, lo, hi int) error {
+		line := fmt.Sprintf("%s[%d,%d)", stepLabel(l.Step), lo, hi)
+		if _, owned := l.Step.(*OwnedLoop); owned {
+			for _, v := range vars {
+				line += fmt.Sprintf(" %s=%d", v, f.Slots[layout[v]])
 			}
 		}
 		got = append(got, line)
 		return nil
 	}
-	err := (&Plan{Steps: steps}).Run(env, grain, leaf, brk)
-	return got, env, err
+	err := p.Run(f, grain, leaf, brk)
+	return got, err
 }
 
 // TestRunBreakIfAfterEachIteration: brk is asked after every iteration of
-// a loop with a BreakIf, with the iteration's variable still bound, and a
+// a loop with a BreakIf, with the iteration in the variable's slot, and a
 // true answer ends the loop; a nil brk runs it to its bound.
 func TestRunBreakIfAfterEachIteration(t *testing.T) {
 	cond := &loopir.Cond{Op: ">", L: loopir.Fc(1), R: loopir.Fc(0)}
 	steps := []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Ic(5), BreakIf: cond, Body: []Step{&Hook{ID: 0}}}}
+	p, f, layout := lowered(t, steps)
 	var asked []int
-	env := map[string]int{}
 	brk := func(c *loopir.Cond) (bool, error) {
 		if c != cond {
 			t.Fatalf("brk got %v, want the loop's BreakIf", c)
 		}
-		asked = append(asked, env["t"])
-		return env["t"] == 2, nil
+		asked = append(asked, f.Slots[layout["t"]])
+		return f.Slots[layout["t"]] == 2, nil
 	}
 	visits := 0
-	err := (&Plan{Steps: steps}).Run(env, 1, func(Step, int, int) error { visits++; return nil }, brk)
+	err := p.Run(f, 1, func(*Node, int, int) error { visits++; return nil }, brk)
 	if err != nil || visits != 3 || !reflect.DeepEqual(asked, []int{0, 1, 2}) {
 		t.Fatalf("Run = %v, %d hook visits, brk asked at t=%v; want nil, 3, [0 1 2]", err, visits, asked)
 	}
-	if _, bound := env["t"]; bound {
-		t.Fatal("t still bound after the loop broke")
-	}
 
-	got, _, err := runTrace(steps, 1, nil, "t")
+	got, err := runTrace(t, steps, 1, nil, "t")
 	if err != nil || len(got) != 5 {
 		t.Fatalf("nil brk: %q, %v; want 5 iterations", got, err)
 	}
 }
 
 // TestRunStripBlocks: a StripLoop runs in blocks of max(grain, 1), the last
-// one short; Pre, Body and Post leaves each see their own block; loop
-// variables are bound inside their loops and unbound after Run.
+// one short; Pre, Body and Post leaves each see their own block; the body
+// sees each loop's iteration in its variable's slot.
 func TestRunStripBlocks(t *testing.T) {
 	steps := []Step{
 		&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Ic(1), Body: []Step{
 			&StripLoop{Var: "i", Lo: loopir.Ic(0), Hi: loopir.Iv("n"),
 				Pre:  []Step{&PipeRecv{Array: "a"}},
-				Body: []Step{&OwnedLoop{Var: "j"}},
+				Body: []Step{&OwnedLoop{Var: "j", Lo: loopir.Ic(0), Hi: loopir.Ic(1)}},
 				Post: []Step{&PipeSend{Array: "a"}, &Hook{ID: 1}},
 			},
 		}},
 		&Hook{ID: 2},
 	}
-	got, env, err := runTrace(steps, 3, nil, "t", "i")
+	got, err := runTrace(t, steps, 3, nil, "t", "i")
 	want := []string{
-		"recv a[0,3) t=0", "owned j[0,3) t=0 i=0", "owned j[0,3) t=0 i=1", "owned j[0,3) t=0 i=2", "send a[0,3) t=0", "hook1[0,3) t=0",
-		"recv a[3,6) t=0", "owned j[3,6) t=0 i=3", "owned j[3,6) t=0 i=4", "owned j[3,6) t=0 i=5", "send a[3,6) t=0", "hook1[3,6) t=0",
-		"recv a[6,7) t=0", "owned j[6,7) t=0 i=6", "send a[6,7) t=0", "hook1[6,7) t=0",
+		"recv a[0,3)", "owned j[0,3) t=0 i=0", "owned j[0,3) t=0 i=1", "owned j[0,3) t=0 i=2", "send a[0,3)", "hook1[0,3)",
+		"recv a[3,6)", "owned j[3,6) t=0 i=3", "owned j[3,6) t=0 i=4", "owned j[3,6) t=0 i=5", "send a[3,6)", "hook1[3,6)",
+		"recv a[6,7)", "owned j[6,7) t=0 i=6", "send a[6,7)", "hook1[6,7)",
 		"hook2[0,0)",
 	}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("grain 3:\n got %q, %v\nwant %q", got, err, want)
 	}
-	if !reflect.DeepEqual(env, map[string]int{"n": 7}) {
-		t.Fatalf("env after Run = %v, want only the parameters", env)
-	}
 
 	for _, grain := range []int{0, -2} {
-		got, _, err = runTrace(steps, grain, nil)
-		one, _, _ := runTrace(steps, 1, nil)
+		got, err = runTrace(t, steps, grain, nil)
+		one, _ := runTrace(t, steps, 1, nil)
 		if err != nil || !reflect.DeepEqual(got, one) {
 			t.Fatalf("grain %d:\n got %q, %v\nwant grain 1's %q", grain, got, err, one)
 		}
 	}
 }
 
-// TestRunReturnsErrors: an unevaluable bound, a leaf error and a brk error
-// each end the run and come back from Run.
+// TestRunReturnsErrors: a leaf error and a brk error each end the run and
+// come back from Run; a bound Lower cannot lower (an index-array read) is
+// Lower's error.
 func TestRunReturnsErrors(t *testing.T) {
 	boom := errors.New("boom")
 	cond := &loopir.Cond{Op: ">", L: loopir.Fc(1), R: loopir.Fc(0)}
@@ -198,38 +206,40 @@ func TestRunReturnsErrors(t *testing.T) {
 		leaf  error
 		brk   error
 	}{
-		{"seq bound", []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Iv("missing")}}, nil, nil},
-		{"strip bound", []Step{&StripLoop{Var: "i", Lo: loopir.Iv("missing"), Hi: loopir.Ic(3)}}, nil, nil},
 		{"leaf", []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Ic(3), Body: []Step{&Hook{}}}}, boom, nil},
 		{"brk", []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Ic(3), BreakIf: cond, Body: []Step{&Hook{}}}}, nil, boom},
 	}
 	for _, tc := range cases {
 		leaves := 0
-		err := (&Plan{Steps: tc.steps}).Run(map[string]int{}, 1,
-			func(Step, int, int) error { leaves++; return tc.leaf },
+		p, f, _ := lowered(t, tc.steps)
+		err := p.Run(f, 1,
+			func(*Node, int, int) error { leaves++; return tc.leaf },
 			func(*loopir.Cond) (bool, error) { return false, tc.brk })
-		switch {
-		case tc.leaf != nil || tc.brk != nil:
-			if err != boom || leaves != 1 {
-				t.Errorf("%s: Run = %v after %d leaves, want boom after 1", tc.name, err, leaves)
-			}
-		case err == nil || !strings.Contains(err.Error(), "missing"):
-			t.Errorf("%s: Run = %v, want the bound's error", tc.name, err)
+		if err != boom || leaves != 1 {
+			t.Errorf("%s: Run = %v after %d leaves, want boom after 1", tc.name, err, leaves)
+		}
+	}
+	iarr := loopir.IArr{Array: "c", Idx: []loopir.IExpr{loopir.Ic(0)}}
+	for _, steps := range [][]Step{
+		{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: iarr}},
+		{&StripLoop{Var: "i", Lo: iarr, Hi: loopir.Ic(3)}},
+		{&OwnerBlock{Index: iarr}},
+	} {
+		if _, err := (&Plan{Steps: steps}).Lower(loopir.Frame{}, nil, nil); err == nil || !strings.Contains(err.Error(), "IArr") {
+			t.Errorf("Lower(%s) = %v, want the bound's error", stepLabel(steps[0]), err)
 		}
 	}
 }
 
-// TestOwnedLoopRange: a distributed loop's bounds are clamped to the units
-// that exist, and an unevaluable bound is an error.
+// TestOwnedLoopRange: a distributed loop's bounds read the enclosing loop's
+// slot and are clamped to the units that exist.
 func TestOwnedLoopRange(t *testing.T) {
-	l := &OwnedLoop{Var: "j", Lo: loopir.Isub(loopir.Iv("k"), loopir.Ic(2)), Hi: loopir.Iadd(loopir.Iv("k"), loopir.Ic(2))}
+	owned := &OwnedLoop{Var: "j", Lo: loopir.Isub(loopir.Iv("k"), loopir.Ic(2)), Hi: loopir.Iadd(loopir.Iv("k"), loopir.Ic(2))}
+	_, f, layout := lowered(t, []Step{&SeqLoop{Var: "k", Lo: loopir.Ic(0), Hi: loopir.Ic(1), Body: []Step{owned}}})
 	for _, tc := range []struct{ k, lo, hi int }{{0, 0, 2}, {3, 1, 5}, {9, 7, 10}} {
-		lo, hi, err := l.Range(map[string]int{"k": tc.k}, 10)
-		if err != nil || lo != tc.lo || hi != tc.hi {
-			t.Errorf("k=%d: Range = [%d,%d), %v; want [%d,%d)", tc.k, lo, hi, err, tc.lo, tc.hi)
+		f.Slots[layout["k"]] = tc.k
+		if lo, hi := f.Leaves[0].Range(f.Slots, 10); lo != tc.lo || hi != tc.hi {
+			t.Errorf("k=%d: Range = [%d,%d); want [%d,%d)", tc.k, lo, hi, tc.lo, tc.hi)
 		}
-	}
-	if _, _, err := l.Range(map[string]int{}, 10); err == nil {
-		t.Error("Range with k unbound: no error")
 	}
 }

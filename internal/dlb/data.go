@@ -604,11 +604,11 @@ func ghostSupplies(o *core.Ownership, me, delta int) []supply {
 }
 
 // contiguousRuns decomposes an ascending unit list intersected with
-// [lo, hi) into maximal [start, end) runs. The units are distinct, so
-// units[k]-k never falls and rises exactly where a run ends: both the
-// first unit at or above lo and each run's end are binary searches.
-func contiguousRuns(units []int, lo, hi int) [][2]int {
-	var runs [][2]int
+// [lo, hi) into maximal [start, end) runs, appended to runs (the caller's
+// reused buffer). The units are distinct, so units[k]-k never falls and
+// rises exactly where a run ends: both the first unit at or above lo and
+// each run's end are binary searches.
+func contiguousRuns(runs [][2]int, units []int, lo, hi int) [][2]int {
 	for i := sort.SearchInts(units, lo); i < len(units) && units[i] < hi; {
 		gap := units[i] - i
 		j := i + sort.Search(len(units)-i, func(k int) bool { return units[i+k]-(i+k) != gap })

@@ -334,7 +334,7 @@ func TestGhostNeedsBlockDistribution(t *testing.T) {
 
 func TestContiguousRuns(t *testing.T) {
 	units := []int{1, 2, 3, 7, 8, 10}
-	runs := contiguousRuns(units, 0, 100)
+	runs := contiguousRuns(nil, units, 0, 100)
 	want := [][2]int{{1, 4}, {7, 9}, {10, 11}}
 	if len(runs) != len(want) {
 		t.Fatalf("runs = %v, want %v", runs, want)
@@ -345,15 +345,15 @@ func TestContiguousRuns(t *testing.T) {
 		}
 	}
 	// Intersection with bounds.
-	runs = contiguousRuns(units, 2, 8)
+	runs = contiguousRuns(nil, units, 2, 8)
 	want = [][2]int{{2, 4}, {7, 8}}
 	if len(runs) != 2 || runs[0] != want[0] || runs[1] != want[1] {
 		t.Fatalf("bounded runs = %v, want %v", runs, want)
 	}
-	if runs := contiguousRuns(nil, 0, 10); len(runs) != 0 {
+	if runs := contiguousRuns(nil, nil, 0, 10); len(runs) != 0 {
 		t.Fatalf("empty input produced %v", runs)
 	}
-	if runs := contiguousRuns(units, 20, 30); len(runs) != 0 {
+	if runs := contiguousRuns(nil, units, 20, 30); len(runs) != 0 {
 		t.Fatalf("disjoint bounds produced %v", runs)
 	}
 }
@@ -375,7 +375,7 @@ func TestContiguousRunsQuickCoverage(t *testing.T) {
 		hi := lo + r.Intn(40-lo+1)
 		covered := map[int]bool{}
 		prevEnd := lo - 2
-		for _, run := range contiguousRuns(units, lo, hi) {
+		for _, run := range contiguousRuns(nil, units, lo, hi) {
 			if run[0] >= run[1] || run[0] < lo || run[1] > hi || run[0] <= prevEnd+1 {
 				return false
 			}

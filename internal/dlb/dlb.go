@@ -420,24 +420,15 @@ func SequentialTime(plan *compile.Plan, params map[string]int, flopCost time.Dur
 	if err := inst.Run(); err != nil {
 		return 0, nil, err
 	}
-	// The estimate binds loop variables in env: a map this call owns.
-	env := map[string]int{}
-	for k, v := range params {
-		env[k] = v
-	}
-	var flops float64
+	var est *loopir.Instance
 	if loopir.UsesIArr(plan.Prog.Body) {
 		// Indirect programs' trip counts are data-dependent: estimate
 		// against a freshly initialized instance (pre-Run values of the
 		// index arrays equal the post-init values the parallel run charges
 		// against, since index arrays are never written).
-		est, err := loopir.NewInstance(plan.Prog, params)
-		if err != nil {
+		if est, err = loopir.NewInstance(plan.Prog, params); err != nil {
 			return 0, nil, err
 		}
-		flops = est.EstFlops(plan.Prog.Body, env)
-	} else {
-		flops = loopir.EstFlops(plan.Prog.Body, env)
 	}
-	return time.Duration(flops * float64(flopCost)), inst.Arrays, nil
+	return time.Duration(est.EstFlops(plan.Prog.Body, params) * float64(flopCost)), inst.Arrays, nil
 }

@@ -11,20 +11,24 @@ import (
 	"repro/internal/loopir"
 )
 
-// rangeRunner executes iterations [lo,hi) of one distributed loop. Both
-// aot.BoundKernel and loopir.RangeKernel have this shape.
+// rangeRunner executes iterations [lo,hi) of one distributed loop, its
+// free variables read from the run's frame. Both aot.BoundKernel and
+// loopir.RangeKernel have this shape.
 type rangeRunner interface {
-	Run(lo, hi int, bind map[string]int)
+	Run(lo, hi int, frame []int)
 }
 
-// ownedExec is one distributed loop's resolved executor.
-type ownedExec struct {
-	run   rangeRunner // bound native kernel or VM range kernel
-	units *int64      // the Tally field this loop's units feed
+// stepExec is one leaf's resolved executor, at its Node.ID.
+type stepExec struct {
+	run   rangeRunner    // bound native kernel or VM range kernel
+	units *int64         // the Tally field this loop's units feed
+	frag  *loopir.Kernel // an owner block's or a replicated group's kernel
 	// iarr marks a body with indirect (array-valued) subscripts: its
-	// per-unit cost is data-dependent, so the flop estimate walks each
-	// unit instead of sampling the midpoint.
+	// per-unit cost is data-dependent, so the estimate walks each unit
+	// (cost, lowered against the live arrays) instead of sampling the
+	// midpoint.
 	iarr bool
+	cost loopir.Cost
 }
 
 type slave struct {
@@ -38,11 +42,23 @@ type slave struct {
 	inst *loopir.Instance
 	own  *core.Ownership
 
-	ownedLoops map[*compile.OwnedLoop]*ownedExec
-	ownerFrags map[*compile.OwnerBlock]*loopir.Kernel
-	allFrags   map[*compile.AllStmts]*loopir.Kernel
-	env        map[string]int
-	redSnap    map[string][]float64 // reduction arrays at the last Combine
+	// frame is the plan lowered onto this run's integer frame, execs each
+	// leaf's executor: a step resolves no name. env mirrors the frame by
+	// name for the one map walk left, a break condition (brk).
+	frame   *compile.Frame
+	execs   []stepExec
+	env     map[string]int
+	redSnap map[string][]float64 // reduction arrays at the last Combine
+
+	// Buffers a round reuses, so it allocates nothing: an owned loop's runs
+	// in range, an indirect body's per-unit estimates, drainCostBlocks'
+	// spans; and pass, the one Compute body (runPass) of every kernel.
+	runs, spans [][2]int
+	unitFlops   []float64
+	cur         *stepExec
+	bw          int
+	boundary    bool
+	pass        func()
 
 	// Per-unit cost measurement (learned cost model, and always-on for
 	// indirect programs so the imbalance metric stays weighted): costAcc
@@ -58,14 +74,14 @@ type slave struct {
 
 	tally Tally // reported with the termination announcement
 
-	// Split-loop async ghost exchange (Config.Overlap): pending maps a
-	// carrier loop to the exchange group whose sends were posted but whose
-	// receives are deferred until after the carrier's interior pass.
-	// Entries only live between an Exchange step and the OwnedLoop that
-	// directly follows it (the compile-time carrier), so the map is empty
-	// across hooks, combines, and epoch restarts.
+	// Split-loop async ghost exchange (Config.Overlap): pending is the
+	// exchange group whose sends were posted but whose receives are
+	// deferred until after its carrier's interior pass. It lives only
+	// between an Exchange step and the OwnedLoop that directly follows it
+	// (the compile-time carrier): never across hooks, combines, and epoch
+	// restarts.
 	overlapOn bool
-	pending   map[*compile.OwnedLoop]*compile.Exchange
+	pending   *compile.Exchange
 
 	// Message tags are built once, not per message: each distributed
 	// array's exchange tag, and the fault policy's epoch-qualified form of
@@ -138,7 +154,7 @@ func (s *slave) runOn(ep Endpoint) {
 		s.costAcc = make([]float64, s.exec.Units)
 	}
 
-	s.pending = map[*compile.OwnedLoop]*compile.Exchange{}
+	s.pass = s.runPass
 	s.ghostTags, s.epochTags = map[string]string{}, map[string]string{}
 	for arr := range plan.DistArrays {
 		s.ghostTags[arr] = "ghost:" + arr
@@ -190,66 +206,65 @@ func (s *slave) runOn(ep Endpoint) {
 	s.ep.Send(cluster.MasterID, "gather", g)
 }
 
-func (s *slave) eval(e loopir.IExpr) int {
-	v, err := loopir.EvalIndex(e, s.env)
-	if err != nil {
-		panic(fmt.Sprintf("slave%d: %v", s.id, err))
-	}
-	return v
-}
-
-// lowerPlan compiles the generated code against the local arrays: one
-// range runner per distributed loop, one kernel per owner block and per
-// replicated statement list.
-func (s *slave) lowerPlan() error {
-	s.ownedLoops = map[*compile.OwnedLoop]*ownedExec{}
-	s.ownerFrags = map[*compile.OwnerBlock]*loopir.Kernel{}
-	s.allFrags = map[*compile.AllStmts]*loopir.Kernel{}
-	return compile.WalkSteps(s.exec.Plan.Steps, func(st compile.Step, _ []compile.Step) (err error) {
-		switch st := st.(type) {
+// lowerPlan lowers the plan onto the instance's frame and compiles the
+// generated code against the local arrays: one range runner per
+// distributed loop, one kernel per owner block and per replicated
+// statement list.
+func (s *slave) lowerPlan() (err error) {
+	s.execs = nil
+	s.frame, err = s.exec.Plan.Lower(s.inst.Frame, s.inst.Params, func(l *compile.Node) (err error) {
+		var x stepExec
+		switch st := l.Step.(type) {
 		case *compile.OwnedLoop:
-			s.ownedLoops[st], err = s.lowerOwned(st)
+			x, err = s.lowerOwned(st)
 		case *compile.OwnerBlock:
-			s.ownerFrags[st], err = s.inst.CompileKernel(st.Body)
+			x.frag, err = s.inst.CompileKernel(st.Body)
 		case *compile.AllStmts:
-			s.allFrags[st], err = s.inst.CompileKernel(st.Body)
+			x.frag, err = s.inst.CompileKernel(st.Body)
 		}
+		s.execs = append(s.execs, x)
 		return err
 	})
+	return err
 }
 
 // lowerOwned resolves one distributed loop's executor: the bound native
 // kernel on the aot tier, else the VM range kernel.
-func (s *slave) lowerOwned(st *compile.OwnedLoop) (*ownedExec, error) {
-	ox := &ownedExec{iarr: loopir.UsesIArr(st.Body)}
+func (s *slave) lowerOwned(st *compile.OwnedLoop) (x stepExec, err error) {
+	if x.iarr = loopir.UsesIArr(st.Body); x.iarr {
+		x.cost = s.inst.Frame.Cost(s.inst, st.Body, s.inst.Params, false)
+	}
 	if k := s.aot.kernelFor(st); k != nil {
 		bk, err := k.Bind(s.inst.Arrays)
-		ox.run, ox.units = bk, &s.tally.AotUnits
-		return ox, err
+		if err == nil {
+			bk.Frame(s.inst.Frame)
+		}
+		x.run, x.units = bk, &s.tally.AotUnits
+		return x, err
 	}
 	rk, err := s.inst.CompileRangeKernel(st.Var, st.Body)
-	ox.run, ox.units = rk, &s.tally.KernelUnits
-	return ox, err
+	x.run, x.units = rk, &s.tally.KernelUnits
+	return x, err
 }
 
 // leaf runs one step the plan's interpreter (compile.Plan.Run) hands the
 // slave: every step that computes or communicates, and the hooks. [lo, hi)
 // is the innermost strip block, the rows a pipeline step carries.
-func (s *slave) leaf(st compile.Step, lo, hi int) error {
+func (s *slave) leaf(l *compile.Node, lo, hi int) error {
 	// Fast-forward replays control flow only: loops run and hooks count
 	// their visits, but nothing computes or communicates.
-	if _, hook := st.(*compile.Hook); s.ff && !hook {
+	if _, hook := l.Step.(*compile.Hook); s.ff && !hook {
 		return nil
 	}
-	switch st := st.(type) {
+	switch st := l.Step.(type) {
 	case *compile.Hook:
 		s.execHook(st)
 	case *compile.OwnedLoop:
-		s.execOwned(st)
+		s.execOwned(l, st)
 	case *compile.OwnerBlock:
-		s.execOwnerBlock(st)
+		s.execOwnerBlock(l, st)
 	case *compile.AllStmts:
-		s.execAll(st)
+		s.execAll(l, st)
 	case *compile.Exchange:
 		s.execExchange(st)
 	case *compile.PipeRecv:
@@ -257,7 +272,7 @@ func (s *slave) leaf(st compile.Step, lo, hi int) error {
 	case *compile.PipeSend:
 		s.execPipeSend(st, lo, hi)
 	case *compile.Bcast:
-		s.execBcast(st)
+		s.execBcast(l, st)
 	case *compile.Combine:
 		s.execCombine(st)
 	}
@@ -272,6 +287,9 @@ func (s *slave) leaf(st compile.Step, lo, hi int) error {
 func (s *slave) brk(c *loopir.Cond) (bool, error) {
 	if s.ff {
 		return false, nil
+	}
+	for name, slot := range s.inst.Frame {
+		s.env[name] = s.frame.Slots[slot]
 	}
 	stop, err := s.inst.EvalCond(*c, s.env)
 	if err != nil {
@@ -329,21 +347,20 @@ func (s *slave) drainCostBlocks() []CostBlock {
 		return nil
 	}
 	// Contiguous runs of touched units.
-	type span struct{ lo, hi int }
-	var spans []span
+	spans := s.spans[:0]
 	touched := 0
 	for u := 0; u < len(s.costAcc); u++ {
 		if s.costAcc[u] <= 0 {
 			continue
 		}
-		if len(spans) > 0 && spans[len(spans)-1].hi == u {
-			spans[len(spans)-1].hi = u + 1
+		if len(spans) > 0 && spans[len(spans)-1][1] == u {
+			spans[len(spans)-1][1] = u + 1
 		} else {
-			spans = append(spans, span{u, u + 1})
+			spans = append(spans, [2]int{u, u + 1})
 		}
 		touched++
 	}
-	if touched == 0 {
+	if s.spans = spans; touched == 0 {
 		return nil
 	}
 	chunk := (touched + maxCostBlocks - 1) / maxCostBlocks
@@ -352,11 +369,8 @@ func (s *slave) drainCostBlocks() []CostBlock {
 	}
 	var blocks []CostBlock
 	for _, sp := range spans {
-		for lo := sp.lo; lo < sp.hi; lo += chunk {
-			hi := lo + chunk
-			if hi > sp.hi {
-				hi = sp.hi
-			}
+		for lo := sp[0]; lo < sp[1]; lo += chunk {
+			hi := min(lo+chunk, sp[1])
 			mn, mx, sum := s.costAcc[lo], s.costAcc[lo], 0.0
 			for u := lo; u < hi; u++ {
 				v := s.costAcc[u]
@@ -419,7 +433,7 @@ func (s *slave) ghostSuppliesCached(delta int) []supply {
 	return sp
 }
 
-func (s *slave) execOwned(st *compile.OwnedLoop) {
+func (s *slave) execOwned(l *compile.Node, st *compile.OwnedLoop) {
 	// Long compute stretches between hooks must not starve the master's
 	// failure detector (the more work a slave inherits, the longer its
 	// silent stretches — exactly when false eviction hurts most).
@@ -429,19 +443,19 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	// must still drain it — the ghost data is needed by later steps, and an
 	// unconsumed (sender, tag) mailbox would desequence the next exchange
 	// on the same array.
-	pend := s.pending[st]
-	delete(s.pending, st)
-	lo, hi, err := st.Range(s.env, s.exec.Units)
-	if err != nil {
-		panic(fmt.Sprintf("slave%d: %v", s.id, err))
+	var pend *compile.Exchange
+	if s.pending != nil && s.pending.Carrier == st {
+		pend, s.pending = s.pending, nil
 	}
+	slots := s.frame.Slots
+	lo, hi := l.Range(slots, s.exec.Units)
 	if hi <= lo {
 		s.drainPending(pend)
 		return
 	}
-	runs := contiguousRuns(s.owned(), lo, hi)
+	s.runs = contiguousRuns(s.runs[:0], s.owned(), lo, hi)
 	count := 0
-	for _, r := range runs {
+	for _, r := range s.runs {
 		count += r[1] - r[0]
 	}
 	if count == 0 {
@@ -449,30 +463,23 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		return
 	}
 
-	ox := s.ownedLoops[st]
-	iarr := ox.iarr
+	x := &s.execs[l.ID]
 	var perUnit float64
-	var unitFlops []float64 // per-unit estimates, indirect bodies only
-	if iarr {
+	if x.iarr {
 		// Data-dependent body: the midpoint sample is meaningless, so walk
 		// the owned units and estimate each one against the live arrays.
 		// The simulated charge then reflects the real skew — exactly the
 		// signal the learned cost model measures.
-		unitFlops = make([]float64, 0, count)
-		for _, r := range runs {
+		s.unitFlops = s.unitFlops[:0]
+		for _, r := range s.runs {
 			for u := r[0]; u < r[1]; u++ {
-				s.env[st.Var] = u
-				unitFlops = append(unitFlops, s.inst.EstFlops(st.Body, s.env))
+				slots[l.Slot] = u
+				s.unitFlops = append(s.unitFlops, x.cost(slots))
 			}
 		}
 	} else {
-		s.env[st.Var] = lo + (hi-lo)/2
-		perUnit = loopir.EstFlops(st.Body, s.env)
+		perUnit = l.PerUnit(slots, lo+(hi-lo)/2)
 	}
-	// The estimates bind the loop variable in s.env itself, as Plan.Run
-	// does for its loops; the runner binds its own, and none keeps the map
-	// or leaves a binding in it.
-	delete(s.env, st.Var)
 	// bw is the boundary width of the pending overlap: units within bw of a
 	// run edge may read a ghost and form the boundary region; everything
 	// deeper is interior and safe to compute before the receives complete.
@@ -485,11 +492,11 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	// flops estimates the owned units at positions [i, j) of the runs,
 	// adding in unit order: the one estimate behind every charge below.
 	flops := func(i, j int) float64 {
-		if !iarr {
+		if !x.iarr {
 			return perUnit * float64(j-i)
 		}
 		f := 0.0
-		for _, uf := range unitFlops[i:j] {
+		for _, uf := range s.unitFlops[i:j] {
 			f += uf
 		}
 		return f
@@ -498,7 +505,7 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	chargeInt := 0.0 // interior share of charge when splitting
 	flopSec := s.cfg.FlopCost.Seconds()
 	ui := 0
-	for _, r := range runs {
+	for _, r := range s.runs {
 		n := r[1] - r[0]
 		charge += flops(ui, ui+n)
 		if bw > 0 && n > 2*bw {
@@ -513,18 +520,10 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 	}
 	total := time.Duration(charge * float64(s.cfg.FlopCost))
 
-	runRange := func(rlo, rhi int) {
-		if rhi > rlo {
-			ox.run.Run(rlo, rhi, s.env)
-		}
-	}
+	s.cur, s.bw, s.boundary = x, bw, false
 	if bw == 0 {
 		// Synchronous schedule (no deferred exchange): one charge, one pass.
-		s.ep.Compute(total, func() {
-			for _, r := range runs {
-				runRange(r[0], r[1])
-			}
-		})
+		s.ep.Compute(total, s.pass)
 	} else {
 		// Split schedule: interior compute overlaps the in-flight ghosts,
 		// then the receives complete, then the boundary units run. The
@@ -535,27 +534,43 @@ func (s *slave) execOwned(st *compile.OwnedLoop) {
 		// and in-place stencils, so unit results are order-independent, and
 		// interior units never read a ghost.
 		intDur := time.Duration(chargeInt * float64(s.cfg.FlopCost))
-		s.ep.Compute(intDur, func() {
-			for _, r := range runs {
-				runRange(r[0]+bw, r[1]-bw)
-			}
-		})
+		s.ep.Compute(intDur, s.pass)
 		s.recvGhosts(pend)
-		s.ep.Compute(total-intDur, func() {
-			for _, r := range runs {
-				ilo, ihi := r[0]+bw, r[1]-bw
-				if ihi <= ilo {
-					runRange(r[0], r[1])
-					continue
-				}
-				runRange(r[0], ilo)
-				runRange(ihi, r[1])
-			}
-		})
+		s.boundary = true
+		s.ep.Compute(total-intDur, s.pass)
 		s.tally.OverlapRounds++
 	}
 	s.unitsDone += float64(count)
-	*ox.units += int64(count)
+	*x.units += int64(count)
+}
+
+// runPass is the one Compute body (s.pass) of every kernel: s.cur's
+// owner-block or replicated kernel, or its distributed loop over s.runs —
+// each run whole when bw is 0, else its interior [lo+bw, hi-bw), or on
+// the boundary pass the units outside it.
+func (s *slave) runPass() {
+	if s.cur.frag != nil {
+		s.cur.frag.Run(s.frame.Slots)
+		return
+	}
+	for _, r := range s.runs {
+		ilo, ihi := r[0]+s.bw, r[1]-s.bw
+		switch {
+		case !s.boundary:
+			s.runRange(ilo, ihi)
+		case ihi <= ilo:
+			s.runRange(r[0], r[1])
+		default:
+			s.runRange(r[0], ilo)
+			s.runRange(ihi, r[1])
+		}
+	}
+}
+
+func (s *slave) runRange(lo, hi int) {
+	if hi > lo {
+		s.cur.run.Run(lo, hi, s.frame.Slots)
+	}
 }
 
 // drainPending completes deferred ghost receives on a carrier loop that
@@ -569,28 +584,29 @@ func (s *slave) drainPending(pend *compile.Exchange) {
 	s.tally.OverlapFallback++
 }
 
-func (s *slave) execOwnerBlock(st *compile.OwnerBlock) {
+func (s *slave) execOwnerBlock(l *compile.Node, st *compile.OwnerBlock) {
 	// An index past the distributed extent has no owner: every slave runs
 	// the block, whose first write (at that index) fails the kernel's
 	// bounds check exactly where Interpret fails; a block that writes
 	// nothing changes nothing.
-	idx := s.eval(st.Index)
+	idx, _ := l.Lo(s.frame.Slots)
 	if idx >= 0 && idx < s.exec.Units && s.own.OwnerOf(idx) != s.id {
 		return
 	}
-	flops := loopir.EstFlops(st.Body, s.env)
-	s.ep.Compute(time.Duration(flops*float64(s.cfg.FlopCost)), func() { s.ownerFrags[st].Run(s.env) })
+	s.execAll(l, nil)
 }
 
-func (s *slave) execAll(st *compile.AllStmts) {
-	flops := loopir.EstFlops(st.Body, s.env)
-	s.ep.Compute(time.Duration(flops*float64(s.cfg.FlopCost)), func() { s.allFrags[st].Run(s.env) })
+// execAll runs an owner block's or a replicated group's kernel (st is the
+// group, nil for an owner block).
+func (s *slave) execAll(l *compile.Node, st *compile.AllStmts) {
+	s.cur = &s.execs[l.ID]
+	s.ep.Compute(time.Duration(l.Cost(s.frame.Slots)*float64(s.cfg.FlopCost)), s.pass)
 	// Replicated statements run identically on every slave, so what they
 	// write is shared state: refresh the snapshots of the reduction arrays
 	// they write so the next Combine's deltas are measured from here (e.g.
 	// the residual reset at the top of a convergence sweep). A reduction
 	// array they leave alone keeps the delta it has pending.
-	if len(s.redSnap) == 0 {
+	if st == nil || len(s.redSnap) == 0 {
 		return
 	}
 	loopir.Walk(st.Body, func(ls loopir.Stmt, _ []*loopir.Loop) error {
@@ -621,7 +637,7 @@ func (s *slave) execExchange(st *compile.Exchange) {
 		}
 	}
 	if s.overlapOn && st.Overlap {
-		s.pending[st.Carrier] = st
+		s.pending = st
 		return
 	}
 	s.recvGhosts(st)
@@ -682,8 +698,8 @@ func (s *slave) execPipeSend(st *compile.PipeSend, lo, hi int) {
 // path is O(log P) messages instead of the owner serializing P−1 sends.
 // Every slave derives the identical tree from the shared ownership and
 // alive state, and the payload is relayed verbatim.
-func (s *slave) execBcast(st *compile.Bcast) {
-	idx := s.eval(st.Index)
+func (s *slave) execBcast(l *compile.Node, st *compile.Bcast) {
+	idx, _ := l.Lo(s.frame.Slots)
 	if idx < 0 || idx >= s.exec.Units {
 		return
 	}
@@ -982,7 +998,7 @@ func (s *slave) recvInstrHier() InstrMsg {
 // data-dependent break conditions the number of balancing phases is only
 // known here, at run time (§4.1).
 func (s *slave) runTree() {
-	if err := s.exec.Plan.Run(s.env, s.grain, s.leaf, s.brk); err != nil {
+	if err := s.exec.Plan.Run(s.frame, s.grain, s.leaf, s.brk); err != nil {
 		panic(fmt.Sprintf("slave%d: %v", s.id, err))
 	}
 	done := StatusMsg{Phase: s.phase, HookIndex: s.hookVisit, Epoch: s.epoch, Tally: s.tally}
@@ -1027,8 +1043,8 @@ func (s *slave) applyRecover(a AdoptMsg) {
 	// (their in-flight ghosts died with the old epoch's tags), so the
 	// fallback count survives the restart.
 	s.tally = Tally{OverlapFallback: s.tally.OverlapFallback}
-	if len(s.pending) > 0 {
-		clear(s.pending)
+	if s.pending != nil {
+		s.pending = nil
 		s.tally.OverlapFallback++
 	}
 	for i := range s.costAcc {
@@ -1037,8 +1053,4 @@ func (s *slave) applyRecover(a AdoptMsg) {
 	s.busyMark = s.ep.Busy()
 	s.lastMove, s.lastInter = 0, 0
 	s.lastHB = s.ep.Now()
-	s.env = map[string]int{}
-	for k, v := range s.exec.Params {
-		s.env[k] = v
-	}
 }

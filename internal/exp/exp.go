@@ -22,7 +22,6 @@ package exp
 
 import (
 	"fmt"
-	"maps"
 	"time"
 
 	"repro/internal/cluster"
@@ -77,7 +76,7 @@ func NewApp(name string, params map[string]int, paperSeq time.Duration) (*App, e
 		return nil, err
 	}
 	// The estimate binds loop variables in the map it is given: a copy.
-	flops := loopir.EstFlops(prog.Body, maps.Clone(params))
+	flops := loopir.EstFlops(prog.Body, params)
 	if flops <= 0 {
 		return nil, fmt.Errorf("exp: program %q has no work", name)
 	}

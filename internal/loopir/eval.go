@@ -101,6 +101,9 @@ type Instance struct {
 	Prog   *Program
 	Params map[string]int
 	Arrays map[string]*Array
+	// Frame lays out the integer frame the instance's kernels read their
+	// free variables from.
+	Frame Frame
 }
 
 // NewInstance validates the program, checks that every parameter is bound,
@@ -128,7 +131,7 @@ func newInstance(p *Program, params map[string]int, init bool) (*Instance, error
 		}
 		bound[prm] = v
 	}
-	in := &Instance{Prog: p, Params: bound, Arrays: map[string]*Array{}}
+	in := &Instance{Prog: p, Params: bound, Arrays: map[string]*Array{}, Frame: Frame{}}
 	for _, decl := range p.Arrays {
 		dims := make([]int, len(decl.Dims))
 		for d, de := range decl.Dims {

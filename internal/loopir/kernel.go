@@ -20,7 +20,7 @@ import (
 //     by a constant stride per iteration (strength reduction), so no
 //     per-element linear-form evaluation happens.
 //   - Loop variables live in a flat []int register file; free variables are
-//     bound once per Run call, never through a map in the inner loop.
+//     copied in from the run's integer frame (Frame) once per Run call.
 //   - One bounds rule. When a kernel is compiled, interval arithmetic over
 //     the loop bounds either proves a subscript in [0, dim) for every
 //     iteration, and it carries no check, or it does not, and it is checked
@@ -371,17 +371,14 @@ type Kernel struct {
 	rootChecks []kdim // once per call: free registers against their hulls first
 	rootPreps  []int32
 	regIndex   map[string]int
-	binds      []kfree // the free registers, which Run's bind map sets
+	binds      []kfree // the free registers, which Run copies from the frame
 	nregs      int
 	depth      int // stack slots, and strip slots: a carried strip's path slots and the stacks above them
 	pool       sync.Pool
 }
 
-// kfree is one free variable and its register.
-type kfree struct {
-	name string
-	reg  int
-}
+// kfree is one free variable's frame slot and its register.
+type kfree struct{ slot, reg int }
 
 func (k *Kernel) getExec() *kexec {
 	if v := k.pool.Get(); v != nil {
@@ -401,11 +398,9 @@ func (k *Kernel) getExec() *kexec {
 
 func (k *Kernel) putExec(x *kexec) { k.pool.Put(x) }
 
-func (k *Kernel) applyBind(x *kexec, bind map[string]int) {
+func (k *Kernel) bind(x *kexec, frame []int) {
 	for _, f := range k.binds {
-		if v, ok := bind[f.name]; ok {
-			x.regs[f.reg] = v
-		}
+		x.regs[f.reg] = frame[f.slot]
 	}
 }
 
@@ -624,12 +619,13 @@ func (k *Kernel) exec(x *kexec) {
 	}
 }
 
-// Run executes the kernel. bind supplies values for free variables (loop
-// variables of enclosing scopes not bound inside the kernel); unbound
-// registers are zero. Safe for concurrent callers.
-func (k *Kernel) Run(bind map[string]int) {
+// Run executes the kernel. frame holds the free variables (loop variables
+// of enclosing scopes not bound inside the kernel) at their slots of the
+// instance's Frame; a kernel with none takes nil. Safe for concurrent
+// callers.
+func (k *Kernel) Run(frame []int) {
 	x := k.getExec()
-	k.applyBind(x, bind)
+	k.bind(x, frame)
 	k.exec(x)
 	k.putExec(x)
 }
@@ -1087,8 +1083,8 @@ func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
 		depth:      kc.depth + 1,
 	}
 	for name, r := range kc.regIndex {
-		if !kc.internal[r] {
-			k.binds = append(k.binds, kfree{name, r})
+		if !kc.internal[r] && name != kernelLoVar && name != kernelHiVar {
+			k.binds = append(k.binds, kfree{in.Frame.Slot(name), r})
 		}
 	}
 	return k, kc, nil
@@ -1096,7 +1092,7 @@ func (in *Instance) compileKernel(stmts []Stmt) (*Kernel, *kcompiler, error) {
 
 // CompileKernel compiles a statement list against this instance's arrays.
 // Variables that are neither parameters nor bound by loops inside the
-// statement list become free variables, set per call via Run's bind map.
+// statement list become free variables, read per call from the frame.
 // It lowers every statement list Validate accepts.
 func (in *Instance) CompileKernel(stmts []Stmt) (*Kernel, error) {
 	k, _, err := in.compileKernel(stmts)
@@ -1165,11 +1161,11 @@ func (in *Instance) CompileRangeKernel(distVar string, body []Stmt) (*RangeKerne
 	return rk, err
 }
 
-// Run executes iterations [lo,hi).
-func (rk *RangeKernel) Run(lo, hi int, bind map[string]int) {
+// Run executes iterations [lo,hi), its free variables read from frame.
+func (rk *RangeKernel) Run(lo, hi int, frame []int) {
 	k := rk.k
 	x := k.getExec()
-	k.applyBind(x, bind)
+	k.bind(x, frame)
 	x.regs[rk.loReg], x.regs[rk.hiReg] = lo, hi
 	k.exec(x)
 	k.putExec(x)

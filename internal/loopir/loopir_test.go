@@ -178,7 +178,9 @@ func TestFragmentFreeVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag.Run(map[string]int{"i": 2})
+	frame := make([]int, len(in.Frame))
+	frame[in.Frame["i"]] = 2
+	frag.Run(frame)
 	for j := 0; j < 4; j++ {
 		if in.Arrays["a"].At(2, j) != 1 {
 			t.Fatalf("row 2 not written: %v", in.Arrays["a"].Data)

@@ -80,8 +80,11 @@ func TestQuickKernelFragmentEquivalence(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		slot := fast.Frame.Slot(outer.Var)
+		frame := make([]int, len(fast.Frame))
 		for v := lo; v < hi; v++ {
-			frag.Run(map[string]int{outer.Var: v})
+			frame[slot] = v
+			frag.Run(frame)
 		}
 		return nil
 	})

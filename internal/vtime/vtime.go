@@ -34,6 +34,7 @@ type Kernel struct {
 	procs  []*Proc
 	limit  time.Duration // 0 means no limit
 	failed *ProcPanic    // first process that panicked; ends Run
+	free   []*event      // dispatched wake events, for Sleep to reuse
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -195,7 +196,14 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.post(&event{at: p.k.now + d, kind: evWake, proc: p})
+	k, ev := p.k, (*event)(nil)
+	if n := len(k.free); n > 0 {
+		ev, k.free = k.free[n-1], k.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: k.now + d, kind: evWake, proc: p}
+	k.post(ev)
 	p.block(stateSleeping)
 }
 
@@ -221,6 +229,9 @@ func (k *Kernel) Run() error {
 		}
 		switch ev.kind {
 		case evWake, evStart:
+			if ev.kind == evWake {
+				k.free = append(k.free, ev) // out of the queue; read before reused
+			}
 			if ev.proc.state == stateDone {
 				break
 			}

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -359,5 +360,57 @@ func BenchmarkSwitchUnderLoad(b *testing.B) {
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestSleepAllocatesNothing: a dispatched wake event is reused by the
+// next Sleep, so a process that sleeps in a loop allocates nothing once
+// warm, beside another process doing the same.
+func TestSleepAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates")
+	}
+	k := NewKernel()
+	var allocs float64
+	k.Spawn("a", func(p *Proc) {
+		p.Sleep(time.Millisecond) // warm: the first event
+		allocs = testing.AllocsPerRun(50, func() { p.Sleep(time.Millisecond) })
+	})
+	k.Spawn("b", func(p *Proc) {
+		for i := 0; i < 200; i++ {
+			p.Sleep(3 * time.Millisecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Sleep allocates %v times per call", allocs)
+	}
+}
+
+// TestReusedWakeEventsKeepTheirOrder: events are reused only once
+// dispatched, so processes sleeping different lengths at once each wake
+// at their own time, in timestamp order, every round.
+func TestReusedWakeEventsKeepTheirOrder(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	for _, c := range []struct {
+		name string
+		d    time.Duration
+	}{{"a", 3 * time.Millisecond}, {"b", 5 * time.Millisecond}, {"c", 7 * time.Millisecond}} {
+		k.Spawn(c.name, func(p *Proc) {
+			for p.Now()+c.d <= 15*time.Millisecond {
+				p.Sleep(c.d)
+				got = append(got, fmt.Sprintf("%s@%v", c.name, p.Now()))
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := "[a@3ms b@5ms a@6ms c@7ms a@9ms b@10ms a@12ms c@14ms b@15ms a@15ms]" // b posted its 15ms wake first
+	if fmt.Sprint(got) != want {
+		t.Fatalf("wakes = %v, want %s", got, want)
 	}
 }
