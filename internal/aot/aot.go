@@ -128,10 +128,11 @@ func (k *Kernel) Bind(arrays map[string]*loopir.Array) (*BoundKernel, error) {
 // Frame resolves the kernel's free variables to slots of f, the layout
 // of the frames Run is given.
 func (b *BoundKernel) Frame(f loopir.Frame) {
-	for _, name := range b.K.Meta.FreeVars {
-		b.slots = append(b.slots, f.Slot(name))
+	fv := b.K.Meta.FreeVars
+	b.slots, b.regs = make([]int, len(fv)), make([]int, len(fv))
+	for i, name := range fv {
+		b.slots[i] = f.Slot(name)
 	}
-	b.regs = make([]int, len(b.slots))
 }
 
 // Run executes iterations [lo,hi). An empty range is the kernel's own

@@ -1,6 +1,7 @@
 package dlb
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"testing"
@@ -46,15 +47,13 @@ func roundSlave(t *testing.T, name, tier string) *slave {
 	return s
 }
 
-// eachOwned replays the plan's control flow on the slave's frame and
-// calls visit at every distributed loop's execution, with the enclosing
-// loops' iterations in their slots. Nothing else runs.
-func eachOwned(t *testing.T, s *slave, visit func(l *compile.Node, st *compile.OwnedLoop)) {
+// eachLeaf replays the plan's control flow on the slave's frame and
+// calls visit at every step that is not a loop, with the enclosing loops'
+// iterations in their slots. Nothing else runs.
+func eachLeaf(t *testing.T, s *slave, visit func(l *compile.Node)) {
 	t.Helper()
 	err := s.exec.Plan.Run(s.frame, 1, func(l *compile.Node, _, _ int) error {
-		if st, ok := l.Step.(*compile.OwnedLoop); ok {
-			visit(l, st)
-		}
+		visit(l)
 		return nil
 	}, nil)
 	if err != nil {
@@ -75,8 +74,9 @@ func TestRoundAllocatesNothing(t *testing.T) {
 	} {
 		s := roundSlave(t, c.name, c.tier)
 		measured := map[int]bool{}
-		eachOwned(t, s, func(l *compile.Node, st *compile.OwnedLoop) {
-			if measured[l.ID] {
+		eachLeaf(t, s, func(l *compile.Node) {
+			st, ok := l.Step.(*compile.OwnedLoop)
+			if !ok || measured[l.ID] {
 				return
 			}
 			measured[l.ID] = true
@@ -95,33 +95,40 @@ func TestRoundAllocatesNothing(t *testing.T) {
 // execution of every library program, the estimate the slave charges,
 // lowered onto the frame once, is loopir.EstFlops over the same
 // bindings bit for bit: the midpoint unit for a dense body, every unit
-// in range for an indirect one (the instance-bound walk).
+// in range for an indirect one (the instance-bound walk). An owner
+// block's and a replicated group's charge is EstFlops of its body.
 func TestLoweredEstimateMatchesEstFlops(t *testing.T) {
 	for name := range overlapPlans(t) {
 		s := roundSlave(t, name, KernelVM)
 		execs := 0
-		eachOwned(t, s, func(l *compile.Node, st *compile.OwnedLoop) {
-			execs++
+		eachLeaf(t, s, func(l *compile.Node) {
 			env := maps.Clone(s.inst.Params)
 			for v, slot := range s.inst.Frame {
 				env[v] = s.frame.Slots[slot]
 			}
-			lo, hi := l.Range(s.frame.Slots, s.exec.Units)
-			check := func(u int, got float64, walk func([]loopir.Stmt, map[string]int) float64) {
-				env[st.Var] = u
-				if want := walk(st.Body, env); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: loop %q at %s=%d: lowered estimate %v, EstFlops %v", name, st.Var, st.Var, u, got, want)
+			same := func(what string, got, want float64) {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: %s: lowered estimate %v, EstFlops %v", name, what, got, want)
 				}
 			}
-			x := &s.execs[l.ID]
-			if !x.iarr {
+			switch st := l.Step.(type) {
+			case *compile.OwnerBlock:
+				same("owner block "+st.Index.String(), l.Cost(s.frame.Slots), loopir.EstFlops(st.Body, env))
+			case *compile.AllStmts:
+				same("replicated group", l.Cost(s.frame.Slots), loopir.EstFlops(st.Body, env))
+			case *compile.OwnedLoop:
+				execs++
+				lo, hi := l.Range(s.frame.Slots, s.exec.Units)
+				if x := &s.execs[l.ID]; x.cost != nil {
+					for u := lo; u < hi; u++ {
+						s.frame.Slots[l.Slot], env[st.Var] = u, u
+						same(fmt.Sprintf("loop %s=%d", st.Var, u), x.cost(s.frame.Slots), s.inst.EstFlops(st.Body, env))
+					}
+					return
+				}
 				mid := lo + (hi-lo)/2
-				check(mid, l.PerUnit(s.frame.Slots, mid), loopir.EstFlops)
-				return
-			}
-			for u := lo; u < hi; u++ {
-				s.frame.Slots[l.Slot] = u
-				check(u, x.cost(s.frame.Slots), s.inst.EstFlops)
+				env[st.Var] = mid
+				same(fmt.Sprintf("loop %s=%d", st.Var, mid), l.PerUnit(s.frame.Slots, mid), loopir.EstFlops(st.Body, env))
 			}
 		})
 		if execs == 0 {

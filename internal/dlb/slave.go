@@ -23,11 +23,9 @@ type stepExec struct {
 	run   rangeRunner    // bound native kernel or VM range kernel
 	units *int64         // the Tally field this loop's units feed
 	frag  *loopir.Kernel // an owner block's or a replicated group's kernel
-	// iarr marks a body with indirect (array-valued) subscripts: its
-	// per-unit cost is data-dependent, so the estimate walks each unit
-	// (cost, lowered against the live arrays) instead of sampling the
-	// midpoint.
-	iarr bool
+	// cost, set only for a body with indirect (array-valued) subscripts,
+	// is its estimate lowered against the live arrays: the per-unit cost
+	// is data-dependent, so each unit is estimated instead of the midpoint.
 	cost loopir.Cost
 }
 
@@ -231,7 +229,7 @@ func (s *slave) lowerPlan() (err error) {
 // lowerOwned resolves one distributed loop's executor: the bound native
 // kernel on the aot tier, else the VM range kernel.
 func (s *slave) lowerOwned(st *compile.OwnedLoop) (x stepExec, err error) {
-	if x.iarr = loopir.UsesIArr(st.Body); x.iarr {
+	if loopir.UsesIArr(st.Body) {
 		x.cost = s.inst.Frame.Cost(s.inst, st.Body, s.inst.Params, false)
 	}
 	if k := s.aot.kernelFor(st); k != nil {
@@ -465,7 +463,7 @@ func (s *slave) execOwned(l *compile.Node, st *compile.OwnedLoop) {
 
 	x := &s.execs[l.ID]
 	var perUnit float64
-	if x.iarr {
+	if x.cost != nil {
 		// Data-dependent body: the midpoint sample is meaningless, so walk
 		// the owned units and estimate each one against the live arrays.
 		// The simulated charge then reflects the real skew — exactly the
@@ -492,7 +490,7 @@ func (s *slave) execOwned(l *compile.Node, st *compile.OwnedLoop) {
 	// flops estimates the owned units at positions [i, j) of the runs,
 	// adding in unit order: the one estimate behind every charge below.
 	flops := func(i, j int) float64 {
-		if !x.iarr {
+		if x.cost == nil {
 			return perUnit * float64(j-i)
 		}
 		f := 0.0
