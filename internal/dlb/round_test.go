@@ -63,7 +63,7 @@ func eachLeaf(t *testing.T, s *slave, visit func(l *compile.Node)) {
 
 // TestRoundAllocatesNothing: once warm, with ownership unchanged, a
 // distributed loop's execution allocates nothing: no runs slice, no
-// Compute closure, no estimate walk, no bind map, no register file. Each
+// Compute closure, no estimate walk, no register file. Each
 // loop is measured at its first execution, in place in the loop nest.
 func TestRoundAllocatesNothing(t *testing.T) {
 	if raceDetector {
