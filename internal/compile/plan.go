@@ -25,6 +25,7 @@ package compile
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/depend"
 	"repro/internal/loopir"
@@ -305,26 +306,28 @@ func at(x loopir.Index, slots []int) int {
 }
 
 // Lower lowers the plan onto layout, parameters folded to their values.
-// each, if non-nil, sees every leaf in pre-order; the names it adds to
-// layout get slots too, as Slots is sized last.
+// A bound or index may read only the parameters and the variables of the
+// loops whose body holds it (a strip loop's Pre and Post run outside its
+// iterations). each, if non-nil, sees every leaf in pre-order; the names it
+// adds to layout get slots too, as Slots is sized last.
 func (p *Plan) Lower(layout loopir.Frame, params map[string]int, each func(*Node) error) (*Frame, error) {
 	f := &Frame{}
 	var err error
-	index := func(e loopir.IExpr) loopir.Index {
-		x, xerr := layout.Index(nil, e, params)
-		err = cmp.Or(err, xerr)
-		return x
-	}
-	var lower func(steps []Step) []*Node
-	lower = func(steps []Step) (out []*Node) {
+	var lower func(steps []Step, scope []string) []*Node
+	lower = func(steps []Step, scope []string) (out []*Node) {
+		index := func(e loopir.IExpr) loopir.Index {
+			x, xerr := layout.Index(nil, e, params, func(name string) bool { return slices.Contains(scope, name) })
+			err = cmp.Or(err, xerr)
+			return x
+		}
 		for _, s := range steps {
 			n := &Node{Step: s}
 			switch s := s.(type) {
 			case *SeqLoop:
-				n.Slot, n.Lo, n.Hi, n.kids = layout.Slot(s.Var), index(s.Lo), index(s.Hi), [][]*Node{lower(s.Body)}
+				n.Slot, n.Lo, n.Hi, n.kids = layout.Slot(s.Var), index(s.Lo), index(s.Hi), [][]*Node{lower(s.Body, append(scope, s.Var))}
 			case *StripLoop:
 				n.Slot, n.Lo, n.Hi = layout.Slot(s.Var), index(s.Lo), index(s.Hi)
-				n.kids = [][]*Node{lower(s.Pre), lower(s.Body), lower(s.Post)}
+				n.kids = [][]*Node{lower(s.Pre, scope), lower(s.Body, append(scope, s.Var)), lower(s.Post, scope)}
 			case *OwnedLoop:
 				n.Slot, n.Lo, n.Hi, n.Cost = layout.Slot(s.Var), index(s.Lo), index(s.Hi), layout.Cost(nil, s.Body, params, false)
 			case *OwnerBlock:
@@ -344,7 +347,7 @@ func (p *Plan) Lower(layout loopir.Frame, params map[string]int, each func(*Node
 		}
 		return out
 	}
-	f.steps = lower(p.Steps)
+	f.steps = lower(p.Steps, nil)
 	f.Slots = make([]int, len(layout))
 	return f, err
 }

@@ -195,8 +195,9 @@ func TestRunStripBlocks(t *testing.T) {
 }
 
 // TestRunReturnsErrors: a leaf error and a brk error each end the run and
-// come back from Run; a bound Lower cannot lower (an index-array read) is
-// Lower's error.
+// come back from Run; a bound or index Lower cannot lower (a name that is
+// neither a parameter nor an enclosing loop's variable, an index-array
+// read) is Lower's error.
 func TestRunReturnsErrors(t *testing.T) {
 	boom := errors.New("boom")
 	cond := &loopir.Cond{Op: ">", L: loopir.Fc(1), R: loopir.Fc(0)}
@@ -220,13 +221,23 @@ func TestRunReturnsErrors(t *testing.T) {
 		}
 	}
 	iarr := loopir.IArr{Array: "c", Idx: []loopir.IExpr{loopir.Ic(0)}}
-	for _, steps := range [][]Step{
-		{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: iarr}},
-		{&StripLoop{Var: "i", Lo: iarr, Hi: loopir.Ic(3)}},
-		{&OwnerBlock{Index: iarr}},
+	owned := func(v string) *OwnedLoop { return &OwnedLoop{Var: "j", Lo: loopir.Ic(0), Hi: loopir.Iv(v)} }
+	for _, tc := range []struct {
+		name  string
+		steps []Step
+		want  string
+	}{
+		{"seq bound", []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Iv("missing")}}, `unbound index variable "missing"`},
+		{"strip bound", []Step{&StripLoop{Var: "i", Lo: loopir.Iv("missing"), Hi: loopir.Ic(3)}}, `unbound index variable "missing"`},
+		{"finished loop", []Step{&SeqLoop{Var: "k", Lo: loopir.Ic(0), Hi: loopir.Ic(3)}, owned("k")}, `unbound index variable "k"`},
+		{"strip post", []Step{&StripLoop{Var: "i", Lo: loopir.Ic(0), Hi: loopir.Ic(3), Post: []Step{&Bcast{Index: loopir.Iv("i")}}}}, `unbound index variable "i"`},
+		{"product", []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: loopir.Imul(loopir.Iv("t"), loopir.Iv("t"))}}, `unbound index variable "t"`},
+		{"seq index array", []Step{&SeqLoop{Var: "t", Lo: loopir.Ic(0), Hi: iarr}}, "IArr"},
+		{"strip index array", []Step{&StripLoop{Var: "i", Lo: iarr, Hi: loopir.Ic(3)}}, "IArr"},
+		{"owner index array", []Step{&OwnerBlock{Index: iarr}}, "IArr"},
 	} {
-		if _, err := (&Plan{Steps: steps}).Lower(loopir.Frame{}, nil, nil); err == nil || !strings.Contains(err.Error(), "IArr") {
-			t.Errorf("Lower(%s) = %v, want the bound's error", stepLabel(steps[0]), err)
+		if _, err := (&Plan{Steps: tc.steps}).Lower(loopir.Frame{}, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Lower = %v, want %s", tc.name, err, tc.want)
 		}
 	}
 }

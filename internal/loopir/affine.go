@@ -63,6 +63,50 @@ func AffineOf(e IExpr, known map[string]int) (Affine, error) {
 	return Affine{}, fmt.Errorf("non-affine subscript: %s", e.String())
 }
 
+// decompose is the one lowering of an index expression, for the kernel
+// compiler and the frame alike. AffineOf decides first; a sum or
+// difference it refuses is decomposed part by part, and each part it still
+// refuses goes to derive, which names a fresh variable standing for the
+// part's value: a product of two non-constant forms (l, r, its decomposed
+// factors) or an index-array read (l, r zero). A zero factor derives a
+// product too, so the reads it would cancel stay checked.
+func decompose(e IExpr, known map[string]int, derive func(e IExpr, l, r Affine) (string, error)) (Affine, error) {
+	if a, err := AffineOf(e, known); err == nil {
+		return a, nil
+	}
+	var l, r Affine
+	switch e := e.(type) {
+	case IBin:
+		var err error
+		if l, err = decompose(e.L, known, derive); err != nil {
+			return Affine{}, err
+		}
+		if r, err = decompose(e.R, known, derive); err != nil {
+			return Affine{}, err
+		}
+		switch {
+		case e.Op == '+':
+			return l.addScaled(r, 1), nil
+		case e.Op == '-':
+			return l.addScaled(r, -1), nil
+		case e.Op != '*':
+			return Affine{}, fmt.Errorf("bad index op %q", string(e.Op))
+		case len(l.Terms) == 0 && l.Const != 0:
+			return Affine{}.addScaled(r, l.Const), nil
+		case len(r.Terms) == 0 && r.Const != 0:
+			return Affine{}.addScaled(l, r.Const), nil
+		}
+	case IArr:
+	default:
+		return Affine{}, fmt.Errorf("unknown index expression %T", e)
+	}
+	name, err := derive(e, l, r)
+	if err != nil {
+		return Affine{}, err
+	}
+	return Affine{Terms: []Term{{Var: name, Coef: 1}}}, nil
+}
+
 // addScaled returns a + k·b: a's terms keep their places and b's new
 // variables follow in b's order; a term that cancels is dropped.
 func (a Affine) addScaled(b Affine, k int) Affine {

@@ -58,15 +58,18 @@ func walkFlops(in *Instance, stmts []Stmt, env map[string]int, exact bool) float
 func TestCostMatchesTheEnvironmentWalk(t *testing.T) {
 	params := kernelTestParams()
 	progs := Library()
-	// Bounds only Frame.Index's nodes lower: a product of two loop
-	// variables, and arithmetic around an index-array read.
+	// Bounds only Frame.Index's derived slots lower: a product of two loop
+	// variables, arithmetic around an index-array read, and an
+	// index-array read past its array at the last i, where the walk
+	// skips the loop.
 	i := Iv("i")
 	params["nonaffine"] = map[string]int{"n": 9}
 	progs["nonaffine"] = &Program{Name: "nonaffine", Params: []string{"n"},
 		Arrays: []*ArrayDecl{{Name: "y", Dims: []IExpr{Iv("n")}}, initArray("c", "powrows", 5, Iv("n"))},
 		Body: []Stmt{For("i", Ic(0), Iv("n"),
 			For("j", Ic(0), Imul(i, Isub(i, Ic(1))), Set(Fref("y", i), Fadd(Fref("y", i), Fc(1)))),
-			For("k", Isub(Ia("c", i), Ic(1)), Iadd(Ia("c", i), Imul(Ic(2), i)), Set(Fref("y", i), Fc(2))))},
+			For("k", Isub(Ia("c", i), Ic(1)), Iadd(Ia("c", i), Imul(Ic(2), i)), Set(Fref("y", i), Fc(2))),
+			For("m", Ic(0), Iadd(Ia("c", Iadd(i, Ic(1))), Ic(1)), Set(Fref("y", i), Fc(3))))},
 	}
 	for name, prog := range progs {
 		in, err := NewInstance(prog, params[name])

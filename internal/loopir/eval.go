@@ -224,8 +224,7 @@ func (in *Instance) EvalIndex(e IExpr, env map[string]int) (int, error) {
 }
 
 // offset resolves array[idx...] under env to the array and the element's
-// flat offset: the one bounds check of every interpreted data read, write
-// and index-array read.
+// flat offset (Array.offset).
 func (in *Instance) offset(array string, idx []IExpr, env map[string]int) (*Array, int, error) {
 	arr := in.Arrays[array]
 	if arr == nil {
@@ -234,18 +233,26 @@ func (in *Instance) offset(array string, idx []IExpr, env map[string]int) (*Arra
 	if len(idx) != len(arr.Dims) {
 		return nil, 0, fmt.Errorf("array %q rank %d indexed with %d subscripts", array, len(arr.Dims), len(idx))
 	}
+	flat, err := arr.offset(func(d int) (int, error) { return in.EvalIndex(idx[d], env) })
+	return arr, flat, err
+}
+
+// offset is the flat offset of the element whose subscript in dimension d
+// is sub(d): the one bounds check of every interpreted data read, write
+// and index-array read, a lowered one's (Frame.Index) included.
+func (arr *Array) offset(sub func(d int) (int, error)) (int, error) {
 	flat := 0
-	for d, ie := range idx {
-		v, err := in.EvalIndex(ie, env)
+	for d, n := range arr.Dims {
+		v, err := sub(d)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		if v < 0 || v >= arr.Dims[d] {
-			return nil, 0, fmt.Errorf("array %q index %d out of range [0,%d) in dim %d", array, v, arr.Dims[d], d)
+		if v < 0 || v >= n {
+			return 0, fmt.Errorf("array %q index %d out of range [0,%d) in dim %d", arr.Name, v, n, d)
 		}
 		flat += v * arr.Stride[d]
 	}
-	return arr, flat, nil
+	return flat, nil
 }
 
 // Observer is told of each data access InterpretObserved makes. s is the

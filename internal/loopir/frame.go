@@ -1,6 +1,9 @@
 package loopir
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Frame lays out a run's integer frame: each name a lowered step, kernel
 // or estimate reads gets a fixed slot on first use, and the run keeps the
@@ -22,60 +25,75 @@ func (f Frame) Slot(name string) int {
 // read outside its array).
 type Index func(frame []int) (v int, ok bool)
 
-// Index lowers e onto f, folding the known names: its affine form over
-// the slots, and only what AffineOf refuses kept as a node. in serves
-// index-array reads; with in nil one is an error, as it is to EvalIndex.
-func (f Frame) Index(in *Instance, e IExpr, known map[string]int) (Index, error) {
-	if a, err := AffineOf(e, known); err == nil {
+// Index lowers e onto f, folding the known names (decompose): its affine
+// form over the slots, where each part AffineOf refuses takes a slot of
+// its own, set first. in serves index-array reads; with in nil one is an
+// error, as it is to EvalIndex. bound, if non-nil, says which other names
+// e may read; any other is an error.
+func (f Frame) Index(in *Instance, e IExpr, known map[string]int, bound func(string) bool) (Index, error) {
+	var unbound error
+	slots := func(a Affine) lin {
 		l := lin{c: a.Const}
 		for _, t := range a.Terms {
+			if bound != nil && t.Var[0] != '#' && !bound(t.Var) {
+				unbound = cmp.Or(unbound, fmt.Errorf("unbound index variable %q", t.Var))
+			}
 			l.terms = append(l.terms, linTerm{f.Slot(t.Var), t.Coef})
 		}
+		return l
+	}
+	var derived []func(frame []int) bool
+	var derive func(e IExpr, l, r Affine) (string, error)
+	derive = func(e IExpr, l, r Affine) (string, error) {
+		ll, rl := slots(l), slots(r)
+		var arr *Array
+		var sub []lin
+		if e, ok := e.(IArr); ok {
+			if in != nil {
+				arr = in.Arrays[e.Array]
+			}
+			if arr == nil {
+				return "", fmt.Errorf("unknown index expression %T", e)
+			}
+			for _, ie := range e.Idx {
+				a, err := decompose(ie, known, derive)
+				if err != nil {
+					return "", err
+				}
+				sub = append(sub, slots(a))
+			}
+		}
+		name := fmt.Sprint("#", len(f)) // a fresh slot no source variable names
+		slot := f.Slot(name)
+		derived = append(derived, func(frame []int) bool {
+			if arr == nil {
+				frame[slot] = ll.eval(frame) * rl.eval(frame)
+				return true
+			}
+			off, err := arr.offset(func(d int) (int, error) { return sub[d].eval(frame), nil })
+			if err == nil {
+				frame[slot] = int(arr.Data[off])
+			}
+			return err == nil
+		})
+		return name, nil
+	}
+	a, err := decompose(e, known, derive)
+	l := slots(a)
+	if err = cmp.Or(err, unbound); err != nil {
+		return nil, err
+	}
+	if len(derived) == 0 {
 		return func(frame []int) (int, bool) { return l.eval(frame), true }, nil
 	}
-	switch e := e.(type) {
-	case IBin:
-		l, err := f.Index(in, e.L, known)
-		if err != nil {
-			return nil, err
-		}
-		r, err := f.Index(in, e.R, known)
-		return func(frame []int) (int, bool) {
-			a, aok := l(frame)
-			b, bok := r(frame)
-			switch e.Op {
-			case '+':
-				a += b
-			case '-':
-				a -= b
-			default:
-				a *= b
+	return func(frame []int) (int, bool) {
+		for _, d := range derived {
+			if !d(frame) {
+				return 0, false
 			}
-			return a, aok && bok
-		}, err
-	case IArr:
-		if in != nil && in.Arrays[e.Array] != nil {
-			arr, sub := in.Arrays[e.Array], make([]Index, len(e.Idx))
-			for d, ie := range e.Idx {
-				var err error
-				if sub[d], err = f.Index(in, ie, known); err != nil {
-					return nil, err
-				}
-			}
-			return func(frame []int) (int, bool) {
-				flat := 0
-				for d, x := range sub {
-					i, ok := x(frame)
-					if !ok || i < 0 || i >= arr.Dims[d] {
-						return 0, false
-					}
-					flat += i * arr.Stride[d]
-				}
-				return int(arr.Data[flat]), true
-			}, nil
 		}
-	}
-	return nil, fmt.Errorf("unknown index expression %T", e)
+		return l.eval(frame), true
+	}, nil
 }
 
 // Cost is the one flop walk (EstFlops, ExactFlops) lowered onto a frame
@@ -96,8 +114,8 @@ func (f Frame) Cost(in *Instance, stmts []Stmt, known map[string]int, exact bool
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Loop:
-			lo, err1 := f.Index(in, s.Lo, known)
-			hi, err2 := f.Index(in, s.Hi, known)
+			lo, err1 := f.Index(in, s.Lo, known, nil)
+			hi, err2 := f.Index(in, s.Hi, known, nil)
 			if err1 != nil || err2 != nil {
 				continue
 			}

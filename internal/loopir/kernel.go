@@ -696,53 +696,24 @@ func (kc *kcompiler) addSite(arr *Array, flat lin, checks []kdim, lvl *klevel) i
 	return id
 }
 
-// index decomposes an index expression. AffineOf decides first; only the
-// parts it refuses, an index-array read or a product of two non-constant
-// forms, become derived registers, which d sets.
+// index decomposes an index expression (decompose): the parts AffineOf
+// refuses become derived registers, which d sets.
 func (kc *kcompiler) index(e IExpr, d *kderive) (Affine, error) {
-	if a, err := AffineOf(e, kc.in.Params); err == nil {
-		return a, nil
-	}
-	var step kref
-	switch e := e.(type) {
-	case IBin:
-		l, err := kc.index(e.L, d)
-		if err != nil {
-			return Affine{}, err
+	return decompose(e, kc.in.Params, func(e IExpr, l, r Affine) (string, error) {
+		step := kref{site: -1, l: kc.lin(l), r: kc.lin(r)}
+		if e, ok := e.(IArr); ok {
+			arr, checks, flat, err := kc.lowerRef(e.Array, e.Idx, -1, d)
+			if err != nil {
+				return "", err
+			}
+			step = kc.derivedRef(arr, checks, flat)
 		}
-		r, err := kc.index(e.R, d)
-		if err != nil {
-			return Affine{}, err
-		}
-		switch {
-		case e.Op == '+':
-			return l.addScaled(r, 1), nil
-		case e.Op == '-':
-			return l.addScaled(r, -1), nil
-		case e.Op != '*':
-			return Affine{}, fmt.Errorf("bad index op %q", string(e.Op))
-		// A zero factor derives a product too, so the reads it would
-		// cancel stay checked.
-		case len(l.Terms) == 0 && l.Const != 0:
-			return Affine{}.addScaled(r, l.Const), nil
-		case len(r.Terms) == 0 && r.Const != 0:
-			return Affine{}.addScaled(l, r.Const), nil
-		}
-		step = kref{site: -1, l: kc.lin(l), r: kc.lin(r)}
-	case IArr:
-		arr, checks, flat, err := kc.lowerRef(e.Array, e.Idx, -1, d)
-		if err != nil {
-			return Affine{}, err
-		}
-		step = kc.derivedRef(arr, checks, flat)
-	default:
-		return Affine{}, fmt.Errorf("unknown index expression %T", e)
-	}
-	name := fmt.Sprint("#", kc.nregs) // a fresh register no source variable names
-	step.reg = kc.regFor(name)
-	kc.internal[step.reg] = true
-	*d = append(*d, step)
-	return Affine{Terms: []Term{{Var: name, Coef: 1}}}, nil
+		name := fmt.Sprint("#", kc.nregs) // a fresh register no source variable names
+		step.reg = kc.regFor(name)
+		kc.internal[step.reg] = true
+		*d = append(*d, step)
+		return name, nil
+	})
 }
 
 // lowerRef decomposes a reference's subscripts, deriving into d what
